@@ -38,7 +38,6 @@ from .dp_ring import (
 )
 from .mf import (
     EPair,
-    FractionalDual,
     MatFact,
     build_factorization,
     dual_action,

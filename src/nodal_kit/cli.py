@@ -1,10 +1,16 @@
 """Command-line driver binding the modules into verification pipelines.
 
-Subcommands mirror the library surface: ``factorize``, ``division``,
-``normal-form``, ``dual``, ``exactness``, ``charts``, ``fiber``, and
-``check-all``.  Exit status is 0 when every check passes, 1 when a check
-fails, and 2 for invalid configurations; structured reports are
-byte-reproducible for a fixed config and seed.
+Every check the command can run is listed once, in ``REGISTRY``: an ordered
+tuple of suites.  A suite names the subcommand that runs it alone (or none,
+for the suites only ``check-all`` runs), the parameters it adds to its
+records, an optional skip rule under which a single ``*.applicability``
+record stands in for it, and its checks.  ``check-all`` runs every suite in
+registry order; each other subcommand runs its own suite.  The parser's
+subcommands are read from the registry as well.
+
+Exit status is 0 when every check passes, 1 when a check fails, and 2 for
+invalid configurations; structured reports are byte-reproducible for a
+fixed config and seed.
 """
 
 from __future__ import annotations
@@ -14,7 +20,9 @@ import json
 import random
 import sys
 import time
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
+from functools import cached_property
+from typing import Callable
 
 from . import dp_ring, mf, normal_form, stabilize
 from .dp_ring import DPRing
@@ -29,7 +37,7 @@ from .rings import (
     RingConstructionError,
     make_ring,
 )
-from .series import Series2
+from .series import HPoly, Series2
 
 DEFAULT_SEED = 20240801
 
@@ -65,6 +73,8 @@ class Resolved:
     """Parsed configuration objects, validated for the selected subcommand."""
 
     def __init__(self, cfg):
+        if cfg.subcommand not in SUBCOMMANDS:
+            raise ConfigError(f"unknown subcommand {cfg.subcommand!r}")
         try:
             self.ring = make_ring(cfg.ring)
         except RingConstructionError as e:
@@ -83,31 +93,27 @@ class Resolved:
             raise ConfigError("degree bound must be >= 1")
         if cfg.cushion < 1:
             raise ConfigError("cushion must be >= 1")
-        needs_unit = cfg.subcommand in (
-            "factorize",
-            "dual",
-            "exactness",
-            "charts",
-            "fiber",
-            "normal-form",
-            "check-all",
-        )
-        if needs_unit and not self.q.discriminant.is_unit:
+        # The division checks hold for any discriminant; every other suite needs a unit.
+        if cfg.subcommand != "division" and not self.q.discriminant.is_unit:
             raise ConfigError(
                 "discriminant gamma^2 - 4*delta must be a unit for this subcommand"
             )
-        if cfg.subcommand == "fiber":
-            if not self.s.is_zero or not self.t.is_zero:
-                raise ConfigError("the fiber computation requires s = t = 0")
-            try:
-                roots = stabilize.split_tangent_roots(self.ring, self.q)
-            except stabilize.UnsupportedConfigurationError as e:
-                raise ConfigError(str(e)) from None
-            if roots is None:
-                raise ConfigError(
-                    "y^2 - gamma*y + delta must split with distinct roots over the base field"
-                )
+        if cfg.subcommand == "fiber" and self.fiber_problem is not None:
+            raise ConfigError(self.fiber_problem)
         self.cfg = cfg
+
+    @cached_property
+    def fiber_problem(self):
+        """Why the central-fiber suite cannot run on this configuration, or None."""
+        if not self.s.is_zero or not self.t.is_zero:
+            return "the fiber computation requires s = t = 0"
+        try:
+            roots = stabilize.split_tangent_roots(self.ring, self.q)
+        except stabilize.UnsupportedConfigurationError as e:
+            return str(e)
+        if roots is None:
+            return "y^2 - gamma*y + delta must split with distinct roots over the base field"
+        return None
 
     def dp(self, extra=8):
         return DPRing(
@@ -154,38 +160,43 @@ def _run_check(records, name, params, fn):
     )
 
 
-# --- individual suites -------------------------------------------------------
+def _from_record(rec, *keys):
+    """Check details from a library record: its ``ok``, the given keys it has,
+    and its first failure, if any, as the counterexample."""
+    out = {"ok": rec["ok"], **{k: rec[k] for k in keys if k in rec}}
+    if rec.get("failures"):
+        out["counterexample"] = rec["failures"][0]
+    return out
 
 
-def suite_factorize(res, cfg):
-    records = []
-    params = _base_params(cfg)
+# --- suites ------------------------------------------------------------------
+#
+# Each function does its suite's set-up and returns the checks as
+# (name, thunk) pairs.  The thunks run in order and share ``rng``.
 
+
+def _factorize(res, cfg, rng):
     def build():
-        mfobj = mf.build_factorization(res.dp())
+        mf.build_factorization(res.dp())  # raises unless the identities hold
         return {"ok": True, "entries_degree_at_most_1": True}
-
-    _run_check(records, "mf.construction-identities", params, build)
 
     def witnesses():
         rec = mf.witness_identities(mf.build_factorization(res.dp()))
-        out = {"ok": rec["ok"]}
+        out = _from_record(rec, "nzd_kernel_dimension")
         if rec["failures"]:
             out["counterexample"] = "; ".join(rec["failures"])
-        if "nzd_kernel_dimension" in rec:
-            out["nzd_kernel_dimension"] = rec["nzd_kernel_dimension"]
         return out
 
-    _run_check(records, "mf.witness-identities", params, witnesses)
-    return records
+    return [("mf.construction-identities", build), ("mf.witness-identities", witnesses)]
 
 
-def suite_division(res, cfg):
-    records = []
-    rng = random.Random(cfg.seed)
-    n_max = max(4, min(12, cfg.degree_bound + 6))
+def _division_n_max(cfg):
+    return max(4, min(12, cfg.degree_bound + 6))
+
+
+def _division(res, cfg, rng):
+    n_max = _division_n_max(cfg)
     dpr = DPRing(res.ring, res.q, res.s, res.t, degree_bound=n_max + 4)
-    params = _base_params(cfg, n_max=n_max)
 
     def powers():
         f, g, h = dp_ring.x_power_decompositions(dpr, n_max)
@@ -200,8 +211,6 @@ def suite_division(res, cfg):
                 }
         return {"ok": True, "verified_up_to": n_max}
 
-    _run_check(records, "dp.power-identities", params, powers)
-
     def roundtrip():
         for k in range(30):
             a = dpr.random_element(rng, degree=3)
@@ -213,8 +222,7 @@ def suite_division(res, cfg):
                 return {"ok": False, "counterexample": f"division certificate at trial {k}"}
         return {"ok": True, "trials": 30}
 
-    _run_check(records, "dp.canonical-roundtrip", params, roundtrip)
-    return records
+    return [("dp.power-identities", powers), ("dp.canonical-roundtrip", roundtrip)]
 
 
 def _random_series_with_quadratic_part(q, rng, n_steps):
@@ -229,12 +237,8 @@ def _random_series_with_quadratic_part(q, rng, n_steps):
     return q.series() + Series2.from_terms(ring, terms)
 
 
-def suite_normal_form(res, cfg):
-    records = []
-    rng = random.Random(cfg.seed)
+def _normal_form(res, cfg, rng):
     n_steps = cfg.precision
-    params = _base_params(cfg, precision=cfg.precision)
-
     if cfg.series is not None:
         try:
             triples = json.loads(cfg.series)
@@ -273,30 +277,18 @@ def suite_normal_form(res, cfg):
             "residual_order_at_least": n_steps + 2,
         }
 
-    _run_check(records, "nf.residual-order", params, residuals)
-
     def right_inverse():
         for n in range(8 + 1):
-            h = _random_hpoly(res.ring, rng, n + 1)
+            h = HPoly(res.ring, n + 1, [res.ring.random_element(rng) for _ in range(n + 2)])
             mu, nu = normal_form.solve_linearized_increment(res.q, h)
             if normal_form.linearized_increment(res.q, mu, nu) != h:
                 return {"ok": False, "counterexample": f"right inverse failed at degree {n + 1}"}
         return {"ok": True, "degrees": "1..9"}
 
-    _run_check(records, "nf.right-inverse", params, right_inverse)
-    return records
+    return [("nf.residual-order", residuals), ("nf.right-inverse", right_inverse)]
 
 
-def _random_hpoly(ring, rng, degree):
-    from .series import HPoly
-
-    return HPoly(ring, degree, [ring.random_element(rng) for _ in range(degree + 1)])
-
-
-def suite_square_zero(res, cfg):
-    records = []
-    rng = random.Random(cfg.seed)
-    params = _base_params(cfg)
+def _square_zero(res, cfg, rng):
     dring = DualNumbers(res.ring)
     qd = QuadForm(dring, dring.embed(res.gamma), dring.embed(res.delta))
     tau = dring.eps
@@ -310,8 +302,6 @@ def suite_square_zero(res, cfg):
             if lhs.truncated(8) != rhs:
                 return {"ok": False, "counterexample": f"identity failed at trial {k}"}
         return {"ok": True, "trials": 6, "precision": 8}
-
-    _run_check(records, "nf.square-zero-identity", params, identity)
 
     def repair():
         for k in range(4):
@@ -328,8 +318,7 @@ def suite_square_zero(res, cfg):
                 return {"ok": False, "counterexample": f"repair identity failed at trial {k}"}
         return {"ok": True, "trials": 4}
 
-    _run_check(records, "nf.square-zero-repair", params, repair)
-    return records
+    return [("nf.square-zero-identity", identity), ("nf.square-zero-repair", repair)]
 
 
 def _random_zero_constant_series(ring, rng, precision):
@@ -343,42 +332,15 @@ def _random_zero_constant_series(ring, rng, precision):
     return Series2.from_terms(ring, terms, precision)
 
 
-def suite_dual(res, cfg):
-    records = []
-    params = _base_params(cfg, degree_bound=cfg.degree_bound)
-    if not res.ring.is_field:
-        _run_check(
-            records,
-            "dual.applicability",
-            params,
-            lambda: {"ok": True, "note": "skipped: linear-algebra checks need field coefficients"},
-        )
-        return records
+def _dual(res, cfg, rng):
     dpr = res.dp()
-
-    def homs():
-        rec = mf.hom_pair_space(dpr, cfg.degree_bound)
-        return {
-            "ok": rec["ok"],
-            "hom_dimension": rec["hom_dimension"],
-            "span_dimension": rec["span_dimension"],
-        }
-
-    _run_check(records, "dual.hom-space", params, homs)
 
     def iso():
         rec = mf.dual_quotient_iso(dpr, cfg.degree_bound)
-        out = {
-            "ok": rec["ok"],
-            "injective_kernel_dimension": rec["injective_kernel_dimension"],
-            "covered_homs": rec["covered_homs"],
-            "total_homs": rec["total_homs"],
-        }
+        out = _from_record(rec, "injective_kernel_dimension", "covered_homs", "total_homs")
         if rec["failures"]:
             out["counterexample"] = f"{len(rec['failures'])} homs not covered"
         return out
-
-    _run_check(records, "dual.quotient-iso", params, iso)
 
     def independence():
         j1, j2 = mf.ideal_j_generators(dpr)
@@ -386,21 +348,19 @@ def suite_dual(res, cfg):
         rhs = mf.dual_action(dpr, dpr.zero, j1)
         return {"ok": lhs == rhs}
 
-    _run_check(records, "dual.presentation-independence", params, independence)
-    return records
+    return [
+        (
+            "dual.hom-space",
+            lambda: _from_record(
+                mf.hom_pair_space(dpr, cfg.degree_bound), "hom_dimension", "span_dimension"
+            ),
+        ),
+        ("dual.quotient-iso", iso),
+        ("dual.presentation-independence", independence),
+    ]
 
 
-def suite_exactness(res, cfg):
-    records = []
-    params = _base_params(cfg, degree_bound=cfg.degree_bound, cushion=cfg.cushion)
-    if not res.ring.is_field:
-        _run_check(
-            records,
-            "exactness.applicability",
-            params,
-            lambda: {"ok": True, "note": "skipped: exactness checks need field coefficients"},
-        )
-        return records
+def _exactness(res, cfg, rng):
     mfobj = mf.build_factorization(res.dp())
 
     def run(transposed):
@@ -415,21 +375,16 @@ def suite_exactness(res, cfg):
                 out["counterexample"] = data["failures"][0]
         return out
 
-    _run_check(records, "exactness.periodic", params, lambda: run(False))
-    _run_check(records, "exactness.transposed", params, lambda: run(True))
-    return records
+    return [
+        ("exactness.periodic", lambda: run(False)),
+        ("exactness.transposed", lambda: run(True)),
+    ]
 
 
-def suite_charts(res, cfg):
-    records = []
-    rng = random.Random(cfg.seed)
-    params = _base_params(cfg, degree_bound=cfg.degree_bound)
-
+def _charts(res, cfg, rng):
     def build():
         stabilize.build_charts(res.ring, res.q, res.s, res.t)
         return {"ok": True}
-
-    _run_check(records, "charts.eliminations-match", params, build)
 
     def confluence():
         chart0, _ = stabilize.build_charts(res.ring, res.q, res.s, res.t)
@@ -441,76 +396,46 @@ def suite_charts(res, cfg):
                     return {"ok": False, "counterexample": f"order-dependent normal form, trial {k}"}
         return {"ok": True, "trials": 20}
 
-    _run_check(records, "charts.confluence", params, confluence)
-
     def flatness():
         chart0, _ = stabilize.build_charts(res.ring, res.q, res.s, res.t)
         rec = stabilize.flatness_basis_certificate(chart0, cfg.degree_bound, rng)
-        out = {"ok": rec["ok"], "basis_size": rec["basis_size"]}
-        if rec["failures"]:
-            out["counterexample"] = rec["failures"][0]
-        return out
-
-    _run_check(records, "charts.flatness-basis", params, flatness)
-
-    def covering():
-        rec = stabilize.covering_certificate(res.ring, res.q, res.s, res.t)
-        out = {
-            "ok": rec["ok"],
-            "u_numerator": rec["u_numerator"],
-            "u_denominator": rec["u_denominator"],
-        }
-        if rec["failures"]:
-            out["counterexample"] = rec["failures"][0]
-        return out
-
-    _run_check(records, "charts.covering-gluing", params, covering)
-
-    def det_numeric():
-        rec = stabilize.determinant_and_ideal_basis(res.ring, res.q, res.s, res.t)
-        return {
-            "ok": rec["ok"],
-            "determinant": rec["determinant"],
-            "basis_certificate": rec["basis_certificate"],
-        }
-
-    _run_check(records, "charts.det4-numeric", params, det_numeric)
+        return _from_record(rec, "basis_size")
 
     def det_symbolic():
         sym = LocalTruncation(Rationals(), ("gamma", "delta"), 4)
         qsym = QuadForm(sym, sym.gen("gamma"), sym.gen("delta"))
         rec = stabilize.determinant_and_ideal_basis(sym, qsym)
-        return {"ok": rec["ok"], "determinant": rec["determinant"]}
+        return _from_record(rec, "determinant")
 
-    _run_check(records, "charts.det4-symbolic", params, det_symbolic)
-    return records
+    return [
+        ("charts.eliminations-match", build),
+        ("charts.confluence", confluence),
+        ("charts.flatness-basis", flatness),
+        (
+            "charts.covering-gluing",
+            lambda: _from_record(
+                stabilize.covering_certificate(res.ring, res.q, res.s, res.t),
+                "u_numerator",
+                "u_denominator",
+            ),
+        ),
+        (
+            "charts.det4-numeric",
+            lambda: _from_record(
+                stabilize.determinant_and_ideal_basis(res.ring, res.q, res.s, res.t),
+                "determinant",
+                "basis_certificate",
+            ),
+        ),
+        ("charts.det4-symbolic", det_symbolic),
+    ]
 
 
-def suite_fiber(res, cfg):
-    records = []
-    params = _base_params(cfg)
-
-    def fiber():
-        report = stabilize.fiber_at_origin(res.ring, res.q)
-        return {
-            "ok": report.ok,
-            "roots": list(report.roots),
-            "components": list(report.components),
-            "intersection_points": [list(p) for p in report.intersection_points],
-            "transversal_determinants": list(report.transversal_determinants),
-            "lines_disjoint": report.lines_disjoint,
-            "section_jacobian": report.section_jacobian,
-        }
-
-    _run_check(records, "fiber.decomposition", params, fiber)
-    return records
+def _fiber(res, cfg, rng):
+    return [("fiber.decomposition", lambda: asdict(stabilize.fiber_at_origin(res.ring, res.q)))]
 
 
-def suite_ring_axioms(res, cfg):
-    records = []
-    rng = random.Random(cfg.seed)
-    params = _base_params(cfg)
-
+def _ring_axioms(res, cfg, rng):
     def axioms():
         rings = [res.ring, DualNumbers(res.ring)]
         for ring in rings:
@@ -535,15 +460,10 @@ def suite_ring_axioms(res, cfg):
             return {"ok": False, "counterexample": "eps^2 != 0"}
         return {"ok": True, "rings": [r.descriptor() for r in rings]}
 
-    _run_check(records, "rings.axioms", params, axioms)
-    return records
+    return [("rings.axioms", axioms)]
 
 
-def suite_series_laws(res, cfg):
-    records = []
-    rng = random.Random(cfg.seed)
-    params = _base_params(cfg)
-
+def _series_laws(res, cfg, rng):
     def laws():
         ring = res.ring
         X, Y = Series2.x(ring), Series2.y(ring)
@@ -565,61 +485,99 @@ def suite_series_laws(res, cfg):
                 return {"ok": False, "counterexample": f"multiplicativity, trial {k}"}
         return {"ok": True, "trials": 8}
 
-    _run_check(records, "series.substitution-laws", params, laws)
-    return records
+    return [("series.substitution-laws", laws)]
 
 
-SUITES = {
-    "factorize": (suite_factorize,),
-    "division": (suite_division,),
-    "normal-form": (suite_normal_form,),
-    "dual": (suite_dual,),
-    "exactness": (suite_exactness,),
-    "charts": (suite_charts,),
-    "fiber": (suite_fiber,),
-}
+# --- the registry ------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Suite:
+    """One entry of the check registry.
+
+    ``subcommand`` runs the suite alone; None means only ``check-all`` runs
+    it.  ``params(cfg)`` gives the parameters the suite adds to the base ones
+    in each record.  ``skip`` is ``(record name, note, applies(res))``: when
+    ``applies`` is false, one passing record with the note stands in for the
+    suite.  ``checks(res, cfg, rng)`` returns the checks as (name, thunk)
+    pairs, with ``rng = random.Random(cfg.seed)`` fresh for the suite.
+    """
+
+    subcommand: str | None
+    checks: Callable
+    params: Callable = lambda cfg: {}
+    skip: tuple | None = None
+
+
+def _over_field(res):
+    return res.ring.is_field
+
+
+REGISTRY = (
+    Suite(None, _ring_axioms),
+    Suite(None, _series_laws),
+    Suite("normal-form", _normal_form, params=lambda cfg: {"precision": cfg.precision}),
+    Suite(
+        None,
+        _square_zero,
+        skip=(
+            "nf.square-zero-applicability",
+            "skipped: run over a field to lift into dual numbers",
+            _over_field,
+        ),
+    ),
+    Suite("division", _division, params=lambda cfg: {"n_max": _division_n_max(cfg)}),
+    Suite("factorize", _factorize),
+    Suite(
+        "dual",
+        _dual,
+        params=lambda cfg: {"degree_bound": cfg.degree_bound},
+        skip=(
+            "dual.applicability",
+            "skipped: linear-algebra checks need field coefficients",
+            _over_field,
+        ),
+    ),
+    Suite(
+        "exactness",
+        _exactness,
+        params=lambda cfg: {"degree_bound": cfg.degree_bound, "cushion": cfg.cushion},
+        skip=(
+            "exactness.applicability",
+            "skipped: exactness checks need field coefficients",
+            _over_field,
+        ),
+    ),
+    Suite("charts", _charts, params=lambda cfg: {"degree_bound": cfg.degree_bound}),
+    Suite(
+        "fiber",
+        _fiber,
+        skip=(
+            "fiber.applicability",
+            "skipped: needs s = t = 0 and split tangent roots",
+            lambda res: res.fiber_problem is None,
+        ),
+    ),
+)
+
+SUBCOMMANDS = tuple(s.subcommand for s in REGISTRY if s.subcommand) + ("check-all",)
 
 
 def run(cfg):
     """Execute the configured pipeline and assemble the report."""
     res = Resolved(cfg)
     records = []
-    if cfg.subcommand == "check-all":
-        records += suite_ring_axioms(res, cfg)
-        records += suite_series_laws(res, cfg)
-        records += suite_normal_form(res, cfg)
-        if res.ring.is_field:
-            records += suite_square_zero(res, cfg)
+    for suite in REGISTRY:
+        if cfg.subcommand not in ("check-all", suite.subcommand):
+            continue
+        params = _base_params(cfg, **suite.params(cfg))
+        if suite.skip is not None and not suite.skip[2](res):
+            name, note, _ = suite.skip
+            checks = [(name, lambda: {"ok": True, "note": note})]
         else:
-            _run_check(
-                records,
-                "nf.square-zero-applicability",
-                _base_params(cfg),
-                lambda: {"ok": True, "note": "skipped: run over a field to lift into dual numbers"},
-            )
-        records += suite_division(res, cfg)
-        records += suite_factorize(res, cfg)
-        records += suite_dual(res, cfg)
-        records += suite_exactness(res, cfg)
-        records += suite_charts(res, cfg)
-        applicable = res.s.is_zero and res.t.is_zero
-        if applicable:
-            try:
-                applicable = stabilize.split_tangent_roots(res.ring, res.q) is not None
-            except stabilize.UnsupportedConfigurationError:
-                applicable = False
-        if applicable:
-            records += suite_fiber(res, cfg)
-        else:
-            _run_check(
-                records,
-                "fiber.applicability",
-                _base_params(cfg),
-                lambda: {"ok": True, "note": "skipped: needs s = t = 0 and split tangent roots"},
-            )
-    else:
-        for fn in SUITES[cfg.subcommand]:
-            records += fn(res, cfg)
+            checks = suite.checks(res, cfg, random.Random(cfg.seed))
+        for name, fn in checks:
+            _run_check(records, name, params, fn)
     return Report(subcommand=cfg.subcommand, config=cfg.echo(), records=records)
 
 
@@ -640,17 +598,7 @@ def build_parser():
     common.add_argument("--cushion", type=int, default=2)
     common.add_argument("--seed", type=int, default=DEFAULT_SEED)
     common.add_argument("--format", choices=("text", "structured"), default="text", dest="fmt")
-    names = [
-        "normal-form",
-        "division",
-        "factorize",
-        "dual",
-        "exactness",
-        "charts",
-        "fiber",
-        "check-all",
-    ]
-    for name in names:
+    for name in SUBCOMMANDS:
         p = sub.add_parser(name, parents=[common])
         if name == "normal-form":
             p.add_argument(
@@ -664,20 +612,7 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    cfg = RunConfig(
-        subcommand=args.subcommand,
-        ring=args.ring,
-        gamma=args.gamma,
-        delta=args.delta,
-        s=args.s,
-        t=args.t,
-        precision=args.precision,
-        degree_bound=args.degree_bound,
-        cushion=args.cushion,
-        seed=args.seed,
-        series=getattr(args, "series", None),
-        fmt=args.fmt,
-    )
+    cfg = RunConfig(**vars(args))
     try:
         report = run(cfg)
     except ConfigError as e:

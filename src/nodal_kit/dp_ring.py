@@ -315,20 +315,6 @@ class DPElem:
                 terms[(1, j)] = c
         return MPoly(self.dp.ring, 2, terms)
 
-    def apply_to_coeffs(self, fn):
-        ring = self.dp.ring
-        return DPElem(
-            self.dp,
-            _norm(ring, (fn(c) for c in self.fc)),
-            _norm(ring, (fn(c) for c in self.gc)),
-        )
-
-    def constant_evaluation(self):
-        """Image under X -> s, Y -> t (the marked-point evaluation)."""
-        f = _ueval(self.dp.ring, self.fc, self.dp.t)
-        g = _ueval(self.dp.ring, self.gc, self.dp.t)
-        return f + self.dp.s * g
-
     def __str__(self):
         return self.expand().format(("X", "Y"))
 
@@ -342,13 +328,6 @@ def _shift1(ring, a):
 
 def _shift2(ring, a):
     return ((ring.zero, ring.zero) + a) if a else ()
-
-
-def _ueval(ring, coeffs, at):
-    out = ring.zero
-    for c in reversed(coeffs):
-        out = out * at + c
-    return out
 
 
 def x_power_decompositions(dp, n_max):

@@ -109,7 +109,3 @@ def consistent_many(ring, rows, ncols, rhs_list):
         all(aug[i][ncols + j].is_zero for i in range(r, m))
         for j in range(k)
     ]
-
-
-def span_dimension(ring, vectors, ncols):
-    return rank(ring, vectors, ncols) if vectors else 0

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .dp_ring import DPElem, DPRing, unvectorize, v_shift_nonzerodivisor, vectorize
-from .linalg import consistent_many, kernel_basis, span_dimension
+from .linalg import consistent_many, kernel_basis, rank
 from .mpoly import MPoly
 from .normal_form import DegenerateFormError
 
@@ -139,33 +139,6 @@ def dual_generator_images(dp):
     e1 = -(dp.v * d + dp.u * g + dp.const(d * t))
     e2 = dp.u + dp.const(s + g * t)
     return e1, e2
-
-
-@dataclass(frozen=True)
-class FractionalDual:
-    """The dual of the marked-point ideal, generated by 1 and one fraction.
-
-    The fraction acts through the two rewriting identities above; their
-    mutual consistency, cross-multiplied to clear the denominator, is the
-    single presenting relation of the quotient ring and is verified on
-    construction as a canonical-form identity.
-    """
-
-    dp: DPRing
-    eps_on_j1: DPElem
-    eps_on_j2: DPElem
-
-    @classmethod
-    def build(cls, dp):
-        e1, e2 = dual_generator_images(dp)
-        j1, j2 = ideal_j_generators(dp)
-        if not (e2 * j1 + (-e1) * j2).is_zero:
-            raise FactorizationError("fractional-dual rewriting identities are inconsistent")
-        return cls(dp, e1, e2)
-
-    def act(self, a, b):
-        """Multiply a*(u-s) + b*(v-t) by the fractional generator."""
-        return a * self.eps_on_j1 + b * self.eps_on_j2
 
 
 def dual_action(dp, a, b):
@@ -329,7 +302,7 @@ def hom_pair_space(dp, bound):
             break
 
     hom_dim = len(hom_kernel)
-    span_dim = span_dimension(ring, span_vecs, 4 * (bound + 1)) if span_vecs else 0
+    span_dim = rank(ring, span_vecs, 4 * (bound + 1))
     return {
         "hom_dimension": hom_dim,
         "span_dimension": span_dim,

@@ -7,7 +7,7 @@ coefficients, so equality is structural and arithmetic stays exact.
 
 from __future__ import annotations
 
-from .rings import RingElem
+from .rings import RingElem, format_terms
 
 
 class MPoly:
@@ -50,9 +50,6 @@ class MPoly:
 
     def terms_sorted(self):
         return sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]))
-
-    def total_degree(self):
-        return max((sum(e) for e in self.terms), default=None)
 
     def degree_in(self, i):
         return max((e[i] for e in self.terms), default=None)
@@ -186,39 +183,10 @@ class MPoly:
             out[e2] = c * k
         return MPoly(self.ring, self.nvars, out)
 
-    def map_coeffs(self, fn, ring=None):
-        """Apply fn to every coefficient (e.g. an embedding into a larger ring)."""
-        ring = ring or self.ring
-        out = {}
-        for e, c in self.terms.items():
-            c2 = fn(c)
-            if not c2.is_zero:
-                out[e] = c2
-        return MPoly(ring, self.nvars, out)
-
     def format(self, names):
         if len(names) != self.nvars:
             raise ValueError("wrong number of variable names")
-        if not self.terms:
-            return "0"
-        parts = []
-        for e, c in self.terms_sorted():
-            mono = "*".join(
-                nm if k == 1 else f"{nm}^{k}" for nm, k in zip(names, e) if k
-            )
-            cs = str(c)
-            if mono and cs == "1":
-                parts.append(mono)
-            elif mono and cs == "-1":
-                parts.append(f"-{mono}")
-            else:
-                if any(ch in cs[1:] for ch in "+-"):
-                    cs = f"({cs})"
-                parts.append(f"{cs}*{mono}" if mono else cs)
-        out = parts[0]
-        for p in parts[1:]:
-            out += p if p.startswith("-") else "+" + p
-        return out
+        return format_terms([(e, str(c)) for e, c in self.terms_sorted()], names)
 
     def __str__(self):
         return self.format([f"x{i}" for i in range(self.nvars)])

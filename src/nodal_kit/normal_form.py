@@ -31,15 +31,6 @@ class QuadForm:
     def make(cls, ring, gamma, delta):
         return cls(ring, ring(gamma), ring(delta))
 
-    @classmethod
-    def nondegenerate(cls, ring, gamma, delta):
-        q = cls.make(ring, gamma, delta)
-        if not q.discriminant.is_unit:
-            raise DegenerateFormError(
-                f"discriminant {q.discriminant} is not a unit in {ring.descriptor()}"
-            )
-        return q
-
     @property
     def discriminant(self):
         return self.gamma * self.gamma - 4 * self.delta

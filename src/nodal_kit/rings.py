@@ -40,6 +40,32 @@ def _is_prime(n):
     return True
 
 
+def format_terms(terms, names):
+    """Render (exponent tuple, coefficient string) pairs as a sum of monomials.
+
+    A coefficient with a sign after its first character is bracketed, so the
+    result parses back as a literal; a coefficient of 1 or -1 is dropped in
+    front of a monomial, and the empty sum is "0".
+    """
+    parts = []
+    for e, cs in terms:
+        mono = "*".join(nm if k == 1 else f"{nm}^{k}" for nm, k in zip(names, e) if k)
+        if mono and cs == "1":
+            parts.append(mono)
+        elif mono and cs == "-1":
+            parts.append(f"-{mono}")
+        else:
+            if any(ch in cs[1:] for ch in "+-"):
+                cs = f"({cs})"
+            parts.append(f"{cs}*{mono}" if mono else cs)
+    if not parts:
+        return "0"
+    out = parts[0]
+    for p in parts[1:]:
+        out += p if p.startswith("-") else "+" + p
+    return out
+
+
 class RingElem:
     """Element of a `Ring`.  Arithmetic coerces Python ints automatically."""
 
@@ -561,31 +587,10 @@ class LocalTruncation(Ring):
     def descriptor(self):
         return f"loc:{self.base.descriptor()}:{','.join(self.var_names)}:{self.order}"
 
-    def _term_str(self, e, c):
-        mono = "*".join(
-            nm if k == 1 else f"{nm}^{k}"
-            for nm, k in zip(self.var_names, e)
-            if k
-        )
-        cs = self.base.short(c)
-        if not mono:
-            return cs
-        if cs == "1":
-            return mono
-        if cs == "-1":
-            return f"-{mono}"
-        if any(ch in cs[1:] for ch in "+-"):
-            cs = f"({cs})"
-        return f"{cs}*{mono}"
-
     def short(self, elem):
-        if not elem.val:
-            return "0"
-        parts = [self._term_str(e, c) for e, c in self.terms(elem)]
-        out = parts[0]
-        for p in parts[1:]:
-            out += p if p.startswith("-") else "+" + p
-        return out
+        return format_terms(
+            [(e, self.base.short(c)) for e, c in self.terms(elem)], self.var_names
+        )
 
     def __eq__(self, other):
         return (

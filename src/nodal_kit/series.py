@@ -178,12 +178,13 @@ class Series2:
 
     @classmethod
     def from_triples(cls, ring, triples, precision=None):
-        """CLI literal format: [[i, j, "coeff"], ...]."""
-        return cls.from_terms(ring, [(int(i), int(j), ring.parse_elem(str(c))) for i, j, c in triples], precision)
-
-    @classmethod
-    def from_hpoly(cls, h, precision=None):
-        return cls(h.ring, {h.degree: h.coeffs}, precision)
+        """CLI literal format: [[i, j, "coeff"], ...] with non-negative int exponents."""
+        terms = []
+        for i, j, c in triples:
+            if not all(type(k) is int and k >= 0 for k in (i, j)):  # bool is not an exponent
+                raise ValueError(f"exponents must be non-negative integers, not {[i, j]}")
+            terms.append((i, j, ring.parse_elem(str(c))))
+        return cls.from_terms(ring, terms, precision)
 
     # --- inspection ---------------------------------------------------------
 

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from nodal_kit import cli
 from nodal_kit.reporting import CheckRecord, Report
 
@@ -93,6 +95,15 @@ class TestExitCodes:
         )
         assert code == 2
         assert "degree-2" in err
+
+    @pytest.mark.parametrize("term", ['[-1,4,"7"]', '[1.9,1.9,"7"]', '[true,2,"7"]'])
+    def test_bad_series_exponent(self, capsys, term):
+        code, _, err = run_cli(
+            capsys, "normal-form", "--ring", "q", "--gamma", "0", "--delta", "-1",
+            "--series", f'[[2,0,"1"],[0,2,"-1"],{term}]',
+        )
+        assert code == 2
+        assert "series literal: exponents must be non-negative integers" in err
 
     def test_bad_precision(self, capsys):
         code, _, err = run_cli(capsys, "division", "--precision", "0")

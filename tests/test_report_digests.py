@@ -1,0 +1,100 @@
+"""Golden reports: sha256 of the structured and the text report for fixed configs.
+
+A change that is meant to leave every report as it is (a refactor, a
+speed-up) must keep these digests.  The text digest is taken with the
+per-check timing suffixes removed, since wall time is the only part of a
+report that is not reproducible.
+"""
+
+import hashlib
+import re
+
+import pytest
+
+from nodal_kit import cli
+
+TIMING = re.compile(r"  \[\d+\.\d{3}s\]$", re.MULTILINE)
+
+README_SERIES = '[[2,0,"1"],[0,2,"-1"],[3,0,"1"]]'
+
+# name -> (RunConfig keyword arguments, sha256 of to_json(), sha256 of to_text())
+GOLDEN = {
+    "check-all-q-3-2": (
+        dict(subcommand="check-all", ring="q", gamma="3", delta="2"),
+        "792069c712fae0442e9a33c5e60a6b0a500f780aa245c7e8bcb76d8928574fc8",
+        "9924cf870452ec966ae8bbecf223dbaded6a17c4e077a4665cb5d6aae085f4eb",
+    ),
+    "check-all-q-0-m1": (
+        dict(subcommand="check-all", ring="q", gamma="0", delta="-1"),
+        "0ded1823f6cc42ab12243ef1943f5bc7c19f8c8333cb875738a8250394240ba9",
+        "7f969e2b00841a4ec5b5751ba754942a80ac62fd5d31c623cfd4d1ff4671baaa",
+    ),
+    "check-all-fp5-1-0": (
+        dict(subcommand="check-all", ring="fp:5", gamma="1", delta="0"),
+        "871efacf5d4fcccaaee60c7840de2fdc06b89a7fe1ee7bcfcacbda3403f36a4f",
+        "fcb4ea82ad4ba6cc66c98f28274a3f68580ef7bef168a43efce8e26dc02e2783",
+    ),
+    "check-all-fp7-3-2-s1-t4": (
+        dict(subcommand="check-all", ring="fp:7", gamma="3", delta="2", s="1", t="4"),
+        "45c5339e2b111d8fcab7bcab65c6c9d598a856350868a23ef8f62650aaf44274",
+        "942992be923193077cdf563f2b8629397f01fecfa1a488c8ec97088a35033164",
+    ),
+    "check-all-loc-fp7": (
+        dict(subcommand="check-all", ring="loc:fp:7:s,t:3", s="s", t="t"),
+        "6a1d062b96d951d5cff4dccc4dd5cde731a1ca131f05018c356784f9f5449b8c",
+        "2cd735feb7ec0ed66733a4b5d4fe622cfdf9e70ad970b20fd52cbbf8bb703f6a",
+    ),
+    "check-all-dual-q": (
+        dict(subcommand="check-all", ring="dual:q", delta="2+eps", s="1/2", t="eps"),
+        "1f184608b0e5751216b451288c9b7af1ecb1f67c184d06e097df301cd85c8f42",
+        "c9a547bcffeb4b62a919dbced07737eeca29334fc9c08b9be09a41363d3635a8",
+    ),
+    "dual-loc-q": (
+        dict(subcommand="dual", ring="loc:q:s,t:3", gamma="3", delta="2", s="s", t="t"),
+        "c4ae61a54989e4d3def99bb72971a846c6457acfd73e2bfbded84d6a02092bae",
+        "4d803c9d141623731c3a53a6b427d5adf02909469554d7d1ce8d48f8488f4b69",
+    ),
+    "exactness-loc-q": (
+        dict(subcommand="exactness", ring="loc:q:s,t:3", gamma="3", delta="2", s="s", t="t"),
+        "7384a99261391567d229dc4b07607213a5e9dab766e827a3057256d431673f36",
+        "21b2d60a847c61ba83f501e07f8e29077919159094d603ae9e2d33db06f90222",
+    ),
+    "normal-form-readme": (
+        dict(subcommand="normal-form", ring="q", gamma="0", delta="-1", series=README_SERIES),
+        "c77d4b218146dc782056a113c498a506b5d3f8573fe53fb4064d724c46bb7533",
+        "5bc49c7e05773602877d7fab7d5531ebb00bf93ce5cbb9e1d0f6ca0ef00fb398",
+    ),
+    "division-fp7": (
+        dict(subcommand="division", ring="fp:7", gamma="3", delta="2"),
+        "bf76ee502d48b72b5ab2fc7adb6001cc7e2a0c234d416a6307e429560afb54c0",
+        "60d1b2b8cc2d29535640c102f3edb53c0495d396b611c213ebea1b1f3ca6803a",
+    ),
+    "factorize-fp5": (
+        dict(subcommand="factorize", ring="fp:5", gamma="1", delta="0"),
+        "158ec0f18486050d1f2ebc1e6a554e776789d45df928c43986196aba4e1abc43",
+        "ab8acd6df7cd955f4ac54670df843ee37a3af798a5bc5bb9368f56f526dd79c2",
+    ),
+    "charts-q": (
+        dict(subcommand="charts", ring="q", gamma="3", delta="2", s="1/2", t="4"),
+        "7be5833cb327fcb2b1f794299ed8435f1d0150e5decd363d38afe8c60c9111d8",
+        "7a439079e7cfd74cde4d93ea8e0de7f0ee0a7eb976da4bcff2e6e5e9264093dd",
+    ),
+    "fiber-q": (
+        dict(subcommand="fiber", ring="q", gamma="3", delta="2"),
+        "702a963ac72c125e876352909dc15bea6044d629d11261f67f1123d5eb830db6",
+        "b7335677a64e001ada276852113bbb9b93fa83e73cf6b2564e8f4bd773aeb80d",
+    ),
+}
+
+
+def report_digests(config):
+    report = cli.run(cli.RunConfig(**config))
+    structured = hashlib.sha256(report.to_json().encode()).hexdigest()
+    text = hashlib.sha256(TIMING.sub("", report.to_text()).encode()).hexdigest()
+    return structured, text
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_report_digest(name):
+    config, structured, text = GOLDEN[name]
+    assert report_digests(config) == (structured, text)

@@ -182,6 +182,14 @@ def test_format_parse_roundtrip(ring):
         assert ring.parse_elem(ring.short(x)) == x
 
 
+def test_short_brackets_a_signed_constant():
+    # a constant coefficient with an inner sign is bracketed, as in MPoly.format
+    loc = make_ring("loc:dual:q:s,t:3")
+    x = loc.parse_elem("1+eps+s")
+    assert loc.short(x) == "(1+eps)+s"
+    assert loc.parse_elem(loc.short(x)) == x
+
+
 def test_parse_errors(F7):
     with pytest.raises(CoeffParseError):
         F7.parse_elem("1/7")  # denominator vanishes
