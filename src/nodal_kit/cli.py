@@ -41,6 +41,9 @@ from .series import HPoly, Series2
 
 DEFAULT_SEED = 20240801
 
+# Y-degree headroom of the double-point ring above degree_bound + cushion
+_DP_HEADROOM = 8
+
 
 class ConfigError(ValueError):
     """An invalid configuration, named after the violated precondition."""
@@ -115,13 +118,13 @@ class Resolved:
             return "y^2 - gamma*y + delta must split with distinct roots over the base field"
         return None
 
-    def dp(self, extra=8):
+    def dp(self):
         return DPRing(
             self.ring,
             self.q,
             self.s,
             self.t,
-            degree_bound=self.cfg.degree_bound + self.cfg.cushion + extra,
+            degree_bound=self.cfg.degree_bound + self.cfg.cushion + _DP_HEADROOM,
         )
 
 
@@ -242,7 +245,8 @@ def _normal_form(res, cfg, rng):
     if cfg.series is not None:
         try:
             triples = json.loads(cfg.series)
-            f = Series2.from_triples(res.ring, triples)
+            # the residual order asserted is n_steps + 2; terms above it cannot matter
+            f = Series2.from_triples(res.ring, triples, n_steps + 2)
         except (ValueError, TypeError) as e:
             raise ConfigError(f"series literal: {e}") from None
         if f.homogeneous_part(2) != res.q.series().homogeneous_part(2):
@@ -588,16 +592,12 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--ring", default="q", help="ring descriptor, e.g. q, fp:7, dual:q, loc:q:s,t:4")
-    common.add_argument("--gamma", default="1", help="coefficient literal")
-    common.add_argument("--delta", default="0", help="coefficient literal")
-    common.add_argument("--s", default="0", help="coefficient literal")
-    common.add_argument("--t", default="0", help="coefficient literal")
-    common.add_argument("--precision", type=int, default=6)
-    common.add_argument("--degree-bound", type=int, default=6, dest="degree_bound")
-    common.add_argument("--cushion", type=int, default=2)
-    common.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    common.add_argument("--format", choices=("text", "structured"), default="text", dest="fmt")
+    common.add_argument("--ring", default=RunConfig.ring, help="ring descriptor, e.g. q, fp:7, dual:q, loc:q:s,t:4")
+    for name in ("gamma", "delta", "s", "t"):
+        common.add_argument(f"--{name}", default=getattr(RunConfig, name), help="coefficient literal")
+    for name in ("precision", "degree_bound", "cushion", "seed"):
+        common.add_argument(f"--{name.replace('_', '-')}", type=int, default=getattr(RunConfig, name))
+    common.add_argument("--format", choices=("text", "structured"), default=RunConfig.fmt, dest="fmt")
     for name in SUBCOMMANDS:
         p = sub.add_parser(name, parents=[common])
         if name == "normal-form":

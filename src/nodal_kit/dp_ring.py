@@ -9,10 +9,12 @@ same canonical forms.
 
 from __future__ import annotations
 
+from itertools import zip_longest
+
 from .linalg import kernel_basis
 from .mpoly import MPoly
 from .normal_form import QuadForm
-from .rings import RingElem
+from .rings import RingElem, _convolve_into, _power
 
 
 class DegreeOverflowError(ArithmeticError):
@@ -25,7 +27,7 @@ class PowerIdentityError(AssertionError):
 
 # --- dense univariate helpers (coefficient tuples, ascending Y-degree) -----
 
-def _norm(ring, coeffs):
+def _norm(coeffs):
     coeffs = list(coeffs)
     while coeffs and coeffs[-1].is_zero:
         coeffs.pop()
@@ -33,34 +35,15 @@ def _norm(ring, coeffs):
 
 
 def _uadd(ring, a, b):
-    n = max(len(a), len(b))
-    out = []
-    for i in range(n):
-        x = a[i] if i < len(a) else ring.zero
-        y = b[i] if i < len(b) else ring.zero
-        out.append(x + y)
-    return _norm(ring, out)
-
-
-def _uneg(ring, a):
-    return tuple(-c for c in a)
+    return _norm(x + y for x, y in zip_longest(a, b, fillvalue=ring.zero))
 
 
 def _umul(ring, a, b):
     if not a or not b:
         return ()
     out = [ring.zero] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x.is_zero:
-            continue
-        for j, y in enumerate(b):
-            if not y.is_zero:
-                out[i + j] = out[i + j] + x * y
-    return _norm(ring, out)
-
-
-def _uscale(ring, a, c):
-    return _norm(ring, (c * x for x in a))
+    _convolve_into(out, a, b)
+    return _norm(out)
 
 
 class DPRing:
@@ -82,6 +65,8 @@ class DPRing:
         self.t = ring(t)
         self.degree_bound = degree_bound
         self.q_st = q.value_at(self.s, self.t)
+        # canonical form of X^2: (q(s,t) - delta*Y^2) + X*(-gamma*Y)
+        self.x_squared = (_norm((self.q_st, ring.zero, -q.delta)), _norm((ring.zero, -q.gamma)))
         # q(X, Y) - q(s, t), monic of degree 2 in X
         self.relation = MPoly(
             ring,
@@ -113,8 +98,8 @@ class DPRing:
     # --- element constructors ----------------------------------------------
 
     def element(self, f_coeffs=(), g_coeffs=()):
-        fc = _norm(self.ring, (self.ring(c) for c in f_coeffs))
-        gc = _norm(self.ring, (self.ring(c) for c in g_coeffs))
+        fc = _norm(self.ring(c) for c in f_coeffs)
+        gc = _norm(self.ring(c) for c in g_coeffs)
         return DPElem(self, fc, gc)
 
     def const(self, c):
@@ -196,7 +181,7 @@ class DPRing:
                     f"canonical Y-degree {j} exceeds bound {self.degree_bound}"
                 )
             (fc if i == 0 else gc)[j] = c
-        return DPElem(self, _norm(self.ring, fc), _norm(self.ring, gc)), h
+        return DPElem(self, _norm(fc), _norm(gc)), h
 
 
 class DPElem:
@@ -244,50 +229,34 @@ class DPElem:
         return other + (-self)
 
     def __neg__(self):
-        ring = self.dp.ring
-        return DPElem(self.dp, _uneg(ring, self.fc), _uneg(ring, self.gc))
+        return DPElem(self.dp, tuple(-c for c in self.fc), tuple(-c for c in self.gc))
 
     def __mul__(self, other):
         if isinstance(other, (RingElem, int)):
             c = self.dp.ring(other)
-            return DPElem(
-                self.dp,
-                _uscale(self.dp.ring, self.fc, c),
-                _uscale(self.dp.ring, self.gc, c),
-            )
+            return DPElem(self.dp, _norm(c * x for x in self.fc), _norm(c * x for x in self.gc))
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        # (f1 + X g1)(f2 + X g2), reducing X^2 = q(s,t) - gamma*X*Y - delta*Y^2:
-        #   f = f1 f2 + (q(s,t) - delta Y^2) g1 g2
-        #   g = f1 g2 + g1 f2 - gamma Y g1 g2
-        dp, ring = self.dp, self.dp.ring
-        gg = _umul(ring, self.gc, other.gc)
-        f = _uadd(
-            ring,
-            _umul(ring, self.fc, other.fc),
-            _uadd(
-                ring,
-                _uscale(ring, gg, dp.q_st),
-                _uscale(ring, _shift2(ring, gg), -dp.q.delta),
-            ),
-        )
-        g = _uadd(
-            ring,
-            _uadd(ring, _umul(ring, self.fc, other.gc), _umul(ring, self.gc, other.fc)),
-            _uscale(ring, _shift1(ring, gg), -dp.q.gamma),
-        )
-        return DPElem(dp, f, g)
+        # (f1 + X g1)(f2 + X g2) = f1 f2 + X (f1 g2 + g1 f2) + X^2 g1 g2, with
+        # X^2 = x2f + X x2g in canonical form:
+        #   f = f1 f2 + x2f g1 g2,  g = f1 g2 + g1 f2 + x2g g1 g2
+        dp = self.dp
+        x2f, x2g = dp.x_squared
+        gg = _umul(dp.ring, self.gc, other.gc)
+        size = max(len(self.fc), len(self.gc)) + max(len(other.fc), len(other.gc)) + 1
+        f, g = [dp.ring.zero] * size, [dp.ring.zero] * size
+        _convolve_into(f, self.fc, other.fc)
+        _convolve_into(f, gg, x2f)
+        _convolve_into(g, self.fc, other.gc)
+        _convolve_into(g, self.gc, other.fc)
+        _convolve_into(g, gg, x2g)
+        return DPElem(dp, _norm(f), _norm(g))
 
     __rmul__ = __mul__
 
     def __pow__(self, k):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("only nonnegative integer powers")
-        out = self.dp.one
-        for _ in range(k):
-            out = out * self
-        return out
+        return _power(self, k, self.dp.one)
 
     def __eq__(self, other):
         other = self._coerce(other)
@@ -322,14 +291,6 @@ class DPElem:
         return f"DPElem({self})"
 
 
-def _shift1(ring, a):
-    return ((ring.zero,) + a) if a else ()
-
-
-def _shift2(ring, a):
-    return ((ring.zero, ring.zero) + a) if a else ()
-
-
 def x_power_decompositions(dp, n_max):
     """Triples (f_n, g_n, h_n) with X^n = f_n + X g_{n-1} + h_{n-2} * relation.
 
@@ -346,18 +307,15 @@ def x_power_decompositions(dp, n_max):
         raise ValueError("n_max must be >= 2")
     ring = dp.ring
     one = (ring.one,)
+    f2, g1 = dp.x_squared
+    x = MPoly.var(ring, 2, 0)
     f = [one, ()]
-    g = [one, (ring.zero, -dp.q.gamma)]
-    h = [
-        MPoly.const(ring, 2, 1),
-        MPoly(ring, 2, {(1, 0): ring.one, (0, 1): -dp.q.gamma}),
-    ]
-    f2 = _norm(ring, (dp.q_st, ring.zero, -dp.q.delta))
+    g = [one, g1]
+    h = [MPoly.const(ring, 2, 1), x + _y_poly_to_mpoly(ring, g1)]
     for n in range(1, n_max):
         f.append(_umul(ring, f2, g[n - 1]))
-        g.append(_uadd(ring, f[n + 1], _umul(ring, g[1], g[n])))
-        h.append(_y_poly_to_mpoly(ring, g[n + 1]) + MPoly.var(ring, 2, 0) * h[n])
-    x = MPoly.var(ring, 2, 0)
+        g.append(_uadd(ring, f[n + 1], _umul(ring, g1, g[n])))
+        h.append(_y_poly_to_mpoly(ring, g[n + 1]) + x * h[n])
     for n in range(2, n_max + 1):
         lhs = x**n
         rhs = (

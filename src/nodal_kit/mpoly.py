@@ -7,7 +7,7 @@ coefficients, so equality is structural and arithmetic stays exact.
 
 from __future__ import annotations
 
-from .rings import RingElem, format_terms
+from .rings import RingElem, _power, _sparse_add, _sparse_mul, format_terms
 
 
 class MPoly:
@@ -67,15 +67,7 @@ class MPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            c0 = out.get(e)
-            c = c if c0 is None else c0 + c
-            if c.is_zero:
-                out.pop(e, None)
-            else:
-                out[e] = c
-        return MPoly(self.ring, self.nvars, out)
+        return MPoly(self.ring, self.nvars, _sparse_add(self.terms, other.terms))
 
     __radd__ = __add__
 
@@ -101,32 +93,12 @@ class MPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                c = c1 * c2
-                c0 = out.get(e)
-                c = c if c0 is None else c0 + c
-                if c.is_zero:
-                    out.pop(e, None)
-                else:
-                    out[e] = c
-        return MPoly(self.ring, self.nvars, out)
+        return MPoly(self.ring, self.nvars, _sparse_mul(self.terms, other.terms))
 
     __rmul__ = __mul__
 
     def __pow__(self, k):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("only nonnegative integer powers")
-        out = MPoly.const(self.ring, self.nvars, 1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return _power(self, k, MPoly.const(self.ring, self.nvars, 1))
 
     def __eq__(self, other):
         other = self._coerce(other)

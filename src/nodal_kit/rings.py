@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from operator import add
 
 
 class NotAUnitError(ArithmeticError):
@@ -66,6 +67,76 @@ def format_terms(terms, names):
     return out
 
 
+# --- coefficient kernels -----------------------------------------------------
+#
+# Sparse polynomials are dicts {exponent tuple: nonzero coefficient}; dense
+# ones are sequences indexed by exponent.  Every element type builds its
+# arithmetic on these, so each coefficient loop is written once.
+
+
+def _sparse_add(x, y):
+    """Sum of two sparse polynomials."""
+    out = dict(x)
+    for e, c in y.items():
+        c0 = out.get(e)
+        c = c if c0 is None else c0 + c
+        if c.is_zero:
+            out.pop(e, None)
+        else:
+            out[e] = c
+    return out
+
+
+def _sparse_mul(x, y, order=None):
+    """Product of two sparse polynomials, without the terms of total degree >= order."""
+    out = {}
+    ys = y.items()
+    if order is not None:
+        by_degree = [(sum(e), e, c) for e, c in ys]
+    for e1, c1 in x.items():
+        if order is not None:
+            room = order - sum(e1)
+            ys = [(e, c) for d, e, c in by_degree if d < room]
+        for e2, c2 in ys:
+            e = tuple(map(add, e1, e2))
+            c = c1 * c2
+            c0 = out.get(e)
+            c = c if c0 is None else c0 + c
+            if c.is_zero:
+                out.pop(e, None)
+            else:
+                out[e] = c
+    return out
+
+
+def _convolve_into(out, a, b):
+    """Add the product of dense sequences a and b into the list out, in place."""
+    nb = [(j, y) for j, y in enumerate(b) if not y.is_zero]
+    for i, x in enumerate(a):
+        if x.is_zero:
+            continue
+        for j, y in nb:
+            out[i + j] = out[i + j] + x * y
+
+
+def _power(x, n, one):
+    """x**n by binary powering.
+
+    The base is squared only while bits remain, so every power formed is
+    x**m with m <= n (a degree bound that admits x**n admits them all).
+    """
+    if not isinstance(n, int) or n < 0:
+        raise ValueError("only nonnegative integer powers")
+    out = one
+    while n:
+        if n & 1:
+            out = out * x
+        n >>= 1
+        if n:
+            x = x * x
+    return out
+
+
 class RingElem:
     """Element of a `Ring`.  Arithmetic coerces Python ints automatically."""
 
@@ -116,16 +187,7 @@ class RingElem:
         return RingElem(self.ring, self.ring._vneg(self.val))
 
     def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("only nonnegative integer powers")
-        out = self.ring.one
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(self, n, self.ring.one)
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -505,35 +567,13 @@ class LocalTruncation(Ring):
         return self.embed(self.base.from_fraction(fr))
 
     def _vadd(self, x, y):
-        out = dict(x)
-        for e, c in y.items():
-            c2 = out.get(e)
-            c = c if c2 is None else c2 + c
-            if c.is_zero:
-                out.pop(e, None)
-            else:
-                out[e] = c
-        return out
+        return _sparse_add(x, y)
 
     def _vneg(self, x):
         return {e: -c for e, c in x.items()}
 
     def _vmul(self, x, y):
-        out = {}
-        for e1, c1 in x.items():
-            d1 = sum(e1)
-            for e2, c2 in y.items():
-                if d1 + sum(e2) >= self.order:
-                    continue
-                e = tuple(a + b for a, b in zip(e1, e2))
-                c = c1 * c2
-                c2o = out.get(e)
-                c = c if c2o is None else c2o + c
-                if c.is_zero:
-                    out.pop(e, None)
-                else:
-                    out[e] = c
-        return out
+        return _sparse_mul(x, y, self.order)
 
     def _vis_zero(self, x):
         return not x

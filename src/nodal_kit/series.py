@@ -9,7 +9,7 @@ Homogeneous components are dense coefficient vectors indexed by X-exponent.
 
 from __future__ import annotations
 
-from .rings import RingElem
+from .rings import RingElem, _convolve_into, _power, format_terms
 
 
 class PrecisionError(ValueError):
@@ -75,12 +75,7 @@ class HPoly:
             return self.scale(other)
         n = self.degree + other.degree
         out = [self.ring.zero] * (n + 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if not b.is_zero:
-                    out[i + j] = out[i + j] + a * b
+        _convolve_into(out, self.coeffs, other.coeffs)
         return HPoly(self.ring, n, out)
 
     __rmul__ = __mul__
@@ -172,7 +167,11 @@ class Series2:
         parts = {}
         for i, j, c in terms:
             n = i + j
-            vec = parts.setdefault(n, [ring.zero] * (n + 1))
+            if precision is not None and n > precision:
+                continue  # unknown beyond the precision; allocating it could exhaust memory
+            vec = parts.get(n)
+            if vec is None:
+                vec = parts[n] = [ring.zero] * (n + 1)
             vec[i] = vec[i] + ring(c)
         return cls(ring, {n: tuple(v) for n, v in parts.items()}, precision)
 
@@ -291,25 +290,14 @@ class Series2:
                     continue
                 vec = parts.get(n)
                 if vec is None:
-                    vec = [self.ring.zero] * (n + 1)
-                    parts[n] = vec
-                for i, a in enumerate(v1):
-                    if a.is_zero:
-                        continue
-                    for j, b in enumerate(v2):
-                        if not b.is_zero:
-                            vec[i + j] = vec[i + j] + a * b
+                    vec = parts[n] = [self.ring.zero] * (n + 1)
+                _convolve_into(vec, v1, v2)
         return Series2(self.ring, {n: tuple(v) for n, v in parts.items()}, prec)
 
     __rmul__ = __mul__
 
     def __pow__(self, k):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("only nonnegative integer powers")
-        out = Series2.const(self.ring, 1, self.precision)
-        for _ in range(k):
-            out = out * self
-        return out
+        return _power(self, k, Series2.const(self.ring, 1, self.precision))
 
     def truncated(self, precision):
         prec = _min_prec(self.precision, precision)
@@ -373,31 +361,14 @@ class Series2:
         return self.precision == other.precision and self.parts == other.parts
 
     def __str__(self):
-        if not self.parts:
-            body = "0"
-        else:
-            terms = []
-            for n in sorted(self.parts):
-                for i, c in enumerate(self.parts[n]):
-                    if c.is_zero:
-                        continue
-                    mono = "*".join(
-                        ([f"X^{i}"] if i > 1 else ["X"] if i == 1 else [])
-                        + ([f"Y^{n - i}"] if n - i > 1 else ["Y"] if n - i == 1 else [])
-                    )
-                    cs = str(c)
-                    if mono and cs == "1":
-                        terms.append(mono)
-                        continue
-                    if mono and cs == "-1":
-                        terms.append(f"-{mono}")
-                        continue
-                    if any(ch in cs[1:] for ch in "+-"):
-                        cs = f"({cs})"
-                    terms.append(f"{cs}*{mono}" if mono else cs)
-            body = " + ".join(terms)
+        terms = [
+            ((i, n - i), str(c))
+            for n in sorted(self.parts)
+            for i, c in enumerate(self.parts[n])
+            if not c.is_zero
+        ]
         tail = "" if self.precision is None else f" + O(deg>{self.precision})"
-        return body + tail
+        return format_terms(terms, ("X", "Y")) + tail
 
     def __repr__(self):
         return f"Series2({self})"

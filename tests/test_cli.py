@@ -38,6 +38,18 @@ def test_normal_form_series_literal(capsys):
     assert "residual_order_at_least=8" in out
 
 
+def test_series_terms_above_the_asserted_order_are_dropped(capsys):
+    # degree 2^61 lies far above precision + 2 and must not be allocated
+    code, out, _ = run_cli(
+        capsys,
+        "normal-form",
+        "--ring", "q", "--gamma", "1", "--delta", "0",
+        "--series", '[[2,0,"1"],[1,1,"1"],[2305843009213693952,0,"1"]]',
+    )
+    assert code == 0
+    assert "residual_order_at_least=8" in out
+
+
 def test_structured_output_schema(capsys):
     code, out, _ = run_cli(
         capsys, "division", "--ring", "fp:7", "--gamma", "3", "--delta", "2", "--format", "structured"

@@ -167,6 +167,13 @@ class TestMul:
             b = dp.random_element(rng, degree=3)
             assert a * b == dp.reduce(a.expand() * b.expand())
 
+    def test_power_up_to_the_degree_bound(self):
+        # binary powering never forms a power above the exponent
+        dp = dp_ring(F7, 3, 2, 1, 4, bound=13)
+        assert dp.v**dp.degree_bound == dp.y_power(dp.degree_bound)
+        with pytest.raises(DegreeOverflowError):
+            dp.v ** (dp.degree_bound + 1)
+
     def test_scalar_action_componentwise(self, rng):
         dp = dp_ring(QQ, 1, 0, 2, 3)
         for _ in range(10):

@@ -4,6 +4,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nodal_kit.dp_ring import DPRing
+from nodal_kit.mpoly import MPoly, random_poly2
+from nodal_kit.normal_form import QuadForm
 from nodal_kit.rings import (
     CoeffParseError,
     DualNumbers,
@@ -14,6 +17,7 @@ from nodal_kit.rings import (
     RingConstructionError,
     make_ring,
 )
+from nodal_kit.series import Series2
 
 
 def test_make_ring_descriptors():
@@ -56,6 +60,8 @@ def test_truncation_kills_high_degree():
     assert (s * t * s).is_zero
     assert not (s * t).is_zero
     assert (s * s * s).is_zero
+    # a product keeps its terms of degree order-1 and drops those of degree order
+    assert (1 + s) * (s * t + t) == loc.parse_elem("t+2*s*t")
 
 
 def test_invert_in_f7(F7):
@@ -209,3 +215,30 @@ def test_literal_forms():
     f5 = make_ring("fp:5")
     assert f5.parse_elem("-1") == f5(4)
     assert f5.parse_elem("3 mod 5") == f5(3)
+
+
+def _power_cases():
+    """(element, one) for each element type whose __pow__ is rings._power."""
+    rnd = random.Random(5)
+    loc = make_ring("loc:q:s,t:4")
+    q = Rationals()
+    series = Series2.from_terms(q, [(0, 0, q(2)), (1, 0, q(-1)), (1, 2, q(3))], precision=7)
+    dp = DPRing(q, QuadForm.make(q, 3, 2), q(1), q(0), degree_bound=40)
+    return [
+        pytest.param(loc.random_element(rnd), loc.one, id="loc"),
+        pytest.param(random_poly2(q, rnd, max_deg=2), MPoly.const(q, 2, 1), id="mpoly"),
+        pytest.param(series, Series2.const(q, 1, 7), id="series"),
+        pytest.param(dp.random_element(rnd, degree=2), dp.one, id="dp"),
+    ]
+
+
+@pytest.mark.parametrize("x,one", _power_cases())
+def test_power_matches_repeated_product(x, one):
+    # Series2 equality compares precisions too, so the series case checks it is kept
+    assert x**0 == one
+    product = one
+    for n in range(1, 10):
+        product = product * x
+        assert x**n == product
+    with pytest.raises(ValueError):
+        x ** -1

@@ -150,6 +150,13 @@ def test_from_triples_literal():
     assert f == S(QQ, [(2, 0, 1), (1, 1, 3), (0, 3, 1)])
 
 
+def test_str_merges_signs_and_keeps_the_precision_tail():
+    f = S(QQ, [(0, 0, 1), (1, 0, -2), (1, 1, -1), (0, 2, "1/2"), (3, 0, "-3/2")], 4)
+    assert str(f) == "1-2*X+1/2*Y^2-X*Y-3/2*X^3 + O(deg>4)"
+    assert str(Series2.zero(QQ, 3)) == "0 + O(deg>3)"
+    assert str(HPoly(QQ, 2, [QQ(-1), QQ.zero, QQ.one])) == "-Y^2+X^2"
+
+
 def test_hpoly_split_rule():
     # split f = X*u + Y*v: the pure-Y monomial feeds v, the rest feed u
     f = HPoly(QQ, 3, [QQ(7), QQ(5), QQ(3), QQ(2)])  # 7Y^3 + 5XY^2 + 3X^2Y + 2X^3
