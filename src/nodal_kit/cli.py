@@ -118,6 +118,18 @@ class Resolved:
             return "y^2 - gamma*y + delta must split with distinct roots over the base field"
         return None
 
+    # Neither builder draws from the checks' rng.  An exception is not cached,
+    # so a failing construction fails every check that needs it.
+    @cached_property
+    def factorization(self):
+        """The matrix factorization, built once; raises unless its identities hold."""
+        return mf.build_factorization(self.dp())
+
+    @cached_property
+    def charts(self):
+        """Both chart presentations, built once; raises on any drift from the closed forms."""
+        return stabilize.build_charts(self.ring, self.q, self.s, self.t)
+
     def dp(self):
         return DPRing(
             self.ring,
@@ -180,11 +192,11 @@ def _from_record(rec, *keys):
 
 def _factorize(res, cfg, rng):
     def build():
-        mf.build_factorization(res.dp())  # raises unless the identities hold
+        res.factorization  # raises unless the identities hold
         return {"ok": True, "entries_degree_at_most_1": True}
 
     def witnesses():
-        rec = mf.witness_identities(mf.build_factorization(res.dp()))
+        rec = mf.witness_identities(res.factorization)
         out = _from_record(rec, "nzd_kernel_dimension")
         if rec["failures"]:
             out["counterexample"] = "; ".join(rec["failures"])
@@ -365,11 +377,9 @@ def _dual(res, cfg, rng):
 
 
 def _exactness(res, cfg, rng):
-    mfobj = mf.build_factorization(res.dp())
-
     def run(transposed):
         rec = mf.two_periodic_exactness(
-            mfobj, cfg.degree_bound, cfg.cushion, transposed=transposed
+            res.factorization, cfg.degree_bound, cfg.cushion, transposed=transposed
         )
         out = {"ok": rec["ok"], "compositions_ok": rec["compositions_ok"]}
         for pos, data in rec["positions"].items():
@@ -387,11 +397,11 @@ def _exactness(res, cfg, rng):
 
 def _charts(res, cfg, rng):
     def build():
-        stabilize.build_charts(res.ring, res.q, res.s, res.t)
+        res.charts  # raises on any coefficient drift
         return {"ok": True}
 
     def confluence():
-        chart0, _ = stabilize.build_charts(res.ring, res.q, res.s, res.t)
+        chart0, _ = res.charts
         for k in range(20):
             p = random_poly2(res.ring, rng, max_deg=4)
             base = stabilize.reduce_chart0(chart0, p)
@@ -401,7 +411,7 @@ def _charts(res, cfg, rng):
         return {"ok": True, "trials": 20}
 
     def flatness():
-        chart0, _ = stabilize.build_charts(res.ring, res.q, res.s, res.t)
+        chart0, _ = res.charts
         rec = stabilize.flatness_basis_certificate(chart0, cfg.degree_bound, rng)
         return _from_record(rec, "basis_size")
 
@@ -418,7 +428,7 @@ def _charts(res, cfg, rng):
         (
             "charts.covering-gluing",
             lambda: _from_record(
-                stabilize.covering_certificate(res.ring, res.q, res.s, res.t),
+                stabilize.covering_certificate(res.ring, res.q, res.s, res.t, res.charts),
                 "u_numerator",
                 "u_denominator",
             ),
@@ -436,7 +446,7 @@ def _charts(res, cfg, rng):
 
 
 def _fiber(res, cfg, rng):
-    return [("fiber.decomposition", lambda: asdict(stabilize.fiber_at_origin(res.ring, res.q)))]
+    return [("fiber.decomposition", lambda: asdict(stabilize.fiber_at_origin(res.ring, res.q, res.charts)))]
 
 
 def _ring_axioms(res, cfg, rng):

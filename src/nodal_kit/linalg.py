@@ -3,9 +3,16 @@
 Matrices are lists of row lists of ring elements.  Everything is pure and
 exact; these routines back the kernel/rank certificates used by the duality
 and exactness checks.
+
+Inside the module a matrix is a list of sparse rows {column: raw value}: the
+``val`` of each nonzero entry, an int reduced mod p over F_p and a
+``Fraction`` over Q.  One elimination loop runs on these rows, and values
+are wrapped back into ring elements only where results leave the module.
 """
 
 from __future__ import annotations
+
+from .rings import PrimeField, RingElem
 
 
 def _require_field(ring):
@@ -13,51 +20,89 @@ def _require_field(ring):
         raise ValueError(f"linear algebra needs a field, got {ring.descriptor()}")
 
 
+def _sparse(rows, ncols=None):
+    """Sparse raw rows of a matrix, cut to its first ``ncols`` columns unless None."""
+    return [{c: x.val for c, x in enumerate(row[:ncols]) if x.val} for row in rows]
+
+
+def _dense(ring, row, width):
+    """The ring elements of a sparse raw row, as a list of ``width`` entries."""
+    zero = ring.zero
+    return [RingElem(ring, row[j]) if j in row else zero for j in range(width)]
+
+
+def _eliminate(ring, rows, ncols, full):
+    """Eliminate sparse raw rows in place, pivoting on the columns below ``ncols``.
+
+    Returns the pivot columns; ``rows[:len(pivots)]`` are then the pivot rows,
+    each scaled to a leading 1.  A column's pivot is the first remaining row
+    with an entry there, swapped into place as in dense elimination, so the
+    entries right of ``ncols`` come out the same too.  ``full=True`` clears
+    each pivot column above and below the pivot (the reduced row echelon
+    form); ``full=False`` clears below only.
+    """
+    p = ring.p if isinstance(ring, PrimeField) else None
+    m = len(rows)
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        if r == m:
+            break
+        i = next((i for i in range(r, m) if c in rows[i]), None)
+        if i is None:
+            continue
+        prow = rows[i]
+        rows[i] = rows[r]
+        if p is None:
+            inv = 1 / prow[c]
+            prow = {j: b * inv for j, b in prow.items()}
+        else:
+            inv = pow(prow[c], -1, p)
+            prow = {j: b * inv % p for j, b in prow.items()}
+        rows[r] = prow
+        for i in range(0 if full else r + 1, m):
+            row = rows[i]
+            f = row.get(c)
+            if f is None or i == r:
+                continue
+            for j, b in prow.items():
+                v = row.get(j, 0) - f * b
+                if p is not None:
+                    v %= p
+                if v:
+                    row[j] = v
+                else:
+                    del row[j]
+        pivots.append(c)
+    return pivots
+
+
 def rref(ring, rows, ncols):
     """Reduced row echelon form; returns (rows, pivot column list)."""
     _require_field(ring)
-    rows = [list(r) for r in rows]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, len(rows)):
-            if not rows[i][c].is_zero:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = rows[r][c].inv()
-        rows[r] = [inv * x for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and not rows[i][c].is_zero:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows[:r], pivots
+    width = len(rows[0]) if rows else 0
+    red = _sparse(rows)
+    pivots = _eliminate(ring, red, ncols, full=True)
+    return [_dense(ring, row, width) for row in red[: len(pivots)]], pivots
 
 
 def rank(ring, rows, ncols):
-    return len(rref(ring, rows, ncols)[1])
+    _require_field(ring)
+    return len(_eliminate(ring, _sparse(rows, ncols), ncols, full=False))
 
 
 def kernel_basis(ring, rows, ncols):
     """Basis of the right kernel {v : A v = 0} of an m x ncols matrix."""
-    red, pivots = rref(ring, rows, ncols)
+    _require_field(ring)
+    red = _sparse(rows, ncols)
+    pivots = _eliminate(ring, red, ncols, full=True)
     pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for fc in free:
-        v = [ring.zero] * ncols
-        v[fc] = ring.one
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
-        basis.append(v)
-    return basis
+    basis = {fc: {fc: ring.one.val} for fc in range(ncols) if fc not in pivot_set}
+    for row, pc in zip(red, pivots):
+        for fc, x in row.items():
+            if fc != pc:
+                basis[fc][pc] = ring._vneg(x)
+    return [_dense(ring, v, ncols) for v in basis.values()]
 
 
 def solve(ring, rows, ncols, rhs):
@@ -80,32 +125,9 @@ def consistent_many(ring, rows, ncols, rhs_list):
     without a pivot.
     """
     _require_field(ring)
-    m = len(rows)
     if not rhs_list:
         return []
-    k = len(rhs_list)
-    aug = [list(rows[i]) + [rhs[i] for rhs in rhs_list] for i in range(m)]
-    r = 0
-    width = ncols + k
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, m):
-            if not aug[i][c].is_zero:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        inv = aug[r][c].inv()
-        aug[r] = [inv * x for x in aug[r]]
-        for i in range(r + 1, m):
-            f = aug[i][c]
-            if not f.is_zero:
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-        r += 1
-        if r == m:
-            break
-    return [
-        all(aug[i][ncols + j].is_zero for i in range(r, m))
-        for j in range(k)
-    ]
+    aug = _sparse([list(row) + [rhs[i] for rhs in rhs_list] for i, row in enumerate(rows)])
+    r = len(_eliminate(ring, aug, ncols, full=False))
+    left = set().union(*aug[r:])
+    return [ncols + j not in left for j in range(len(rhs_list))]

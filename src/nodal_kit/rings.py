@@ -26,18 +26,34 @@ class CoeffParseError(ValueError):
     """A coefficient literal could not be parsed for the target ring."""
 
 
+# Bases 2..41, the first 13 primes, admit no strong pseudoprime below this
+# bound (Sorenson and Webster 2017), so Miller-Rabin with them decides
+# primality exactly there.  Larger moduli are refused.
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(n):
+    """Primality of an int n < _PRIME_BOUND, by deterministic Miller-Rabin."""
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    k = 3
-    while k * k <= n:
-        if n % k == 0:
+    for a in _PRIME_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        k += 2
     return True
 
 
@@ -359,6 +375,10 @@ class PrimeField(Ring):
     is_field = True
 
     def __init__(self, p):
+        if isinstance(p, int) and p >= _PRIME_BOUND:
+            raise RingConstructionError(
+                f"modulus {p} is not below {_PRIME_BOUND}, the bound of the exact primality test"
+            )
         if not isinstance(p, int) or not _is_prime(p):
             raise RingConstructionError(f"modulus {p!r} is not prime")
         self.p = p

@@ -221,7 +221,7 @@ def flatness_basis_certificate(chart, bound, rng, trials=40):
     }
 
 
-def covering_certificate(ring, q, s, t):
+def covering_certificate(ring, q, s, t, charts=None):
     """Covering and gluing of the two charts.
 
     (i) delta*x^2 - gamma*x + 1 has constant term 1, so x = 0 is not in its
@@ -229,10 +229,12 @@ def covering_certificate(ring, q, s, t):
     polynomial as coefficient, so inverting it solves u and exhibits the
     localized chart as a localized polynomial ring in x; (iii) under
     y*x = 1 the presenting pairs glue: x*f0|_{y=1/x} = f1 and likewise for g.
+    ``charts`` is the pair ``build_charts(ring, q, s, t)`` returns; it is
+    built, and so both eliminations validated, when not given.
     """
     s, t = ring(s), ring(t)
     g_, d_ = q.gamma, q.delta
-    _, chart1 = build_charts(ring, q, s, t)  # also re-validates both eliminations
+    _, chart1 = build_charts(ring, q, s, t) if charts is None else charts
     failures = []
 
     x = MPoly.var(ring, 2, 1)
@@ -287,12 +289,17 @@ def split_tangent_roots(ring, q):
     """Distinct roots of y^2 - gamma*y + delta over the base field, if any."""
     g_, d_ = q.gamma, q.delta
     if isinstance(ring, PrimeField):
-        roots = [
-            a
-            for a in ring.all_elements()
-            if (a * a - g_ * a + d_).is_zero
-        ]
-        return roots if len(roots) == 2 else None
+        p, g, d = ring.p, g_.val, d_.val
+        if p == 2:
+            vals = [a for a in (0, 1) if (a * a - g * a + d) % 2 == 0]
+        else:
+            disc = (g * g - 4 * d) % p
+            if disc == 0 or pow(disc, (p - 1) // 2, p) != 1:
+                return None  # repeated root, or a non-residue (Euler's criterion)
+            r = _sqrt_mod(disc, p)
+            half = (p + 1) // 2
+            vals = sorted(((g + r) * half % p, (g - r) * half % p))
+        return [ring.from_int(a) for a in vals] if len(vals) == 2 else None
     if isinstance(ring, Rationals):
         disc = (g_ * g_ - d_ * 4).val
         if disc <= 0:
@@ -309,7 +316,27 @@ def split_tangent_roots(ring, q):
     )
 
 
-def fiber_at_origin(ring, q):
+def _sqrt_mod(a, p):
+    """A square root of the nonzero quadratic residue a modulo an odd prime p (Tonelli-Shanks)."""
+    q, e = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        e += 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    c, t, r = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (e - i - 1), p)
+        e, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return r
+
+
+def fiber_at_origin(ring, q, charts=None):
     """Components and intersection geometry of the central fiber (s = t = 0).
 
     The chart-0 fiber ring is k[v, y]/(v(y^2 - gamma*y + delta)); when the
@@ -318,7 +345,8 @@ def fiber_at_origin(ring, q):
     two disjoint affine lines.  Transversality is certified by the unit
     Jacobian determinant of each meeting pair at its intersection point, and
     smoothness along the lifted section by the u-derivative of the chart-1
-    relation being a unit at x = 0.
+    relation being a unit at x = 0.  ``charts`` is the pair
+    ``build_charts(ring, q, 0, 0)`` returns, built when not given.
     """
     if not ring.is_field:
         raise UnsupportedConfigurationError("fiber decomposition needs field coefficients")
@@ -331,7 +359,7 @@ def fiber_at_origin(ring, q):
         )
     a, b = roots
     zero = ring.zero
-    chart0, chart1 = build_charts(ring, q, zero, zero)
+    chart0, chart1 = build_charts(ring, q, zero, zero) if charts is None else charts
 
     v = MPoly.var(ring, 2, 0)
     y = MPoly.var(ring, 2, 1)

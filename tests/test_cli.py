@@ -1,8 +1,9 @@
 import json
+import time
 
 import pytest
 
-from nodal_kit import cli
+from nodal_kit import cli, mf, stabilize
 from nodal_kit.reporting import CheckRecord, Report
 
 
@@ -117,6 +118,11 @@ class TestExitCodes:
         assert code == 2
         assert "series literal: exponents must be non-negative integers" in err
 
+    def test_modulus_beyond_the_primality_bound(self, capsys):
+        code, _, err = run_cli(capsys, "division", "--ring", f"fp:{2**89 - 1}")
+        assert code == 2
+        assert "3317044064679887385961981" in err
+
     def test_bad_precision(self, capsys):
         code, _, err = run_cli(capsys, "division", "--precision", "0")
         assert code == 2
@@ -181,3 +187,52 @@ def test_report_counterexample_rendering():
     doc = rep.to_structured()
     assert doc["overall"] == "fail"
     assert doc["checks"][0]["counterexample"] == "witness"
+
+
+def test_fiber_over_a_large_prime_in_bounded_time(capsys):
+    t0 = time.perf_counter()
+    code, out, _ = run_cli(capsys, "fiber", "--ring", "fp:1000003", "--gamma", "3", "--delta", "2")
+    assert time.perf_counter() - t0 < 1
+    assert code == 0
+    assert "PASS fiber.decomposition" in out
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_check_all_builds_the_factorization_and_the_charts_once(monkeypatch):
+    factorizations = _counting(monkeypatch, mf, "build_factorization")
+    charts = _counting(monkeypatch, stabilize, "build_charts")
+    cfg = cli.RunConfig("check-all", ring="fp:7", gamma="3", delta="2")
+    assert cli.run(cfg).overall_pass
+    assert len(factorizations) == 1
+    assert len(charts) == 1
+
+
+def test_a_failing_factorization_fails_every_check_that_needs_it(monkeypatch):
+    def broken(dp):
+        raise ArithmeticError("broken identity")
+
+    monkeypatch.setattr(mf, "build_factorization", broken)
+    report = cli.run(cli.RunConfig("check-all", ring="fp:7", gamma="3", delta="2"))
+    failed = {r.name for r in report.records if not r.passed}
+    assert failed == {
+        "mf.construction-identities",
+        "mf.witness-identities",
+        "exactness.periodic",
+        "exactness.transposed",
+    }
+    assert all(
+        r.counterexample == "ArithmeticError: broken identity"
+        for r in report.records
+        if r.name in failed
+    )

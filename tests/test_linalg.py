@@ -1,6 +1,8 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nodal_kit.linalg import consistent_many, kernel_basis, rank, rref, solve
 from nodal_kit.rings import PrimeField, Rationals
@@ -81,3 +83,173 @@ def test_field_requirement():
     loc = make_ring("loc:q:s:2")
     with pytest.raises(ValueError):
         rank(loc, [[loc.one]], 1)
+
+
+# --- differential tests against dense RingElem elimination --------------------
+#
+# The reference below is the dense elimination linalg.py ran before its
+# sparse raw-value kernel: every entry a ring element, every zero visited.
+
+
+def _ref_rref(ring, rows, ncols):
+    rows = [list(r) for r in rows]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = None
+        for i in range(r, len(rows)):
+            if not rows[i][c].is_zero:
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = rows[r][c].inv()
+        rows[r] = [inv * x for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and not rows[i][c].is_zero:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows[:r], pivots
+
+
+def _ref_kernel_basis(ring, rows, ncols):
+    red, pivots = _ref_rref(ring, rows, ncols)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [ring.zero] * ncols
+        v[fc] = ring.one
+        for r, pc in enumerate(pivots):
+            v[pc] = -red[r][fc]
+        basis.append(v)
+    return basis
+
+
+def _ref_solve(ring, rows, ncols, rhs):
+    red, pivots = _ref_rref(ring, [list(r) + [b] for r, b in zip(rows, rhs)], ncols + 1)
+    if ncols in pivots:
+        return None
+    x = [ring.zero] * ncols
+    for r, pc in enumerate(pivots):
+        x[pc] = red[r][ncols]
+    return x
+
+
+def _ref_consistent_many(ring, rows, ncols, rhs_list):
+    m = len(rows)
+    if not rhs_list:
+        return []
+    k = len(rhs_list)
+    aug = [list(rows[i]) + [rhs[i] for rhs in rhs_list] for i in range(m)]
+    r = 0
+    for c in range(ncols):
+        pivot = None
+        for i in range(r, m):
+            if not aug[i][c].is_zero:
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        aug[r], aug[pivot] = aug[pivot], aug[r]
+        inv = aug[r][c].inv()
+        aug[r] = [inv * x for x in aug[r]]
+        for i in range(r + 1, m):
+            f = aug[i][c]
+            if not f.is_zero:
+                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
+        r += 1
+        if r == m:
+            break
+    return [all(aug[i][ncols + j].is_zero for i in range(r, m)) for j in range(k)]
+
+
+def _raw(x):
+    """Exact value and value type of an element, of a nested list of them, or of None."""
+    if isinstance(x, (list, tuple)):
+        return [_raw(y) for y in x]
+    return x if x is None or isinstance(x, int) else (type(x.val), x.val)
+
+
+DIFF_RINGS = {"fp2": PrimeField(2), "fp101": PrimeField(101), "q": QQ}
+
+
+def _elem(ring, n, d):
+    return ring.from_fraction(Fraction(n, d)) if ring == QQ else ring.from_int(n)
+
+
+@st.composite
+def systems(draw, ring):
+    """(rows, ncols, rhs_list) with zero columns, duplicate rows and augmented columns.
+
+    The matrix has width >= ncols, so the columns from ncols on are carried
+    through the elimination without being pivoted on.
+    """
+    m = draw(st.integers(0, 6))
+    width = draw(st.integers(0, 7))
+    ncols = draw(st.integers(0, width))
+    entry = st.tuples(st.sampled_from([0, 0, 0, 1, -1, 2, 3, -4]), st.integers(1, 3))
+    rows = [[_elem(ring, *draw(entry)) for _ in range(width)] for _ in range(m)]
+    if width:
+        for c in draw(st.sets(st.integers(0, width - 1), max_size=2)):
+            for row in rows:
+                row[c] = ring.zero
+    if rows:
+        rows += [list(rows[i]) for i in draw(st.lists(st.integers(0, m - 1), max_size=2))]
+    rhs_list = []
+    for _ in range(draw(st.integers(0, 3))):
+        if rows and draw(st.booleans()):  # consistent: A x0 for a random x0
+            x0 = [_elem(ring, *draw(entry)) for _ in range(ncols)]
+            rhs_list.append(_matvec(ring, [row[:ncols] for row in rows], x0))
+        else:
+            rhs_list.append([_elem(ring, *draw(entry)) for _ in rows])
+    return rows, ncols, rhs_list
+
+
+@pytest.mark.parametrize("name", list(DIFF_RINGS))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_sparse_kernel_matches_dense_reference(name, data):
+    ring = DIFF_RINGS[name]
+    rows, ncols, rhs_list = data.draw(systems(ring))
+    red, pivots = rref(ring, rows, ncols)
+    ref_red, ref_pivots = _ref_rref(ring, rows, ncols)
+    assert pivots == ref_pivots
+    assert _raw(red) == _raw(ref_red)
+    assert rank(ring, rows, ncols) == len(ref_pivots)
+    assert _raw(kernel_basis(ring, rows, ncols)) == _raw(_ref_kernel_basis(ring, rows, ncols))
+    # solve and consistent_many append right-hand sides after the row, so
+    # they get the matrix cut to its ncols structural columns
+    square = [row[:ncols] for row in rows]
+    assert consistent_many(ring, square, ncols, rhs_list) == _ref_consistent_many(
+        ring, square, ncols, rhs_list
+    )
+    for rhs in rhs_list:
+        assert _raw(solve(ring, square, ncols, rhs)) == _raw(_ref_solve(ring, square, ncols, rhs))
+
+
+@pytest.mark.parametrize("name", list(DIFF_RINGS))
+def test_sparse_kernel_edge_shapes(name):
+    ring = DIFF_RINGS[name]
+    one, two, zero = ring.one, _elem(ring, 2, 1), ring.zero
+    cases = [
+        ([], 0, []),  # no rows, no columns
+        ([], 3, [[]]),  # no rows
+        ([[zero, one, two], [zero, two, one]], 3, [[one, one]]),  # an all-zero column
+        ([[one, two, one], [one, two, one], [one, two, one]], 3, [[one, one, one], [one, two, one]]),
+        ([[one, zero, one], [one, one, zero]], 1, [[one, two]]),  # ncols below the row width
+        ([[zero, zero], [zero, zero]], 2, [[zero, zero], [one, zero]]),  # the zero matrix
+    ]
+    for rows, ncols, rhs_list in cases:
+        assert _raw(rref(ring, rows, ncols)) == _raw(_ref_rref(ring, rows, ncols))
+        assert rank(ring, rows, ncols) == len(_ref_rref(ring, rows, ncols)[1])
+        assert _raw(kernel_basis(ring, rows, ncols)) == _raw(_ref_kernel_basis(ring, rows, ncols))
+        square = [row[:ncols] for row in rows]
+        assert consistent_many(ring, square, ncols, rhs_list) == _ref_consistent_many(
+            ring, square, ncols, rhs_list
+        )
+        for rhs in rhs_list:
+            assert _raw(solve(ring, square, ncols, rhs)) == _raw(_ref_solve(ring, square, ncols, rhs))

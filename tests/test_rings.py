@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +16,7 @@ from nodal_kit.rings import (
     PrimeField,
     Rationals,
     RingConstructionError,
+    _is_prime,
     make_ring,
 )
 from nodal_kit.series import Series2
@@ -40,6 +42,37 @@ def test_make_ring_errors():
         make_ring("banana")
     with pytest.raises(RingConstructionError):
         LocalTruncation(DualNumbers(Rationals()), ("eps",), 2)
+
+
+def _is_prime_by_trial_division(n):
+    return n >= 2 and all(n % k for k in range(2, int(n**0.5) + 1))
+
+
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(10**4) if _is_prime(n)] == [
+        n for n in range(10**4) if _is_prime_by_trial_division(n)
+    ]
+
+
+@pytest.mark.parametrize("n", [561, 3215031751, 318665857834031151167461])
+def test_pseudoprimes_are_rejected(n):
+    # a Carmichael number, the least strong pseudoprime to bases 2, 3, 5, 7,
+    # and the least one to every base 2..37
+    assert not _is_prime(n)
+    with pytest.raises(RingConstructionError, match="not prime"):
+        PrimeField(n)
+
+
+def test_large_prime_modulus_in_bounded_time():
+    t0 = time.perf_counter()
+    ring = PrimeField(2**61 - 1)
+    assert time.perf_counter() - t0 < 1
+    assert (ring(3) * ring(3).inv()).val == 1
+
+
+def test_modulus_beyond_the_primality_bound_is_refused():
+    with pytest.raises(RingConstructionError, match="3317044064679887385961981"):
+        make_ring(f"fp:{2**89 - 1}")
 
 
 def test_prime_field_has_p_elements(F7):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from conftest import random_unit_disc
@@ -13,6 +15,7 @@ from nodal_kit.stabilize import (
     fiber_at_origin,
     flatness_basis_certificate,
     reduce_chart0,
+    split_tangent_roots,
 )
 
 QQ = Rationals()
@@ -199,6 +202,27 @@ class TestFiber:
     def test_degenerate_rejected(self):
         with pytest.raises(UnsupportedConfigurationError):
             fiber_at_origin(QQ, QuadForm.make(QQ, 2, 1))  # (y-1)^2
+
+
+class TestTangentRoots:
+    @staticmethod
+    def _scan(ring, g, d):
+        roots = [ring(a) for a in range(ring.p) if (a * a - g * a + d) % ring.p == 0]
+        return roots if len(roots) == 2 else None
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
+    def test_matches_the_scan_for_every_form(self, p):
+        ring = PrimeField(p)
+        for g in range(p):
+            for d in range(p):
+                assert split_tangent_roots(ring, QuadForm.make(ring, g, d)) == self._scan(ring, g, d)
+
+    def test_matches_the_scan_for_random_forms_mod_10007(self):
+        ring = PrimeField(10007)
+        rnd = random.Random(17)
+        for _ in range(200):
+            g, d = rnd.randrange(10007), rnd.randrange(10007)
+            assert split_tangent_roots(ring, QuadForm.make(ring, g, d)) == self._scan(ring, g, d)
 
 
 class TestDeterminant:
