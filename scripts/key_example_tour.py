@@ -80,7 +80,7 @@ def main():
     print(f"chart 1 relation in (u, x): {chart1.format_relation()}")
     if s.is_zero and t.is_zero and ring.is_field:
         try:
-            rep = fiber_at_origin(ring, q)
+            rep = fiber_at_origin(ring, q, (chart0, chart1))
             print(f"central fiber components: {rep.components}, roots {rep.roots}")
         except Exception as e:
             print(f"central fiber: {e}")

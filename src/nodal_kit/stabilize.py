@@ -221,7 +221,7 @@ def flatness_basis_certificate(chart, bound, rng, trials=40):
     }
 
 
-def covering_certificate(ring, q, s, t, charts=None):
+def covering_certificate(ring, q, s, t, charts):
     """Covering and gluing of the two charts.
 
     (i) delta*x^2 - gamma*x + 1 has constant term 1, so x = 0 is not in its
@@ -229,12 +229,11 @@ def covering_certificate(ring, q, s, t, charts=None):
     polynomial as coefficient, so inverting it solves u and exhibits the
     localized chart as a localized polynomial ring in x; (iii) under
     y*x = 1 the presenting pairs glue: x*f0|_{y=1/x} = f1 and likewise for g.
-    ``charts`` is the pair ``build_charts(ring, q, s, t)`` returns; it is
-    built, and so both eliminations validated, when not given.
+    ``charts`` is the pair ``build_charts(ring, q, s, t)`` returns.
     """
     s, t = ring(s), ring(t)
     g_, d_ = q.gamma, q.delta
-    _, chart1 = build_charts(ring, q, s, t) if charts is None else charts
+    _, chart1 = charts
     failures = []
 
     x = MPoly.var(ring, 2, 1)
@@ -336,7 +335,7 @@ def _sqrt_mod(a, p):
     return r
 
 
-def fiber_at_origin(ring, q, charts=None):
+def fiber_at_origin(ring, q, charts):
     """Components and intersection geometry of the central fiber (s = t = 0).
 
     The chart-0 fiber ring is k[v, y]/(v(y^2 - gamma*y + delta)); when the
@@ -346,7 +345,8 @@ def fiber_at_origin(ring, q, charts=None):
     Jacobian determinant of each meeting pair at its intersection point, and
     smoothness along the lifted section by the u-derivative of the chart-1
     relation being a unit at x = 0.  ``charts`` is the pair
-    ``build_charts(ring, q, 0, 0)`` returns, built when not given.
+    ``build_charts(ring, q, 0, 0)`` returns; charts built at any other
+    (s, t) raise ValueError.
     """
     if not ring.is_field:
         raise UnsupportedConfigurationError("fiber decomposition needs field coefficients")
@@ -359,10 +359,13 @@ def fiber_at_origin(ring, q, charts=None):
         )
     a, b = roots
     zero = ring.zero
-    chart0, chart1 = build_charts(ring, q, zero, zero) if charts is None else charts
+    chart0, chart1 = charts
 
     v = MPoly.var(ring, 2, 0)
     y = MPoly.var(ring, 2, 1)
+    # chart 0 solves u = -(y(v - t)) - (s + gamma*t), which is -vy iff s = t = 0
+    if chart0.eliminated_expr != -(v * y):
+        raise ValueError("fiber_at_origin needs the charts built at s = t = 0")
     comp_v = v
     comp_a = y - MPoly.const(ring, 2, a)
     comp_b = y - MPoly.const(ring, 2, b)

@@ -232,15 +232,15 @@ def test_criterion_7_chart_suite():
             s, t = loc.gens
             g, d = random_unit_disc(base, rng)
             q = QuadForm.make(loc, loc.embed(g), loc.embed(d))
-            build_charts(loc, q, s, t)  # raises on any coefficient drift
-            assert covering_certificate(loc, q, s, t)["ok"]
+            charts = build_charts(loc, q, s, t)  # raises on any coefficient drift
+            assert covering_certificate(loc, q, s, t, charts)["ok"]
         # ten numeric parameter sets
         for k in range(10):
             ring = (QQ, F5, F7)[k % 3]
             g, d, s, t = _params(ring, rng)
             q = QuadForm.make(ring, g, d)
-            build_charts(ring, q, s, t)
-            assert covering_certificate(ring, q, s, t)["ok"]
+            charts = build_charts(ring, q, s, t)
+            assert covering_certificate(ring, q, s, t, charts)["ok"]
         # confluence on 100 random inputs
         chart0, _ = build_charts(F7, QuadForm.make(F7, 1, 0), F7(2), F7(3))
         for _ in range(100):
@@ -272,7 +272,8 @@ def test_criterion_8_fiber_suite():
             (QQ, 0, -1),
         ]
         for ring, g, d in cases:
-            rep = fiber_at_origin(ring, QuadForm.make(ring, g, d))
+            q = QuadForm.make(ring, g, d)
+            rep = fiber_at_origin(ring, q, build_charts(ring, q, ring.zero, ring.zero))
             assert rep.ok
             assert len(rep.components) == 3
             assert len(rep.intersection_points) == 2

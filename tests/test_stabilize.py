@@ -158,11 +158,13 @@ class TestCovering:
     def test_constant_term_one(self, rng):
         for ring in (QQ, F5):
             g, d = random_unit_disc(ring, rng)
-            rec = covering_certificate(ring, QuadForm.make(ring, g, d), ring.zero, ring.zero)
+            q = QuadForm.make(ring, g, d)
+            rec = covering_certificate(ring, q, ring.zero, ring.zero, build_charts(ring, q, ring.zero, ring.zero))
             assert rec["ok"]
 
     def test_solved_u_expression(self):
-        rec = covering_certificate(QQ, QuadForm.make(QQ, 3, 2), QQ.one, QQ.zero)
+        q = QuadForm.make(QQ, 3, 2)
+        rec = covering_certificate(QQ, q, QQ.one, QQ.zero, build_charts(QQ, q, QQ.one, QQ.zero))
         assert rec["ok"]
         assert rec["u_numerator"] == "1-2*x^2"
         assert rec["u_denominator"] == "1-3*x+2*x^2"
@@ -170,13 +172,19 @@ class TestCovering:
     def test_gluing_with_symbolic_parameters(self):
         loc = make_ring("loc:q:s,t:4")
         s, t = loc.gens
-        rec = covering_certificate(loc, QuadForm.make(loc, 3, 2), s, t)
+        q = QuadForm.make(loc, 3, 2)
+        rec = covering_certificate(loc, q, s, t, build_charts(loc, q, s, t))
         assert rec["ok"]
+
+
+def _fiber(ring, g, d):
+    q = QuadForm.make(ring, g, d)
+    return fiber_at_origin(ring, q, build_charts(ring, q, ring.zero, ring.zero))
 
 
 class TestFiber:
     def test_rational_split(self):
-        rep = fiber_at_origin(QQ, QuadForm.make(QQ, 3, 2))
+        rep = _fiber(QQ, 3, 2)
         assert rep.ok
         assert set(rep.roots) == {"1", "2"}
         assert len(rep.components) == 3
@@ -186,22 +194,29 @@ class TestFiber:
         assert rep.section_jacobian == "1"
 
     def test_prime_field_split(self):
-        rep = fiber_at_origin(F5, QuadForm.make(F5, 1, 0))
+        rep = _fiber(F5, 1, 0)
         assert rep.ok
         assert set(rep.roots) == {"0 mod 5", "1 mod 5"}
 
     def test_plus_minus_one(self):
-        rep = fiber_at_origin(QQ, QuadForm.make(QQ, 0, -1))
+        rep = _fiber(QQ, 0, -1)
         assert rep.ok
         assert set(rep.roots) == {"1", "-1"}
 
     def test_non_split_rejected(self):
         with pytest.raises(UnsupportedConfigurationError):
-            fiber_at_origin(QQ, QuadForm.make(QQ, 0, 1))  # y^2 + 1
+            _fiber(QQ, 0, 1)  # y^2 + 1
 
     def test_degenerate_rejected(self):
         with pytest.raises(UnsupportedConfigurationError):
-            fiber_at_origin(QQ, QuadForm.make(QQ, 2, 1))  # (y-1)^2
+            # no charts exist for a zero discriminant; it is refused first
+            fiber_at_origin(QQ, QuadForm.make(QQ, 2, 1), (None, None))  # (y-1)^2
+
+    @pytest.mark.parametrize("s, t", [(1, 0), (0, 1), (-3, 1)])
+    def test_charts_away_from_the_origin_are_refused(self, s, t):
+        q = QuadForm.make(QQ, 3, 2)
+        with pytest.raises(ValueError, match="s = t = 0"):
+            fiber_at_origin(QQ, q, build_charts(QQ, q, QQ(s), QQ(t)))
 
 
 class TestTangentRoots:
