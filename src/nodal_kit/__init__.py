@@ -14,7 +14,7 @@ from .rings import (
     RingElem,
     make_ring,
 )
-from .series import HPoly, PrecisionError, Series2, SubstitutionError
+from .series import PrecisionError, Series2, SubstitutionError
 from .mpoly import MPoly
 from .normal_form import (
     CoordChange,

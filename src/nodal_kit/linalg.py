@@ -115,7 +115,7 @@ def kernel_basis(ring, rows, ncols):
 
 def solve(ring, rows, ncols, rhs):
     """One solution of A x = rhs, or None when inconsistent."""
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
+    aug = [list(r[:ncols]) + [b] for r, b in zip(rows, rhs)]
     red, pivots = rref(ring, aug, ncols + 1)
     if ncols in pivots:
         return None
@@ -135,7 +135,7 @@ def consistent_many(ring, rows, ncols, rhs_list):
     _require_field(ring)
     if not rhs_list:
         return []
-    aug = _sparse([list(row) + [rhs[i] for rhs in rhs_list] for i, row in enumerate(rows)])
+    aug = _sparse([list(row[:ncols]) + [rhs[i] for rhs in rhs_list] for i, row in enumerate(rows)])
     r = len(_eliminate(ring, aug, ncols, full=False))
     left = set().union(*aug[r:])
     return [ncols + j not in left for j in range(len(rhs_list))]

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .rings import DualNumbers, RingElem
-from .series import Series2
+from .series import Series2, _min_prec
 
 
 class DegenerateFormError(ValueError):
@@ -75,8 +75,7 @@ class CoordChange:
 
     @property
     def precision(self):
-        ps = [p for p in (self.xs.precision, self.ys.precision) if p is not None]
-        return min(ps) if ps else None
+        return _min_prec(self.xs.precision, self.ys.precision)
 
     def apply(self, f):
         """Compose a series with the change (requires zero constant terms)."""
@@ -88,27 +87,39 @@ class CoordChange:
 
 
 def linearized_increment(q, mu, nu):
-    """Degree-(n+1) part of q(X+mu, Y+nu) - q(X, Y) for homogeneous degree-n mu, nu.
+    """The part of q(X+mu, Y+nu) - q(X, Y) linear in the series mu, nu.
 
-    Equals (2*mu + gamma*nu)*X + (gamma*mu + 2*delta*nu)*Y.
+    Equals (2*mu + gamma*nu)*X + (gamma*mu + 2*delta*nu)*Y: each degree-n
+    component feeds degree n+1.  Keeps the precision of mu and nu.
     """
-    if mu.degree != nu.degree:
-        raise ValueError("mu and nu must have equal degree")
-    left = (mu * 2 + nu.scale(q.gamma)).times_x()
-    right = (mu.scale(q.gamma) + nu * 2 * q.delta).times_y()
-    return left + right
+    left = mu.scale(2) + nu.scale(q.gamma)
+    right = mu.scale(q.gamma) + nu.scale(2 * q.delta)
+    zero = (q.ring.zero,)
+    times_x = Series2(q.ring, {n + 1: zero + v for n, v in left.parts.items()}, left.precision)
+    times_y = Series2(q.ring, {n + 1: v + zero for n, v in right.parts.items()}, right.precision)
+    return times_x + times_y
 
 
 def _raw_increment_preimage(q, f):
-    """(mu, nu) with linearized_increment(q, mu, nu) = d * f, d the discriminant."""
-    u, v = f.split_xy()
+    """(mu, nu) with linearized_increment(q, mu, nu) = d * f, d the discriminant.
+
+    f needs zero constant term.  Each component is split as f_n = X*u + Y*v
+    by the fixed rule: the pure-Y monomial feeds v, every other monomial
+    feeds u.  mu and nu keep the precision of f.
+    """
+    if 0 in f.parts:
+        raise ValueError("series must have zero constant term")
+    zero = (f.ring.zero,)
+    u = Series2(f.ring, {n - 1: vec[1:] for n, vec in f.parts.items()}, f.precision)
+    v = Series2(f.ring, {n - 1: vec[:1] + zero * (n - 1) for n, vec in f.parts.items()}, f.precision)
     mu = u.scale(-2 * q.delta) + v.scale(q.gamma)
-    nu = u.scale(q.gamma) - v * 2
+    nu = u.scale(q.gamma) - v.scale(2)
     return mu, nu
 
 
 def solve_linearized_increment(q, f):
-    """Right inverse of the linearized increment on homogeneous degree n+1.
+    """Right inverse of the linearized increment, for a series f with zero
+    constant term: one homogeneous component or a whole series.
 
     Needs a unit discriminant; the defining identity is re-checked on every
     call, which pins down the sign conventions of the preimage formula.
@@ -116,8 +127,6 @@ def solve_linearized_increment(q, f):
     d = q.discriminant
     if not d.is_unit:
         raise DegenerateFormError("right inverse needs a unit discriminant")
-    if f.degree < 1:
-        raise ValueError("input must have degree >= 1")
     dinv = d.inv()
     mu_raw, nu_raw = _raw_increment_preimage(q, f)
     mu, nu = mu_raw.scale(dinv), nu_raw.scale(dinv)
@@ -141,7 +150,7 @@ def normalize_quadratic_part(f):
         if not f.homogeneous_part(n).is_zero:
             raise ValueError(f"degree-{n} part must vanish")
     f2 = f.homogeneous_part(2)
-    c_, b, a = f2.coeffs[0], f2.coeffs[1], f2.coeffs[2]
+    c_, b, a = (f2.coefficient(i, 2 - i) for i in range(3))
     if (b * b - 4 * a * c_).is_zero:
         raise DegenerateFormError("degenerate quadratic part")
     X, Y = Series2.x(ring), Series2.y(ring)
@@ -188,8 +197,8 @@ def normal_form_iteration(f, q, n_steps):
         residual = q.apply_series(xs, ys) - f
         eps = residual.homogeneous_part(n + 2)
         mu, nu = solve_linearized_increment(q, eps)
-        xs = xs + (-mu).to_series()
-        ys = ys + (-nu).to_series()
+        xs = xs - mu
+        ys = ys - nu
         out.append((xs, ys))
     return out
 
@@ -215,35 +224,12 @@ def square_zero_change(q, tau, f):
     tau = ring(tau)
     if not (tau * tau).is_zero:
         raise ValueError("tau must square to zero")
-    d = q.discriminant
-    if not d.is_unit:
+    if not q.discriminant.is_unit:
         raise DegenerateFormError("square-zero change needs a unit discriminant")
-    if not f.coefficient(0, 0).is_zero:
-        raise ValueError("series must have zero constant term")
-    mu, nu = _mu_nu_series(q, f)
+    mu, nu = solve_linearized_increment(q, f)
     xs = Series2.x(ring) + mu.scale(tau)
     ys = Series2.y(ring) + nu.scale(tau)
     return CoordChange(xs, ys)
-
-
-def _mu_nu_series(q, f):
-    """Series (mu, nu) with (2X+gamma*Y)*mu + (gamma*X+2*delta*Y)*nu = f.
-
-    Splits f = X*u + Y*v by the fixed rule (pure-Y monomials feed v) and
-    applies the discriminant-scaled preimage formula degree by degree.
-    """
-    dinv = q.discriminant.inv()
-    mu = Series2.zero(q.ring, f.precision)
-    nu = Series2.zero(q.ring, f.precision)
-    for n in sorted(f.parts):
-        if n == 0:
-            continue
-        u, v = f.homogeneous_part(n).split_xy()
-        mu_n = (u.scale(-2 * q.delta) + v.scale(q.gamma)).scale(dinv)
-        nu_n = (u.scale(q.gamma) - v * 2).scale(dinv)
-        mu = mu + mu_n.to_series()
-        nu = nu + nu_n.to_series()
-    return mu, nu
 
 
 @dataclass(frozen=True)
@@ -275,11 +261,13 @@ def repair_small_lift(q, tau, u, v, s, t, defect):
         raise ValueError("defect has a constant term")
     X, Y = Series2.x(ring), Series2.y(ring)
     for name, w, var in (("u", u, X), ("v", v, Y)):
-        if not _divisible_by_tau(w - var, tau):
+        if _divide_by_tau(w - var, tau) is None:
             raise ValueError(f"generator {name} must equal its variable modulo tau")
     f = _divide_by_tau(defect, tau)
+    if f is None:
+        raise ValueError("defect is not divisible by tau")
     f = f - Series2.const(ring, f.coefficient(0, 0), f.precision)
-    mu, nu = _mu_nu_series(q, f)
+    mu, nu = solve_linearized_increment(q, f)
     u2 = u - mu.scale(tau)
     v2 = v - nu.scale(tau)
     lhs = q.apply_series(u2, v2)
@@ -289,49 +277,22 @@ def repair_small_lift(q, tau, u, v, s, t, defect):
     return RepairResult(u2, v2, ring(s), ring(t))
 
 
-def _tau_components(ring, tau):
+def _divide_by_tau(series, tau):
+    """series / tau over dual numbers, tau a unit multiple of eps; None when
+    some coefficient is not a multiple of tau."""
+    ring = series.ring
     if not isinstance(ring, DualNumbers):
         raise ValueError("tau-division is supported over dual numbers only")
-    a, b = ring.parts(tau)
-    if not a.is_zero or not b.is_unit:
+    residue, slope = ring.parts(tau)
+    if not residue.is_zero or not slope.is_unit:
         raise ValueError("tau must be a unit multiple of eps")
-    return b
-
-
-def _divide_coeff_by_tau(ring, c, b_inv):
-    a, b = ring.parts(c)
-    if not a.is_zero:
-        return None
-    return RingElem(ring, (b * b_inv, ring.base.zero))
-
-
-def _divisible_by_tau(series, tau):
-    ring = series.ring
-    b = _tau_components(ring, tau)
-    binv = b.inv()
-    for vec in series.parts.values():
-        for c in vec:
-            if not c.is_zero and _divide_coeff_by_tau(ring, c, binv) is None:
-                return False
-    return True
-
-
-def _divide_by_tau(series, tau):
-    ring = series.ring
-    b = _tau_components(ring, tau)
-    binv = b.inv()
+    inv, zero = slope.inv(), ring.base.zero
     parts = {}
     for n, vec in series.parts.items():
-        out = []
-        for c in vec:
-            if c.is_zero:
-                out.append(ring.zero)
-                continue
-            q = _divide_coeff_by_tau(ring, c, binv)
-            if q is None:
-                raise ValueError("defect is not divisible by tau")
-            out.append(q)
-        parts[n] = tuple(out)
+        pairs = [ring.parts(c) for c in vec]
+        if any(not a.is_zero for a, _ in pairs):
+            return None
+        parts[n] = [RingElem(ring, (b * inv, zero)) for _, b in pairs]
     return Series2(ring, parts, series.precision)
 
 

@@ -821,4 +821,5 @@ def make_ring(descriptor):
     ring, pos = parse(0)
     if pos != len(tokens):
         raise RingConstructionError(f"trailing descriptor parts in {descriptor!r}")
+    ring.atoms()  # raises when nested atom names collide, e.g. dual:dual:q
     return ring

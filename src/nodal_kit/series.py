@@ -20,98 +20,6 @@ class SubstitutionError(ValueError):
     """Substitution by a series with nonzero constant term."""
 
 
-class HPoly:
-    """Homogeneous polynomial of fixed degree n in X, Y.
-
-    Coefficients form a vector of length n+1; index i holds the coefficient
-    of X^i Y^(n-i).
-    """
-
-    __slots__ = ("ring", "degree", "coeffs")
-
-    def __init__(self, ring, degree, coeffs):
-        coeffs = tuple(coeffs)
-        if degree < 0 or len(coeffs) != degree + 1:
-            raise ValueError(f"degree-{degree} component needs {degree + 1} coefficients")
-        self.ring = ring
-        self.degree = degree
-        self.coeffs = coeffs
-
-    @classmethod
-    def zero(cls, ring, degree):
-        return cls(ring, degree, (ring.zero,) * (degree + 1))
-
-    @classmethod
-    def monomial(cls, ring, i, j, coeff=1):
-        n = i + j
-        return cls(ring, n, tuple(ring(coeff) if k == i else ring.zero for k in range(n + 1)))
-
-    @property
-    def is_zero(self):
-        return all(c.is_zero for c in self.coeffs)
-
-    def _check(self, other):
-        if not isinstance(other, HPoly) or other.degree != self.degree:
-            raise ValueError("degree mismatch between homogeneous components")
-        return other
-
-    def __add__(self, other):
-        other = self._check(other)
-        return HPoly(self.ring, self.degree, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other):
-        other = self._check(other)
-        return HPoly(self.ring, self.degree, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self):
-        return HPoly(self.ring, self.degree, tuple(-a for a in self.coeffs))
-
-    def scale(self, c):
-        c = self.ring(c)
-        return HPoly(self.ring, self.degree, tuple(c * a for a in self.coeffs))
-
-    def __mul__(self, other):
-        if isinstance(other, (RingElem, int)):
-            return self.scale(other)
-        n = self.degree + other.degree
-        out = [self.ring.zero] * (n + 1)
-        _convolve_into(out, self.coeffs, other.coeffs)
-        return HPoly(self.ring, n, out)
-
-    __rmul__ = __mul__
-
-    def times_x(self):
-        return HPoly(self.ring, self.degree + 1, (self.ring.zero,) + self.coeffs)
-
-    def times_y(self):
-        return HPoly(self.ring, self.degree + 1, self.coeffs + (self.ring.zero,))
-
-    def split_xy(self):
-        """Write f = X*u + Y*v by the fixed rule: the pure-Y term feeds v,
-        everything else feeds u.  Requires degree >= 1."""
-        if self.degree < 1:
-            raise ValueError("cannot split a constant")
-        n = self.degree - 1
-        u = HPoly(self.ring, n, self.coeffs[1:])
-        v = HPoly(self.ring, n, (self.coeffs[0],) + (self.ring.zero,) * n)
-        return u, v
-
-    def to_series(self, precision=None):
-        return Series2(self.ring, {self.degree: self.coeffs}, precision)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, HPoly)
-            and other.degree == self.degree
-            and all(a == b for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    def __str__(self):
-        return str(self.to_series())
-
-    __repr__ = __str__
-
-
 def _min_prec(*ps):
     finite = [p for p in ps if p is not None]
     return min(finite) if finite else None
@@ -196,10 +104,10 @@ class Series2:
         return self.precision is None or n <= self.precision
 
     def homogeneous_part(self, n):
+        """The degree-n component as an exact series (precision None)."""
         if not self.known(n):
             raise PrecisionError(f"component {n} exceeds precision {self.precision}")
-        vec = self.parts.get(n)
-        return HPoly(self.ring, n, vec) if vec is not None else HPoly.zero(self.ring, n)
+        return Series2(self.ring, {n: self.parts[n]} if n in self.parts else {})
 
     def coefficient(self, i, j):
         vec = self.parts.get(i + j)

@@ -33,7 +33,7 @@ from nodal_kit.normal_form import (
 )
 from nodal_kit.reporting import CheckRecord, Report
 from nodal_kit.rings import DualNumbers, LocalTruncation, PrimeField, Rationals
-from nodal_kit.series import HPoly, Series2
+from nodal_kit.series import Series2
 from nodal_kit.stabilize import (
     build_charts,
     covering_certificate,
@@ -135,7 +135,7 @@ def test_criterion_3_normal_form_suite():
             for n in range(9):
                 g, d = random_unit_disc(ring, rng)
                 q = QuadForm.make(ring, g, d)
-                h = HPoly(ring, n + 1, [ring.random_element(rng) for _ in range(n + 2)])
+                h = Series2(ring, {n + 1: [ring.random_element(rng) for _ in range(n + 2)]})
                 mu, nu = solve_linearized_increment(q, h)
                 assert linearized_increment(q, mu, nu) == h
                 raw = _raw_increment_preimage(q, h)

@@ -1,7 +1,10 @@
+import contextlib
+import io
 import json
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nodal_kit import cli, mf, stabilize
 from nodal_kit.reporting import CheckRecord, Report
@@ -100,6 +103,11 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "fiber", "--ring", "q", "--gamma", "0", "--delta", "1")
         assert code == 2
         assert "split" in err
+
+    def test_colliding_atom_names_are_config_error(self, capsys):
+        code, _, err = run_cli(capsys, "normal-form", "--ring", "dual:dual:q")
+        assert code == 2
+        assert "collides with eps" in err
 
     def test_bad_series_literal(self, capsys):
         code, _, err = run_cli(
@@ -236,3 +244,59 @@ def test_a_failing_factorization_fails_every_check_that_needs_it(monkeypatch):
         for r in report.records
         if r.name in failed
     )
+
+
+# --- parser fuzzing -----------------------------------------------------------
+
+# Each strategy mixes well-formed values with malformed ones, so that many
+# inputs get past the ring and the coefficients to the series literal.
+RING_DESCRIPTORS = st.sampled_from(
+    ["q", "fp:2", "fp:7", "dual:q", "dual:fp:5", "loc:q:s,t:2", "loc:fp:7:s:3", "dual:loc:q:s,t:2"]
+) | st.recursive(
+    st.sampled_from(["q", "fp:7", "fp:9", "fp:0", "fp:", "z", ""]),
+    lambda inner: st.one_of(
+        st.builds("dual:{}".format, inner),
+        st.builds("loc:{}:{}:{}".format, inner, st.sampled_from(["s", "s,t", "eps", "s,s", ""]), st.integers(-1, 3)),
+    ),
+    max_leaves=3,
+)
+NUMBERS = st.sampled_from(["0", "1", "-1", "3/2", "2/3", "4"])
+# Random text stops at seven characters, where powers stay small (9^99999
+# parses in about 15 ms); longer exponents are an open bounded-time gap
+# (ROADMAP item 5), which this test does not probe.
+COEFF_LITERALS = st.one_of(
+    NUMBERS,
+    NUMBERS,
+    st.sampled_from(["2 mod 7", "s^2*t-3", "1+2*eps", "1/0", "", "(", "x"]),
+    st.text(alphabet="0123456789/+-*()^ estp", max_size=7),
+)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 5) | st.floats(allow_nan=False) | COEFF_LITERALS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    max_leaves=6,
+)
+SERIES_TERMS = st.lists(
+    st.tuples(st.integers(-1, 5), st.integers(-1, 5), COEFF_LITERALS).map(list), max_size=4
+)
+SERIES_LITERALS = st.one_of(
+    st.builds(lambda terms: json.dumps([[2, 0, "1"], [1, 1, "1"]] + terms), SERIES_TERMS),
+    st.builds(json.dumps, SERIES_TERMS),
+    JSON_VALUES.map(json.dumps) | st.text(max_size=8),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ring=RING_DESCRIPTORS, s=COEFF_LITERALS, t=NUMBERS, series=SERIES_LITERALS)
+def test_parser_fuzz_exits_cleanly(ring, s, t, series):
+    # gamma = 1, delta = 0 has discriminant 1, a unit over every ring, so
+    # a well-formed ring and coefficients lead on to the series literal
+    argv = [
+        "normal-form", f"--ring={ring}", "--gamma=1", "--delta=0", f"--s={s}", f"--t={t}",
+        "--degree-bound=1", "--precision=2", f"--series={series}",
+    ]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = cli.main(argv)
+        except SystemExit as e:  # argparse rejects the command line
+            code = e.code
+    assert code in (0, 1, 2)

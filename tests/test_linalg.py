@@ -221,14 +221,14 @@ def test_sparse_kernel_matches_dense_reference(name, data):
     assert _raw(red) == _raw(ref_red)
     assert rank(ring, rows, ncols) == len(ref_pivots)
     assert _raw(kernel_basis(ring, rows, ncols)) == _raw(_ref_kernel_basis(ring, rows, ncols))
-    # solve and consistent_many append right-hand sides after the row, so
-    # they get the matrix cut to its ncols structural columns
     square = [row[:ncols] for row in rows]
-    assert consistent_many(ring, square, ncols, rhs_list) == _ref_consistent_many(
-        ring, square, ncols, rhs_list
-    )
+    flags = _ref_consistent_many(ring, square, ncols, rhs_list)
+    assert consistent_many(ring, square, ncols, rhs_list) == flags
+    assert consistent_many(ring, rows, ncols, rhs_list) == flags
     for rhs in rhs_list:
-        assert _raw(solve(ring, square, ncols, rhs)) == _raw(_ref_solve(ring, square, ncols, rhs))
+        x = _raw(_ref_solve(ring, square, ncols, rhs))
+        assert _raw(solve(ring, square, ncols, rhs)) == x
+        assert _raw(solve(ring, rows, ncols, rhs)) == x
 
 
 @pytest.mark.parametrize("name", list(DIFF_RINGS))
@@ -248,8 +248,10 @@ def test_sparse_kernel_edge_shapes(name):
         assert rank(ring, rows, ncols) == len(_ref_rref(ring, rows, ncols)[1])
         assert _raw(kernel_basis(ring, rows, ncols)) == _raw(_ref_kernel_basis(ring, rows, ncols))
         square = [row[:ncols] for row in rows]
-        assert consistent_many(ring, square, ncols, rhs_list) == _ref_consistent_many(
-            ring, square, ncols, rhs_list
-        )
+        flags = _ref_consistent_many(ring, square, ncols, rhs_list)
+        assert consistent_many(ring, square, ncols, rhs_list) == flags
+        assert consistent_many(ring, rows, ncols, rhs_list) == flags
         for rhs in rhs_list:
-            assert _raw(solve(ring, square, ncols, rhs)) == _raw(_ref_solve(ring, square, ncols, rhs))
+            x = _raw(_ref_solve(ring, square, ncols, rhs))
+            assert _raw(solve(ring, square, ncols, rhs)) == x
+            assert _raw(solve(ring, rows, ncols, rhs)) == x

@@ -19,7 +19,7 @@ from nodal_kit.normal_form import (
     _raw_increment_preimage,
 )
 from nodal_kit.rings import PrimeField, Rationals, make_ring
-from nodal_kit.series import HPoly, Series2
+from nodal_kit.series import Series2
 
 QQ = Rationals()
 F5 = PrimeField(5)
@@ -30,25 +30,25 @@ def S(ring, terms, precision=None):
     return Series2.from_terms(ring, [(i, j, ring(c)) for i, j, c in terms], precision)
 
 
-def _random_hpoly(ring, rnd, degree):
-    return HPoly(ring, degree, [ring.random_element(rnd) for _ in range(degree + 1)])
+def _random_component(ring, rnd, degree):
+    return Series2(ring, {degree: [ring.random_element(rnd) for _ in range(degree + 1)]})
 
 
 class TestLinearizedIncrement:
     def test_displayed_value(self):
         q = QuadForm.make(QQ, 1, 0)
-        out = linearized_increment(q, HPoly(QQ, 0, [QQ.one]), HPoly.zero(QQ, 0))
-        assert out == HPoly(QQ, 1, [QQ.one, QQ(2)])  # 2X + Y
+        out = linearized_increment(q, Series2.const(QQ, 1), Series2.zero(QQ))
+        assert out == S(QQ, [(1, 0, 2), (0, 1, 1)])  # 2X + Y
 
     def test_zero(self):
         q = QuadForm.make(QQ, 3, 2)
-        assert linearized_increment(q, HPoly.zero(QQ, 2), HPoly.zero(QQ, 2)).is_zero
+        assert linearized_increment(q, Series2.zero(QQ), Series2.zero(QQ)).is_zero
 
     def test_cubic(self):
         q = QuadForm.make(QQ, 0, -1)
-        mu = HPoly(QQ, 2, [QQ.zero, QQ.zero, QQ(2)])  # 2X^2
-        out = linearized_increment(q, mu, HPoly.zero(QQ, 2))
-        assert out == HPoly(QQ, 3, [QQ.zero] * 3 + [QQ(4)])  # 4X^3
+        mu = S(QQ, [(2, 0, 2)])
+        out = linearized_increment(q, mu, Series2.zero(QQ))
+        assert out == S(QQ, [(3, 0, 4)])
 
     def test_matches_quadratic_expansion(self, rng):
         # the increment is the part of q(X+mu, Y+nu) - q linear in (mu, nu);
@@ -56,11 +56,11 @@ class TestLinearizedIncrement:
         for n in range(1, 7):
             g, d = random_unit_disc(F7, rng)
             q = QuadForm.make(F7, g, d)
-            mu, nu = _random_hpoly(F7, rng, n), _random_hpoly(F7, rng, n)
-            xs = Series2.x(F7) + mu.to_series()
-            ys = Series2.y(F7) + nu.to_series()
-            diff = q.apply_series(xs, ys) - q.series() - linearized_increment(q, mu, nu).to_series()
-            expected = q.apply_series(mu.to_series(), nu.to_series())
+            mu, nu = _random_component(F7, rng, n), _random_component(F7, rng, n)
+            xs = Series2.x(F7) + mu
+            ys = Series2.y(F7) + nu
+            diff = q.apply_series(xs, ys) - q.series() - linearized_increment(q, mu, nu)
+            expected = q.apply_series(mu, nu)
             assert diff == expected
             assert diff.order_at_least(2 * n)
 
@@ -68,20 +68,20 @@ class TestLinearizedIncrement:
 class TestRightInverse:
     def test_cubic_example(self):
         q = QuadForm.make(QQ, 0, -1)  # discriminant 4
-        f = HPoly.monomial(QQ, 3, 0)  # X^3
+        f = S(QQ, [(3, 0, 1)])
         mu, nu = solve_linearized_increment(q, f)
-        assert mu == HPoly(QQ, 2, [QQ.zero, QQ.zero, QQ.parse_elem("1/2")])
+        assert mu == S(QQ, [(2, 0, "1/2")])
         assert nu.is_zero
 
     def test_linear_example(self):
         q = QuadForm.make(QQ, 1, 0)  # discriminant 1
-        f = HPoly.monomial(QQ, 1, 0)  # X
+        f = S(QQ, [(1, 0, 1)])  # X
         mu, nu = solve_linearized_increment(q, f)
-        assert mu.is_zero and nu == HPoly(QQ, 0, [QQ.one])
+        assert mu.is_zero and nu == Series2.const(QQ, 1)
 
     def test_zero(self):
         q = QuadForm.make(QQ, 3, 2)
-        mu, nu = solve_linearized_increment(q, HPoly.zero(QQ, 3))
+        mu, nu = solve_linearized_increment(q, Series2.zero(QQ))
         assert mu.is_zero and nu.is_zero
 
     def test_right_inverse_property(self, rng):
@@ -89,16 +89,21 @@ class TestRightInverse:
             for n in range(9):
                 g, d = random_unit_disc(ring, rng)
                 q = QuadForm.make(ring, g, d)
-                f = _random_hpoly(ring, rng, n + 1)
+                f = _random_component(ring, rng, n + 1)
                 mu, nu = solve_linearized_increment(q, f)
                 assert linearized_increment(q, mu, nu) == f
                 raw_mu, raw_nu = _raw_increment_preimage(q, f)
                 assert linearized_increment(q, raw_mu, raw_nu) == f.scale(q.discriminant)
 
+    def test_constant_term_rejected(self):
+        q = QuadForm.make(QQ, 0, -1)
+        with pytest.raises(ValueError, match="zero constant term"):
+            solve_linearized_increment(q, S(QQ, [(0, 0, 1), (1, 0, 1)]))
+
     def test_degenerate_rejected(self):
         q = QuadForm.make(QQ, 2, 1)  # discriminant 0
         with pytest.raises(DegenerateFormError):
-            solve_linearized_increment(q, HPoly.monomial(QQ, 1, 0))
+            solve_linearized_increment(q, S(QQ, [(1, 0, 1)]))
 
 
 class TestNormalizeQuadraticPart:
@@ -252,6 +257,12 @@ class TestSquareZeroChange:
         with pytest.raises(ValueError):
             square_zero_change(q, dq.one, Series2.zero(dq))
 
+    def test_constant_term_rejected(self):
+        dq = make_ring("dual:q")
+        q = QuadForm.make(dq, 0, -1)
+        with pytest.raises(ValueError, match="zero constant term"):
+            square_zero_change(q, dq.eps, S(dq, [(0, 0, 1), (2, 0, 1)]))
+
 
 class TestRepairSmallLift:
     def test_zero_defect_returns_input(self):
@@ -369,6 +380,48 @@ def test_increment_preimage_identity_property(seed, n):
     rnd = random.Random(seed)
     g, d = random_unit_disc(F5, rnd)
     q = QuadForm.make(F5, g, d)
-    f = _random_hpoly(F5, rnd, n + 1)
+    f = _random_component(F5, rnd, n + 1)
     mu, nu = solve_linearized_increment(q, f)
     assert linearized_increment(q, mu, nu) == f
+
+
+def test_increment_split_rule():
+    # each component splits as X*u + Y*v: the pure-Y monomial feeds v, the
+    # rest feed u; the raw preimage is mu = -2*delta*u + gamma*v,
+    # nu = gamma*u - 2*v
+    f = S(QQ, [(0, 3, 7), (1, 2, 5), (2, 1, 3), (3, 0, 2)])
+    u = S(QQ, [(0, 2, 5), (1, 1, 3), (2, 0, 2)])
+    v = S(QQ, [(0, 2, 7)])
+    q = QuadForm.make(QQ, 0, -1)
+    assert _raw_increment_preimage(q, f) == (u.scale(2), v.scale(-2))
+    q = QuadForm.make(QQ, 1, 0)
+    assert _raw_increment_preimage(q, f) == (v, u - v.scale(2))
+    assert linearized_increment(q, *_raw_increment_preimage(q, f)) == f.scale(q.discriminant)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    ring_desc=st.sampled_from(["q", "fp:7", "dual:q"]),
+    precision=st.one_of(st.none(), st.integers(1, 8)),
+)
+def test_right_inverse_of_a_series_is_the_sum_over_components(seed, ring_desc, precision):
+    rnd = random.Random(seed)
+    ring = make_ring(ring_desc)
+    q = QuadForm.make(ring, *random_unit_disc(ring, rnd))
+    top = 8 if precision is None else precision
+    terms = [
+        (i, n - i, ring.random_element(rnd))
+        for n in range(1, top + 1)
+        for i in range(n + 1)
+        if rnd.random() < 0.4
+    ]
+    f = Series2.from_terms(ring, terms, precision)
+    mu, nu = solve_linearized_increment(q, f)
+    assert linearized_increment(q, mu, nu) == f
+    assert mu.precision == nu.precision == f.precision
+    mu_sum, nu_sum = Series2.zero(ring, precision), Series2.zero(ring, precision)
+    for n in range(1, top + 1):
+        mu_n, nu_n = solve_linearized_increment(q, f.homogeneous_part(n))
+        mu_sum, nu_sum = mu_sum + mu_n, nu_sum + nu_n
+    assert (mu, nu) == (mu_sum, nu_sum)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nodal_kit.rings import PrimeField, Rationals
-from nodal_kit.series import HPoly, PrecisionError, Series2, SubstitutionError
+from nodal_kit.series import PrecisionError, Series2, SubstitutionError
 
 QQ = Rationals()
 F7 = PrimeField(7)
@@ -17,15 +17,21 @@ def S(ring, terms, precision=None):
 class TestHomogeneousPart:
     def test_reads_degree_terms(self):
         f = S(QQ, [(2, 0, 1), (1, 1, 3), (0, 3, 1)])
-        assert f.homogeneous_part(2) == HPoly(QQ, 2, [QQ.zero, QQ(3), QQ.one])
+        assert f.homogeneous_part(2) == S(QQ, [(1, 1, 3), (2, 0, 1)])
         assert f.homogeneous_part(1).is_zero
+
+    def test_component_is_exact(self):
+        f = S(QQ, [(2, 0, 1), (0, 3, 1)], precision=3)
+        assert f.homogeneous_part(2).precision is None
+        assert f.homogeneous_part(3) == S(QQ, [(0, 3, 1)])
+        assert f.homogeneous_part(1) == Series2.zero(QQ)
 
     def test_quadratic_form_part(self):
         # gamma = 1, delta = 0: q = X^2 + X*Y
         from nodal_kit.normal_form import QuadForm
 
         q = QuadForm.make(QQ, 1, 0)
-        assert q.series().homogeneous_part(2) == HPoly(QQ, 2, [QQ.zero, QQ.one, QQ.one])
+        assert q.series().homogeneous_part(2) == S(QQ, [(2, 0, 1), (1, 1, 1)])
 
     def test_beyond_precision_raises(self):
         f = S(QQ, [(2, 0, 1)], precision=3)
@@ -154,13 +160,5 @@ def test_str_merges_signs_and_keeps_the_precision_tail():
     f = S(QQ, [(0, 0, 1), (1, 0, -2), (1, 1, -1), (0, 2, "1/2"), (3, 0, "-3/2")], 4)
     assert str(f) == "1-2*X+1/2*Y^2-X*Y-3/2*X^3 + O(deg>4)"
     assert str(Series2.zero(QQ, 3)) == "0 + O(deg>3)"
-    assert str(HPoly(QQ, 2, [QQ(-1), QQ.zero, QQ.one])) == "-Y^2+X^2"
+    assert str(Series2(QQ, {2: [QQ(-1), QQ.zero, QQ.one]})) == "-Y^2+X^2"
 
-
-def test_hpoly_split_rule():
-    # split f = X*u + Y*v: the pure-Y monomial feeds v, the rest feed u
-    f = HPoly(QQ, 3, [QQ(7), QQ(5), QQ(3), QQ(2)])  # 7Y^3 + 5XY^2 + 3X^2Y + 2X^3
-    u, v = f.split_xy()
-    assert u == HPoly(QQ, 2, [QQ(5), QQ(3), QQ(2)])
-    assert v == HPoly(QQ, 2, [QQ(7), QQ.zero, QQ.zero])
-    assert u.times_x() + v.times_y() == f
