@@ -252,6 +252,18 @@ def _random_series_with_quadratic_part(q, rng, n_steps):
     return q.series() + Series2.from_terms(ring, terms)
 
 
+def _final_residual(q, f, xs, ys, n_steps):
+    """q(xs, ys) - f, multiplied out afresh from the returned coordinates and
+    known through degree n_steps + 2, the order the check asserts.
+
+    Since x and y have order >= 1, the components of q(x, y) through that
+    degree depend only on those of x and y through degree n_steps + 1, so
+    truncating x and y leaves the verdict and the reported order as they are.
+    """
+    top = n_steps + 2
+    return q.apply_series(xs.truncated(top), ys.truncated(top)) - f
+
+
 def _normal_form(res, cfg, rng):
     n_steps = cfg.precision
     if cfg.series is not None:
@@ -261,6 +273,8 @@ def _normal_form(res, cfg, rng):
             f = Series2.from_triples(res.ring, triples, n_steps + 2)
         except (ValueError, TypeError) as e:
             raise ConfigError(f"series literal: {e}") from None
+        if any(n < 2 for n in f.parts):
+            raise ConfigError("series literal: parts of degree < 2 must vanish")
         if f.homogeneous_part(2) != res.q.series().homogeneous_part(2):
             raise ConfigError(
                 "series literal: degree-2 part must equal X^2 + gamma*X*Y + delta*Y^2"
@@ -272,8 +286,7 @@ def _normal_form(res, cfg, rng):
     def residuals():
         for idx, f in enumerate(candidates):
             steps = normal_form.normal_form_iteration(f, res.q, n_steps)
-            xs, ys = steps[-1]
-            residual = res.q.apply_series(xs, ys) - f
+            residual = _final_residual(res.q, f, *steps[-1], n_steps)
             if not residual.order_at_least(n_steps + 2):
                 return {
                     "ok": False,

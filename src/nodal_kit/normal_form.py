@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .rings import DualNumbers, RingElem
+from .rings import DualNumbers, RingElem, _convolve_into
 from .series import Series2, _min_prec
 
 
@@ -47,8 +47,10 @@ class QuadForm:
         )
 
     def apply_series(self, xs, ys):
-        """q(xs, ys) for series arguments, computed by direct multiplication."""
-        return xs * xs + xs * ys * self.gamma + ys * ys * self.delta
+        """q(xs, ys) for series arguments, computed by direct multiplication
+        as x*(x + gamma*y) + (delta*y)*y: two series products, the second
+        empty when delta = 0."""
+        return xs * (xs + ys.scale(self.gamma)) + ys.scale(self.delta) * ys
 
 
 @dataclass(frozen=True)
@@ -179,11 +181,26 @@ def normal_form_iteration(f, q, n_steps):
     Starting from the identity, step n kills the degree-(n+2) component of
     q(x_n, y_n) - f by a homogeneous degree-(n+1) correction, so after step n
     the residual has order >= n+3.  Yields (x_n, y_n) for n = 1 .. n_steps.
+
+    The residual is built incrementally, one degree per step.  With
+    x = X + sum a_k and y = Y + sum b_k (a_k, b_k of degree k >= 2), its
+    degree-(n+2) component is
+
+        sum_{i+j=n+2, 2<=i,j<=n} (a_i*(a_j + gamma*b_j) + delta*b_i*b_j) - f_{n+2}:
+
+    q(X, Y) lives in degree 2, and the linear term L(a_{n+1}, b_{n+1}) is
+    still zero when step n reads it.  Each correction is stored with
+    a_j + gamma*b_j and delta*b_j, so step n costs O(n) products of
+    components, O(n^3) coefficient products, instead of multiplying out
+    whole series (van der Hoeven's relaxed, or on-line, scheme in its
+    simplest form).
     """
     if n_steps < 1:
         raise ValueError("need at least one step")
     if not q.discriminant.is_unit:
         raise DegenerateFormError("iteration needs a unit discriminant")
+    if any(n < 2 for n in f.parts):
+        raise ValueError("parts of degree < 2 of the series must vanish")
     if f.homogeneous_part(2) != q.series().homogeneous_part(2):
         raise ValueError("degree-2 part of the series must equal the quadratic form")
     if f.precision is not None and f.precision < n_steps + 1:
@@ -193,13 +210,31 @@ def normal_form_iteration(f, q, n_steps):
     ring = f.ring
     xs, ys = Series2.x(ring), Series2.y(ring)
     out = [(xs, ys)]
+    # degree k -> (a_k, b_k, a_k + gamma*b_k, delta*b_k), for nonzero corrections
+    comps = {}
     for n in range(1, n_steps):
-        residual = q.apply_series(xs, ys) - f
-        eps = residual.homogeneous_part(n + 2)
-        mu, nu = solve_linearized_increment(q, eps)
+        top = n + 2
+        f_top = f.parts.get(top)
+        eps = [-c for c in f_top] if f_top else [ring.zero] * (top + 1)
+        for i, (a_i, b_i, _, _) in comps.items():
+            if top - i in comps:
+                _, _, c_j, d_j = comps[top - i]
+                _convolve_into(eps, a_i, c_j)
+                _convolve_into(eps, b_i, d_j)
+        mu, nu = solve_linearized_increment(q, Series2(ring, {top: eps}))
         xs = xs - mu
         ys = ys - nu
         out.append((xs, ys))
+        a, b = xs.parts.get(n + 1), ys.parts.get(n + 1)
+        if a or b:
+            zero = (ring.zero,) * (n + 2)
+            a, b = a or zero, b or zero
+            comps[n + 1] = (
+                a,
+                b,
+                tuple([x + q.gamma * y for x, y in zip(a, b)]),
+                tuple([q.delta * y for y in b]),
+            )
     return out
 
 

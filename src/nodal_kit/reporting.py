@@ -28,7 +28,9 @@ class CheckRecord:
             v = self.details[k]
             if isinstance(v, (str, int, bool)):
                 bits.append(f"{k}={v}")
-        return ", ".join(bits) if bits else "ok"
+        if bits:
+            return ", ".join(bits)
+        return "ok" if self.passed else "failed"
 
 
 @dataclass

@@ -145,6 +145,10 @@ class Series2:
             return Series2.const(self.ring, other)
         return None
 
+    # Components are built as tuple([...]): tuple(<generator>) over-allocates
+    # and then shrinks, which in CPython fills the free lists of tuples of
+    # every other size and so raises peak memory on long runs.
+
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
@@ -159,7 +163,7 @@ class Series2:
             elif b is None:
                 parts[n] = a
             else:
-                parts[n] = tuple(x + y for x, y in zip(a, b))
+                parts[n] = tuple([x + y for x, y in zip(a, b)])
         return Series2(self.ring, parts, prec)
 
     __radd__ = __add__
@@ -177,11 +181,11 @@ class Series2:
         return other - self
 
     def __neg__(self):
-        return Series2(self.ring, {n: tuple(-c for c in v) for n, v in self.parts.items()}, self.precision)
+        return Series2(self.ring, {n: tuple([-c for c in v]) for n, v in self.parts.items()}, self.precision)
 
     def scale(self, c):
         c = self.ring(c)
-        return Series2(self.ring, {n: tuple(c * a for a in v) for n, v in self.parts.items()}, self.precision)
+        return Series2(self.ring, {n: tuple([c * a for a in v]) for n, v in self.parts.items()}, self.precision)
 
     def __mul__(self, other):
         if isinstance(other, (RingElem, int)):

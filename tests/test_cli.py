@@ -117,6 +117,16 @@ class TestExitCodes:
         assert code == 2
         assert "degree-2" in err
 
+    @pytest.mark.parametrize("term", ['[1,0,"1"]', '[0,1,"-2"]', '[0,0,"3"]'])
+    def test_series_with_a_low_degree_part(self, capsys, term):
+        code, out, err = run_cli(
+            capsys, "normal-form", "--ring", "q", "--gamma", "1", "--delta", "0",
+            "--precision", "2", "--series", f'[[2,0,"1"],[1,1,"1"],{term}]',
+        )
+        assert code == 2
+        assert out == ""
+        assert "series literal: parts of degree < 2 must vanish" in err
+
     @pytest.mark.parametrize("term", ['[-1,4,"7"]', '[1.9,1.9,"7"]', '[true,2,"7"]'])
     def test_bad_series_exponent(self, capsys, term):
         code, _, err = run_cli(
@@ -146,6 +156,24 @@ class TestExitCodes:
         code, out, _ = run_cli(capsys, "factorize")
         assert code == 1
         assert "FAIL" in out
+
+    def test_a_failing_check_never_reads_ok(self, capsys, monkeypatch):
+        failing = Report(
+            subcommand="normal-form",
+            config={},
+            records=[
+                CheckRecord(name="a", params={}, passed=False, counterexample="series 0: residual order 1"),
+                CheckRecord(name="b", params={}, passed=True),
+            ],
+        )
+        monkeypatch.setattr(cli, "run", lambda cfg: failing)
+        code, out, _ = run_cli(capsys, "normal-form")
+        assert code == 1
+        assert out.splitlines()[:3] == [
+            "FAIL a: failed",
+            "     counterexample: series 0: residual order 1",
+            "PASS b: ok",
+        ]
 
 
 def test_check_all_covers_all_modules(capsys):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_unit_disc
+from nodal_kit.cli import _final_residual
 from nodal_kit.normal_form import (
     CoordChange,
     DegenerateFormError,
@@ -204,6 +205,80 @@ class TestNormalFormCoordinates:
         q = QuadForm.make(QQ, 0, -1)
         with pytest.raises(ValueError):
             normal_form_coordinates(S(QQ, [(2, 0, 1)]), q, 2)
+
+    @pytest.mark.parametrize("term", [(0, 0, 3), (1, 0, 1), (0, 1, -2)])
+    def test_low_degree_parts_rejected(self, term):
+        q = QuadForm.make(QQ, 1, 0)
+        f = S(QQ, [(2, 0, 1), (1, 1, 1), term])
+        with pytest.raises(ValueError, match="degree < 2"):
+            normal_form_iteration(f, q, 2)
+
+
+def _full_residual_iteration(f, q, n_steps):
+    """Reference for the incremental residual: multiply out all of
+    q(x_n, y_n) - f at every step and read its degree-(n+2) part."""
+    ring = f.ring
+    xs, ys = Series2.x(ring), Series2.y(ring)
+    out = [(xs, ys)]
+    for n in range(1, n_steps):
+        residual = q.apply_series(xs, ys) - f
+        eps = residual.homogeneous_part(n + 2)
+        mu, nu = solve_linearized_increment(q, eps)
+        xs = xs - mu
+        ys = ys - nu
+        out.append((xs, ys))
+    return out
+
+
+def _random_series_over(q, rnd, top, precision=None):
+    ring = q.ring
+    terms = [
+        (i, n - i, ring.random_element(rnd))
+        for n in range(3, top + 1)
+        for i in range(n + 1)
+        if rnd.random() < 0.4
+    ]
+    return q.series(precision) + Series2.from_terms(ring, terms, precision)
+
+
+class TestIncrementalResidual:
+    @pytest.mark.parametrize("ring_desc", ["q", "fp:7", "dual:q", "loc:q:s,t:3"])
+    @pytest.mark.parametrize("n_steps", range(1, 11))
+    def test_matches_the_full_residual_loop(self, ring_desc, n_steps):
+        rnd = random.Random(1000 * n_steps + len(ring_desc))
+        ring = make_ring(ring_desc)
+        q = QuadForm.make(ring, *random_unit_disc(ring, rnd))
+        precision = rnd.choice([None, n_steps + 1, n_steps + 2])
+        f = _random_series_over(q, rnd, n_steps + 3, precision)
+        assert normal_form_iteration(f, q, n_steps) == _full_residual_iteration(f, q, n_steps)
+
+    def test_apply_series_matches_the_expansion(self, rng):
+        for ring in (QQ, F7, make_ring("dual:q")):
+            q = QuadForm.make(ring, *random_unit_disc(ring, rng))
+            for precision in (None, 5):
+                xs = _random_series_over(q, rng, 6, precision) + Series2.x(ring)
+                ys = _random_series_over(q, rng, 6) - Series2.y(ring)
+                expanded = xs * xs + xs * ys * q.gamma + ys * ys * q.delta
+                assert q.apply_series(xs, ys) == expanded
+
+    @pytest.mark.parametrize("ring_desc", ["q", "fp:7", "dual:q"])
+    def test_truncated_certificate_agrees_with_the_full_one(self, ring_desc):
+        rnd = random.Random(ring_desc)
+        ring = make_ring(ring_desc)
+        q = QuadForm.make(ring, *random_unit_disc(ring, rnd))
+        for n_steps in (3, 6):
+            f = _random_series_over(q, rnd, n_steps + 2)
+            steps = normal_form_iteration(f, q, n_steps)
+            # the last pair certifies order n_steps + 2; the one before it,
+            # missing the last correction, falls short of it
+            for (xs, ys), verdict in ((steps[-1], True), (steps[-2], False)):
+                full = q.apply_series(xs, ys) - f
+                truncated = _final_residual(q, f, xs, ys, n_steps)
+                assert truncated.precision == n_steps + 2
+                assert full.order_at_least(n_steps + 2) is verdict
+                assert truncated.order_at_least(n_steps + 2) is verdict
+                if not verdict:
+                    assert truncated.order() == full.order() == n_steps + 1
 
 
 class TestSquareZeroChange:
