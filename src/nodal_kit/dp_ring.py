@@ -148,29 +148,10 @@ class DPRing:
         return self.reduce_with_multiplier(poly)[0]
 
     def reduce_with_multiplier(self, poly):
-        """Divide by the relation: returns (elem, h) with
-
-            poly = elem.expand() + h * relation
-
-        verified exactly before returning.  Division is possible because the
-        relation is monic of degree 2 in X.
+        """Divide by the relation, monic of degree 2 in X: returns (elem, h) with
+        poly = elem.expand() + h * relation, verified exactly before returning.
         """
-        if poly.nvars != 2 or poly.ring != self.ring:
-            raise ValueError("expected a bivariate polynomial over the coefficient ring")
-        rem = poly
-        h = MPoly.zero(self.ring, 2)
-        while True:
-            top = None
-            for (i, j) in rem.terms:
-                if i >= 2 and (top is None or (i, j) > top):
-                    top = (i, j)
-            if top is None:
-                break
-            i, j = top
-            c = rem.terms[top]
-            factor = MPoly(self.ring, 2, {(i - 2, j): c})
-            rem = rem - factor * self.relation
-            h = h + factor
+        rem, h = poly.divide(self.relation, (2, 0))
         if poly - (rem + h * self.relation) != MPoly.zero(self.ring, 2):
             raise AssertionError("division certificate failed (internal error)")
         fc = [self.ring.zero] * (self.degree_bound + 1)

@@ -113,18 +113,6 @@ def kernel_basis(ring, rows, ncols):
     return [_dense(ring, v, ncols) for v in basis.values()]
 
 
-def solve(ring, rows, ncols, rhs):
-    """One solution of A x = rhs, or None when inconsistent."""
-    aug = [list(r[:ncols]) + [b] for r, b in zip(rows, rhs)]
-    red, pivots = rref(ring, aug, ncols + 1)
-    if ncols in pivots:
-        return None
-    x = [ring.zero] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r][ncols]
-    return x
-
-
 def consistent_many(ring, rows, ncols, rhs_list):
     """For each rhs, whether A x = rhs is solvable; one elimination for all.
 

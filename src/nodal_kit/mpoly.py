@@ -7,6 +7,8 @@ coefficients, so equality is structural and arithmetic stays exact.
 
 from __future__ import annotations
 
+from operator import add, ge, sub
+
 from .rings import RingElem, _power, _sparse_add, _sparse_mul, format_terms
 
 
@@ -105,6 +107,32 @@ class MPoly:
         if other is None:
             return NotImplemented
         return self.terms == other.terms
+
+    def divide(self, relation, lead, rng=None):
+        """Divide by a relation whose lex-leading term is 1 * x^lead.
+
+        Returns (rem, quot) with self = rem + quot * relation and no monomial of
+        rem divisible by `lead`.  Each step cancels, in place, the largest divisible
+        monomial, or with an rng a seeded draw from them in sorted order, trading it
+        for lex-smaller ones, so the loop ends (Cox, Little and O'Shea, *Ideals,
+        Varieties, and Algorithms*, 2.3).
+        """
+        relation = self._coerce(relation)
+        if max(relation.terms, default=None) != lead or relation.terms[lead] != self.ring.one:
+            raise ValueError(f"the relation's lex-leading term is not 1 * x^{lead}")
+        tail = [(e, c) for e, c in relation.terms.items() if e != lead]
+        rem, quot = dict(self.terms), {}
+        while divisible := [e for e in rem if all(map(ge, e, lead))]:
+            e = max(divisible) if rng is None else sorted(divisible)[rng.randrange(len(divisible))]
+            c = rem.pop(e)
+            shift = tuple(map(sub, e, lead))
+            quot[shift] = quot[shift] + c if shift in quot else c
+            for e2, c2 in tail:
+                m = tuple(map(add, shift, e2))
+                rem[m] = rem[m] - c * c2 if m in rem else -(c * c2)
+                if rem[m].is_zero:
+                    del rem[m]
+        return MPoly(self.ring, self.nvars, rem), MPoly(self.ring, self.nvars, quot)
 
     def eval_var(self, i, value):
         """Specialize variable i to a ring element (exponent stays, set to 0)."""

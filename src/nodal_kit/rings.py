@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from operator import add
+from operator import add, mul
 
 
 class NotAUnitError(ArithmeticError):
@@ -135,8 +135,8 @@ def _convolve_into(out, a, b):
             out[i + j] = out[i + j] + x * y
 
 
-def _power(x, n, one):
-    """x**n by binary powering.
+def _power(x, n, one, times=mul):
+    """x**n by binary powering, each product formed as times(a, b).
 
     The base is squared only while bits remain, so every power formed is
     x**m with m <= n (a degree bound that admits x**n admits them all).
@@ -146,10 +146,10 @@ def _power(x, n, one):
     out = one
     while n:
         if n & 1:
-            out = out * x
+            out = times(out, x)
         n >>= 1
         if n:
-            x = x * x
+            x = times(x, x)
     return out
 
 
@@ -416,9 +416,6 @@ class PrimeField(Ring):
     def random_element(self, rng):
         return RingElem(self, rng.randrange(self.p))
 
-    def all_elements(self):
-        return [self.from_int(i) for i in range(self.p)]
-
     def descriptor(self):
         return f"fp:{self.p}"
 
@@ -680,6 +677,18 @@ def _tokenize(s):
     return out
 
 
+# Bit bound on a literal's exponents, value and every product its powers form:
+# 9^99999999 would take minutes to compute and reports could not print it.
+_LITERAL_BITS = 4096
+
+
+def _bits(val):
+    """Bit length of the largest numerator or denominator in a raw value."""
+    if isinstance(val, (int, Fraction)):
+        return max(abs(val.numerator), val.denominator).bit_length()
+    return max((_bits(c.val) for c in (val.values() if isinstance(val, dict) else val)), default=0)
+
+
 class _LiteralParser:
     """Recursive-descent parser for sums of products of atoms and numbers.
 
@@ -736,8 +745,19 @@ class _LiteralParser:
             if tok is None or not tok.isdigit():
                 self.fail("bad exponent")
             self.pos += 1
-            base = base ** int(tok)
+            try:
+                k = int(tok)
+            except ValueError:  # more digits than the interpreter converts
+                k = None
+            if k is None or k.bit_length() > _LITERAL_BITS:
+                self.fail(f"an exponent passes the bound of {_LITERAL_BITS} bits")
+            base = _power(base, k, self.ring.one, lambda a, b: self.bounded(a * b))
         return base
+
+    def bounded(self, x):
+        if _bits(x.val) > _LITERAL_BITS:
+            self.fail(f"a numerator or denominator passes the bound of {_LITERAL_BITS} bits")
+        return x
 
     def base(self):
         tok = self.peek()
@@ -774,7 +794,7 @@ def _parse_literal(ring, s):
     out = parser.expr()
     if parser.pos != len(tokens):
         raise CoeffParseError(f"trailing tokens in {s!r}")
-    return out
+    return parser.bounded(out)
 
 
 # --- descriptors -----------------------------------------------------------

@@ -152,30 +152,13 @@ def build_charts(ring, q, s, t):
 
 
 def reduce_chart0(chart, poly, rng=None):
-    """Normal form in chart 0: rewrite until no monomial v^n y^m, n>=1, m>=2.
-
-    Each step subtracts a multiple of the relation, whose v*y^2 coefficient
-    is 1, so every step eliminates the selected monomial and the procedure
-    terminates.  With an rng the reducible monomial is chosen at random,
-    which exercises confluence; the default picks the largest one.
+    """Normal form in chart 0, with no monomial v^n y^m, n >= 1, m >= 2: the remainder
+    of division by the relation, whose v*y^2 coefficient is 1.  With an rng the
+    monomial to cancel is drawn at random, which exercises confluence.
     """
     if chart.chart_id != "R0":
         raise ValueError("normal forms are computed in chart 0")
-    rel = chart.relation
-    if rel.coefficient((1, 2)) != poly.ring.one:
-        raise UnsupportedConfigurationError("chart relation is not monic in v*y^2")
-    out = poly
-    while True:
-        reducible = [e for e in out.terms if e[0] >= 1 and e[1] >= 2]
-        if not reducible:
-            return out
-        if rng is None:
-            e = max(reducible)
-        else:
-            e = sorted(reducible)[rng.randrange(len(reducible))]
-        c = out.terms[e]
-        factor = MPoly(poly.ring, 2, {(e[0] - 1, e[1] - 2): c})
-        out = out - factor * rel
+    return poly.divide(chart.relation, (1, 2), rng)[0]
 
 
 def chart0_basis_monomials(bound):

@@ -233,6 +233,51 @@ def test_fiber_over_a_large_prime_in_bounded_time(capsys):
     assert "PASS fiber.decomposition" in out
 
 
+# Coefficient literals are bounded (rings._LITERAL_HEIGHT_BOUND): an exponent
+# too long to convert, a power past the bound and nested powers all exit 2 at
+# once, with a message naming the bound, instead of a traceback, a false FAIL
+# or minutes of bigint arithmetic.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("factorize", "--ring", "fp:7", "--gamma", "2^" + "9" * 5000),
+        ("charts", "--ring", "q", "--gamma", "9^5000"),
+        ("factorize", "--ring", "q", "--gamma", "9^99999999"),
+        ("factorize", "--ring", "q", "--gamma", "((9^99)^99)^99"),
+        ("factorize", "--ring", "loc:q:s,t:3", "--gamma", "(1+s)^" + "9" * 1200),
+    ],
+    ids=["fp-5000-digit-exponent", "q-9^5000", "q-9^99999999", "q-nested", "loc-nilpotent-growth"],
+)
+def test_oversized_literal_exits_2_in_bounded_time(capsys, argv):
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - t0 < 1
+    assert code == 2
+    assert out == ""
+    assert "bound of 4096 bits" in err
+
+
+@pytest.mark.parametrize(
+    "ring, gamma, delta",
+    [
+        ("fp:7", "3^99999999999", "0"),
+        ("loc:q:s,t:3", "s^99999999", "(1+s)^99999999"),
+        ("dual:q", "(1+eps)^99999999", "0"),
+        ("q", "9^1290", "0"),
+    ],
+)
+def test_cheap_large_powers_still_parse(capsys, ring, gamma, delta):
+    code, out, _ = run_cli(capsys, "factorize", "--ring", ring, "--gamma", gamma, "--delta", delta)
+    assert code == 0
+    assert out.strip().endswith("checks passed")
+
+
+def test_charts_at_the_literal_bound_pass(capsys):
+    code, out, _ = run_cli(capsys, "charts", "--ring", "q", "--gamma", "9^1290", "--delta", "2")
+    assert code == 0
+    assert "FAIL" not in out
+
+
 def _counting(monkeypatch, module, name):
     calls = []
     real = getattr(module, name)
@@ -289,14 +334,20 @@ RING_DESCRIPTORS = st.sampled_from(
     max_leaves=3,
 )
 NUMBERS = st.sampled_from(["0", "1", "-1", "3/2", "2/3", "4"])
-# Random text stops at seven characters, where powers stay small (9^99999
-# parses in about 15 ms); longer exponents are an open bounded-time gap
-# (ROADMAP item 5), which this test does not probe.
+# Literals are bounded (rings._LITERAL_HEIGHT_BOUND), so random text may run
+# to 24 characters and a power may carry thousands of exponent digits: every
+# one must still exit cleanly, and quickly.
+POWER_LITERALS = st.builds(
+    "{}^{}".format,
+    st.sampled_from(["9", "3/2", "s", "(1+s)", "(2+e)", "(1+eps)"]),
+    st.builds(lambda d, n: d * n, st.sampled_from("123456789"), st.integers(1, 5000)),
+)
 COEFF_LITERALS = st.one_of(
     NUMBERS,
     NUMBERS,
     st.sampled_from(["2 mod 7", "s^2*t-3", "1+2*eps", "1/0", "", "(", "x"]),
-    st.text(alphabet="0123456789/+-*()^ estp", max_size=7),
+    st.text(alphabet="0123456789/+-*()^ estp", max_size=24),
+    POWER_LITERALS,
 )
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 5) | st.floats(allow_nan=False) | COEFF_LITERALS,

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nodal_kit.linalg import consistent_many, kernel_basis, rank, rref, solve
+from nodal_kit.linalg import consistent_many, kernel_basis, rank, rref
 from nodal_kit.rings import PrimeField, Rationals
 
 QQ = Rationals()
@@ -30,22 +30,9 @@ def test_kernel_vectors_annihilate(ring):
         assert rank(ring, rows, n) + len(kernel_basis(ring, rows, n)) == n
 
 
-@pytest.mark.parametrize("ring", [QQ, F7], ids=["q", "fp7"])
-def test_solve_satisfies_system(ring):
-    rnd = random.Random(12)
-    for _ in range(15):
-        m, n = rnd.randint(1, 6), rnd.randint(1, 6)
-        rows = _random_matrix(ring, rnd, m, n)
-        x0 = [ring.random_element(rnd) for _ in range(n)]
-        b = _matvec(ring, rows, x0)  # consistent by construction
-        x = solve(ring, rows, n, b)
-        assert x is not None
-        assert _matvec(ring, rows, x) == b
-
-
-def test_solve_detects_inconsistency():
+def test_consistent_many_detects_inconsistency():
     rows = [[QQ.one, QQ.zero], [QQ.one, QQ.zero]]
-    assert solve(QQ, rows, 2, [QQ.one, QQ(2)]) is None
+    assert consistent_many(QQ, rows, 2, [[QQ.one, QQ(2)], [QQ(2), QQ(2)]]) == [False, True]
 
 
 @pytest.mark.parametrize("ring", [QQ, F7], ids=["q", "fp7"])
@@ -62,7 +49,7 @@ def test_consistent_many_agrees_with_solve(ring):
             else:
                 rhs_list.append([ring.random_element(rnd) for _ in range(m)])
         flags = consistent_many(ring, rows, n, rhs_list)
-        expected = [solve(ring, rows, n, b) is not None for b in rhs_list]
+        expected = [_ref_solve(ring, rows, n, b) is not None for b in rhs_list]
         assert flags == expected
 
 
@@ -225,10 +212,6 @@ def test_sparse_kernel_matches_dense_reference(name, data):
     flags = _ref_consistent_many(ring, square, ncols, rhs_list)
     assert consistent_many(ring, square, ncols, rhs_list) == flags
     assert consistent_many(ring, rows, ncols, rhs_list) == flags
-    for rhs in rhs_list:
-        x = _raw(_ref_solve(ring, square, ncols, rhs))
-        assert _raw(solve(ring, square, ncols, rhs)) == x
-        assert _raw(solve(ring, rows, ncols, rhs)) == x
 
 
 @pytest.mark.parametrize("name", list(DIFF_RINGS))
@@ -251,7 +234,3 @@ def test_sparse_kernel_edge_shapes(name):
         flags = _ref_consistent_many(ring, square, ncols, rhs_list)
         assert consistent_many(ring, square, ncols, rhs_list) == flags
         assert consistent_many(ring, rows, ncols, rhs_list) == flags
-        for rhs in rhs_list:
-            x = _raw(_ref_solve(ring, square, ncols, rhs))
-            assert _raw(solve(ring, square, ncols, rhs)) == x
-            assert _raw(solve(ring, rows, ncols, rhs)) == x

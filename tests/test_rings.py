@@ -1,6 +1,7 @@
 import itertools
 import random
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -76,7 +77,7 @@ def test_modulus_beyond_the_primality_bound_is_refused():
 
 
 def test_prime_field_has_p_elements(F7):
-    elems = F7.all_elements()
+    elems = [F7(i) for i in range(7)]
     assert len(set(e.val for e in elems)) == 7
     assert F7(3) * F7(5) == F7(15)
 
@@ -157,7 +158,7 @@ def test_nilpotency_of_truncation_generators():
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_field_axioms_exhaustive(p):
     ring = PrimeField(p)
-    elems = ring.all_elements()
+    elems = [ring(i) for i in range(p)]
     for a, b, c in itertools.product(elems, repeat=3):
         assert (a + b) + c == a + (b + c)
         assert (a * b) * c == a * (b * c)
@@ -248,6 +249,38 @@ def test_literal_forms():
     f5 = make_ring("fp:5")
     assert f5.parse_elem("-1") == f5(4)
     assert f5.parse_elem("3 mod 5") == f5(3)
+
+
+def test_large_powers_within_the_literal_bound_are_exact():
+    n = 99999999
+    f7 = make_ring("fp:7")
+    assert f7.parse_elem("3^99999999999") == f7(pow(3, 99999999999, 7))
+    loc = make_ring("loc:q:s,t:3")
+    s, _ = loc.gens
+    assert loc.parse_elem(f"s^{n}").is_zero
+    assert loc.parse_elem(f"(1+s)^{n}") == loc.one + s * n + s * s * (n * (n - 1) // 2)
+    dq = make_ring("dual:q")
+    assert dq.parse_elem(f"(1+eps)^{n}") == dq.one + dq.eps * n
+    q = Rationals()
+    assert q.parse_elem("(3/2)^2000") == q.from_fraction(Fraction(3, 2) ** 2000)  # 3170 bits
+
+
+@pytest.mark.parametrize(
+    "descriptor, literal",
+    [
+        ("q", "9^1300"),  # 4121 bits
+        ("q", "2^4097"),
+        ("q", "(1/2)^4097"),  # the bound holds for denominators too
+        ("q", "9^1000*9^1000"),  # a product of two powers within the bound
+        ("q", "9" * 1300),  # a bare number
+        ("fp:7", "2^" + "1" * 1300),  # an exponent of more than 4096 bits
+        ("dual:q", "(2+eps)^5000"),
+        ("loc:q:s,t:3", "(1+s)^" + "9" * 1300),  # the binomial coefficients grow
+    ],
+)
+def test_literals_past_the_bound_are_refused(descriptor, literal):
+    with pytest.raises(CoeffParseError, match="bound of 4096 bits"):
+        make_ring(descriptor).parse_elem(literal)
 
 
 def _power_cases():
