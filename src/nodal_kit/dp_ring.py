@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from itertools import zip_longest
 
-from .linalg import kernel_basis
+from .linalg import _dense_rows, kernel_basis
 from .mpoly import MPoly
 from .normal_form import QuadForm
 from .rings import RingElem, _convolve_into, _power
@@ -322,15 +322,11 @@ def v_shift_nonzerodivisor(dp, bound):
     ring = dp.ring
     if not ring.is_field:
         raise ValueError("the non-zero-divisor certificate needs field coefficients")
-    vt = dp.v - dp.const(dp.t)
-    basis = dp.basis(bound)
-    target_bound = bound + 1
-    cols = [vectorize(vt * b, target_bound) for b in basis]
-    rows = [[cols[j][i] for j in range(len(cols))] for i in range(2 * (target_bound + 1))]
-    ker = kernel_basis(ring, rows, len(cols))
+    cols = mul_columns(dp.v - dp.const(dp.t), bound, bound + 1)
+    ker = kernel_basis(ring, _dense_rows(ring, cols, 2 * (bound + 2)), len(cols))
     return {
         "kernel_dimension": len(ker),
-        "domain_dimension": len(basis),
+        "domain_dimension": len(cols),
         "ok": not ker,
     }
 
@@ -346,6 +342,26 @@ def vectorize(elem, bound):
     for j, c in enumerate(elem.gc):
         out[bound + 1 + j] = c
     return out
+
+
+def mul_columns(elem, bound, out_bound):
+    """Columns of multiplication by `elem` on the basis {Y^k} + {X Y^k}, k <= bound.
+
+    Each column is a sparse {index: raw value} vector in the layout of
+    `vectorize(_, out_bound)`.  Multiplying a canonical form by Y shifts both
+    its parts up one degree and keeps it canonical, so elem*Y^k and
+    elem*X*Y^k are elem and elem*u shifted by k: one DPElem product serves
+    all 2*(bound + 1) columns.
+    """
+    cols = []
+    for part in (elem, elem * elem.dp.u):
+        top = part.degree()
+        if top is not None and top + bound > out_bound:
+            raise DegreeOverflowError(f"element degree {top + bound} exceeds {out_bound}")
+        entries = [(j, c.val) for j, c in enumerate(part.fc) if not c.is_zero]
+        entries += [(out_bound + 1 + j, c.val) for j, c in enumerate(part.gc) if not c.is_zero]
+        cols.extend({i + k: v for i, v in entries} for k in range(bound + 1))
+    return cols
 
 
 def unvectorize(dp, vec, bound):

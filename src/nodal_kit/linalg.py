@@ -31,6 +31,15 @@ def _dense(ring, row, width):
     return [RingElem(ring, row[j]) if j in row else zero for j in range(width)]
 
 
+def _dense_rows(ring, cols, nrows):
+    """The ``nrows`` ring-element rows of a matrix given by sparse raw columns."""
+    rows = [[ring.zero] * len(cols) for _ in range(nrows)]
+    for j, col in enumerate(cols):
+        for i, x in col.items():
+            rows[i][j] = RingElem(ring, x)
+    return rows
+
+
 def _modulus(ring):
     """p over F_p, where raw values are reduced mod p; None over Q."""
     return ring.p if isinstance(ring, PrimeField) else None

@@ -14,10 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .dp_ring import DPElem, DPRing, unvectorize, v_shift_nonzerodivisor, vectorize
-from .linalg import consistent_many, kernel_basis, rank
+from .dp_ring import DPElem, DPRing, mul_columns, v_shift_nonzerodivisor, vectorize
+from .linalg import _dense_rows, _sparse, consistent_many, kernel_basis, rank
 from .mpoly import MPoly
 from .normal_form import DegenerateFormError
+from .rings import RingElem
 
 
 class FactorizationError(AssertionError):
@@ -152,33 +153,45 @@ def dual_action(dp, a, b):
     return a * e1 + b * e2
 
 
-def _pair_vec(pair, bound):
-    return vectorize(pair[0], bound) + vectorize(pair[1], bound)
+def _block_columns(mat, bound, out_bound):
+    """Sparse raw columns of a matrix of elements acting on tuples of canonical forms.
+
+    Input component j runs over the basis of canonical degree <= bound (in
+    the order of `DPRing.basis`); the images under the rows of `mat` are
+    vectorized at `out_bound` and stacked.
+    """
+    height = 2 * (out_bound + 1)
+    cols = []
+    for j in range(len(mat[0])):
+        blocks = [mul_columns(row[j], bound, out_bound) for row in mat]
+        for parts in zip(*blocks):
+            cols.append({i + r * height: x for r, part in enumerate(parts) for i, x in part.items()})
+    return cols
 
 
-def _pair_unvec(dp, vec, bound):
-    half = len(vec) // 2
-    return EPair(unvectorize(dp, vec[:half], bound), unvectorize(dp, vec[half:], bound))
-
-
-def _pair_basis(dp, bound):
-    out = []
-    for b in dp.basis(bound):
-        out.append(EPair(b, dp.zero))
-    for b in dp.basis(bound):
-        out.append(EPair(dp.zero, b))
+def _apply_columns(ring, cols, coeffs, nrows):
+    """The dense image sum(c * col) of a coefficient vector under sparse raw columns."""
+    out = [ring.zero] * nrows
+    for c, col in zip(coeffs, cols):
+        if not c.is_zero:
+            for i, x in col.items():
+                out[i] = out[i] + c * RingElem(ring, x)
     return out
 
 
-def _apply_mat(mat, pair):
-    return EPair(
-        mat[0][0] * pair.first + mat[0][1] * pair.second,
-        mat[1][0] * pair.first + mat[1][1] * pair.second,
-    )
+def _relayout(vec, bound, new_bound, zero):
+    """A vector of E moved from the `bound` layout of `vectorize` to the `new_bound` one.
 
-
-def _columns_to_rows(cols):
-    return [list(row) for row in zip(*cols)] if cols else []
+    Each of its four blocks (the Y^k and X Y^k parts of both components)
+    keeps its first min(bound, new_bound) + 1 entries; a wider layout pads
+    with zero.
+    """
+    n = min(bound, new_bound) + 1
+    out = [zero] * (4 * (new_bound + 1))
+    for part in range(4):
+        start = part * (new_bound + 1)
+        out[start : start + n] = vec[part * (bound + 1) : part * (bound + 1) + n]
+    return out
 
 
 def witness_identities(mf):
@@ -224,17 +237,15 @@ def witness_identities(mf):
 def _dual_span_map(dp, rho_bound):
     """Images of the maps 'multiply by rho' and 'multiply by rho*eps' on J.
 
-    Returns (columns, unknown count) for rho over the canonical basis up to
-    rho_bound plus one scalar for the fractional generator; image pairs are
-    vectorized at bound rho_bound + 2.
+    Returns (sparse raw columns, image bound) for rho over the canonical
+    basis up to rho_bound plus one scalar for the fractional generator;
+    image pairs are vectorized at bound rho_bound + 2.
     """
     j1, j2 = ideal_j_generators(dp)
     e1, e2 = dual_generator_images(dp)
     big = rho_bound + 2
-    cols = []
-    for m in dp.basis(rho_bound):
-        cols.append(_pair_vec(EPair(m * j1, m * j2), big))
-    cols.append(_pair_vec(EPair(e1, e2), big))
+    cols = _block_columns(((j1,), (j2,)), rho_bound, big)
+    cols.extend(_sparse([vectorize(e1, big) + vectorize(e2, big)]))
     return cols, big
 
 
@@ -253,53 +264,30 @@ def hom_pair_space(dp, bound):
     big = bound + 2
 
     # kernel of the syzygy map (r1, r2) |-> (v-t) r1 - (u-s) r2
-    vt = j2
-    us = j1
-    cols = []
-    for bas in _pair_basis(dp, bound):
-        img = vt * bas.first - us * bas.second
-        cols.append(vectorize(img, big + 1))
-    rows = _columns_to_rows(cols)
-    hom_kernel = kernel_basis(ring, rows, len(cols))
+    syz_cols = _block_columns(((j2, -j1),), bound, big + 1)
+    syz_rows = 2 * (big + 2)
+    hom_kernel = kernel_basis(ring, _dense_rows(ring, syz_cols, syz_rows), len(syz_cols))
 
     # span of {mult by rho, mult by rho*eps} intersected with degree <= bound
     span_cols, span_big = _dual_span_map(dp, bound)
     n_unknowns = len(span_cols)
+    span_rows = _dense_rows(ring, span_cols, 4 * (span_big + 1))
     # rows picking out coordinates of canonical degree > bound
-    high_rows = []
-    for comp in range(2):
-        for block in range(2):  # f part, g part of each component
-            for j in range(bound + 1, span_big + 1):
-                idx = comp * 2 * (span_big + 1) + block * (span_big + 1) + j
-                high_rows.append([span_cols[c][idx] for c in range(n_unknowns)])
+    high_rows = [
+        span_rows[part * (span_big + 1) + j]
+        for part in range(4)  # f part, g part of each component
+        for j in range(bound + 1, span_big + 1)
+    ]
     inside = kernel_basis(ring, high_rows, n_unknowns)
-
-    def span_image(coeffs):
-        vec = [ring.zero] * (4 * (span_big + 1))
-        for c, col in zip(coeffs, span_cols):
-            if not c.is_zero:
-                vec = [a + c * b for a, b in zip(vec, col)]
-        return vec
-
-    span_vecs_big = [span_image(n) for n in inside]
-
-    def project(vec):
-        out = []
-        for comp in range(2):
-            for block in range(2):
-                base = comp * 2 * (span_big + 1) + block * (span_big + 1)
-                out.extend(vec[base : base + bound + 1])
-        return out
-
-    span_vecs = [project(v) for v in span_vecs_big]
+    span_vecs = [
+        _relayout(_apply_columns(ring, span_cols, n, len(span_rows)), span_big, bound, ring.zero)
+        for n in inside
+    ]
 
     # containment: every span vector satisfies the syzygy
-    contained = True
-    for v in span_vecs:
-        pair = _pair_unvec(dp, v, bound)
-        if not (vt * pair.first - us * pair.second).is_zero:
-            contained = False
-            break
+    contained = all(
+        all(c.is_zero for c in _apply_columns(ring, syz_cols, v, syz_rows)) for v in span_vecs
+    )
 
     hom_dim = len(hom_kernel)
     span_dim = rank(ring, span_vecs, 4 * (bound + 1))
@@ -323,25 +311,21 @@ def dual_quotient_iso(dp, bound):
     if not ring.is_field:
         raise ValueError("the quotient-isomorphism check needs field coefficients")
     _, e2 = dual_generator_images(dp)
-    j1, j2 = ideal_j_generators(dp)
+    _, j2 = ideal_j_generators(dp)
 
     # injectivity
     h_bound = bound + 2
     big = h_bound + 1
-    cols = [vectorize(e2, big)]  # coefficient of the scalar r
-    for h in dp.basis(h_bound):
-        cols.append([-c for c in vectorize(j2 * h, big)])
-    rows = _columns_to_rows(cols)
-    ker = kernel_basis(ring, rows, len(cols))
+    # the coefficient of the scalar r, then h over the canonical basis
+    cols = _sparse([vectorize(e2, big)]) + mul_columns(-j2, h_bound, big)
+    ker = kernel_basis(ring, _dense_rows(ring, cols, 2 * (big + 1)), len(cols))
     injective = not ker
 
     # surjectivity over the truncated hom space
     hom = hom_pair_space(dp, bound)
     span_cols, span_big = _dual_span_map(dp, bound)
-    rows_phi = _columns_to_rows(span_cols)
-    rhs_list = [
-        _pair_vec(_pair_unvec(dp, kv, bound), span_big) for kv in hom["kernel"]
-    ]
+    rows_phi = _dense_rows(ring, span_cols, 4 * (span_big + 1))
+    rhs_list = [_relayout(kv, bound, span_big, ring.zero) for kv in hom["kernel"]]
     flags = consistent_many(ring, rows_phi, len(span_cols), rhs_list)
     covered = sum(flags)
     failures = [
@@ -363,11 +347,11 @@ def two_periodic_exactness(mf, bound, cushion=2, transposed=False):
 
     At each of the two positions, every kernel element of canonical degree
     <= bound must be the image of an element of degree <= bound + cushion; a
-    kernel element with no preimage within the cushion is reported as a
-    counterexample candidate (a larger cushion may be needed).  The
-    composition alpha*beta = beta*alpha = x*I is re-checked identically at
-    the polynomial level, and x reduces to zero, so image-in-kernel holds
-    automatically.
+    kernel element with no preimage within the cushion is reported, as its
+    coordinate vector, as a counterexample candidate (a larger cushion may be
+    needed).  The composition alpha*beta = beta*alpha = x*I is re-checked
+    identically at the polynomial level, and x reduces to zero, so
+    image-in-kernel holds automatically.
     """
     dp = mf.dp
     ring = dp.ring
@@ -386,25 +370,19 @@ def two_periodic_exactness(mf, bound, cushion=2, transposed=False):
         alpha, beta = mat_transpose(alpha), mat_transpose(beta)
 
     record = {"ok": comp_ok, "compositions_ok": comp_ok, "positions": {}}
+    src_bound = bound + cushion
     for name, kmat, imat in (("at_alpha", alpha, beta), ("at_beta", beta, alpha)):
-        cols = [
-            _pair_vec(_apply_mat(kmat, b), bound + 2) for b in _pair_basis(dp, bound)
-        ]
-        ker = kernel_basis(ring, _columns_to_rows(cols), len(cols))
+        cols = _block_columns(kmat, bound, bound + 2)
+        ker = kernel_basis(ring, _dense_rows(ring, cols, 4 * (bound + 3)), len(cols))
 
-        src_bound = bound + cushion
-        img_cols = [
-            _pair_vec(_apply_mat(imat, b), src_bound + 2)
-            for b in _pair_basis(dp, src_bound)
-        ]
-        img_rows = _columns_to_rows(img_cols)
-        rhs_list = [
-            _pair_vec(_pair_unvec(dp, kv, bound), src_bound + 2) for kv in ker
-        ]
+        img_cols = _block_columns(imat, src_bound, src_bound + 2)
+        img_rows = _dense_rows(ring, img_cols, 4 * (src_bound + 3))
+        rhs_list = [_relayout(kv, bound, src_bound + 2, ring.zero) for kv in ker]
         flags = consistent_many(ring, img_rows, len(img_cols), rhs_list)
         failures = [
-            "no preimage within cushion for kernel element; a larger cushion may be needed"
-            for flag in flags
+            "no preimage within cushion for kernel element "
+            f"[{', '.join(ring.format_elem(c) for c in kv)}]; a larger cushion may be needed"
+            for kv, flag in zip(ker, flags)
             if not flag
         ]
         record["positions"][name] = {

@@ -666,12 +666,17 @@ class LocalTruncation(Ring):
 _TOKEN_RE = re.compile(r"\s*(\d+/\d+|\d+|[A-Za-z_][A-Za-z_0-9]*|[+\-*^()])")
 
 
+def _quote(s, limit=60):
+    """A literal quoted for an error message, cut to its first ``limit`` characters."""
+    return repr(s) if len(s) <= limit else f"{s[:limit]!r}… ({len(s)} characters)"
+
+
 def _tokenize(s):
     out, pos = [], 0
     while pos < len(s):
         m = _TOKEN_RE.match(s, pos)
         if not m:
-            raise CoeffParseError(f"bad literal {s!r} at position {pos}")
+            raise CoeffParseError(f"bad literal {_quote(s)} at position {pos}")
         out.append(m.group(1))
         pos = m.end()
     return out
@@ -687,6 +692,16 @@ def _bits(val):
     if isinstance(val, (int, Fraction)):
         return max(abs(val.numerator), val.denominator).bit_length()
     return max((_bits(c.val) for c in (val.values() if isinstance(val, dict) else val)), default=0)
+
+
+def _check_number(tok, source, what="a number"):
+    """Refuse a number token that passes the bit bound or is too long to convert."""
+    try:
+        bits = max(int(part).bit_length() for part in tok.split("/"))
+    except ValueError:  # more digits than the interpreter converts
+        bits = None
+    if bits is None or bits > _LITERAL_BITS:
+        raise CoeffParseError(f"{what} passes the bound of {_LITERAL_BITS} bits in {_quote(source)}")
 
 
 class _LiteralParser:
@@ -705,7 +720,7 @@ class _LiteralParser:
         self.source = source
 
     def fail(self, why):
-        raise CoeffParseError(f"{why} in {self.source!r}")
+        raise CoeffParseError(f"{why} in {_quote(self.source)}")
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -745,13 +760,8 @@ class _LiteralParser:
             if tok is None or not tok.isdigit():
                 self.fail("bad exponent")
             self.pos += 1
-            try:
-                k = int(tok)
-            except ValueError:  # more digits than the interpreter converts
-                k = None
-            if k is None or k.bit_length() > _LITERAL_BITS:
-                self.fail(f"an exponent passes the bound of {_LITERAL_BITS} bits")
-            base = _power(base, k, self.ring.one, lambda a, b: self.bounded(a * b))
+            _check_number(tok, self.source, "an exponent")
+            base = _power(base, int(tok), self.ring.one, lambda a, b: self.bounded(a * b))
         return base
 
     def bounded(self, x):
@@ -773,10 +783,12 @@ class _LiteralParser:
         self.pos += 1
         if tok in self.atoms:
             return self.atoms[tok]
+        if tok[0].isdigit():
+            _check_number(tok, self.source)
         try:
             return self.ring.from_fraction(Fraction(tok))
         except (ValueError, ZeroDivisionError):
-            self.fail(f"unknown atom {tok!r}")
+            self.fail(f"unknown atom {_quote(tok)}")
 
 
 def _parse_literal(ring, s):
@@ -784,8 +796,10 @@ def _parse_literal(ring, s):
     s = s.strip()
     m = re.fullmatch(r"(-?\d+)\s+mod\s+(\d+)", s)
     if m and isinstance(ring, PrimeField):
+        _check_number(m.group(1), s)
+        _check_number(m.group(2), s)
         if int(m.group(2)) != ring.p:
-            raise CoeffParseError(f"literal {s!r} names a different modulus than {ring.p}")
+            raise CoeffParseError(f"literal {_quote(s)} names a different modulus than {ring.p}")
         return ring.from_int(int(m.group(1)))
     tokens = _tokenize(s)
     if not tokens:
@@ -793,7 +807,7 @@ def _parse_literal(ring, s):
     parser = _LiteralParser(ring, tokens, s)
     out = parser.expr()
     if parser.pos != len(tokens):
-        raise CoeffParseError(f"trailing tokens in {s!r}")
+        raise CoeffParseError(f"trailing tokens in {_quote(s)}")
     return parser.bounded(out)
 
 

@@ -257,6 +257,17 @@ def test_oversized_literal_exits_2_in_bounded_time(capsys, argv):
     assert "bound of 4096 bits" in err
 
 
+@pytest.mark.parametrize("literal", ["9" * 5000, "9" * 5000 + " mod 7"], ids=["bare", "mod"])
+def test_a_number_past_the_digit_limit_exits_2_with_a_short_message(capsys, literal):
+    # the interpreter converts at most 4,300 digits; the message echoes 60
+    code, out, err = run_cli(capsys, "factorize", "--ring", "fp:7", "--gamma", literal)
+    assert code == 2
+    assert out == ""
+    assert "a number passes the bound of 4096 bits" in err
+    assert f"… ({len(literal)} characters)" in err
+    assert len(err) < 300
+
+
 @pytest.mark.parametrize(
     "ring, gamma, delta",
     [

@@ -1,7 +1,20 @@
+from fractions import Fraction
+
 import pytest
 
 from conftest import random_unit_disc
-from nodal_kit.dp_ring import DPRing
+from nodal_kit import cli
+from nodal_kit import dp_ring as dp_ring_module
+from nodal_kit import mf as mf_module
+from nodal_kit.dp_ring import (
+    DegreeOverflowError,
+    DPRing,
+    mul_columns,
+    unvectorize,
+    v_shift_nonzerodivisor,
+    vectorize,
+)
+from nodal_kit.linalg import consistent_many, kernel_basis, rank
 from nodal_kit.mf import (
     EPair,
     build_factorization,
@@ -13,12 +26,13 @@ from nodal_kit.mf import (
     mat_eq,
     mat_map,
     mat_mul,
+    mat_transpose,
     two_periodic_exactness,
     witness_identities,
 )
 from nodal_kit.mpoly import MPoly
 from nodal_kit.normal_form import DegenerateFormError, QuadForm
-from nodal_kit.rings import LocalTruncation, PrimeField, Rationals, make_ring
+from nodal_kit.rings import LocalTruncation, PrimeField, Rationals, RingElem, make_ring
 
 QQ = Rationals()
 F5 = PrimeField(5)
@@ -222,10 +236,255 @@ class TestExactness:
 def test_epair_arithmetic_through_matrices():
     dp = dp_ring(F5, 1, 0, 0, 0)
     m = build_factorization(dp)
-    from nodal_kit.mf import _apply_mat
-
     pair = EPair(dp.one, dp.u)
     image = _apply_mat(m.alpha, pair)
     back = _apply_mat(m.beta, image)
     # beta(alpha(e)) = x * e = 0 in the quotient
     assert back.first.is_zero and back.second.is_zero
+
+
+def _uncovered_once(monkeypatch):
+    """Make the first right-hand side of every coverage check uncovered, and
+    record the kernels the exactness check computes."""
+    kernels = []
+
+    def recording_kernel(ring, rows, ncols):
+        kernels.append(kernel_basis(ring, rows, ncols))
+        return kernels[-1]
+
+    def one_uncovered(ring, rows, ncols, rhs_list):
+        return [False] + consistent_many(ring, rows, ncols, rhs_list)[1:]
+
+    monkeypatch.setattr(mf_module, "kernel_basis", recording_kernel)
+    monkeypatch.setattr(mf_module, "consistent_many", one_uncovered)
+    return kernels
+
+
+def _named(ring, kv):
+    return f"[{', '.join(ring.format_elem(c) for c in kv)}]"
+
+
+def test_exactness_failure_names_the_uncovered_kernel_element(monkeypatch):
+    dp = dp_ring(F5, 1, 0, 0, 0, bound=14)
+    m = build_factorization(dp)
+    kernels = _uncovered_once(monkeypatch)
+    rec = two_periodic_exactness(m, 3, 2)
+    assert not rec["ok"] and rec["compositions_ok"]
+    for (name, pos), ker in zip(rec["positions"].items(), kernels):
+        assert pos["covered"] == pos["kernel_dimension"] - 1, name
+        (failure,) = pos["failures"]
+        assert _named(F5, ker[0]) in failure
+        assert "a larger cushion may be needed" in failure
+
+
+def test_exactness_counterexample_in_the_cli_report(monkeypatch):
+    kernels = _uncovered_once(monkeypatch)
+    report = cli.run(cli.RunConfig(subcommand="exactness", ring="fp:5", gamma="1", delta="0"))
+    records = {r.name: r for r in report.records}
+    ring = PrimeField(5)
+    # each check runs both positions; the report keeps the at_beta failure
+    for name, ker in (("exactness.periodic", kernels[1]), ("exactness.transposed", kernels[3])):
+        assert not records[name].passed
+        assert _named(ring, ker[0]) in records[name].counterexample
+    assert _named(ring, kernels[1][0]) in report.to_json()
+
+
+# --- the DPElem route the certificate matrices were built by before they were
+# written in closed form, kept as a differential reference --------------------
+
+
+def _pair_vec(pair, bound):
+    return vectorize(pair[0], bound) + vectorize(pair[1], bound)
+
+
+def _pair_unvec(dp, vec, bound):
+    half = len(vec) // 2
+    return EPair(unvectorize(dp, vec[:half], bound), unvectorize(dp, vec[half:], bound))
+
+
+def _pair_basis(dp, bound):
+    return [EPair(b, dp.zero) for b in dp.basis(bound)] + [EPair(dp.zero, b) for b in dp.basis(bound)]
+
+
+def _apply_mat(mat, pair):
+    return EPair(
+        mat[0][0] * pair.first + mat[0][1] * pair.second,
+        mat[1][0] * pair.first + mat[1][1] * pair.second,
+    )
+
+
+def _columns_to_rows(cols):
+    return [list(row) for row in zip(*cols)] if cols else []
+
+
+def _ref_exactness_calls(m, bound, cushion, transposed):
+    dp = m.dp
+    ring = dp.ring
+    alpha, beta = m.alpha, m.beta
+    if transposed:
+        alpha, beta = mat_transpose(alpha), mat_transpose(beta)
+    calls = []
+    for kmat, imat in ((alpha, beta), (beta, alpha)):
+        cols = [_pair_vec(_apply_mat(kmat, b), bound + 2) for b in _pair_basis(dp, bound)]
+        calls.append(("kernel_basis", _columns_to_rows(cols), len(cols)))
+        ker = kernel_basis(ring, calls[-1][1], len(cols))
+        src_bound = bound + cushion
+        img_cols = [_pair_vec(_apply_mat(imat, b), src_bound + 2) for b in _pair_basis(dp, src_bound)]
+        rhs_list = [_pair_vec(_pair_unvec(dp, kv, bound), src_bound + 2) for kv in ker]
+        calls.append(("consistent_many", _columns_to_rows(img_cols), len(img_cols), rhs_list))
+    return calls
+
+
+def _ref_dual_span_map(dp, rho_bound):
+    j1, j2 = ideal_j_generators(dp)
+    e1, e2 = dual_generator_images(dp)
+    big = rho_bound + 2
+    cols = [_pair_vec(EPair(m * j1, m * j2), big) for m in dp.basis(rho_bound)]
+    cols.append(_pair_vec(EPair(e1, e2), big))
+    return cols, big
+
+
+def _ref_hom_calls(dp, bound):
+    """The linalg calls of the hom-space check, its kernel and its containment flag."""
+    ring = dp.ring
+    us, vt = ideal_j_generators(dp)
+    big = bound + 2
+    cols = [vectorize(vt * b.first - us * b.second, big + 1) for b in _pair_basis(dp, bound)]
+    calls = [("kernel_basis", _columns_to_rows(cols), len(cols))]
+    hom_kernel = kernel_basis(ring, calls[0][1], len(cols))
+    span_cols, span_big = _ref_dual_span_map(dp, bound)
+    high_rows = [
+        [col[part * (span_big + 1) + j] for col in span_cols]
+        for part in range(4)
+        for j in range(bound + 1, span_big + 1)
+    ]
+    calls.append(("kernel_basis", high_rows, len(span_cols)))
+    span_vecs = []
+    for coeffs in kernel_basis(ring, high_rows, len(span_cols)):
+        vec = [ring.zero] * (4 * (span_big + 1))
+        for c, col in zip(coeffs, span_cols):
+            vec = [a + c * b for a, b in zip(vec, col)]
+        span_vecs.append(
+            [x for part in range(4) for x in vec[part * (span_big + 1) : part * (span_big + 1) + bound + 1]]
+        )
+    contained = all(
+        (vt * p.first - us * p.second).is_zero for p in (_pair_unvec(dp, v, bound) for v in span_vecs)
+    )
+    calls.append(("rank", span_vecs, 4 * (bound + 1)))
+    return calls, hom_kernel, contained
+
+
+def _ref_quotient_iso_calls(dp, bound):
+    ring = dp.ring
+    _, e2 = dual_generator_images(dp)
+    _, j2 = ideal_j_generators(dp)
+    big = bound + 3
+    cols = [vectorize(e2, big)] + [[-c for c in vectorize(j2 * h, big)] for h in dp.basis(bound + 2)]
+    calls = [("kernel_basis", _columns_to_rows(cols), len(cols))]
+    hom_calls, hom_kernel, _ = _ref_hom_calls(dp, bound)
+    span_cols, span_big = _ref_dual_span_map(dp, bound)
+    rhs_list = [_pair_vec(_pair_unvec(dp, kv, bound), span_big) for kv in hom_kernel]
+    calls += hom_calls + [("consistent_many", _columns_to_rows(span_cols), len(span_cols), rhs_list)]
+    return calls
+
+
+def _ref_nzd_calls(dp, bound):
+    vt = dp.v - dp.const(dp.t)
+    cols = [vectorize(vt * b, bound + 1) for b in dp.basis(bound)]
+    return [("kernel_basis", _columns_to_rows(cols), len(cols))]
+
+
+def _recording(monkeypatch):
+    """Record every matrix and right-hand side the certificates hand to linalg."""
+    calls = []
+
+    def wrap(name, fn):
+        def recorded(ring, rows, ncols, *rhs):
+            calls.append((name, rows, ncols, *rhs))
+            return fn(ring, rows, ncols, *rhs)
+
+        return recorded
+
+    for module, name, fn in (
+        (mf_module, "kernel_basis", kernel_basis),
+        (mf_module, "consistent_many", consistent_many),
+        (mf_module, "rank", rank),
+        (dp_ring_module, "kernel_basis", kernel_basis),
+    ):
+        monkeypatch.setattr(module, name, wrap(name, fn))
+    return calls
+
+
+def _assert_same_calls(ring, got, expected):
+    assert [c[0] for c in got] == [c[0] for c in expected]
+    for g, e in zip(got, expected):
+        assert g[2] == e[2]  # the column count
+        for rows in (g[1], *g[3:]):  # the matrix, then each right-hand side
+            for row in rows:
+                assert all(isinstance(x, RingElem) and x.ring == ring for x in row)
+        assert g[1] == e[1]
+        assert g[3:] == e[3:]
+
+
+COEFFICIENT_SETS = {
+    "0,-1": dict(g=0, d=-1, s=0, t=0),
+    "3,2,1/2,4": dict(g=3, d=2, s=Fraction(1, 2), t=4),
+}
+
+
+@pytest.mark.parametrize("coeffs", sorted(COEFFICIENT_SETS))
+@pytest.mark.parametrize("descriptor", ["fp:7", "fp:101", "q"])
+def test_closed_form_matrices_match_the_dpelem_route(monkeypatch, descriptor, coeffs):
+    ring = make_ring(descriptor)
+    c = COEFFICIENT_SETS[coeffs]
+    dp = dp_ring(ring, c["g"], c["d"], ring.from_fraction(c["s"]), ring.from_fraction(c["t"]), bound=20)
+    m = build_factorization(dp)
+    calls = _recording(monkeypatch)
+    for bound in range(1, 9):
+        cushion = 1 + bound % 3
+        for transposed in (False, True):
+            calls.clear()
+            rec = two_periodic_exactness(m, bound, cushion, transposed=transposed)
+            assert rec["ok"]
+            _assert_same_calls(ring, calls, _ref_exactness_calls(m, bound, cushion, transposed))
+        calls.clear()
+        rec = hom_pair_space(dp, bound)
+        expected, hom_kernel, contained = _ref_hom_calls(dp, bound)
+        _assert_same_calls(ring, calls, expected)
+        assert rec["kernel"] == hom_kernel and rec["span_inside_homs"] == contained
+        calls.clear()
+        assert dual_quotient_iso(dp, bound)["ok"]
+        _assert_same_calls(ring, calls, _ref_quotient_iso_calls(dp, bound))
+        calls.clear()
+        assert v_shift_nonzerodivisor(dp, bound)["ok"]
+        _assert_same_calls(ring, calls, _ref_nzd_calls(dp, bound))
+
+
+@pytest.mark.parametrize("descriptor", ["fp:7", "q"])
+def test_mul_columns_match_vectorized_products(rng, descriptor):
+    ring = make_ring(descriptor)
+    g, d = random_unit_disc(ring, rng)
+    dp = DPRing(ring, QuadForm.make(ring, g, d), ring.random_element(rng), ring.random_element(rng), degree_bound=20)
+    for _ in range(10):
+        elem = dp.random_element(rng, degree=rng.randrange(4))
+        bound = rng.randrange(6)
+        out_bound = bound + 5
+        expected = [
+            {i: c.val for i, c in enumerate(vectorize(elem * b, out_bound)) if not c.is_zero}
+            for b in dp.basis(bound)
+        ]
+        assert mul_columns(elem, bound, out_bound) == expected
+
+
+def test_mul_columns_past_the_output_bound_raise():
+    dp = dp_ring(F7, 3, 2, 1, 4, bound=20)
+    vt = dp.v - dp.const(dp.t)
+    # v - t times Y^3 has degree 4, as does (v - t) * X * Y^3
+    with pytest.raises(DegreeOverflowError):
+        vectorize(vt * dp.y_power(3), 3)
+    with pytest.raises(DegreeOverflowError):
+        mul_columns(vt, 3, 3)
+    assert len(mul_columns(vt, 3, 4)) == 8
+    # u times X * Y^3 is x2f * Y^3 + ..., of degree 5 when delta is nonzero
+    with pytest.raises(DegreeOverflowError):
+        mul_columns(dp.u, 3, 4)

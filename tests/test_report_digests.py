@@ -84,6 +84,27 @@ GOLDEN = {
         "702a963ac72c125e876352909dc15bea6044d629d11261f67f1123d5eb830db6",
         "b7335677a64e001ada276852113bbb9b93fa83e73cf6b2564e8f4bd773aeb80d",
     ),
+    "exactness-fp101-30-3-2": (
+        dict(
+            subcommand="exactness", ring="fp:101", degree_bound=30,
+            gamma="3", delta="2", s="1/2", t="4",
+        ),
+        "c771cb396e876a2d4d81b651e207bea241bd2c7482065b956057151b654a0713",
+        "cd0ef8cdb1cfead291477e199bfdfa32d12fe1a55f7679e3edf5c2ca43c4086f",
+    ),
+    "dual-fp101-30": (
+        dict(subcommand="dual", ring="fp:101", degree_bound=30),
+        "90c4730ba73fb75c8bc8b659635019804f4632e372f15205dc12cad195d189fe",
+        "e3fb15808586f9e8ab7060f3b2219a3a93cd3e570134178ed99557ea9e141154",
+    ),
+    "dual-q-30-3-2": (
+        dict(
+            subcommand="dual", ring="q", degree_bound=30,
+            gamma="3", delta="2", s="1/2", t="4",
+        ),
+        "d083c10a8b4e1702fdc34d9650434af050df5732f3bd4dbf11f20c5e7d30d6c3",
+        "a42977fb02f19713aecd8312a818e4f22fb2d83d4e39d9e8883b0d90d9db194b",
+    ),
 }
 
 

@@ -283,6 +283,44 @@ def test_literals_past_the_bound_are_refused(descriptor, literal):
         make_ring(descriptor).parse_elem(literal)
 
 
+@pytest.mark.parametrize(
+    "descriptor, literal",
+    [
+        ("fp:7", "9" * 1300),  # a bare number is bounded as written, not as reduced
+        ("fp:7", "9" * 5000),  # more digits than the interpreter converts
+        ("fp:7", "9" * 5000 + " mod 7"),
+        ("q", "1/" + "3" * 2000),
+    ],
+    ids=["fp7-1300-digits", "fp7-5000-digits", "fp7-mod", "q-denominator"],
+)
+def test_numbers_past_the_bound_are_refused(descriptor, literal):
+    with pytest.raises(CoeffParseError, match="a number passes the bound of 4096 bits"):
+        make_ring(descriptor).parse_elem(literal)
+
+
+def test_parser_messages_echo_a_capped_literal():
+    q = Rationals()
+    # short literals keep their messages
+    for literal, message in [
+        ("x", "unknown atom 'x' in 'x'"),
+        ("1/0", "unknown atom '1/0' in '1/0'"),
+        ("3 3 )", "trailing tokens in '3 3 )'"),
+    ]:
+        with pytest.raises(CoeffParseError) as info:
+            q.parse_elem(literal)
+        assert str(info.value) == message
+    with pytest.raises(CoeffParseError) as info:
+        PrimeField(7).parse_elem("1/7")
+    assert str(info.value) == "unknown atom '1/7' in '1/7'"
+    # long ones are cut to 60 characters and their length
+    for literal in ("9" * 5000, "x" * 5000, "1+" * 2500 + "$", "2^" + "9" * 5000):
+        with pytest.raises(CoeffParseError) as info:
+            q.parse_elem(literal)
+        message = str(info.value)
+        assert len(message) < 300
+        assert f"… ({len(literal)} characters)" in message
+
+
 def _power_cases():
     """(element, one) for each element type whose __pow__ is rings._power."""
     rnd = random.Random(5)
