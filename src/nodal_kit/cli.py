@@ -293,9 +293,8 @@ def _normal_form(res, cfg, rng):
                     "counterexample": f"series {idx}: residual order {residual.order()}",
                 }
             for n in range(len(steps) - 1):
-                dx = steps[n + 1][0] - steps[n][0]
-                dy = steps[n + 1][1] - steps[n][1]
-                if not (dx.order_at_least(n + 2) and dy.order_at_least(n + 2)):
+                (x0, y0), (x1, y1) = steps[n], steps[n + 1]
+                if not (x1.agrees_below(x0, n + 2) and y1.agrees_below(y0, n + 2)):
                     return {
                         "ok": False,
                         "counterexample": f"series {idx}: step {n + 1} correction too low",
@@ -368,7 +367,8 @@ def _dual(res, cfg, rng):
         rec = mf.dual_quotient_iso(dpr, cfg.degree_bound)
         out = _from_record(rec, "injective_kernel_dimension", "covered_homs", "total_homs")
         if rec["failures"]:
-            out["counterexample"] = f"{len(rec['failures'])} homs not covered"
+            first = ", ".join(rec["failures"][0])
+            out["counterexample"] = f"{len(rec['failures'])} homs not covered, the first [{first}]"
         return out
 
     def independence():

@@ -14,7 +14,7 @@ from itertools import zip_longest
 from .linalg import _dense_rows, kernel_basis
 from .mpoly import MPoly
 from .normal_form import QuadForm
-from .rings import RingElem, _convolve_into, _power
+from .rings import RingElem, _power, _product_sums
 
 
 class DegreeOverflowError(ArithmeticError):
@@ -41,9 +41,7 @@ def _uadd(ring, a, b):
 def _umul(ring, a, b):
     if not a or not b:
         return ()
-    out = [ring.zero] * (len(a) + len(b) - 1)
-    _convolve_into(out, a, b)
-    return _norm(out)
+    return _norm(_product_sums(ring, [a], [b], [(len(a) + len(b) - 1, [(0, 0)])])[0])
 
 
 class DPRing:
@@ -226,12 +224,12 @@ class DPElem:
         x2f, x2g = dp.x_squared
         gg = _umul(dp.ring, self.gc, other.gc)
         size = max(len(self.fc), len(self.gc)) + max(len(other.fc), len(other.gc)) + 1
-        f, g = [dp.ring.zero] * size, [dp.ring.zero] * size
-        _convolve_into(f, self.fc, other.fc)
-        _convolve_into(f, gg, x2f)
-        _convolve_into(g, self.fc, other.gc)
-        _convolve_into(g, self.gc, other.fc)
-        _convolve_into(g, gg, x2g)
+        f, g = _product_sums(
+            dp.ring,
+            [self.fc, self.gc, gg],
+            [other.fc, other.gc, x2f, x2g],
+            [(size, [(0, 0), (2, 2)]), (size, [(0, 1), (1, 0), (2, 3)])],
+        )
         return DPElem(dp, _norm(f), _norm(g))
 
     __rmul__ = __mul__
@@ -296,17 +294,27 @@ def x_power_decompositions(dp, n_max):
     for n in range(1, n_max):
         f.append(_umul(ring, f2, g[n - 1]))
         g.append(_uadd(ring, f[n + 1], _umul(ring, g1, g[n])))
-        h.append(_y_poly_to_mpoly(ring, g[n + 1]) + x * h[n])
+        h.append(_times_x(h[n]) + _y_poly_to_mpoly(ring, g[n + 1]))
+    # Both sides are built incrementally: X^n = X * X^(n-1), and
+    # h_k * relation = g_k * relation + X * (h_{k-1} * relation), the
+    # recursion h_k = g_k + X h_{k-1} (which h_1 = g_1 + X also follows)
+    # multiplied out, so no step multiplies two whole polynomials.
+    x_power = x
+    h_rel = dp.relation  # h_0 * relation
     for n in range(2, n_max + 1):
-        lhs = x**n
-        rhs = (
-            _y_poly_to_mpoly(ring, f[n])
-            + x * _y_poly_to_mpoly(ring, g[n - 1])
-            + h[n - 2] * dp.relation
-        )
-        if lhs != rhs:
+        x_power = _times_x(x_power)
+        if n > 2:
+            h_rel = _times_x(h_rel) + _y_poly_to_mpoly(ring, g[n - 2]) * dp.relation
+        # the large summand first: a sum copies its left side and walks its right
+        rhs = h_rel + (_y_poly_to_mpoly(ring, f[n]) + _times_x(_y_poly_to_mpoly(ring, g[n - 1])))
+        if x_power != rhs:
             raise PowerIdentityError(f"power identity failed at n={n}")
     return f[: n_max + 1], g[: n_max + 1], h[: n_max + 1]
+
+
+def _times_x(poly):
+    """X * poly for a polynomial in X, Y: a shift of the exponents."""
+    return MPoly(poly.ring, 2, {(i + 1, j): c for (i, j), c in poly.terms.items()})
 
 
 def _y_poly_to_mpoly(ring, coeffs):

@@ -12,6 +12,7 @@ quotient isomorphism by exact linear algebra.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 from .dp_ring import DPElem, DPRing, mul_columns, v_shift_nonzerodivisor, vectorize
@@ -65,12 +66,12 @@ class MatFact:
     j_witness: Mat2  # left multiplier exhibiting Im(alpha) as the ideal J
     k_witness: Mat2  # left multiplier exhibiting Im(beta) as the ideal K
 
-    @property
+    @cached_property
     def alpha(self):
-        """phi acting on E in canonical coordinates."""
+        """phi acting on E in canonical coordinates, reduced once per factorization."""
         return mat_map(self.phi, self.dp.reduce)
 
-    @property
+    @cached_property
     def beta(self):
         return mat_map(self.psi, self.dp.reduce)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .rings import DualNumbers, RingElem, _convolve_into
+from .rings import DualNumbers, RingElem, _product_sums
 from .series import Series2, _min_prec
 
 
@@ -191,9 +191,9 @@ def normal_form_iteration(f, q, n_steps):
     q(X, Y) lives in degree 2, and the linear term L(a_{n+1}, b_{n+1}) is
     still zero when step n reads it.  Each correction is stored with
     a_j + gamma*b_j and delta*b_j, so step n costs O(n) products of
-    components, O(n^3) coefficient products, instead of multiplying out
-    whole series (van der Hoeven's relaxed, or on-line, scheme in its
-    simplest form).
+    components, formed together by the packed kernel with one unpack,
+    instead of multiplying out whole series (van der Hoeven's relaxed, or
+    on-line, scheme in its simplest form).
     """
     if n_steps < 1:
         raise ValueError("need at least one step")
@@ -214,13 +214,13 @@ def normal_form_iteration(f, q, n_steps):
     comps = {}
     for n in range(1, n_steps):
         top = n + 2
+        degrees = [i for i in comps if top - i in comps]
+        left = [comps[i][k] for i in degrees for k in (0, 1)]  # a_i, b_i
+        right = [comps[top - i][k] for i in degrees for k in (2, 3)]  # c_j, d_j
+        (eps,) = _product_sums(ring, left, right, [(top + 1, [(k, k) for k in range(len(left))])])
         f_top = f.parts.get(top)
-        eps = [-c for c in f_top] if f_top else [ring.zero] * (top + 1)
-        for i, (a_i, b_i, _, _) in comps.items():
-            if top - i in comps:
-                _, _, c_j, d_j = comps[top - i]
-                _convolve_into(eps, a_i, c_j)
-                _convolve_into(eps, b_i, d_j)
+        if f_top:
+            eps = [e - c for e, c in zip(eps, f_top)]
         mu, nu = solve_linearized_increment(q, Series2(ring, {top: eps}))
         xs = xs - mu
         ys = ys - nu

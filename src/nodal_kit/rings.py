@@ -10,7 +10,9 @@ exactly or raises `NotAUnitError`.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
+from math import lcm
 from operator import add, mul
 
 
@@ -125,14 +127,102 @@ def _sparse_mul(x, y, order=None):
     return out
 
 
-def _convolve_into(out, a, b):
-    """Add the product of dense sequences a and b into the list out, in place."""
-    nb = [(j, y) for j, y in enumerate(b) if not y.is_zero]
-    for i, x in enumerate(a):
-        if x.is_zero:
-            continue
-        for j, y in nb:
-            out[i + j] = out[i + j] + x * y
+# Over Q and F_p a dense vector of raw values is multiplied as one integer
+# (Kronecker substitution): its integer images v_k (numerators over a shared
+# denominator over Q, residues over F_p) become sum v_k * 2^(w*k), and the
+# product of two such integers holds the convolution, one coefficient per
+# w-bit slot.  A slot sums at most `count` products, each below
+# 2^(bitlen(max|a|) + bitlen(max|b|)) in absolute value, so with
+#     w >= bitlen(max|a|) + bitlen(max|b|) + bitlen(count) + 1
+# every coefficient c has |c| < 2^(w-1).  Adding 2^(w-1) to every slot then
+# leaves each one a digit c + 2^(w-1) in [0, 2^w) with no borrow between
+# slots, so the coefficients are read back from the bytes of the sum (w is
+# rounded up to whole bytes, and to 1, 2, 4 or 8 of them when it fits a
+# machine word, which a memoryview reads in one call).
+
+_WORD_FORMATS = {memoryview(bytes(8)).cast(f).itemsize: f for f in "BHIQ"}  # slot bytes -> format
+_LITTLE_ENDIAN = sys.byteorder == "little"
+
+
+def _integer_images(ring, vecs):
+    """Integer images of dense vectors of RingElem, the denominator they share,
+    and the bit length of the largest image in absolute value."""
+    if isinstance(ring, PrimeField):
+        return [[c.val for c in v] for v in vecs], 1, (ring.p - 1).bit_length()
+    vals = [[c.val for c in v] for v in vecs]
+    den = lcm(*{x.denominator for v in vals for x in v})
+    ints = [[x.numerator * (den // x.denominator) for x in v] for v in vals]
+    return ints, den, max((max(map(abs, v)) for v in ints if v), default=0).bit_length()
+
+
+def _pack(ints, w):
+    out = 0
+    for x in reversed(ints):
+        out = (out << w) + x
+    return out
+
+
+def _product_sums(ring, left, right, outputs):
+    """Dense sums of products, the one kernel behind Series2 and DPElem products.
+
+    For each (length, pairs) in outputs, the `length` coefficients of the sum
+    of left[i] * right[j] over (i, j) in pairs, as a tuple of RingElem;
+    `length` must cover every product in the sum.  Over Q and F_p each vector
+    is packed once into an integer (see above) and all sums are unpacked
+    together; over composite rings the coefficients are multiplied pair by
+    pair.
+    """
+    if not isinstance(ring, (Rationals, PrimeField)):
+        sums = []
+        for length, pairs in outputs:
+            out = [ring.zero] * length
+            for i, j in pairs:
+                nb = [(k, y) for k, y in enumerate(right[j]) if not y.is_zero]
+                for k1, x in enumerate(left[i]):
+                    if x.is_zero:
+                        continue
+                    for k2, y in nb:
+                        out[k1 + k2] = out[k1 + k2] + x * y
+            sums.append(tuple(out))
+        return sums
+    lints, lden, lbits = _integer_images(ring, left)
+    rints, rden, rbits = _integer_images(ring, right)
+    # each pair puts at most min(len(a), len(b)) products into a slot
+    count = max((len(pairs) for _, pairs in outputs), default=0) * min(
+        max(map(len, left), default=0), max(map(len, right), default=0)
+    )
+    wb = (lbits + rbits + count.bit_length() + 8) // 8  # bytes per slot
+    if wb <= 8:
+        wb = 1 << (wb - 1).bit_length()
+    w = 8 * wb
+    lpacked = [_pack(v, w) for v in lints]
+    rpacked = [_pack(v, w) for v in rints]
+    # every sum, stacked into one integer at the offset of its first slot
+    total = 0
+    for length, pairs in reversed(outputs):
+        acc = 0
+        for i, j in pairs:
+            acc += lpacked[i] * rpacked[j]
+        total = (total << (w * length)) + acc
+    nslots = sum(length for length, _ in outputs)
+    bias = int.from_bytes((bytes(wb - 1) + b"\x80") * nslots, "little")  # 2^(w-1) in every slot
+    buf = (total + bias).to_bytes(wb * nslots, "little")
+    if wb in _WORD_FORMATS and _LITTLE_ENDIAN:
+        digits = memoryview(buf).cast(_WORD_FORMATS[wb]).tolist()
+    else:
+        digits = [int.from_bytes(buf[k : k + wb], "little") for k in range(0, wb * nslots, wb)]
+    half, zero = 1 << (w - 1), ring.zero
+    if isinstance(ring, PrimeField):
+        p = ring.p
+        vals = [RingElem(ring, (d - half) % p) if d != half else zero for d in digits]
+    else:
+        den = lden * rden
+        vals = [RingElem(ring, Fraction(d - half, den)) if d != half else zero for d in digits]
+    sums, start = [], 0
+    for length, _ in outputs:
+        sums.append(tuple(vals[start : start + length]))
+        start += length
+    return sums
 
 
 def _power(x, n, one, times=mul):

@@ -9,7 +9,7 @@ Homogeneous components are dense coefficient vectors indexed by X-exponent.
 
 from __future__ import annotations
 
-from .rings import RingElem, _convolve_into, _power, format_terms
+from .rings import RingElem, _power, _product_sums, format_terms
 
 
 class PrecisionError(ValueError):
@@ -45,8 +45,10 @@ class Series2:
                 raise ValueError(f"degree-{n} component needs {n + 1} coefficients")
             if precision is not None and n > precision:
                 continue
-            if any(not c.is_zero for c in vec):
-                clean[n] = vec
+            for c in vec:
+                if not c.is_zero:
+                    clean[n] = vec
+                    break
         self.ring = ring
         self.precision = precision
         self.parts = clean
@@ -130,6 +132,17 @@ class Series2:
             return False  # low components unknown, cannot certify
         return True
 
+    def agrees_below(self, other, k):
+        """(self - other).order_at_least(k), without forming the difference:
+        the components below degree k are equal and known on both sides."""
+        other = self._coerce(other)
+        prec = _min_prec(self.precision, other.precision)
+        if prec is not None and prec < k - 1:
+            return False
+        return all(
+            self.parts.get(n) == other.parts.get(n) for n in set(self.parts) | set(other.parts) if n < k
+        )
+
     def degree(self):
         """Top stored degree (the polynomial degree when precision is None)."""
         return max(self.parts) if self.parts else None
@@ -194,17 +207,21 @@ class Series2:
         if other is None:
             return NotImplemented
         prec = _min_prec(self.precision, other.precision)
-        parts = {}
-        for n1, v1 in self.parts.items():
-            for n2, v2 in other.parts.items():
-                n = n1 + n2
-                if prec is not None and n > prec:
-                    continue
-                vec = parts.get(n)
-                if vec is None:
-                    vec = parts[n] = [self.ring.zero] * (n + 1)
-                _convolve_into(vec, v1, v2)
-        return Series2(self.ring, {n: tuple(v) for n, v in parts.items()}, prec)
+        da, db = sorted(self.parts), sorted(other.parts)
+        by_degree = {}
+        for i, n1 in enumerate(da):
+            for j, n2 in enumerate(db):
+                if prec is not None and n1 + n2 > prec:
+                    break
+                by_degree.setdefault(n1 + n2, []).append((i, j))
+        degrees = sorted(by_degree)
+        sums = _product_sums(
+            self.ring,
+            [self.parts[n] for n in da],
+            [other.parts[n] for n in db],
+            [(n + 1, by_degree[n]) for n in degrees],
+        )
+        return Series2(self.ring, dict(zip(degrees, sums)), prec)
 
     __rmul__ = __mul__
 
@@ -231,9 +248,6 @@ class Series2:
                 raise SubstitutionError(f"substitution for {nm} has a constant term")
         prec = _min_prec(self.precision, xs.precision, ys.precision)
 
-        def trunc(s):
-            return s if prec is None else s.truncated(prec)
-
         # coefficient of X^i as a map {j: c} (only degrees that can matter)
         by_x = {}
         for n, vec in self.parts.items():
@@ -245,11 +259,20 @@ class Series2:
         if not by_x:
             return Series2.zero(self.ring, prec)
 
-        def eval_y(coeffs):
-            # Horner in ys for sum_j coeffs[j] * Y^j
+        # Graded Horner: a partial sum that k more factors of order >= 1 will
+        # multiply matters only through degree prec - k, so each step
+        # multiplies its parts, as an exact polynomial, by xs or ys cut to the
+        # degree m that step still needs.
+        def times(acc, s, m):
+            if m is None:  # everything exact
+                return acc * s
+            return Series2(self.ring, acc.parts) * s.truncated(m)
+
+        def eval_y(coeffs, top):
+            # Horner in ys for sum_j coeffs[j] * Y^j, needed through degree top
             out = Series2.zero(self.ring)
             for j in range(max(coeffs), -1, -1):
-                out = trunc(out * ys)
+                out = times(out, ys, None if top is None else top - j)
                 c = coeffs.get(j)
                 if c is not None:
                     out = out + Series2.const(self.ring, c)
@@ -258,11 +281,11 @@ class Series2:
         # Horner in xs over the X-coefficients
         result = Series2.zero(self.ring)
         for i in range(max(by_x), -1, -1):
-            result = trunc(result * xs)
+            top = None if prec is None else prec - i
+            result = times(result, xs, top)
             if i in by_x:
-                result = result + eval_y(by_x[i])
-        out = Series2(result.ring, result.parts, prec)
-        return out
+                result = result + eval_y(by_x[i], top)
+        return Series2(result.ring, result.parts, prec)
 
     # --- comparison / display ------------------------------------------------
 

@@ -4,9 +4,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_unit_disc
+from nodal_kit import dp_ring as dp_ring_module
 from nodal_kit.dp_ring import (
     DegreeOverflowError,
     DPRing,
+    PowerIdentityError,
     v_shift_nonzerodivisor,
     vectorize,
     x_power_decompositions,
@@ -105,6 +107,39 @@ class TestPowerDecompositions:
         X = MPoly.var(F5, 2, 0)
         for n in range(2, 13):
             assert dp.reduce(X**n) == dp.element(f[n], g[n - 1])
+
+    def test_matches_the_multiplied_out_identity(self, rng):
+        # the per-n check before it was built incrementally: X^n and
+        # h_{n-2} * relation multiplied out as whole polynomials
+        loc = LocalTruncation(F7, ("s", "t"), 3)
+        for ring in (QQ, F7, loc):
+            g, d = ring.random_element(rng), ring.random_element(rng)
+            s, t = loc.gens if ring == loc else (ring.random_element(rng), ring.random_element(rng))
+            dp = DPRing(ring, QuadForm.make(ring, g, d), s, t, degree_bound=20)
+            f, gs, h = x_power_decompositions(dp, 12)
+            x = MPoly.var(ring, 2, 0)
+
+            def y_poly(coeffs):
+                return MPoly(ring, 2, {(0, j): c for j, c in enumerate(coeffs)})
+
+            for n in range(2, 13):
+                assert x**n == y_poly(f[n]) + x * y_poly(gs[n - 1]) + h[n - 2] * dp.relation
+
+    def test_a_wrong_decomposition_raises_at_its_degree(self, monkeypatch):
+        # the n-th _uadd call forms g_(n+1); corrupting g_5 and later makes
+        # the identity first fail at n = 6, where X*g_5 enters
+        real = dp_ring_module._uadd
+        calls = []
+
+        def off_by_one(ring, a, b):
+            calls.append(None)
+            out = real(ring, a, b)
+            return (out[0] + 1,) + out[1:] if len(calls) >= 4 else out
+
+        monkeypatch.setattr(dp_ring_module, "_uadd", off_by_one)
+        dp = dp_ring(F7, 3, 2, 1, 4, bound=20)
+        with pytest.raises(PowerIdentityError, match="at n=6$"):
+            x_power_decompositions(dp, 12)
 
     def test_rejects_tiny_n_max(self):
         dp = dp_ring(QQ, 1, 0, 0, 0)

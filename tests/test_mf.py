@@ -289,6 +289,34 @@ def test_exactness_counterexample_in_the_cli_report(monkeypatch):
     assert _named(ring, kernels[1][0]) in report.to_json()
 
 
+def test_quotient_iso_counterexample_names_the_uncovered_hom(monkeypatch):
+    real = mf_module.dual_quotient_iso
+    seen = []
+
+    def first_hom_uncovered(dp, bound):
+        rec = real(dp, bound)
+        kernel = hom_pair_space(dp, bound)["kernel"]
+        seen.append([dp.ring.format_elem(c) for c in kernel[0]])
+        return {**rec, "ok": False, "covered_homs": rec["total_homs"] - 1, "failures": [seen[-1]]}
+
+    monkeypatch.setattr(mf_module, "dual_quotient_iso", first_hom_uncovered)
+    report = cli.run(cli.RunConfig(subcommand="dual", ring="fp:5", gamma="1", delta="0", degree_bound=6))
+    rec = {r.name: r for r in report.records}["dual.quotient-iso"]
+    assert not rec.passed
+    assert rec.counterexample == f"1 homs not covered, the first [{', '.join(seen[0])}]"
+    assert "mod 5" in rec.counterexample
+
+
+def test_alpha_and_beta_are_reduced_once_per_factorization(monkeypatch):
+    calls = []
+    real = DPRing.reduce
+    monkeypatch.setattr(DPRing, "reduce", lambda self, poly: calls.append(poly) or real(self, poly))
+    report = cli.run(cli.RunConfig(subcommand="exactness", ring="fp:101", degree_bound=22))
+    assert all(r.passed for r in report.records)
+    # the eight entries of phi and psi once each, and x once in each of the two checks
+    assert len(calls) == 10
+
+
 # --- the DPElem route the certificate matrices were built by before they were
 # written in closed form, kept as a differential reference --------------------
 

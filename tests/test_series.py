@@ -1,10 +1,13 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nodal_kit.rings import PrimeField, Rationals
-from nodal_kit.series import PrecisionError, Series2, SubstitutionError
+from nodal_kit.dp_ring import DPRing, _norm
+from nodal_kit.normal_form import QuadForm
+from nodal_kit.rings import DualNumbers, PrimeField, Rationals, _product_sums
+from nodal_kit.series import PrecisionError, Series2, SubstitutionError, _min_prec
 
 QQ = Rationals()
 F7 = PrimeField(7)
@@ -162,3 +165,247 @@ def test_str_merges_signs_and_keeps_the_precision_tail():
     assert str(Series2.zero(QQ, 3)) == "0 + O(deg>3)"
     assert str(Series2(QQ, {2: [QQ(-1), QQ.zero, QQ.one]})) == "-Y^2+X^2"
 
+
+
+# --- the coefficient loops the packed kernel replaced, kept as references ----
+
+BIG_P = 3317044064679887385961813  # the largest prime below rings._PRIME_BOUND
+KERNEL_RINGS = [QQ, PrimeField(2), F7, PrimeField(10007), PrimeField(BIG_P)]
+
+
+def _ref_convolve_into(out, a, b):
+    """Add the product of dense sequences a and b into the list out, in place."""
+    nb = [(j, y) for j, y in enumerate(b) if not y.is_zero]
+    for i, x in enumerate(a):
+        if x.is_zero:
+            continue
+        for j, y in nb:
+            out[i + j] = out[i + j] + x * y
+
+
+def _ref_mul(f, g):
+    """Series2 product, one coefficient pair at a time."""
+    prec = _min_prec(f.precision, g.precision)
+    parts = {}
+    for n1, v1 in f.parts.items():
+        for n2, v2 in g.parts.items():
+            n = n1 + n2
+            if prec is not None and n > prec:
+                continue
+            _ref_convolve_into(parts.setdefault(n, [f.ring.zero] * (n + 1)), v1, v2)
+    return Series2(f.ring, parts, prec)
+
+
+def _ref_dp_mul(a, b):
+    """DPElem product, one coefficient pair at a time."""
+    dp = a.dp
+    x2f, x2g = dp.x_squared
+    zero = dp.ring.zero
+    gg = [zero] * max(len(a.gc) + len(b.gc) - 1, 0)
+    _ref_convolve_into(gg, a.gc, b.gc)
+    gg = _norm(gg)
+    size = max(len(a.fc), len(a.gc)) + max(len(b.fc), len(b.gc)) + 1
+    f, g = [zero] * size, [zero] * size
+    _ref_convolve_into(f, a.fc, b.fc)
+    _ref_convolve_into(f, gg, x2f)
+    _ref_convolve_into(g, a.fc, b.gc)
+    _ref_convolve_into(g, a.gc, b.fc)
+    _ref_convolve_into(g, gg, x2g)
+    return _norm(f), _norm(g)
+
+
+def _canonical(elems):
+    """Raw values in canonical form: Fractions over Q, ints in [0, p) over F_p."""
+    for c in elems:
+        if isinstance(c.ring, PrimeField):
+            assert type(c.val) is int and 0 <= c.val < c.ring.p
+        else:
+            assert type(c.val) is Fraction
+    return True
+
+
+def _elements(ring):
+    if ring not in KERNEL_RINGS:  # composite: the ring's own random elements
+        return st.integers(0, 10**6).map(lambda seed: ring.random_element(random.Random(seed)))
+    if isinstance(ring, PrimeField):
+        return st.integers(0, ring.p - 1).map(ring.from_int)
+    height = st.one_of(st.integers(-9, 9), st.integers(-(2**200), 2**200))
+    return st.builds(Fraction, height, st.one_of(st.integers(1, 6), st.integers(1, 2**120))).map(
+        ring.from_fraction
+    )
+
+
+def _extreme(ring, sign):
+    """The coefficient of largest absolute image: p - 1, or -(2^200 - 1) and its negative."""
+    if isinstance(ring, PrimeField):
+        return ring.from_int(ring.p - 1)
+    return ring.from_int(sign * (2**200 - 1))
+
+
+@st.composite
+def _vector_pairs(draw, ring, count, max_len):
+    """Left and right lists of dense vectors, at random or all at their extreme value."""
+    if ring not in KERNEL_RINGS or draw(st.booleans()):
+        elems = _elements(ring)
+        left = [draw(st.lists(elems, max_size=max_len)) for _ in range(count)]
+        right = [draw(st.lists(elems, max_size=max_len)) for _ in range(count)]
+    else:
+        lx, rx = _extreme(ring, draw(st.sampled_from((-1, 1)))), _extreme(ring, -1)
+        left = [[lx] * draw(st.integers(0, max_len)) for _ in range(count)]
+        right = [[rx] * draw(st.integers(0, max_len)) for _ in range(count)]
+    return left, right
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), ring=st.sampled_from(KERNEL_RINGS + [DualNumbers(QQ)]))
+def test_product_sums_match_the_coefficient_loop(data, ring):
+    left, right = data.draw(_vector_pairs(ring, 4, 9))
+    pair = st.tuples(st.integers(0, 3), st.integers(0, 3))
+    outputs = []
+    for pairs in data.draw(st.lists(st.lists(pair, max_size=5), max_size=4)):
+        need = max((len(left[i]) + len(right[j]) - 1 for i, j in pairs), default=0)
+        outputs.append((need + data.draw(st.integers(0, 2)), pairs))
+    sums = _product_sums(ring, left, right, outputs)
+    assert len(sums) == len(outputs)
+    for (length, pairs), got in zip(outputs, sums):
+        want = [ring.zero] * length
+        for i, j in pairs:
+            _ref_convolve_into(want, left[i], right[j])
+        assert got == tuple(want)
+        if ring in KERNEL_RINGS:
+            assert _canonical(got)
+
+
+@st.composite
+def _series(draw, ring, precision):
+    extreme = draw(st.sampled_from((None, -1, 1)))
+    top = 7 if precision is None else precision
+    parts = {}
+    for n in draw(st.sets(st.integers(0, top), max_size=6)):
+        if extreme is None:
+            parts[n] = draw(st.lists(_elements(ring), min_size=n + 1, max_size=n + 1))
+        else:
+            parts[n] = [_extreme(ring, extreme)] * (n + 1)
+    return Series2(ring, parts, precision)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), ring=st.sampled_from(KERNEL_RINGS))
+def test_series_product_matches_the_coefficient_loop(data, ring):
+    precisions = st.one_of(st.none(), st.integers(0, 9))
+    f = data.draw(_series(ring, data.draw(precisions)))
+    g = data.draw(_series(ring, data.draw(precisions)))
+    prod = f * g
+    assert prod == _ref_mul(f, g)
+    assert _canonical(c for vec in prod.parts.values() for c in vec)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), ring=st.sampled_from(KERNEL_RINGS))
+def test_dpelem_product_matches_the_coefficient_loop(data, ring):
+    elems = _elements(ring)
+    g, d, s, t = (data.draw(elems) for _ in range(4))
+    dp = DPRing(ring, QuadForm(ring, g, d), s, t, degree_bound=40)
+    (fa, ga), (fb, gb) = data.draw(_vector_pairs(ring, 2, 12))
+    a, b = dp.element(fa, ga), dp.element(fb, gb)
+    prod = a * b
+    assert (prod.fc, prod.gc) == _ref_dp_mul(a, b)
+    assert _canonical(prod.fc + prod.gc)
+
+
+@pytest.mark.parametrize("ring", KERNEL_RINGS, ids=lambda r: r.descriptor())
+def test_every_slot_at_its_bound(ring):
+    # dense components all at the extreme value: each output coefficient is
+    # the largest sum of products its slot has to hold
+    for sign in (1, -1):
+        x = _extreme(ring, sign)
+        f = Series2(ring, {n: [x] * (n + 1) for n in range(13)}, 12)
+        g = Series2(ring, {n: [_extreme(ring, -1)] * (n + 1) for n in range(13)}, 12)
+        assert f * g == _ref_mul(f, g)
+        (got,) = _product_sums(ring, [[x] * 16], [[x] * 16], [(31, [(0, 0)])])
+        want = [ring.zero] * 31
+        _ref_convolve_into(want, [x] * 16, [x] * 16)
+        assert got == tuple(want)
+
+
+def test_a_slot_width_with_no_rounding_slack():
+    # over F_(2^61 - 1), 63 products of (p - 1)^2 fill 127.98 bits: with the
+    # sign bit the slot takes 129 bits (17 bytes), without it 16 bytes
+    ring = PrimeField(2**61 - 1)
+    x = _extreme(ring, 1)
+    (got,) = _product_sums(ring, [[x] * 63], [[x] * 63], [(125, [(0, 0)])])
+    want = [ring.zero] * 125
+    _ref_convolve_into(want, [x] * 63, [x] * 63)
+    assert got == tuple(want)
+
+
+# --- Series2.agrees_below ----------------------------------------------------
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), ring=st.sampled_from([QQ, F7]))
+def test_agrees_below_is_the_order_of_the_difference(data, ring):
+    precisions = st.one_of(st.none(), st.integers(0, 8))
+    f = data.draw(_series(ring, data.draw(precisions)))
+    if data.draw(st.booleans()):
+        g = data.draw(_series(ring, data.draw(precisions)))
+    else:  # f changed in at most one degree, so the two often agree low down
+        n = data.draw(st.integers(0, 8))
+        g = (f + Series2(ring, {n: [ring.one] + [ring.zero] * n})).truncated(data.draw(precisions))
+    for k in range(-1, 12):
+        assert f.agrees_below(g, k) == (f - g).order_at_least(k)
+        assert g.agrees_below(f, k) == (g - f).order_at_least(k)
+
+
+# --- the full-precision Horner that graded substitution replaced -------------
+
+
+def _ref_substitute(f, xs, ys):
+    """Horner in xs and ys, every step multiplying whole series."""
+    prec = _min_prec(f.precision, xs.precision, ys.precision)
+
+    def trunc(s):
+        return s if prec is None else s.truncated(prec)
+
+    by_x = {}
+    for n, vec in f.parts.items():
+        if prec is not None and n > prec:
+            continue
+        for i, c in enumerate(vec):
+            if not c.is_zero:
+                by_x.setdefault(i, {})[n - i] = c
+    if not by_x:
+        return Series2.zero(f.ring, prec)
+
+    def eval_y(coeffs):
+        out = Series2.zero(f.ring)
+        for j in range(max(coeffs), -1, -1):
+            out = trunc(out * ys)
+            c = coeffs.get(j)
+            if c is not None:
+                out = out + Series2.const(f.ring, c)
+        return out
+
+    result = Series2.zero(f.ring)
+    for i in range(max(by_x), -1, -1):
+        result = trunc(result * xs)
+        if i in by_x:
+            result = result + eval_y(by_x[i])
+    return Series2(result.ring, result.parts, prec)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10**6), ring=st.sampled_from([QQ, F7]), precs=st.tuples(
+    *[st.one_of(st.none(), st.integers(1, 7))] * 3))
+def test_graded_substitution_matches_the_full_horner(seed, ring, precs):
+    rnd = random.Random(seed)
+    f = _random_series(ring, rnd, 7, zero_const=False).truncated(precs[0])
+    if precs[0] is None:
+        f = Series2(ring, f.parts)
+    sx = (Series2.x(ring) + _random_series(ring, rnd, 7)).truncated(precs[1])
+    sy = (Series2.y(ring) + _random_series(ring, rnd, 7)).truncated(precs[2])
+    if precs[1] is None:
+        sx = Series2(ring, sx.parts)
+    if precs[2] is None:
+        sy = Series2(ring, sy.parts)
+    assert f.substitute(sx, sy) == _ref_substitute(f, sx, sy)
