@@ -263,7 +263,8 @@ def test_product_sums_match_the_coefficient_loop(data, ring):
     pair = st.tuples(st.integers(0, 3), st.integers(0, 3))
     outputs = []
     for pairs in data.draw(st.lists(st.lists(pair, max_size=5), max_size=4)):
-        need = max((len(left[i]) + len(right[j]) - 1 for i, j in pairs), default=0)
+        # two empty vectors have an empty product, which needs no slot
+        need = max((max(len(left[i]) + len(right[j]) - 1, 0) for i, j in pairs), default=0)
         outputs.append((need + data.draw(st.integers(0, 2)), pairs))
     sums = _product_sums(ring, left, right, outputs)
     assert len(sums) == len(outputs)
