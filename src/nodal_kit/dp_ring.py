@@ -295,16 +295,16 @@ def x_power_decompositions(dp, n_max):
         f.append(_umul(ring, f2, g[n - 1]))
         g.append(_uadd(ring, f[n + 1], _umul(ring, g1, g[n])))
         h.append(_times_x(h[n]) + _y_poly_to_mpoly(ring, g[n + 1]))
-    # Both sides are built incrementally: X^n = X * X^(n-1), and
-    # h_k * relation = g_k * relation + X * (h_{k-1} * relation), the
-    # recursion h_k = g_k + X h_{k-1} (which h_1 = g_1 + X also follows)
-    # multiplied out, so no step multiplies two whole polynomials.
+    # Both sides are built incrementally from the returned h: X^n = X * X^(n-1),
+    # and h_k * relation = X * (h_{k-1} * relation) + (h_k - X h_{k-1}) * relation,
+    # which holds for any h_k.  By the recursion h_k - X h_{k-1} is g_k, a
+    # polynomial in Y alone, so no step multiplies two large polynomials.
     x_power = x
-    h_rel = dp.relation  # h_0 * relation
+    h_rel = h[0] * dp.relation
     for n in range(2, n_max + 1):
         x_power = _times_x(x_power)
         if n > 2:
-            h_rel = _times_x(h_rel) + _y_poly_to_mpoly(ring, g[n - 2]) * dp.relation
+            h_rel = _times_x(h_rel) + (h[n - 2] - _times_x(h[n - 3])) * dp.relation
         # the large summand first: a sum copies its left side and walks its right
         rhs = h_rel + (_y_poly_to_mpoly(ring, f[n]) + _times_x(_y_poly_to_mpoly(ring, g[n - 1])))
         if x_power != rhs:

@@ -45,10 +45,8 @@ class Series2:
                 raise ValueError(f"degree-{n} component needs {n + 1} coefficients")
             if precision is not None and n > precision:
                 continue
-            for c in vec:
-                if not c.is_zero:
-                    clean[n] = vec
-                    break
+            if any(not c.is_zero for c in vec):
+                clean[n] = vec
         self.ring = ring
         self.precision = precision
         self.parts = clean

@@ -141,6 +141,22 @@ class TestPowerDecompositions:
         with pytest.raises(PowerIdentityError, match="at n=6$"):
             x_power_decompositions(dp, 12)
 
+    def test_a_wrong_h_raises_at_its_first_use(self, monkeypatch):
+        # the n-th _times_x call forms h_(n+1); corrupting h_4 (and so every
+        # later h) makes the identity first fail at n = 6, where h_4 enters
+        real = dp_ring_module._times_x
+        calls = []
+
+        def off_by_one(poly):
+            calls.append(None)
+            out = real(poly)
+            return out + 1 if len(calls) == 3 else out
+
+        monkeypatch.setattr(dp_ring_module, "_times_x", off_by_one)
+        dp = dp_ring(F7, 3, 2, 1, 4, bound=20)
+        with pytest.raises(PowerIdentityError, match="at n=6$"):
+            x_power_decompositions(dp, 12)
+
     def test_rejects_tiny_n_max(self):
         dp = dp_ring(QQ, 1, 0, 0, 0)
         with pytest.raises(ValueError):
