@@ -37,7 +37,6 @@ from .dp_ring import (
     x_power_decompositions,
 )
 from .mf import (
-    EPair,
     MatFact,
     build_factorization,
     dual_action,

@@ -44,6 +44,15 @@ DEFAULT_SEED = 20240801
 # Y-degree headroom of the double-point ring above degree_bound + cushion
 _DP_HEADROOM = 8
 
+# Size bounds, so that every configuration ends in bounded time: at them the
+# slowest runs, over Q, take about 21 s (exactness at degree bound 96 with
+# cushion 16) and 6.5 s (normal-form at precision 64) on a 2-vCPU x86 box,
+# where precision 160 took 47 s.  Every size the tests, CI and benchmark use
+# is below them (CI: degree bound 60, precision 40; cushion 2 by default).
+_MAX_PRECISION = 64
+_MAX_DEGREE_BOUND = 96
+_MAX_CUSHION = 16
+
 
 class ConfigError(ValueError):
     """An invalid configuration, named after the violated precondition."""
@@ -90,12 +99,15 @@ class Resolved:
         except CoeffParseError as e:
             raise ConfigError(f"coefficient literal: {e}") from None
         self.q = QuadForm(self.ring, self.gamma, self.delta)
-        if cfg.precision < 1:
-            raise ConfigError("precision must be >= 1")
-        if cfg.degree_bound < 1:
-            raise ConfigError("degree bound must be >= 1")
-        if cfg.cushion < 1:
-            raise ConfigError("cushion must be >= 1")
+        for what, size, bound in (
+            ("precision", cfg.precision, _MAX_PRECISION),
+            ("degree bound", cfg.degree_bound, _MAX_DEGREE_BOUND),
+            ("cushion", cfg.cushion, _MAX_CUSHION),
+        ):
+            if size < 1:
+                raise ConfigError(f"{what} must be >= 1")
+            if size > bound:
+                raise ConfigError(f"{what} must be <= {bound}, the size bound")
         # The division checks hold for any discriminant; every other suite needs a unit.
         if cfg.subcommand != "division" and not self.q.discriminant.is_unit:
             raise ConfigError(

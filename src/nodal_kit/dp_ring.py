@@ -370,9 +370,3 @@ def mul_columns(elem, bound, out_bound):
         entries += [(out_bound + 1 + j, c.val) for j, c in enumerate(part.gc) if not c.is_zero]
         cols.extend({i + k: v for i, v in entries} for k in range(bound + 1))
     return cols
-
-
-def unvectorize(dp, vec, bound):
-    fc = vec[: bound + 1]
-    gc = vec[bound + 1 :]
-    return dp.element(fc, gc)

@@ -13,9 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
-from .dp_ring import DPElem, DPRing, mul_columns, v_shift_nonzerodivisor, vectorize
+from .dp_ring import DPRing, mul_columns, v_shift_nonzerodivisor, vectorize
 from .linalg import _dense_rows, _sparse, consistent_many, kernel_basis, rank
 from .mpoly import MPoly
 from .normal_form import DegenerateFormError
@@ -24,13 +23,6 @@ from .rings import RingElem
 
 class FactorizationError(AssertionError):
     """A construction-time matrix identity failed."""
-
-
-class EPair(NamedTuple):
-    """An element of E = R (+) R in canonical coordinates."""
-
-    first: DPElem
-    second: DPElem
 
 
 Mat2 = tuple  # 2x2 matrices as ((a, b), (c, d))

@@ -27,6 +27,14 @@ class MPoly:
         self.terms = clean
 
     @classmethod
+    def _of(cls, ring, nvars, terms):
+        """A polynomial of terms known to be valid (exponent tuples of length
+        nvars, nonzero coefficients), built without checking them again."""
+        out = object.__new__(cls)
+        out.ring, out.nvars, out.terms = ring, nvars, terms
+        return out
+
+    @classmethod
     def zero(cls, ring, nvars):
         return cls(ring, nvars, {})
 
@@ -69,7 +77,7 @@ class MPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return MPoly(self.ring, self.nvars, _sparse_add(self.terms, other.terms))
+        return MPoly._of(self.ring, self.nvars, _sparse_add(self.terms, other.terms))
 
     __radd__ = __add__
 
@@ -86,16 +94,16 @@ class MPoly:
         return other + (-self)
 
     def __neg__(self):
-        return MPoly(self.ring, self.nvars, {e: -c for e, c in self.terms.items()})
+        return MPoly._of(self.ring, self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (RingElem, int)):
             c = self.ring(other)
-            return MPoly(self.ring, self.nvars, {e: c * a for e, a in self.terms.items()})
+            return MPoly._of(self.ring, self.nvars, {e: ca for e, a in self.terms.items() if (ca := c * a)})
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return MPoly(self.ring, self.nvars, _sparse_mul(self.terms, other.terms))
+        return MPoly._of(self.ring, self.nvars, _sparse_mul(self.terms, other.terms))
 
     __rmul__ = __mul__
 

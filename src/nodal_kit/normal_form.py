@@ -321,13 +321,13 @@ def _divide_by_tau(series, tau):
     residue, slope = ring.parts(tau)
     if not residue.is_zero or not slope.is_unit:
         raise ValueError("tau must be a unit multiple of eps")
-    inv, zero = slope.inv(), ring.base.zero
+    inv = slope.inv()
     parts = {}
     for n, vec in series.parts.items():
         pairs = [ring.parts(c) for c in vec]
         if any(not a.is_zero for a, _ in pairs):
             return None
-        parts[n] = [RingElem(ring, (b * inv, zero)) for _, b in pairs]
+        parts[n] = [ring.embed(b * inv) for _, b in pairs]
     return Series2(ring, parts, series.precision)
 
 

@@ -5,6 +5,11 @@ numbers base[eps]/(eps^2), and truncated local rings base[v1..vk]/m^N.
 All of them are local with a field at the bottom, so "unit" uniformly means
 "nonzero residue".  Every operation is exact; inversion either succeeds
 exactly or raises `NotAUnitError`.
+
+The two composite kinds, nested in any order, share one arithmetic
+(`TruncatedRing`): an element's value is a flat dict from monomials in every
+variable of the tower to raw values of the bottom field, so no element holds
+the elements of another ring.
 """
 
 from __future__ import annotations
@@ -12,6 +17,8 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
+from functools import cached_property
+from itertools import combinations_with_replacement
 from math import lcm
 from operator import add, mul
 
@@ -89,7 +96,9 @@ def format_terms(terms, names):
 #
 # Sparse polynomials are dicts {exponent tuple: nonzero coefficient}; dense
 # ones are sequences indexed by exponent.  Every element type builds its
-# arithmetic on these, so each coefficient loop is written once.
+# arithmetic on these, so each coefficient loop is written once.  The sparse
+# loops test coefficients by truth value, so they run on ring elements and on
+# raw values alike; over F_p, raw sums and products come out unreduced.
 
 
 def _sparse_add(x, y):
@@ -98,32 +107,32 @@ def _sparse_add(x, y):
     for e, c in y.items():
         c0 = out.get(e)
         c = c if c0 is None else c0 + c
-        if c.is_zero:
-            out.pop(e, None)
-        else:
+        if c:
             out[e] = c
+        else:
+            out.pop(e, None)
     return out
 
 
-def _sparse_mul(x, y, order=None):
-    """Product of two sparse polynomials, without the terms of total degree >= order."""
+def _sparse_mul(x, y, keep=None):
+    """Product of two sparse polynomials.
+
+    With `keep`, a mapping from exponent tuples to bools, only the products
+    at exponents it maps to True are formed (a truncated ring drops the
+    monomials past its orders).
+    """
     out = {}
-    ys = y.items()
-    if order is not None:
-        by_degree = [(sum(e), e, c) for e, c in ys]
     for e1, c1 in x.items():
-        if order is not None:
-            room = order - sum(e1)
-            ys = [(e, c) for d, e, c in by_degree if d < room]
-        for e2, c2 in ys:
+        for e2, c2 in y.items():
             e = tuple(map(add, e1, e2))
-            c = c1 * c2
+            if keep is not None and not keep[e]:
+                continue
             c0 = out.get(e)
-            c = c if c0 is None else c0 + c
-            if c.is_zero:
-                out.pop(e, None)
-            else:
+            c = c1 * c2 if c0 is None else c0 + c1 * c2
+            if c:
                 out[e] = c
+            else:
+                out.pop(e, None)
     return out
 
 
@@ -307,12 +316,8 @@ class RingElem:
             return NotImplemented
         return self.val == other.val
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
-
     def __bool__(self):
-        return not self.is_zero
+        return not self.ring._vis_zero(self.val)
 
     @property
     def is_zero(self):
@@ -348,8 +353,8 @@ class Ring:
     """Common interface of all coefficient rings.
 
     Instances are immutable value objects: two rings compare equal iff they
-    were built from the same parameters, and elements of equal rings mix
-    freely.
+    were built from the same parameters, i.e. have the same descriptor, and
+    elements of equal rings mix freely.
     """
 
     is_field = False
@@ -380,11 +385,15 @@ class Ring:
             return self.parse_elem(x)
         raise TypeError(f"cannot coerce {x!r} into {self}")
 
+    def _vis_zero(self, val):
+        return not val  # every raw value is falsy exactly when it is zero
+
     def residue_ring(self):
         return self
 
     def residue(self, elem):
-        raise NotImplementedError
+        """Image in the residue field; the identity on fields."""
+        return elem
 
     def atoms(self):
         """Named generators usable in literals (eps, truncation variables)."""
@@ -405,10 +414,17 @@ class Ring:
     def format_elem(self, elem):
         return self.short(elem)
 
-    def __repr__(self):
+    @cached_property
+    def _key(self):
         return self.descriptor()
 
-    def __str__(self):
+    def __eq__(self, other):
+        return type(other) is type(self) and other._key == self._key
+
+    def __hash__(self):
+        return hash(self._key)
+
+    def __repr__(self):
         return self.descriptor()
 
 
@@ -432,16 +448,10 @@ class Rationals(Ring):
     def _vmul(self, a, b):
         return a * b
 
-    def _vis_zero(self, a):
-        return a == 0
-
     def _vinv(self, a):
         if a == 0:
             raise NotAUnitError("0 is not invertible")
         return 1 / a
-
-    def residue(self, elem):
-        return elem
 
     def random_element(self, rng):
         return RingElem(self, Fraction(rng.randint(-8, 8), rng.randint(1, 6)))
@@ -451,12 +461,6 @@ class Rationals(Ring):
 
     def short(self, elem):
         return str(elem.val)
-
-    def __eq__(self, other):
-        return isinstance(other, Rationals)
-
-    def __hash__(self):
-        return hash("q")
 
 
 class PrimeField(Ring):
@@ -492,16 +496,10 @@ class PrimeField(Ring):
     def _vmul(self, a, b):
         return (a * b) % self.p
 
-    def _vis_zero(self, a):
-        return a == 0
-
     def _vinv(self, a):
         if a == 0:
             raise NotAUnitError(f"0 is not invertible mod {self.p}")
         return pow(a, -1, self.p)
-
-    def residue(self, elem):
-        return elem
 
     def random_element(self, rng):
         return RingElem(self, rng.randrange(self.p))
@@ -515,78 +513,149 @@ class PrimeField(Ring):
     def format_elem(self, elem):
         return f"{elem.val} mod {self.p}"
 
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
 
-    def __hash__(self):
-        return hash(("fp", self.p))
+class _Truncation(dict):
+    """Exponent tuple -> whether its monomial survives, i.e. each group of
+    variables stays below its order; filled on demand."""
+
+    def __init__(self, groups):
+        self.groups = groups
+
+    def __missing__(self, e):
+        ok = self[e] = all(sum(e[a:b]) < order for a, b, order in self.groups)
+        return ok
 
 
-class DualNumbers(Ring):
-    """base[eps]/(eps^2); values are pairs (a, b) meaning a + b*eps."""
+class TruncatedRing(Ring):
+    """field[x1..xn] modulo the monomials past some group's order.
+
+    The composite rings are towers over a bottom field: each level adjoins a
+    group of variables, nilpotent of a given order (the dual numbers adjoin
+    the group (eps,) of order 2).  A value is a flat dict {exponent tuple over
+    every variable of the tower, base-level variables first: raw field value},
+    a ``Fraction`` over Q and an int in [0, p) over F_p, with zeros dropped so
+    equality is structural.  Subclasses add the per-kind interface: the
+    variable names, parsing atoms and printing.
+    """
+
+    def __init__(self, base, nvars, order):
+        if isinstance(base, TruncatedRing):
+            self.field, groups, start = base.field, base._groups, len(base._const_exp)
+        else:
+            self.field, groups, start = base, (), 0
+        self.base = base
+        self._groups = groups + ((start, start + nvars, order),)
+        self._nbase = start
+        self._own_zero = (0,) * nvars
+        self._const_exp = (0,) * (start + nvars)
+        self._fzero, self._fone = self.field.zero.val, self.field.one.val
+        self._p = self.field.p if isinstance(self.field, PrimeField) else None
+        # m^index = 0 for the maximal ideal m: a product of more factors puts
+        # some group past its order
+        self._index = 1 + sum(order - 1 for _, _, order in self._groups)
+        self._keep = _Truncation(self._groups)
+
+    # --- raw values --------------------------------------------------------
+
+    def _reduce(self, d):
+        p = self._p
+        return d if p is None else {e: r for e, c in d.items() if (r := c % p)}
+
+    def _const(self, raw):
+        return {self._const_exp: raw} if raw else {}
+
+    def from_int(self, n):
+        return RingElem(self, self._const(self.field.from_int(n).val))
+
+    def from_fraction(self, fr):
+        return RingElem(self, self._const(self.field.from_fraction(fr).val))
+
+    def _vadd(self, x, y):
+        return self._reduce(_sparse_add(x, y))
+
+    def _vneg(self, x):
+        return self._reduce({e: -c for e, c in x.items()})
+
+    def _vmul(self, x, y):
+        return self._reduce(_sparse_mul(x, y, self._keep))
+
+    def _vinv(self, x):
+        # x = (1 - n) / c with c the inverse of the residue and n nilpotent, so
+        # 1/x = c * (1 + n + ... + n^(index-1))
+        const = self._const_exp
+        c = RingElem(self.field, x.get(const, self._fzero)).inv().val  # NotAUnitError on a zero residue
+        n = self._vneg(self._scale({e: v for e, v in x.items() if e != const}, c))
+        out, pw = self._vadd({const: self._fone}, n), n
+        for _ in range(2, self._index):
+            pw = self._vmul(pw, n)
+            out = self._vadd(out, pw)
+        return self._scale(out, c)
+
+    def _scale(self, x, c):
+        """x times a raw field value."""
+        return self._reduce({e: v * c for e, v in x.items()})
+
+    def residue_ring(self):
+        return self.field
+
+    def residue(self, elem):
+        return RingElem(self.field, elem.val.get(self._const_exp, self._fzero))
+
+    # --- the base ring's view ----------------------------------------------
+
+    def _split(self, val):
+        """{exponents of this level's variables: base-ring coefficient} of a value."""
+        k, parts = self._nbase, {}
+        for e, c in val.items():
+            parts.setdefault(e[k:], {})[e[:k]] = c
+        flat = isinstance(self.base, TruncatedRing)
+        return {own: RingElem(self.base, d if flat else d[()]) for own, d in parts.items()}
+
+    def _join(self, parts):
+        """The value of a sum of base-ring coefficient * monomial of this level's
+        variables, given as {exponents: coefficient}."""
+        flat = isinstance(self.base, TruncatedRing)
+        return {e + own: c for own, a in parts.items() for e, c in (a.val if flat else {(): a.val}).items() if c}
+
+    def embed(self, a):
+        """A base-ring element (or anything the base ring coerces) as an element of this ring."""
+        return RingElem(self, self._join({self._own_zero: self.base(a)}))
+
+
+class DualNumbers(TruncatedRing):
+    """base[eps]/(eps^2), whose elements are a + b*eps with a, b in base."""
 
     def __init__(self, base):
         if not isinstance(base, Ring):
             raise RingConstructionError("dual-number base must be a ring")
-        self.base = base
+        super().__init__(base, 1, 2)
 
     @property
     def eps(self):
-        return RingElem(self, (self.base.zero, self.base.one))
-
-    def embed(self, a):
-        return RingElem(self, (self.base(a), self.base.zero))
+        return RingElem(self, self._join({(1,): self.base.one}))
 
     def parts(self, elem):
         """The (a, b) components of a + b*eps as base-ring elements."""
-        return elem.val
-
-    def from_int(self, n):
-        return RingElem(self, (self.base.from_int(n), self.base.zero))
-
-    def from_fraction(self, fr):
-        return RingElem(self, (self.base.from_fraction(fr), self.base.zero))
-
-    def _vadd(self, x, y):
-        return (x[0] + y[0], x[1] + y[1])
-
-    def _vneg(self, x):
-        return (-x[0], -x[1])
-
-    def _vmul(self, x, y):
-        # (a + b e)(c + d e) = ac + (ad + bc) e, e^2 = 0
-        return (x[0] * y[0], x[0] * y[1] + x[1] * y[0])
-
-    def _vis_zero(self, x):
-        return x[0].is_zero and x[1].is_zero
-
-    def _vinv(self, x):
-        a, b = x
-        ai = a.inv()
-        return (ai, -(ai * b * ai))
-
-    def residue_ring(self):
-        return self.base.residue_ring()
-
-    def residue(self, elem):
-        return self.base.residue(elem.val[0])
+        parts = self._split(elem.val)
+        return parts.get((0,), self.base.zero), parts.get((1,), self.base.zero)
 
     def atoms(self):
         out = {"e": self.eps, "eps": self.eps}
         for name, g in self.base.atoms().items():
             if name in out:
                 raise RingConstructionError(f"atom name {name!r} collides with eps")
-            out[name] = RingElem(self, (g, self.base.zero))
+            out[name] = self.embed(g)
         return out
 
     def random_element(self, rng):
-        return RingElem(self, (self.base.random_element(rng), self.base.random_element(rng)))
+        a = self.base.random_element(rng)
+        return RingElem(self, self._join({(0,): a, (1,): self.base.random_element(rng)}))
 
     def descriptor(self):
         return f"dual:{self.base.descriptor()}"
 
     def short(self, elem):
-        a, b = elem.val
+        a, b = self.parts(elem)
         if b.is_zero:
             return self.base.short(a)
         bs = self.base.short(b)
@@ -604,28 +673,18 @@ class DualNumbers(Ring):
         return head + eps_term if eps_term.startswith("-") else f"{head}+{eps_term}"
 
     def format_elem(self, elem):
-        a, b = elem.val
+        a, b = self.parts(elem)
         bs = self.base.short(b)
         if not re.fullmatch(r"\d+(/\d+)?", bs):
             bs = f"({bs})"
         return f"{self.base.short(a)}+{bs}*eps"
 
-    def __eq__(self, other):
-        return isinstance(other, DualNumbers) and other.base == self.base
-
-    def __hash__(self):
-        return hash(("dual", self.base))
-
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 
 
-class LocalTruncation(Ring):
-    """base[v1..vk] truncated at m^N = 0, m = (v1..vk).
-
-    Values are dicts mapping exponent tuples (total degree < N) to nonzero
-    base elements; reduction happens eagerly so equality is structural.
-    """
+class LocalTruncation(TruncatedRing):
+    """base[v1..vk] truncated at m^N = 0, m = (v1..vk)."""
 
     def __init__(self, base, var_names, order):
         if not isinstance(base, Ring):
@@ -640,24 +699,14 @@ class LocalTruncation(Ring):
                 raise RingConstructionError(f"variable {nm!r} collides with a base atom")
         if not isinstance(order, int) or order < 1:
             raise RingConstructionError(f"truncation order must be >= 1, got {order!r}")
-        self.base = base
         self.var_names = var_names
         self.order = order
-        self._zero_exp = (0,) * len(var_names)
-
-    def _make(self, d):
-        return {e: c for e, c in d.items() if not c.is_zero}
-
-    def embed(self, a):
-        a = self.base(a)
-        return RingElem(self, self._make({self._zero_exp: a}))
+        super().__init__(base, len(var_names), order)
 
     def gen(self, name):
         i = self.var_names.index(name)
         e = tuple(1 if j == i else 0 for j in range(len(self.var_names)))
-        if self.order < 2:
-            return RingElem(self, {})
-        return RingElem(self, {e: self.base.one})
+        return RingElem(self, self._join({e: self.base.one}) if self.order > 1 else {})
 
     @property
     def gens(self):
@@ -665,44 +714,7 @@ class LocalTruncation(Ring):
 
     def terms(self, elem):
         """Sorted (exponents, base coefficient) pairs of an element."""
-        return sorted(elem.val.items(), key=lambda kv: (sum(kv[0]), kv[0]))
-
-    def from_int(self, n):
-        return self.embed(self.base.from_int(n))
-
-    def from_fraction(self, fr):
-        return self.embed(self.base.from_fraction(fr))
-
-    def _vadd(self, x, y):
-        return _sparse_add(x, y)
-
-    def _vneg(self, x):
-        return {e: -c for e, c in x.items()}
-
-    def _vmul(self, x, y):
-        return _sparse_mul(x, y, self.order)
-
-    def _vis_zero(self, x):
-        return not x
-
-    def _vinv(self, x):
-        c = x.get(self._zero_exp, self.base.zero)
-        ci = c.inv()  # raises NotAUnitError when the residue vanishes
-        ci_full = self.embed(ci)
-        y = RingElem(self, x) * ci_full
-        n = self.one - y  # nilpotent: every term has positive degree
-        out = self.one
-        pw = n
-        for _ in range(1, self.order):
-            out = out + pw
-            pw = pw * n
-        return (out * ci_full).val
-
-    def residue_ring(self):
-        return self.base.residue_ring()
-
-    def residue(self, elem):
-        return self.base.residue(elem.val.get(self._zero_exp, self.base.zero))
+        return sorted(self._split(elem.val).items(), key=lambda kv: (sum(kv[0]), kv[0]))
 
     def atoms(self):
         out = {nm: self.gen(nm) for nm in self.var_names}
@@ -717,19 +729,12 @@ class LocalTruncation(Ring):
                 c = self.base.random_element(rng)
                 if not c.is_zero:
                     out[e] = c
-        return RingElem(self, out)
+        return RingElem(self, self._join(out))
 
     def _small_exponents(self, cap=2):
-        todo = [self._zero_exp]
-        seen = {self._zero_exp}
-        while todo:
-            e = todo.pop()
-            for i in range(len(e)):
-                e2 = tuple(a + (1 if j == i else 0) for j, a in enumerate(e))
-                if sum(e2) < min(self.order, cap + 1) and e2 not in seen:
-                    seen.add(e2)
-                    todo.append(e2)
-        return sorted(seen)
+        k = len(self.var_names)
+        picks = (c for d in range(min(self.order, cap + 1)) for c in combinations_with_replacement(range(k), d))
+        return sorted(tuple(c.count(i) for i in range(k)) for c in picks)
 
     def descriptor(self):
         return f"loc:{self.base.descriptor()}:{','.join(self.var_names)}:{self.order}"
@@ -738,17 +743,6 @@ class LocalTruncation(Ring):
         return format_terms(
             [(e, self.base.short(c)) for e, c in self.terms(elem)], self.var_names
         )
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, LocalTruncation)
-            and other.base == self.base
-            and other.var_names == self.var_names
-            and other.order == self.order
-        )
-
-    def __hash__(self):
-        return hash(("loc", self.base, self.var_names, self.order))
 
 
 # --- literal parsing -------------------------------------------------------
@@ -779,9 +773,8 @@ _LITERAL_BITS = 4096
 
 def _bits(val):
     """Bit length of the largest numerator or denominator in a raw value."""
-    if isinstance(val, (int, Fraction)):
-        return max(abs(val.numerator), val.denominator).bit_length()
-    return max((_bits(c.val) for c in (val.values() if isinstance(val, dict) else val)), default=0)
+    vals = val.values() if isinstance(val, dict) else (val,)
+    return max((max(abs(v.numerator), v.denominator).bit_length() for v in vals), default=0)
 
 
 def _check_number(tok, source, what="a number"):

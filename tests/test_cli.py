@@ -146,6 +146,26 @@ class TestExitCodes:
         assert code == 2
         assert "precision" in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("normal-form", "--precision", "100000000"), "precision must be <= 64"),
+            (("exactness", "--ring", "fp:7", "--cushion", "1000000"), "cushion must be <= 16"),
+            (("exactness", "--ring", "fp:7", "--degree-bound", "97"), "degree bound must be <= 96"),
+        ],
+        ids=["precision", "cushion", "degree-bound"],
+    )
+    def test_sizes_past_their_bounds_exit_2_at_once(self, capsys, argv, message):
+        t0 = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - t0 < 1
+        assert (code, out) == (2, "")
+        assert message in err
+
+    def test_sizes_at_their_bounds_are_accepted(self):
+        cfg = cli.RunConfig("exactness", ring="fp:7", precision=64, degree_bound=96, cushion=16)
+        assert cli.Resolved(cfg).cfg is cfg
+
     def test_failing_check_maps_to_exit_1(self, capsys, monkeypatch):
         failing = Report(
             subcommand="factorize",

@@ -10,13 +10,11 @@ from nodal_kit.dp_ring import (
     DegreeOverflowError,
     DPRing,
     mul_columns,
-    unvectorize,
     v_shift_nonzerodivisor,
     vectorize,
 )
 from nodal_kit.linalg import consistent_many, kernel_basis, rank
 from nodal_kit.mf import (
-    EPair,
     build_factorization,
     dual_action,
     dual_generator_images,
@@ -236,11 +234,10 @@ class TestExactness:
 def test_epair_arithmetic_through_matrices():
     dp = dp_ring(F5, 1, 0, 0, 0)
     m = build_factorization(dp)
-    pair = EPair(dp.one, dp.u)
-    image = _apply_mat(m.alpha, pair)
+    image = _apply_mat(m.alpha, (dp.one, dp.u))
     back = _apply_mat(m.beta, image)
     # beta(alpha(e)) = x * e = 0 in the quotient
-    assert back.first.is_zero and back.second.is_zero
+    assert back[0].is_zero and back[1].is_zero
 
 
 def _uncovered_once(monkeypatch):
@@ -319,25 +316,31 @@ def test_alpha_and_beta_are_reduced_once_per_factorization(monkeypatch):
 
 # --- the DPElem route the certificate matrices were built by before they were
 # written in closed form, kept as a differential reference --------------------
+#
+# An element of E = R (+) R is a pair (first, second) of DPElem.
 
 
 def _pair_vec(pair, bound):
     return vectorize(pair[0], bound) + vectorize(pair[1], bound)
 
 
+def _unvec(dp, vec, bound):
+    return dp.element(vec[: bound + 1], vec[bound + 1 :])
+
+
 def _pair_unvec(dp, vec, bound):
     half = len(vec) // 2
-    return EPair(unvectorize(dp, vec[:half], bound), unvectorize(dp, vec[half:], bound))
+    return (_unvec(dp, vec[:half], bound), _unvec(dp, vec[half:], bound))
 
 
 def _pair_basis(dp, bound):
-    return [EPair(b, dp.zero) for b in dp.basis(bound)] + [EPair(dp.zero, b) for b in dp.basis(bound)]
+    return [(b, dp.zero) for b in dp.basis(bound)] + [(dp.zero, b) for b in dp.basis(bound)]
 
 
 def _apply_mat(mat, pair):
-    return EPair(
-        mat[0][0] * pair.first + mat[0][1] * pair.second,
-        mat[1][0] * pair.first + mat[1][1] * pair.second,
+    return (
+        mat[0][0] * pair[0] + mat[0][1] * pair[1],
+        mat[1][0] * pair[0] + mat[1][1] * pair[1],
     )
 
 
@@ -367,8 +370,8 @@ def _ref_dual_span_map(dp, rho_bound):
     j1, j2 = ideal_j_generators(dp)
     e1, e2 = dual_generator_images(dp)
     big = rho_bound + 2
-    cols = [_pair_vec(EPair(m * j1, m * j2), big) for m in dp.basis(rho_bound)]
-    cols.append(_pair_vec(EPair(e1, e2), big))
+    cols = [_pair_vec((m * j1, m * j2), big) for m in dp.basis(rho_bound)]
+    cols.append(_pair_vec((e1, e2), big))
     return cols, big
 
 
@@ -377,7 +380,7 @@ def _ref_hom_calls(dp, bound):
     ring = dp.ring
     us, vt = ideal_j_generators(dp)
     big = bound + 2
-    cols = [vectorize(vt * b.first - us * b.second, big + 1) for b in _pair_basis(dp, bound)]
+    cols = [vectorize(vt * b[0] - us * b[1], big + 1) for b in _pair_basis(dp, bound)]
     calls = [("kernel_basis", _columns_to_rows(cols), len(cols))]
     hom_kernel = kernel_basis(ring, calls[0][1], len(cols))
     span_cols, span_big = _ref_dual_span_map(dp, bound)
@@ -396,7 +399,7 @@ def _ref_hom_calls(dp, bound):
             [x for part in range(4) for x in vec[part * (span_big + 1) : part * (span_big + 1) + bound + 1]]
         )
     contained = all(
-        (vt * p.first - us * p.second).is_zero for p in (_pair_unvec(dp, v, bound) for v in span_vecs)
+        (vt * p[0] - us * p[1]).is_zero for p in (_pair_unvec(dp, v, bound) for v in span_vecs)
     )
     calls.append(("rank", span_vecs, 4 * (bound + 1)))
     return calls, hom_kernel, contained

@@ -139,3 +139,16 @@ def test_divide_refuses_a_lead_that_is_not_lex_leading():
     x, y = MPoly.var(ring, 2, 0), MPoly.var(ring, 2, 1)
     with pytest.raises(ValueError, match="lex-leading term"):
         (x * y).divide(x + x * x, (1, 0))
+
+
+def test_the_public_constructor_checks_terms_and_arithmetic_keeps_them_clean():
+    ring = DIFF_RINGS["dual:q"]
+    for bad in ((1,), (1, 0, 0), (-1, 2)):
+        with pytest.raises(ValueError, match="bad exponent tuple"):
+            MPoly(ring, 2, {bad: ring.one})
+    assert MPoly(ring, 2, {(1, 0): ring.zero}).terms == {}
+    x = MPoly.var(ring, 2, 0)
+    # sums, products and scalar products drop the coefficients that vanish
+    assert ((x * ring.eps) * ring.eps).terms == {}
+    assert (x * ring.eps * x - x * x * ring.eps).terms == {}
+    assert (x + 1 - x).terms == {(0, 0): ring.one}
