@@ -314,11 +314,11 @@ def x_power_decompositions(dp, n_max):
 
 def _times_x(poly):
     """X * poly for a polynomial in X, Y: a shift of the exponents."""
-    return MPoly(poly.ring, 2, {(i + 1, j): c for (i, j), c in poly.terms.items()})
+    return MPoly._of(poly.ring, 2, {(i + 1, j): c for (i, j), c in poly.terms.items()})
 
 
 def _y_poly_to_mpoly(ring, coeffs):
-    return MPoly(ring, 2, {(0, j): c for j, c in enumerate(coeffs) if not c.is_zero})
+    return MPoly._of(ring, 2, {(0, j): c for j, c in enumerate(coeffs) if not c.is_zero})
 
 
 def v_shift_nonzerodivisor(dp, bound):

@@ -128,19 +128,30 @@ class MPoly:
         relation = self._coerce(relation)
         if max(relation.terms, default=None) != lead or relation.terms[lead] != self.ring.one:
             raise ValueError(f"the relation's lex-leading term is not 1 * x^{lead}")
-        tail = [(e, c) for e, c in relation.terms.items() if e != lead]
-        rem, quot = dict(self.terms), {}
+        # the loop runs on raw values: rem gains c * (-c2) for each tail term c2
+        ring = self.ring
+        vadd, vmul = ring._vadd, ring._vmul
+        tail = [(e, ring._vneg(c.val)) for e, c in relation.terms.items() if e != lead]
+        rem, quot = {e: c.val for e, c in self.terms.items()}, {}
         while divisible := [e for e in rem if all(map(ge, e, lead))]:
             e = max(divisible) if rng is None else sorted(divisible)[rng.randrange(len(divisible))]
             c = rem.pop(e)
             shift = tuple(map(sub, e, lead))
-            quot[shift] = quot[shift] + c if shift in quot else c
+            quot[shift] = vadd(quot[shift], c) if shift in quot else c
             for e2, c2 in tail:
                 m = tuple(map(add, shift, e2))
-                rem[m] = rem[m] - c * c2 if m in rem else -(c * c2)
-                if rem[m].is_zero:
-                    del rem[m]
-        return MPoly(self.ring, self.nvars, rem), MPoly(self.ring, self.nvars, quot)
+                v = vmul(c, c2)
+                if m in rem:
+                    v = vadd(rem[m], v)
+                if v:
+                    rem[m] = v
+                else:
+                    rem.pop(m, None)
+        n = self.nvars
+        return (
+            MPoly._of(ring, n, {e: RingElem(ring, v) for e, v in rem.items()}),
+            MPoly._of(ring, n, {e: RingElem(ring, v) for e, v in quot.items() if v}),
+        )
 
     def eval_var(self, i, value):
         """Specialize variable i to a ring element (exponent stays, set to 0)."""

@@ -7,19 +7,20 @@ All of them are local with a field at the bottom, so "unit" uniformly means
 exactly or raises `NotAUnitError`.
 
 The two composite kinds, nested in any order, share one arithmetic
-(`TruncatedRing`): an element's value is a flat dict from monomials in every
-variable of the tower to raw values of the bottom field, so no element holds
-the elements of another ring.
+(`TruncatedRing`): an element's value is a dense tuple of integers over the
+standard monomials of the whole tower, so no element holds the elements of
+another ring.
 """
 
 from __future__ import annotations
 
 import re
 import sys
+from bisect import bisect_left
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations_with_replacement
-from math import lcm
+from math import gcd, lcm
 from operator import add, mul
 
 
@@ -94,11 +95,10 @@ def format_terms(terms, names):
 
 # --- coefficient kernels -----------------------------------------------------
 #
-# Sparse polynomials are dicts {exponent tuple: nonzero coefficient}; dense
-# ones are sequences indexed by exponent.  Every element type builds its
-# arithmetic on these, so each coefficient loop is written once.  The sparse
-# loops test coefficients by truth value, so they run on ring elements and on
-# raw values alike; over F_p, raw sums and products come out unreduced.
+# Sparse polynomials (`MPoly` terms) are dicts {exponent tuple: nonzero
+# coefficient}; dense ones (`Series2` parts, `DPElem` components) are
+# sequences indexed by exponent.  Each coefficient loop is written once here;
+# the sparse loops test coefficients by truth value.
 
 
 def _sparse_add(x, y):
@@ -114,19 +114,12 @@ def _sparse_add(x, y):
     return out
 
 
-def _sparse_mul(x, y, keep=None):
-    """Product of two sparse polynomials.
-
-    With `keep`, a mapping from exponent tuples to bools, only the products
-    at exponents it maps to True are formed (a truncated ring drops the
-    monomials past its orders).
-    """
+def _sparse_mul(x, y):
+    """Product of two sparse polynomials."""
     out = {}
     for e1, c1 in x.items():
         for e2, c2 in y.items():
             e = tuple(map(add, e1, e2))
-            if keep is not None and not keep[e]:
-                continue
             c0 = out.get(e)
             c = c1 * c2 if c0 is None else c0 + c1 * c2
             if c:
@@ -178,21 +171,23 @@ def _product_sums(ring, left, right, outputs):
     of left[i] * right[j] over (i, j) in pairs, as a tuple of RingElem;
     `length` must cover every product in the sum.  Over Q and F_p each vector
     is packed once into an integer (see above) and all sums are unpacked
-    together; over composite rings the coefficients are multiplied pair by
-    pair.
+    together; over composite rings the raw values are multiplied pair by pair
+    and each output coefficient is wrapped once.
     """
-    if not isinstance(ring, (Rationals, PrimeField)):
+    if isinstance(ring, TruncatedRing):
+        vadd, vmul, zero = ring._vadd, ring._vmul, ring.zero
+        lraw = [[c.val for c in v] for v in left]
+        rraw = [[(k, c.val) for k, c in enumerate(v) if c.val] for v in right]
         sums = []
         for length, pairs in outputs:
-            out = [ring.zero] * length
+            out = [()] * length
             for i, j in pairs:
-                nb = [(k, y) for k, y in enumerate(right[j]) if not y.is_zero]
-                for k1, x in enumerate(left[i]):
-                    if x.is_zero:
-                        continue
-                    for k2, y in nb:
-                        out[k1 + k2] = out[k1 + k2] + x * y
-            sums.append(tuple(out))
+                nb = rraw[j]
+                for k1, x in enumerate(lraw[i]):
+                    if x:
+                        for k2, y in nb:
+                            out[k1 + k2] = vadd(out[k1 + k2], vmul(x, y))
+            sums.append(tuple([RingElem(ring, v) if v else zero for v in out]))
         return sums
     lints, lden, lbits = _integer_images(ring, left)
     rints, rden, rbits = _integer_images(ring, right)
@@ -514,55 +509,89 @@ class PrimeField(Ring):
         return f"{elem.val} mod {self.p}"
 
 
-class _Truncation(dict):
-    """Exponent tuple -> whether its monomial survives, i.e. each group of
-    variables stays below its order; filled on demand."""
-
-    def __init__(self, groups):
-        self.groups = groups
-
-    def __missing__(self, e):
-        ok = self[e] = all(sum(e[a:b]) < order for a, b, order in self.groups)
-        return ok
-
-
 class TruncatedRing(Ring):
     """field[x1..xn] modulo the monomials past some group's order.
 
     The composite rings are towers over a bottom field: each level adjoins a
     group of variables, nilpotent of a given order (the dual numbers adjoin
-    the group (eps,) of order 2).  A value is a flat dict {exponent tuple over
-    every variable of the tower, base-level variables first: raw field value},
-    a ``Fraction`` over Q and an int in [0, p) over F_p, with zeros dropped so
-    equality is structural.  Subclasses add the per-kind interface: the
+    the group (eps,) of order 2).  A value is a dense tuple over the tower's
+    standard monomials, in one order fixed at construction: the base ring's
+    monomials times this level's first monomial (1), then times its second,
+    and so on, so monomial 0 is the constant and a value is a run of base-ring
+    values.  Over F_p the entries are residues in [0, p); over Q they are
+    integer numerators followed by one positive denominator, coprime to them
+    all.  Zero is the empty tuple, so equality is structural and only zero is
+    falsy.  A product walks a fixed index map: for each monomial i, the pairs
+    (j, k) with m_i * m_j = m_k.  Subclasses add the per-kind interface: the
     variable names, parsing atoms and printing.
     """
 
     def __init__(self, base, nvars, order):
         if isinstance(base, TruncatedRing):
-            self.field, groups, start = base.field, base._groups, len(base._const_exp)
+            self.field, base_monos, base_rows, base_index = base.field, base._monos, base._rows, base._index
         else:
-            self.field, groups, start = base, (), 0
+            self.field, base_monos, base_rows, base_index = base, [()], [[(0, 0)]], 1
         self.base = base
-        self._groups = groups + ((start, start + nvars, order),)
-        self._nbase = start
-        self._own_zero = (0,) * nvars
-        self._const_exp = (0,) * (start + nvars)
-        self._fzero, self._fone = self.field.zero.val, self.field.one.val
         self._p = self.field.p if isinstance(self.field, PrimeField) else None
+        # this level's monomials by degree, so those of degree below d are a prefix
+        own = [
+            tuple(c.count(i) for i in range(nvars))
+            for d in range(order)
+            for c in combinations_with_replacement(range(nvars), d)
+        ]
+        degrees = [sum(e) for e in own]
+        self._own_pos = pos = {e: k for k, e in enumerate(own)}
+        own_rows = [
+            [(j, pos[tuple(map(add, e1, e2))]) for j, e2 in enumerate(own[: bisect_left(degrees, order - d)])]
+            for e1, d in zip(own, degrees)
+        ]
+        self._own_zero = own[0]
+        self._nb = nb = len(base_monos)
+        self._monos = [e + o for o in own for e in base_monos]
+        # monomial o*nb + b is own[o] times the base's monomial b, so a product
+        # pairs the entries of this level's table with those of the base's
+        self._rows = [
+            [(j2 * nb + j1, k2 * nb + k1) for j2, k2 in own_rows[o] for j1, k1 in base_rows[b]]
+            for o in range(len(own))
+            for b in range(nb)
+        ]
         # m^index = 0 for the maximal ideal m: a product of more factors puts
         # some group past its order
-        self._index = 1 + sum(order - 1 for _, _, order in self._groups)
-        self._keep = _Truncation(self._groups)
+        self._index = base_index + order - 1
+        self._one = self._const(self.field.one.val)
 
     # --- raw values --------------------------------------------------------
 
-    def _reduce(self, d):
+    def _norm(self, nums, den):
+        """The value of a list of integer coefficients over a positive
+        denominator (1 over F_p, where the coefficients are reduced here)."""
         p = self._p
-        return d if p is None else {e: r for e, c in d.items() if (r := c % p)}
+        if p is not None:
+            nums = [v % p for v in nums]
+            return tuple(nums) if any(nums) else ()
+        if not any(nums):
+            return ()
+        if den != 1:
+            g = gcd(den, *nums)
+            if g != 1:
+                nums = [v // g for v in nums]
+                den //= g
+        nums.append(den)
+        return tuple(nums)
 
     def _const(self, raw):
-        return {self._const_exp: raw} if raw else {}
+        if not raw:
+            return ()
+        zeros = (0,) * (len(self._monos) - 1)
+        return (raw, *zeros) if self._p is not None else (raw.numerator, *zeros, raw.denominator)
+
+    @property
+    def zero(self):
+        return RingElem(self, ())
+
+    @property
+    def one(self):
+        return RingElem(self, self._one)
 
     def from_int(self, n):
         return RingElem(self, self._const(self.field.from_int(n).val))
@@ -571,51 +600,114 @@ class TruncatedRing(Ring):
         return RingElem(self, self._const(self.field.from_fraction(fr).val))
 
     def _vadd(self, x, y):
-        return self._reduce(_sparse_add(x, y))
+        if not x:
+            return y
+        if not y:
+            return x
+        p = self._p
+        if p is not None:
+            out = [(a + b) % p for a, b in zip(x, y)]
+            return tuple(out) if any(out) else ()
+        dx, dy = x[-1], y[-1]
+        if dx == dy:
+            return self._norm([a + b for a, b in zip(x[:-1], y)], dx)
+        return self._norm([a * dy + b * dx for a, b in zip(x[:-1], y)], dx * dy)
 
     def _vneg(self, x):
-        return self._reduce({e: -c for e, c in x.items()})
+        if not x:
+            return x
+        p = self._p
+        if p is not None:
+            return tuple([p - a if a else 0 for a in x])
+        return (*[-a for a in x[:-1]], x[-1])
 
     def _vmul(self, x, y):
-        return self._reduce(_sparse_mul(x, y, self._keep))
+        if not x or not y:
+            return ()
+        out = [0] * len(self._monos)
+        for a, row in zip(x, self._rows):
+            if a:
+                for j, k in row:
+                    b = y[j]
+                    if b:
+                        out[k] += a * b
+        return self._norm(out, 1 if self._p is not None else x[-1] * y[-1])
+
+    def _scale(self, x, c):
+        """x times a raw field value."""
+        if self._p is not None or not x:
+            return self._norm([a * c for a in x], 1)
+        return self._norm([a * c.numerator for a in x[:-1]], x[-1] * c.denominator)
 
     def _vinv(self, x):
         # x = (1 - n) / c with c the inverse of the residue and n nilpotent, so
         # 1/x = c * (1 + n + ... + n^(index-1))
-        const = self._const_exp
-        c = RingElem(self.field, x.get(const, self._fzero)).inv().val  # NotAUnitError on a zero residue
-        n = self._vneg(self._scale({e: v for e, v in x.items() if e != const}, c))
-        out, pw = self._vadd({const: self._fone}, n), n
+        c = RingElem(self.field, self._residue_raw(x)).inv().val  # NotAUnitError on a zero residue
+        rest = list(x[: len(self._monos)])
+        rest[0] = 0
+        n = self._scale(self._norm(rest, 1 if self._p is not None else x[-1]), -c)
+        out, pw = self._vadd(self._one, n), n
         for _ in range(2, self._index):
             pw = self._vmul(pw, n)
+            if not pw:
+                break
             out = self._vadd(out, pw)
         return self._scale(out, c)
 
-    def _scale(self, x, c):
-        """x times a raw field value."""
-        return self._reduce({e: v * c for e, v in x.items()})
+    def _residue_raw(self, x):
+        if self._p is not None:
+            return x[0] if x else 0
+        return Fraction(x[0], x[-1]) if x else Fraction(0)
 
     def residue_ring(self):
         return self.field
 
     def residue(self, elem):
-        return RingElem(self.field, elem.val.get(self._const_exp, self._fzero))
+        return RingElem(self.field, self._residue_raw(elem.val))
+
+    def flat_terms(self, elem):
+        """{exponents over every variable of the tower, base variables first: raw
+        field value} of an element's nonzero coefficients."""
+        x = elem.val
+        if self._p is not None or not x:
+            return {e: v for e, v in zip(self._monos, x) if v}
+        den = x[-1]
+        return {e: Fraction(v, den) for e, v in zip(self._monos, x) if v}
 
     # --- the base ring's view ----------------------------------------------
 
     def _split(self, val):
         """{exponents of this level's variables: base-ring coefficient} of a value."""
-        k, parts = self._nbase, {}
-        for e, c in val.items():
-            parts.setdefault(e[k:], {})[e[:k]] = c
-        flat = isinstance(self.base, TruncatedRing)
-        return {own: RingElem(self.base, d if flat else d[()]) for own, d in parts.items()}
+        nb, base, p, out = self._nb, self.base, self._p, {}
+        den = val[-1] if val and p is None else 1
+        for own, k in self._own_pos.items():
+            block = list(val[k * nb : (k + 1) * nb])
+            if any(block):
+                if isinstance(base, TruncatedRing):
+                    raw = base._norm(block, den)
+                else:
+                    raw = block[0] if p is not None else Fraction(block[0], den)
+                out[own] = RingElem(base, raw)
+        return out
 
     def _join(self, parts):
         """The value of a sum of base-ring coefficient * monomial of this level's
         variables, given as {exponents: coefficient}."""
-        flat = isinstance(self.base, TruncatedRing)
-        return {e + own: c for own, a in parts.items() for e, c in (a.val if flat else {(): a.val}).items() if c}
+        nb, p, blocks = self._nb, self._p, []
+        for own, a in parts.items():
+            v = a.val
+            if not v:
+                continue
+            if isinstance(self.base, TruncatedRing):
+                nums, den = (v, 1) if p is not None else (v[:-1], v[-1])
+            else:
+                nums, den = ((v,), 1) if p is not None else ((v.numerator,), v.denominator)
+            blocks.append((self._own_pos[own] * nb, nums, den))
+        den = lcm(*[d for _, _, d in blocks])
+        out = [0] * len(self._monos)
+        for start, nums, d in blocks:
+            out[start : start + nb] = [v * (den // d) for v in nums]
+        return self._norm(out, den)
 
     def embed(self, a):
         """A base-ring element (or anything the base ring coerces) as an element of this ring."""
@@ -706,7 +798,7 @@ class LocalTruncation(TruncatedRing):
     def gen(self, name):
         i = self.var_names.index(name)
         e = tuple(1 if j == i else 0 for j in range(len(self.var_names)))
-        return RingElem(self, self._join({e: self.base.one}) if self.order > 1 else {})
+        return RingElem(self, self._join({e: self.base.one}) if self.order > 1 else ())
 
     @property
     def gens(self):
@@ -732,9 +824,7 @@ class LocalTruncation(TruncatedRing):
         return RingElem(self, self._join(out))
 
     def _small_exponents(self, cap=2):
-        k = len(self.var_names)
-        picks = (c for d in range(min(self.order, cap + 1)) for c in combinations_with_replacement(range(k), d))
-        return sorted(tuple(c.count(i) for i in range(k)) for c in picks)
+        return sorted(e for e in self._own_pos if sum(e) <= cap)
 
     def descriptor(self):
         return f"loc:{self.base.descriptor()}:{','.join(self.var_names)}:{self.order}"
@@ -771,9 +861,11 @@ def _tokenize(s):
 _LITERAL_BITS = 4096
 
 
-def _bits(val):
-    """Bit length of the largest numerator or denominator in a raw value."""
-    vals = val.values() if isinstance(val, dict) else (val,)
+def _bits(elem):
+    """Bit length of the largest numerator or denominator among an element's
+    coefficients, each read as a reduced fraction."""
+    ring = elem.ring
+    vals = ring.flat_terms(elem).values() if isinstance(ring, TruncatedRing) else (elem.val,)
     return max((max(abs(v.numerator), v.denominator).bit_length() for v in vals), default=0)
 
 
@@ -848,7 +940,7 @@ class _LiteralParser:
         return base
 
     def bounded(self, x):
-        if _bits(x.val) > _LITERAL_BITS:
+        if _bits(x) > _LITERAL_BITS:
             self.fail(f"a numerator or denominator passes the bound of {_LITERAL_BITS} bits")
         return x
 

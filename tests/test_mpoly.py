@@ -59,7 +59,9 @@ def _ref_reduce_chart0(chart, poly, rng=None):
         out = out - factor * rel
 
 
-DIFF_RINGS = {name: make_ring(name) for name in ("q", "fp:7", "loc:q:s,t:3", "dual:q")}
+DIFF_RINGS = {
+    name: make_ring(name) for name in ("q", "fp:7", "loc:q:s,t:3", "dual:q", "loc:fp:7:s,t:3", "dual:loc:q:s,t:2")
+}
 
 
 def coeffs(ring):
@@ -124,6 +126,26 @@ def test_divide_returns_the_division_identity():
     rem, quot = poly.divide(relation, (2, 0))
     assert poly == rem + quot * relation
     assert all(e[0] < 2 for e in rem.terms)
+
+
+class _FirstDraw:
+    """An rng whose every draw picks the first divisible monomial."""
+
+    def randrange(self, n):
+        return 0
+
+
+@pytest.mark.parametrize("name", ["q", "loc:fp:7:s,t:3"])
+def test_a_seeded_division_drops_quotient_terms_that_cancel(name):
+    # x*y - x^2 = -x * (x - y): cancelling x*y first, then x^2, brings x*y
+    # back with the opposite sign, so the quotient's y term sums to zero
+    ring = DIFF_RINGS[name]
+    x, y = MPoly.var(ring, 2, 0), MPoly.var(ring, 2, 1)
+    poly, relation = x * y - x * x, x - y
+    rem, quot = poly.divide(relation, (1, 0), _FirstDraw())
+    assert rem.terms == {}
+    assert quot.terms == {(1, 0): -ring.one}
+    assert poly == rem + quot * relation
 
 
 def test_divide_refuses_a_relation_whose_lead_coefficient_is_not_one():

@@ -1,19 +1,25 @@
-"""Differential tests of the flat truncated-ring arithmetic.
+"""Differential tests of the truncated-ring arithmetic, and of its value layout.
 
-The reference below is the nested implementation the flat one replaced: a
-dual number is a pair of base-ring elements and a truncated local ring
-element a dict of them, so every operation recurses through the tower.  On
-the same seeded draws both must consume the rng alike and agree on every
-operation, on the printed forms and on the values themselves.
+The reference below is the nested implementation that one shared arithmetic
+over the bottom field replaced: a dual number is a pair of base-ring elements
+and a truncated local ring element a dict of them, so every operation
+recurses through the tower.  On the same seeded draws both must consume the
+rng alike and agree on every operation, on the printed forms and on the
+values themselves, read through `flat_terms` as {exponents over the tower:
+raw field value}.
 """
 
+import math
 import random
 import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nodal_kit import cli
 from nodal_kit.rings import (
+    CoeffParseError,
     DualNumbers,
     NotAUnitError,
     PrimeField,
@@ -261,7 +267,7 @@ def _draw(ring, ref, seed, count):
 
 
 def _agree(x, r):
-    assert x.val == _flatten(r)
+    assert x.ring.flat_terms(x) == _flatten(r)
     assert x.ring.short(x) == r.ring.short(r)
     assert x.ring.format_elem(x) == r.ring.format_elem(r)
     assert x.residue() == r.residue()
@@ -325,7 +331,7 @@ def test_short_form_parses_back(descriptor, seed):
 def test_values_are_flat(descriptor):
     ring = make_ring(descriptor)
     x = ring.random_element(random.Random(3))
-    for e, v in (x * x + x).val.items():
+    for e, v in ring.flat_terms(x * x + x).items():
         assert type(v) is type(ring.residue_ring().one.val)
         assert isinstance(e, tuple) and all(isinstance(k, int) for k in e)
 
@@ -338,3 +344,46 @@ def test_dual_numbers_over_dual_numbers_still_build():
     assert ((dd.one + inner + dd.eps) * (dd.one + inner + dd.eps).inv()) == dd.one
     with pytest.raises(RingConstructionError, match="collides with eps"):
         dd.atoms()
+
+
+Q_TOWERS = ["dual:q", "loc:q:s,t:3", "dual:loc:q:s,t:2", "loc:dual:q:s,t:3", "loc:loc:dual:q:s:2:t,u:3"]
+
+
+def _canonical(x):
+    """Integer numerators over one positive denominator, coprime to them all; zero is ()."""
+    v = x.val
+    assert type(v) is tuple and all(type(k) is int for k in v)
+    assert bool(x) is bool(v) is (not x.is_zero)
+    if v:
+        nums, den = v[:-1], v[-1]
+        assert len(v) == len(x.ring.one.val)
+        assert den > 0 and any(nums)
+        assert math.gcd(den, *nums) == 1
+    return v
+
+
+@pytest.mark.parametrize("descriptor", Q_TOWERS)
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_values_over_q_are_canonical(descriptor, seed):
+    ring = make_ring(descriptor)
+    rng = random.Random(seed)
+    x, y = ring.random_element(rng), ring.random_element(rng)
+    if not y.is_unit:
+        y = y + 1
+    assert _canonical((x * y) * y.inv()) == _canonical(x)
+    assert _canonical((x + y) - y) == _canonical(x)
+    assert _canonical(x - x) == () and not (x - x)
+    for z in (x * y, x + y, -x, y.inv(), ring.one, ring.zero):
+        _canonical(z)
+
+
+def test_the_literal_bound_reads_each_coefficient_not_the_shared_denominator(capsys):
+    ring = make_ring("loc:q:s,t:3")
+    x = ring.parse_elem("s*(1/2)^3000 + t*(1/3)^2000")
+    assert x.val[-1].bit_length() == 6170  # 2^3000 * 3^2000, shared by both coefficients
+    assert sorted(ring.flat_terms(x).values()) == [Fraction(1, 3**2000), Fraction(1, 2**3000)]
+    with pytest.raises(CoeffParseError, match="bound of 4096 bits"):
+        ring.parse_elem("s*(1/2)^4100")
+    assert cli.main(["factorize", "--ring", "loc:q:s,t:3", "--gamma", "s*(1/2)^4100"]) == 2
+    assert "bound of 4096 bits" in capsys.readouterr().err
