@@ -92,6 +92,12 @@ class Resolved:
         except RingConstructionError as e:
             raise ConfigError(f"ring descriptor: {e}") from None
         try:
+            self.dual = DualNumbers(self.ring)  # the square-zero and axiom checks run over it
+        except RingConstructionError as e:
+            raise ConfigError(
+                f"ring descriptor: dual:{self.ring.descriptor()}, which the checks build: {e}"
+            ) from None
+        try:
             self.gamma = self.ring.parse_elem(cfg.gamma)
             self.delta = self.ring.parse_elem(cfg.delta)
             self.s = self.ring.parse_elem(cfg.s)
@@ -329,7 +335,7 @@ def _normal_form(res, cfg, rng):
 
 
 def _square_zero(res, cfg, rng):
-    dring = DualNumbers(res.ring)
+    dring = res.dual
     qd = QuadForm(dring, dring.embed(res.gamma), dring.embed(res.delta))
     tau = dring.eps
 
@@ -476,7 +482,7 @@ def _fiber(res, cfg, rng):
 
 def _ring_axioms(res, cfg, rng):
     def axioms():
-        rings = [res.ring, DualNumbers(res.ring)]
+        rings = [res.ring, res.dual]
         for ring in rings:
             for k in range(25):
                 a = ring.random_element(rng)
@@ -494,7 +500,7 @@ def _ring_axioms(res, cfg, rng):
                         return {"ok": False, "counterexample": f"inversion in {ring}"}
                 elif inv is not None:
                     return {"ok": False, "counterexample": f"non-unit inverted in {ring}"}
-        eps = DualNumbers(res.ring).eps
+        eps = res.dual.eps
         if not (eps * eps).is_zero:
             return {"ok": False, "counterexample": "eps^2 != 0"}
         return {"ok": True, "rings": [r.descriptor() for r in rings]}

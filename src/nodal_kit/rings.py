@@ -509,6 +509,24 @@ class PrimeField(Ring):
         return f"{elem.val} mod {self.p}"
 
 
+# Size bound on a composite ring's product table, the pairs (j, k) over all
+# monomials i (one per pair of monomials whose product survives), checked
+# before the table is built: at it a ring takes about 0.13 s and 12 MB to
+# build (loc:q:s:446), and a 20-level dual: tower would need 3.5e9 pairs.
+_MAX_PAIRS = 100_000
+
+
+def _comb_capped(n, k, cap):
+    """comb(n, k), or cap + 1 as soon as it passes cap."""
+    k = min(k, n - k)
+    c = 1
+    for i in range(1, k + 1):
+        c = c * (n - k + i) // i  # comb(n - k + i, i), nondecreasing in i
+        if c > cap:
+            return cap + 1
+    return c
+
+
 class TruncatedRing(Ring):
     """field[x1..xn] modulo the monomials past some group's order.
 
@@ -531,6 +549,13 @@ class TruncatedRing(Ring):
             self.field, base_monos, base_rows, base_index = base.field, base._monos, base._rows, base._index
         else:
             self.field, base_monos, base_rows, base_index = base, [()], [[(0, 0)]], 1
+        # this level's pairs are the monomials of degree < order in 2 * nvars variables
+        base_pairs = sum(map(len, base_rows))
+        pairs = base_pairs * _comb_capped(2 * nvars + order - 1, 2 * nvars, _MAX_PAIRS // base_pairs)
+        if pairs > _MAX_PAIRS:
+            raise RingConstructionError(
+                f"ring too large: its product table passes {_MAX_PAIRS} pairs of monomials, the size bound"
+            )
         self.base = base
         self._p = self.field.p if isinstance(self.field, PrimeField) else None
         # this level's monomials by degree, so those of degree below d are a prefix
@@ -988,6 +1013,12 @@ def _parse_literal(ring, s):
 
 # --- descriptors -----------------------------------------------------------
 
+# Every level of order >= 2 at least triples the product table, so a tower
+# within _MAX_PAIRS has at most 10 of them; levels of order 1 add nothing but
+# depth, and 300 of them take 17 s to build (2,000 overflow the recursion).
+_MAX_LEVELS = 16
+
+
 def make_ring(descriptor):
     """Build a ring from a descriptor string.
 
@@ -998,9 +1029,11 @@ def make_ring(descriptor):
         return descriptor
     tokens = descriptor.split(":")
 
-    def parse(pos):
+    def parse(pos, depth=0):
         if pos >= len(tokens):
             raise RingConstructionError(f"truncated descriptor {descriptor!r}")
+        if depth > _MAX_LEVELS:
+            raise RingConstructionError(f"more than {_MAX_LEVELS} nested dual:/loc: levels, the size bound")
         tok = tokens[pos]
         if tok in ("q", "Q", "rationals"):
             return Rationals(), pos + 1
@@ -1013,10 +1046,13 @@ def make_ring(descriptor):
                 raise RingConstructionError(f"bad modulus {tokens[pos + 1]!r}") from None
             return PrimeField(p), pos + 2
         if tok == "dual":
-            base, nxt = parse(pos + 1)
+            base, nxt = parse(pos + 1, depth + 1)
+            clash = {"e", "eps"} & base.atoms().keys()  # e.g. dual:dual:q, refused before it is built
+            if clash:
+                raise RingConstructionError(f"atom name {min(clash)!r} collides with eps")
             return DualNumbers(base), nxt
         if tok == "loc":
-            base, nxt = parse(pos + 1)
+            base, nxt = parse(pos + 1, depth + 1)
             if nxt + 1 >= len(tokens):
                 raise RingConstructionError("loc: needs variables and an order")
             names = tokens[nxt].split(",")
@@ -1030,5 +1066,4 @@ def make_ring(descriptor):
     ring, pos = parse(0)
     if pos != len(tokens):
         raise RingConstructionError(f"trailing descriptor parts in {descriptor!r}")
-    ring.atoms()  # raises when nested atom names collide, e.g. dual:dual:q
     return ring

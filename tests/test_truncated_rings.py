@@ -17,7 +17,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nodal_kit import cli
+from nodal_kit import cli, rings
 from nodal_kit.rings import (
     CoeffParseError,
     DualNumbers,
@@ -387,3 +387,40 @@ def test_the_literal_bound_reads_each_coefficient_not_the_shared_denominator(cap
         ring.parse_elem("s*(1/2)^4100")
     assert cli.main(["factorize", "--ring", "loc:q:s,t:3", "--gamma", "s*(1/2)^4100"]) == 2
     assert "bound of 4096 bits" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "descriptor, message",
+    [
+        ("dual:" * 12 + "q", "collides with eps"),  # refused at the second level, before it is built
+        ("dual:" * 20 + "q", "more than 16 nested dual:/loc: levels"),
+        ("loc:" * 2000 + "q" + "".join(f":v{i}:1" for i in range(2000)), "more than 16 nested"),
+        ("loc:" * 12 + "q" + "".join(f":v{i}:2" for i in range(12)), "product table passes"),  # 3^12 pairs
+        ("loc:q:s:100000", "product table passes"),
+        ("loc:q:s,t:300", "product table passes"),
+        (f"loc:q:s:{10**4000}", "product table passes"),
+    ],
+)
+def test_rings_past_the_size_bound_are_refused_before_their_table_is_built(descriptor, message):
+    with pytest.raises(RingConstructionError, match=message):
+        make_ring(descriptor)
+
+
+def test_the_size_bound_counts_the_pairs_of_the_product_table():
+    # loc:q:s:N has (N+1)N/2 pairs: 99,681 at N = 446, 100,128 at N = 447
+    ring = make_ring("loc:q:s:446")
+    assert sum(map(len, ring._rows)) == 99_681 <= rings._MAX_PAIRS
+    with pytest.raises(RingConstructionError, match="size bound"):
+        make_ring("loc:q:s:447")
+    # a tower multiplies its levels' counts: 3 * 3 * 6 pairs
+    assert sum(map(len, make_ring("loc:dual:loc:q:s:2:t:3")._rows)) == 54
+    # levels of order 1 add no pairs; 16 of them are the most a descriptor may nest
+    assert sum(map(len, make_ring("loc:" * 16 + "q" + "".join(f":v{i}:1" for i in range(16)))._rows)) == 1
+
+
+def test_the_cli_refuses_rings_whose_dual_extension_passes_the_size_bound(capsys):
+    # loc:q:s,t:33 has 58,905 pairs; the dual numbers over it, 176,715
+    assert cli.main(["normal-form", "--ring", "loc:q:s,t:33"]) == 2
+    assert "dual:loc:q:s,t:33, which the checks build" in capsys.readouterr().err
+    assert cli.main(["normal-form", "--ring", "loc:q:s:100000"]) == 2
+    assert "size bound" in capsys.readouterr().err
