@@ -258,16 +258,17 @@ def _division(res, cfg, rng):
     return [("dp.power-identities", powers), ("dp.canonical-roundtrip", roundtrip)]
 
 
-def _random_series_with_quadratic_part(q, rng, n_steps):
-    ring = q.ring
+def _random_series(ring, rng, degrees, density=0.3, precision=None):
+    """A series whose coefficient at each index of each degree in `degrees` is,
+    with probability `density`, a random ring element (zeros are skipped)."""
     terms = []
-    for n in range(3, n_steps + 3):
+    for n in degrees:
         for i in range(n + 1):
-            if rng.random() < 0.35:
+            if rng.random() < density:
                 c = ring.random_element(rng)
                 if not c.is_zero:
                     terms.append((i, n - i, c))
-    return q.series() + Series2.from_terms(ring, terms)
+    return Series2.from_terms(ring, terms, precision)
 
 
 def _final_residual(q, f, xs, ys, n_steps):
@@ -299,7 +300,9 @@ def _normal_form(res, cfg, rng):
             )
         candidates = [f]
     else:
-        candidates = [_random_series_with_quadratic_part(res.q, rng, n_steps) for _ in range(4)]
+        candidates = [
+            res.q.series() + _random_series(res.ring, rng, range(3, n_steps + 3), 0.35) for _ in range(4)
+        ]
 
     def residuals():
         for idx, f in enumerate(candidates):
@@ -341,7 +344,7 @@ def _square_zero(res, cfg, rng):
 
     def identity():
         for k in range(6):
-            f = _random_zero_constant_series(dring, rng, precision=8)
+            f = _random_series(dring, rng, range(1, 9), precision=8)
             change = normal_form.square_zero_change(qd, tau, f)
             lhs = qd.apply_series(change.xs, change.ys)
             rhs = (qd.series() + f.scale(tau)).truncated(8)
@@ -351,10 +354,10 @@ def _square_zero(res, cfg, rng):
 
     def repair():
         for k in range(4):
-            f0 = _random_zero_constant_series(dring, rng, precision=6)
+            f0 = _random_series(dring, rng, range(1, 7), precision=6)
             defect = f0.scale(tau)
-            u = Series2.x(dring) + _random_zero_constant_series(dring, rng, 6).scale(tau)
-            v = Series2.y(dring) + _random_zero_constant_series(dring, rng, 6).scale(tau)
+            u = Series2.x(dring) + _random_series(dring, rng, range(1, 7), precision=6).scale(tau)
+            v = Series2.y(dring) + _random_series(dring, rng, range(1, 7), precision=6).scale(tau)
             out = normal_form.repair_small_lift(
                 qd, tau, u, v, dring.zero, dring.zero, defect
             )
@@ -365,17 +368,6 @@ def _square_zero(res, cfg, rng):
         return {"ok": True, "trials": 4}
 
     return [("nf.square-zero-identity", identity), ("nf.square-zero-repair", repair)]
-
-
-def _random_zero_constant_series(ring, rng, precision):
-    terms = []
-    for n in range(1, precision + 1):
-        for i in range(n + 1):
-            if rng.random() < 0.3:
-                c = ring.random_element(rng)
-                if not c.is_zero:
-                    terms.append((i, n - i, c))
-    return Series2.from_terms(ring, terms, precision)
 
 
 def _dual(res, cfg, rng):
@@ -509,15 +501,18 @@ def _ring_axioms(res, cfg, rng):
 
 
 def _series_laws(res, cfg, rng):
+    ring = res.ring
+
+    def draw():  # zero constant term, through precision 5
+        return _random_series(ring, rng, range(1, 6), precision=5)
+
     def laws():
-        ring = res.ring
         X, Y = Series2.x(ring), Series2.y(ring)
         for k in range(8):
-            f = _random_zero_constant_series(ring, rng, 5) + Series2.const(ring, ring.random_element(rng), 5)
-            g = _random_zero_constant_series(ring, rng, 5)
-            sx = _random_zero_constant_series(ring, rng, 5)
-            sy = _random_zero_constant_series(ring, rng, 5) + Series2.y(ring, 5)
-            sx = sx + Series2.x(ring, 5)
+            f = draw() + Series2.const(ring, ring.random_element(rng), 5)
+            g = draw()
+            sx = draw() + Series2.x(ring, 5)
+            sy = draw() + Series2.y(ring, 5)
             if f.substitute(X, Y) != f:
                 return {"ok": False, "counterexample": f"identity law, trial {k}"}
             lhs = (f + g).substitute(sx, sy)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .rings import DualNumbers, RingElem, _product_sums
-from .series import Series2, _min_prec
+from .series import Series2
 
 
 class DegenerateFormError(ValueError):
@@ -75,17 +75,9 @@ class CoordChange:
         if not (a * d - b * c).is_unit:
             raise ValueError("linear part of the coordinate change is not invertible")
 
-    @property
-    def precision(self):
-        return _min_prec(self.xs.precision, self.ys.precision)
-
     def apply(self, f):
         """Compose a series with the change (requires zero constant terms)."""
         return f.substitute(self.xs, self.ys)
-
-    @classmethod
-    def identity(cls, ring):
-        return cls(Series2.x(ring), Series2.y(ring))
 
 
 def linearized_increment(q, mu, nu):

@@ -7,9 +7,10 @@ All of them are local with a field at the bottom, so "unit" uniformly means
 exactly or raises `NotAUnitError`.
 
 The two composite kinds, nested in any order, share one arithmetic
-(`TruncatedRing`): an element's value is a dense tuple of integers over the
-standard monomials of the whole tower, so no element holds the elements of
-another ring.
+(`TruncatedRing`): a value is a dense tuple of integer numerators over the
+standard monomials of the whole tower, then one positive denominator (1 over
+F_p), so no element holds another ring's elements.  Each ring reads a raw value
+as integers over a denominator with `_ints` and writes one with `_norm`.
 """
 
 from __future__ import annotations
@@ -383,9 +384,6 @@ class Ring:
     def _vis_zero(self, val):
         return not val  # every raw value is falsy exactly when it is zero
 
-    def residue_ring(self):
-        return self
-
     def residue(self, elem):
         """Image in the residue field; the identity on fields."""
         return elem
@@ -448,6 +446,12 @@ class Rationals(Ring):
             raise NotAUnitError("0 is not invertible")
         return 1 / a
 
+    def _ints(self, a):
+        return (a.numerator,), a.denominator
+
+    def _norm(self, nums, den):
+        return Fraction(nums[0], den)
+
     def random_element(self, rng):
         return RingElem(self, Fraction(rng.randint(-8, 8), rng.randint(1, 6)))
 
@@ -496,6 +500,12 @@ class PrimeField(Ring):
             raise NotAUnitError(f"0 is not invertible mod {self.p}")
         return pow(a, -1, self.p)
 
+    def _ints(self, a):
+        return (a,), 1
+
+    def _norm(self, nums, den):
+        return nums[0] % self.p  # den is 1: raw values over F_p have no denominator
+
     def random_element(self, rng):
         return RingElem(self, rng.randrange(self.p))
 
@@ -509,11 +519,14 @@ class PrimeField(Ring):
         return f"{elem.val} mod {self.p}"
 
 
-# Size bound on a composite ring's product table, the pairs (j, k) over all
-# monomials i (one per pair of monomials whose product survives), checked
-# before the table is built: at it a ring takes about 0.13 s and 12 MB to
-# build (loc:q:s:446), and a 20-level dual: tower would need 3.5e9 pairs.
+# Size bounds on a composite ring, checked before it is built.  Its product
+# table holds a pair per two monomials whose product survives: at the bound,
+# loc:q:s:446 builds in 0.13 s and 12 MB; 20 dual: levels would need 3.5e9.
+# A value is dense over the monomials, so they are bounded too: on a 2-vCPU x86
+# box check-all takes 7 s over loc:q:s,t,u:14 (1,120 monomials in its dual),
+# 11.5 s over the widest ring the CLI admits (599 variables of order 2).
 _MAX_PAIRS = 100_000
+_MAX_MONOMIALS = 1_200
 
 
 def _comb_capped(n, k, cap):
@@ -535,11 +548,11 @@ class TruncatedRing(Ring):
     the group (eps,) of order 2).  A value is a dense tuple over the tower's
     standard monomials, in one order fixed at construction: the base ring's
     monomials times this level's first monomial (1), then times its second,
-    and so on, so monomial 0 is the constant and a value is a run of base-ring
-    values.  Over F_p the entries are residues in [0, p); over Q they are
-    integer numerators followed by one positive denominator, coprime to them
-    all.  Zero is the empty tuple, so equality is structural and only zero is
-    falsy.  A product walks a fixed index map: for each monomial i, the pairs
+    and so on, so monomial 0 is the constant.  Over both fields a value is
+    integer numerators, one per monomial, then one positive denominator
+    coprime to them all: residues in [0, p) over 1 over F_p.  Zero is (), so
+    equality is structural and only zero is falsy; `_norm` alone knows the
+    field.  A product walks a fixed index map: for each monomial i, the pairs
     (j, k) with m_i * m_j = m_k.  Subclasses add the per-kind interface: the
     variable names, parsing atoms and printing.
     """
@@ -549,13 +562,17 @@ class TruncatedRing(Ring):
             self.field, base_monos, base_rows, base_index = base.field, base._monos, base._rows, base._index
         else:
             self.field, base_monos, base_rows, base_index = base, [()], [[(0, 0)]], 1
-        # this level's pairs are the monomials of degree < order in 2 * nvars variables
+        # this level's monomials are those of degree < order in nvars variables,
+        # its pairs those of degree < order in 2 * nvars variables
         base_pairs = sum(map(len, base_rows))
         pairs = base_pairs * _comb_capped(2 * nvars + order - 1, 2 * nvars, _MAX_PAIRS // base_pairs)
         if pairs > _MAX_PAIRS:
             raise RingConstructionError(
                 f"ring too large: its product table passes {_MAX_PAIRS} pairs of monomials, the size bound"
             )
+        monos = len(base_monos) * _comb_capped(nvars + order - 1, nvars, _MAX_MONOMIALS // len(base_monos))
+        if monos > _MAX_MONOMIALS:
+            raise RingConstructionError(f"ring too large: it passes {_MAX_MONOMIALS} monomials, the size bound")
         self.base = base
         self._p = self.field.p if isinstance(self.field, PrimeField) else None
         # this level's monomials by degree, so those of degree below d are a prefix
@@ -587,13 +604,16 @@ class TruncatedRing(Ring):
 
     # --- raw values --------------------------------------------------------
 
+    def _ints(self, x):
+        return x[:-1], x[-1]
+
     def _norm(self, nums, den):
-        """The value of a list of integer coefficients over a positive
-        denominator (1 over F_p, where the coefficients are reduced here)."""
+        """The value of a list of integer numerators over a positive
+        denominator: reduced mod p over F_p (where the denominator is 1), and
+        over Q divided by their gcd with the denominator."""
         p = self._p
         if p is not None:
             nums = [v % p for v in nums]
-            return tuple(nums) if any(nums) else ()
         if not any(nums):
             return ()
         if den != 1:
@@ -607,8 +627,9 @@ class TruncatedRing(Ring):
     def _const(self, raw):
         if not raw:
             return ()
+        (num,), den = self.field._ints(raw)
         zeros = (0,) * (len(self._monos) - 1)
-        return (raw, *zeros) if self._p is not None else (raw.numerator, *zeros, raw.denominator)
+        return (num, *zeros, den)
 
     @property
     def zero(self):
@@ -629,22 +650,13 @@ class TruncatedRing(Ring):
             return y
         if not y:
             return x
-        p = self._p
-        if p is not None:
-            out = [(a + b) % p for a, b in zip(x, y)]
-            return tuple(out) if any(out) else ()
         dx, dy = x[-1], y[-1]
         if dx == dy:
             return self._norm([a + b for a, b in zip(x[:-1], y)], dx)
         return self._norm([a * dy + b * dx for a, b in zip(x[:-1], y)], dx * dy)
 
     def _vneg(self, x):
-        if not x:
-            return x
-        p = self._p
-        if p is not None:
-            return tuple([p - a if a else 0 for a in x])
-        return (*[-a for a in x[:-1]], x[-1])
+        return self._norm([-a for a in x[:-1]], x[-1]) if x else x
 
     def _vmul(self, x, y):
         if not x or not y:
@@ -656,21 +668,20 @@ class TruncatedRing(Ring):
                     b = y[j]
                     if b:
                         out[k] += a * b
-        return self._norm(out, 1 if self._p is not None else x[-1] * y[-1])
+        return self._norm(out, x[-1] * y[-1])
 
     def _scale(self, x, c):
         """x times a raw field value."""
-        if self._p is not None or not x:
-            return self._norm([a * c for a in x], 1)
-        return self._norm([a * c.numerator for a in x[:-1]], x[-1] * c.denominator)
+        if not x:
+            return x
+        (num,), den = self.field._ints(c)
+        return self._norm([a * num for a in x[:-1]], x[-1] * den)
 
     def _vinv(self, x):
         # x = (1 - n) / c with c the inverse of the residue and n nilpotent, so
         # 1/x = c * (1 + n + ... + n^(index-1))
         c = RingElem(self.field, self._residue_raw(x)).inv().val  # NotAUnitError on a zero residue
-        rest = list(x[: len(self._monos)])
-        rest[0] = 0
-        n = self._scale(self._norm(rest, 1 if self._p is not None else x[-1]), -c)
+        n = self._scale(self._norm([0, *x[1:-1]], x[-1]), -c)
         out, pw = self._vadd(self._one, n), n
         for _ in range(2, self._index):
             pw = self._vmul(pw, n)
@@ -680,12 +691,7 @@ class TruncatedRing(Ring):
         return self._scale(out, c)
 
     def _residue_raw(self, x):
-        if self._p is not None:
-            return x[0] if x else 0
-        return Fraction(x[0], x[-1]) if x else Fraction(0)
-
-    def residue_ring(self):
-        return self.field
+        return self.field._norm(x[:1], x[-1]) if x else self.field.zero.val
 
     def residue(self, elem):
         return RingElem(self.field, self._residue_raw(elem.val))
@@ -693,41 +699,27 @@ class TruncatedRing(Ring):
     def flat_terms(self, elem):
         """{exponents over every variable of the tower, base variables first: raw
         field value} of an element's nonzero coefficients."""
-        x = elem.val
-        if self._p is not None or not x:
-            return {e: v for e, v in zip(self._monos, x) if v}
-        den = x[-1]
-        return {e: Fraction(v, den) for e, v in zip(self._monos, x) if v}
+        x, norm = elem.val, self.field._norm
+        return {e: norm((v,), x[-1]) for e, v in zip(self._monos, x) if v}
 
     # --- the base ring's view ----------------------------------------------
 
     def _split(self, val):
         """{exponents of this level's variables: base-ring coefficient} of a value."""
-        nb, base, p, out = self._nb, self.base, self._p, {}
-        den = val[-1] if val and p is None else 1
+        nb, base, out = self._nb, self.base, {}
         for own, k in self._own_pos.items():
             block = list(val[k * nb : (k + 1) * nb])
             if any(block):
-                if isinstance(base, TruncatedRing):
-                    raw = base._norm(block, den)
-                else:
-                    raw = block[0] if p is not None else Fraction(block[0], den)
-                out[own] = RingElem(base, raw)
+                out[own] = RingElem(base, base._norm(block, val[-1]))
         return out
 
     def _join(self, parts):
         """The value of a sum of base-ring coefficient * monomial of this level's
         variables, given as {exponents: coefficient}."""
-        nb, p, blocks = self._nb, self._p, []
+        nb, blocks = self._nb, []
         for own, a in parts.items():
-            v = a.val
-            if not v:
-                continue
-            if isinstance(self.base, TruncatedRing):
-                nums, den = (v, 1) if p is not None else (v[:-1], v[-1])
-            else:
-                nums, den = ((v,), 1) if p is not None else ((v.numerator,), v.denominator)
-            blocks.append((self._own_pos[own] * nb, nums, den))
+            if a.val:
+                blocks.append((self._own_pos[own] * nb, *self.base._ints(a.val)))
         den = lcm(*[d for _, _, d in blocks])
         out = [0] * len(self._monos)
         for start, nums, d in blocks:
@@ -809,10 +801,11 @@ class LocalTruncation(TruncatedRing):
         var_names = tuple(var_names)
         if not var_names or len(set(var_names)) != len(var_names):
             raise RingConstructionError("variable names must be nonempty and distinct")
+        base_atoms = base.atoms()
         for nm in var_names:
             if not _NAME_RE.fullmatch(nm):
                 raise RingConstructionError(f"bad variable name {nm!r}")
-            if nm in base.atoms() or nm in ("e", "eps"):
+            if nm in base_atoms or nm in ("e", "eps"):
                 raise RingConstructionError(f"variable {nm!r} collides with a base atom")
         if not isinstance(order, int) or order < 1:
             raise RingConstructionError(f"truncation order must be >= 1, got {order!r}")
@@ -841,15 +834,16 @@ class LocalTruncation(TruncatedRing):
 
     def random_element(self, rng):
         out = {}
-        for e in self._small_exponents():
+        for e in self._small_exponents:
             if rng.random() < 0.6:
                 c = self.base.random_element(rng)
                 if not c.is_zero:
                     out[e] = c
         return RingElem(self, self._join(out))
 
-    def _small_exponents(self, cap=2):
-        return sorted(e for e in self._own_pos if sum(e) <= cap)
+    @cached_property
+    def _small_exponents(self):
+        return sorted(e for e in self._own_pos if sum(e) <= 2)
 
     def descriptor(self):
         return f"loc:{self.base.descriptor()}:{','.join(self.var_names)}:{self.order}"

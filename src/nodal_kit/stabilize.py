@@ -34,7 +34,6 @@ class ChartPresentation:
     chart_id: str
     var_names: tuple
     relation: MPoly
-    eliminated_var: str
     eliminated_expr: MPoly  # the solved expression for the eliminated generator
 
     def format_relation(self):
@@ -146,8 +145,8 @@ def build_charts(ring, q, s, t):
             f"{rel1.format(('u', 'x'))}\n  closed:  {closed1.format(('u', 'x'))}"
         )
 
-    chart0 = ChartPresentation("R0", ("v", "y"), rel0, "u", _drop_var(u_expr3, 0))
-    chart1 = ChartPresentation("R1", ("u", "x"), rel1, "v", _drop_var(v_expr3, 1))
+    chart0 = ChartPresentation("R0", ("v", "y"), rel0, _drop_var(u_expr3, 0))
+    chart1 = ChartPresentation("R1", ("u", "x"), rel1, _drop_var(v_expr3, 1))
     return chart0, chart1
 
 

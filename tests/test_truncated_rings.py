@@ -12,6 +12,7 @@ raw field value}.
 import math
 import random
 import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -332,7 +333,7 @@ def test_values_are_flat(descriptor):
     ring = make_ring(descriptor)
     x = ring.random_element(random.Random(3))
     for e, v in ring.flat_terms(x * x + x).items():
-        assert type(v) is type(ring.residue_ring().one.val)
+        assert type(v) is type(ring.field.one.val)
         assert isinstance(e, tuple) and all(isinstance(k, int) for k in e)
 
 
@@ -347,26 +348,26 @@ def test_dual_numbers_over_dual_numbers_still_build():
 
 
 Q_TOWERS = ["dual:q", "loc:q:s,t:3", "dual:loc:q:s,t:2", "loc:dual:q:s,t:3", "loc:loc:dual:q:s:2:t,u:3"]
+FP_TOWERS = ["dual:fp:7", "loc:fp:7:s:4", "dual:loc:fp:7:s,t:2", "loc:dual:loc:fp:5:s:2:t:3"]
 
 
 def _canonical(x):
-    """Integer numerators over one positive denominator, coprime to them all; zero is ()."""
-    v = x.val
+    """One integer numerator per monomial, then one positive denominator coprime
+    to them all: over fp:p residues in [0, p) over 1.  Zero is ()."""
+    ring, v = x.ring, x.val
     assert type(v) is tuple and all(type(k) is int for k in v)
     assert bool(x) is bool(v) is (not x.is_zero)
     if v:
         nums, den = v[:-1], v[-1]
-        assert len(v) == len(x.ring.one.val)
+        assert len(v) == len(ring._monos) + 1
         assert den > 0 and any(nums)
         assert math.gcd(den, *nums) == 1
+        if isinstance(ring.field, PrimeField):
+            assert den == 1 and all(0 <= k < ring.field.p for k in nums)
     return v
 
 
-@pytest.mark.parametrize("descriptor", Q_TOWERS)
-@settings(max_examples=30, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1))
-def test_values_over_q_are_canonical(descriptor, seed):
-    ring = make_ring(descriptor)
+def _round_trips_are_canonical(ring, seed):
     rng = random.Random(seed)
     x, y = ring.random_element(rng), ring.random_element(rng)
     if not y.is_unit:
@@ -375,6 +376,44 @@ def test_values_over_q_are_canonical(descriptor, seed):
     assert _canonical((x + y) - y) == _canonical(x)
     assert _canonical(x - x) == () and not (x - x)
     for z in (x * y, x + y, -x, y.inv(), ring.one, ring.zero):
+        _canonical(z)
+
+
+@pytest.mark.parametrize("descriptor", Q_TOWERS)
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_values_over_q_are_canonical(descriptor, seed):
+    _round_trips_are_canonical(make_ring(descriptor), seed)
+
+
+@pytest.mark.parametrize("descriptor", FP_TOWERS)
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_values_over_fp_are_canonical(descriptor, seed):
+    _round_trips_are_canonical(make_ring(descriptor), seed)
+
+
+@pytest.mark.parametrize("descriptor", ["dual:fp:7", "loc:fp:7:s:4", "dual:loc:q:s,t:2"])
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    # (numerator, denominator) pairs; every denominator is a unit mod 7
+    coeffs=st.lists(
+        st.tuples(st.integers(-50, 50), st.sampled_from([1, 2, 3, 4, 6, 12])), min_size=1, max_size=4
+    ),
+)
+def test_every_constructor_returns_canonical_values(descriptor, seed, coeffs):
+    ring = make_ring(descriptor)
+    rng = random.Random(seed)
+    names = sorted(ring.atoms())
+    # a literal sum of coefficient * atom terms, and one constant term
+    literal = "+".join(f"({n}/{d})*{names[k % len(names)]}" for k, (n, d) in enumerate(coeffs)) + "+1/5"
+    x, y = ring.parse_elem(literal), ring.random_element(rng)
+    assert ring.parse_elem(ring.short(x)) == x
+    a, b = ring.base.random_element(rng), ring.base.from_fraction(Fraction(*coeffs[0]))
+    built = [x, y, x * y, ring.embed(a), ring.embed(b)]
+    built += [z.inv() for z in (x, y, x * y, x + 1, y - 1) if z.is_unit]
+    for z in built:
         _canonical(z)
 
 
@@ -389,6 +428,14 @@ def test_the_literal_bound_reads_each_coefficient_not_the_shared_denominator(cap
     assert "bound of 4096 bits" in capsys.readouterr().err
 
 
+def _wide(n):
+    """n variables of order 2: n + 1 monomials, 2n + 1 pairs."""
+    return "loc:q:" + ",".join(f"v{i}" for i in range(n)) + ":2"
+
+
+_WIDE = _wide(5000)
+
+
 @pytest.mark.parametrize(
     "descriptor, message",
     [
@@ -399,6 +446,7 @@ def test_the_literal_bound_reads_each_coefficient_not_the_shared_denominator(cap
         ("loc:q:s:100000", "product table passes"),
         ("loc:q:s,t:300", "product table passes"),
         (f"loc:q:s:{10**4000}", "product table passes"),
+        pytest.param(_WIDE, "passes 1200 monomials", id="loc:q:v0,...,v4999:2"),  # 10,001 pairs
     ],
 )
 def test_rings_past_the_size_bound_are_refused_before_their_table_is_built(descriptor, message):
@@ -424,3 +472,22 @@ def test_the_cli_refuses_rings_whose_dual_extension_passes_the_size_bound(capsys
     assert "dual:loc:q:s,t:33, which the checks build" in capsys.readouterr().err
     assert cli.main(["normal-form", "--ring", "loc:q:s:100000"]) == 2
     assert "size bound" in capsys.readouterr().err
+
+
+def test_the_size_bound_counts_monomials():
+    assert len(make_ring(_wide(1199))._monos) == 1200 == rings._MAX_MONOMIALS
+    with pytest.raises(RingConstructionError, match="passes 1200 monomials"):
+        make_ring(_wide(1200))
+    # a tower multiplies its levels' counts: the dual numbers over loc:q:s,t,u:14, 2 * 560
+    assert len(DualNumbers(make_ring("loc:q:s,t,u:14"))._monos) == 1120
+
+
+def test_the_cli_refuses_wide_rings_at_once(capsys):
+    start = time.perf_counter()
+    argv = ["check-all", "--ring", _WIDE, "--s", "v0", "--t", "v1", "--gamma", "3", "--delta", "1"]
+    assert cli.main(argv) == 2
+    assert time.perf_counter() - start < 1
+    assert "passes 1200 monomials, the size bound" in capsys.readouterr().err
+    # the dual numbers over 600 variables have 1,202 monomials
+    assert cli.main(["normal-form", "--ring", _wide(600)]) == 2
+    assert "which the checks build: ring too large" in capsys.readouterr().err
