@@ -35,6 +35,7 @@ from .rings import (
     LocalTruncation,
     Rationals,
     RingConstructionError,
+    _quote,
     make_ring,
 )
 from .series import Series2
@@ -45,8 +46,8 @@ DEFAULT_SEED = 20240801
 _DP_HEADROOM = 8
 
 # Size bounds, so that every configuration ends in bounded time: at them the
-# slowest runs, over Q, take about 21 s (exactness at degree bound 96 with
-# cushion 16) and 6.5 s (normal-form at precision 64) on a 2-vCPU x86 box,
+# slowest runs, over Q, take about 6.5 s (normal-form at precision 64) and
+# 3.3 s (exactness at degree bound 96 with cushion 16) on a 2-vCPU x86 box,
 # where precision 160 took 47 s.  Every size the tests, CI and benchmark use
 # is below them (CI: degree bound 60, precision 40; cushion 2 by default).
 _MAX_PRECISION = 64
@@ -95,7 +96,7 @@ class Resolved:
             self.dual = DualNumbers(self.ring)  # the square-zero and axiom checks run over it
         except RingConstructionError as e:
             raise ConfigError(
-                f"ring descriptor: dual:{self.ring.descriptor()}, which the checks build: {e}"
+                f"ring descriptor: {_quote('dual:' + self.ring.descriptor())}, which the checks build: {e}"
             ) from None
         try:
             self.gamma = self.ring.parse_elem(cfg.gamma)

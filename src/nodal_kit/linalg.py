@@ -6,11 +6,19 @@ and exactness checks.
 
 Inside the module a matrix is a list of sparse rows {column: raw value}: the
 ``val`` of each nonzero entry, an int reduced mod p over F_p and a
-``Fraction`` over Q.  One elimination loop runs on these rows, and values
-are wrapped back into ring elements only where results leave the module.
+``Fraction`` over Q.  One elimination loop runs on these rows.  Over F_p it
+scales each pivot row to a leading 1.  Over Q it eliminates fraction-free
+(one-step, Bareiss 1968): each row is cleared of denominators once and
+kept as a primitive integer row, a nonzero multiple of the row elimination
+over Q would build, so the pivots and every returned value are the same.
+Values are wrapped back into ring elements, and rows over Q scaled to a
+leading 1, only where results leave the module.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
+from math import gcd, lcm
 
 from .rings import PrimeField, RingElem
 
@@ -45,17 +53,38 @@ def _modulus(ring):
     return ring.p if isinstance(ring, PrimeField) else None
 
 
+def _integer_row(row):
+    """Make a sparse row of ``Fraction``s primitive integer, in place: cleared
+    of denominators and divided by the gcd of its entries."""
+    den = lcm(*[x.denominator for x in row.values()])
+    for j, x in row.items():
+        row[j] = x.numerator * (den // x.denominator)
+    _divide_content(row)
+
+
+def _divide_content(row):
+    g = gcd(*row.values())
+    if g > 1:
+        for j in row:
+            row[j] //= g
+
+
 def _eliminate(ring, rows, ncols, full):
     """Eliminate sparse raw rows in place, pivoting on the columns below ``ncols``.
 
-    Returns the pivot columns; ``rows[:len(pivots)]`` are then the pivot rows,
-    each scaled to a leading 1.  A column's pivot is the first remaining row
-    with an entry there, swapped into place as in dense elimination, so the
-    entries right of ``ncols`` come out the same too.  ``full=True`` clears
-    each pivot column above and below the pivot (the reduced row echelon
-    form); ``full=False`` clears below only.
+    Returns the pivot columns; ``rows[:len(pivots)]`` are then the pivot rows.
+    Over F_p each is scaled to a leading 1; over Q every row is a primitive
+    integer row, a nonzero multiple of the row the same steps on
+    ``Fraction``s build (see `_unit`).  A column's pivot is the first
+    remaining row with an entry there, swapped into place as in dense
+    elimination, so the entries right of ``ncols`` come out the same too.
+    ``full=True`` clears each pivot column above and below the pivot (the
+    reduced row echelon form); ``full=False`` clears below only.
     """
     p = _modulus(ring)
+    if p is None:
+        for row in rows:
+            _integer_row(row)
     m = len(rows)
     pivots = []
     for c in range(ncols):
@@ -67,19 +96,27 @@ def _eliminate(ring, rows, ncols, full):
             continue
         prow = rows[i]
         rows[i] = rows[r]
-        # one ring inversion per pivot (perfbench's tracer counts the rank
-        # by them); every other operation is on raw values
-        inv = RingElem(ring, prow[c]).inv().val
-        if p is None:
-            prow = {j: b * inv for j, b in prow.items()}
-        else:
-            prow = {j: b * inv % p for j, b in prow.items()}
         rows[r] = prow
+        a = prow[c]
+        # one ring inversion per pivot (perfbench's tracer counts the rank
+        # by them; over Q its value goes unused, `_unit` scales at the end);
+        # every other operation is on raw values
+        inv = RingElem(ring, Fraction(a) if p is None else a).inv().val
+        if p is not None:
+            prow = rows[r] = {j: b * inv % p for j, b in prow.items()}
         for i in range(0 if full else r + 1, m):
             row = rows[i]
             f = row.get(c)
             if f is None or i == r:
                 continue
+            if p is None:
+                # row <- (a/g) row - (f/g) prow, then divided by its content
+                g = gcd(a, f)
+                f //= g
+                if a != g:
+                    s = a // g
+                    for j in row:
+                        row[j] *= s
             for j, b in prow.items():
                 v = row.get(j, 0) - f * b
                 if p is not None:
@@ -88,8 +125,18 @@ def _eliminate(ring, rows, ncols, full):
                     row[j] = v
                 else:
                     del row[j]
+            if p is None:
+                _divide_content(row)
         pivots.append(c)
     return pivots
+
+
+def _unit(ring, row, c):
+    """A pivot row of `_eliminate` scaled to a leading 1 at column ``c``."""
+    if _modulus(ring) is not None:
+        return row
+    a = row[c]
+    return {j: Fraction(x, a) for j, x in row.items()}
 
 
 def rref(ring, rows, ncols):
@@ -98,7 +145,7 @@ def rref(ring, rows, ncols):
     width = len(rows[0]) if rows else 0
     red = _sparse(rows)
     pivots = _eliminate(ring, red, ncols, full=True)
-    return [_dense(ring, row, width) for row in red[: len(pivots)]], pivots
+    return [_dense(ring, _unit(ring, row, c), width) for row, c in zip(red, pivots)], pivots
 
 
 def rank(ring, rows, ncols):
@@ -116,7 +163,7 @@ def kernel_basis(ring, rows, ncols):
     one = ring.one.val  # a Fraction over Q, as every raw value there
     basis = {fc: {fc: one} for fc in range(ncols) if fc not in pivot_set}
     for row, pc in zip(red, pivots):
-        for fc, x in row.items():
+        for fc, x in _unit(ring, row, pc).items():
             if fc != pc:
                 basis[fc][pc] = -x if p is None else -x % p
     return [_dense(ring, v, ncols) for v in basis.values()]

@@ -392,10 +392,20 @@ class Ring:
         """Named generators usable in literals (eps, truncation variables)."""
         return {}
 
+    @cached_property
+    def _atoms(self):
+        """atoms(), built once per ring: the literal parser only reads them."""
+        return self.atoms()
+
     def parse_elem(self, s):
         return _parse_literal(self, s)
 
     def random_element(self, rng):
+        return RingElem(self, self._norm(*self._random_ints(rng)))
+
+    def _random_ints(self, rng):
+        """A random value as integer numerators (a list) over a positive
+        denominator, the form `_ints` reads, not necessarily in lowest terms."""
         raise NotImplementedError
 
     def descriptor(self):
@@ -452,8 +462,8 @@ class Rationals(Ring):
     def _norm(self, nums, den):
         return Fraction(nums[0], den)
 
-    def random_element(self, rng):
-        return RingElem(self, Fraction(rng.randint(-8, 8), rng.randint(1, 6)))
+    def _random_ints(self, rng):
+        return [rng.randint(-8, 8)], rng.randint(1, 6)
 
     def descriptor(self):
         return "q"
@@ -506,8 +516,8 @@ class PrimeField(Ring):
     def _norm(self, nums, den):
         return nums[0] % self.p  # den is 1: raw values over F_p have no denominator
 
-    def random_element(self, rng):
-        return RingElem(self, rng.randrange(self.p))
+    def _random_ints(self, rng):
+        return [rng.randrange(self.p)], 1
 
     def descriptor(self):
         return f"fp:{self.p}"
@@ -716,15 +726,18 @@ class TruncatedRing(Ring):
     def _join(self, parts):
         """The value of a sum of base-ring coefficient * monomial of this level's
         variables, given as {exponents: coefficient}."""
-        nb, blocks = self._nb, []
-        for own, a in parts.items():
-            if a.val:
-                blocks.append((self._own_pos[own] * nb, *self.base._ints(a.val)))
+        pos, ints = self._own_pos, self.base._ints
+        return self._norm(*self._blocks([(pos[own], *ints(a.val)) for own, a in parts.items() if a.val]))
+
+    def _blocks(self, blocks):
+        """Numerators over one denominator of a sum of base-ring values times
+        this level's monomials, given as (monomial index, numerators, denominator)."""
+        nb = self._nb
         den = lcm(*[d for _, _, d in blocks])
         out = [0] * len(self._monos)
-        for start, nums, d in blocks:
-            out[start : start + nb] = [v * (den // d) for v in nums]
-        return self._norm(out, den)
+        for k, nums, d in blocks:
+            out[k * nb : (k + 1) * nb] = [v * (den // d) for v in nums]
+        return out, den
 
     def embed(self, a):
         """A base-ring element (or anything the base ring coerces) as an element of this ring."""
@@ -756,9 +769,9 @@ class DualNumbers(TruncatedRing):
             out[name] = self.embed(g)
         return out
 
-    def random_element(self, rng):
-        a = self.base.random_element(rng)
-        return RingElem(self, self._join({(0,): a, (1,): self.base.random_element(rng)}))
+    def _random_ints(self, rng):
+        draw = self.base._random_ints
+        return self._blocks([(0, *draw(rng)), (1, *draw(rng))])
 
     def descriptor(self):
         return f"dual:{self.base.descriptor()}"
@@ -832,18 +845,15 @@ class LocalTruncation(TruncatedRing):
             out[name] = self.embed(g)
         return out
 
-    def random_element(self, rng):
-        out = {}
-        for e in self._small_exponents:
-            if rng.random() < 0.6:
-                c = self.base.random_element(rng)
-                if not c.is_zero:
-                    out[e] = c
-        return RingElem(self, self._join(out))
+    def _random_ints(self, rng):
+        # a base draw for each monomial of degree <= 2 with probability 0.6
+        draw = self.base._random_ints
+        return self._blocks([(k, *draw(rng)) for k in self._small_positions if rng.random() < 0.6])
 
     @cached_property
-    def _small_exponents(self):
-        return sorted(e for e in self._own_pos if sum(e) <= 2)
+    def _small_positions(self):
+        """This level's monomials of degree <= 2, by their sorted exponents."""
+        return [k for e, k in sorted(self._own_pos.items()) if sum(e) <= 2]
 
     def descriptor(self):
         return f"loc:{self.base.descriptor()}:{','.join(self.var_names)}:{self.order}"
@@ -908,7 +918,7 @@ class _LiteralParser:
 
     def __init__(self, ring, tokens, source):
         self.ring = ring
-        self.atoms = ring.atoms()
+        self.atoms = ring._atoms
         self.tokens = tokens
         self.pos = 0
         self.source = source

@@ -288,6 +288,18 @@ def test_a_number_past_the_digit_limit_exits_2_with_a_short_message(capsys, lite
     assert len(err) < 300
 
 
+def test_a_refused_dual_extension_prints_a_short_message(capsys):
+    # the dual numbers over 600 variables of order 2 pass the monomial bound;
+    # their descriptor has 2,902 characters, the message quotes 60
+    ring = "loc:q:" + ",".join(f"v{i}" for i in range(600)) + ":2"
+    code, out, err = run_cli(capsys, "normal-form", "--ring", ring)
+    assert code == 2
+    assert out == ""
+    assert f"… ({len('dual:' + ring)} characters), which the checks build" in err
+    assert "passes 1200 monomials, the size bound" in err
+    assert len(err) < 300
+
+
 @pytest.mark.parametrize(
     "ring, gamma, delta",
     [

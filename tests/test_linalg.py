@@ -1,3 +1,4 @@
+import contextlib
 import random
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nodal_kit.linalg import consistent_many, kernel_basis, rank, rref
-from nodal_kit.rings import PrimeField, Rationals
+from nodal_kit.rings import PrimeField, Rationals, RingElem
 
 QQ = Rationals()
 F7 = PrimeField(7)
@@ -234,3 +235,148 @@ def test_sparse_kernel_edge_shapes(name):
         flags = _ref_consistent_many(ring, square, ncols, rhs_list)
         assert consistent_many(ring, square, ncols, rhs_list) == flags
         assert consistent_many(ring, rows, ncols, rhs_list) == flags
+
+
+# --- fraction-free elimination over Q against the Fraction loop ---------------
+#
+# Over Q linalg.py eliminates on primitive integer rows.  The reference below
+# is the loop it ran before, on sparse rows of Fractions with each pivot row
+# scaled to a leading 1; the integer rows must give the same pivots and the
+# same Fractions, also right of ncols, where the values depend on the order
+# of the steps.
+
+
+def _fraction_eliminate(rows, ncols, full):
+    m = len(rows)
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        if r == m:
+            break
+        i = next((i for i in range(r, m) if c in rows[i]), None)
+        if i is None:
+            continue
+        prow = rows[i]
+        rows[i] = rows[r]
+        inv = 1 / prow[c]
+        prow = {j: b * inv for j, b in prow.items()}
+        rows[r] = prow
+        for i in range(0 if full else r + 1, m):
+            row = rows[i]
+            f = row.get(c)
+            if f is None or i == r:
+                continue
+            for j, b in prow.items():
+                v = row.get(j, 0) - f * b
+                if v:
+                    row[j] = v
+                else:
+                    del row[j]
+        pivots.append(c)
+    return pivots
+
+
+def _fraction_rows(rows, ncols=None):
+    return [{c: x for c, x in enumerate(row[:ncols]) if x} for row in rows]
+
+
+def _fraction_rref(rows, ncols):
+    width = len(rows[0]) if rows else 0
+    red = _fraction_rows(rows)
+    pivots = _fraction_eliminate(red, ncols, full=True)
+    return [[row.get(j, Fraction(0)) for j in range(width)] for row in red[: len(pivots)]], pivots
+
+
+def _fraction_kernel_basis(rows, ncols):
+    red = _fraction_rows(rows, ncols)
+    pivots = _fraction_eliminate(red, ncols, full=True)
+    basis = {fc: {fc: Fraction(1)} for fc in range(ncols) if fc not in pivots}
+    for row, pc in zip(red, pivots):
+        for fc, x in row.items():
+            if fc != pc:
+                basis[fc][pc] = -x
+    return [[v.get(j, Fraction(0)) for j in range(ncols)] for v in basis.values()]
+
+
+def _fraction_consistent_many(rows, ncols, rhs_list):
+    aug = _fraction_rows([list(row[:ncols]) + [rhs[i] for rhs in rhs_list] for i, row in enumerate(rows)])
+    r = len(_fraction_eliminate(aug, ncols, full=False))
+    left = set().union(*aug[r:])
+    return [ncols + j not in left for j in range(len(rhs_list))]
+
+
+@contextlib.contextmanager
+def _counted_inversions():
+    """Record every RingElem.inv call made inside the block."""
+    calls, inv = [], RingElem.inv
+
+    def counted(x):
+        calls.append(x.val)
+        return inv(x)
+
+    RingElem.inv = counted
+    try:
+        yield calls
+    finally:
+        RingElem.inv = inv
+
+
+_BIG = st.builds(Fraction, st.integers(-(2**64), 2**64), st.integers(1, 2**64))
+
+
+@st.composite
+def rational_systems(draw):
+    """(rows, ncols, rhs_list) over Q: entries with numerators and denominators up
+    to 2^64, rows whose first ncols columns combine fewer base rows (so the
+    matrix is rank deficient) while the columns from ncols on are drawn freely,
+    and right-hand sides both consistent and random."""
+    entry = st.one_of(st.just(Fraction(0)), _BIG, st.sampled_from([Fraction(1), Fraction(-1, 2)]))
+    m = draw(st.integers(0, 6))
+    width = draw(st.integers(0, 7))
+    ncols = draw(st.integers(0, width))
+    base = [[draw(entry) for _ in range(ncols)] for _ in range(draw(st.integers(0, m)))]
+    rows = []
+    for _ in range(m):
+        coeffs = [draw(entry) for _ in base]
+        left = [sum((c * b[j] for c, b in zip(coeffs, base)), Fraction(0)) for j in range(ncols)]
+        rows.append(left + [draw(entry) for _ in range(width - ncols)])
+    rhs_list = []
+    for _ in range(draw(st.integers(0, 3))):
+        if draw(st.booleans()):  # consistent: A x0 for a random x0
+            x0 = [draw(entry) for _ in range(ncols)]
+            rhs_list.append([sum((a * x for a, x in zip(row, x0)), Fraction(0)) for row in rows])
+        else:
+            rhs_list.append([draw(entry) for _ in rows])
+    return rows, ncols, rhs_list
+
+
+def _fractions(rows):
+    """The value type and value of every entry of a list of element rows."""
+    return [[(type(x.val), x.val) for x in row] for row in rows]
+
+
+@settings(max_examples=200, deadline=None)
+@given(system=rational_systems())
+def test_integer_rows_over_q_match_the_fraction_loop(system):
+    rows, ncols, rhs_list = system
+    elems = [[QQ.from_fraction(x) for x in row] for row in rows]
+    square = [row[:ncols] for row in elems]
+    ref_red, ref_pivots = _fraction_rref(rows, ncols)
+    with _counted_inversions() as calls:
+        red, pivots = rref(QQ, elems, ncols)
+    assert pivots == ref_pivots
+    assert len(calls) == len(pivots)  # one ring inversion per pivot
+    assert _fractions(red) == [[(Fraction, x) for x in row] for row in ref_red]
+    with _counted_inversions() as calls:
+        basis = kernel_basis(QQ, elems, ncols)
+    assert len(calls) == ncols - len(basis)
+    assert _fractions(basis) == [[(Fraction, x) for x in v] for v in _fraction_kernel_basis(rows, ncols)]
+    with _counted_inversions() as calls:
+        r = rank(QQ, elems, ncols)
+    assert r == len(calls) == len(_fraction_eliminate(_fraction_rows(rows, ncols), ncols, full=False))
+    rhs_elems = [[QQ.from_fraction(b) for b in rhs] for rhs in rhs_list]
+    flags = _fraction_consistent_many([row[:ncols] for row in rows], ncols, rhs_list)
+    for matrix in (square, elems):
+        with _counted_inversions() as calls:
+            assert consistent_many(QQ, matrix, ncols, rhs_elems) == flags
+        assert len(calls) == (r if rhs_list else 0)

@@ -469,7 +469,7 @@ def test_the_size_bound_counts_the_pairs_of_the_product_table():
 def test_the_cli_refuses_rings_whose_dual_extension_passes_the_size_bound(capsys):
     # loc:q:s,t:33 has 58,905 pairs; the dual numbers over it, 176,715
     assert cli.main(["normal-form", "--ring", "loc:q:s,t:33"]) == 2
-    assert "dual:loc:q:s,t:33, which the checks build" in capsys.readouterr().err
+    assert "'dual:loc:q:s,t:33', which the checks build" in capsys.readouterr().err
     assert cli.main(["normal-form", "--ring", "loc:q:s:100000"]) == 2
     assert "size bound" in capsys.readouterr().err
 
@@ -491,3 +491,19 @@ def test_the_cli_refuses_wide_rings_at_once(capsys):
     # the dual numbers over 600 variables have 1,202 monomials
     assert cli.main(["normal-form", "--ring", _wide(600)]) == 2
     assert "which the checks build: ring too large" in capsys.readouterr().err
+
+
+def test_literal_parses_build_the_atoms_once(monkeypatch):
+    ring = make_ring(_wide(599))  # v0, ..., v598
+    built = []
+    atoms = ring.atoms
+    monkeypatch.setattr(ring, "atoms", lambda: built.append(1) or atoms())
+    parsed = [ring.parse_elem(lit) for lit in ("v0+1", "1+v0", "v0 + 1", "(v0+1)^1")]
+    assert all(x == ring.gen("v0") + 1 for x in parsed)
+    assert ring.parse_elem("v1*v2+v598") == ring.gen("v598")  # v1*v2 lies past the order
+    assert len(built) == 1
+    tower = make_ring("dual:loc:q:s,t:2")
+    first = [tower.parse_elem(lit) for lit in ("s+eps", "1/2*t-eps*s")]
+    again = [tower.parse_elem(lit) for lit in ("s+eps", "1/2*t-eps*s")]
+    fresh = [make_ring("dual:loc:q:s,t:2").parse_elem(lit) for lit in ("s+eps", "1/2*t-eps*s")]
+    assert first == again == fresh
