@@ -227,21 +227,6 @@ def witness_identities(mf):
     return record
 
 
-def _dual_span_map(dp, rho_bound):
-    """Images of the maps 'multiply by rho' and 'multiply by rho*eps' on J.
-
-    Returns (sparse raw columns, image bound) for rho over the canonical
-    basis up to rho_bound plus one scalar for the fractional generator;
-    image pairs are vectorized at bound rho_bound + 2.
-    """
-    j1, j2 = ideal_j_generators(dp)
-    e1, e2 = dual_generator_images(dp)
-    big = rho_bound + 2
-    cols = _block_columns(((j1,), (j2,)), rho_bound, big)
-    cols.extend(_sparse([vectorize(e1, big) + vectorize(e2, big)]))
-    return cols, big
-
-
 def hom_pair_space(dp, bound):
     """All A-linear maps J -> R determined on (u-s, v-t) through degree `bound`.
 
@@ -249,11 +234,17 @@ def hom_pair_space(dp, bound):
     because v - t is a non-zero-divisor; the solution space is computed as a
     kernel and compared, dimension and containment both ways, against the
     span of multiplication by 1 and by the dual fractional generator.
+
+    The record keeps its ``bound`` and the span map, for `dual_quotient_iso`:
+    ``span_rows`` is the matrix whose columns are the images of (u-s, v-t)
+    under multiplication by each rho of canonical degree <= bound, then under
+    the fractional generator, vectorized at bound + 2.
     """
     ring = dp.ring
     if not ring.is_field:
         raise ValueError("the hom-space computation needs field coefficients")
     j1, j2 = ideal_j_generators(dp)
+    e1, e2 = dual_generator_images(dp)
     big = bound + 2
 
     # kernel of the syzygy map (r1, r2) |-> (v-t) r1 - (u-s) r2
@@ -262,18 +253,19 @@ def hom_pair_space(dp, bound):
     hom_kernel = kernel_basis(ring, _dense_rows(ring, syz_cols, syz_rows), len(syz_cols))
 
     # span of {mult by rho, mult by rho*eps} intersected with degree <= bound
-    span_cols, span_big = _dual_span_map(dp, bound)
+    span_cols = _block_columns(((j1,), (j2,)), bound, big)
+    span_cols.extend(_sparse([vectorize(e1, big) + vectorize(e2, big)]))
     n_unknowns = len(span_cols)
-    span_rows = _dense_rows(ring, span_cols, 4 * (span_big + 1))
+    span_rows = _dense_rows(ring, span_cols, 4 * (big + 1))
     # rows picking out coordinates of canonical degree > bound
     high_rows = [
-        span_rows[part * (span_big + 1) + j]
+        span_rows[part * (big + 1) + j]
         for part in range(4)  # f part, g part of each component
-        for j in range(bound + 1, span_big + 1)
+        for j in range(bound + 1, big + 1)
     ]
     inside = kernel_basis(ring, high_rows, n_unknowns)
     span_vecs = [
-        _relayout(_apply_columns(ring, span_cols, n, len(span_rows)), span_big, bound, ring.zero)
+        _relayout(_apply_columns(ring, span_cols, n, len(span_rows)), big, bound, ring.zero)
         for n in inside
     ]
 
@@ -290,21 +282,26 @@ def hom_pair_space(dp, bound):
         "span_inside_homs": contained,
         "ok": contained and hom_dim == span_dim,
         "kernel": hom_kernel,
+        "bound": bound,
+        "span_rows": span_rows,
     }
 
 
-def dual_quotient_iso(dp, bound):
+def dual_quotient_iso(dp, hom):
     """The base ring maps isomorphically onto duals-mod-R via the fractional class.
 
     Injectivity: r*(u+s+gamma*t) = (v-t)*h forces r = 0 (kernel of the
     combined linear system is trivial).  Surjectivity: every truncated hom is
     rho*(multiplication) + c*(fractional action) with rho in R and c scalar.
+    ``hom`` is the record ``hom_pair_space(dp, bound)`` returns; its kernel
+    and span map are read, not rebuilt.
     """
     ring = dp.ring
     if not ring.is_field:
         raise ValueError("the quotient-isomorphism check needs field coefficients")
     _, e2 = dual_generator_images(dp)
     _, j2 = ideal_j_generators(dp)
+    bound = hom["bound"]
 
     # injectivity
     h_bound = bound + 2
@@ -315,11 +312,9 @@ def dual_quotient_iso(dp, bound):
     injective = not ker
 
     # surjectivity over the truncated hom space
-    hom = hom_pair_space(dp, bound)
-    span_cols, span_big = _dual_span_map(dp, bound)
-    rows_phi = _dense_rows(ring, span_cols, 4 * (span_big + 1))
-    rhs_list = [_relayout(kv, bound, span_big, ring.zero) for kv in hom["kernel"]]
-    flags = consistent_many(ring, rows_phi, len(span_cols), rhs_list)
+    rows = hom["span_rows"]
+    rhs_list = [_relayout(kv, bound, bound + 2, ring.zero) for kv in hom["kernel"]]
+    flags = consistent_many(ring, rows, len(rows[0]), rhs_list)
     covered = sum(flags)
     failures = [
         [ring.format_elem(c) for c in kv]

@@ -124,9 +124,17 @@ def solve_linearized_increment(q, f):
     dinv = d.inv()
     mu_raw, nu_raw = _raw_increment_preimage(q, f)
     mu, nu = mu_raw.scale(dinv), nu_raw.scale(dinv)
-    if linearized_increment(q, mu, nu) != f:
-        raise AssertionError("right-inverse identity failed (internal error)")
+    _certify("right-inverse", linearized_increment(q, mu, nu), f)
     return mu, nu
+
+
+def _certify(identity, lhs, rhs):
+    """Raise AssertionError unless the series lhs and rhs are equal, naming the
+    least degree where they differ."""
+    if lhs != rhs:
+        n = (lhs - rhs).order()
+        where = f"at degree {n}" if n is not None else f"in precision, {lhs.precision} != {rhs.precision}"
+        raise AssertionError(f"{identity} identity failed {where} (internal error)")
 
 
 def normalize_quadratic_part(f):
@@ -297,10 +305,7 @@ def repair_small_lift(q, tau, u, v, s, t, defect):
     mu, nu = solve_linearized_increment(q, f)
     u2 = u - mu.scale(tau)
     v2 = v - nu.scale(tau)
-    lhs = q.apply_series(u2, v2)
-    rhs = q.apply_series(u, v) - defect
-    if lhs != rhs:
-        raise AssertionError("repair identity failed (internal error)")
+    _certify("repair", q.apply_series(u2, v2), q.apply_series(u, v) - defect)
     return RepairResult(u2, v2, ring(s), ring(t))
 
 

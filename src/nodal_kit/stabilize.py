@@ -86,15 +86,11 @@ def _chart0_closed_form(ring, q, s, t):
 
 
 def _chart1_closed_form(ring, q, s, t):
-    """u(delta*x^2 - gamma*x + 1) + s(delta*x^2 - 1) + t*delta*(gamma*x^2 - 2x)."""
+    """(delta*x^2 - gamma*x + 1, s(delta*x^2 - 1) + t*delta*(gamma*x^2 - 2x)): the
+    chart-1 relation is u times the first plus the second."""
     g, d = q.gamma, q.delta
-    u = MPoly.var(ring, 2, 0)
     x = MPoly.var(ring, 2, 1)
-    return (
-        u * (x * x * d - x * g + 1)
-        + (x * x * d - 1) * s
-        + (x * x * g - x * 2) * (d * t)
-    )
+    return x * x * d - x * g + 1, (x * x * d - 1) * s + (x * x * g - x * 2) * (d * t)
 
 
 def build_charts(ring, q, s, t):
@@ -138,7 +134,8 @@ def build_charts(ring, q, s, t):
     # coefficient of the bare u term is +1
     v_expr3 = MPoly.const(ring, 3, t) - w3 * (u3 + MPoly.const(ring, 3, s + g_ * t))
     rel1 = -_drop_var(f1.subs_var(1, v_expr3), 1)
-    closed1 = _chart1_closed_form(ring, q, s, t)
+    u_coeff, u_free = _chart1_closed_form(ring, q, s, t)
+    closed1 = MPoly.var(ring, 2, 0) * u_coeff + u_free
     if rel1 != closed1:
         raise ChartMismatchError(
             "chart 1 relation drifted:\n  derived: "
@@ -214,18 +211,13 @@ def covering_certificate(ring, q, s, t, charts):
     ``charts`` is the pair ``build_charts(ring, q, s, t)`` returns.
     """
     s, t = ring(s), ring(t)
-    g_, d_ = q.gamma, q.delta
     _, chart1 = charts
     failures = []
 
-    x = MPoly.var(ring, 2, 1)
-    c_poly = x * x * d_ - x * g_ + 1
+    c_poly, d_poly = _chart1_closed_form(ring, q, s, t)
     if c_poly.coefficient((0, 0)) != ring.one:
         failures.append("constant term of delta*x^2-gamma*x+1 is not 1")
-
-    d_poly = (x * x * d_ - 1) * s + (x * x * g_ - x * 2) * (d_ * t)
-    u_var = MPoly.var(ring, 2, 0)
-    if chart1.relation != u_var * c_poly + d_poly:
+    if chart1.relation != MPoly.var(ring, 2, 0) * c_poly + d_poly:
         failures.append("chart 1 relation is not linear in u with the expected coefficient")
     if chart1.relation.degree_in(0) not in (0, 1):
         failures.append("chart 1 relation has u-degree > 1")

@@ -192,7 +192,7 @@ def test_criterion_5_duality_suite():
             assert hom["ok"]
             assert hom["hom_dimension"] == hom["span_dimension"]
             assert hom["span_inside_homs"]
-            iso = dual_quotient_iso(dp, 6)
+            iso = dual_quotient_iso(dp, hom)
             assert iso["ok"]
             assert iso["injective_kernel_dimension"] == 0
             assert iso["covered_homs"] == iso["total_homs"]

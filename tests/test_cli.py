@@ -6,8 +6,9 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nodal_kit import cli, mf, stabilize
+from nodal_kit import cli, mf, normal_form, stabilize
 from nodal_kit.reporting import CheckRecord, Report
+from nodal_kit.series import Series2
 
 
 def run_cli(capsys, *argv):
@@ -336,10 +337,89 @@ def _counting(monkeypatch, module, name):
 def test_check_all_builds_the_factorization_and_the_charts_once(monkeypatch):
     factorizations = _counting(monkeypatch, mf, "build_factorization")
     charts = _counting(monkeypatch, stabilize, "build_charts")
+    homs = _counting(monkeypatch, mf, "hom_pair_space")
     cfg = cli.RunConfig("check-all", ring="fp:7", gamma="3", delta="2")
     assert cli.run(cfg).overall_pass
     assert len(factorizations) == 1
     assert len(charts) == 1
+    assert len(homs) == 1
+
+
+def test_both_dual_checks_read_one_hom_space(monkeypatch):
+    homs = _counting(monkeypatch, mf, "hom_pair_space")
+    isos = _counting(monkeypatch, mf, "dual_quotient_iso")
+    assert cli.run(cli.RunConfig("dual", ring="fp:7", gamma="3", delta="2")).overall_pass
+    (hom_args,) = homs
+    (iso_args,) = isos
+    assert iso_args[0] is hom_args[0]
+    assert iso_args[1]["bound"] == hom_args[1] == 6
+
+
+def test_a_failing_hom_space_fails_both_dual_checks(monkeypatch):
+    calls = []
+
+    def broken(dp, bound):
+        calls.append(bound)
+        raise ArithmeticError("broken hom space")
+
+    monkeypatch.setattr(mf, "hom_pair_space", broken)
+    report = cli.run(cli.RunConfig("dual", ring="fp:7", gamma="3", delta="2"))
+    failed = {r.name: r.counterexample for r in report.records if not r.passed}
+    assert failed == {
+        "dual.hom-space": "ArithmeticError: broken hom space",
+        "dual.quotient-iso": "ArithmeticError: broken hom space",
+    }
+    assert len(calls) == 2  # the exception is not cached
+
+
+def _perturb_degree(monkeypatch, module, name, degree):
+    """Make `module.name`, a function returning a series, add X^degree to its result."""
+    real = getattr(module, name)
+
+    def perturbed(*args):
+        out = real(*args)
+        ring = out.ring
+        return out + Series2(ring, {degree: (ring.zero,) * degree + (ring.one,)})
+
+    monkeypatch.setattr(module, name, perturbed)
+
+
+def _counterexamples(capsys, *argv):
+    code, out, _ = run_cli(capsys, *argv, "--format", "structured")
+    checks = json.loads(out)["checks"]
+    return code, {c["name"]: c.get("counterexample") for c in checks if c["status"] == "fail"}
+
+
+@pytest.mark.parametrize("degree", [1, 4, 9])
+def test_a_wrong_linearized_increment_fails_the_right_inverse_check(monkeypatch, capsys, degree):
+    _perturb_degree(monkeypatch, normal_form, "linearized_increment", degree)
+    code, failed = _counterexamples(capsys, "normal-form", "--ring", "fp:7", "--gamma", "3", "--delta", "2")
+    assert code == 1
+    assert failed["nf.right-inverse"] == (
+        f"AssertionError: right-inverse identity failed at degree {degree} (internal error)"
+    )
+
+
+@pytest.mark.parametrize("degree", [2, 5])
+def test_a_wrong_linearized_increment_fails_the_square_zero_repair_check(monkeypatch, capsys, degree):
+    _perturb_degree(monkeypatch, normal_form, "linearized_increment", degree)
+    code, failed = _counterexamples(capsys, "check-all", "--ring", "fp:7", "--gamma", "3", "--delta", "2")
+    assert code == 1
+    assert failed["nf.square-zero-repair"] == (
+        f"AssertionError: right-inverse identity failed at degree {degree} (internal error)"
+    )
+
+
+@pytest.mark.parametrize("degree", [2, 5])
+def test_a_wrong_repair_fails_the_square_zero_repair_check(monkeypatch, capsys, degree):
+    # the defect divided by tau gains X^degree, so the corrected generators
+    # repair the wrong defect: the repair identity is off by tau*X^degree
+    _perturb_degree(monkeypatch, normal_form, "_divide_by_tau", degree)
+    code, failed = _counterexamples(capsys, "check-all", "--ring", "fp:7", "--gamma", "3", "--delta", "2")
+    assert code == 1
+    assert failed["nf.square-zero-repair"] == (
+        f"AssertionError: repair identity failed at degree {degree} (internal error)"
+    )
 
 
 def test_a_failing_factorization_fails_every_check_that_needs_it(monkeypatch):

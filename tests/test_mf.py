@@ -190,19 +190,19 @@ class TestHomSpace:
 class TestQuotientIso:
     def test_rational_case(self):
         dp = dp_ring(QQ, 0, -1, 0, 0, bound=14)
-        rec = dual_quotient_iso(dp, 6)
+        rec = dual_quotient_iso(dp, hom_pair_space(dp, 6))
         assert rec["ok"]
         assert rec["injective_kernel_dimension"] == 0
         assert rec["covered_homs"] == rec["total_homs"]
 
     def test_prime_field_case(self):
         dp = dp_ring(F7, 1, 0, 0, 0, bound=16)
-        rec = dual_quotient_iso(dp, 8)
+        rec = dual_quotient_iso(dp, hom_pair_space(dp, 8))
         assert rec["ok"]
 
     def test_nonzero_parameters(self):
         dp = dp_ring(F7, 3, 2, 1, 1, bound=14)
-        rec = dual_quotient_iso(dp, 5)
+        rec = dual_quotient_iso(dp, hom_pair_space(dp, 5))
         assert rec["ok"]
 
 
@@ -290,10 +290,9 @@ def test_quotient_iso_counterexample_names_the_uncovered_hom(monkeypatch):
     real = mf_module.dual_quotient_iso
     seen = []
 
-    def first_hom_uncovered(dp, bound):
-        rec = real(dp, bound)
-        kernel = hom_pair_space(dp, bound)["kernel"]
-        seen.append([dp.ring.format_elem(c) for c in kernel[0]])
+    def first_hom_uncovered(dp, hom):
+        rec = real(dp, hom)
+        seen.append([dp.ring.format_elem(c) for c in hom["kernel"][0]])
         return {**rec, "ok": False, "covered_homs": rec["total_homs"] - 1, "failures": [seen[-1]]}
 
     monkeypatch.setattr(mf_module, "dual_quotient_iso", first_hom_uncovered)
@@ -405,17 +404,17 @@ def _ref_hom_calls(dp, bound):
     return calls, hom_kernel, contained
 
 
-def _ref_quotient_iso_calls(dp, bound):
-    ring = dp.ring
+def _ref_quotient_iso_calls(dp, bound, hom_kernel):
+    """The injectivity kernel, then one consistency test against the hom
+    space's span map: no syzygy kernel and no span rank."""
     _, e2 = dual_generator_images(dp)
     _, j2 = ideal_j_generators(dp)
     big = bound + 3
     cols = [vectorize(e2, big)] + [[-c for c in vectorize(j2 * h, big)] for h in dp.basis(bound + 2)]
     calls = [("kernel_basis", _columns_to_rows(cols), len(cols))]
-    hom_calls, hom_kernel, _ = _ref_hom_calls(dp, bound)
     span_cols, span_big = _ref_dual_span_map(dp, bound)
     rhs_list = [_pair_vec(_pair_unvec(dp, kv, bound), span_big) for kv in hom_kernel]
-    calls += hom_calls + [("consistent_many", _columns_to_rows(span_cols), len(span_cols), rhs_list)]
+    calls.append(("consistent_many", _columns_to_rows(span_cols), len(span_cols), rhs_list))
     return calls
 
 
@@ -484,8 +483,8 @@ def test_closed_form_matrices_match_the_dpelem_route(monkeypatch, descriptor, co
         _assert_same_calls(ring, calls, expected)
         assert rec["kernel"] == hom_kernel and rec["span_inside_homs"] == contained
         calls.clear()
-        assert dual_quotient_iso(dp, bound)["ok"]
-        _assert_same_calls(ring, calls, _ref_quotient_iso_calls(dp, bound))
+        assert dual_quotient_iso(dp, rec)["ok"]
+        _assert_same_calls(ring, calls, _ref_quotient_iso_calls(dp, bound, hom_kernel))
         calls.clear()
         assert v_shift_nonzerodivisor(dp, bound)["ok"]
         _assert_same_calls(ring, calls, _ref_nzd_calls(dp, bound))
