@@ -293,8 +293,8 @@ def dual_quotient_iso(dp, hom):
     Injectivity: r*(u+s+gamma*t) = (v-t)*h forces r = 0 (kernel of the
     combined linear system is trivial).  Surjectivity: every truncated hom is
     rho*(multiplication) + c*(fractional action) with rho in R and c scalar.
-    ``hom`` is the record ``hom_pair_space(dp, bound)`` returns; its kernel
-    and span map are read, not rebuilt.
+    ``hom`` is the record ``hom_pair_space(dp, bound)`` returns: surjectivity
+    is tested on its kernel against its span map.
     """
     ring = dp.ring
     if not ring.is_field:
