@@ -509,12 +509,11 @@ def _series_laws(res, cfg, rng):
             sy = draw() + Series2.y(ring, 5)
             if f.substitute(X, Y) != f:
                 return {"ok": False, "counterexample": f"identity law, trial {k}"}
-            lhs = (f + g).substitute(sx, sy)
-            rhs = f.substitute(sx, sy) + g.substitute(sx, sy)
-            if lhs != rhs:
+            fs, gs = f.substitute(sx, sy), g.substitute(sx, sy)
+            if (f + g).substitute(sx, sy) != fs + gs:
                 return {"ok": False, "counterexample": f"additivity, trial {k}"}
             lhs = (f * g).substitute(sx, sy)
-            rhs = (f.substitute(sx, sy) * g.substitute(sx, sy)).truncated(lhs.precision)
+            rhs = (fs * gs).truncated(lhs.precision)
             if lhs != rhs:
                 return {"ok": False, "counterexample": f"multiplicativity, trial {k}"}
         return {"ok": True, "trials": 8}

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .rings import DualNumbers, RingElem, _product_sums
-from .series import Series2
+from .series import Series2, _min_prec
 
 
 class DegenerateFormError(ValueError):
@@ -83,47 +83,49 @@ class CoordChange:
 def linearized_increment(q, mu, nu):
     """The part of q(X+mu, Y+nu) - q(X, Y) linear in the series mu, nu.
 
-    Equals (2*mu + gamma*nu)*X + (gamma*mu + 2*delta*nu)*Y: each degree-n
-    component feeds degree n+1.  Keeps the precision of mu and nu.
+    Equals q_X*mu + q_Y*nu, with the gradient q_X = 2X + gamma*Y and
+    q_Y = gamma*X + 2*delta*Y the vectors (gamma, 2) and (2*delta, gamma) by
+    X-exponent: degree n < P of mu and nu feeds degree n+1, all in one packed
+    product.  P, the lesser precision of mu and nu, is the result's.
     """
-    left = mu.scale(2) + nu.scale(q.gamma)
-    right = mu.scale(q.gamma) + nu.scale(2 * q.delta)
-    zero = (q.ring.zero,)
-    times_x = Series2(q.ring, {n + 1: zero + v for n, v in left.parts.items()}, left.precision)
-    times_y = Series2(q.ring, {n + 1: v + zero for n, v in right.parts.items()}, right.precision)
-    return times_x + times_y
+    ring, prec = q.ring, _min_prec(mu.precision, nu.precision)
+    degrees = sorted(n for n in mu.parts.keys() | nu.parts.keys() if prec is None or n < prec)
+    right = [s.parts.get(n, (ring.zero,) * (n + 1)) for n in degrees for s in (mu, nu)]
+    outputs = [(n + 2, [(0, 2 * k), (1, 2 * k + 1)]) for k, n in enumerate(degrees)]
+    sums = _product_sums(ring, [(q.gamma, ring(2)), (2 * q.delta, q.gamma)], right, outputs)
+    return Series2(ring, {n + 1: v for n, v in zip(degrees, sums)}, prec)
 
 
-def _raw_increment_preimage(q, f):
-    """(mu, nu) with linearized_increment(q, mu, nu) = d * f, d the discriminant.
+def _raw_increment_preimage(q, f, c=1):
+    """(mu, nu) with linearized_increment(q, mu, nu) = c*d*f, d the discriminant.
 
-    f needs zero constant term.  Each component is split as f_n = X*u + Y*v
-    by the fixed rule: the pure-Y monomial feeds v, every other monomial
-    feeds u.  mu and nu keep the precision of f.
+    f needs zero constant term.  With a = -2*delta*c, b = gamma*c, e = -2*c,
+    degree n of f gives mu_{n-1} = a*f_n[1:] + b*f_n[0] and nu_{n-1} =
+    b*f_n[1:] + e*f_n[0], the f_n[0] terms at X-exponent 0, all in one packed
+    product.  mu and nu keep the precision of f.
     """
     if 0 in f.parts:
         raise ValueError("series must have zero constant term")
-    zero = (f.ring.zero,)
-    u = Series2(f.ring, {n - 1: vec[1:] for n, vec in f.parts.items()}, f.precision)
-    v = Series2(f.ring, {n - 1: vec[:1] + zero * (n - 1) for n, vec in f.parts.items()}, f.precision)
-    mu = u.scale(-2 * q.delta) + v.scale(q.gamma)
-    nu = u.scale(q.gamma) - v.scale(2)
-    return mu, nu
+    ring, c = f.ring, f.ring(c)
+    degrees = sorted(f.parts)
+    right = [w for n in degrees for w in (f.parts[n][1:], f.parts[n][:1])]
+    outputs = [(n, [(i, 2 * k), (i + 1, 2 * k + 1)]) for k, n in enumerate(degrees) for i in (0, 1)]
+    sums = _product_sums(ring, [(-2 * q.delta * c,), (q.gamma * c,), (-2 * c,)], right, outputs)
+    parts = [{n - 1: sums[2 * k + i] for k, n in enumerate(degrees)} for i in (0, 1)]
+    return tuple(Series2(ring, p, f.precision) for p in parts)
 
 
 def solve_linearized_increment(q, f):
     """Right inverse of the linearized increment, for a series f with zero
     constant term: one homogeneous component or a whole series.
 
-    Needs a unit discriminant; the defining identity is re-checked on every
-    call, which pins down the sign conventions of the preimage formula.
+    Needs a unit discriminant d; takes the raw preimage at c = 1/d and
+    re-checks q_X*mu + q_Y*nu = f on every call, which pins down the signs.
     """
     d = q.discriminant
     if not d.is_unit:
         raise DegenerateFormError("right inverse needs a unit discriminant")
-    dinv = d.inv()
-    mu_raw, nu_raw = _raw_increment_preimage(q, f)
-    mu, nu = mu_raw.scale(dinv), nu_raw.scale(dinv)
+    mu, nu = _raw_increment_preimage(q, f, d.inv())
     _certify("right-inverse", linearized_increment(q, mu, nu), f)
     return mu, nu
 

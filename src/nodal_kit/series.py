@@ -85,12 +85,17 @@ class Series2:
 
     @classmethod
     def from_triples(cls, ring, triples, precision=None):
-        """CLI literal format: [[i, j, "coeff"], ...] with non-negative int exponents."""
-        terms = []
+        """CLI literal format: [[i, j, "coeff"], ...] with non-negative int exponents.
+
+        Each distinct coefficient literal is parsed once, at its first use."""
+        terms, parsed = [], {}
         for i, j, c in triples:
             if not all(type(k) is int and k >= 0 for k in (i, j)):  # bool is not an exponent
                 raise ValueError(f"exponents must be non-negative integers, not {[i, j]}")
-            terms.append((i, j, ring.parse_elem(str(c))))
+            c = str(c)
+            if c not in parsed:
+                parsed[c] = ring.parse_elem(c)
+            terms.append((i, j, parsed[c]))
         return cls.from_terms(ring, terms, precision)
 
     # --- inspection ---------------------------------------------------------

@@ -500,3 +500,76 @@ def test_right_inverse_of_a_series_is_the_sum_over_components(seed, ring_desc, p
         mu_n, nu_n = solve_linearized_increment(q, f.homogeneous_part(n))
         mu_sum, nu_sum = mu_sum + mu_n, nu_sum + nu_n
     assert (mu, nu) == (mu_sum, nu_sum)
+
+
+# --- the shift-based increment and the u/v-split preimage the packed kernel
+# replaced, kept as references ------------------------------------------------
+
+
+def _shifted_increment(q, mu, nu):
+    """(2*mu + gamma*nu)*X + (gamma*mu + 2*delta*nu)*Y through scaled, shifted
+    and added series; degree n+1 above the lesser precision P of mu, nu is dropped."""
+    left = mu.scale(2) + nu.scale(q.gamma)
+    right = mu.scale(q.gamma) + nu.scale(2 * q.delta)
+    zero = (q.ring.zero,)
+    times_x = Series2(q.ring, {n + 1: zero + v for n, v in left.parts.items()}, left.precision)
+    times_y = Series2(q.ring, {n + 1: v + zero for n, v in right.parts.items()}, right.precision)
+    return times_x + times_y
+
+
+def _split_preimage(q, f, c=1):
+    """Split each f_n as X*u + Y*v (the pure-Y monomial feeds v, the rest u),
+    then mu = c*(-2*delta*u + gamma*v) and nu = c*(gamma*u - 2*v)."""
+    if 0 in f.parts:
+        raise ValueError("series must have zero constant term")
+    zero = (f.ring.zero,)
+    u = Series2(f.ring, {n - 1: vec[1:] for n, vec in f.parts.items()}, f.precision)
+    v = Series2(f.ring, {n - 1: vec[:1] + zero * (n - 1) for n, vec in f.parts.items()}, f.precision)
+    mu = u.scale(-2 * q.delta) + v.scale(q.gamma)
+    nu = u.scale(q.gamma) - v.scale(2)
+    return mu.scale(c), nu.scale(c)
+
+
+def _raw(*series):
+    """Precisions and raw coefficient values: equal only when identical."""
+    return [(s.precision, {n: [c.val for c in v] for n, v in s.parts.items()}) for s in series]
+
+
+REFERENCE_RINGS = ["q", "fp:7", "dual:q", "loc:q:s,t:3", "dual:loc:q:s,t:2"]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    ring_desc=st.sampled_from(REFERENCE_RINGS),
+    precisions=st.lists(st.one_of(st.none(), st.integers(0, 7)), min_size=3, max_size=3),
+    whole=st.booleans(),
+)
+def test_packed_right_inverse_matches_the_shift_based_reference(seed, ring_desc, precisions, whole):
+    rnd = random.Random(seed)
+    ring = make_ring(ring_desc)
+    q = QuadForm.make(ring, *random_unit_disc(ring, rnd))
+
+    def draw(precision, low):
+        # a whole series through degree 7, or one component
+        degrees = range(low, 8) if whole else [rnd.randint(low, 7)]
+        terms = [
+            (i, n - i, ring.random_element(rnd)) for n in degrees for i in range(n + 1) if rnd.random() < 0.6
+        ]
+        return Series2.from_terms(ring, terms, precision)
+
+    mu, nu, f = draw(precisions[0], 0), draw(precisions[1], 0), draw(precisions[2], 1)
+    for nu_ in (nu, Series2.zero(ring)):
+        assert _raw(linearized_increment(q, mu, nu_)) == _raw(_shifted_increment(q, mu, nu_))
+    c = ring.random_element(rnd) + ring(2)
+    assert _raw(*_raw_increment_preimage(q, f, c)) == _raw(*_split_preimage(q, f, c))
+    assert _raw(*_raw_increment_preimage(q, f)) == _raw(*_split_preimage(q, f))
+    assert _raw(*solve_linearized_increment(q, f)) == _raw(*_split_preimage(q, f, q.discriminant.inv()))
+
+
+def test_packed_preimage_rejects_a_constant_term_like_the_reference():
+    q = QuadForm.make(QQ, 1, 0)
+    f = S(QQ, [(0, 0, 1), (1, 0, 1)])
+    for preimage in (_raw_increment_preimage, _split_preimage):
+        with pytest.raises(ValueError, match="zero constant term"):
+            preimage(q, f, QQ(3))

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from nodal_kit.dp_ring import DPRing, _norm
 from nodal_kit.normal_form import QuadForm
-from nodal_kit.rings import DualNumbers, PrimeField, Rationals, _product_sums
+from nodal_kit.rings import DualNumbers, PrimeField, Rationals, _product_sums, make_ring
 from nodal_kit.series import PrecisionError, Series2, SubstitutionError, _min_prec
 
 QQ = Rationals()
@@ -157,6 +157,49 @@ def test_order_additivity_over_domains(seed):
 def test_from_triples_literal():
     f = Series2.from_triples(QQ, [[2, 0, "1"], [1, 1, "3"], [0, 3, "1"]])
     assert f == S(QQ, [(2, 0, 1), (1, 1, 3), (0, 3, 1)])
+
+
+def _from_triples_reference(ring, triples, precision=None):
+    """Series2.from_triples with a parse of every term's literal."""
+    terms = []
+    for i, j, c in triples:
+        if not all(type(k) is int and k >= 0 for k in (i, j)):
+            raise ValueError(f"exponents must be non-negative integers, not {[i, j]}")
+        terms.append((i, j, ring.parse_elem(str(c))))
+    return Series2.from_terms(ring, terms, precision)
+
+
+@pytest.mark.parametrize("ring_desc", ["q", "loc:q:s,t:3"])
+@pytest.mark.parametrize(
+    "triples",
+    [
+        [[2, 0, "1/3"], [1, 1, "1/3"], [0, 2, 3], [3, 0, "3"], [2, 0, "1/3"]],  # repeated literals
+        [[2, 0, "1"], [1, 1, "1/0"], [0, 2, "1/0"]],  # a repeated bad literal
+        [[2, 0, "w"], [1, 1, "1/0"], [0, 2, "w"]],  # two bad literals: the first raises
+        [[2, 0, "2"], [-1, 0, "w"], [1, 1, "w"]],  # a bad exponent before a bad literal
+        [[2, 0, "w"], [True, 0, "2"]],  # a bad literal before a bad exponent
+    ],
+)
+def test_from_triples_parses_each_literal_once_with_the_same_outcome(monkeypatch, ring_desc, triples):
+    ring = make_ring(ring_desc)
+
+    def outcome(build):
+        try:
+            f = build(ring, triples, 4)
+        except ValueError as e:
+            return type(e), str(e)
+        return f.precision, {n: [c.val for c in v] for n, v in f.parts.items()}
+
+    expected = outcome(_from_triples_reference)
+    parsed, parse = [], ring.parse_elem
+
+    def counting(s):
+        parsed.append(s)
+        return parse(s)
+
+    monkeypatch.setattr(ring, "parse_elem", counting)
+    assert outcome(Series2.from_triples) == expected
+    assert len(parsed) == len(set(parsed))
 
 
 def test_str_merges_signs_and_keeps_the_precision_tail():
