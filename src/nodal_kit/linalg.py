@@ -2,17 +2,29 @@
 
 Matrices are lists of row lists of ring elements.  Everything is pure and
 exact; these routines back the kernel/rank certificates used by the duality
-and exactness checks.
+and exactness checks.  Rows of differing length, and a right-hand side
+whose length is not the number of rows, raise ValueError.
 
 Inside the module a matrix is a list of sparse rows {column: raw value}: the
 ``val`` of each nonzero entry, an int reduced mod p over F_p and a
-``Fraction`` over Q.  One elimination loop runs on these rows.  Over F_p it
-scales each pivot row to a leading 1.  Over Q it eliminates fraction-free
-(one-step, Bareiss 1968): each row is cleared of denominators once and
-kept as a primitive integer row, a nonzero multiple of the row elimination
-over Q would build, so the pivots and every returned value are the same.
-Values are wrapped back into ring elements, and rows over Q scaled to a
-leading 1, only where results leave the module.
+``Fraction`` over Q.  One elimination loop, `_eliminate`, runs on these
+rows.  It takes the columns in order and keeps a column index, the set of
+rows with an entry in each column, so a pivot step visits only the rows it
+changes.  A column's pivot is the row there with the fewest entries
+(Markowitz's rule), which keeps fill-in low on the sparse certificate
+matrices.  Whichever row is chosen, the pivot columns and the reduced pivot
+rows cut to the first ``ncols`` columns are those of the unique reduced row
+echelon form, and the rows left without a pivot span the same space.  So
+`rank`, `kernel_basis` and `consistent_many` return what dense elimination
+returns.  `rref` alone takes the first row with an entry, as dense
+elimination does, because its rows also carry the columns right of
+``ncols``, whose entries depend on the choice.  Over F_p the loop scales
+each pivot row to a leading 1.  Over Q it eliminates fraction-free
+(one-step, Bareiss 1968): each row is cleared of denominators once and kept
+as a primitive integer row, a nonzero multiple of the row elimination over Q
+would build, so the pivots and every returned value are the same.  Values
+are wrapped back into ring elements, and rows over Q scaled to a leading 1,
+only where results leave the module.
 """
 
 from __future__ import annotations
@@ -28,8 +40,18 @@ def _require_field(ring):
         raise ValueError(f"linear algebra needs a field, got {ring.descriptor()}")
 
 
+def _width(rows):
+    """The common length of the rows of a matrix; ValueError names a row of another length."""
+    width = len(rows[0]) if rows else 0
+    for i, row in enumerate(rows):
+        if len(row) != width:
+            raise ValueError(f"row {i} has {len(row)} entries, row 0 has {width}")
+    return width
+
+
 def _sparse(rows, ncols=None):
     """Sparse raw rows of a matrix, cut to its first ``ncols`` columns unless None."""
+    _width(rows)
     return [{c: x.val for c, x in enumerate(row[:ncols]) if x.val} for row in rows]
 
 
@@ -69,46 +91,77 @@ def _divide_content(row):
             row[j] //= g
 
 
-def _eliminate(ring, rows, ncols, full):
+def _eliminate(ring, rows, ncols, full, first_row=False):
     """Eliminate sparse raw rows in place, pivoting on the columns below ``ncols``.
 
-    Returns the pivot columns; ``rows[:len(pivots)]`` are then the pivot rows.
-    Over F_p each is scaled to a leading 1; over Q every row is a primitive
+    Returns the pivot columns; ``rows[:len(pivots)]`` are then the pivot rows,
+    in pivot order, and the rows left without a pivot follow.  Over F_p each
+    pivot row is scaled to a leading 1; over Q every row is a primitive
     integer row, a nonzero multiple of the row the same steps on
-    ``Fraction``s build (see `_unit`).  A column's pivot is the first
-    remaining row with an entry there, swapped into place as in dense
-    elimination, so the entries right of ``ncols`` come out the same too.
-    ``full=True`` clears each pivot column above and below the pivot (the
-    reduced row echelon form); ``full=False`` clears below only.
+    ``Fraction``s build (see `_unit`).  ``full=True`` clears each pivot
+    column above and below the pivot (the reduced row echelon form);
+    ``full=False`` clears below only.
+
+    Columns are taken in order.  ``index[c]`` holds the rows with an entry in
+    column ``c < ncols``; it is updated on every fill-in and cancellation, so
+    the pivot search and the clearing visit only those rows.  The pivot is
+    the remaining row with the fewest entries, the lowest current position
+    breaking ties, or with ``first_row=True`` the remaining row at the lowest
+    current position; it is swapped into place either way.  The choice
+    changes only the entries right of ``ncols`` of the pivot rows (see the
+    module docstring), so only `rref` needs ``first_row``.
     """
     p = _modulus(ring)
     if p is None:
         for row in rows:
             _integer_row(row)
     m = len(rows)
+    # rows keep their index in ``rows`` until the end; ``order`` lists them by
+    # current position, ``pos`` is its inverse
+    order = list(range(m))
+    pos = list(range(m))
+    index = [set() for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        for j in row:
+            if j < ncols:
+                index[j].add(i)
     pivots = []
     for c in range(ncols):
         r = len(pivots)
         if r == m:
             break
-        i = next((i for i in range(r, m) if c in rows[i]), None)
-        if i is None:
+        hits = index[c]
+        # with ``full`` the pivot rows stay indexed, to be cleared above the
+        # pivot; only the rows from position r on may pivot
+        remaining = [i for i in hits if pos[i] >= r] if full else hits
+        if not remaining:
             continue
-        prow = rows[i]
-        rows[i] = rows[r]
-        rows[r] = prow
+        if first_row:
+            k = min(remaining, key=pos.__getitem__)
+        else:
+            k = min(remaining, key=lambda i: (len(rows[i]), pos[i]))
+        other = order[r]
+        order[r], order[pos[k]] = k, other
+        pos[k], pos[other] = r, pos[k]
+        prow = rows[k]
         a = prow[c]
         # one ring inversion per pivot (perfbench's tracer counts the rank
         # by them; over Q its value goes unused, `_unit` scales at the end);
         # every other operation is on raw values
         inv = RingElem(ring, Fraction(a) if p is None else a).inv().val
         if p is not None:
-            prow = rows[r] = {j: b * inv % p for j, b in prow.items()}
-        for i in range(0 if full else r + 1, m):
+            prow = rows[k] = {j: b * inv % p for j, b in prow.items()}
+        if not full:
+            for j in prow:
+                if j < ncols:
+                    index[j].discard(k)
+        # each cleared row's entry in column c cancels: it is popped, and
+        # index[c] is reset once all are cleared
+        tail = dict(prow)
+        del tail[c]
+        for i in [i for i in hits if i != k]:
             row = rows[i]
-            f = row.get(c)
-            if f is None or i == r:
-                continue
+            f = row.pop(c)
             if p is None:
                 # row <- (a/g) row - (f/g) prow, then divided by its content
                 g = gcd(a, f)
@@ -117,17 +170,28 @@ def _eliminate(ring, rows, ncols, full):
                     s = a // g
                     for j in row:
                         row[j] *= s
-            for j, b in prow.items():
-                v = row.get(j, 0) - f * b
+            for j, b in tail.items():
+                v = row.get(j)
+                if v is None:
+                    v = -f * b
+                    row[j] = v % p if p is not None else v
+                    if j < ncols:
+                        index[j].add(i)
+                    continue
+                v -= f * b
                 if p is not None:
                     v %= p
                 if v:
                     row[j] = v
                 else:
                     del row[j]
+                    if j < ncols:
+                        index[j].discard(i)
             if p is None:
                 _divide_content(row)
+        index[c] = {k} if full else set()
         pivots.append(c)
+    rows[:] = [rows[i] for i in order]
     return pivots
 
 
@@ -142,9 +206,9 @@ def _unit(ring, row, c):
 def rref(ring, rows, ncols):
     """Reduced row echelon form; returns (rows, pivot column list)."""
     _require_field(ring)
-    width = len(rows[0]) if rows else 0
     red = _sparse(rows)
-    pivots = _eliminate(ring, red, ncols, full=True)
+    width = len(rows[0]) if rows else 0
+    pivots = _eliminate(ring, red, ncols, full=True, first_row=True)
     return [_dense(ring, _unit(ring, row, c), width) for row, c in zip(red, pivots)], pivots
 
 
@@ -174,9 +238,13 @@ def consistent_many(ring, rows, ncols, rhs_list):
 
     Forward elimination with pivots restricted to the structural columns;
     a right-hand side is consistent iff its entries vanish on the rows left
-    without a pivot.
+    without a pivot.  Each rhs has one entry per row of A.
     """
     _require_field(ring)
+    _width(rows)
+    for k, rhs in enumerate(rhs_list):
+        if len(rhs) != len(rows):
+            raise ValueError(f"right-hand side {k} has {len(rhs)} entries, the matrix has {len(rows)} rows")
     if not rhs_list:
         return []
     aug = _sparse([list(row[:ncols]) + [rhs[i] for rhs in rhs_list] for i, row in enumerate(rows)])

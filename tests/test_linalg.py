@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nodal_kit.linalg import consistent_many, kernel_basis, rank, rref
+from nodal_kit.linalg import _dense, _eliminate, _sparse, _unit, consistent_many, kernel_basis, rank, rref
 from nodal_kit.rings import PrimeField, Rationals, RingElem
 
 QQ = Rationals()
@@ -380,3 +380,112 @@ def test_integer_rows_over_q_match_the_fraction_loop(system):
         with _counted_inversions() as calls:
             assert consistent_many(QQ, matrix, ncols, rhs_elems) == flags
         assert len(calls) == (r if rhs_list else 0)
+
+
+# --- malformed input ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("ring", [QQ, F7], ids=["q", "fp7"])
+def test_ragged_input_raises_naming_the_index(ring):
+    zero, one, two, three = ring.zero, ring.one, ring.from_int(2), ring.from_int(3)
+    ragged = [[zero, one], [one, two, three]]
+    for call in (
+        lambda: rref(ring, ragged, 2),
+        lambda: rank(ring, ragged, 2),
+        lambda: kernel_basis(ring, ragged, 2),
+        lambda: consistent_many(ring, ragged, 2, [[one, one]]),
+        lambda: consistent_many(ring, ragged, 2, []),
+    ):
+        with pytest.raises(ValueError, match="row 1 has 3 entries, row 0 has 2"):
+            call()
+    rows = [[one, two], [two, one]]
+    with pytest.raises(ValueError, match="right-hand side 1 has 1 entries, the matrix has 2 rows"):
+        consistent_many(ring, rows, 2, [[one, one], [one]])
+    with pytest.raises(ValueError, match="right-hand side 0 has 3 entries, the matrix has 2 rows"):
+        consistent_many(ring, rows, 2, [[one, one, three]])
+
+
+# --- fill-in of the pivot rule ----------------------------------------------------
+
+
+def _arrowhead(ring, n):
+    """An n x n arrowhead matrix: row 0 and column 0 dense, plus the diagonal."""
+    rows = [[ring.zero] * n for _ in range(n)]
+    for i in range(n):
+        rows[0][i] = ring.from_int(i + 2)
+        rows[i][0] = ring.from_int(i + 2)
+        rows[i][i] = ring.from_int(i + 2 if i == 0 else 1)
+    return rows
+
+
+@pytest.mark.parametrize("name", ["fp101", "q"])
+def test_fewest_entries_pivots_keep_an_arrowhead_sparse(name):
+    """A first pivot row with the fewest entries keeps an arrowhead matrix at
+    most 3n entries, where the first row with an entry fills it in; the pivots
+    and the reduced pivot rows are those of the dense first-row reference."""
+    ring, n = DIFF_RINGS[name], 30
+    rows = _arrowhead(ring, n)
+    ref_red, ref_pivots = _ref_rref(ring, rows, n)
+    first = _sparse(rows)
+    assert _eliminate(ring, first, n, full=False, first_row=True) == ref_pivots
+    assert sum(map(len, first)) > n * n // 2
+    for full in (False, True):
+        red = _sparse(rows)
+        pivots = _eliminate(ring, red, n, full)
+        assert sum(map(len, red)) <= 3 * n
+        assert pivots == ref_pivots
+        # the pivot rows come first, in pivot order
+        assert [min(row) for row in red[: len(pivots)]] == pivots
+        if not full:  # an echelon form: reducing it gives the reference
+            red = red[: len(pivots)]
+            assert _eliminate(ring, red, n, full=True, first_row=True) == pivots
+        assert _raw([_dense(ring, _unit(ring, row, c), n) for row, c in zip(red, pivots)]) == _raw(ref_red)
+
+
+# --- an independent oracle: sympy's DomainMatrix -------------------------------
+
+
+@pytest.mark.parametrize("p", [None, 2, 7, 101], ids=["q", "fp2", "fp7", "fp101"])
+def test_ranks_and_consistency_match_sympy(p):
+    """Ranks, kernel dimensions and consistency flags against sympy's
+    DomainMatrix over QQ and GF(p), on random sparse systems with zero
+    columns, duplicate rows and right-hand sides both consistent and random."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    ring = QQ if p is None else PrimeField(p)
+    domain = sympy.QQ if p is None else sympy.GF(p)
+    rnd = random.Random(17 if p is None else p)
+
+    def entry():
+        if rnd.random() < 0.7:
+            return Fraction(0)
+        if p is None:
+            return Fraction(rnd.randint(-9, 9), rnd.randint(1, 4))
+        return Fraction(rnd.randrange(1, p))
+
+    def matrix(values, ncols):
+        # entries over F_p are integers, which GF(p) reduces
+        elem = (lambda x: domain(x.numerator, x.denominator)) if p is None else (lambda x: domain(x.numerator))
+        return DomainMatrix([[elem(x) for x in row] for row in values], (len(values), ncols), domain)
+
+    for _ in range(40):
+        m, n = rnd.randint(0, 10), rnd.randint(0, 10)
+        values = [[entry() for _ in range(n)] for _ in range(m)]
+        for c in rnd.sample(range(n), min(n, rnd.randint(0, 2))):
+            for row in values:
+                row[c] = Fraction(0)
+        if values:
+            values += [list(rnd.choice(values)) for _ in range(rnd.randint(0, 2))]
+        rows = [[ring.from_fraction(x) for x in row] for row in values]
+        r = matrix(values, n).rank()
+        assert rank(ring, rows, n) == r
+        assert len(kernel_basis(ring, rows, n)) == matrix(values, n).nullspace().shape[0] == n - r
+        rhs_values = []
+        for _ in range(3):
+            x0 = [entry() for _ in range(n)]
+            rhs_values.append([sum((a * b for a, b in zip(row, x0)), Fraction(0)) for row in values])
+            rhs_values.append([entry() for _ in values])
+        expected = [matrix([row + [b] for row, b in zip(values, rhs)], n + 1).rank() == r for rhs in rhs_values]
+        rhs_list = [[ring.from_fraction(b) for b in rhs] for rhs in rhs_values]
+        assert consistent_many(ring, rows, n, rhs_list) == expected
