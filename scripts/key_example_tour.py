@@ -7,6 +7,7 @@ suite checks can be inspected by eye.
 """
 
 import argparse
+import sys
 
 from nodal_kit.dp_ring import DPRing, x_power_decompositions
 from nodal_kit.mf import (
@@ -56,10 +57,14 @@ def main():
     print()
 
     X = MPoly.var(ring, 2, 0)
-    f, g, h = x_power_decompositions(dp, 6)
+    f, g, _ = x_power_decompositions(dp, 6)
     print("canonical forms of X^n (division route = recursion route):")
     for n in range(2, 7):
-        print(f"  X^{n} = {dp.reduce(X**n)}")
+        reduced = dp.reduce(X**n)
+        print(f"  X^{n} = {reduced}")
+        recursed = dp.element(f[n], g[n - 1])
+        if reduced != recursed:
+            sys.exit(f"X^{n}: the recursion route gives {recursed}")
     print()
 
     j1, j2 = ideal_j_generators(dp)

@@ -21,13 +21,10 @@ from .normal_form import (
     DegenerateFormError,
     QuadForm,
     linearized_increment,
-    normal_form_coordinates,
     normal_form_iteration,
-    normalize_quadratic_part,
     repair_small_lift,
     solve_linearized_increment,
     square_zero_change,
-    tangent_pair,
 )
 from .dp_ring import (
     DegreeOverflowError,

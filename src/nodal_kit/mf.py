@@ -337,9 +337,9 @@ def two_periodic_exactness(mf, bound, cushion=2, transposed=False):
     <= bound must be the image of an element of degree <= bound + cushion; a
     kernel element with no preimage within the cushion is reported, as its
     coordinate vector, as a counterexample candidate (a larger cushion may be
-    needed).  The composition alpha*beta = beta*alpha = x*I is re-checked
-    identically at the polynomial level, and x reduces to zero, so
-    image-in-kernel holds automatically.
+    needed).  ``build_factorization``, the only constructor of ``MatFact``,
+    certified phi*psi = psi*phi = x*I; x reduces to zero, so image-in-kernel
+    holds automatically.
     """
     dp = mf.dp
     ring = dp.ring
@@ -347,11 +347,7 @@ def two_periodic_exactness(mf, bound, cushion=2, transposed=False):
         raise ValueError("the exactness check needs field coefficients")
     if cushion < 1:
         raise ValueError("cushion must be >= 1")
-    x = dp.relation
-    zero = MPoly.zero(ring, 2)
-    x_id = ((x, zero), (zero, x))
-    comp_ok = mat_eq(mat_mul(mf.phi, mf.psi), x_id) and mat_eq(mat_mul(mf.psi, mf.phi), x_id)
-    comp_ok = comp_ok and dp.reduce(x).is_zero
+    comp_ok = dp.reduce(dp.relation).is_zero
 
     alpha, beta = mf.alpha, mf.beta
     if transposed:

@@ -61,9 +61,6 @@ class MPoly:
     def terms_sorted(self):
         return sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]))
 
-    def degree_in(self, i):
-        return max((e[i] for e in self.terms), default=None)
-
     def _coerce(self, other):
         if isinstance(other, MPoly):
             if other.ring != self.ring or other.nvars != self.nvars:
@@ -152,19 +149,6 @@ class MPoly:
             MPoly._of(ring, n, {e: RingElem(ring, v) for e, v in rem.items()}),
             MPoly._of(ring, n, {e: RingElem(ring, v) for e, v in quot.items() if v}),
         )
-
-    def eval_var(self, i, value):
-        """Specialize variable i to a ring element (exponent stays, set to 0)."""
-        value = self.ring(value)
-        out = MPoly.zero(self.ring, self.nvars)
-        powers = {0: self.ring.one}
-        for e, c in self.terms.items():
-            k = e[i]
-            if k not in powers:
-                powers[k] = value**k
-            e2 = tuple(0 if j == i else a for j, a in enumerate(e))
-            out = out + MPoly(self.ring, self.nvars, {e2: c * powers[k]})
-        return out
 
     def eval_all(self, values):
         """Evaluate at a full point; returns a ring element."""

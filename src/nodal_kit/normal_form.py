@@ -75,10 +75,6 @@ class CoordChange:
         if not (a * d - b * c).is_unit:
             raise ValueError("linear part of the coordinate change is not invertible")
 
-    def apply(self, f):
-        """Compose a series with the change (requires zero constant terms)."""
-        return f.substitute(self.xs, self.ys)
-
 
 def linearized_increment(q, mu, nu):
     """The part of q(X+mu, Y+nu) - q(X, Y) linear in the series mu, nu.
@@ -137,44 +133,6 @@ def _certify(identity, lhs, rhs):
         n = (lhs - rhs).order()
         where = f"at degree {n}" if n is not None else f"in precision, {lhs.precision} != {rhs.precision}"
         raise AssertionError(f"{identity} identity failed {where} (internal error)")
-
-
-def normalize_quadratic_part(f):
-    """Linear change and unit scale bringing the degree-2 part to monic form.
-
-    Requires field coefficients, vanishing parts of degree < 2, and a
-    non-degenerate binary quadratic degree-2 part a*X^2 + b*X*Y + c*Y^2.
-    Returns (change, scale, q) with scale*(f o change) having degree-2 part
-    exactly X^2 + gamma*X*Y + delta*Y^2.
-    """
-    ring = f.ring
-    if not ring.is_field:
-        raise ValueError("quadratic normalization needs field coefficients")
-    for n in (0, 1):
-        if not f.homogeneous_part(n).is_zero:
-            raise ValueError(f"degree-{n} part must vanish")
-    f2 = f.homogeneous_part(2)
-    c_, b, a = (f2.coefficient(i, 2 - i) for i in range(3))
-    if (b * b - 4 * a * c_).is_zero:
-        raise DegenerateFormError("degenerate quadratic part")
-    X, Y = Series2.x(ring), Series2.y(ring)
-    if not a.is_zero:
-        change = CoordChange(X, Y)
-        scale = a.inv()
-        gamma, delta = b * scale, c_ * scale
-    elif not c_.is_zero:
-        change = CoordChange(Y, X)  # swap the variables
-        scale = c_.inv()
-        gamma, delta = b * scale, a * scale
-    else:
-        change = CoordChange(X, X + Y)  # shear: b*X*(X+Y) = b*X^2 + b*X*Y
-        scale = b.inv()
-        gamma, delta = ring.one, ring.zero
-    q = QuadForm(ring, gamma, delta)
-    check = change.apply(f).scale(scale).homogeneous_part(2)
-    if check != q.series().homogeneous_part(2):
-        raise AssertionError("normalization postcondition failed (internal error)")
-    return change, scale, q
 
 
 def normal_form_iteration(f, q, n_steps):
@@ -238,16 +196,6 @@ def normal_form_iteration(f, q, n_steps):
                 tuple([q.delta * y for y in b]),
             )
     return out
-
-
-def normal_form_coordinates(f, q, n_steps):
-    """The coordinate change after `n_steps` corrections.
-
-    Guarantees order(q(xs, ys) - f) >= n_steps + 2; the iteration always runs
-    the full number of steps so the output shape is predictable.
-    """
-    xs, ys = normal_form_iteration(f, q, n_steps)[-1]
-    return CoordChange(xs, ys)
 
 
 def square_zero_change(q, tau, f):
@@ -328,17 +276,3 @@ def _divide_by_tau(series, tau):
             return None
         parts[n] = [ring.embed(b * inv) for _, b in pairs]
     return Series2(ring, parts, series.precision)
-
-
-def tangent_pair(dx, dy):
-    """Extract (a, b) from a pair (eps*a, eps*b) of dual numbers."""
-    ring = dx.ring
-    if not isinstance(ring, DualNumbers) or dy.ring != ring:
-        raise ValueError("tangent extraction expects dual-number inputs")
-    out = []
-    for w in (dx, dy):
-        a, b = ring.parts(w)
-        if not a.is_zero:
-            raise ValueError(f"{w} has a nonzero residue part")
-        out.append(b)
-    return tuple(out)

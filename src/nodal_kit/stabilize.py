@@ -219,8 +219,6 @@ def covering_certificate(ring, q, s, t, charts):
         failures.append("constant term of delta*x^2-gamma*x+1 is not 1")
     if chart1.relation != MPoly.var(ring, 2, 0) * c_poly + d_poly:
         failures.append("chart 1 relation is not linear in u with the expected coefficient")
-    if chart1.relation.degree_in(0) not in (0, 1):
-        failures.append("chart 1 relation has u-degree > 1")
 
     f0, g0, f1, g1 = _presenting_forms(ring, q, s, t)
     for name, low, high in (("f", f0, f1), ("g", g0, g1)):
@@ -364,8 +362,7 @@ def fiber_at_origin(ring, q, charts):
     if not lines_disjoint:
         ok = False
 
-    section_jac = chart1.relation.derivative(0).eval_var(1, zero).eval_var(0, zero)
-    section_val = section_jac.coefficient((0, 0))
+    section_val = chart1.relation.derivative(0).eval_all((zero, zero))
     if not section_val.is_unit:
         ok = False
 
@@ -456,18 +453,13 @@ def determinant_and_ideal_basis(ring, q, s=None, t=None):
         u + (s + g_ * t),
         u * g_ + v * d_ + d_ * t,
     ]
+    # gens = basis*m and m*inv = I give basis = gens*inv
     ok = True
     for j, gen in enumerate(gens):
         built = MPoly.zero(ring, 2)
         for i in range(4):
             built = built + basis[i] * m[i][j]
         if built != gen:
-            ok = False
-    for i in range(4):
-        built = MPoly.zero(ring, 2)
-        for j in range(4):
-            built = built + gens[j] * inv[j][i]
-        if built != basis[i]:
             ok = False
     record["ok"] = record["ok"] and ok
     record["basis_certificate"] = "unimodular change of generators verified" if ok else "failed"

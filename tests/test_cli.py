@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nodal_kit import cli, mf, normal_form, stabilize
+from nodal_kit.mpoly import MPoly
 from nodal_kit.reporting import CheckRecord, Report
 from nodal_kit.series import Series2
 
@@ -420,6 +421,61 @@ def test_a_wrong_repair_fails_the_square_zero_repair_check(monkeypatch, capsys, 
     assert failed["nf.square-zero-repair"] == (
         f"AssertionError: repair identity failed at degree {degree} (internal error)"
     )
+
+
+def test_a_wrong_quotient_fails_the_canonical_roundtrip_check(monkeypatch, capsys):
+    real = MPoly.divide
+
+    def wrong_quotient(self, relation, lead, rng=None):
+        rem, quot = real(self, relation, lead, rng)
+        return rem, quot + 1
+
+    monkeypatch.setattr(MPoly, "divide", wrong_quotient)
+    code, failed = _counterexamples(capsys, "division", "--ring", "fp:7", "--gamma", "3", "--delta", "2")
+    assert code == 1
+    assert failed["dp.canonical-roundtrip"] == "AssertionError: division certificate failed (internal error)"
+
+
+def test_a_perturbed_relation_fails_the_factorization_and_both_exactness_checks(monkeypatch, capsys):
+    class PerturbedDPRing(cli.DPRing):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.relation = self.relation + MPoly.var(self.ring, 2, 1)  # still monic in X
+
+    monkeypatch.setattr(cli, "DPRing", PerturbedDPRing)
+    code, failed = _counterexamples(capsys, "exactness", "--ring", "fp:7", "--gamma", "3", "--delta", "2")
+    assert code == 1
+    assert failed == dict.fromkeys(
+        ["exactness.periodic", "exactness.transposed"],
+        "FactorizationError: phi*psi = psi*phi = x*I failed",
+    )
+
+
+def test_a_wrong_adjugate_minor_fails_the_numeric_determinant_check(monkeypatch):
+    real = stabilize._det
+    depth, perturbed = [0], []
+
+    def wrong_first_minor(ring, m):
+        depth[0] += 1
+        try:
+            out = real(ring, m)
+        finally:
+            depth[0] -= 1
+        # the first 3x3 minor not taken inside the 4x4 determinant is an adjugate entry
+        if depth[0] == 0 and len(m) == 3 and not perturbed:
+            perturbed.append(m)
+            return out + ring.one
+        return out
+
+    monkeypatch.setattr(stabilize, "_det", wrong_first_minor)
+    report = cli.run(cli.RunConfig("charts", ring="fp:7", gamma="3", delta="2", s="1", t="2"))
+    records = {r.name: r for r in report.records}
+    assert perturbed
+    assert [name for name, r in records.items() if not r.passed] == ["charts.det4-numeric"]
+    assert records["charts.det4-numeric"].details == {
+        "determinant": "6 mod 7",
+        "basis_certificate": "inverse verification failed",
+    }
 
 
 def test_a_failing_factorization_fails_every_check_that_needs_it(monkeypatch):

@@ -1,4 +1,7 @@
+import importlib.util
 import random
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -277,3 +280,30 @@ def test_vectorize_roundtrip(rng):
         a = dp.random_element(rng, degree=4)
         vec = vectorize(a, 6)
         assert dp.element(vec[:7], vec[7:]) == a
+
+
+def _key_example_tour():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "key_example_tour.py"
+    spec = importlib.util.spec_from_file_location("key_example_tour", path)
+    tour = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tour)
+    return tour
+
+
+def test_the_tour_compares_the_division_and_recursion_routes(monkeypatch, capsys):
+    tour = _key_example_tour()
+    monkeypatch.setattr(sys, "argv", ["key_example_tour.py"])
+    tour.main()
+    assert "X^6 = " in capsys.readouterr().out
+
+    real = tour.x_power_decompositions
+
+    def wrong_f4(dp, n_max):
+        f, g, h = real(dp, n_max)
+        f[4] = (f[4][0] + 1,) + f[4][1:]
+        return f, g, h
+
+    monkeypatch.setattr(tour, "x_power_decompositions", wrong_f4)
+    with pytest.raises(SystemExit, match=r"^X\^4: the recursion route gives "):
+        tour.main()
+    assert "X^3 = " in capsys.readouterr().out

@@ -10,13 +10,10 @@ from nodal_kit.normal_form import (
     DegenerateFormError,
     QuadForm,
     linearized_increment,
-    normal_form_coordinates,
     normal_form_iteration,
-    normalize_quadratic_part,
     repair_small_lift,
     solve_linearized_increment,
     square_zero_change,
-    tangent_pair,
     _raw_increment_preimage,
 )
 from nodal_kit.rings import PrimeField, Rationals, make_ring
@@ -107,61 +104,15 @@ class TestRightInverse:
             solve_linearized_increment(q, S(QQ, [(1, 0, 1)]))
 
 
-class TestNormalizeQuadraticPart:
-    def test_scale_only(self):
-        f = S(QQ, [(2, 0, 2), (1, 1, 2)])
-        change, scale, q = normalize_quadratic_part(f)
-        assert scale == QQ.parse_elem("1/2")
-        assert (q.gamma, q.delta) == (QQ.one, QQ.zero)
-        assert change.xs == Series2.x(QQ) and change.ys == Series2.y(QQ)
-
-    def test_shear_for_pure_cross_term(self):
-        f = S(QQ, [(1, 1, 1)])
-        change, scale, q = normalize_quadratic_part(f)
-        assert scale == QQ.one
-        assert (q.gamma, q.delta) == (QQ.one, QQ.zero)
-        out = change.apply(f).scale(scale)
-        assert out.homogeneous_part(2) == q.series().homogeneous_part(2)
-
-    def test_swap_when_leading_vanishes(self):
-        f = S(QQ, [(1, 1, 3), (0, 2, 1)])
-        change, scale, q = normalize_quadratic_part(f)
-        out = change.apply(f).scale(scale)
-        assert out.homogeneous_part(2) == q.series().homogeneous_part(2)
-        assert q.discriminant.is_unit
-
-    def test_degenerate_rejected(self):
-        with pytest.raises(DegenerateFormError):
-            normalize_quadratic_part(S(QQ, [(0, 2, 1)]))  # Y^2: b^2 - 4ac = 0
-
-    def test_nonzero_low_terms_rejected(self):
-        with pytest.raises(ValueError):
-            normalize_quadratic_part(S(QQ, [(1, 0, 1), (2, 0, 1)]))
-
-    def test_randomized_postcondition(self, rng):
-        for ring in (QQ, F7):
-            for _ in range(10):
-                while True:
-                    a, b, c = (ring.random_element(rng) for _ in range(3))
-                    if (b * b - 4 * a * c).is_unit:
-                        break
-                f = Series2.from_terms(ring, [(2, 0, a), (1, 1, b), (0, 2, c)])
-                f = f + S(ring, [(3, 0, 1)])
-                change, scale, q = normalize_quadratic_part(f)
-                out = change.apply(f).scale(scale)
-                assert out.homogeneous_part(2) == q.series().homogeneous_part(2)
-                assert q.discriminant.is_unit
-
-
 class TestNormalFormCoordinates:
     def test_cubic_example(self):
         # f = X^2 - Y^2 + X^3: two steps give x2 = X + X^2/2, residual X^4/4
         q = QuadForm.make(QQ, 0, -1)
         f = S(QQ, [(2, 0, 1), (0, 2, -1), (3, 0, 1)])
-        change = normal_form_coordinates(f, q, 2)
-        assert change.xs == S(QQ, [(1, 0, 1), (2, 0, "1/2")])
-        assert change.ys == Series2.y(QQ)
-        residual = q.apply_series(change.xs, change.ys) - f
+        xs, ys = normal_form_iteration(f, q, 2)[-1]
+        assert xs == S(QQ, [(1, 0, 1), (2, 0, "1/2")])
+        assert ys == Series2.y(QQ)
+        residual = q.apply_series(xs, ys) - f
         assert residual == S(QQ, [(4, 0, "1/4")])
         assert residual.order() == 4
 
@@ -169,15 +120,15 @@ class TestNormalFormCoordinates:
         q = QuadForm.make(QQ, 3, 2)
         f = q.series()
         for n in (1, 3, 6):
-            change = normal_form_coordinates(f, q, n)
-            assert change.xs == Series2.x(QQ)
-            assert change.ys == Series2.y(QQ)
+            xs, ys = normal_form_iteration(f, q, n)[-1]
+            assert xs == Series2.x(QQ)
+            assert ys == Series2.y(QQ)
 
     def test_quartic_perturbation(self):
         q = QuadForm.make(QQ, 1, 0)
         f = S(QQ, [(2, 0, 1), (1, 1, 1), (0, 4, 1)])
-        change = normal_form_coordinates(f, q, 3)
-        residual = q.apply_series(change.xs, change.ys) - f
+        xs, ys = normal_form_iteration(f, q, 3)[-1]
+        residual = q.apply_series(xs, ys) - f
         assert residual.order_at_least(5)
 
     def test_randomized_with_cauchy_steps(self, rng):
@@ -204,7 +155,7 @@ class TestNormalFormCoordinates:
     def test_mismatched_quadratic_part_rejected(self):
         q = QuadForm.make(QQ, 0, -1)
         with pytest.raises(ValueError):
-            normal_form_coordinates(S(QQ, [(2, 0, 1)]), q, 2)
+            normal_form_iteration(S(QQ, [(2, 0, 1)]), q, 2)
 
     @pytest.mark.parametrize("term", [(0, 0, 3), (1, 0, 1), (0, 1, -2)])
     def test_low_degree_parts_rejected(self, term):
@@ -416,22 +367,6 @@ class TestRepairSmallLift:
             repair_small_lift(
                 q, dq.eps, Series2.x(dq), Series2.y(dq), dq.one, dq.zero, Series2.zero(dq)
             )
-
-
-class TestTangentPair:
-    def test_examples(self):
-        dq = make_ring("dual:q")
-        assert tangent_pair(dq.parse_elem("3*eps"), dq.zero) == (QQ(3), QQ.zero)
-        assert tangent_pair(dq.zero, dq.zero) == (QQ.zero, QQ.zero)
-        assert tangent_pair(dq.parse_elem("(2/3)*eps"), -dq.eps) == (
-            QQ.parse_elem("2/3"),
-            QQ(-1),
-        )
-
-    def test_nonzero_residue_rejected(self):
-        dq = make_ring("dual:q")
-        with pytest.raises(ValueError):
-            tangent_pair(dq.one, dq.zero)
 
 
 class TestCoordChange:

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -175,6 +176,13 @@ class TestCovering:
         q = QuadForm.make(loc, 3, 2)
         rec = covering_certificate(loc, q, s, t, build_charts(loc, q, s, t))
         assert rec["ok"]
+
+    def test_a_relation_of_u_degree_two_fails_the_linear_form_check(self):
+        q = QuadForm.make(QQ, 3, 2)
+        chart0, chart1 = build_charts(QQ, q, QQ.one, QQ.zero)
+        bad = replace(chart1, relation=chart1.relation + MPoly.var(QQ, 2, 0, 2))
+        rec = covering_certificate(QQ, q, QQ.one, QQ.zero, (chart0, bad))
+        assert rec["failures"] == ["chart 1 relation is not linear in u with the expected coefficient"]
 
 
 def _fiber(ring, g, d):
