@@ -10,6 +10,7 @@ extension.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .rings import DualNumbers, RingElem, _product_sums
 from .series import Series2, _min_prec
@@ -31,9 +32,16 @@ class QuadForm:
     def make(cls, ring, gamma, delta):
         return cls(ring, ring(gamma), ring(delta))
 
-    @property
+    @cached_property
     def discriminant(self):
         return self.gamma * self.gamma - 4 * self.delta
+
+    @cached_property
+    def _inverse_discriminant(self):
+        """1/d for the discriminant d, or None when d is not a unit; formed
+        once per form, not on every right-inverse call."""
+        d = self.discriminant
+        return d.inv() if d.is_unit else None
 
     def value_at(self, a, b):
         a, b = self.ring(a), self.ring(b)
@@ -118,10 +126,10 @@ def solve_linearized_increment(q, f):
     Needs a unit discriminant d; takes the raw preimage at c = 1/d and
     re-checks q_X*mu + q_Y*nu = f on every call, which pins down the signs.
     """
-    d = q.discriminant
-    if not d.is_unit:
+    c = q._inverse_discriminant
+    if c is None:
         raise DegenerateFormError("right inverse needs a unit discriminant")
-    mu, nu = _raw_increment_preimage(q, f, d.inv())
+    mu, nu = _raw_increment_preimage(q, f, c)
     _certify("right-inverse", linearized_increment(q, mu, nu), f)
     return mu, nu
 
@@ -151,9 +159,16 @@ def normal_form_iteration(f, q, n_steps):
     q(X, Y) lives in degree 2, and the linear term L(a_{n+1}, b_{n+1}) is
     still zero when step n reads it.  Each correction is stored with
     a_j + gamma*b_j and delta*b_j, so step n costs O(n) products of
-    components, formed together by the packed kernel with one unpack,
-    instead of multiplying out whole series (van der Hoeven's relaxed, or
-    on-line, scheme in its simplest form).
+    components instead of multiplying out whole series (van der Hoeven's
+    relaxed, or on-line, scheme in its simplest form).
+
+    Besides the certified right inverse, a step is two packed products: one
+    forms the residual component, -f_{n+2} entering as f_{n+2} times the
+    length-1 vector (-1,), and one turns the preimage (mu, nu) into the
+    stored (a, b, a + gamma*b, delta*b) = (-mu, -nu, -(mu + gamma*nu),
+    -delta*nu) against (-1,), (-gamma,) and (-delta,).  The correction is
+    appended to x and y as one new component; earlier ones are shared, not
+    copied or checked again.
     """
     if n_steps < 1:
         raise ValueError("need at least one step")
@@ -170,6 +185,7 @@ def normal_form_iteration(f, q, n_steps):
     ring = f.ring
     xs, ys = Series2.x(ring), Series2.y(ring)
     out = [(xs, ys)]
+    negated = [(-ring.one,), (-q.gamma,), (-q.delta,)]  # (-1,), (-gamma,), (-delta,)
     # degree k -> (a_k, b_k, a_k + gamma*b_k, delta*b_k), for nonzero corrections
     comps = {}
     for n in range(1, n_steps):
@@ -177,24 +193,28 @@ def normal_form_iteration(f, q, n_steps):
         degrees = [i for i in comps if top - i in comps]
         left = [comps[i][k] for i in degrees for k in (0, 1)]  # a_i, b_i
         right = [comps[top - i][k] for i in degrees for k in (2, 3)]  # c_j, d_j
-        (eps,) = _product_sums(ring, left, right, [(top + 1, [(k, k) for k in range(len(left))])])
+        pairs = [(k, k) for k in range(len(left))]
         f_top = f.parts.get(top)
         if f_top:
-            eps = [e - c for e, c in zip(eps, f_top)]
+            pairs.append((len(left), len(right)))
+            left.append(f_top)
+            right.append(negated[0])
+        (eps,) = _product_sums(ring, left, right, [(top + 1, pairs)])
         mu, nu = solve_linearized_increment(q, Series2(ring, {top: eps}))
-        xs = xs - mu
-        ys = ys - nu
-        out.append((xs, ys))
-        a, b = xs.parts.get(n + 1), ys.parts.get(n + 1)
-        if a or b:
+        m, v = mu.parts.get(n + 1), nu.parts.get(n + 1)
+        if m or v:
             zero = (ring.zero,) * (n + 2)
-            a, b = a or zero, b or zero
-            comps[n + 1] = (
-                a,
-                b,
-                tuple([x + q.gamma * y for x, y in zip(a, b)]),
-                tuple([q.delta * y for y in b]),
+            comps[n + 1] = _product_sums(
+                ring,
+                [m or zero, v or zero],
+                negated,
+                [(n + 2, [(0, 0)]), (n + 2, [(1, 0)]), (n + 2, [(0, 0), (1, 1)]), (n + 2, [(1, 2)])],
             )
+            if m:
+                xs = Series2._of(ring, {**xs.parts, n + 1: comps[n + 1][0]}, xs.precision)
+            if v:
+                ys = Series2._of(ring, {**ys.parts, n + 1: comps[n + 1][1]}, ys.precision)
+        out.append((xs, ys))
     return out
 
 

@@ -9,6 +9,8 @@ Homogeneous components are dense coefficient vectors indexed by X-exponent.
 
 from __future__ import annotations
 
+import reprlib
+
 from .rings import RingElem, _power, _product_sums, format_terms
 
 
@@ -54,6 +56,15 @@ class Series2:
     # --- constructors -----------------------------------------------------
 
     @classmethod
+    def _of(cls, ring, parts, precision):
+        """A series of parts known to be valid (tuples of the right length,
+        none all zero, no degree above the precision), built without
+        checking them again."""
+        out = object.__new__(cls)
+        out.ring, out.precision, out.parts = ring, precision, parts
+        return out
+
+    @classmethod
     def zero(cls, ring, precision=None):
         return cls(ring, {}, precision)
 
@@ -89,7 +100,10 @@ class Series2:
 
         Each distinct coefficient literal is parsed once, at its first use."""
         terms, parsed = [], {}
-        for i, j, c in triples:
+        for idx, term in enumerate(triples):
+            if not (isinstance(term, (list, tuple)) and len(term) == 3):
+                raise ValueError(f'term {idx} must be [i, j, "coeff"], not {reprlib.repr(term)}')
+            i, j, c = term
             if not all(type(k) is int and k >= 0 for k in (i, j)):  # bool is not an exponent
                 raise ValueError(f"exponents must be non-negative integers, not {[i, j]}")
             c = str(c)

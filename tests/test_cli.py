@@ -138,6 +138,23 @@ class TestExitCodes:
         assert code == 2
         assert "series literal: exponents must be non-negative integers" in err
 
+    @pytest.mark.parametrize(
+        "series, message",
+        [
+            ('[[2,0,"1"],[3,0]]', 'term 1 must be [i, j, "coeff"], not [3, 0]'),
+            ('{"a":1}', "term 0 must be [i, j, \"coeff\"], not 'a'"),
+            ('[[2,0,"1"],[0,2,"-1"],[1,1,"1",4]]', 'term 2 must be [i, j, "coeff"], not [1, 1, \'1\', 4]'),
+            ('[[2,0,"1"],7]', 'term 1 must be [i, j, "coeff"], not 7'),
+        ],
+    )
+    def test_malformed_series_term_is_named(self, capsys, series, message):
+        code, out, err = run_cli(
+            capsys, "normal-form", "--ring", "q", "--gamma", "0", "--delta", "-1", "--series", series
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"config error: series literal: {message}\n"
+
     def test_modulus_beyond_the_primality_bound(self, capsys):
         code, _, err = run_cli(capsys, "division", "--ring", f"fp:{2**89 - 1}")
         assert code == 2
@@ -421,6 +438,41 @@ def test_a_wrong_repair_fails_the_square_zero_repair_check(monkeypatch, capsys, 
     assert failed["nf.square-zero-repair"] == (
         f"AssertionError: repair identity failed at degree {degree} (internal error)"
     )
+
+
+def _faulty_iteration(monkeypatch, fault):
+    """Make normal_form.normal_form_iteration hand its steps through fault(steps)."""
+    real = normal_form.normal_form_iteration
+    monkeypatch.setattr(normal_form, "normal_form_iteration", lambda f, q, n: fault(real(f, q, n)))
+
+
+@pytest.mark.parametrize("ring", ["q", "fp:7", "loc:q:s,t:3"])
+def test_a_dropped_last_correction_fails_the_residual_order_check(monkeypatch, capsys, ring):
+    # the returned coordinates stop one correction short: q(x, y) - f keeps
+    # its degree-(n_steps + 1) component
+    _faulty_iteration(monkeypatch, lambda steps: steps[:-1] + steps[-2:-1])
+    code, failed = _counterexamples(
+        capsys, "normal-form", "--ring", ring, "--gamma", "3", "--delta", "2", "--precision", "6"
+    )
+    assert code == 1
+    assert failed == {"nf.residual-order": "series 0: residual order 7"}
+
+
+@pytest.mark.parametrize("k, degree", [(1, 1), (2, 2), (4, 2), (4, 4)])
+def test_a_correction_below_its_degree_fails_the_step_check(monkeypatch, capsys, k, degree):
+    # step k corrects x and y in degree k + 1 only; x_k gains X^degree below it
+    def perturb(steps):
+        xs, ys = steps[k]
+        ring = xs.ring
+        steps[k] = (xs + Series2(ring, {degree: (ring.zero,) * degree + (ring.one,)}), ys)
+        return steps
+
+    _faulty_iteration(monkeypatch, perturb)
+    code, failed = _counterexamples(
+        capsys, "normal-form", "--ring", "q", "--gamma", "3", "--delta", "2", "--precision", "6"
+    )
+    assert code == 1
+    assert failed == {"nf.residual-order": f"series 0: step {k} correction too low"}
 
 
 def test_a_wrong_quotient_fails_the_canonical_roundtrip_check(monkeypatch, capsys):

@@ -181,19 +181,23 @@ def _full_residual_iteration(f, q, n_steps):
     return out
 
 
-def _random_series_over(q, rnd, top, precision=None):
+def _random_series_over(q, rnd, top, precision=None, degrees=None):
+    """q plus random terms in the given degrees (by default 3 .. top)."""
     ring = q.ring
     terms = [
         (i, n - i, ring.random_element(rnd))
-        for n in range(3, top + 1)
+        for n in (range(3, top + 1) if degrees is None else degrees)
         for i in range(n + 1)
         if rnd.random() < 0.4
     ]
     return q.series(precision) + Series2.from_terms(ring, terms, precision)
 
 
+ITERATION_RINGS = ["q", "fp:7", "dual:q", "loc:q:s,t:3", "dual:loc:q:s,t:2", "loc:fp:7:s:4"]
+
+
 class TestIncrementalResidual:
-    @pytest.mark.parametrize("ring_desc", ["q", "fp:7", "dual:q", "loc:q:s,t:3"])
+    @pytest.mark.parametrize("ring_desc", ITERATION_RINGS)
     @pytest.mark.parametrize("n_steps", range(1, 11))
     def test_matches_the_full_residual_loop(self, ring_desc, n_steps):
         rnd = random.Random(1000 * n_steps + len(ring_desc))
@@ -202,6 +206,21 @@ class TestIncrementalResidual:
         precision = rnd.choice([None, n_steps + 1, n_steps + 2])
         f = _random_series_over(q, rnd, n_steps + 3, precision)
         assert normal_form_iteration(f, q, n_steps) == _full_residual_iteration(f, q, n_steps)
+
+    @pytest.mark.parametrize("ring_desc", ITERATION_RINGS)
+    @pytest.mark.parametrize("precision", [None, 9])
+    def test_edge_series_match_the_full_residual_loop(self, ring_desc, precision):
+        rnd = random.Random(ring_desc)
+        ring = make_ring(ring_desc)
+        q = QuadForm.make(ring, *random_unit_disc(ring, rnd))
+        # f = q: every correction vanishes and each step skips it
+        steps = normal_form_iteration(q.series(precision), q, 8)
+        assert steps == _full_residual_iteration(q.series(precision), q, 8)
+        assert steps == [(Series2.x(ring), Series2.y(ring))] * 8
+        # f only in odd degrees: f_top is absent on every other step
+        f = _random_series_over(q, rnd, 9, precision, degrees=(3, 5, 7, 9))
+        assert all(n % 2 or n == 2 for n in f.parts)
+        assert normal_form_iteration(f, q, 8) == _full_residual_iteration(f, q, 8)
 
     def test_apply_series_matches_the_expansion(self, rng):
         for ring in (QQ, F7, make_ring("dual:q")):
@@ -230,6 +249,40 @@ class TestIncrementalResidual:
                 assert truncated.order_at_least(n_steps + 2) is verdict
                 if not verdict:
                     assert truncated.order() == full.order() == n_steps + 1
+
+
+def _series_residual(q, f, xs, ys, n_steps):
+    """Reference for the packed `_final_residual`: q(x, y) - f by series
+    products, with x and y cut to degree n_steps + 2."""
+    top = n_steps + 2
+    return q.apply_series(xs.truncated(top), ys.truncated(top)) - f
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    ring_desc=st.sampled_from(["q", "fp:7", "dual:q", "loc:q:s,t:3", "dual:loc:q:s,t:2"]),
+    n_steps=st.integers(1, 7),
+    exact_f=st.booleans(),
+    above=st.sampled_from([None, "exact", "finite"]),
+)
+def test_packed_final_residual_matches_the_series_products(seed, ring_desc, n_steps, exact_f, above):
+    rnd = random.Random(seed)
+    ring = make_ring(ring_desc)
+    q = QuadForm.make(ring, *random_unit_disc(ring, rnd))
+    top = n_steps + 2
+    f = _random_series_over(q, rnd, top + 2, None if exact_f else top)
+    # any step, so that the residual need not reach order top
+    xs, ys = rnd.choice(normal_form_iteration(f, q, n_steps))
+    if above is not None:
+        # random components above top, known (or not) beyond it
+        precision = None if above == "exact" else top + 3
+        extra = [_random_series_over(q, rnd, top + 3, precision, range(top + 1, top + 4)) - q.series() for _ in "xy"]
+        xs, ys = xs + extra[0], ys + extra[1]
+    got = _final_residual(q, f, xs, ys, n_steps)
+    want = _series_residual(q, f, xs, ys, n_steps)
+    assert got.precision == want.precision == top
+    assert got.parts == want.parts
 
 
 class TestSquareZeroChange:

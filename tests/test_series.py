@@ -159,6 +159,28 @@ def test_from_triples_literal():
     assert f == S(QQ, [(2, 0, 1), (1, 1, 3), (0, 3, 1)])
 
 
+@pytest.mark.parametrize(
+    "triples, message",
+    [
+        ([[2, 0, "1"], [3, 0]], 'term 1 must be [i, j, "coeff"], not [3, 0]'),
+        ({"a": 1}, "term 0 must be [i, j, \"coeff\"], not 'a'"),
+        ([[2, 0, "1"], [1, 1, "1", "2"]], "term 1 must be [i, j, \"coeff\"], not [1, 1, '1', '2']"),
+        ([5], 'term 0 must be [i, j, "coeff"], not 5'),
+    ],
+)
+def test_from_triples_names_a_malformed_term(triples, message):
+    with pytest.raises(ValueError) as e:
+        Series2.from_triples(QQ, triples)
+    assert str(e.value) == message
+
+
+def test_from_triples_cuts_a_long_malformed_term():
+    with pytest.raises(ValueError) as e:
+        Series2.from_triples(QQ, [[2, 0, "1"], ["x" * 5000]])
+    assert str(e.value).startswith('term 1 must be [i, j, "coeff"], not [')
+    assert len(str(e.value)) < 80
+
+
 def _from_triples_reference(ring, triples, precision=None):
     """Series2.from_triples with a parse of every term's literal."""
     terms = []
