@@ -35,11 +35,10 @@ from .rings import (
     LocalTruncation,
     Rationals,
     RingConstructionError,
-    _product_sums,
     _quote,
     make_ring,
 )
-from .series import Series2, _min_prec
+from .series import Series2
 
 DEFAULT_SEED = 20240801
 
@@ -49,8 +48,8 @@ _DP_HEADROOM = 8
 # Size bounds, so that every configuration ends in bounded time.  At them the
 # slowest runs measured over Q (wall time with interpreter start, best of 3,
 # on a shared 2-vCPU x86 box) are normal-form at precision 64, which takes
-# 0.9-1.3 s with gamma = 1, delta = 0, 4.4-6.0 s with gamma = 3, delta = 2
-# and about 21 s with gamma = 3/7, delta = 5/11 (its time grows with the
+# 0.9-1.4 s with gamma = 1, delta = 0, 4.4-6.0 s with gamma = 3, delta = 2
+# and 18-21 s with gamma = 3/7, delta = 5/11 (its time grows with the
 # height of gamma and delta, which these bounds do not cap), and exactness at
 # degree bound 96 with cushion 16, which takes 2.5-3.0 s with gamma = 3,
 # delta = 2, s = 1/2, t = 4.  CI runs normal-form at precision 64 and
@@ -278,40 +277,14 @@ def _random_series(ring, rng, degrees, density=0.3, precision=None):
 
 def _final_residual(q, f, xs, ys, n_steps):
     """q(xs, ys) - f, multiplied out afresh from the returned coordinates and
-    known through degree n_steps + 2, the order the check asserts (or the
-    lesser precision of f, xs or ys).
+    known through degree n_steps + 2, the order the check asserts.
 
     Since x and y have order >= 1, the components of q(x, y) through that
     degree depend only on those of x and y through degree n_steps + 1, so
     truncating x and y leaves the verdict and the reported order as they are.
-    Two packed products: g = x + gamma*y and h = delta*y component by
-    component, then sum_{i+j=n} (x_i*g_j + y_i*h_j) - f_n for every n through
-    the precision, -f_n entering as f_n times the length-1 vector (-1,).
     """
-    ring = q.ring
-    top = _min_prec(n_steps + 2, xs.precision, ys.precision, f.precision)
-    degrees = sorted(n for n in xs.parts.keys() | ys.parts.keys() if n <= top)
-    left = [s.parts.get(n) or (ring.zero,) * (n + 1) for n in degrees for s in (xs, ys)]  # x_n, y_n
-    gh = _product_sums(
-        ring,
-        left,
-        [(ring.one,), (q.gamma,), (q.delta,)],
-        [(n + 1, pairs) for k, n in enumerate(degrees) for pairs in ([(2 * k, 0), (2 * k + 1, 1)], [(2 * k + 1, 2)])],
-    )
-    by_degree = {}
-    for ki, i in enumerate(degrees):
-        for kj, j in enumerate(degrees):
-            if i + j > top:
-                break
-            by_degree.setdefault(i + j, []).extend([(2 * ki, 2 * kj), (2 * ki + 1, 2 * kj + 1)])
-    for n, vec in f.parts.items():  # f_n times (-1,), appended below
-        if n <= top:
-            by_degree.setdefault(n, []).append((len(left), len(gh)))
-            left.append(vec)
-    gh.append((-ring.one,))
-    out = sorted(by_degree)
-    sums = _product_sums(ring, left, gh, [(n + 1, by_degree[n]) for n in out])
-    return Series2(ring, dict(zip(out, sums)), top)
+    top = n_steps + 2
+    return q.apply_series(xs.truncated(top), ys.truncated(top), f)
 
 
 def _normal_form(res, cfg, rng):

@@ -36,13 +36,6 @@ class QuadForm:
     def discriminant(self):
         return self.gamma * self.gamma - 4 * self.delta
 
-    @cached_property
-    def _inverse_discriminant(self):
-        """1/d for the discriminant d, or None when d is not a unit; formed
-        once per form, not on every right-inverse call."""
-        d = self.discriminant
-        return d.inv() if d.is_unit else None
-
     def value_at(self, a, b):
         a, b = self.ring(a), self.ring(b)
         return a * a + self.gamma * a * b + self.delta * b * b
@@ -54,11 +47,40 @@ class QuadForm:
             precision,
         )
 
-    def apply_series(self, xs, ys):
-        """q(xs, ys) for series arguments, computed by direct multiplication
-        as x*(x + gamma*y) + (delta*y)*y: two series products, the second
-        empty when delta = 0."""
-        return xs * (xs + ys.scale(self.gamma)) + ys.scale(self.delta) * ys
+    def apply_series(self, xs, ys, minus=None):
+        """q(xs, ys) for series arguments, less the series `minus` when one is
+        given, known through the least precision of the arguments.
+
+        Two packed products: g = x + gamma*y and h = delta*y component by
+        component, then sum_{i+j=n} (x_i*g_j + y_i*h_j) - minus_n for every
+        degree n through that precision, -minus_n entering as minus_n times
+        the length-1 vector (-1,).
+        """
+        ring = self.ring
+        minus = Series2.zero(ring) if minus is None else minus
+        prec = _min_prec(xs.precision, ys.precision, minus.precision)
+        degrees = sorted(n for n in xs.parts.keys() | ys.parts.keys() if prec is None or n <= prec)
+        left = [s.parts.get(n) or (ring.zero,) * (n + 1) for n in degrees for s in (xs, ys)]  # x_n, y_n
+        gh = _product_sums(
+            ring,
+            left,
+            [(ring.one,), (self.gamma,), (self.delta,)],
+            [(n + 1, pairs) for k, n in enumerate(degrees) for pairs in ([(2 * k, 0), (2 * k + 1, 1)], [(2 * k + 1, 2)])],
+        )
+        by_degree = {}
+        for ki, i in enumerate(degrees):
+            for kj, j in enumerate(degrees):
+                if prec is not None and i + j > prec:
+                    break
+                by_degree.setdefault(i + j, []).extend([(2 * ki, 2 * kj), (2 * ki + 1, 2 * kj + 1)])
+        for n, vec in minus.parts.items():  # minus_n times (-1,), appended below
+            if prec is None or n <= prec:
+                by_degree.setdefault(n, []).append((len(left), len(gh)))
+                left.append(vec)
+        gh.append((-ring.one,))
+        out = sorted(by_degree)
+        sums = _product_sums(ring, left, gh, [(n + 1, by_degree[n]) for n in out])
+        return Series2(ring, dict(zip(out, sums)), prec)
 
 
 @dataclass(frozen=True)
@@ -126,10 +148,10 @@ def solve_linearized_increment(q, f):
     Needs a unit discriminant d; takes the raw preimage at c = 1/d and
     re-checks q_X*mu + q_Y*nu = f on every call, which pins down the signs.
     """
-    c = q._inverse_discriminant
-    if c is None:
+    d = q.discriminant
+    if not d.is_unit:
         raise DegenerateFormError("right inverse needs a unit discriminant")
-    mu, nu = _raw_increment_preimage(q, f, c)
+    mu, nu = _raw_increment_preimage(q, f, d.inv())
     _certify("right-inverse", linearized_increment(q, mu, nu), f)
     return mu, nu
 
@@ -167,8 +189,9 @@ def normal_form_iteration(f, q, n_steps):
     length-1 vector (-1,), and one turns the preimage (mu, nu) into the
     stored (a, b, a + gamma*b, delta*b) = (-mu, -nu, -(mu + gamma*nu),
     -delta*nu) against (-1,), (-gamma,) and (-delta,).  The correction is
-    appended to x and y as one new component; earlier ones are shared, not
-    copied or checked again.
+    appended to x and y as one new component: the coefficient tuples of the
+    earlier components are shared and not checked again, while the small
+    degree -> component dict is copied on each step.
     """
     if n_steps < 1:
         raise ValueError("need at least one step")
@@ -275,7 +298,7 @@ def repair_small_lift(q, tau, u, v, s, t, defect):
     mu, nu = solve_linearized_increment(q, f)
     u2 = u - mu.scale(tau)
     v2 = v - nu.scale(tau)
-    _certify("repair", q.apply_series(u2, v2), q.apply_series(u, v) - defect)
+    _certify("repair", q.apply_series(u2, v2), q.apply_series(u, v, defect))
     return RepairResult(u2, v2, ring(s), ring(t))
 
 

@@ -223,13 +223,20 @@ class TestIncrementalResidual:
         assert normal_form_iteration(f, q, 8) == _full_residual_iteration(f, q, 8)
 
     def test_apply_series_matches_the_expansion(self, rng):
-        for ring in (QQ, F7, make_ring("dual:q")):
+        for ring in (QQ, F7, make_ring("dual:q"), make_ring("loc:q:s,t:3"), make_ring("dual:loc:q:s,t:2")):
             q = QuadForm.make(ring, *random_unit_disc(ring, rng))
-            for precision in (None, 5):
-                xs = _random_series_over(q, rng, 6, precision) + Series2.x(ring)
-                ys = _random_series_over(q, rng, 6) - Series2.y(ring)
+            for px, py in ((None, None), (5, None), (None, 4), (6, 3)):
+                xs = _random_series_over(q, rng, 6, px) + Series2.x(ring)
+                ys = _random_series_over(q, rng, 6, py) - Series2.y(ring)
                 expanded = xs * xs + xs * ys * q.gamma + ys * ys * q.delta
                 assert q.apply_series(xs, ys) == expanded
+                for pf in (None, 5, 2):
+                    f = _random_series_over(q, rng, 7, pf)
+                    assert q.apply_series(xs, ys, f) == expanded - f
+            for px, py in ((None, None), (None, 4)):
+                zero = Series2.zero(ring, px), Series2.zero(ring, py)
+                assert q.apply_series(*zero) == Series2.zero(ring, py)
+                assert q.apply_series(*zero, q.series()) == -q.series().truncated(py)
 
     @pytest.mark.parametrize("ring_desc", ["q", "fp:7", "dual:q"])
     def test_truncated_certificate_agrees_with_the_full_one(self, ring_desc):
@@ -252,10 +259,12 @@ class TestIncrementalResidual:
 
 
 def _series_residual(q, f, xs, ys, n_steps):
-    """Reference for the packed `_final_residual`: q(x, y) - f by series
-    products, with x and y cut to degree n_steps + 2."""
+    """Reference for the packed `_final_residual`: q(x, y) - f as
+    x*(x + gamma*y) + (delta*y)*y - f by `Series2` products, with x and y cut
+    to degree n_steps + 2."""
     top = n_steps + 2
-    return q.apply_series(xs.truncated(top), ys.truncated(top)) - f
+    xs, ys = xs.truncated(top), ys.truncated(top)
+    return xs * (xs + ys.scale(q.gamma)) + ys.scale(q.delta) * ys - f
 
 
 @settings(max_examples=60, deadline=None)
