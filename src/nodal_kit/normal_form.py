@@ -122,23 +122,52 @@ def linearized_increment(q, mu, nu):
     return Series2(ring, {n + 1: v for n, v in zip(degrees, sums)}, prec)
 
 
+def _preimage_rows(q, c):
+    """The raw preimage of the linearized increment at c as two rows of
+    scalars, (-2*delta*c, gamma*c) for mu and (gamma*c, -2*c) for nu: a row
+    (r, s) maps a component f_n to r*f_n[1:] + s*f_n[0], the f_n[0] term at
+    X-exponent 0, of degree n - 1."""
+    return (-2 * q.delta * c, q.gamma * c), (q.gamma * c, -2 * c)
+
+
+def _apply_rows(ring, rows, parts):
+    """Each row of scalars (see `_preimage_rows`) applied to each component in
+    `parts` (degree n >= 1 -> vector), all in one packed product: the
+    degree-(n-1) vectors by degree, then by row."""
+    degrees = sorted(parts)
+    left = [(s,) for row in rows for s in row]
+    right = [w for n in degrees for w in (parts[n][1:], parts[n][:1])]
+    outputs = [(n, [(2 * i, 2 * k), (2 * i + 1, 2 * k + 1)]) for k, n in enumerate(degrees) for i in range(len(rows))]
+    return _product_sums(ring, left, right, outputs)
+
+
 def _raw_increment_preimage(q, f, c=1):
     """(mu, nu) with linearized_increment(q, mu, nu) = c*d*f, d the discriminant.
 
-    f needs zero constant term.  With a = -2*delta*c, b = gamma*c, e = -2*c,
-    degree n of f gives mu_{n-1} = a*f_n[1:] + b*f_n[0] and nu_{n-1} =
-    b*f_n[1:] + e*f_n[0], the f_n[0] terms at X-exponent 0, all in one packed
-    product.  mu and nu keep the precision of f.
+    f needs zero constant term.  Degree n of f gives degree n - 1 of mu and nu
+    through the rows of `_preimage_rows`, all in one packed product.  mu and
+    nu keep the precision of f.
     """
     if 0 in f.parts:
         raise ValueError("series must have zero constant term")
-    ring, c = f.ring, f.ring(c)
-    degrees = sorted(f.parts)
-    right = [w for n in degrees for w in (f.parts[n][1:], f.parts[n][:1])]
-    outputs = [(n, [(i, 2 * k), (i + 1, 2 * k + 1)]) for k, n in enumerate(degrees) for i in (0, 1)]
-    sums = _product_sums(ring, [(-2 * q.delta * c,), (q.gamma * c,), (-2 * c,)], right, outputs)
-    parts = [{n - 1: sums[2 * k + i] for k, n in enumerate(degrees)} for i in (0, 1)]
+    ring = f.ring
+    sums = _apply_rows(ring, _preimage_rows(q, ring(c)), f.parts)
+    parts = [{n - 1: sums[2 * k + i] for k, n in enumerate(sorted(f.parts))} for i in (0, 1)]
     return tuple(Series2(ring, p, f.precision) for p in parts)
+
+
+def _correction_rows(q):
+    """Rows of scalars (see `_preimage_rows`) taking a residual component eps
+    straight to the stored correction (a, b, a + gamma*b, delta*b) =
+    -(mu, nu, mu + gamma*nu, delta*nu), (mu, nu) the right inverse of eps
+    at c = 1/d."""
+    m, v = _preimage_rows(q, q.discriminant.inv())
+    return (
+        (-m[0], -m[1]),
+        (-v[0], -v[1]),
+        (-(m[0] + q.gamma * v[0]), -(m[1] + q.gamma * v[1])),
+        (-q.delta * v[0], -q.delta * v[1]),
+    )
 
 
 def solve_linearized_increment(q, f):
@@ -184,14 +213,19 @@ def normal_form_iteration(f, q, n_steps):
     components instead of multiplying out whole series (van der Hoeven's
     relaxed, or on-line, scheme in its simplest form).
 
-    Besides the certified right inverse, a step is two packed products: one
-    forms the residual component, -f_{n+2} entering as f_{n+2} times the
-    length-1 vector (-1,), and one turns the preimage (mu, nu) into the
-    stored (a, b, a + gamma*b, delta*b) = (-mu, -nu, -(mu + gamma*nu),
-    -delta*nu) against (-1,), (-gamma,) and (-delta,).  The correction is
-    appended to x and y as one new component: the coefficient tuples of the
-    earlier components are shared and not checked again, while the small
-    degree -> component dict is copied on each step.
+    A step is two packed products.  One forms the residual component eps,
+    -f_{n+2} entering as f_{n+2} times the length-1 vector (-1,).  The other
+    takes eps straight to the stored correction (a, b, a + gamma*b, delta*b)
+    through the rows of `_correction_rows`, the right inverse at c = 1/d
+    composed with the correction, formed once per iteration.  A nonzero
+    correction is appended to x and y as one new component: the coefficient
+    tuples of the earlier components are shared and not checked again, while
+    the small degree -> component dict is copied on each step.
+
+    The right-inverse identity is certified once, after the last step:
+    L(x - X, y - Y) = -sum eps over all steps.  L is graded, so this is the
+    identity of every step at once, and the least degree where it fails is
+    n + 2 for the first step n whose correction is wrong.
     """
     if n_steps < 1:
         raise ValueError("need at least one step")
@@ -208,9 +242,11 @@ def normal_form_iteration(f, q, n_steps):
     ring = f.ring
     xs, ys = Series2.x(ring), Series2.y(ring)
     out = [(xs, ys)]
-    negated = [(-ring.one,), (-q.gamma,), (-q.delta,)]  # (-1,), (-gamma,), (-delta,)
+    rows = _correction_rows(q)
+    minus_one = (-ring.one,)
     # degree k -> (a_k, b_k, a_k + gamma*b_k, delta*b_k), for nonzero corrections
     comps = {}
+    minus_eps = {}  # degree n + 2 -> -eps of step n
     for n in range(1, n_steps):
         top = n + 2
         degrees = [i for i in comps if top - i in comps]
@@ -221,23 +257,20 @@ def normal_form_iteration(f, q, n_steps):
         if f_top:
             pairs.append((len(left), len(right)))
             left.append(f_top)
-            right.append(negated[0])
+            right.append(minus_one)
         (eps,) = _product_sums(ring, left, right, [(top + 1, pairs)])
-        mu, nu = solve_linearized_increment(q, Series2(ring, {top: eps}))
-        m, v = mu.parts.get(n + 1), nu.parts.get(n + 1)
-        if m or v:
-            zero = (ring.zero,) * (n + 2)
-            comps[n + 1] = _product_sums(
-                ring,
-                [m or zero, v or zero],
-                negated,
-                [(n + 2, [(0, 0)]), (n + 2, [(1, 0)]), (n + 2, [(0, 0), (1, 1)]), (n + 2, [(1, 2)])],
-            )
-            if m:
-                xs = Series2._of(ring, {**xs.parts, n + 1: comps[n + 1][0]}, xs.precision)
-            if v:
-                ys = Series2._of(ring, {**ys.parts, n + 1: comps[n + 1][1]}, ys.precision)
+        minus_eps[top] = [-c for c in eps]
+        comp = _apply_rows(ring, rows, {top: eps})  # a, b, a + gamma*b, delta*b
+        in_x, in_y = (any(not c.is_zero for c in v) for v in comp[:2])
+        if in_x or in_y:
+            comps[n + 1] = comp
+            if in_x:
+                xs = Series2._of(ring, {**xs.parts, n + 1: comp[0]}, xs.precision)
+            if in_y:
+                ys = Series2._of(ring, {**ys.parts, n + 1: comp[1]}, ys.precision)
         out.append((xs, ys))
+    corrections = [Series2._of(ring, {k: v for k, v in s.parts.items() if k > 1}, None) for s in (xs, ys)]
+    _certify("right-inverse", linearized_increment(q, *corrections), Series2(ring, minus_eps))
     return out
 
 

@@ -10,6 +10,7 @@ Homogeneous components are dense coefficient vectors indexed by X-exponent.
 from __future__ import annotations
 
 import reprlib
+from operator import add, neg, sub
 
 from .rings import RingElem, _power, _product_sums, format_terms
 
@@ -179,7 +180,9 @@ class Series2:
     # and then shrinks, which in CPython fills the free lists of tuples of
     # every other size and so raises peak memory on long runs.
 
-    def __add__(self, other):
+    def _termwise(self, other, op, lone):
+        """op(self, other) component by component in one pass; a component of
+        `other` alone becomes lone(c) coefficientwise (unchanged for None)."""
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -189,20 +192,20 @@ class Series2:
             a = self.parts.get(n)
             b = other.parts.get(n)
             if a is None:
-                parts[n] = b
+                parts[n] = b if lone is None else tuple([lone(y) for y in b])
             elif b is None:
                 parts[n] = a
             else:
-                parts[n] = tuple([x + y for x, y in zip(a, b)])
+                parts[n] = tuple([op(x, y) for x, y in zip(a, b)])
         return Series2(self.ring, parts, prec)
+
+    def __add__(self, other):
+        return self._termwise(other, add, None)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
+        return self._termwise(other, sub, neg)
 
     def __rsub__(self, other):
         other = self._coerce(other)

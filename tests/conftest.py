@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from nodal_kit import normal_form
 from nodal_kit.rings import DualNumbers, LocalTruncation, PrimeField, Rationals
 
 
@@ -42,3 +43,31 @@ def random_unit_disc(ring, rng):
         d = ring.random_element(rng)
         if (g * g - 4 * d).is_unit:
             return g, d
+
+
+def perturbed_rows(monkeypatch, row, column):
+    """Make `_correction_rows` return one composed scalar plus one."""
+    real = normal_form._correction_rows
+
+    def perturbed(q):
+        rows = [list(r) for r in real(q)]
+        rows[row][column] = rows[row][column] + 1
+        return tuple(tuple(r) for r in rows)
+
+    monkeypatch.setattr(normal_form, "_correction_rows", perturbed)
+
+
+def perturbed_step(monkeypatch, step, which):
+    """Make the `step`-th call of `_apply_rows` (step `step` of the first
+    iteration run) add one to coefficient 0 of output `which`."""
+    real, calls = normal_form._apply_rows, []
+
+    def perturbed(ring, rows, parts):
+        out = real(ring, rows, parts)
+        calls.append(None)
+        if len(calls) == step:
+            vec = out[which]
+            out[which] = (vec[0] + 1,) + vec[1:]
+        return out
+
+    monkeypatch.setattr(normal_form, "_apply_rows", perturbed)

@@ -1,11 +1,13 @@
 import contextlib
 import io
 import json
+import random
 import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import perturbed_rows, perturbed_step
 from nodal_kit import cli, mf, normal_form, stabilize
 from nodal_kit.mpoly import MPoly
 from nodal_kit.reporting import CheckRecord, Report
@@ -416,6 +418,70 @@ def test_a_wrong_linearized_increment_fails_the_right_inverse_check(monkeypatch,
     assert failed["nf.right-inverse"] == (
         f"AssertionError: right-inverse identity failed at degree {degree} (internal error)"
     )
+
+
+def _plain_top_literal(k):
+    """X^2 + 3XY + 2Y^2 + X^(k+2) + Y^(k+2), for gamma = 3, delta = 2."""
+    return json.dumps([[2, 0, "1"], [1, 1, "3"], [0, 2, "2"], [k + 2, 0, "1"], [0, k + 2, "1"]])
+
+
+def _normal_form_failures(capsys, *argv):
+    return _counterexamples(capsys, "normal-form", "--ring", "fp:7", "--gamma", "3", "--delta", "2", *argv)
+
+
+@pytest.mark.parametrize("k", [1, 3, 6])
+@pytest.mark.parametrize("row,column", [(0, 1), (1, 0)])
+def test_a_wrong_composed_scalar_fails_the_residual_check(monkeypatch, capsys, k, row, column):
+    perturbed_rows(monkeypatch, row, column)
+    code, failed = _normal_form_failures(capsys, "--precision", "8", "--series", _plain_top_literal(k))
+    assert code == 1
+    assert failed == {
+        "nf.residual-order": f"AssertionError: right-inverse identity failed at degree {k + 2} (internal error)"
+    }
+
+
+@pytest.mark.parametrize("row", [2, 3])
+def test_a_wrong_stored_sum_is_caught_by_the_final_residual(monkeypatch, capsys, row):
+    # a + gamma*b and delta*b only feed later residuals, which the right
+    # inverse then solves faithfully; the final residual q(x, y) - f catches it
+    perturbed_rows(monkeypatch, row, 0)
+    code, failed = _normal_form_failures(capsys, "--precision", "8", "--series", _plain_top_literal(1))
+    assert code == 1
+    assert failed == {"nf.residual-order": "series 0: residual order 4"}
+
+
+@pytest.mark.parametrize("k", [1, 5])
+@pytest.mark.parametrize("which", [0, 1])
+def test_a_wrong_stored_correction_fails_the_residual_check(monkeypatch, capsys, k, which):
+    perturbed_step(monkeypatch, k, which)
+    code, failed = _normal_form_failures(capsys)
+    assert code == 1
+    assert failed == {
+        "nf.residual-order": f"AssertionError: right-inverse identity failed at degree {k + 2} (internal error)"
+    }
+
+
+@pytest.mark.parametrize("ring", ["q", "fp:7", "dual:q", "loc:q:s,t:3"])
+def test_the_right_inverse_check_draws_like_the_per_degree_loop(monkeypatch, ring):
+    cfg = cli.RunConfig("normal-form", ring=ring, gamma="3", delta="1", precision=4)
+    res = cli.Resolved(cfg)
+    real, seen = normal_form.solve_linearized_increment, []
+
+    def recorded(q, h):
+        seen.append(h)
+        return real(q, h)
+
+    monkeypatch.setattr(normal_form, "solve_linearized_increment", recorded)
+    rng = random.Random(7)
+    checks = dict(cli._normal_form(res, cfg, rng))
+    assert checks["nf.right-inverse"]() == {"ok": True, "degrees": "1..9"}
+    # the loop it replaced: one component of degree n + 1 per call
+    ref = random.Random(7)
+    cli._normal_form(res, cfg, ref)  # draws the same candidate series
+    ring = res.ring
+    components = [Series2(ring, {n + 1: [ring.random_element(ref) for _ in range(n + 2)]}) for n in range(9)]
+    assert seen == [sum(components, Series2.zero(ring))]
+    assert rng.random() == ref.random()
 
 
 @pytest.mark.parametrize("degree", [2, 5])

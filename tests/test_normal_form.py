@@ -3,7 +3,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_unit_disc
+from conftest import perturbed_rows, perturbed_step, random_unit_disc
+from nodal_kit import normal_form
 from nodal_kit.cli import _final_residual
 from nodal_kit.normal_form import (
     CoordChange,
@@ -16,7 +17,7 @@ from nodal_kit.normal_form import (
     square_zero_change,
     _raw_increment_preimage,
 )
-from nodal_kit.rings import PrimeField, Rationals, make_ring
+from nodal_kit.rings import PrimeField, Rationals, _product_sums, make_ring
 from nodal_kit.series import Series2
 
 QQ = Rationals()
@@ -256,6 +257,133 @@ class TestIncrementalResidual:
                 assert truncated.order_at_least(n_steps + 2) is verdict
                 if not verdict:
                     assert truncated.order() == full.order() == n_steps + 1
+
+
+def _per_step_iteration(f, q, n_steps):
+    """Reference for the two-product step: each step solves for (mu, nu)
+    through the certified right inverse, then forms the stored correction
+    (-mu, -nu, -(mu + gamma*nu), -delta*nu) by a second product."""
+    ring = f.ring
+    xs, ys = Series2.x(ring), Series2.y(ring)
+    out = [(xs, ys)]
+    negated = [(-ring.one,), (-q.gamma,), (-q.delta,)]
+    comps = {}
+    for n in range(1, n_steps):
+        top = n + 2
+        degrees = [i for i in comps if top - i in comps]
+        left = [comps[i][k] for i in degrees for k in (0, 1)]
+        right = [comps[top - i][k] for i in degrees for k in (2, 3)]
+        pairs = [(k, k) for k in range(len(left))]
+        f_top = f.parts.get(top)
+        if f_top:
+            pairs.append((len(left), len(right)))
+            left.append(f_top)
+            right.append(negated[0])
+        (eps,) = _product_sums(ring, left, right, [(top + 1, pairs)])
+        mu, nu = solve_linearized_increment(q, Series2(ring, {top: eps}))
+        m, v = mu.parts.get(n + 1), nu.parts.get(n + 1)
+        if m or v:
+            zero = (ring.zero,) * (n + 2)
+            comps[n + 1] = _product_sums(
+                ring,
+                [m or zero, v or zero],
+                negated,
+                [(n + 2, [(0, 0)]), (n + 2, [(1, 0)]), (n + 2, [(0, 0), (1, 1)]), (n + 2, [(1, 2)])],
+            )
+            if m:
+                xs = Series2(ring, {**xs.parts, n + 1: comps[n + 1][0]})
+            if v:
+                ys = Series2(ring, {**ys.parts, n + 1: comps[n + 1][1]})
+        out.append((xs, ys))
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    ring_desc=st.sampled_from(ITERATION_RINGS),
+    n_steps=st.integers(1, 9),
+    kind=st.sampled_from(["random", "q", "odd"]),
+    exact_f=st.booleans(),
+)
+def test_two_product_steps_match_the_per_step_right_inverse(seed, ring_desc, n_steps, kind, exact_f):
+    rnd = random.Random(seed)
+    ring = make_ring(ring_desc)
+    q = QuadForm.make(ring, *random_unit_disc(ring, rnd))
+    precision = None if exact_f else n_steps + 2
+    if kind == "q":  # every correction vanishes
+        f = q.series(precision)
+    elif kind == "odd":  # f_top is absent on every other step
+        f = _random_series_over(q, rnd, n_steps + 2, precision, degrees=range(3, n_steps + 3, 2))
+    else:
+        f = _random_series_over(q, rnd, n_steps + 2, precision)
+    got = normal_form_iteration(f, q, n_steps)
+    want = _per_step_iteration(f, q, n_steps)
+    assert len(got) == len(want) == n_steps
+    for (x, y), (xr, yr) in zip(got, want):
+        assert _raw(x, y) == _raw(xr, yr)
+
+
+# --- planted faults: the right-inverse identity, certified once per iteration
+
+
+def _plain_top(q, k):
+    """q + X^(k+2) + Y^(k+2): steps before k have nothing to correct, step k
+    corrects eps = -(X^(k+2) + Y^(k+2)), with nonzero eps[0] and eps[1:]."""
+    ring, top = q.ring, k + 2
+    return q.series() + Series2(ring, {top: (ring.one,) + (ring.zero,) * (top - 1) + (ring.one,)})
+
+
+@pytest.mark.parametrize("ring_desc", ["q", "fp:7", "dual:q"])
+@pytest.mark.parametrize("k", [1, 3, 6])
+@pytest.mark.parametrize("row,column", [(0, 0), (0, 1), (1, 0), (1, 1)])
+def test_a_wrong_composed_scalar_fails_the_right_inverse_at_its_step(monkeypatch, ring_desc, k, row, column):
+    ring = make_ring(ring_desc)
+    q = QuadForm.make(ring, *random_unit_disc(ring, random.Random(ring_desc)))
+    f = _plain_top(q, k)
+    normal_form_iteration(f, q, 8)  # sound before the fault is planted
+    perturbed_rows(monkeypatch, row, column)
+    with pytest.raises(AssertionError, match=rf"^right-inverse identity failed at degree {k + 2} \(internal error\)$"):
+        normal_form_iteration(f, q, 8)
+
+
+@pytest.mark.parametrize("ring_desc", ["q", "fp:7", "loc:q:s,t:3"])
+@pytest.mark.parametrize("k", [1, 4, 7])
+@pytest.mark.parametrize("which", [0, 1])
+def test_a_wrong_stored_correction_fails_the_right_inverse_at_its_step(monkeypatch, ring_desc, k, which):
+    rnd = random.Random(f"{ring_desc}:{k}")
+    ring = make_ring(ring_desc)
+    q = QuadForm.make(ring, *random_unit_disc(ring, rnd))
+    f = _random_series_over(q, rnd, 10)
+    perturbed_step(monkeypatch, k, which)
+    with pytest.raises(AssertionError, match=rf"^right-inverse identity failed at degree {k + 2} \(internal error\)$"):
+        normal_form_iteration(f, q, 8)
+
+
+@pytest.mark.parametrize("n_steps", range(1, 9))
+def test_each_step_makes_two_packed_products_and_the_iteration_one_certificate(monkeypatch, n_steps):
+    calls = {"_product_sums": 0, "linearized_increment": 0, "solve_linearized_increment": 0}
+    for name in calls:
+        real = getattr(normal_form, name)
+
+        def counted(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(normal_form, name, counted)
+    rnd = random.Random(n_steps)
+    for ring_desc in ("q", "fp:7", "loc:q:s,t:3"):
+        ring = make_ring(ring_desc)
+        q = QuadForm.make(ring, *random_unit_disc(ring, rnd))
+        for f in (_random_series_over(q, rnd, n_steps + 2), q.series()):
+            for name in calls:
+                calls[name] = 0
+            normal_form_iteration(f, q, n_steps)
+            assert calls == {
+                "_product_sums": 2 * (n_steps - 1) + 1,
+                "linearized_increment": 1,
+                "solve_linearized_increment": 0,
+            }
 
 
 def _series_residual(q, f, xs, ys, n_steps):

@@ -423,6 +423,40 @@ def test_agrees_below_is_the_order_of_the_difference(data, ring):
         assert g.agrees_below(f, k) == (g - f).order_at_least(k)
 
 
+# --- Series2.__sub__ ----------------------------------------------------------
+
+
+@st.composite
+def _difference_pair(draw, ring):
+    """Two series; the second shares some components of the first, so their
+    difference cancels there, and may be empty."""
+    elems = st.integers(0, 10**6).map(lambda seed: ring.random_element(random.Random(seed)))
+
+    def components(degrees):
+        return {n: draw(st.lists(elems, min_size=n + 1, max_size=n + 1)) for n in degrees}
+
+    pa, pb = draw(st.sampled_from([(None, None), (None, 4), (5, None), (4, 4), (0, 0), (6, 2), (3, 7)]))
+    a = Series2(ring, components(draw(st.sets(st.integers(0, 7), max_size=5))), pa)
+    shared = draw(st.sets(st.sampled_from(sorted(a.parts)), max_size=3)) if a.parts else set()
+    fresh = components(draw(st.sets(st.integers(0, 7), max_size=4)) - shared)
+    b = Series2(ring, {**fresh, **{n: a.parts[n] for n in shared}}, pb)
+    return a, b
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), ring_desc=st.sampled_from(["q", "fp:7", "loc:q:s,t:3"]))
+def test_difference_is_the_sum_with_the_negation(data, ring_desc):
+    ring = make_ring(ring_desc)
+    a, b = data.draw(_difference_pair(ring))
+    for x, y in ((a, b), (b, a), (a, a), (a, Series2.zero(ring)), (Series2.zero(ring, 3), a)):
+        diff = x - y
+        assert diff == x + (-y)
+        assert diff.precision == _min_prec(x.precision, y.precision)
+        assert all(any(not c.is_zero for c in v) for v in diff.parts.values())
+    assert (a - a).is_zero
+    assert 1 - a == Series2.const(ring, 1) + (-a)
+
+
 # --- the full-precision Horner that graded substitution replaced -------------
 
 
