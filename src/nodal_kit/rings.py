@@ -987,12 +987,15 @@ class _LiteralParser:
         self.pos += 1
         if tok in self.atoms:
             return self.atoms[tok]
-        if tok[0].isdigit():
-            _check_number(tok, self.source)
+        if not tok[0].isdigit():
+            self.fail(f"unknown atom {_quote(tok)}")
+        _check_number(tok, self.source)
         try:
             return self.ring.from_fraction(Fraction(tok))
-        except (ValueError, ZeroDivisionError):
-            self.fail(f"unknown atom {_quote(tok)}")
+        except ZeroDivisionError:
+            self.fail(f"number {_quote(tok)} has denominator 0")
+        except CoeffParseError as e:  # a denominator the ring cannot invert
+            self.fail(f"number {_quote(tok)}: {e}")
 
 
 def _parse_literal(ring, s):

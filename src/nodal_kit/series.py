@@ -12,7 +12,7 @@ from __future__ import annotations
 import reprlib
 from operator import add, neg, sub
 
-from .rings import RingElem, _power, _product_sums, format_terms
+from .rings import RingElem, _product_sums, format_terms
 
 
 class PrecisionError(ValueError):
@@ -161,10 +161,6 @@ class Series2:
             self.parts.get(n) == other.parts.get(n) for n in set(self.parts) | set(other.parts) if n < k
         )
 
-    def degree(self):
-        """Top stored degree (the polynomial degree when precision is None)."""
-        return max(self.parts) if self.parts else None
-
     # --- arithmetic ---------------------------------------------------------
 
     def _coerce(self, other):
@@ -244,9 +240,6 @@ class Series2:
         return Series2(self.ring, dict(zip(degrees, sums)), prec)
 
     __rmul__ = __mul__
-
-    def __pow__(self, k):
-        return _power(self, k, Series2.const(self.ring, 1, self.precision))
 
     def truncated(self, precision):
         prec = _min_prec(self.precision, precision)

@@ -313,12 +313,41 @@ def test_a_refused_dual_extension_prints_a_short_message(capsys):
     # the dual numbers over 600 variables of order 2 pass the monomial bound;
     # their descriptor has 2,902 characters, the message quotes 60
     ring = "loc:q:" + ",".join(f"v{i}" for i in range(600)) + ":2"
-    code, out, err = run_cli(capsys, "normal-form", "--ring", ring)
+    code, out, err = run_cli(capsys, "check-all", "--ring", ring)
     assert code == 2
     assert out == ""
     assert f"… ({len('dual:' + ring)} characters), which the checks build" in err
     assert "passes 1200 monomials, the size bound" in err
     assert len(err) < 300
+
+
+def test_only_check_all_builds_the_dual_numbers(capsys):
+    # loc:q:s:446 is within the pair bound, its dual extension is not; only
+    # check-all's square-zero and axiom checks run over the extension
+    code, out, _ = run_cli(capsys, "factorize", "--ring", "loc:q:s:446", "--gamma", "3", "--delta", "1")
+    assert code == 0
+    assert out.strip().endswith("checks passed")
+    code, out, err = run_cli(capsys, "check-all", "--ring", "loc:q:s:446", "--gamma", "3", "--delta", "1")
+    assert code == 2
+    assert out == ""
+    assert "ring descriptor: 'dual:loc:q:s:446', which the checks build" in err
+    assert "passes 100000 pairs" in err
+
+
+@pytest.mark.parametrize(
+    "ring, literal, message",
+    [
+        ("q", "1/0", "number '1/0' has denominator 0 in '1/0'"),
+        ("fp:7", "1/7", "number '1/7': denominator 7 vanishes mod 7 in '1/7'"),
+        ("loc:fp:7:s:2", "1/7", "number '1/7': denominator 7 vanishes mod 7 in '1/7'"),
+        ("q", "x", "unknown atom 'x' in 'x'"),
+    ],
+)
+def test_a_bad_denominator_is_named_not_an_unknown_atom(capsys, ring, literal, message):
+    code, out, err = run_cli(capsys, "factorize", "--ring", ring, "--gamma", literal)
+    assert code == 2
+    assert out == ""
+    assert err == f"config error: coefficient literal: {message}\n"
 
 
 @pytest.mark.parametrize(

@@ -2,9 +2,11 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_unit_disc
-from nodal_kit.mpoly import MPoly
+from nodal_kit import stabilize
+from nodal_kit.mpoly import MPoly, random_poly2
 from nodal_kit.normal_form import QuadForm
 from nodal_kit.rings import LocalTruncation, PrimeField, Rationals, make_ring
 from nodal_kit.stabilize import (
@@ -139,20 +141,109 @@ def _random_poly(ring, rnd, max_deg=4):
 
 
 class TestFlatnessBasis:
-    def test_rational_bound8(self, rng):
+    def test_rational_bound8(self):
         chart0, _ = build_charts(QQ, QuadForm.make(QQ, 3, 2), QQ.zero, QQ.zero)
-        rec = flatness_basis_certificate(chart0, 8, rng)
-        assert rec["ok"]
+        rec = flatness_basis_certificate(chart0, 8)
+        assert rec == {"ok": True, "failures": [], "basis_size": 24}
 
-    def test_symbolic_truncated(self, rng):
+    def test_symbolic_truncated(self):
         loc = LocalTruncation(F5, ("s", "t"), 3)
         s, t = loc.gens
         chart0, _ = build_charts(loc, QuadForm.make(loc, 1, 0), s, t)
-        rec = flatness_basis_certificate(chart0, 6, rng)
+        rec = flatness_basis_certificate(chart0, 6)
         assert rec["ok"]
 
     def test_degree_one_monomials(self):
         assert chart0_basis_monomials(1) == [(0, 0), (0, 1), (1, 0)]
+
+    def test_nothing_is_divided(self, monkeypatch):
+        chart0, _ = build_charts(QQ, QuadForm.make(QQ, 3, 2), QQ(1), QQ(4))
+
+        def refuse(*args):
+            raise AssertionError("the certificate divides")
+
+        monkeypatch.setattr(stabilize, "reduce_chart0", refuse)
+        monkeypatch.setattr(MPoly, "divide", refuse)
+        assert flatness_basis_certificate(chart0, 96)["ok"]
+
+    @pytest.mark.parametrize(
+        "extra, named",
+        [
+            ((1, 2), "the relation has the term 2*v*y^2"),
+            ((0, 3), "the relation has the term y^3"),
+            ((2, 2), "the relation has the term v^2*y^2"),
+        ],
+        ids=["vy2-coefficient-2", "extra-y3", "extra-degree-4"],
+    )
+    def test_a_planted_relation_term_is_named(self, extra, named):
+        chart0, _ = build_charts(QQ, QuadForm.make(QQ, 3, 2), QQ(1), QQ(4))
+        bad = replace(chart0, relation=chart0.relation + MPoly.monomial(QQ, extra))
+        rec = flatness_basis_certificate(bad, 8)
+        assert not rec["ok"]
+        assert rec["failures"] == [f"{named}; its only term of degree >= 3 must be v*y^2"]
+
+    def test_a_missing_vy2_term_is_named(self):
+        chart0, _ = build_charts(QQ, QuadForm.make(QQ, 3, 2), QQ(1), QQ(4))
+        bad = replace(chart0, relation=chart0.relation - MPoly.monomial(QQ, (1, 2)))
+        assert flatness_basis_certificate(bad, 8)["failures"] == ["the relation has no v*y^2 term"]
+
+    @pytest.mark.parametrize(
+        "plant, failure",
+        [
+            (lambda b, real: sorted(real + [(1, 2)]), "basis monomial 11 is v*y^2, where the normal forms have v^2"),
+            (lambda b, real: [e for e in real if e != (0, b)], "basis monomial 8 is v, where the normal forms have y^8"),
+            (lambda b, real: real[:-1], "basis monomial 23 is nothing, where the normal forms have v^8"),
+            (lambda b, real: real + [real[-1]], "basis monomial 24 is v^8, where the normal forms have nothing"),
+        ],
+        ids=["adds-vy2", "drops-y^bound", "drops-the-last", "repeats-the-last"],
+    )
+    def test_a_planted_basis_fault_names_the_first_differing_monomial(self, monkeypatch, plant, failure):
+        chart0, _ = build_charts(QQ, QuadForm.make(QQ, 3, 2), QQ(1), QQ(4))
+        real = stabilize.chart0_basis_monomials
+        monkeypatch.setattr(stabilize, "chart0_basis_monomials", lambda b: plant(b, real(b)))
+        rec = flatness_basis_certificate(chart0, 8)
+        assert not rec["ok"]
+        assert rec["failures"] == [failure]
+
+
+def _flat_by_division(chart, bound, rng, trials):
+    """The sampled route the certificate replaced, kept as its reference:
+    random multiples of the relation reduce to zero, and random combinations
+    of basis monomials are fixed points, each under a random division order.
+    Division refuses a relation whose lex-leading term is not 1 * v*y^2."""
+    ring, basis = chart.relation.ring, chart0_basis_monomials(bound)
+    try:
+        for _ in range(trials):
+            h = random_poly2(ring, rng, max_deg=3)
+            if not reduce_chart0(chart, h * chart.relation, rng).is_zero:
+                return False
+            combo = MPoly(ring, 2, {e: ring.random_element(rng) for e in basis if rng.random() < 0.5})
+            if reduce_chart0(chart, combo, rng) != combo:
+                return False
+    except ValueError:
+        return False
+    return True
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    ring_desc=st.sampled_from(["q", "fp:7", "loc:q:s,t:3", "dual:q"]),
+    bound=st.integers(1, 8),
+    lead=st.sampled_from(["closed form", "random"]),
+)
+def test_the_certificate_agrees_with_the_division_route(seed, ring_desc, bound, lead):
+    rnd = random.Random(seed)
+    ring = make_ring(ring_desc)
+    s, t = ring.random_element(rnd), ring.random_element(rnd)
+    chart0, _ = build_charts(ring, QuadForm.make(ring, *random_unit_disc(ring, rnd)), s, t)
+    if lead == "random":  # any coefficient at v*y^2, the one both routes must see
+        terms = dict(chart0.relation.terms)
+        terms[(1, 2)] = ring.random_element(rnd)
+        chart0 = replace(chart0, relation=MPoly(ring, 2, terms))
+    certified = flatness_basis_certificate(chart0, bound)["ok"]
+    assert certified == _flat_by_division(chart0, bound, rnd, trials=10)
+    assert certified == (chart0.relation.coefficient((1, 2)) == ring.one)
 
 
 class TestCovering:

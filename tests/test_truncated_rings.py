@@ -467,8 +467,9 @@ def test_the_size_bound_counts_the_pairs_of_the_product_table():
 
 
 def test_the_cli_refuses_rings_whose_dual_extension_passes_the_size_bound(capsys):
-    # loc:q:s,t:33 has 58,905 pairs; the dual numbers over it, 176,715
-    assert cli.main(["normal-form", "--ring", "loc:q:s,t:33"]) == 2
+    # loc:q:s,t:33 has 58,905 pairs; the dual numbers over it, 176,715, and
+    # only check-all builds them
+    assert cli.main(["check-all", "--ring", "loc:q:s,t:33"]) == 2
     assert "'dual:loc:q:s,t:33', which the checks build" in capsys.readouterr().err
     assert cli.main(["normal-form", "--ring", "loc:q:s:100000"]) == 2
     assert "size bound" in capsys.readouterr().err
@@ -489,7 +490,7 @@ def test_the_cli_refuses_wide_rings_at_once(capsys):
     assert time.perf_counter() - start < 1
     assert "passes 1200 monomials, the size bound" in capsys.readouterr().err
     # the dual numbers over 600 variables have 1,202 monomials
-    assert cli.main(["normal-form", "--ring", _wide(600)]) == 2
+    assert cli.main(["check-all", "--ring", _wide(600)]) == 2
     assert "which the checks build: ring too large" in capsys.readouterr().err
 
 
