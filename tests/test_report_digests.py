@@ -49,6 +49,22 @@ GOLDEN = {
         "1f184608b0e5751216b451288c9b7af1ecb1f67c184d06e097df301cd85c8f42",
         "c9a547bcffeb4b62a919dbced07737eeca29334fc9c08b9be09a41363d3635a8",
     ),
+    "check-all-dual-loc-q-p5": (
+        dict(
+            subcommand="check-all", ring="dual:loc:q:s,t:2", precision=5,
+            gamma="3", delta="1", s="s", t="t",
+        ),
+        "4c024c4832322ea39c3fee09073e2c80596de7d71c68d7316953b0003290d294",
+        "056096ee15929129371a53c4c52898570c692216805dba4278cd6cc4d46ae8e0",
+    ),
+    "check-all-loc-q-p5": (
+        dict(
+            subcommand="check-all", ring="loc:q:s,t:3", precision=5,
+            gamma="3", delta="2", s="s", t="t",
+        ),
+        "a029e587a57837d180baf982e4eb573b2f703eac516ca05cb687900ed0b052bb",
+        "b53710e49c0eb431c8d40c75af3625617500697498a5150c3ceaf6f4dc7306e3",
+    ),
     "dual-loc-q": (
         dict(subcommand="dual", ring="loc:q:s,t:3", gamma="3", delta="2", s="s", t="t"),
         "c4ae61a54989e4d3def99bb72971a846c6457acfd73e2bfbded84d6a02092bae",
