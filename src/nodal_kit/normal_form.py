@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .rings import DualNumbers, RingElem, _product_sums
-from .series import Series2, _min_prec
+from .series import Series2, _graded_sums, _min_prec
 
 
 class DegenerateFormError(ValueError):
@@ -51,36 +51,15 @@ class QuadForm:
         """q(xs, ys) for series arguments, less the series `minus` when one is
         given, known through the least precision of the arguments.
 
-        Two packed products: g = x + gamma*y and h = delta*y component by
-        component, then sum_{i+j=n} (x_i*g_j + y_i*h_j) - minus_n for every
-        degree n through that precision, -minus_n entering as minus_n times
-        the length-1 vector (-1,).
+        Two packed products: k = x*gamma + y*delta, then
+        x*x + y*k + minus*(-1).
         """
         ring = self.ring
         minus = Series2.zero(ring) if minus is None else minus
         prec = _min_prec(xs.precision, ys.precision, minus.precision)
-        degrees = sorted(n for n in xs.parts.keys() | ys.parts.keys() if prec is None or n <= prec)
-        left = [s.parts.get(n) or (ring.zero,) * (n + 1) for n in degrees for s in (xs, ys)]  # x_n, y_n
-        gh = _product_sums(
-            ring,
-            left,
-            [(ring.one,), (self.gamma,), (self.delta,)],
-            [(n + 1, pairs) for k, n in enumerate(degrees) for pairs in ([(2 * k, 0), (2 * k + 1, 1)], [(2 * k + 1, 2)])],
-        )
-        by_degree = {}
-        for ki, i in enumerate(degrees):
-            for kj, j in enumerate(degrees):
-                if prec is not None and i + j > prec:
-                    break
-                by_degree.setdefault(i + j, []).extend([(2 * ki, 2 * kj), (2 * ki + 1, 2 * kj + 1)])
-        for n, vec in minus.parts.items():  # minus_n times (-1,), appended below
-            if prec is None or n <= prec:
-                by_degree.setdefault(n, []).append((len(left), len(gh)))
-                left.append(vec)
-        gh.append((-ring.one,))
-        out = sorted(by_degree)
-        sums = _product_sums(ring, left, gh, [(n + 1, by_degree[n]) for n in out])
-        return Series2(ring, dict(zip(out, sums)), prec)
+        gamma, delta, minus_one = (Series2.const(ring, c) for c in (self.gamma, self.delta, -1))
+        (k,) = _graded_sums(ring, [[(xs, gamma), (ys, delta)]], prec)
+        return _graded_sums(ring, [[(xs, xs), (ys, k), (minus, minus_one)]], prec)[0]
 
 
 @dataclass(frozen=True)
@@ -110,16 +89,13 @@ def linearized_increment(q, mu, nu):
     """The part of q(X+mu, Y+nu) - q(X, Y) linear in the series mu, nu.
 
     Equals q_X*mu + q_Y*nu, with the gradient q_X = 2X + gamma*Y and
-    q_Y = gamma*X + 2*delta*Y the vectors (gamma, 2) and (2*delta, gamma) by
-    X-exponent: degree n < P of mu and nu feeds degree n+1, all in one packed
-    product.  P, the lesser precision of mu and nu, is the result's.
+    q_Y = gamma*X + 2*delta*Y as two degree-1 series, in one packed product.
+    P, the lesser precision of mu and nu, is the result's: degree n < P of mu
+    and nu feeds degree n+1 <= P, and degree P is dropped.
     """
-    ring, prec = q.ring, _min_prec(mu.precision, nu.precision)
-    degrees = sorted(n for n in mu.parts.keys() | nu.parts.keys() if prec is None or n < prec)
-    right = [s.parts.get(n, (ring.zero,) * (n + 1)) for n in degrees for s in (mu, nu)]
-    outputs = [(n + 2, [(0, 2 * k), (1, 2 * k + 1)]) for k, n in enumerate(degrees)]
-    sums = _product_sums(ring, [(q.gamma, ring(2)), (2 * q.delta, q.gamma)], right, outputs)
-    return Series2(ring, {n + 1: v for n, v in zip(degrees, sums)}, prec)
+    ring = q.ring
+    q_x, q_y = (Series2(ring, {1: v}) for v in ((q.gamma, ring(2)), (2 * q.delta, q.gamma)))
+    return _graded_sums(ring, [[(q_x, mu), (q_y, nu)]], _min_prec(mu.precision, nu.precision))[0]
 
 
 def _preimage_rows(q, c):

@@ -71,21 +71,19 @@ def _is_prime(n):
 def format_terms(terms, names):
     """Render (exponent tuple, coefficient string) pairs as a sum of monomials.
 
-    A coefficient with a sign after its first character is bracketed, so the
-    result parses back as a literal; a coefficient of 1 or -1 is dropped in
-    front of a monomial, and the empty sum is "0".
+    In front of a monomial a coefficient of 1 or -1 is dropped and one with a
+    sign after its first character is bracketed, so the result parses back as
+    a literal; the empty sum is "0".
     """
     parts = []
     for e, cs in terms:
         mono = "*".join(nm if k == 1 else f"{nm}^{k}" for nm, k in zip(names, e) if k)
-        if mono and cs == "1":
-            parts.append(mono)
-        elif mono and cs == "-1":
-            parts.append(f"-{mono}")
+        if not mono:
+            parts.append(cs)
+        elif cs in ("1", "-1"):
+            parts.append(cs[:-1] + mono)  # the sign alone
         else:
-            if any(ch in cs[1:] for ch in "+-"):
-                cs = f"({cs})"
-            parts.append(f"{cs}*{mono}" if mono else cs)
+            parts.append(f"({cs})*{mono}" if any(ch in cs[1:] for ch in "+-") else f"{cs}*{mono}")
     if not parts:
         return "0"
     out = parts[0]
@@ -412,7 +410,7 @@ class Ring:
         raise NotImplementedError
 
     def short(self, elem):
-        raise NotImplementedError
+        return str(elem.val)
 
     def format_elem(self, elem):
         return self.short(elem)
@@ -468,9 +466,6 @@ class Rationals(Ring):
     def descriptor(self):
         return "q"
 
-    def short(self, elem):
-        return str(elem.val)
-
 
 class PrimeField(Ring):
     """The field F_p; elements are residues in [0, p)."""
@@ -522,9 +517,6 @@ class PrimeField(Ring):
     def descriptor(self):
         return f"fp:{self.p}"
 
-    def short(self, elem):
-        return str(elem.val)
-
     def format_elem(self, elem):
         return f"{elem.val} mod {self.p}"
 
@@ -563,8 +555,10 @@ class TruncatedRing(Ring):
     coprime to them all: residues in [0, p) over 1 over F_p.  Zero is (), so
     equality is structural and only zero is falsy; `_norm` alone knows the
     field.  A product walks a fixed index map: for each monomial i, the pairs
-    (j, k) with m_i * m_j = m_k.  Subclasses add the per-kind interface: the
-    variable names, parsing atoms and printing.
+    (j, k) with m_i * m_j = m_k.  An element prints as a sum over this
+    level's variables `var_names` with base-ring coefficients.  Subclasses add
+    the per-kind interface: the variable names, parsing atoms and the report
+    format `format_elem`.
     """
 
     def __init__(self, base, nvars, order):
@@ -743,9 +737,20 @@ class TruncatedRing(Ring):
         """A base-ring element (or anything the base ring coerces) as an element of this ring."""
         return RingElem(self, self._join({self._own_zero: self.base(a)}))
 
+    # --- printing ----------------------------------------------------------
+
+    def terms(self, elem):
+        """Sorted (exponents of this level's variables, base coefficient) pairs of an element."""
+        return sorted(self._split(elem.val).items(), key=lambda kv: (sum(kv[0]), kv[0]))
+
+    def short(self, elem):
+        return format_terms([(e, self.base.short(c)) for e, c in self.terms(elem)], self.var_names)
+
 
 class DualNumbers(TruncatedRing):
     """base[eps]/(eps^2), whose elements are a + b*eps with a, b in base."""
+
+    var_names = ("eps",)
 
     def __init__(self, base):
         if not isinstance(base, Ring):
@@ -775,24 +780,6 @@ class DualNumbers(TruncatedRing):
 
     def descriptor(self):
         return f"dual:{self.base.descriptor()}"
-
-    def short(self, elem):
-        a, b = self.parts(elem)
-        if b.is_zero:
-            return self.base.short(a)
-        bs = self.base.short(b)
-        if bs == "1":
-            eps_term = "eps"
-        elif bs == "-1":
-            eps_term = "-eps"
-        else:
-            if any(c in bs[1:] for c in "+-"):
-                bs = f"({bs})"
-            eps_term = f"{bs}*eps"
-        if a.is_zero:
-            return eps_term
-        head = self.base.short(a)
-        return head + eps_term if eps_term.startswith("-") else f"{head}+{eps_term}"
 
     def format_elem(self, elem):
         a, b = self.parts(elem)
@@ -835,10 +822,6 @@ class LocalTruncation(TruncatedRing):
     def gens(self):
         return tuple(self.gen(nm) for nm in self.var_names)
 
-    def terms(self, elem):
-        """Sorted (exponents, base coefficient) pairs of an element."""
-        return sorted(self._split(elem.val).items(), key=lambda kv: (sum(kv[0]), kv[0]))
-
     def atoms(self):
         out = {nm: self.gen(nm) for nm in self.var_names}
         for name, g in self.base.atoms().items():
@@ -857,11 +840,6 @@ class LocalTruncation(TruncatedRing):
 
     def descriptor(self):
         return f"loc:{self.base.descriptor()}:{','.join(self.var_names)}:{self.order}"
-
-    def short(self, elem):
-        return format_terms(
-            [(e, self.base.short(c)) for e, c in self.terms(elem)], self.var_names
-        )
 
 
 # --- literal parsing -------------------------------------------------------

@@ -10,7 +10,8 @@ Homogeneous components are dense coefficient vectors indexed by X-exponent.
 from __future__ import annotations
 
 import reprlib
-from operator import add, neg, sub
+from collections import defaultdict
+from operator import add, attrgetter, neg, sub
 
 from .rings import RingElem, _product_sums, format_terms
 
@@ -26,6 +27,43 @@ class SubstitutionError(ValueError):
 def _min_prec(*ps):
     finite = [p for p in ps if p is not None]
     return min(finite) if finite else None
+
+
+def _graded_sums(ring, sums, prec):
+    """For each list of series pairs (a, b) in `sums`, the series sum of a*b
+    through degree `prec` (exact when None), all in one packed product.
+
+    Each series is packed once per side, component by component, however
+    many pairs it enters; a sum holds the degrees its pairs reach.
+    """
+    vecs, index = ([], []), ({}, {})  # per side: the vectors, and id(series) -> [(degree, position)]
+
+    def components(s, side):
+        got = index[side].get(id(s))
+        if got is None:
+            degrees = sorted(s.parts)
+            got = index[side][id(s)] = [(n, len(vecs[side]) + k) for k, n in enumerate(degrees)]
+            vecs[side].extend([s.parts[n] for n in degrees])
+        return got
+
+    top = float("inf") if prec is None else prec
+    shapes, outputs = [], []
+    for pairs in sums:
+        by_degree = defaultdict(list)
+        for a, b in pairs:
+            right = components(b, 1)
+            for n1, i in components(a, 0):
+                for n2, j in right:
+                    if n1 + n2 > top:
+                        break
+                    by_degree[n1 + n2].append((i, j))
+        degrees = sorted(by_degree)
+        shapes.append(degrees)
+        outputs.extend([(n + 1, by_degree[n]) for n in degrees])
+    flat = iter(_product_sums(ring, *vecs, outputs))
+    # a raw value is falsy exactly when it is zero
+    parts = [{n: v for n, v in zip(degrees, flat) if any(map(attrgetter("val"), v))} for degrees in shapes]
+    return [Series2._of(ring, p, prec) for p in parts]
 
 
 class Series2:
@@ -222,22 +260,7 @@ class Series2:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        prec = _min_prec(self.precision, other.precision)
-        da, db = sorted(self.parts), sorted(other.parts)
-        by_degree = {}
-        for i, n1 in enumerate(da):
-            for j, n2 in enumerate(db):
-                if prec is not None and n1 + n2 > prec:
-                    break
-                by_degree.setdefault(n1 + n2, []).append((i, j))
-        degrees = sorted(by_degree)
-        sums = _product_sums(
-            self.ring,
-            [self.parts[n] for n in da],
-            [other.parts[n] for n in db],
-            [(n + 1, by_degree[n]) for n in degrees],
-        )
-        return Series2(self.ring, dict(zip(degrees, sums)), prec)
+        return _graded_sums(self.ring, [[(self, other)]], _min_prec(self.precision, other.precision))[0]
 
     __rmul__ = __mul__
 
@@ -261,44 +284,27 @@ class Series2:
                 raise SubstitutionError(f"substitution for {nm} has a constant term")
         prec = _min_prec(self.precision, xs.precision, ys.precision)
 
-        # coefficient of X^i as a map {j: c} (only degrees that can matter)
+        # c_ij, the coefficient of X^i Y^j, as {i: {j: c}} through degree prec
         by_x = {}
         for n, vec in self.parts.items():
-            if prec is not None and n > prec:
-                continue
-            for i, c in enumerate(vec):
-                if not c.is_zero:
-                    by_x.setdefault(i, {})[n - i] = c
-        if not by_x:
-            return Series2.zero(self.ring, prec)
+            if prec is None or n <= prec:
+                for i, c in enumerate(vec):
+                    if not c.is_zero:
+                        by_x.setdefault(i, {})[n - i] = c
 
-        # Graded Horner: a partial sum that k more factors of order >= 1 will
-        # multiply matters only through degree prec - k, so each step
-        # multiplies its parts, as an exact polynomial, by xs or ys cut to the
-        # degree m that step still needs.
-        def times(acc, s, m):
-            if m is None:  # everything exact
-                return acc * s
-            return Series2(self.ring, acc.parts) * s.truncated(m)
-
-        def eval_y(coeffs, top):
-            # Horner in ys for sum_j coeffs[j] * Y^j, needed through degree top
-            out = Series2.zero(self.ring)
-            for j in range(max(coeffs), -1, -1):
-                out = times(out, ys, None if top is None else top - j)
-                c = coeffs.get(j)
-                if c is not None:
-                    out = out + Series2.const(self.ring, c)
-            return out
-
-        # Horner in xs over the X-coefficients
-        result = Series2.zero(self.ring)
-        for i in range(max(by_x), -1, -1):
-            top = None if prec is None else prec - i
-            result = times(result, xs, top)
-            if i in by_x:
-                result = result + eval_y(by_x[i], top)
-        return Series2(result.ring, result.parts, prec)
+        # xs, ys have order >= 1, so only degrees <= prec matter: their powers one
+        # graded sum per step, then E_i = sum_j c_ij*ys^j, then sum_i xs^i*E_i
+        ring, one = self.ring, Series2.const(self.ring, 1)
+        top_x, top_y = max(by_x, default=0), max([max(cs) for cs in by_x.values()], default=0)
+        xp, yp = [one, xs], [one, ys]
+        for k in range(2, max(top_x, top_y) + 1):
+            steps = [[(xp[-1], xs)] if k <= top_x else [], [(yp[-1], ys)] if k <= top_y else []]
+            x_k, y_k = _graded_sums(ring, steps, prec)
+            xp.append(x_k)
+            yp.append(y_k)
+        rows = [[(Series2.const(ring, c), yp[j]) for j, c in cs.items()] for cs in by_x.values()]
+        es = _graded_sums(ring, rows, prec)
+        return _graded_sums(ring, [[(xp[i], e) for i, e in zip(by_x, es)]], prec)[0]
 
     # --- comparison / display ------------------------------------------------
 

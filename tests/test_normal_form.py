@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import perturbed_rows, perturbed_step, random_unit_disc
-from nodal_kit import normal_form
+from nodal_kit import normal_form, series
 from nodal_kit.cli import _final_residual
 from nodal_kit.normal_form import (
     CoordChange,
@@ -362,15 +362,17 @@ def test_a_wrong_stored_correction_fails_the_right_inverse_at_its_step(monkeypat
 
 @pytest.mark.parametrize("n_steps", range(1, 9))
 def test_each_step_makes_two_packed_products_and_the_iteration_one_certificate(monkeypatch, n_steps):
+    # the steps' packed products run in normal_form, the certificate's in
+    # series, through the graded sum that linearized_increment forms
     calls = {"_product_sums": 0, "linearized_increment": 0, "solve_linearized_increment": 0}
-    for name in calls:
-        real = getattr(normal_form, name)
+    for module, name in [(normal_form, name) for name in calls] + [(series, "_product_sums")]:
+        real = getattr(module, name)
 
         def counted(*args, _real=real, _name=name):
             calls[_name] += 1
             return _real(*args)
 
-        monkeypatch.setattr(normal_form, name, counted)
+        monkeypatch.setattr(module, name, counted)
     rnd = random.Random(n_steps)
     for ring_desc in ("q", "fp:7", "loc:q:s,t:3"):
         ring = make_ring(ring_desc)

@@ -222,11 +222,13 @@ def test_format_parse_roundtrip(ring):
 
 
 def test_short_brackets_a_signed_constant():
-    # a constant coefficient with an inner sign is bracketed, as in MPoly.format
+    # a base-ring constant with an inner sign is bracketed in front of a
+    # monomial and nowhere else, as in MPoly.format
     loc = make_ring("loc:dual:q:s,t:3")
-    x = loc.parse_elem("1+eps+s")
-    assert loc.short(x) == "(1+eps)+s"
-    assert loc.parse_elem(loc.short(x)) == x
+    for literal, printed in (("1+eps+s", "1+eps+s"), ("(1-eps)*s+2*eps", "2*eps+(1-eps)*s")):
+        x = loc.parse_elem(literal)
+        assert loc.short(x) == printed
+        assert loc.parse_elem(loc.short(x)) == x
 
 
 def test_parse_errors(F7):

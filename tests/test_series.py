@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from nodal_kit.dp_ring import DPRing, _norm
 from nodal_kit.normal_form import QuadForm
 from nodal_kit.rings import DualNumbers, PrimeField, Rationals, _product_sums, make_ring
-from nodal_kit.series import PrecisionError, Series2, SubstitutionError, _min_prec
+from nodal_kit.series import PrecisionError, Series2, SubstitutionError, _graded_sums, _min_prec
 
 QQ = Rationals()
 F7 = PrimeField(7)
@@ -355,6 +355,41 @@ def _series(draw, ring, precision):
     return Series2(ring, parts, precision)
 
 
+# the fields, and one composite ring of each kind
+GRADED_RINGS = [QQ, F7, DualNumbers(QQ), make_ring("loc:q:s,t:3")]
+
+
+def _ref_graded_sum(ring, pairs, prec):
+    """The sum of a*b over the pairs through degree prec, one coefficient pair at a time."""
+    parts = {}
+    for a, b in pairs:
+        for n1, v1 in a.parts.items():
+            for n2, v2 in b.parts.items():
+                if prec is None or n1 + n2 <= prec:
+                    _ref_convolve_into(parts.setdefault(n1 + n2, [ring.zero] * (n1 + n2 + 1)), v1, v2)
+    return Series2(ring, parts, prec)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    ring=st.sampled_from(GRADED_RINGS),
+    prec=st.one_of(st.none(), st.integers(1, 7)),
+)
+def test_graded_sums_match_the_coefficient_loop(data, ring, prec):
+    # a few series shared between the pairs, so one series enters several
+    # pairs, on either side, in one sum and across sums
+    pool = [data.draw(_series(ring, data.draw(st.one_of(st.none(), st.integers(0, 7))))) for _ in range(3)]
+    pair = st.tuples(st.sampled_from(pool), st.sampled_from(pool))
+    sums = data.draw(st.lists(st.lists(pair, max_size=4), max_size=4))
+    got = _graded_sums(ring, sums, prec)
+    assert len(got) == len(sums)
+    for pairs, series in zip(sums, got):
+        assert series == _ref_graded_sum(ring, pairs, prec)
+        if ring in KERNEL_RINGS:
+            assert _canonical(c for vec in series.parts.values() for c in vec)
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), ring=st.sampled_from(KERNEL_RINGS))
 def test_series_product_matches_the_coefficient_loop(data, ring):
@@ -457,7 +492,7 @@ def test_difference_is_the_sum_with_the_negation(data, ring_desc):
     assert 1 - a == Series2.const(ring, 1) + (-a)
 
 
-# --- the full-precision Horner that graded substitution replaced -------------
+# --- graded substitution against a full-precision Horner ----------------------
 
 
 def _ref_substitute(f, xs, ys):
@@ -495,7 +530,7 @@ def _ref_substitute(f, xs, ys):
 
 
 @settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 10**6), ring=st.sampled_from([QQ, F7]), precs=st.tuples(
+@given(seed=st.integers(0, 10**6), ring=st.sampled_from(GRADED_RINGS), precs=st.tuples(
     *[st.one_of(st.none(), st.integers(1, 7))] * 3))
 def test_graded_substitution_matches_the_full_horner(seed, ring, precs):
     rnd = random.Random(seed)
