@@ -6,11 +6,12 @@ and exactness checks.  Rows of differing length, and a right-hand side
 whose length is not the number of rows, raise ValueError.
 
 Inside the module a matrix is a list of sparse rows {column: raw value}: the
-``val`` of each nonzero entry, an int reduced mod p over F_p and a
-``Fraction`` over Q.  One elimination loop, `_eliminate`, runs on these
-rows.  It takes the columns in order and keeps a column index, the set of
-rows with an entry in each column, so a pivot step visits only the rows it
-changes.  A column's pivot is the row there with the fewest entries
+``val`` of each nonzero entry, an int reduced mod p over F_p; a value over Q
+is read and written only through the ring's ``_ints``, ``_norm`` and
+``_vneg``.  One elimination loop, `_eliminate`, runs on these rows.  It
+takes the columns in order and keeps a column index, the set of rows with an
+entry in each column, so a pivot step visits only the rows it changes.  A
+column's pivot is the row there with the fewest entries
 (Markowitz's rule), which keeps fill-in low on the sparse certificate
 matrices.  Whichever row is chosen, the pivot columns and the reduced pivot
 rows cut to the first ``ncols`` columns are those of the unique reduced row
@@ -29,7 +30,6 @@ only where results leave the module.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 
 from .rings import PrimeField, RingElem
@@ -75,12 +75,13 @@ def _modulus(ring):
     return ring.p if isinstance(ring, PrimeField) else None
 
 
-def _integer_row(row):
-    """Make a sparse row of ``Fraction``s primitive integer, in place: cleared
-    of denominators and divided by the gcd of its entries."""
-    den = lcm(*[x.denominator for x in row.values()])
-    for j, x in row.items():
-        row[j] = x.numerator * (den // x.denominator)
+def _integer_row(ring, row):
+    """Make a sparse row of raw values over Q primitive integer, in place:
+    cleared of denominators and divided by the gcd of its entries."""
+    ints = [ring._ints(x) for x in row.values()]
+    den = lcm(*[d for _, d in ints])
+    for j, ((n,), d) in zip(row, ints):
+        row[j] = n * (den // d)
     _divide_content(row)
 
 
@@ -98,7 +99,7 @@ def _eliminate(ring, rows, ncols, full, first_row=False):
     in pivot order, and the rows left without a pivot follow.  Over F_p each
     pivot row is scaled to a leading 1; over Q every row is a primitive
     integer row, a nonzero multiple of the row the same steps on
-    ``Fraction``s build (see `_unit`).  ``full=True`` clears each pivot
+    rationals build (see `_unit`).  ``full=True`` clears each pivot
     column above and below the pivot (the reduced row echelon form);
     ``full=False`` clears below only.
 
@@ -114,7 +115,7 @@ def _eliminate(ring, rows, ncols, full, first_row=False):
     p = _modulus(ring)
     if p is None:
         for row in rows:
-            _integer_row(row)
+            _integer_row(ring, row)
     m = len(rows)
     # rows keep their index in ``rows`` until the end; ``order`` lists them by
     # current position, ``pos`` is its inverse
@@ -148,7 +149,7 @@ def _eliminate(ring, rows, ncols, full, first_row=False):
         # one ring inversion per pivot (perfbench's tracer counts the rank
         # by them; over Q its value goes unused, `_unit` scales at the end);
         # every other operation is on raw values
-        inv = RingElem(ring, Fraction(a) if p is None else a).inv().val
+        inv = RingElem(ring, ring._norm((a,), 1)).inv().val
         if p is not None:
             prow = rows[k] = {j: b * inv % p for j, b in prow.items()}
         if not full:
@@ -199,8 +200,8 @@ def _unit(ring, row, c):
     """A pivot row of `_eliminate` scaled to a leading 1 at column ``c``."""
     if _modulus(ring) is not None:
         return row
-    a = row[c]
-    return {j: Fraction(x, a) for j, x in row.items()}
+    a = row[c]  # a primitive integer pivot, which may be negative
+    return {j: ring._norm((x if a > 0 else -x,), abs(a)) for j, x in row.items()}
 
 
 def rref(ring, rows, ncols):
@@ -223,13 +224,12 @@ def kernel_basis(ring, rows, ncols):
     red = _sparse(rows, ncols)
     pivots = _eliminate(ring, red, ncols, full=True)
     pivot_set = set(pivots)
-    p = _modulus(ring)
-    one = ring.one.val  # a Fraction over Q, as every raw value there
+    one, neg = ring.one.val, ring._vneg
     basis = {fc: {fc: one} for fc in range(ncols) if fc not in pivot_set}
     for row, pc in zip(red, pivots):
         for fc, x in _unit(ring, row, pc).items():
             if fc != pc:
-                basis[fc][pc] = -x if p is None else -x % p
+                basis[fc][pc] = neg(x)
     return [_dense(ring, v, ncols) for v in basis.values()]
 
 

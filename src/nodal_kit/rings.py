@@ -9,8 +9,10 @@ exactly or raises `NotAUnitError`.
 The two composite kinds, nested in any order, share one arithmetic
 (`TruncatedRing`): a value is a dense tuple of integer numerators over the
 standard monomials of the whole tower, then one positive denominator (1 over
-F_p), so no element holds another ring's elements.  Each ring reads a raw value
-as integers over a denominator with `_ints` and writes one with `_norm`.
+F_p), so no element holds another ring's elements.  A rational is the same
+layout over the one monomial 1: (numerator, denominator), zero being ().  Each
+ring reads a raw value as integers over a denominator with `_ints` and writes
+one with `_norm`; only the ring classes read the layout.
 """
 
 from __future__ import annotations
@@ -150,10 +152,11 @@ def _integer_images(ring, vecs):
     and the bit length of the largest image in absolute value."""
     if isinstance(ring, PrimeField):
         return [[c.val for c in v] for v in vecs], 1, (ring.p - 1).bit_length()
-    vals = [[c.val for c in v] for v in vecs]
-    den = lcm(*{x.denominator for v in vals for x in v})
-    ints = [[x.numerator * (den // x.denominator) for x in v] for v in vals]
-    return ints, den, max((max(map(abs, v)) for v in ints if v), default=0).bit_length()
+    ints = ring._ints
+    vals = [[ints(c.val) for c in v] for v in vecs]
+    den = lcm(*{d for v in vals for _, d in v})
+    images = [[n * (den // d) for (n,), d in v] for v in vals]
+    return images, den, max((max(map(abs, v)) for v in images if v), default=0).bit_length()
 
 
 def _pack(ints, w):
@@ -214,13 +217,8 @@ def _product_sums(ring, left, right, outputs):
         digits = memoryview(buf).cast(_WORD_FORMATS[wb]).tolist()
     else:
         digits = [int.from_bytes(buf[k : k + wb], "little") for k in range(0, wb * nslots, wb)]
-    half, zero = 1 << (w - 1), ring.zero
-    if isinstance(ring, PrimeField):
-        p = ring.p
-        vals = [RingElem(ring, (d - half) % p) if d != half else zero for d in digits]
-    else:
-        den = lden * rden
-        vals = [RingElem(ring, Fraction(d - half, den)) if d != half else zero for d in digits]
+    half, zero, norm, den = 1 << (w - 1), ring.zero, ring._norm, lden * rden
+    vals = [RingElem(ring, norm((d - half,), den)) if d != half else zero for d in digits]
     sums, start = [], 0
     for length, _ in outputs:
         sums.append(tuple(vals[start : start + length]))
@@ -430,41 +428,54 @@ class Ring:
 
 
 class Rationals(Ring):
-    """The field of rational numbers with arbitrary-precision arithmetic."""
+    """The field of rational numbers, in the layout of the towers over it: a
+    value is (numerator, denominator) in lowest terms with a positive
+    denominator, and zero is ()."""
 
     is_field = True
 
     def from_int(self, n):
-        return RingElem(self, Fraction(n))
+        return RingElem(self, (n, 1) if n else ())
 
     def from_fraction(self, fr):
-        return RingElem(self, Fraction(fr))
+        fr = Fraction(fr)
+        return RingElem(self, (fr.numerator, fr.denominator) if fr else ())
 
     def _vadd(self, a, b):
-        return a + b
+        if not a or not b:
+            return a or b
+        (n1, d1), (n2, d2) = a, b
+        if d1 == d2:
+            return self._norm((n1 + n2,), d1)
+        return self._norm((n1 * d2 + n2 * d1,), d1 * d2)
 
     def _vneg(self, a):
-        return -a
+        return (-a[0], a[1]) if a else a
 
     def _vmul(self, a, b):
-        return a * b
+        return self._norm((a[0] * b[0],), a[1] * b[1]) if a and b else ()
 
     def _vinv(self, a):
-        if a == 0:
+        if not a:
             raise NotAUnitError("0 is not invertible")
-        return 1 / a
+        return (a[1], a[0]) if a[0] > 0 else (-a[1], -a[0])
 
     def _ints(self, a):
-        return (a.numerator,), a.denominator
+        return (a[:1], a[1]) if a else ((0,), 1)
 
     def _norm(self, nums, den):
-        return Fraction(nums[0], den)
+        g = gcd(nums[0], den)
+        return (nums[0] // g, den // g) if nums[0] else ()
 
     def _random_ints(self, rng):
         return [rng.randint(-8, 8)], rng.randint(1, 6)
 
     def descriptor(self):
         return "q"
+
+    def short(self, elem):
+        (n,), d = self._ints(elem.val)
+        return str(n) if d == 1 else f"{n}/{d}"
 
 
 class PrimeField(Ring):
@@ -685,7 +696,7 @@ class TruncatedRing(Ring):
         # x = (1 - n) / c with c the inverse of the residue and n nilpotent, so
         # 1/x = c * (1 + n + ... + n^(index-1))
         c = RingElem(self.field, self._residue_raw(x)).inv().val  # NotAUnitError on a zero residue
-        n = self._scale(self._norm([0, *x[1:-1]], x[-1]), -c)
+        n = self._scale(self._norm([0, *x[1:-1]], x[-1]), self.field._vneg(c))
         out, pw = self._vadd(self._one, n), n
         for _ in range(2, self._index):
             pw = self._vmul(pw, n)
@@ -871,9 +882,10 @@ _LITERAL_BITS = 4096
 def _bits(elem):
     """Bit length of the largest numerator or denominator among an element's
     coefficients, each read as a reduced fraction."""
-    ring = elem.ring
-    vals = ring.flat_terms(elem).values() if isinstance(ring, TruncatedRing) else (elem.val,)
-    return max((max(abs(v.numerator), v.denominator).bit_length() for v in vals), default=0)
+    ring, vals = elem.ring, (elem.val,)
+    if isinstance(ring, TruncatedRing):
+        ring, vals = ring.field, ring.flat_terms(elem).values()
+    return max((max(abs(n), d).bit_length() for (n,), d in map(ring._ints, vals)), default=0)
 
 
 def _check_number(tok, source, what="a number"):

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import zip_longest
 
 from .mpoly import MPoly
@@ -273,15 +272,14 @@ def split_tangent_roots(ring, q):
             vals = sorted(((g + r) * half % p, (g - r) * half % p))
         return [ring.from_int(a) for a in vals] if len(vals) == 2 else None
     if isinstance(ring, Rationals):
-        disc = (g_ * g_ - d_ * 4).val
-        if disc <= 0:
+        (num,), den = ring._ints((g_ * g_ - d_ * 4).val)  # in lowest terms
+        if num <= 0:
             return None  # repeated root, or no rational square root
-        num, den = disc.numerator, disc.denominator
         rn, rd = math.isqrt(num), math.isqrt(den)
         if rn * rn != num or rd * rd != den:
             return None
-        r = ring.from_fraction(Fraction(rn, rd))
-        half = ring.from_fraction(Fraction(1, 2))
+        r = ring.from_int(rn) / rd
+        half = ring.from_int(2).inv()
         return [(g_ + r) * half, (g_ - r) * half]
     raise UnsupportedConfigurationError(
         f"root finding is supported over prime fields and rationals, not {ring.descriptor()}"
@@ -343,10 +341,9 @@ def fiber_at_origin(ring, q, charts):
     comp_a = y - MPoly.const(ring, 2, a)
     comp_b = y - MPoly.const(ring, 2, b)
 
-    ok = True
-    # the product of all component generators is the fiber relation
-    if reduce_chart0(chart0, comp_v * comp_a * comp_b).is_zero is False:
-        ok = False
+    # the product of all component generators is the fiber relation: at s = t = 0
+    # it is v(y^2 - gamma*y + delta), and a + b = gamma, ab = delta
+    ok = comp_v * comp_a * comp_b == chart0.relation
 
     points = ((zero, a), (zero, b))
     dets = []

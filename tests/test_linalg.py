@@ -355,6 +355,12 @@ def _fractions(rows):
     return [[(type(x.val), x.val) for x in row] for row in rows]
 
 
+def _q_raw(x):
+    """The canonical raw value over Q of a Fraction: (numerator, denominator) in
+    lowest terms with a positive denominator, and () for zero."""
+    return (tuple, (x.numerator, x.denominator) if x else ())
+
+
 @settings(max_examples=200, deadline=None)
 @given(system=rational_systems())
 def test_integer_rows_over_q_match_the_fraction_loop(system):
@@ -366,11 +372,11 @@ def test_integer_rows_over_q_match_the_fraction_loop(system):
         red, pivots = rref(QQ, elems, ncols)
     assert pivots == ref_pivots
     assert len(calls) == len(pivots)  # one ring inversion per pivot
-    assert _fractions(red) == [[(Fraction, x) for x in row] for row in ref_red]
+    assert _fractions(red) == [[_q_raw(x) for x in row] for row in ref_red]
     with _counted_inversions() as calls:
         basis = kernel_basis(QQ, elems, ncols)
     assert len(calls) == ncols - len(basis)
-    assert _fractions(basis) == [[(Fraction, x) for x in v] for v in _fraction_kernel_basis(rows, ncols)]
+    assert _fractions(basis) == [[_q_raw(x) for x in v] for v in _fraction_kernel_basis(rows, ncols)]
     with _counted_inversions() as calls:
         r = rank(QQ, elems, ncols)
     assert r == len(calls) == len(_fraction_eliminate(_fraction_rows(rows, ncols), ncols, full=False))
@@ -437,7 +443,8 @@ def test_fewest_entries_pivots_keep_an_arrowhead_sparse(name):
         # the pivot rows come first, in pivot order
         assert [min(row) for row in red[: len(pivots)]] == pivots
         if not full:  # an echelon form: reducing it gives the reference
-            red = red[: len(pivots)]
+            # over Q the rows left are integers; read them back as raw values
+            red = [{j: ring._norm((x,), 1) for j, x in row.items()} for row in red[: len(pivots)]]
             assert _eliminate(ring, red, n, full=True, first_row=True) == pivots
         assert _raw([_dense(ring, _unit(ring, row, c), n) for row, c in zip(red, pivots)]) == _raw(ref_red)
 
@@ -489,3 +496,41 @@ def test_ranks_and_consistency_match_sympy(p):
         expected = [matrix([row + [b] for row, b in zip(values, rhs)], n + 1).rank() == r for rhs in rhs_values]
         rhs_list = [[ring.from_fraction(b) for b in rhs] for rhs in rhs_values]
         assert consistent_many(ring, rows, n, rhs_list) == expected
+
+
+def test_rref_and_kernel_values_over_q_match_sympy():
+    """The entries of `rref` and `kernel_basis` over Q against sympy's
+    DomainMatrix over QQ, each in the canonical raw form (numerator,
+    denominator) in lowest terms, zero being ().  The fixed matrices have
+    negative primitive integer pivots, which `_unit` must flip to a leading 1."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    def raw(x):
+        return (int(x.numerator), int(x.denominator)) if x else ()
+
+    def entry():
+        return 0 if rnd.random() < 0.4 else Fraction(rnd.randint(-9, 9), rnd.randint(1, 5))
+
+    rnd = random.Random(29)
+    cases = [
+        [[-2, 4, 1], [1, -2, 3]],
+        [[-3, 0, 6, 9], [0, -5, 10, 0], [-6, -5, 22, 18]],
+        [[0, -1, 2], [-4, 2, 0]],
+        [[-1]],
+    ]
+    for n in rnd.choices(range(1, 8), k=60):
+        cases.append([[entry() for _ in range(n)] for _ in range(rnd.randint(1, 7))])
+    for case in cases:
+        values = [[Fraction(x) for x in row] for row in case]
+        n = len(values[0])
+        matrix = DomainMatrix([[sympy.QQ(x.numerator, x.denominator) for x in row] for row in values],
+                              (len(values), n), sympy.QQ)
+        ref_red, ref_pivots = matrix.rref()
+        rows = [[QQ.from_fraction(x) for x in row] for row in values]
+        red, pivots = rref(QQ, rows, n)
+        assert pivots == list(ref_pivots)
+        ref_rows = ref_red.to_list()[: len(pivots)]
+        assert [[x.val for x in row] for row in red] == [[raw(x) for x in row] for row in ref_rows]
+        ref_basis = [[raw(x) for x in v] for v in matrix.nullspace().to_list()]
+        assert [[x.val for x in v] for v in kernel_basis(QQ, rows, n)] == ref_basis

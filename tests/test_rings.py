@@ -122,6 +122,44 @@ def test_invert_truncation():
     assert (s + t).try_invert() is None
 
 
+# --- the raw layout of Q against fractions.Fraction ---------------------------
+
+
+def _q_raw(x):
+    """The raw value over Q of a Fraction: (numerator, denominator) in lowest
+    terms with a positive denominator, and () for zero."""
+    return (x.numerator, x.denominator) if x else ()
+
+
+_RATIONALS = st.builds(
+    Fraction,
+    st.one_of(st.integers(-9, 9), st.integers(-(2**130), 2**130)),
+    st.one_of(st.integers(1, 12), st.integers(1, 2**130)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=_RATIONALS, y=_RATIONALS, k=st.integers(-(2**70), 2**70), d=st.integers(1, 2**70))
+def test_rational_raw_arithmetic_matches_fraction(x, y, k, d):
+    q = Rationals()
+    a, b = q.from_fraction(x).val, q.from_fraction(y).val
+    assert (a, b) == (_q_raw(x), _q_raw(y))
+    assert q.from_int(k).val == _q_raw(Fraction(k))
+    assert q._vadd(a, b) == _q_raw(x + y)
+    assert q._vadd(a, a) == _q_raw(x + x)  # one shared denominator
+    assert q._vneg(a) == _q_raw(-x)
+    assert q._vmul(a, b) == _q_raw(x * y)
+    if x:
+        assert q._vinv(a) == _q_raw(1 / x)
+    else:
+        with pytest.raises(NotAUnitError):
+            q._vinv(a)
+    (n,), den = q._ints(a)
+    assert Fraction(n, den) == x
+    assert q._norm((k,), d) == _q_raw(Fraction(k, d))  # any numerator over a positive denominator
+    assert q.short(q.from_fraction(x)) == str(x)
+
+
 def test_residue(DQ):
     assert DQ.parse_elem("2+5*eps").residue() == Rationals()(2)
     loc7 = make_ring("loc:fp:7:s,t:3")

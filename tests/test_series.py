@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -280,12 +281,17 @@ def _ref_dp_mul(a, b):
 
 
 def _canonical(elems):
-    """Raw values in canonical form: Fractions over Q, ints in [0, p) over F_p."""
+    """Raw values in canonical form: ints in [0, p) over F_p; over Q, () for
+    zero and else (numerator, denominator) in lowest terms with a positive
+    denominator."""
     for c in elems:
         if isinstance(c.ring, PrimeField):
             assert type(c.val) is int and 0 <= c.val < c.ring.p
+        elif c.val:
+            n, d = c.val
+            assert type(n) is type(d) is int and n and d > 0 and math.gcd(n, d) == 1
         else:
-            assert type(c.val) is Fraction
+            assert c.val == ()
     return True
 
 

@@ -302,6 +302,13 @@ class TestFiber:
         assert rep.ok
         assert set(rep.roots) == {"1", "-1"}
 
+    def test_a_wrong_root_pair_fails_the_fiber_relation(self, monkeypatch):
+        # 1 and 3 are distinct, so every other check still passes
+        monkeypatch.setattr(stabilize, "split_tangent_roots", lambda ring, q: [QQ(1), QQ(3)])
+        rep = _fiber(QQ, 3, 2)  # y^2 - 3y + 2 = (y - 1)(y - 2)
+        assert not rep.ok
+        assert rep.lines_disjoint and all(d == "1" for d in rep.transversal_determinants)
+
     def test_non_split_rejected(self):
         with pytest.raises(UnsupportedConfigurationError):
             _fiber(QQ, 0, 1)  # y^2 + 1

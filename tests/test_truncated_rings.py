@@ -417,11 +417,27 @@ def test_every_constructor_returns_canonical_values(descriptor, seed, coeffs):
         _canonical(z)
 
 
+@pytest.mark.parametrize("descriptor", ["dual:q", "loc:q:s,t:3"])
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    c=st.builds(Fraction, st.integers(-50, 50), st.integers(1, 12)).filter(lambda c: c not in (0, 1, -1)),
+)
+def test_inverse_of_a_unit_whose_residue_is_not_plus_or_minus_one(descriptor, seed, c):
+    # a residue c other than +-1 differs from 1/c and from -c, so a slip between them shows
+    ring = make_ring(descriptor)
+    x = ring.random_element(random.Random(seed))
+    u = x - ring.embed(x.residue()) + ring.from_fraction(c)
+    inv = u.inv()
+    assert inv.residue() == ring.field.from_fraction(1 / c)
+    assert _canonical(u * inv) == _canonical(inv * u) == ring.one.val
+
+
 def test_the_literal_bound_reads_each_coefficient_not_the_shared_denominator(capsys):
     ring = make_ring("loc:q:s,t:3")
     x = ring.parse_elem("s*(1/2)^3000 + t*(1/3)^2000")
     assert x.val[-1].bit_length() == 6170  # 2^3000 * 3^2000, shared by both coefficients
-    assert sorted(ring.flat_terms(x).values()) == [Fraction(1, 3**2000), Fraction(1, 2**3000)]
+    assert sorted(ring.flat_terms(x).values()) == [(1, 2**3000), (1, 3**2000)]  # each in lowest terms
     with pytest.raises(CoeffParseError, match="bound of 4096 bits"):
         ring.parse_elem("s*(1/2)^4100")
     assert cli.main(["factorize", "--ring", "loc:q:s,t:3", "--gamma", "s*(1/2)^4100"]) == 2
