@@ -121,6 +121,54 @@ GOLDEN = {
         "d083c10a8b4e1702fdc34d9650434af050df5732f3bd4dbf11f20c5e7d30d6c3",
         "a42977fb02f19713aecd8312a818e4f22fb2d83d4e39d9e8883b0d90d9db194b",
     ),
+    "dual-fp101-28-37-5": (
+        dict(
+            subcommand="dual", ring="fp:101", degree_bound=28,
+            gamma="37", delta="5", s="17", t="88",
+        ),
+        "5b5c9680f4c67ea5f9fdfe4c390a2372b7d0b81c6083012f0f005e8708efd506",
+        "fc94930f768dc4af0477d83209d06cd9118748b0797aa4898a6e16356d8a9148",
+    ),
+    "dual-q-20-3-2": (
+        dict(
+            subcommand="dual", ring="q", degree_bound=20,
+            gamma="3", delta="2", s="1/2", t="4",
+        ),
+        "e99d60f9eda417fcd2095ad64e324b66ea6c1ef9d16b6a63fb7bff0db02831ed",
+        "a00face66b1a3d61a361583b52582922b391c0a6896c01d64bdca8a90bab3725",
+    ),
+    "exactness-fp101-20-c5-37-5": (
+        dict(
+            subcommand="exactness", ring="fp:101", degree_bound=20, cushion=5,
+            gamma="37", delta="5", s="17", t="88",
+        ),
+        "1064302503a98632e2f1e28b7c6751f0753a03bcb90778d813d1afe1a9d63dd0",
+        "ef5c34e3e05de49ec4a9c0b30c5b08ff17d70fd8ade1c589e26c8ee90a85e0da",
+    ),
+    "exactness-fp101-26-37-5": (
+        dict(
+            subcommand="exactness", ring="fp:101", degree_bound=26,
+            gamma="37", delta="5", s="17", t="88",
+        ),
+        "8cb61603e9f6e36ec217e6548ebd3e4750747a0a7a330b65f47276ef2be84248",
+        "d8a550939b4cd7f842634be77a38f7a0c3888f81d47f469e9bda398198d3932b",
+    ),
+    "exactness-q-20-c5-3-2": (
+        dict(
+            subcommand="exactness", ring="q", degree_bound=20, cushion=5,
+            gamma="3", delta="2", s="1/2", t="4",
+        ),
+        "4bd566b89f3ca0f7c437a0dfecbda6fe0f835b47f1514c15c7327742215e450e",
+        "ef5c34e3e05de49ec4a9c0b30c5b08ff17d70fd8ade1c589e26c8ee90a85e0da",
+    ),
+    "exactness-q-26-3-2": (
+        dict(
+            subcommand="exactness", ring="q", degree_bound=26,
+            gamma="3", delta="2", s="1/2", t="4",
+        ),
+        "163de06e93872ddf3cd244aa9fe672e408e24987707d10c9248072cc67ce8145",
+        "d8a550939b4cd7f842634be77a38f7a0c3888f81d47f469e9bda398198d3932b",
+    ),
 }
 
 
