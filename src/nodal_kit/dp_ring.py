@@ -121,19 +121,6 @@ class DPRing:
         """The class of Y."""
         return self.element((self.ring.zero, self.ring.one), ())
 
-    def y_power(self, k, times_x=False):
-        coeffs = (self.ring.zero,) * k + (self.ring.one,)
-        return self.element((), coeffs) if times_x else self.element(coeffs, ())
-
-    def basis(self, bound):
-        """Canonical A-module basis {Y^k, X Y^k : k <= bound}."""
-        out = []
-        for k in range(bound + 1):
-            out.append(self.y_power(k))
-        for k in range(bound + 1):
-            out.append(self.y_power(k, times_x=True))
-        return out
-
     def random_element(self, rng, degree=3):
         fc = [self.ring.random_element(rng) for _ in range(degree + 1)]
         gc = [self.ring.random_element(rng) for _ in range(degree + 1)]
@@ -339,34 +326,23 @@ def v_shift_nonzerodivisor(dp, bound):
     }
 
 
-def vectorize(elem, bound):
-    """Coefficient vector of a canonical form in the basis {Y^k} + {X Y^k}."""
-    if elem.degree() is not None and elem.degree() > bound:
-        raise DegreeOverflowError(f"element degree {elem.degree()} exceeds {bound}")
-    ring = elem.dp.ring
-    out = [ring.zero] * (2 * (bound + 1))
-    for j, c in enumerate(elem.fc):
-        out[j] = c
-    for j, c in enumerate(elem.gc):
-        out[bound + 1 + j] = c
-    return out
-
-
 def mul_columns(elem, bound, out_bound):
-    """Columns of multiplication by `elem` on the basis {Y^k} + {X Y^k}, k <= bound.
+    """Columns of multiplication by `elem` on the basis Y^k, X*Y^k, k <= bound.
 
-    Each column is a sparse {index: raw value} vector in the layout of
-    `vectorize(_, out_bound)`.  Multiplying a canonical form by Y shifts both
+    Each column is a sparse {index: raw value} vector of 2*(out_bound + 1)
+    rows.  Rows and columns are degree-major alike, the Y^k coefficient at 2k
+    and the X*Y^k one at 2k + 1, so the matrix at `bound` is the leading
+    columns of the matrix at any larger bound.  Multiplying a canonical form by Y shifts both
     its parts up one degree and keeps it canonical, so elem*Y^k and
     elem*X*Y^k are elem and elem*u shifted by k: one DPElem product serves
     all 2*(bound + 1) columns.
     """
-    cols = []
+    parts = []
     for part in (elem, elem * elem.dp.u):
         top = part.degree()
         if top is not None and top + bound > out_bound:
             raise DegreeOverflowError(f"element degree {top + bound} exceeds {out_bound}")
-        entries = [(j, c.val) for j, c in enumerate(part.fc) if not c.is_zero]
-        entries += [(out_bound + 1 + j, c.val) for j, c in enumerate(part.gc) if not c.is_zero]
-        cols.extend({i + k: v for i, v in entries} for k in range(bound + 1))
-    return cols
+        parts.append(
+            [(2 * j + x, c.val) for x, cs in enumerate((part.fc, part.gc)) for j, c in enumerate(cs) if not c.is_zero]
+        )
+    return [{i + 2 * k: v for i, v in entries} for k in range(bound + 1) for entries in parts]

@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .dp_ring import DPRing, mul_columns, v_shift_nonzerodivisor, vectorize
-from .linalg import _dense_rows, _sparse, consistent_many, kernel_basis, rank
+from .dp_ring import DPRing, mul_columns, v_shift_nonzerodivisor
+from .linalg import _dense_rows, consistent_many, kernel_basis, rank
 from .mpoly import MPoly
 from .normal_form import DegenerateFormError
 from .rings import RingElem
@@ -37,10 +37,6 @@ def mat_mul(a, b):
 
 def mat_transpose(a):
     return ((a[0][0], a[1][0]), (a[0][1], a[1][1]))
-
-
-def mat_eq(a, b):
-    return all(a[i][j] == b[i][j] for i in range(2) for j in range(2))
 
 
 def mat_map(a, fn):
@@ -100,11 +96,11 @@ def build_factorization(dp):
     x = dp.relation
     zero = MPoly.zero(ring, 2)
     x_id = ((x, zero), (zero, x))
-    if not mat_eq(mat_mul(phi, psi), x_id) or not mat_eq(mat_mul(psi, phi), x_id):
+    if mat_mul(phi, psi) != x_id or mat_mul(psi, phi) != x_id:
         raise FactorizationError("phi*psi = psi*phi = x*I failed")
-    if not mat_eq(mat_mul(pairing, psi), mat_mul(mat_transpose(phi), pairing)):
+    if mat_mul(pairing, psi) != mat_mul(mat_transpose(phi), pairing):
         raise FactorizationError("pairing conjugation of psi failed")
-    if not mat_eq(mat_mul(pairing, phi), mat_mul(mat_transpose(psi), pairing)):
+    if mat_mul(pairing, phi) != mat_mul(mat_transpose(psi), pairing):
         raise FactorizationError("pairing conjugation of phi failed")
     j_witness = (
         (P({}), P({(0, 0): -ring.one})),
@@ -149,17 +145,19 @@ def dual_action(dp, a, b):
 def _block_columns(mat, bound, out_bound):
     """Sparse raw columns of a matrix of elements acting on tuples of canonical forms.
 
-    Input component j runs over the basis of canonical degree <= bound (in
-    the order of `DPRing.basis`); the images under the rows of `mat` are
-    vectorized at `out_bound` and stacked.
+    Each component runs over the basis of `mul_columns` through degree
+    `bound`, its images under the rows of `mat` through `out_bound`.  Entry i
+    of component r of an n-tuple sits at n*i + r, for the columns and the rows
+    alike, so the matrix at `bound` is the leading columns of the matrix at
+    any larger one.
     """
-    height = 2 * (out_bound + 1)
-    cols = []
-    for j in range(len(mat[0])):
-        blocks = [mul_columns(row[j], bound, out_bound) for row in mat]
-        for parts in zip(*blocks):
-            cols.append({i + r * height: x for r, part in enumerate(parts) for i, x in part.items()})
-    return cols
+    n = len(mat)
+    per_input = [list(zip(*(mul_columns(row[j], bound, out_bound) for row in mat))) for j in range(len(mat[0]))]
+    return [
+        {n * i + r: x for r, col in enumerate(parts) for i, x in col.items()}
+        for group in zip(*per_input)
+        for parts in group
+    ]
 
 
 def _apply_columns(ring, cols, coeffs, nrows):
@@ -169,21 +167,6 @@ def _apply_columns(ring, cols, coeffs, nrows):
         if not c.is_zero:
             for i, x in col.items():
                 out[i] = out[i] + c * RingElem(ring, x)
-    return out
-
-
-def _relayout(vec, bound, new_bound, zero):
-    """A vector of E moved from the `bound` layout of `vectorize` to the `new_bound` one.
-
-    Each of its four blocks (the Y^k and X Y^k parts of both components)
-    keeps its first min(bound, new_bound) + 1 entries; a wider layout pads
-    with zero.
-    """
-    n = min(bound, new_bound) + 1
-    out = [zero] * (4 * (new_bound + 1))
-    for part in range(4):
-        start = part * (new_bound + 1)
-        out[start : start + n] = vec[part * (bound + 1) : part * (bound + 1) + n]
     return out
 
 
@@ -209,9 +192,9 @@ def witness_identities(mf):
     det_k = red(mf.k_witness[0][0] * mf.k_witness[1][1] - mf.k_witness[0][1] * mf.k_witness[1][0])
 
     failures = []
-    if not mat_eq(ka, ka_expected):
+    if ka != ka_expected:
         failures.append("j_witness*alpha")
-    if not mat_eq(lb, lb_expected):
+    if lb != lb_expected:
         failures.append("k_witness*beta")
     if det_j != -j2:
         failures.append("det(j_witness)")
@@ -238,7 +221,8 @@ def hom_pair_space(dp, bound):
     The record keeps its ``bound`` and the span map, for `dual_quotient_iso`:
     ``span_rows`` is the matrix whose columns are the images of (u-s, v-t)
     under multiplication by each rho of canonical degree <= bound, then under
-    the fractional generator, vectorized at bound + 2.
+    the fractional generator, through degree bound + 2, in the layout of
+    `_block_columns`: its rows of degree > bound are those from 4*(bound + 1).
     """
     ring = dp.ring
     if not ring.is_field:
@@ -254,22 +238,13 @@ def hom_pair_space(dp, bound):
 
     # span of {mult by rho, mult by rho*eps} intersected with degree <= bound
     span_cols = _block_columns(((j1,), (j2,)), bound, big)
-    span_cols.extend(_sparse([vectorize(e1, big) + vectorize(e2, big)]))
-    n_unknowns = len(span_cols)
+    span_cols.append(_block_columns(((e1,), (e2,)), 0, big)[0])
     span_rows = _dense_rows(ring, span_cols, 4 * (big + 1))
-    # rows picking out coordinates of canonical degree > bound
-    high_rows = [
-        span_rows[part * (big + 1) + j]
-        for part in range(4)  # f part, g part of each component
-        for j in range(bound + 1, big + 1)
-    ]
-    inside = kernel_basis(ring, high_rows, n_unknowns)
-    span_vecs = [
-        _relayout(_apply_columns(ring, span_cols, n, len(span_rows)), big, bound, ring.zero)
-        for n in inside
-    ]
+    inside = kernel_basis(ring, span_rows[4 * (bound + 1) :], len(span_cols))
+    span_vecs = [_apply_columns(ring, span_cols, n, len(span_rows)) for n in inside]
 
-    # containment: every span vector satisfies the syzygy
+    # containment: every span vector satisfies the syzygy (its entries of
+    # degree > bound are zero; the syzygy map and `rank` read only the others)
     contained = all(
         all(c.is_zero for c in _apply_columns(ring, syz_cols, v, syz_rows)) for v in span_vecs
     )
@@ -294,7 +269,7 @@ def dual_quotient_iso(dp, hom):
     combined linear system is trivial).  Surjectivity: every truncated hom is
     rho*(multiplication) + c*(fractional action) with rho in R and c scalar.
     ``hom`` is the record ``hom_pair_space(dp, bound)`` returns: surjectivity
-    is tested on its kernel against its span map.
+    is tested on its kernel, zero-padded to the rows of its span map.
     """
     ring = dp.ring
     if not ring.is_field:
@@ -303,17 +278,15 @@ def dual_quotient_iso(dp, hom):
     _, j2 = ideal_j_generators(dp)
     bound = hom["bound"]
 
-    # injectivity
-    h_bound = bound + 2
-    big = h_bound + 1
-    # the coefficient of the scalar r, then h over the canonical basis
-    cols = _sparse([vectorize(e2, big)]) + mul_columns(-j2, h_bound, big)
-    ker = kernel_basis(ring, _dense_rows(ring, cols, 2 * (big + 1)), len(cols))
-    injective = not ker
+    # injectivity: the coefficient of the scalar r, then h over the canonical
+    # basis; only the kernel's dimension is reported
+    big = bound + 3
+    cols = mul_columns(e2, 0, big)[:1] + mul_columns(-j2, bound + 2, big)
+    kernel_dim = len(cols) - rank(ring, _dense_rows(ring, cols, 2 * (big + 1)), len(cols))
 
     # surjectivity over the truncated hom space
     rows = hom["span_rows"]
-    rhs_list = [_relayout(kv, bound, bound + 2, ring.zero) for kv in hom["kernel"]]
+    rhs_list = [kv + [ring.zero] * (len(rows) - len(kv)) for kv in hom["kernel"]]
     flags = consistent_many(ring, rows, len(rows[0]), rhs_list)
     covered = sum(flags)
     failures = [
@@ -322,10 +295,10 @@ def dual_quotient_iso(dp, hom):
         if not flag
     ]
     return {
-        "injective_kernel_dimension": len(ker),
+        "injective_kernel_dimension": kernel_dim,
         "covered_homs": covered,
         "total_homs": len(hom["kernel"]),
-        "ok": injective and not failures,
+        "ok": not kernel_dim and not failures,
         "failures": failures,
     }
 
@@ -336,10 +309,14 @@ def two_periodic_exactness(mf, bound, cushion=2, transposed=False):
     At each of the two positions, every kernel element of canonical degree
     <= bound must be the image of an element of degree <= bound + cushion; a
     kernel element with no preimage within the cushion is reported, as its
-    coordinate vector, as a counterexample candidate (a larger cushion may be
-    needed).  ``build_factorization``, the only constructor of ``MatFact``,
-    certified phi*psi = psi*phi = x*I; x reduces to zero, so image-in-kernel
-    holds automatically.
+    coordinate vector in the degree-major layout of `_block_columns`, as a
+    counterexample candidate (a larger cushion may be needed).
+    ``build_factorization``, the only constructor of ``MatFact``, certified
+    phi*psi = psi*phi = x*I; x reduces to zero, so image-in-kernel holds
+    automatically.  alpha and beta are built once each, at bound + cushion;
+    the kernel matrix at `bound` is their leading 4*(bound + 3) rows by
+    4*(bound + 1) columns, and `mul_columns` checks the same degree
+    inequality (top <= 2) at both bounds, so the cut hides no overflow.
     """
     dp = mf.dp
     ring = dp.ring
@@ -355,14 +332,15 @@ def two_periodic_exactness(mf, bound, cushion=2, transposed=False):
 
     record = {"ok": comp_ok, "compositions_ok": comp_ok, "positions": {}}
     src_bound = bound + cushion
-    for name, kmat, imat in (("at_alpha", alpha, beta), ("at_beta", beta, alpha)):
-        cols = _block_columns(kmat, bound, bound + 2)
-        ker = kernel_basis(ring, _dense_rows(ring, cols, 4 * (bound + 3)), len(cols))
-
-        img_cols = _block_columns(imat, src_bound, src_bound + 2)
-        img_rows = _dense_rows(ring, img_cols, 4 * (src_bound + 3))
-        rhs_list = [_relayout(kv, bound, src_bound + 2, ring.zero) for kv in ker]
-        flags = consistent_many(ring, img_rows, len(img_cols), rhs_list)
+    alpha_rows, beta_rows = (
+        _dense_rows(ring, _block_columns(mat, src_bound, src_bound + 2), 4 * (src_bound + 3))
+        for mat in (alpha, beta)
+    )
+    ncols = 4 * (bound + 1)
+    for name, k_rows, img_rows in (("at_alpha", alpha_rows, beta_rows), ("at_beta", beta_rows, alpha_rows)):
+        ker = kernel_basis(ring, [row[:ncols] for row in k_rows[: 4 * (bound + 3)]], ncols)
+        rhs_list = [kv + [ring.zero] * (len(img_rows) - ncols) for kv in ker]
+        flags = consistent_many(ring, img_rows, len(img_rows[0]), rhs_list)
         failures = [
             "no preimage within cushion for kernel element "
             f"[{', '.join(ring.format_elem(c) for c in kv)}]; a larger cushion may be needed"

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from nodal_kit import normal_form
+from nodal_kit.dp_ring import DegreeOverflowError
 from nodal_kit.rings import DualNumbers, LocalTruncation, PrimeField, Rationals
 
 
@@ -43,6 +44,26 @@ def random_unit_disc(ring, rng):
         d = ring.random_element(rng)
         if (g * g - 4 * d).is_unit:
             return g, d
+
+
+def dp_vector(elem, bound):
+    """Dense coefficient vector of a canonical form in the degree-major layout
+    of the certificate matrices: Y^k at 2k, X*Y^k at 2k + 1, k <= bound."""
+    if elem.degree() is not None and elem.degree() > bound:
+        raise DegreeOverflowError(f"element degree {elem.degree()} exceeds {bound}")
+    out = [elem.dp.ring.zero] * (2 * (bound + 1))
+    out[0 : 2 * len(elem.fc) : 2] = elem.fc
+    out[1 : 2 * len(elem.gc) : 2] = elem.gc
+    return out
+
+
+def dp_basis(dp, bound):
+    """The canonical basis 1, X, Y, X*Y, ..., Y^bound, X*Y^bound, in the order of `dp_vector`."""
+    out = []
+    for k in range(bound + 1):
+        power = (0,) * k + (1,)
+        out += [dp.element(power, ()), dp.element((), power)]
+    return out
 
 
 def perturbed_rows(monkeypatch, row, column):

@@ -6,14 +6,13 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_unit_disc
+from conftest import dp_basis, dp_vector, random_unit_disc
 from nodal_kit import dp_ring as dp_ring_module
 from nodal_kit.dp_ring import (
     DegreeOverflowError,
     DPRing,
     PowerIdentityError,
     v_shift_nonzerodivisor,
-    vectorize,
     x_power_decompositions,
 )
 from nodal_kit.mpoly import MPoly
@@ -41,7 +40,7 @@ class TestReduce:
         dp = dp_ring(QQ, 3, 2, 1, 1)
         for k in range(5):
             yk = MPoly.monomial(QQ, (0, k))
-            assert dp.reduce(yk) == dp.y_power(k)
+            assert dp.reduce(yk) == dp_basis(dp, k)[2 * k]
 
     def test_x_squared_general_parameters(self):
         loc = make_ring("loc:q:s,t:4")
@@ -224,7 +223,7 @@ class TestMul:
     def test_power_up_to_the_degree_bound(self):
         # binary powering never forms a power above the exponent
         dp = dp_ring(F7, 3, 2, 1, 4, bound=13)
-        assert dp.v**dp.degree_bound == dp.y_power(dp.degree_bound)
+        assert dp.v**dp.degree_bound == dp_basis(dp, dp.degree_bound)[-2]
         with pytest.raises(DegreeOverflowError):
             dp.v ** (dp.degree_bound + 1)
 
@@ -278,8 +277,9 @@ def test_vectorize_roundtrip(rng):
     dp = dp_ring(F7, 1, 0, 2, 0)
     for _ in range(10):
         a = dp.random_element(rng, degree=4)
-        vec = vectorize(a, 6)
-        assert dp.element(vec[:7], vec[7:]) == a
+        vec = dp_vector(a, 6)
+        assert len(vec) == 14
+        assert dp.element(vec[0::2], vec[1::2]) == a
 
 
 def _key_example_tour():

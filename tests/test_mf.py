@@ -1,8 +1,10 @@
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import random_unit_disc
+from conftest import dp_basis, dp_vector, random_unit_disc
 from nodal_kit import cli
 from nodal_kit import dp_ring as dp_ring_module
 from nodal_kit import mf as mf_module
@@ -11,7 +13,6 @@ from nodal_kit.dp_ring import (
     DPRing,
     mul_columns,
     v_shift_nonzerodivisor,
-    vectorize,
 )
 from nodal_kit.linalg import consistent_many, kernel_basis, rank
 from nodal_kit.mf import (
@@ -21,7 +22,6 @@ from nodal_kit.mf import (
     dual_quotient_iso,
     hom_pair_space,
     ideal_j_generators,
-    mat_eq,
     mat_map,
     mat_mul,
     mat_transpose,
@@ -48,8 +48,8 @@ class TestBuild:
         m = build_factorization(dp)
         X = MPoly.var(QQ, 2, 0)
         Y = MPoly.var(QQ, 2, 1)
-        assert mat_eq(m.phi, ((-Y, X), (-X, Y)))
-        assert mat_eq(m.psi, ((Y, -X), (X, -Y)))
+        assert m.phi == ((-Y, X), (-X, Y))
+        assert m.psi == ((Y, -X), (X, -Y))
         prod = mat_mul(m.phi, m.psi)
         assert prod[0][0] == dp.relation and prod[0][1].is_zero
 
@@ -316,24 +316,25 @@ def test_alpha_and_beta_are_reduced_once_per_factorization(monkeypatch):
 # --- the DPElem route the certificate matrices were built by before they were
 # written in closed form, kept as a differential reference --------------------
 #
-# An element of E = R (+) R is a pair (first, second) of DPElem.
+# An element of E = R (+) R is a pair (first, second) of DPElem; its vector
+# interleaves the two degree-major vectors of `dp_vector`, entry i of
+# component r at 2i + r, and its basis runs (b, 0), (0, b) over `dp_basis`.
 
 
 def _pair_vec(pair, bound):
-    return vectorize(pair[0], bound) + vectorize(pair[1], bound)
+    return [x for entries in zip(dp_vector(pair[0], bound), dp_vector(pair[1], bound)) for x in entries]
 
 
-def _unvec(dp, vec, bound):
-    return dp.element(vec[: bound + 1], vec[bound + 1 :])
+def _unvec(dp, vec):
+    return dp.element(vec[0::2], vec[1::2])
 
 
-def _pair_unvec(dp, vec, bound):
-    half = len(vec) // 2
-    return (_unvec(dp, vec[:half], bound), _unvec(dp, vec[half:], bound))
+def _pair_unvec(dp, vec):
+    return (_unvec(dp, vec[0::2]), _unvec(dp, vec[1::2]))
 
 
 def _pair_basis(dp, bound):
-    return [(b, dp.zero) for b in dp.basis(bound)] + [(dp.zero, b) for b in dp.basis(bound)]
+    return [pair for b in dp_basis(dp, bound) for pair in ((b, dp.zero), (dp.zero, b))]
 
 
 def _apply_mat(mat, pair):
@@ -360,7 +361,7 @@ def _ref_exactness_calls(m, bound, cushion, transposed):
         ker = kernel_basis(ring, calls[-1][1], len(cols))
         src_bound = bound + cushion
         img_cols = [_pair_vec(_apply_mat(imat, b), src_bound + 2) for b in _pair_basis(dp, src_bound)]
-        rhs_list = [_pair_vec(_pair_unvec(dp, kv, bound), src_bound + 2) for kv in ker]
+        rhs_list = [_pair_vec(_pair_unvec(dp, kv), src_bound + 2) for kv in ker]
         calls.append(("consistent_many", _columns_to_rows(img_cols), len(img_cols), rhs_list))
     return calls
 
@@ -369,7 +370,7 @@ def _ref_dual_span_map(dp, rho_bound):
     j1, j2 = ideal_j_generators(dp)
     e1, e2 = dual_generator_images(dp)
     big = rho_bound + 2
-    cols = [_pair_vec((m * j1, m * j2), big) for m in dp.basis(rho_bound)]
+    cols = [_pair_vec((m * j1, m * j2), big) for m in dp_basis(dp, rho_bound)]
     cols.append(_pair_vec((e1, e2), big))
     return cols, big
 
@@ -379,48 +380,41 @@ def _ref_hom_calls(dp, bound):
     ring = dp.ring
     us, vt = ideal_j_generators(dp)
     big = bound + 2
-    cols = [vectorize(vt * b[0] - us * b[1], big + 1) for b in _pair_basis(dp, bound)]
+    cols = [dp_vector(vt * b[0] - us * b[1], big + 1) for b in _pair_basis(dp, bound)]
     calls = [("kernel_basis", _columns_to_rows(cols), len(cols))]
     hom_kernel = kernel_basis(ring, calls[0][1], len(cols))
     span_cols, span_big = _ref_dual_span_map(dp, bound)
-    high_rows = [
-        [col[part * (span_big + 1) + j] for col in span_cols]
-        for part in range(4)
-        for j in range(bound + 1, span_big + 1)
-    ]
+    # the rows of canonical degree > bound: row 2*(2k + x) + r holds degree k
+    high_rows = [row for i, row in enumerate(_columns_to_rows(span_cols)) if i // 4 > bound]
     calls.append(("kernel_basis", high_rows, len(span_cols)))
     span_vecs = []
     for coeffs in kernel_basis(ring, high_rows, len(span_cols)):
         vec = [ring.zero] * (4 * (span_big + 1))
         for c, col in zip(coeffs, span_cols):
             vec = [a + c * b for a, b in zip(vec, col)]
-        span_vecs.append(
-            [x for part in range(4) for x in vec[part * (span_big + 1) : part * (span_big + 1) + bound + 1]]
-        )
-    contained = all(
-        (vt * p[0] - us * p[1]).is_zero for p in (_pair_unvec(dp, v, bound) for v in span_vecs)
-    )
+        span_vecs.append(vec)
+    contained = all((vt * p[0] - us * p[1]).is_zero for p in (_pair_unvec(dp, v) for v in span_vecs))
     calls.append(("rank", span_vecs, 4 * (bound + 1)))
     return calls, hom_kernel, contained
 
 
 def _ref_quotient_iso_calls(dp, bound, hom_kernel):
-    """The injectivity kernel, then one consistency test against the hom
+    """The injectivity rank, then one consistency test against the hom
     space's span map: no syzygy kernel and no span rank."""
     _, e2 = dual_generator_images(dp)
     _, j2 = ideal_j_generators(dp)
     big = bound + 3
-    cols = [vectorize(e2, big)] + [[-c for c in vectorize(j2 * h, big)] for h in dp.basis(bound + 2)]
-    calls = [("kernel_basis", _columns_to_rows(cols), len(cols))]
+    cols = [dp_vector(e2, big)] + [[-c for c in dp_vector(j2 * h, big)] for h in dp_basis(dp, bound + 2)]
+    calls = [("rank", _columns_to_rows(cols), len(cols))]
     span_cols, span_big = _ref_dual_span_map(dp, bound)
-    rhs_list = [_pair_vec(_pair_unvec(dp, kv, bound), span_big) for kv in hom_kernel]
+    rhs_list = [_pair_vec(_pair_unvec(dp, kv), span_big) for kv in hom_kernel]
     calls.append(("consistent_many", _columns_to_rows(span_cols), len(span_cols), rhs_list))
     return calls
 
 
 def _ref_nzd_calls(dp, bound):
     vt = dp.v - dp.const(dp.t)
-    cols = [vectorize(vt * b, bound + 1) for b in dp.basis(bound)]
+    cols = [dp_vector(vt * b, bound + 1) for b in dp_basis(dp, bound)]
     return [("kernel_basis", _columns_to_rows(cols), len(cols))]
 
 
@@ -500,8 +494,8 @@ def test_mul_columns_match_vectorized_products(rng, descriptor):
         bound = rng.randrange(6)
         out_bound = bound + 5
         expected = [
-            {i: c.val for i, c in enumerate(vectorize(elem * b, out_bound)) if not c.is_zero}
-            for b in dp.basis(bound)
+            {i: c.val for i, c in enumerate(dp_vector(elem * b, out_bound)) if not c.is_zero}
+            for b in dp_basis(dp, bound)
         ]
         assert mul_columns(elem, bound, out_bound) == expected
 
@@ -511,10 +505,47 @@ def test_mul_columns_past_the_output_bound_raise():
     vt = dp.v - dp.const(dp.t)
     # v - t times Y^3 has degree 4, as does (v - t) * X * Y^3
     with pytest.raises(DegreeOverflowError):
-        vectorize(vt * dp.y_power(3), 3)
+        dp_vector(vt * dp_basis(dp, 3)[6], 3)
     with pytest.raises(DegreeOverflowError):
         mul_columns(vt, 3, 3)
     assert len(mul_columns(vt, 3, 4)) == 8
     # u times X * Y^3 is x2f * Y^3 + ..., of degree 5 when delta is nonzero
     with pytest.raises(DegreeOverflowError):
         mul_columns(dp.u, 3, 4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    descriptor=st.sampled_from(["fp:7", "q"]),
+    seed=st.integers(0, 10**6),
+    shape=st.tuples(st.integers(1, 2), st.integers(1, 2)),
+    small=st.integers(0, 4),
+    step=st.integers(1, 4),
+)
+def test_block_columns_at_a_smaller_bound_are_the_leading_columns(descriptor, seed, shape, small, step):
+    ring = make_ring(descriptor)
+    rnd = random.Random(seed)
+    g, d = random_unit_disc(ring, rnd)
+    dp = DPRing(ring, QuadForm.make(ring, g, d), ring.random_element(rnd), ring.random_element(rnd), degree_bound=20)
+    n, m = shape
+    # entries a + b*Y + c*X, of the degrees of alpha and beta: both they and
+    # their products with u stay within degree 2
+    mat = tuple(
+        tuple(dp.element([ring.random_element(rnd) for _ in range(2)], [ring.random_element(rnd)]) for _ in range(m))
+        for _ in range(n)
+    )
+    cols = mf_module._block_columns(mat, small, small + 2)
+    assert len(cols) == 2 * m * (small + 1)
+    assert cols == mf_module._block_columns(mat, small + step, small + step + 2)[: len(cols)]
+    assert all(i < 2 * n * (small + 3) for col in cols for i in col)
+
+
+def test_exactness_builds_each_map_once(monkeypatch):
+    dp = dp_ring(F7, 3, 2, 1, 4, bound=20)
+    m = build_factorization(dp)
+    real, calls = mf_module._block_columns, []
+    monkeypatch.setattr(mf_module, "_block_columns", lambda *args: calls.append(args[1:]) or real(*args))
+    for transposed in (False, True):
+        calls.clear()
+        assert two_periodic_exactness(m, 5, 3, transposed=transposed)["ok"]
+        assert calls == [(8, 10), (8, 10)]
