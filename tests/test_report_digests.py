@@ -169,6 +169,30 @@ GOLDEN = {
         "163de06e93872ddf3cd244aa9fe672e408e24987707d10c9248072cc67ce8145",
         "d8a550939b4cd7f842634be77a38f7a0c3888f81d47f469e9bda398198d3932b",
     ),
+    "exactness-q-96-3-2": (
+        dict(
+            subcommand="exactness", ring="q", degree_bound=96,
+            gamma="3", delta="2", s="1/2", t="4",
+        ),
+        "e68473e2cc6723001d4a177c2929cb150520185a586f9c423de4a2bd0d5b67a5",
+        "757857bdff8beda03aa2153b816b42e2ca8ffdee6f03c1a59d4910575362024b",
+    ),
+    "exactness-q-96-c16-3-2": (
+        dict(
+            subcommand="exactness", ring="q", degree_bound=96, cushion=16,
+            gamma="3", delta="2", s="1/2", t="4",
+        ),
+        "bbfcdd456f91d5350999218c6ba5d1a7585a1cf0a87b669f636cd7313f7b4216",
+        "757857bdff8beda03aa2153b816b42e2ca8ffdee6f03c1a59d4910575362024b",
+    ),
+    "exactness-fp101-96-c16-37-5": (
+        dict(
+            subcommand="exactness", ring="fp:101", degree_bound=96, cushion=16,
+            gamma="37", delta="5", s="17", t="88",
+        ),
+        "08955f1cc3b0883ff094a1ed3e0de0a5afc26f9df196b13f1e4c51aa5bcaee83",
+        "757857bdff8beda03aa2153b816b42e2ca8ffdee6f03c1a59d4910575362024b",
+    ),
 }
 
 
