@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from itertools import zip_longest
 
-from .linalg import _dense_rows, kernel_basis
+# kernel_basis is unused here; perfbench's tracer tests wrap it in this namespace
+from .linalg import _dense_rows, kernel_basis, rank  # noqa: F401
 from .mpoly import MPoly
 from .normal_form import QuadForm
 from .rings import RingElem, _power, _product_sums
@@ -312,17 +313,17 @@ def v_shift_nonzerodivisor(dp, bound):
     """Certificate that v - t is not a zero-divisor on canonical degree <= bound.
 
     Builds the matrix of multiplication by v - t on the canonical basis and
-    checks its kernel is trivial; field coefficients only.
+    checks, by its rank, that its kernel is trivial; field coefficients only.
     """
     ring = dp.ring
     if not ring.is_field:
         raise ValueError("the non-zero-divisor certificate needs field coefficients")
     cols = mul_columns(dp.v - dp.const(dp.t), bound, bound + 1)
-    ker = kernel_basis(ring, _dense_rows(ring, cols, 2 * (bound + 2)), len(cols))
+    kernel_dim = len(cols) - rank(ring, _dense_rows(ring, cols, 2 * (bound + 2)), len(cols))
     return {
-        "kernel_dimension": len(ker),
+        "kernel_dimension": kernel_dim,
         "domain_dimension": len(cols),
-        "ok": not ker,
+        "ok": not kernel_dim,
     }
 
 

@@ -307,16 +307,26 @@ def two_periodic_exactness(mf, bound, cushion=2, transposed=False):
     """Degreewise exactness of ... -> E -alpha-> E -beta-> E -> ...
 
     At each of the two positions, every kernel element of canonical degree
-    <= bound must be the image of an element of degree <= bound + cushion; a
-    kernel element with no preimage within the cushion is reported, as its
-    coordinate vector in the degree-major layout of `_block_columns`, as a
-    counterexample candidate (a larger cushion may be needed).
+    <= bound must be the image of an element of degree <= bound + cushion.
+    alpha and beta are built once each, at bound + cushion; the kernel
+    matrix K at `bound` is the leading 4*(bound + 3) rows by 4*(bound + 1)
+    columns of one, and `mul_columns` checks the same degree inequality
+    (top <= 2) at both bounds, so the cut hides no overflow.  The image map
+    B is the other, whole; in the degree-major layout of `_block_columns`
+    its first 4*(bound + 1) rows hold degree <= bound, and B_high is the
+    rest.
+
+    A position is certified by dimensions.  The images of degree <= bound
+    are B(ker B_high), of dimension rank(B) - rank(B_high).
     ``build_factorization``, the only constructor of ``MatFact``, certified
-    phi*psi = psi*phi = x*I; x reduces to zero, so image-in-kernel holds
-    automatically.  alpha and beta are built once each, at bound + cushion;
-    the kernel matrix at `bound` is their leading 4*(bound + 3) rows by
-    4*(bound + 1) columns, and `mul_columns` checks the same degree
-    inequality (top <= 2) at both bounds, so the cut hides no overflow.
+    phi*psi = psi*phi = x*I, and ``compositions_ok`` says x reduces to zero,
+    so these images lie in ker K, of dimension 4*(bound + 1) - rank(K).
+    Equal dimensions make the two spaces equal: every kernel element is
+    covered, by three forward eliminations.  Only when the counts differ,
+    or the compositions fail, is a kernel basis computed and each element
+    tested for a preimage; one without is reported, as its coordinate
+    vector in the degree-major layout, as a counterexample candidate (a
+    larger cushion may be needed).
     """
     dp = mf.dp
     ring = dp.ring
@@ -338,9 +348,16 @@ def two_periodic_exactness(mf, bound, cushion=2, transposed=False):
     )
     ncols = 4 * (bound + 1)
     for name, k_rows, img_rows in (("at_alpha", alpha_rows, beta_rows), ("at_beta", beta_rows, alpha_rows)):
-        ker = kernel_basis(ring, [row[:ncols] for row in k_rows[: 4 * (bound + 3)]], ncols)
+        k_cut = [row[:ncols] for row in k_rows[: 4 * (bound + 3)]]
+        img_ncols = len(img_rows[0])
+        if comp_ok:
+            kernel_dim = ncols - rank(ring, k_cut, ncols)
+            if kernel_dim == rank(ring, img_rows, img_ncols) - rank(ring, img_rows[ncols:], img_ncols):
+                record["positions"][name] = {"kernel_dimension": kernel_dim, "covered": kernel_dim, "failures": []}
+                continue
+        ker = kernel_basis(ring, k_cut, ncols)
         rhs_list = [kv + [ring.zero] * (len(img_rows) - ncols) for kv in ker]
-        flags = consistent_many(ring, img_rows, len(img_rows[0]), rhs_list)
+        flags = consistent_many(ring, img_rows, img_ncols, rhs_list)
         failures = [
             "no preimage within cushion for kernel element "
             f"[{', '.join(ring.format_elem(c) for c in kv)}]; a larger cushion may be needed"

@@ -241,9 +241,15 @@ def test_epair_arithmetic_through_matrices():
 
 
 def _uncovered_once(monkeypatch):
-    """Make the first right-hand side of every coverage check uncovered, and
-    record the kernels the exactness check computes."""
+    """Make every rank count of the exactness check fall short by one, so
+    each position takes the per-vector route; make the first right-hand side
+    of every coverage check there uncovered, and record the kernels the
+    exactness check computes."""
     kernels = []
+
+    def short_rank(ring, rows, ncols):
+        # ncols - rank(K) gains one, rank(B) - rank(B_high) is unchanged
+        return rank(ring, rows, ncols) - 1
 
     def recording_kernel(ring, rows, ncols):
         kernels.append(kernel_basis(ring, rows, ncols))
@@ -252,6 +258,7 @@ def _uncovered_once(monkeypatch):
     def one_uncovered(ring, rows, ncols, rhs_list):
         return [False] + consistent_many(ring, rows, ncols, rhs_list)[1:]
 
+    monkeypatch.setattr(mf_module, "rank", short_rank)
     monkeypatch.setattr(mf_module, "kernel_basis", recording_kernel)
     monkeypatch.setattr(mf_module, "consistent_many", one_uncovered)
     return kernels
@@ -357,12 +364,13 @@ def _ref_exactness_calls(m, bound, cushion, transposed):
     calls = []
     for kmat, imat in ((alpha, beta), (beta, alpha)):
         cols = [_pair_vec(_apply_mat(kmat, b), bound + 2) for b in _pair_basis(dp, bound)]
-        calls.append(("kernel_basis", _columns_to_rows(cols), len(cols)))
-        ker = kernel_basis(ring, calls[-1][1], len(cols))
+        calls.append(("rank", _columns_to_rows(cols), len(cols)))
         src_bound = bound + cushion
         img_cols = [_pair_vec(_apply_mat(imat, b), src_bound + 2) for b in _pair_basis(dp, src_bound)]
-        rhs_list = [_pair_vec(_pair_unvec(dp, kv), src_bound + 2) for kv in ker]
-        calls.append(("consistent_many", _columns_to_rows(img_cols), len(img_cols), rhs_list))
+        img_rows = _columns_to_rows(img_cols)
+        calls.append(("rank", img_rows, len(img_cols)))
+        # the rows of canonical degree > bound: row 2*(2k + x) + r holds degree k
+        calls.append(("rank", [row for i, row in enumerate(img_rows) if i // 4 > bound], len(img_cols)))
     return calls
 
 
@@ -415,7 +423,7 @@ def _ref_quotient_iso_calls(dp, bound, hom_kernel):
 def _ref_nzd_calls(dp, bound):
     vt = dp.v - dp.const(dp.t)
     cols = [dp_vector(vt * b, bound + 1) for b in dp_basis(dp, bound)]
-    return [("kernel_basis", _columns_to_rows(cols), len(cols))]
+    return [("rank", _columns_to_rows(cols), len(cols))]
 
 
 def _recording(monkeypatch):
@@ -434,6 +442,7 @@ def _recording(monkeypatch):
         (mf_module, "consistent_many", consistent_many),
         (mf_module, "rank", rank),
         (dp_ring_module, "kernel_basis", kernel_basis),
+        (dp_ring_module, "rank", rank),
     ):
         monkeypatch.setattr(module, name, wrap(name, fn))
     return calls
@@ -549,3 +558,62 @@ def test_exactness_builds_each_map_once(monkeypatch):
         calls.clear()
         assert two_periodic_exactness(m, 5, 3, transposed=transposed)["ok"]
         assert calls == [(8, 10), (8, 10)]
+
+
+def _per_vector_exactness(m, bound, cushion, transposed):
+    """The positions record of the exactness check by a kernel basis and one
+    coverage test per kernel vector, on the matrices `two_periodic_exactness`
+    builds."""
+    ring = m.dp.ring
+    alpha, beta = m.alpha, m.beta
+    if transposed:
+        alpha, beta = mat_transpose(alpha), mat_transpose(beta)
+    src_bound = bound + cushion
+    alpha_rows, beta_rows = (
+        mf_module._dense_rows(ring, mf_module._block_columns(mat, src_bound, src_bound + 2), 4 * (src_bound + 3))
+        for mat in (alpha, beta)
+    )
+    ncols = 4 * (bound + 1)
+    positions = {}
+    for name, k_rows, img_rows in (("at_alpha", alpha_rows, beta_rows), ("at_beta", beta_rows, alpha_rows)):
+        ker = kernel_basis(ring, [row[:ncols] for row in k_rows[: 4 * (bound + 3)]], ncols)
+        rhs_list = [kv + [ring.zero] * (len(img_rows) - ncols) for kv in ker]
+        covered = sum(consistent_many(ring, img_rows, len(img_rows[0]), rhs_list))
+        positions[name] = {"kernel_dimension": len(ker), "covered": covered, "failures": []}
+    return positions
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    descriptor=st.sampled_from(["fp:7", "q"]),
+    seed=st.integers(0, 10**6),
+    bound=st.integers(1, 8),
+    cushion=st.integers(1, 3),
+    transposed=st.booleans(),
+)
+def test_rank_count_matches_the_per_vector_route(descriptor, seed, bound, cushion, transposed):
+    ring = make_ring(descriptor)
+    rnd = random.Random(seed)
+    g, d = random_unit_disc(ring, rnd)
+    dp = DPRing(ring, QuadForm.make(ring, g, d), ring.random_element(rnd), ring.random_element(rnd), degree_bound=20)
+    m = build_factorization(dp)
+    expected = _per_vector_exactness(m, bound, cushion, transposed)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _recording(mp)
+        rec = two_periodic_exactness(m, bound, cushion, transposed=transposed)
+    assert [c[0] for c in calls] == ["rank"] * 6
+    assert rec["ok"] and rec["positions"] == expected
+
+
+def test_failed_compositions_take_the_per_vector_route(monkeypatch):
+    dp = dp_ring(F7, 3, 2, 1, 4, bound=20)
+    m = build_factorization(dp)
+    m.alpha, m.beta  # reduced while the relation still reduces to zero
+    real = DPRing.reduce
+    perturbed = dp.relation + MPoly.const(F7, 2, 1)
+    monkeypatch.setattr(DPRing, "reduce", lambda self, poly: real(self, perturbed if poly == self.relation else poly))
+    calls = _recording(monkeypatch)
+    rec = two_periodic_exactness(m, 5, 2)
+    assert not rec["compositions_ok"] and not rec["ok"]
+    assert [c[0] for c in calls] == ["kernel_basis", "consistent_many"] * 2
+    assert rec["positions"] == _per_vector_exactness(m, 5, 2, False)
