@@ -351,6 +351,7 @@ def two_periodic_exactness(mf, bound, cushion=2, transposed=False):
         k_cut = [row[:ncols] for row in k_rows[: 4 * (bound + 3)]]
         img_ncols = len(img_rows[0])
         if comp_ok:
+            # B_high is img_rows[ncols:]: row ncols = 4*(bound + 1) is the first of degree > bound
             kernel_dim = ncols - rank(ring, k_cut, ncols)
             if kernel_dim == rank(ring, img_rows, img_ncols) - rank(ring, img_rows[ncols:], img_ncols):
                 record["positions"][name] = {"kernel_dimension": kernel_dim, "covered": kernel_dim, "failures": []}
