@@ -193,6 +193,22 @@ GOLDEN = {
         "08955f1cc3b0883ff094a1ed3e0de0a5afc26f9df196b13f1e4c51aa5bcaee83",
         "757857bdff8beda03aa2153b816b42e2ca8ffdee6f03c1a59d4910575362024b",
     ),
+    "dual-q-96-3-2": (
+        dict(
+            subcommand="dual", ring="q", degree_bound=96,
+            gamma="3", delta="2", s="1/2", t="4",
+        ),
+        "867976fccb01a4bc2158e318777aa52dd5a877df98f788e3a25c50899bdd4321",
+        "6cb034a169fca6a241418b4a354f79f4ecab224a224c074e3d5dc12cf9b6231d",
+    ),
+    "dual-fp101-96-37-5": (
+        dict(
+            subcommand="dual", ring="fp:101", degree_bound=96,
+            gamma="37", delta="5", s="17", t="88",
+        ),
+        "cc91e87323691cb6aecd6419089c34a62f04c35dc44b6bf70cc77a4b43ed858e",
+        "6cb034a169fca6a241418b4a354f79f4ecab224a224c074e3d5dc12cf9b6231d",
+    ),
 }
 
 
