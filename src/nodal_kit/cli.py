@@ -51,10 +51,11 @@ _DP_HEADROOM = 8
 # 1.4 s with gamma = 1, delta = 0, 6.8 s with gamma = 3, delta = 2 and 22 s
 # with gamma = 3/7, delta = 5/11 (2.3 s at precision 40; its time grows with
 # the height of gamma and delta, which these bounds do not cap); exactness
-# at degree bound 96 with cushion 16 takes 0.35 s and dual at degree bound 96
-# 1.0 s with gamma = 3, delta = 2, s = 1/2, t = 4.  CI runs normal-form at
-# precision 64 and exactness at degree bound 96, with cushion 2 (the
-# default) and 16; the tests and the benchmark stay below the bounds.
+# at degree bound 96 with cushion 16 takes 0.24 s and dual at degree bound 96
+# 0.13 s with gamma = 3, delta = 2, s = 1/2, t = 4.  CI runs normal-form at
+# precision 64, exactness at degree bound 96, with cushion 2 (the default)
+# and 16, and dual at degree bound 96; the tests and the benchmark stay
+# below the bounds.
 _MAX_PRECISION = 64
 _MAX_DEGREE_BOUND = 96
 _MAX_CUSHION = 16

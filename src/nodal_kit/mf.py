@@ -18,7 +18,6 @@ from .dp_ring import DPRing, mul_columns, v_shift_nonzerodivisor
 from .linalg import _dense_rows, consistent_many, kernel_basis, rank
 from .mpoly import MPoly
 from .normal_form import DegenerateFormError
-from .rings import RingElem
 
 
 class FactorizationError(AssertionError):
@@ -134,9 +133,8 @@ def dual_generator_images(dp):
 def dual_action(dp, a, b):
     """Multiply a*(u-s) + b*(v-t) by the dual fractional generator.
 
-    The result is independent of the presentation (a, b); the overlap
-    identity (v-t)*eps(u-s) = (u-s)*eps(v-t) holds identically in the
-    quotient and is exercised by the test suite.
+    The result is independent of the presentation (a, b) by the overlap
+    identity (v-t)*eps(u-s) = (u-s)*eps(v-t), which `hom_pair_space` checks.
     """
     e1, e2 = dual_generator_images(dp)
     return a * e1 + b * e2
@@ -158,16 +156,6 @@ def _block_columns(mat, bound, out_bound):
         for group in zip(*per_input)
         for parts in group
     ]
-
-
-def _apply_columns(ring, cols, coeffs, nrows):
-    """The dense image sum(c * col) of a coefficient vector under sparse raw columns."""
-    out = [ring.zero] * nrows
-    for c, col in zip(coeffs, cols):
-        if not c.is_zero:
-            for i, x in col.items():
-                out[i] = out[i] + c * RingElem(ring, x)
-    return out
 
 
 def witness_identities(mf):
@@ -210,19 +198,42 @@ def witness_identities(mf):
     return record
 
 
+def _dimensions(ring, k_rows, ncols, img_rows):
+    """The coverage certificate: (ncols - rank K, rank B - rank B_high).
+
+    K reads `ncols` coordinates of degree <= bound; B's rows are the same
+    coordinates, then higher ones from row `ncols` on (B_high).  The counts
+    are dim ker K and that of the images of degree <= bound, B(ker B_high);
+    when those images lie in ker K, equal counts make them all of ker K.
+    """
+    img_ncols = len(img_rows[0])
+    kernel_dim = ncols - rank(ring, k_rows, ncols)
+    return kernel_dim, rank(ring, img_rows, img_ncols) - rank(ring, img_rows[ncols:], img_ncols)
+
+
+def _uncovered(ring, k_rows, ncols, img_rows):
+    """A basis of ker K and its vectors v with no x such that B x is v padded
+    with zeros; run only to name a failure of `_dimensions` or its containment."""
+    ker = kernel_basis(ring, k_rows, ncols)
+    rhs_list = [kv + [ring.zero] * (len(img_rows) - ncols) for kv in ker]
+    flags = consistent_many(ring, img_rows, len(img_rows[0]), rhs_list)
+    return ker, [kv for kv, flag in zip(ker, flags) if not flag]
+
+
 def hom_pair_space(dp, bound):
     """All A-linear maps J -> R determined on (u-s, v-t) through degree `bound`.
 
     The single syzygy (v-t)*h(u-s) = (u-s)*h(v-t) characterizes module maps
-    because v - t is a non-zero-divisor; the solution space is computed as a
-    kernel and compared, dimension and containment both ways, against the
-    span of multiplication by 1 and by the dual fractional generator.
-
-    The record keeps its ``bound`` and the span map, for `dual_quotient_iso`:
-    ``span_rows`` is the matrix whose columns are the images of (u-s, v-t)
-    under multiplication by each rho of canonical degree <= bound, then under
-    the fractional generator, through degree bound + 2, in the layout of
-    `_block_columns`: its rows of degree > bound are those from 4*(bound + 1).
+    because v - t is a non-zero-divisor: the homs are the syzygy map's
+    kernel.  The span map's columns are the images of (u-s, v-t) under
+    multiplication by each rho of canonical degree <= bound, then by the
+    fractional generator, through degree bound + 2; in the layout of
+    `_block_columns` its rows from 4*(bound + 1) have degree > bound.
+    `_dimensions` counts both spaces.  The span lies in the homs: rho
+    satisfies the syzygy identically, the fractional generator by the
+    overlap identity (v-t)*eps(u-s) = (u-s)*eps(v-t), checked exactly.
+    The record keeps ``bound``, ``syz_rows`` and ``span_rows`` for
+    `dual_quotient_iso`.
     """
     ring = dp.ring
     if not ring.is_field:
@@ -231,33 +242,24 @@ def hom_pair_space(dp, bound):
     e1, e2 = dual_generator_images(dp)
     big = bound + 2
 
-    # kernel of the syzygy map (r1, r2) |-> (v-t) r1 - (u-s) r2
+    # the syzygy map (r1, r2) |-> (v-t) r1 - (u-s) r2
     syz_cols = _block_columns(((j2, -j1),), bound, big + 1)
-    syz_rows = 2 * (big + 2)
-    hom_kernel = kernel_basis(ring, _dense_rows(ring, syz_cols, syz_rows), len(syz_cols))
+    syz_rows = _dense_rows(ring, syz_cols, 2 * (big + 2))
 
-    # span of {mult by rho, mult by rho*eps} intersected with degree <= bound
+    # the span map: multiplication by each rho, then by the fractional generator
     span_cols = _block_columns(((j1,), (j2,)), bound, big)
     span_cols.append(_block_columns(((e1,), (e2,)), 0, big)[0])
     span_rows = _dense_rows(ring, span_cols, 4 * (big + 1))
-    inside = kernel_basis(ring, span_rows[4 * (bound + 1) :], len(span_cols))
-    span_vecs = [_apply_columns(ring, span_cols, n, len(span_rows)) for n in inside]
 
-    # containment: every span vector satisfies the syzygy (its entries of
-    # degree > bound are zero; the syzygy map and `rank` read only the others)
-    contained = all(
-        all(c.is_zero for c in _apply_columns(ring, syz_cols, v, syz_rows)) for v in span_vecs
-    )
-
-    hom_dim = len(hom_kernel)
-    span_dim = rank(ring, span_vecs, 4 * (bound + 1))
+    hom_dim, span_dim = _dimensions(ring, syz_rows, len(syz_cols), span_rows)
+    contained = j2 * e1 == j1 * e2
     return {
         "hom_dimension": hom_dim,
         "span_dimension": span_dim,
         "span_inside_homs": contained,
         "ok": contained and hom_dim == span_dim,
-        "kernel": hom_kernel,
         "bound": bound,
+        "syz_rows": syz_rows,
         "span_rows": span_rows,
     }
 
@@ -268,8 +270,8 @@ def dual_quotient_iso(dp, hom):
     Injectivity: r*(u+s+gamma*t) = (v-t)*h forces r = 0 (kernel of the
     combined linear system is trivial).  Surjectivity: every truncated hom is
     rho*(multiplication) + c*(fractional action) with rho in R and c scalar.
-    ``hom`` is the record ``hom_pair_space(dp, bound)`` returns: surjectivity
-    is tested on its kernel, zero-padded to the rows of its span map.
+    ``hom`` is the record of ``hom_pair_space(dp, bound)``: when it passed,
+    every hom is covered; otherwise `_uncovered` names those outside the span.
     """
     ring = dp.ring
     if not ring.is_field:
@@ -285,19 +287,15 @@ def dual_quotient_iso(dp, hom):
     kernel_dim = len(cols) - rank(ring, _dense_rows(ring, cols, 2 * (big + 1)), len(cols))
 
     # surjectivity over the truncated hom space
-    rows = hom["span_rows"]
-    rhs_list = [kv + [ring.zero] * (len(rows) - len(kv)) for kv in hom["kernel"]]
-    flags = consistent_many(ring, rows, len(rows[0]), rhs_list)
-    covered = sum(flags)
-    failures = [
-        [ring.format_elem(c) for c in kv]
-        for kv, flag in zip(hom["kernel"], flags)
-        if not flag
-    ]
+    if hom["ok"]:
+        total, failures = hom["hom_dimension"], []
+    else:
+        ker, uncovered = _uncovered(ring, hom["syz_rows"], 4 * (bound + 1), hom["span_rows"])
+        total, failures = len(ker), [[ring.format_elem(c) for c in kv] for kv in uncovered]
     return {
         "injective_kernel_dimension": kernel_dim,
-        "covered_homs": covered,
-        "total_homs": len(hom["kernel"]),
+        "covered_homs": total - len(failures),
+        "total_homs": total,
         "ok": not kernel_dim and not failures,
         "failures": failures,
     }
@@ -316,17 +314,14 @@ def two_periodic_exactness(mf, bound, cushion=2, transposed=False):
     its first 4*(bound + 1) rows hold degree <= bound, and B_high is the
     rest.
 
-    A position is certified by dimensions.  The images of degree <= bound
-    are B(ker B_high), of dimension rank(B) - rank(B_high).
-    ``build_factorization``, the only constructor of ``MatFact``, certified
-    phi*psi = psi*phi = x*I, and ``compositions_ok`` says x reduces to zero,
-    so these images lie in ker K, of dimension 4*(bound + 1) - rank(K).
-    Equal dimensions make the two spaces equal: every kernel element is
-    covered, by three forward eliminations.  Only when the counts differ,
-    or the compositions fail, is a kernel basis computed and each element
-    tested for a preimage; one without is reported, as its coordinate
-    vector in the degree-major layout, as a counterexample candidate (a
-    larger cushion may be needed).
+    A position is certified by `_dimensions`.  Its images of degree <= bound
+    lie in ker K: ``build_factorization``, the only constructor of
+    ``MatFact``, certified phi*psi = psi*phi = x*I, and ``compositions_ok``
+    says x reduces to zero.  Only when the counts differ, or the
+    compositions fail, does `_uncovered` test each kernel element for a
+    preimage; one without is reported, as its coordinate vector in the
+    degree-major layout, as a counterexample candidate (a larger cushion may
+    be needed).
     """
     dp = mf.dp
     ring = dp.ring
@@ -349,21 +344,16 @@ def two_periodic_exactness(mf, bound, cushion=2, transposed=False):
     ncols = 4 * (bound + 1)
     for name, k_rows, img_rows in (("at_alpha", alpha_rows, beta_rows), ("at_beta", beta_rows, alpha_rows)):
         k_cut = [row[:ncols] for row in k_rows[: 4 * (bound + 3)]]
-        img_ncols = len(img_rows[0])
         if comp_ok:
-            # B_high is img_rows[ncols:]: row ncols = 4*(bound + 1) is the first of degree > bound
-            kernel_dim = ncols - rank(ring, k_cut, ncols)
-            if kernel_dim == rank(ring, img_rows, img_ncols) - rank(ring, img_rows[ncols:], img_ncols):
+            kernel_dim, image_dim = _dimensions(ring, k_cut, ncols, img_rows)
+            if kernel_dim == image_dim:
                 record["positions"][name] = {"kernel_dimension": kernel_dim, "covered": kernel_dim, "failures": []}
                 continue
-        ker = kernel_basis(ring, k_cut, ncols)
-        rhs_list = [kv + [ring.zero] * (len(img_rows) - ncols) for kv in ker]
-        flags = consistent_many(ring, img_rows, img_ncols, rhs_list)
+        ker, uncovered = _uncovered(ring, k_cut, ncols, img_rows)
         failures = [
             "no preimage within cushion for kernel element "
             f"[{', '.join(ring.format_elem(c) for c in kv)}]; a larger cushion may be needed"
-            for kv, flag in zip(ker, flags)
-            if not flag
+            for kv in uncovered
         ]
         record["positions"][name] = {
             "kernel_dimension": len(ker),

@@ -241,10 +241,10 @@ def test_epair_arithmetic_through_matrices():
 
 
 def _uncovered_once(monkeypatch):
-    """Make every rank count of the exactness check fall short by one, so
-    each position takes the per-vector route; make the first right-hand side
-    of every coverage check there uncovered, and record the kernels the
-    exactness check computes."""
+    """Make every rank count fall short by one, so that each coverage
+    certificate takes the per-vector route; make the first right-hand side
+    of every coverage check there uncovered, and record the kernels that
+    route computes."""
     kernels = []
 
     def short_rank(ring, rows, ncols):
@@ -294,20 +294,38 @@ def test_exactness_counterexample_in_the_cli_report(monkeypatch):
 
 
 def test_quotient_iso_counterexample_names_the_uncovered_hom(monkeypatch):
-    real = mf_module.dual_quotient_iso
-    seen = []
-
-    def first_hom_uncovered(dp, hom):
-        rec = real(dp, hom)
-        seen.append([dp.ring.format_elem(c) for c in hom["kernel"][0]])
-        return {**rec, "ok": False, "covered_homs": rec["total_homs"] - 1, "failures": [seen[-1]]}
-
-    monkeypatch.setattr(mf_module, "dual_quotient_iso", first_hom_uncovered)
+    kernels = _uncovered_once(monkeypatch)
     report = cli.run(cli.RunConfig(subcommand="dual", ring="fp:5", gamma="1", delta="0", degree_bound=6))
-    rec = {r.name: r for r in report.records}["dual.quotient-iso"]
+    records = {r.name: r for r in report.records}
+    assert not records["dual.hom-space"].passed
+    (homs,) = kernels
+    rec = records["dual.quotient-iso"]
     assert not rec.passed
-    assert rec.counterexample == f"1 homs not covered, the first [{', '.join(seen[0])}]"
+    assert rec.details["total_homs"] == len(homs) and rec.details["covered_homs"] == len(homs) - 1
+    assert rec.counterexample == f"1 homs not covered, the first {_named(PrimeField(5), homs[0])}"
     assert "mod 5" in rec.counterexample
+
+
+def test_a_failed_overlap_identity_takes_the_per_vector_route(monkeypatch):
+    real = dual_generator_images
+
+    def shifted(dp):
+        e1, e2 = real(dp)
+        return e1 + dp.one, e2
+
+    monkeypatch.setattr(mf_module, "dual_generator_images", shifted)
+    calls = _recording(monkeypatch)
+    report = cli.run(cli.RunConfig(subcommand="dual", ring="fp:7", gamma="3", delta="2", s="1", t="4"))
+    records = {r.name: r for r in report.records}
+    hom = records["dual.hom-space"]
+    assert not hom.passed and hom.details["hom_dimension"] == hom.details["span_dimension"]
+    iso = records["dual.quotient-iso"]
+    assert not iso.passed and iso.details["covered_homs"] < iso.details["total_homs"]
+    assert iso.details["injective_kernel_dimension"] == 0
+    # three ranks for the hom space, then injectivity and the per-vector route
+    assert [c[0] for c in calls] == ["rank"] * 4 + ["kernel_basis", "consistent_many"]
+    dp = dp_ring(F7, 3, 2, 1, 4, bound=20)
+    assert not hom_pair_space(dp, 6)["span_inside_homs"]
 
 
 def test_alpha_and_beta_are_reduced_once_per_factorization(monkeypatch):
@@ -383,41 +401,31 @@ def _ref_dual_span_map(dp, rho_bound):
     return cols, big
 
 
-def _ref_hom_calls(dp, bound):
-    """The linalg calls of the hom-space check, its kernel and its containment flag."""
-    ring = dp.ring
+def _ref_syzygy_map(dp, bound):
     us, vt = ideal_j_generators(dp)
-    big = bound + 2
-    cols = [dp_vector(vt * b[0] - us * b[1], big + 1) for b in _pair_basis(dp, bound)]
-    calls = [("kernel_basis", _columns_to_rows(cols), len(cols))]
-    hom_kernel = kernel_basis(ring, calls[0][1], len(cols))
-    span_cols, span_big = _ref_dual_span_map(dp, bound)
-    # the rows of canonical degree > bound: row 2*(2k + x) + r holds degree k
-    high_rows = [row for i, row in enumerate(_columns_to_rows(span_cols)) if i // 4 > bound]
-    calls.append(("kernel_basis", high_rows, len(span_cols)))
-    span_vecs = []
-    for coeffs in kernel_basis(ring, high_rows, len(span_cols)):
-        vec = [ring.zero] * (4 * (span_big + 1))
-        for c, col in zip(coeffs, span_cols):
-            vec = [a + c * b for a, b in zip(vec, col)]
-        span_vecs.append(vec)
-    contained = all((vt * p[0] - us * p[1]).is_zero for p in (_pair_unvec(dp, v) for v in span_vecs))
-    calls.append(("rank", span_vecs, 4 * (bound + 1)))
-    return calls, hom_kernel, contained
+    return [dp_vector(vt * b[0] - us * b[1], bound + 3) for b in _pair_basis(dp, bound)]
 
 
-def _ref_quotient_iso_calls(dp, bound, hom_kernel):
-    """The injectivity rank, then one consistency test against the hom
-    space's span map: no syzygy kernel and no span rank."""
+def _ref_hom_calls(dp, bound):
+    """The rank of the syzygy map, of the span map and of its rows of degree > bound."""
+    syz_cols = _ref_syzygy_map(dp, bound)
+    span_cols, _ = _ref_dual_span_map(dp, bound)
+    span_rows = _columns_to_rows(span_cols)
+    return [
+        ("rank", _columns_to_rows(syz_cols), len(syz_cols)),
+        ("rank", span_rows, len(span_cols)),
+        # the rows of canonical degree > bound: row 2*(2k + x) + r holds degree k
+        ("rank", [row for i, row in enumerate(span_rows) if i // 4 > bound], len(span_cols)),
+    ]
+
+
+def _ref_quotient_iso_calls(dp, bound):
+    """The injectivity rank only: a passing hom space covers every hom."""
     _, e2 = dual_generator_images(dp)
     _, j2 = ideal_j_generators(dp)
     big = bound + 3
     cols = [dp_vector(e2, big)] + [[-c for c in dp_vector(j2 * h, big)] for h in dp_basis(dp, bound + 2)]
-    calls = [("rank", _columns_to_rows(cols), len(cols))]
-    span_cols, span_big = _ref_dual_span_map(dp, bound)
-    rhs_list = [_pair_vec(_pair_unvec(dp, kv), span_big) for kv in hom_kernel]
-    calls.append(("consistent_many", _columns_to_rows(span_cols), len(span_cols), rhs_list))
-    return calls
+    return [("rank", _columns_to_rows(cols), len(cols))]
 
 
 def _ref_nzd_calls(dp, bound):
@@ -482,12 +490,11 @@ def test_closed_form_matrices_match_the_dpelem_route(monkeypatch, descriptor, co
             _assert_same_calls(ring, calls, _ref_exactness_calls(m, bound, cushion, transposed))
         calls.clear()
         rec = hom_pair_space(dp, bound)
-        expected, hom_kernel, contained = _ref_hom_calls(dp, bound)
-        _assert_same_calls(ring, calls, expected)
-        assert rec["kernel"] == hom_kernel and rec["span_inside_homs"] == contained
+        assert rec["ok"]
+        _assert_same_calls(ring, calls, _ref_hom_calls(dp, bound))
         calls.clear()
         assert dual_quotient_iso(dp, rec)["ok"]
-        _assert_same_calls(ring, calls, _ref_quotient_iso_calls(dp, bound, hom_kernel))
+        _assert_same_calls(ring, calls, _ref_quotient_iso_calls(dp, bound))
         calls.clear()
         assert v_shift_nonzerodivisor(dp, bound)["ok"]
         _assert_same_calls(ring, calls, _ref_nzd_calls(dp, bound))
@@ -617,3 +624,46 @@ def test_failed_compositions_take_the_per_vector_route(monkeypatch):
     assert not rec["compositions_ok"] and not rec["ok"]
     assert [c[0] for c in calls] == ["kernel_basis", "consistent_many"] * 2
     assert rec["positions"] == _per_vector_exactness(m, 5, 2, False)
+
+
+def _per_vector_dual(dp, bound):
+    """The dimensions, containment and coverage of the dual checks by the
+    route they took before the rank count: a kernel basis of the syzygy map
+    (the homs), the span vectors of degree <= bound from a kernel basis of
+    the span map's high rows, each tested against the syzygy, and one
+    coverage test per hom; on the matrices of the DPElem route."""
+    ring = dp.ring
+    syz_rows = _columns_to_rows(_ref_syzygy_map(dp, bound))
+    ncols = 4 * (bound + 1)
+    homs = kernel_basis(ring, syz_rows, ncols)
+    span_cols, _ = _ref_dual_span_map(dp, bound)
+    span_rows = _columns_to_rows(span_cols)
+    high = [row for i, row in enumerate(span_rows) if i // 4 > bound]
+    span_vecs = [
+        [sum((c * x for c, x in zip(n, row)), ring.zero) for row in span_rows[:ncols]]
+        for n in kernel_basis(ring, high, len(span_cols))
+    ]
+    contained = all(
+        all(sum((c * x for c, x in zip(v, row)), ring.zero).is_zero for row in syz_rows) for v in span_vecs
+    )
+    rhs_list = [h + [ring.zero] * (len(span_rows) - ncols) for h in homs]
+    covered = sum(consistent_many(ring, span_rows, len(span_cols), rhs_list))
+    return len(homs), rank(ring, span_vecs, ncols), contained, covered
+
+
+@settings(max_examples=30, deadline=None)
+@given(descriptor=st.sampled_from(["fp:7", "q"]), seed=st.integers(0, 10**6), bound=st.integers(1, 8))
+def test_dual_rank_count_matches_the_per_vector_route(descriptor, seed, bound):
+    ring = make_ring(descriptor)
+    rnd = random.Random(seed)
+    g, d = random_unit_disc(ring, rnd)
+    dp = DPRing(ring, QuadForm.make(ring, g, d), ring.random_element(rnd), ring.random_element(rnd), degree_bound=20)
+    hom_dim, span_dim, contained, covered = _per_vector_dual(dp, bound)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _recording(mp)
+        hom = hom_pair_space(dp, bound)
+        iso = dual_quotient_iso(dp, hom)
+    assert [c[0] for c in calls] == ["rank"] * 4
+    assert (hom["hom_dimension"], hom["span_dimension"], hom["span_inside_homs"]) == (hom_dim, span_dim, contained)
+    assert hom["ok"] and iso["ok"]
+    assert iso["covered_homs"] == iso["total_homs"] == covered == hom_dim
