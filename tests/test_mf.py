@@ -350,14 +350,6 @@ def _pair_vec(pair, bound):
     return [x for entries in zip(dp_vector(pair[0], bound), dp_vector(pair[1], bound)) for x in entries]
 
 
-def _unvec(dp, vec):
-    return dp.element(vec[0::2], vec[1::2])
-
-
-def _pair_unvec(dp, vec):
-    return (_unvec(dp, vec[0::2]), _unvec(dp, vec[1::2]))
-
-
 def _pair_basis(dp, bound):
     return [pair for b in dp_basis(dp, bound) for pair in ((b, dp.zero), (dp.zero, b))]
 
@@ -392,13 +384,11 @@ def _ref_exactness_calls(m, bound, cushion, transposed):
     return calls
 
 
-def _ref_dual_span_map(dp, rho_bound):
+def _ref_dual_span_map(dp, bound):
     j1, j2 = ideal_j_generators(dp)
     e1, e2 = dual_generator_images(dp)
-    big = rho_bound + 2
-    cols = [_pair_vec((m * j1, m * j2), big) for m in dp_basis(dp, rho_bound)]
-    cols.append(_pair_vec((e1, e2), big))
-    return cols, big
+    cols = [_pair_vec((m * j1, m * j2), bound + 2) for m in dp_basis(dp, bound)]
+    return cols + [_pair_vec((e1, e2), bound + 2)]
 
 
 def _ref_syzygy_map(dp, bound):
@@ -409,7 +399,7 @@ def _ref_syzygy_map(dp, bound):
 def _ref_hom_calls(dp, bound):
     """The rank of the syzygy map, of the span map and of its rows of degree > bound."""
     syz_cols = _ref_syzygy_map(dp, bound)
-    span_cols, _ = _ref_dual_span_map(dp, bound)
+    span_cols = _ref_dual_span_map(dp, bound)
     span_rows = _columns_to_rows(span_cols)
     return [
         ("rank", _columns_to_rows(syz_cols), len(syz_cols)),
@@ -636,7 +626,7 @@ def _per_vector_dual(dp, bound):
     syz_rows = _columns_to_rows(_ref_syzygy_map(dp, bound))
     ncols = 4 * (bound + 1)
     homs = kernel_basis(ring, syz_rows, ncols)
-    span_cols, _ = _ref_dual_span_map(dp, bound)
+    span_cols = _ref_dual_span_map(dp, bound)
     span_rows = _columns_to_rows(span_cols)
     high = [row for i, row in enumerate(span_rows) if i // 4 > bound]
     span_vecs = [
