@@ -209,6 +209,19 @@ GOLDEN = {
         "cc91e87323691cb6aecd6419089c34a62f04c35dc44b6bf70cc77a4b43ed858e",
         "6cb034a169fca6a241418b4a354f79f4ecab224a224c074e3d5dc12cf9b6231d",
     ),
+    "exactness-fp2-24-1-1": (
+        dict(subcommand="exactness", ring="fp:2", degree_bound=24, gamma="1", delta="1"),
+        "62289955267df8085c29c5ca9b3af045004b6dd8865a2499fb0abbdaaf3f755f",
+        "d547547f77467b7470ba4cc441ec65d01b1c4ee1c6c922adccf181fd4c318251",
+    ),
+    "exactness-fp3-24-1-0-s1-t2": (
+        dict(
+            subcommand="exactness", ring="fp:3", degree_bound=24,
+            gamma="1", delta="0", s="1", t="2",
+        ),
+        "363581f0d45ef426869b7f4f3dbbaa76a924ae874850d9df5480da25874a07b7",
+        "4480b0be558889299e25687a8ddd518f8ea7cdd3352685e09da4ba86752bf172",
+    ),
 }
 
 
