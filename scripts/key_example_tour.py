@@ -75,7 +75,7 @@ def main():
     if ring.is_field:
         hom = hom_pair_space(dp, 6)
         print(f"hom space at bound 6: dimension {hom['hom_dimension']} = span dimension {hom['span_dimension']}")
-        ex = two_periodic_exactness(m, 6, 2)
+        ex = two_periodic_exactness(m, 6)
         dims = {k: v["kernel_dimension"] for k, v in ex["positions"].items()}
         print(f"two-periodic exactness: {ex['ok']} (kernel dimensions {dims})")
     print()

@@ -5,8 +5,8 @@ Over R = A[X,Y]/(q(X,Y) - q(s,t)) with unit discriminant, the pair
 x = q(X,Y) - q(s,t), giving a 2-periodic resolution on E = R (+) R.  This
 module builds the matrices, verifies the construction identities, realizes
 the dual of the marked-point ideal J = (u-s, v-t) through the fractional
-multiplier (u+s+gamma*t)/(v-t), and checks truncated exactness and the
-quotient isomorphism by exact linear algebra.
+multiplier (u+s+gamma*t)/(v-t), certifies exactness by Eisenbud's lift, and
+checks the quotient isomorphism by exact linear algebra.
 """
 
 from __future__ import annotations
@@ -92,11 +92,8 @@ def build_factorization(dp):
         (P({}), P({(0, 0): -ring.one})),
         (P({(0, 0): ring.one}), P({})),
     )
-    x = dp.relation
-    zero = MPoly.zero(ring, 2)
-    x_id = ((x, zero), (zero, x))
-    if mat_mul(phi, psi) != x_id or mat_mul(psi, phi) != x_id:
-        raise FactorizationError("phi*psi = psi*phi = x*I failed")
+    if failures := _lift_failures(dp, phi, psi):
+        raise FactorizationError("; ".join(failures))
     if mat_mul(pairing, psi) != mat_mul(mat_transpose(phi), pairing):
         raise FactorizationError("pairing conjugation of psi failed")
     if mat_mul(pairing, phi) != mat_mul(mat_transpose(psi), pairing):
@@ -110,6 +107,26 @@ def build_factorization(dp):
         (P({(1, 0): -ring.one, (0, 0): s}), P({(0, 1): ring.one, (0, 0): -t})),
     )
     return MatFact(dp, phi, psi, pairing, j_witness, k_witness)
+
+
+def _lift_failures(dp, phi, psi):
+    """The hypotheses of the lift in `two_periodic_exactness` that fail, named:
+    entries of total degree <= 1, and phi*psi = psi*phi = x*I in A[X, Y] for
+    x = ``dp.relation``.  Each failure names its matrix and entry."""
+    failures = [
+        f"{name} entry ({i}, {j}) has total degree {deg} > 1"
+        for name, mat in (("phi", phi), ("psi", psi))
+        for i, row in enumerate(mat)
+        for j, entry in enumerate(row)
+        if (deg := max(map(sum, entry.terms), default=0)) > 1
+    ]
+    for name, prod in (("phi*psi", mat_mul(phi, psi)), ("psi*phi", mat_mul(psi, phi))):
+        for i, row in enumerate(prod):
+            for j, entry in enumerate(row):
+                diff = entry - dp.relation if i == j else entry
+                if not diff.is_zero:
+                    failures.append(f"{name} = x*I fails at entry ({i}, {j}), off by {diff.format(('X', 'Y'))}")
+    return failures
 
 
 def ideal_j_generators(dp):
@@ -198,28 +215,6 @@ def witness_identities(mf):
     return record
 
 
-def _dimensions(ring, k_rows, ncols, img_rows):
-    """The coverage certificate: (ncols - rank K, rank B - rank B_high).
-
-    K reads `ncols` coordinates of degree <= bound; B's rows are the same
-    coordinates, then higher ones from row `ncols` on (B_high).  The counts
-    are dim ker K and that of the images of degree <= bound, B(ker B_high);
-    when those images lie in ker K, equal counts make them all of ker K.
-    """
-    img_ncols = len(img_rows[0])
-    kernel_dim = ncols - rank(ring, k_rows, ncols)
-    return kernel_dim, rank(ring, img_rows, img_ncols) - rank(ring, img_rows[ncols:], img_ncols)
-
-
-def _uncovered(ring, k_rows, ncols, img_rows):
-    """A basis of ker K and its vectors v with no x such that B x is v padded
-    with zeros; run only to name a failure of `_dimensions` or its containment."""
-    ker = kernel_basis(ring, k_rows, ncols)
-    rhs_list = [kv + [ring.zero] * (len(img_rows) - ncols) for kv in ker]
-    flags = consistent_many(ring, img_rows, len(img_rows[0]), rhs_list)
-    return ker, [kv for kv, flag in zip(ker, flags) if not flag]
-
-
 def hom_pair_space(dp, bound):
     """All A-linear maps J -> R determined on (u-s, v-t) through degree `bound`.
 
@@ -228,12 +223,15 @@ def hom_pair_space(dp, bound):
     kernel.  The span map's columns are the images of (u-s, v-t) under
     multiplication by each rho of canonical degree <= bound, then by the
     fractional generator, through degree bound + 2; in the layout of
-    `_block_columns` its rows from 4*(bound + 1) have degree > bound.
-    `_dimensions` counts both spaces.  The span lies in the homs: rho
-    satisfies the syzygy identically, the fractional generator by the
-    overlap identity (v-t)*eps(u-s) = (u-s)*eps(v-t), checked exactly.
-    The record keeps ``bound``, ``syz_rows`` and ``span_rows`` for
-    `dual_quotient_iso`.
+    `_block_columns` its rows from 4*(bound + 1) have degree > bound
+    (span_high).  The homs number ncols - rank(syzygy map); the span's
+    elements of degree <= bound, span(ker span_high), rank(span) -
+    rank(span_high).  The span lies in the homs: rho satisfies the syzygy
+    identically, the fractional generator by the overlap identity
+    (v-t)*eps(u-s) = (u-s)*eps(v-t), checked exactly.  So equal counts
+    make the span all of the homs.  ``failures`` names a failed overlap
+    identity, with its difference, and unequal counts; the record keeps
+    ``bound``, ``syz_rows`` and ``span_rows`` for `dual_quotient_iso`.
     """
     ring = dp.ring
     if not ring.is_field:
@@ -251,13 +249,21 @@ def hom_pair_space(dp, bound):
     span_cols.append(_block_columns(((e1,), (e2,)), 0, big)[0])
     span_rows = _dense_rows(ring, span_cols, 4 * (big + 1))
 
-    hom_dim, span_dim = _dimensions(ring, syz_rows, len(syz_cols), span_rows)
-    contained = j2 * e1 == j1 * e2
+    ncols, span_ncols = len(syz_cols), len(span_cols)
+    hom_dim = ncols - rank(ring, syz_rows, ncols)
+    span_dim = rank(ring, span_rows, span_ncols) - rank(ring, span_rows[ncols:], span_ncols)
+    overlap = j2 * e1 - j1 * e2
+    failures = []
+    if not overlap.is_zero:
+        failures.append(f"(v-t)*eps(u-s) = (u-s)*eps(v-t) fails, off by {overlap}")
+    if hom_dim != span_dim:
+        failures.append(f"hom_dimension {hom_dim} != span_dimension {span_dim}")
     return {
         "hom_dimension": hom_dim,
         "span_dimension": span_dim,
-        "span_inside_homs": contained,
-        "ok": contained and hom_dim == span_dim,
+        "span_inside_homs": overlap.is_zero,
+        "ok": not failures,
+        "failures": failures,
         "bound": bound,
         "syz_rows": syz_rows,
         "span_rows": span_rows,
@@ -271,7 +277,8 @@ def dual_quotient_iso(dp, hom):
     combined linear system is trivial).  Surjectivity: every truncated hom is
     rho*(multiplication) + c*(fractional action) with rho in R and c scalar.
     ``hom`` is the record of ``hom_pair_space(dp, bound)``: when it passed,
-    every hom is covered; otherwise `_uncovered` names those outside the span.
+    every hom is covered; otherwise a kernel basis of the syzygy map and one
+    coverage test per basis vector name the homs outside the span.
     """
     ring = dp.ring
     if not ring.is_field:
@@ -290,8 +297,12 @@ def dual_quotient_iso(dp, hom):
     if hom["ok"]:
         total, failures = hom["hom_dimension"], []
     else:
-        ker, uncovered = _uncovered(ring, hom["syz_rows"], 4 * (bound + 1), hom["span_rows"])
-        total, failures = len(ker), [[ring.format_elem(c) for c in kv] for kv in uncovered]
+        ncols, span_rows = 4 * (bound + 1), hom["span_rows"]
+        ker = kernel_basis(ring, hom["syz_rows"], ncols)
+        rhs_list = [kv + [ring.zero] * (len(span_rows) - ncols) for kv in ker]
+        flags = consistent_many(ring, span_rows, len(span_rows[0]), rhs_list)
+        total = len(ker)
+        failures = [[ring.format_elem(c) for c in kv] for kv, flag in zip(ker, flags) if not flag]
     return {
         "injective_kernel_dimension": kernel_dim,
         "covered_homs": total - len(failures),
@@ -301,64 +312,48 @@ def dual_quotient_iso(dp, hom):
     }
 
 
-def two_periodic_exactness(mf, bound, cushion=2, transposed=False):
+def two_periodic_exactness(mf, bound, *, transposed=False):
     """Degreewise exactness of ... -> E -alpha-> E -beta-> E -> ...
 
-    At each of the two positions, every kernel element of canonical degree
-    <= bound must be the image of an element of degree <= bound + cushion.
-    alpha and beta are built once each, at bound + cushion; the kernel
-    matrix K at `bound` is the leading 4*(bound + 3) rows by 4*(bound + 1)
-    columns of one, and `mul_columns` checks the same degree inequality
-    (top <= 2) at both bounds, so the cut hides no overflow.  The image map
-    B is the other, whole; in the degree-major layout of `_block_columns`
-    its first 4*(bound + 1) rows hold degree <= bound, and B_high is the
-    rest.
+    Every kernel element of canonical degree <= bound, at either position,
+    is the image of one of degree <= bound, by Eisenbud's lift (*Homological
+    algebra on a complete intersection*, 1980).  Let v of degree <= bound
+    lie in ker alpha.  Then phi*lift(v) = x*w in A[X, Y]^2, and x*lift(v) =
+    psi*phi*lift(v) = x*psi*w, so lift(v) = psi*w, as x is monic in X and
+    hence a non-zero-divisor: v = beta(w).  phi has entries of degree <= 1
+    and lift(v) has X-degree <= 1, so w is the X^2 coefficient of
+    phi*lift(v), of degree <= deg v.  The same holds at beta, and for the
+    transposes, whose products are those of the pair transposed.
 
-    A position is certified by `_dimensions`.  Its images of degree <= bound
-    lie in ker K: ``build_factorization``, the only constructor of
-    ``MatFact``, certified phi*psi = psi*phi = x*I, and ``compositions_ok``
-    says x reduces to zero.  Only when the counts differ, or the
-    compositions fail, does `_uncovered` test each kernel element for a
-    preimage; one without is reported, as its coordinate vector in the
-    degree-major layout, as a counterexample candidate (a larger cushion may
-    be needed).
+    The hypotheses are exact facts.  x is monic of X-degree 2, since
+    ``dp.reduce(dp.relation)`` divides by it and `MPoly.divide` refuses a
+    relation whose lex-leading term is not 1*X^2; x reduces to 0
+    (``compositions_ok``); `_lift_failures` names any failure of
+    phi*psi = psi*phi = x*I or of the entry degrees.  Each position's kernel
+    dimension is 4*(bound + 1) minus one rank, of the map at `bound` into
+    degree <= bound + 2; it is covered whole when the hypotheses hold, and
+    ``covered`` is 0, with the failures named, when one fails.
     """
     dp = mf.dp
     ring = dp.ring
     if not ring.is_field:
         raise ValueError("the exactness check needs field coefficients")
-    if cushion < 1:
-        raise ValueError("cushion must be >= 1")
-    comp_ok = dp.reduce(dp.relation).is_zero
+    reduced = dp.reduce(dp.relation)
+    failures = _lift_failures(dp, mf.phi, mf.psi)
+    if not reduced.is_zero:
+        failures.append(f"x reduces to {reduced}, not 0")
 
     alpha, beta = mf.alpha, mf.beta
     if transposed:
         alpha, beta = mat_transpose(alpha), mat_transpose(beta)
-
-    record = {"ok": comp_ok, "compositions_ok": comp_ok, "positions": {}}
-    src_bound = bound + cushion
-    alpha_rows, beta_rows = (
-        _dense_rows(ring, _block_columns(mat, src_bound, src_bound + 2), 4 * (src_bound + 3))
-        for mat in (alpha, beta)
-    )
     ncols = 4 * (bound + 1)
-    for name, k_rows, img_rows in (("at_alpha", alpha_rows, beta_rows), ("at_beta", beta_rows, alpha_rows)):
-        k_cut = [row[:ncols] for row in k_rows[: 4 * (bound + 3)]]
-        if comp_ok:
-            kernel_dim, image_dim = _dimensions(ring, k_cut, ncols, img_rows)
-            if kernel_dim == image_dim:
-                record["positions"][name] = {"kernel_dimension": kernel_dim, "covered": kernel_dim, "failures": []}
-                continue
-        ker, uncovered = _uncovered(ring, k_cut, ncols, img_rows)
-        failures = [
-            "no preimage within cushion for kernel element "
-            f"[{', '.join(ring.format_elem(c) for c in kv)}]; a larger cushion may be needed"
-            for kv in uncovered
-        ]
-        record["positions"][name] = {
-            "kernel_dimension": len(ker),
-            "covered": len(ker) - len(failures),
-            "failures": failures,
+    positions = {}
+    for name, mat in (("at_alpha", alpha), ("at_beta", beta)):
+        rows = _dense_rows(ring, _block_columns(mat, bound, bound + 2), 4 * (bound + 3))
+        kernel_dim = ncols - rank(ring, rows, ncols)
+        positions[name] = {
+            "kernel_dimension": kernel_dim,
+            "covered": 0 if failures else kernel_dim,
+            "failures": list(failures),
         }
-        record["ok"] = record["ok"] and not failures
-    return record
+    return {"ok": not failures, "compositions_ok": reduced.is_zero, "positions": positions}

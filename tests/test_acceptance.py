@@ -201,7 +201,7 @@ def test_criterion_5_duality_suite():
 
 
 def test_criterion_6_exactness_suite():
-    with criterion(6, "two-periodic exactness at bound 6, cushion 2, compositions exact"):
+    with criterion(6, "two-periodic exactness at bound 6 by the lift, compositions exact"):
         rng = random.Random(606)
         cases = []
         for k in range(10):
@@ -216,7 +216,7 @@ def test_criterion_6_exactness_suite():
         assert any(not (s.is_zero and t.is_zero) for _, _, _, s, t in cases)
         for ring, g, d, s, t in cases:
             dp = DPRing(ring, QuadForm.make(ring, g, d), s, t, degree_bound=16)
-            rec = two_periodic_exactness(build_factorization(dp), 6, 2)
+            rec = two_periodic_exactness(build_factorization(dp), 6)
             assert rec["compositions_ok"]
             assert rec["ok"]
             for pos in rec["positions"].values():

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -209,14 +210,14 @@ class TestQuotientIso:
 class TestExactness:
     def test_origin_f5(self):
         dp = dp_ring(F5, 1, 0, 0, 0, bound=14)
-        rec = two_periodic_exactness(build_factorization(dp), 6, 2)
+        rec = two_periodic_exactness(build_factorization(dp), 6)
         assert rec["ok"] and rec["compositions_ok"]
         for pos in rec["positions"].values():
             assert pos["kernel_dimension"] == pos["covered"] > 0
 
     def test_deformed_f7(self):
         dp = dp_ring(F7, 3, 2, 1, 1, bound=14)
-        rec = two_periodic_exactness(build_factorization(dp), 5, 2)
+        rec = two_periodic_exactness(build_factorization(dp), 5)
         assert rec["ok"]
 
     def test_transposed_rows(self, rng):
@@ -224,7 +225,13 @@ class TestExactness:
             g, d = random_unit_disc(F5, rng)
             dp = DPRing(F5, QuadForm.make(F5, g, d), F5.random_element(rng), F5.random_element(rng), degree_bound=14)
             m = build_factorization(dp)
-            assert two_periodic_exactness(m, 4, 2, transposed=True)["ok"]
+            assert two_periodic_exactness(m, 4, transposed=True)["ok"]
+
+    def test_cushion_is_keyword_free(self):
+        m = build_factorization(dp_ring(F5, 1, 0, 0, 0, bound=14))
+        # a stale positional cushion must not be read as `transposed`
+        with pytest.raises(TypeError):
+            two_periodic_exactness(m, 4, 2)
 
     def test_composition_vanishes_in_quotient(self):
         dp = dp_ring(F5, 1, 0, 2, 3)
@@ -241,14 +248,14 @@ def test_epair_arithmetic_through_matrices():
 
 
 def _uncovered_once(monkeypatch):
-    """Make every rank count fall short by one, so that each coverage
-    certificate takes the per-vector route; make the first right-hand side
-    of every coverage check there uncovered, and record the kernels that
-    route computes."""
+    """Make every rank count fall short by one, so that the hom and span
+    counts differ and the quotient isomorphism takes the per-vector route;
+    make the first right-hand side of every coverage check there uncovered,
+    and record the kernels that route computes."""
     kernels = []
 
     def short_rank(ring, rows, ncols):
-        # ncols - rank(K) gains one, rank(B) - rank(B_high) is unchanged
+        # ncols - rank(syzygy map) gains one, rank(span) - rank(span_high) is unchanged
         return rank(ring, rows, ncols) - 1
 
     def recording_kernel(ring, rows, ncols):
@@ -268,36 +275,84 @@ def _named(ring, kv):
     return f"[{', '.join(ring.format_elem(c) for c in kv)}]"
 
 
-def test_exactness_failure_names_the_uncovered_kernel_element(monkeypatch):
-    dp = dp_ring(F5, 1, 0, 0, 0, bound=14)
-    m = build_factorization(dp)
-    kernels = _uncovered_once(monkeypatch)
-    rec = two_periodic_exactness(m, 3, 2)
-    assert not rec["ok"] and rec["compositions_ok"]
-    for (name, pos), ker in zip(rec["positions"].items(), kernels):
-        assert pos["covered"] == pos["kernel_dimension"] - 1, name
-        (failure,) = pos["failures"]
-        assert _named(F5, ker[0]) in failure
-        assert "a larger cushion may be needed" in failure
+def _perturbed(m, name, i, j, delta):
+    """`m` with `delta` added to entry (i, j) of its matrix `name`."""
+    mat = [list(row) for row in getattr(m, name)]
+    mat[i][j] = mat[i][j] + delta
+    return dataclasses.replace(m, **{name: tuple(map(tuple, mat))})
 
 
-def test_exactness_counterexample_in_the_cli_report(monkeypatch):
-    kernels = _uncovered_once(monkeypatch)
-    report = cli.run(cli.RunConfig(subcommand="exactness", ring="fp:5", gamma="1", delta="0"))
+def test_a_perturbed_phi_entry_fails_exactness_and_names_phi_psi():
+    dp = dp_ring(F7, 3, 2, 1, 4, bound=20)
+    m = _perturbed(build_factorization(dp), "phi", 0, 0, MPoly.const(F7, 2, 1))
+    for transposed in (False, True):
+        rec = two_periodic_exactness(m, 5, transposed=transposed)
+        assert not rec["ok"] and rec["compositions_ok"]
+        # phi*psi gains psi's first row in its first row; psi*phi gains psi's first column
+        assert rec["positions"]["at_alpha"]["failures"] == [
+            "phi*psi = x*I fails at entry (0, 0), off by 3+Y",
+            "phi*psi = x*I fails at entry (0, 1), off by 1+6*X",
+            "psi*phi = x*I fails at entry (0, 0), off by 3+Y",
+            "psi*phi = x*I fails at entry (1, 0), off by 6+X",
+        ]
+        # the kernels are still counted, on the perturbed maps, and none is covered
+        reference = _per_vector_exactness(m, 5, 1, transposed)
+        for name, pos in rec["positions"].items():
+            assert pos["kernel_dimension"] == reference[name]["kernel_dimension"]
+            assert pos["covered"] == 0
+        # the fault is real: the per-vector route finds kernel elements with no preimage
+        assert reference["at_beta"]["covered"] < reference["at_beta"]["kernel_dimension"]
+
+
+def test_a_perturbed_phi_entry_is_the_exactness_counterexample_in_the_cli_report(monkeypatch):
+    real = build_factorization
+    monkeypatch.setattr(cli.mf, "build_factorization", lambda dp: _perturbed(real(dp), "phi", 1, 1, MPoly.var(dp.ring, 2, 0)))
+    report = cli.run(cli.RunConfig(subcommand="exactness", ring="fp:7", gamma="3", delta="2", s="1", t="4"))
+    for r in report.records:
+        assert not r.passed
+        assert r.counterexample == "phi*psi = x*I fails at entry (1, 0), off by 6*X+X^2"
+        assert r.details["at_alpha_covered"] == r.details["at_beta_covered"] == 0
+    assert "off by 6*X+X^2" in report.to_json()
+
+
+def test_a_relation_with_x_squared_coefficient_2_fails_exactness_and_names_the_lead_term(monkeypatch):
+    real = build_factorization
+
+    def doubled_lead(dp):
+        m = real(dp)
+        dp.relation = dp.relation + MPoly.var(dp.ring, 2, 0, 2)
+        return m
+
+    monkeypatch.setattr(cli.mf, "build_factorization", doubled_lead)
+    report = cli.run(cli.RunConfig(subcommand="exactness", ring="fp:7", gamma="3", delta="2", s="1", t="4"))
     records = {r.name: r for r in report.records}
-    ring = PrimeField(5)
-    # each check runs both positions; the report keeps the at_beta failure
-    for name, ker in (("exactness.periodic", kernels[1]), ("exactness.transposed", kernels[3])):
+    for name in ("exactness.periodic", "exactness.transposed"):
         assert not records[name].passed
-        assert _named(ring, ker[0]) in records[name].counterexample
-    assert _named(ring, kernels[1][0]) in report.to_json()
+        assert records[name].counterexample == "ValueError: the relation's lex-leading term is not 1 * x^(2, 0)"
+
+
+def test_an_entry_of_degree_2_fails_exactness_and_names_the_degree():
+    dp = dp_ring(F7, 3, 2, 1, 4, bound=20)
+    # Y^2 keeps the map within degree bound + 2, so the kernels are still counted
+    m = _perturbed(build_factorization(dp), "psi", 1, 0, MPoly.var(F7, 2, 1, 2))
+    rec = two_periodic_exactness(m, 4)
+    assert not rec["ok"] and rec["compositions_ok"]
+    for pos in rec["positions"].values():
+        assert pos["failures"][0] == "psi entry (1, 0) has total degree 2 > 1"
+        assert any(f.startswith("phi*psi = x*I fails at entry (1, 0)") for f in pos["failures"])
+        assert pos["covered"] == 0
 
 
 def test_quotient_iso_counterexample_names_the_uncovered_hom(monkeypatch):
     kernels = _uncovered_once(monkeypatch)
     report = cli.run(cli.RunConfig(subcommand="dual", ring="fp:5", gamma="1", delta="0", degree_bound=6))
     records = {r.name: r for r in report.records}
-    assert not records["dual.hom-space"].passed
+    hom = records["dual.hom-space"]
+    assert not hom.passed
+    assert hom.counterexample == (
+        f"hom_dimension {hom.details['hom_dimension']} != span_dimension {hom.details['span_dimension']}"
+    )
+    assert hom.details["hom_dimension"] == hom.details["span_dimension"] + 1
     (homs,) = kernels
     rec = records["dual.quotient-iso"]
     assert not rec.passed
@@ -319,13 +374,17 @@ def test_a_failed_overlap_identity_takes_the_per_vector_route(monkeypatch):
     records = {r.name: r for r in report.records}
     hom = records["dual.hom-space"]
     assert not hom.passed and hom.details["hom_dimension"] == hom.details["span_dimension"]
+    # the overlap identity is off by (v-t)*1, and the report says so
+    dp = dp_ring(F7, 3, 2, 1, 4, bound=20)
+    assert hom.counterexample == f"(v-t)*eps(u-s) = (u-s)*eps(v-t) fails, off by {dp.v - dp.const(dp.t)}"
+    assert hom.counterexample.endswith("off by 3+Y")
     iso = records["dual.quotient-iso"]
     assert not iso.passed and iso.details["covered_homs"] < iso.details["total_homs"]
     assert iso.details["injective_kernel_dimension"] == 0
     # three ranks for the hom space, then injectivity and the per-vector route
     assert [c[0] for c in calls] == ["rank"] * 4 + ["kernel_basis", "consistent_many"]
-    dp = dp_ring(F7, 3, 2, 1, 4, bound=20)
-    assert not hom_pair_space(dp, 6)["span_inside_homs"]
+    rec = hom_pair_space(dp, 6)
+    assert not rec["span_inside_homs"] and rec["failures"] == [hom.counterexample]
 
 
 def test_alpha_and_beta_are_reduced_once_per_factorization(monkeypatch):
@@ -365,22 +424,16 @@ def _columns_to_rows(cols):
     return [list(row) for row in zip(*cols)] if cols else []
 
 
-def _ref_exactness_calls(m, bound, cushion, transposed):
+def _ref_exactness_calls(m, bound, transposed):
+    """One rank per position: of alpha, then beta, on degree <= bound into degree <= bound + 2."""
     dp = m.dp
-    ring = dp.ring
     alpha, beta = m.alpha, m.beta
     if transposed:
         alpha, beta = mat_transpose(alpha), mat_transpose(beta)
     calls = []
-    for kmat, imat in ((alpha, beta), (beta, alpha)):
+    for kmat in (alpha, beta):
         cols = [_pair_vec(_apply_mat(kmat, b), bound + 2) for b in _pair_basis(dp, bound)]
         calls.append(("rank", _columns_to_rows(cols), len(cols)))
-        src_bound = bound + cushion
-        img_cols = [_pair_vec(_apply_mat(imat, b), src_bound + 2) for b in _pair_basis(dp, src_bound)]
-        img_rows = _columns_to_rows(img_cols)
-        calls.append(("rank", img_rows, len(img_cols)))
-        # the rows of canonical degree > bound: row 2*(2k + x) + r holds degree k
-        calls.append(("rank", [row for i, row in enumerate(img_rows) if i // 4 > bound], len(img_cols)))
     return calls
 
 
@@ -472,12 +525,11 @@ def test_closed_form_matrices_match_the_dpelem_route(monkeypatch, descriptor, co
     m = build_factorization(dp)
     calls = _recording(monkeypatch)
     for bound in range(1, 9):
-        cushion = 1 + bound % 3
         for transposed in (False, True):
             calls.clear()
-            rec = two_periodic_exactness(m, bound, cushion, transposed=transposed)
+            rec = two_periodic_exactness(m, bound, transposed=transposed)
             assert rec["ok"]
-            _assert_same_calls(ring, calls, _ref_exactness_calls(m, bound, cushion, transposed))
+            _assert_same_calls(ring, calls, _ref_exactness_calls(m, bound, transposed))
         calls.clear()
         rec = hom_pair_space(dp, bound)
         assert rec["ok"]
@@ -546,6 +598,41 @@ def test_block_columns_at_a_smaller_bound_are_the_leading_columns(descriptor, se
     assert all(i < 2 * n * (small + 3) for col in cols for i in col)
 
 
+LIFT_CASES = {
+    "fp:7": ((3, 2, 1, 4), 6),
+    "q": ((Fraction(3, 7), Fraction(5, 11), Fraction(1, 2), 4), 8),
+    "fp:101": ((37, 5, 17, 88), 10),
+}
+
+
+@pytest.mark.parametrize("descriptor", sorted(LIFT_CASES))
+def test_the_lift_formula_gives_preimages_of_the_reference_kernels(descriptor):
+    """Eisenbud's lift on each vector v of a kernel basis of alpha: phi*lift(v)
+    is x*w exactly, for w its X^2 coefficient, of Y-degree <= deg v, and
+    beta(w) = v in R; likewise at beta, and for the transposes."""
+    ring = make_ring(descriptor)
+    coeffs, bound = LIFT_CASES[descriptor]
+    g, d, s, t = (ring.from_fraction(Fraction(c)) for c in coeffs)
+    dp = dp_ring(ring, g, d, s, t, bound=bound + 4)
+    m = build_factorization(dp)
+    basis = _pair_basis(dp, bound)
+    checked = 0
+    for transposed in (False, True):
+        phi, psi = (mat_transpose(a) if transposed else a for a in (m.phi, m.psi))
+        for kmat, other in ((phi, psi), (psi, phi)):
+            cols = [_pair_vec(_apply_mat(mat_map(kmat, dp.reduce), b), bound + 2) for b in basis]
+            for kv in kernel_basis(ring, _columns_to_rows(cols), len(cols)):
+                v = tuple(sum((c * b[r] for c, b in zip(kv, basis)), dp.zero) for r in (0, 1))
+                image = _apply_mat(kmat, tuple(e.expand() for e in v))
+                w = tuple(MPoly(ring, 2, {(0, j): c for (i, j), c in p.terms.items() if i == 2}) for p in image)
+                assert image == tuple(dp.relation * part for part in w)
+                assert max(j for part in w for _, j in part.terms) <= max(e.degree() for e in v if not e.is_zero)
+                assert tuple(map(dp.reduce, _apply_mat(other, w))) == v
+                checked += 1
+    # 2*bound kernel vectors at each position, in each orientation
+    assert checked == 8 * bound
+
+
 def test_exactness_builds_each_map_once(monkeypatch):
     dp = dp_ring(F7, 3, 2, 1, 4, bound=20)
     m = build_factorization(dp)
@@ -553,14 +640,15 @@ def test_exactness_builds_each_map_once(monkeypatch):
     monkeypatch.setattr(mf_module, "_block_columns", lambda *args: calls.append(args[1:]) or real(*args))
     for transposed in (False, True):
         calls.clear()
-        assert two_periodic_exactness(m, 5, 3, transposed=transposed)["ok"]
-        assert calls == [(8, 10), (8, 10)]
+        assert two_periodic_exactness(m, 5, transposed=transposed)["ok"]
+        assert calls == [(5, 7), (5, 7)]
 
 
 def _per_vector_exactness(m, bound, cushion, transposed):
     """The positions record of the exactness check by a kernel basis and one
-    coverage test per kernel vector, on the matrices `two_periodic_exactness`
-    builds."""
+    coverage test per kernel vector: each kernel element of degree <= bound
+    needs a preimage of degree <= bound + cushion.  The kernel maps are the
+    leading blocks of the maps at bound + cushion."""
     ring = m.dp.ring
     alpha, beta = m.alpha, m.beta
     if transposed:
@@ -582,7 +670,7 @@ def _per_vector_exactness(m, bound, cushion, transposed):
 
 @settings(max_examples=30, deadline=None)
 @given(
-    descriptor=st.sampled_from(["fp:7", "q"]),
+    descriptor=st.sampled_from(["fp:2", "fp:3", "fp:7", "q"]),
     seed=st.integers(0, 10**6),
     bound=st.integers(1, 8),
     cushion=st.integers(1, 3),
@@ -597,12 +685,12 @@ def test_rank_count_matches_the_per_vector_route(descriptor, seed, bound, cushio
     expected = _per_vector_exactness(m, bound, cushion, transposed)
     with pytest.MonkeyPatch.context() as mp:
         calls = _recording(mp)
-        rec = two_periodic_exactness(m, bound, cushion, transposed=transposed)
-    assert [c[0] for c in calls] == ["rank"] * 6
+        rec = two_periodic_exactness(m, bound, transposed=transposed)
+    assert [c[0] for c in calls] == ["rank"] * 2
     assert rec["ok"] and rec["positions"] == expected
 
 
-def test_failed_compositions_take_the_per_vector_route(monkeypatch):
+def test_failed_compositions_keep_the_counted_kernels_and_cover_none(monkeypatch):
     dp = dp_ring(F7, 3, 2, 1, 4, bound=20)
     m = build_factorization(dp)
     m.alpha, m.beta  # reduced while the relation still reduces to zero
@@ -610,10 +698,16 @@ def test_failed_compositions_take_the_per_vector_route(monkeypatch):
     perturbed = dp.relation + MPoly.const(F7, 2, 1)
     monkeypatch.setattr(DPRing, "reduce", lambda self, poly: real(self, perturbed if poly == self.relation else poly))
     calls = _recording(monkeypatch)
-    rec = two_periodic_exactness(m, 5, 2)
+    rec = two_periodic_exactness(m, 5)
     assert not rec["compositions_ok"] and not rec["ok"]
-    assert [c[0] for c in calls] == ["kernel_basis", "consistent_many"] * 2
-    assert rec["positions"] == _per_vector_exactness(m, 5, 2, False)
+    assert [c[0] for c in calls] == ["rank"] * 2
+    reference = _per_vector_exactness(m, 5, 2, False)
+    for name, pos in rec["positions"].items():
+        assert pos == {
+            "kernel_dimension": reference[name]["kernel_dimension"],
+            "covered": 0,
+            "failures": ["x reduces to 1, not 0"],
+        }
 
 
 def _per_vector_dual(dp, bound):
