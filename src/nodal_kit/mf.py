@@ -62,6 +62,26 @@ class MatFact:
     def beta(self):
         return mat_map(self.psi, self.dp.reduce)
 
+    @cached_property
+    def lift_failures(self):
+        """The hypotheses of the lift in `two_periodic_exactness` that fail,
+        named, once per factorization: entries of total degree <= 1, and
+        phi*psi = psi*phi = x*I in A[X, Y] for x = ``dp.relation``."""
+        failures = [
+            f"{name} entry ({i}, {j}) has total degree {deg} > 1"
+            for name, mat in (("phi", self.phi), ("psi", self.psi))
+            for i, row in enumerate(mat)
+            for j, entry in enumerate(row)
+            if (deg := max(map(sum, entry.terms), default=0)) > 1
+        ]
+        for name, prod in (("phi*psi", mat_mul(self.phi, self.psi)), ("psi*phi", mat_mul(self.psi, self.phi))):
+            for i, row in enumerate(prod):
+                for j, entry in enumerate(row):
+                    diff = entry - self.dp.relation if i == j else entry
+                    if not diff.is_zero:
+                        failures.append(f"{name} = x*I fails at entry ({i}, {j}), off by {diff.format(('X', 'Y'))}")
+        return failures
+
 
 def build_factorization(dp):
     """Construct (phi, psi, pairing, witnesses) and verify all identities.
@@ -92,12 +112,6 @@ def build_factorization(dp):
         (P({}), P({(0, 0): -ring.one})),
         (P({(0, 0): ring.one}), P({})),
     )
-    if failures := _lift_failures(dp, phi, psi):
-        raise FactorizationError("; ".join(failures))
-    if mat_mul(pairing, psi) != mat_mul(mat_transpose(phi), pairing):
-        raise FactorizationError("pairing conjugation of psi failed")
-    if mat_mul(pairing, phi) != mat_mul(mat_transpose(psi), pairing):
-        raise FactorizationError("pairing conjugation of phi failed")
     j_witness = (
         (P({}), P({(0, 0): -ring.one})),
         (P({(0, 1): -ring.one, (0, 0): t}), P({(1, 0): ring.one, (0, 0): s + g * t})),
@@ -106,27 +120,14 @@ def build_factorization(dp):
         (P({(0, 0): ring.one}), P({})),
         (P({(1, 0): -ring.one, (0, 0): s}), P({(0, 1): ring.one, (0, 0): -t})),
     )
-    return MatFact(dp, phi, psi, pairing, j_witness, k_witness)
-
-
-def _lift_failures(dp, phi, psi):
-    """The hypotheses of the lift in `two_periodic_exactness` that fail, named:
-    entries of total degree <= 1, and phi*psi = psi*phi = x*I in A[X, Y] for
-    x = ``dp.relation``.  Each failure names its matrix and entry."""
-    failures = [
-        f"{name} entry ({i}, {j}) has total degree {deg} > 1"
-        for name, mat in (("phi", phi), ("psi", psi))
-        for i, row in enumerate(mat)
-        for j, entry in enumerate(row)
-        if (deg := max(map(sum, entry.terms), default=0)) > 1
-    ]
-    for name, prod in (("phi*psi", mat_mul(phi, psi)), ("psi*phi", mat_mul(psi, phi))):
-        for i, row in enumerate(prod):
-            for j, entry in enumerate(row):
-                diff = entry - dp.relation if i == j else entry
-                if not diff.is_zero:
-                    failures.append(f"{name} = x*I fails at entry ({i}, {j}), off by {diff.format(('X', 'Y'))}")
-    return failures
+    mf = MatFact(dp, phi, psi, pairing, j_witness, k_witness)
+    if mf.lift_failures:
+        raise FactorizationError("; ".join(mf.lift_failures))
+    if mat_mul(pairing, psi) != mat_mul(mat_transpose(phi), pairing):
+        raise FactorizationError("pairing conjugation of psi failed")
+    if mat_mul(pairing, phi) != mat_mul(mat_transpose(psi), pairing):
+        raise FactorizationError("pairing conjugation of phi failed")
+    return mf
 
 
 def ideal_j_generators(dp):
@@ -328,7 +329,7 @@ def two_periodic_exactness(mf, bound, *, transposed=False):
     The hypotheses are exact facts.  x is monic of X-degree 2, since
     ``dp.reduce(dp.relation)`` divides by it and `MPoly.divide` refuses a
     relation whose lex-leading term is not 1*X^2; x reduces to 0
-    (``compositions_ok``); `_lift_failures` names any failure of
+    (``compositions_ok``); ``mf.lift_failures`` names any failure of
     phi*psi = psi*phi = x*I or of the entry degrees.  Each position's kernel
     dimension is 4*(bound + 1) minus one rank, of the map at `bound` into
     degree <= bound + 2; it is covered whole when the hypotheses hold, and
@@ -339,7 +340,7 @@ def two_periodic_exactness(mf, bound, *, transposed=False):
     if not ring.is_field:
         raise ValueError("the exactness check needs field coefficients")
     reduced = dp.reduce(dp.relation)
-    failures = _lift_failures(dp, mf.phi, mf.psi)
+    failures = list(mf.lift_failures)
     if not reduced.is_zero:
         failures.append(f"x reduces to {reduced}, not 0")
 

@@ -227,7 +227,7 @@ class TestExactness:
             m = build_factorization(dp)
             assert two_periodic_exactness(m, 4, transposed=True)["ok"]
 
-    def test_cushion_is_keyword_free(self):
+    def test_a_positional_third_argument_raises(self):
         m = build_factorization(dp_ring(F5, 1, 0, 0, 0, bound=14))
         # a stale positional cushion must not be read as `transposed`
         with pytest.raises(TypeError):
@@ -306,7 +306,12 @@ def test_a_perturbed_phi_entry_fails_exactness_and_names_phi_psi():
 
 def test_a_perturbed_phi_entry_is_the_exactness_counterexample_in_the_cli_report(monkeypatch):
     real = build_factorization
-    monkeypatch.setattr(cli.mf, "build_factorization", lambda dp: _perturbed(real(dp), "phi", 1, 1, MPoly.var(dp.ring, 2, 0)))
+
+    def perturbed(dp):
+        # phi*psi gains X*(X - s) at entry (1, 0)
+        return _perturbed(real(dp), "phi", 1, 1, MPoly.var(dp.ring, 2, 0))
+
+    monkeypatch.setattr(cli.mf, "build_factorization", perturbed)
     report = cli.run(cli.RunConfig(subcommand="exactness", ring="fp:7", gamma="3", delta="2", s="1", t="4"))
     for r in report.records:
         assert not r.passed
