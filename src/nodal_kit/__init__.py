@@ -30,7 +30,6 @@ from .dp_ring import (
     DegreeOverflowError,
     DPElem,
     DPRing,
-    v_shift_nonzerodivisor,
     x_power_decompositions,
 )
 from .mf import (

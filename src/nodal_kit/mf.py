@@ -5,8 +5,9 @@ Over R = A[X,Y]/(q(X,Y) - q(s,t)) with unit discriminant, the pair
 x = q(X,Y) - q(s,t), giving a 2-periodic resolution on E = R (+) R.  This
 module builds the matrices, verifies the construction identities, realizes
 the dual of the marked-point ideal J = (u-s, v-t) through the fractional
-multiplier (u+s+gamma*t)/(v-t), certifies exactness by Eisenbud's lift, and
-checks the quotient isomorphism by exact linear algebra.
+multiplier (u+s+gamma*t)/(v-t), certifies exactness by Eisenbud's lift and
+counts its kernels by column degrees, and checks the quotient isomorphism by
+exact linear algebra on the hom space and by a degree argument on injectivity.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .dp_ring import DPRing, mul_columns, v_shift_nonzerodivisor
+from .dp_ring import DPRing, mul_columns
 from .linalg import _dense_rows, consistent_many, kernel_basis, rank
 from .mpoly import MPoly
 from .normal_form import DegenerateFormError
@@ -176,13 +177,23 @@ def _block_columns(mat, bound, out_bound):
     ]
 
 
+def _nzd_failure(j2):
+    """Why v - t, given as `j2`, is not certified a non-zero-divisor, or None.
+    R is free over A[Y] on 1 and X, and a monic polynomial in Y multiplies
+    both coordinates keeping their leading coefficients: it is injective."""
+    if j2.gc or len(j2.fc) != 2 or not (j2.fc[1] - j2.dp.ring.one).is_zero:
+        return f"v-t = {j2} is not monic of Y-degree 1 with no X part"
+    return None
+
+
 def witness_identities(mf):
-    """Check the witness-matrix identities and the injectivity certificate.
+    """Check the witness-matrix identities and the non-zero-divisor v - t.
 
     j_witness * alpha = [[u-s, -(v-t)], [0, 0]] and
     k_witness * beta  = [[v-t, -(u+s+gamma*t)], [0, 0]] as canonical forms;
     both witnesses have determinant +-(v-t), so they are injective wherever
-    v - t is a non-zero-divisor.
+    v - t is a non-zero-divisor, as `_nzd_failure` decides in closed form;
+    over a field ``nzd_kernel_dimension`` is then 0, and None if it fails.
     """
     dp = mf.dp
     j1, j2 = ideal_j_generators(dp)
@@ -206,13 +217,12 @@ def witness_identities(mf):
         failures.append("det(j_witness)")
     if det_k != j2:
         failures.append("det(k_witness)")
+    nzd = _nzd_failure(j2)
+    if nzd:
+        failures.append(nzd)
     record = {"ok": not failures, "failures": failures}
     if dp.ring.is_field:
-        nzd = v_shift_nonzerodivisor(dp, min(dp.degree_bound - 1, 8))
-        record["nzd_kernel_dimension"] = nzd["kernel_dimension"]
-        record["ok"] = record["ok"] and nzd["ok"]
-        if not nzd["ok"]:
-            failures.append("v-t non-zero-divisor")
+        record["nzd_kernel_dimension"] = None if nzd else 0
     return record
 
 
@@ -274,87 +284,101 @@ def hom_pair_space(dp, bound):
 def dual_quotient_iso(dp, hom):
     """The base ring maps isomorphically onto duals-mod-R via the fractional class.
 
-    Injectivity: r*(u+s+gamma*t) = (v-t)*h forces r = 0 (kernel of the
-    combined linear system is trivial).  Surjectivity: every truncated hom is
-    rho*(multiplication) + c*(fractional action) with rho in R and c scalar.
-    ``hom`` is the record of ``hom_pair_space(dp, bound)``: when it passed,
-    every hom is covered; otherwise a kernel basis of the syzygy map and one
-    coverage test per basis vector name the homs outside the span.
+    Injectivity, in closed form: if r*(u+s+gamma*t) = (v-t)*h for a scalar r
+    and h = f + X*g, the X parts give r*c = (Y-t)*g, c the nonzero constant
+    X part of u+s+gamma*t, so g = 0 and r = 0 by degree, and h = 0 as v - t
+    is a non-zero-divisor (`_nzd_failure`).  Surjectivity: every truncated
+    hom is rho*(multiplication) + c*(fractional action) with rho in R and c
+    scalar.  ``hom`` is the record of ``hom_pair_space(dp, bound)``: when it
+    passed, every hom is covered; otherwise a kernel basis of the syzygy map
+    and one coverage test per basis vector name the homs outside the span.
     """
     ring = dp.ring
     if not ring.is_field:
         raise ValueError("the quotient-isomorphism check needs field coefficients")
     _, e2 = dual_generator_images(dp)
     _, j2 = ideal_j_generators(dp)
-    bound = hom["bound"]
-
-    # injectivity: the coefficient of the scalar r, then h over the canonical
-    # basis; only the kernel's dimension is reported
-    big = bound + 3
-    cols = mul_columns(e2, 0, big)[:1] + mul_columns(-j2, bound + 2, big)
-    kernel_dim = len(cols) - rank(ring, _dense_rows(ring, cols, 2 * (big + 1)), len(cols))
+    x_part = None if len(e2.gc) == 1 else f"u+s+gamma*t = {e2} has no nonzero constant X part"
+    failures = [f for f in (_nzd_failure(j2), x_part) if f]
+    kernel_dim = None if failures else 0
 
     # surjectivity over the truncated hom space
     if hom["ok"]:
-        total, failures = hom["hom_dimension"], []
+        total, uncovered = hom["hom_dimension"], []
     else:
+        bound = hom["bound"]
         ncols, span_rows = 4 * (bound + 1), hom["span_rows"]
         ker = kernel_basis(ring, hom["syz_rows"], ncols)
         rhs_list = [kv + [ring.zero] * (len(span_rows) - ncols) for kv in ker]
         flags = consistent_many(ring, span_rows, len(span_rows[0]), rhs_list)
         total = len(ker)
-        failures = [[ring.format_elem(c) for c in kv] for kv, flag in zip(ker, flags) if not flag]
+        uncovered = [kv for kv, flag in zip(ker, flags) if not flag]
+    if uncovered:
+        first = ", ".join(ring.format_elem(c) for c in uncovered[0])
+        failures.append(f"{len(uncovered)} homs not covered, the first [{first}]")
     return {
         "injective_kernel_dimension": kernel_dim,
-        "covered_homs": total - len(failures),
+        "covered_homs": total - len(uncovered),
         "total_homs": total,
-        "ok": not kernel_dim and not failures,
+        "ok": not failures,
         "failures": failures,
     }
 
 
+def _column_leads(mat):
+    """Per column of `mat`: its canonical Y-degree d (-1 when it is zero) and
+    its Y^d and X*Y^d coefficients in each component, a vector in A^4."""
+    out = []
+    for col in zip(*mat):
+        d = max((e.degree() for e in col if not e.is_zero), default=-1)
+        out.append((d, [cs[d] if 0 <= d < len(cs) else col[0].dp.ring.zero for e in col for cs in (e.fc, e.gc)]))
+    return out
+
+
 def two_periodic_exactness(mf, bound, *, transposed=False):
-    """Degreewise exactness of ... -> E -alpha-> E -beta-> E -> ...
+    """Degreewise exactness of ... -> E -alpha-> E -beta-> E -> ..., counted by column degrees.
 
-    Every kernel element of canonical degree <= bound, at either position,
-    is the image of one of degree <= bound, by Eisenbud's lift (*Homological
-    algebra on a complete intersection*, 1980).  Let v of degree <= bound
-    lie in ker alpha.  Then phi*lift(v) = x*w in A[X, Y]^2, and x*lift(v) =
-    psi*phi*lift(v) = x*psi*w, so lift(v) = psi*w, as x is monic in X and
-    hence a non-zero-divisor: v = beta(w).  phi has entries of degree <= 1
-    and lift(v) has X-degree <= 1, so w is the X^2 coefficient of
-    phi*lift(v), of degree <= deg v.  The same holds at beta, and for the
-    transposes, whose products are those of the pair transposed.
+    By Eisenbud's lift (*Homological algebra on a complete intersection*,
+    1980), v in ker alpha is beta(w): phi*lift(v) = x*w, so x*lift(v) =
+    psi*phi*lift(v) = x*psi*w and lift(v) = psi*w, x being monic in X.  As
+    phi has entries of degree <= 1 and lift(v) = v0(Y) + X*v1(Y), w is the
+    X^2 coefficient phi_X*v1, in A[Y]^2, and a polynomial in Y keeps
+    canonical forms canonical: ker alpha = A[Y]*beta(e1) + A[Y]*beta(e2).
+    The same holds at beta and for the transposes.  With d_j the canonical
+    Y-degree of column j of the image map and l_j in A^4 its coefficients at
+    Y^d_j, independent l_1, l_2 give p1*c1 + p2*c2 the degree max(deg p_j +
+    d_j) (Forney, *Minimal bases of rational vector spaces*, 1975), so the
+    kernel's part of degree <= bound has dimension sum_j max(0, bound - d_j
+    + 1): 2*bound when delta != 0, 2*bound + 1 when delta = 0.  Nothing is
+    eliminated.
 
-    The hypotheses are exact facts.  x is monic of X-degree 2, since
-    ``dp.reduce(dp.relation)`` divides by it and `MPoly.divide` refuses a
-    relation whose lex-leading term is not 1*X^2; x reduces to 0
-    (``compositions_ok``); ``mf.lift_failures`` names any failure of
-    phi*psi = psi*phi = x*I or of the entry degrees.  Each position's kernel
-    dimension is 4*(bound + 1) minus one rank, of the map at `bound` into
-    degree <= bound + 2; it is covered whole when the hypotheses hold, and
-    ``covered`` is 0, with the failures named, when one fails.
+    The hypotheses are exact facts: x is monic of X-degree 2, since
+    `MPoly.divide` refuses any other relation in ``dp.reduce(dp.relation)``,
+    and reduces to 0 (``compositions_ok``); ``mf.lift_failures`` names any
+    failure of phi*psi = psi*phi = x*I or of the entry degrees; dependent
+    l_1, l_2 are named with their entries.  A position where one fails has
+    kernel_dimension None and covered 0, with the failures; otherwise it is
+    covered whole.
     """
     dp = mf.dp
-    ring = dp.ring
-    if not ring.is_field:
+    if not dp.ring.is_field:
         raise ValueError("the exactness check needs field coefficients")
     reduced = dp.reduce(dp.relation)
     failures = list(mf.lift_failures)
     if not reduced.is_zero:
         failures.append(f"x reduces to {reduced}, not 0")
 
-    alpha, beta = mf.alpha, mf.beta
-    if transposed:
-        alpha, beta = mat_transpose(alpha), mat_transpose(beta)
-    ncols = 4 * (bound + 1)
     positions = {}
-    for name, mat in (("at_alpha", alpha), ("at_beta", beta)):
-        rows = _dense_rows(ring, _block_columns(mat, bound, bound + 2), 4 * (bound + 3))
-        kernel_dim = ncols - rank(ring, rows, ncols)
-        positions[name] = {
-            "kernel_dimension": kernel_dim,
-            "covered": 0 if failures else kernel_dim,
-            "failures": list(failures),
-        }
-    return {"ok": not failures, "compositions_ok": reduced.is_zero, "positions": positions}
+    for name, image in (("at_alpha", "beta"), ("at_beta", "alpha")):
+        mat = getattr(mf, image)
+        if transposed:
+            mat, image = mat_transpose(mat), image + "^T"
+        (d1, l1), (d2, l2) = _column_leads(mat)
+        own = list(failures)
+        if all((l1[i] * l2[j] - l1[j] * l2[i]).is_zero for i in range(4) for j in range(i)):
+            vecs = " and ".join(f"[{', '.join(map(str, lv))}]" for lv in (l1, l2))
+            own.append(f"the leading vectors {vecs} of {image}'s columns are dependent")
+        count = None if own else sum(max(0, bound - d + 1) for d in (d1, d2))
+        positions[name] = {"kernel_dimension": count, "covered": count or 0, "failures": own}
+    ok = not any(pos["failures"] for pos in positions.values())
+    return {"ok": ok, "compositions_ok": reduced.is_zero, "positions": positions}

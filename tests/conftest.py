@@ -3,7 +3,8 @@ import random
 import pytest
 
 from nodal_kit import normal_form
-from nodal_kit.dp_ring import DegreeOverflowError
+from nodal_kit.dp_ring import DegreeOverflowError, mul_columns
+from nodal_kit.linalg import _dense_rows, rank
 from nodal_kit.rings import DualNumbers, LocalTruncation, PrimeField, Rationals
 
 
@@ -64,6 +65,17 @@ def dp_basis(dp, bound):
         power = (0,) * k + (1,)
         out += [dp.element(power, ()), dp.element((), power)]
     return out
+
+
+def mul_kernel_dimension(elem, bound):
+    """The kernel dimension of multiplication by `elem` on canonical degree
+    <= bound, read off a rank of its matrix: the route by which the
+    non-zero-divisor v - t was certified before its closed form, kept as the
+    reference for it."""
+    ring = elem.dp.ring
+    out_bound = bound + (elem.degree() or 0) + 1
+    cols = mul_columns(elem, bound, out_bound)
+    return len(cols) - rank(ring, _dense_rows(ring, cols, 2 * (out_bound + 1)), len(cols))
 
 
 def perturbed_rows(monkeypatch, row, column):

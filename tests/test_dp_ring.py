@@ -6,15 +6,15 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import dp_basis, dp_vector, random_unit_disc
+from conftest import dp_basis, dp_vector, mul_kernel_dimension, random_unit_disc
 from nodal_kit import dp_ring as dp_ring_module
 from nodal_kit.dp_ring import (
     DegreeOverflowError,
     DPRing,
     PowerIdentityError,
-    v_shift_nonzerodivisor,
     x_power_decompositions,
 )
+from nodal_kit.mf import _nzd_failure, build_factorization, witness_identities
 from nodal_kit.mpoly import MPoly
 from nodal_kit.normal_form import QuadForm
 from nodal_kit.rings import LocalTruncation, PrimeField, Rationals, make_ring
@@ -252,25 +252,33 @@ def test_mul_associative_commutative(seed):
 
 
 class TestNonZeroDivisor:
+    """v - t = Y - t is monic of Y-degree 1 with no X part, so the closed form
+    certifies it; the rank of its multiplication matrix is the reference."""
+
     def test_rational_case(self):
         dp = dp_ring(QQ, 3, 2, 1, 0)
-        rec = v_shift_nonzerodivisor(dp, 6)
-        assert rec["ok"] and rec["kernel_dimension"] == 0
+        vt = dp.v - dp.const(dp.t)
+        assert _nzd_failure(vt) is None
+        assert mul_kernel_dimension(vt, 6) == 0
 
     def test_prime_field_case(self):
         dp = dp_ring(F5, 1, 0, 0, 0)
-        rec = v_shift_nonzerodivisor(dp, 8)
-        assert rec["ok"]
+        vt = dp.v - dp.const(dp.t)
+        assert _nzd_failure(vt) is None
+        assert mul_kernel_dimension(vt, 8) == 0
 
     def test_constants(self):
         dp = dp_ring(QQ, 1, 0, 0, 0)
-        assert v_shift_nonzerodivisor(dp, 0)["ok"]
+        assert mul_kernel_dimension(dp.v, 0) == 0
+        # a constant is monic of Y-degree 0, not 1: the closed form does not take it
+        assert _nzd_failure(dp.one) == "v-t = 1 is not monic of Y-degree 1 with no X part"
 
-    def test_needs_field(self):
+    def test_over_a_truncated_base_no_field_is_needed(self):
         loc = make_ring("loc:q:s,t:3")
         dp = DPRing(loc, QuadForm.make(loc, 3, 2), loc.gens[0], loc.gens[1])
-        with pytest.raises(ValueError):
-            v_shift_nonzerodivisor(dp, 4)
+        assert _nzd_failure(dp.v - dp.const(dp.t)) is None
+        # no dimension is reported over a base that is not a field
+        assert witness_identities(build_factorization(dp)) == {"ok": True, "failures": []}
 
 
 def test_vectorize_roundtrip(rng):

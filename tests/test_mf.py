@@ -3,17 +3,17 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from conftest import dp_basis, dp_vector, random_unit_disc
+from conftest import dp_basis, dp_vector, mul_kernel_dimension, random_unit_disc
 from nodal_kit import cli
 from nodal_kit import dp_ring as dp_ring_module
+from nodal_kit import linalg
 from nodal_kit import mf as mf_module
 from nodal_kit.dp_ring import (
     DegreeOverflowError,
     DPRing,
     mul_columns,
-    v_shift_nonzerodivisor,
 )
 from nodal_kit.linalg import consistent_many, kernel_basis, rank
 from nodal_kit.mf import (
@@ -295,12 +295,11 @@ def test_a_perturbed_phi_entry_fails_exactness_and_names_phi_psi():
             "psi*phi = x*I fails at entry (0, 0), off by 3+Y",
             "psi*phi = x*I fails at entry (1, 0), off by 6+X",
         ]
-        # the kernels are still counted, on the perturbed maps, and none is covered
-        reference = _per_vector_exactness(m, 5, 1, transposed)
-        for name, pos in rec["positions"].items():
-            assert pos["kernel_dimension"] == reference[name]["kernel_dimension"]
-            assert pos["covered"] == 0
+        # no count is proved, so none is reported, and none is covered
+        for pos in rec["positions"].values():
+            assert pos["kernel_dimension"] is None and pos["covered"] == 0
         # the fault is real: the per-vector route finds kernel elements with no preimage
+        reference = _per_vector_exactness(m, 5, 1, transposed)
         assert reference["at_beta"]["covered"] < reference["at_beta"]["kernel_dimension"]
 
 
@@ -338,14 +337,31 @@ def test_a_relation_with_x_squared_coefficient_2_fails_exactness_and_names_the_l
 
 def test_an_entry_of_degree_2_fails_exactness_and_names_the_degree():
     dp = dp_ring(F7, 3, 2, 1, 4, bound=20)
-    # Y^2 keeps the map within degree bound + 2, so the kernels are still counted
     m = _perturbed(build_factorization(dp), "psi", 1, 0, MPoly.var(F7, 2, 1, 2))
     rec = two_periodic_exactness(m, 4)
     assert not rec["ok"] and rec["compositions_ok"]
     for pos in rec["positions"].values():
         assert pos["failures"][0] == "psi entry (1, 0) has total degree 2 > 1"
         assert any(f.startswith("phi*psi = x*I fails at entry (1, 0)") for f in pos["failures"])
-        assert pos["covered"] == 0
+        assert pos["kernel_dimension"] is None and pos["covered"] == 0
+
+
+def test_dependent_leading_vectors_fail_exactness_and_name_both():
+    # with delta = 0, beta's first column (Y-t, X-s) and a planted second
+    # column (2Y, gamma*X) both lead with Y in the first component
+    dp = dp_ring(F7, 3, 0, 1, 4, bound=20)
+    m = build_factorization(dp)
+    m = _perturbed(m, "psi", 0, 1, MPoly.var(F7, 2, 1) * F7(2) - m.psi[0][1])
+    rec = two_periodic_exactness(m, 5)
+    assert not rec["ok"] and rec["compositions_ok"]
+    at_alpha, at_beta = rec["positions"]["at_alpha"], rec["positions"]["at_beta"]
+    named = "the leading vectors [1, 0, 0, 0] and [2, 0, 0, 0] of beta's columns are dependent"
+    assert at_alpha["failures"][-1] == named
+    # the planted column breaks psi*phi = x*I too, and that failure is named at both positions
+    assert at_alpha["failures"][:-1] == at_beta["failures"]
+    assert at_beta["failures"] and all("= x*I fails at entry" in f for f in at_beta["failures"])
+    for pos in (at_alpha, at_beta):
+        assert pos["kernel_dimension"] is None and pos["covered"] == 0
 
 
 def test_quotient_iso_counterexample_names_the_uncovered_hom(monkeypatch):
@@ -386,8 +402,8 @@ def test_a_failed_overlap_identity_takes_the_per_vector_route(monkeypatch):
     iso = records["dual.quotient-iso"]
     assert not iso.passed and iso.details["covered_homs"] < iso.details["total_homs"]
     assert iso.details["injective_kernel_dimension"] == 0
-    # three ranks for the hom space, then injectivity and the per-vector route
-    assert [c[0] for c in calls] == ["rank"] * 4 + ["kernel_basis", "consistent_many"]
+    # three ranks for the hom space, then the per-vector route; injectivity eliminates nothing
+    assert [c[0] for c in calls] == ["rank"] * 3 + ["kernel_basis", "consistent_many"]
     rec = hom_pair_space(dp, 6)
     assert not rec["span_inside_homs"] and rec["failures"] == [hom.counterexample]
 
@@ -429,19 +445,6 @@ def _columns_to_rows(cols):
     return [list(row) for row in zip(*cols)] if cols else []
 
 
-def _ref_exactness_calls(m, bound, transposed):
-    """One rank per position: of alpha, then beta, on degree <= bound into degree <= bound + 2."""
-    dp = m.dp
-    alpha, beta = m.alpha, m.beta
-    if transposed:
-        alpha, beta = mat_transpose(alpha), mat_transpose(beta)
-    calls = []
-    for kmat in (alpha, beta):
-        cols = [_pair_vec(_apply_mat(kmat, b), bound + 2) for b in _pair_basis(dp, bound)]
-        calls.append(("rank", _columns_to_rows(cols), len(cols)))
-    return calls
-
-
 def _ref_dual_span_map(dp, bound):
     j1, j2 = ideal_j_generators(dp)
     e1, e2 = dual_generator_images(dp)
@@ -467,23 +470,9 @@ def _ref_hom_calls(dp, bound):
     ]
 
 
-def _ref_quotient_iso_calls(dp, bound):
-    """The injectivity rank only: a passing hom space covers every hom."""
-    _, e2 = dual_generator_images(dp)
-    _, j2 = ideal_j_generators(dp)
-    big = bound + 3
-    cols = [dp_vector(e2, big)] + [[-c for c in dp_vector(j2 * h, big)] for h in dp_basis(dp, bound + 2)]
-    return [("rank", _columns_to_rows(cols), len(cols))]
-
-
-def _ref_nzd_calls(dp, bound):
-    vt = dp.v - dp.const(dp.t)
-    cols = [dp_vector(vt * b, bound + 1) for b in dp_basis(dp, bound)]
-    return [("rank", _columns_to_rows(cols), len(cols))]
-
-
 def _recording(monkeypatch):
-    """Record every matrix and right-hand side the certificates hand to linalg."""
+    """Record every matrix and right-hand side the certificates hand to linalg:
+    each linalg entry point that `mf` or `dp_ring` binds is wrapped."""
     calls = []
 
     def wrap(name, fn):
@@ -493,14 +482,10 @@ def _recording(monkeypatch):
 
         return recorded
 
-    for module, name, fn in (
-        (mf_module, "kernel_basis", kernel_basis),
-        (mf_module, "consistent_many", consistent_many),
-        (mf_module, "rank", rank),
-        (dp_ring_module, "kernel_basis", kernel_basis),
-        (dp_ring_module, "rank", rank),
-    ):
-        monkeypatch.setattr(module, name, wrap(name, fn))
+    for module in (mf_module, dp_ring_module):
+        for name in ("rref", "rank", "kernel_basis", "consistent_many"):
+            if vars(module).get(name) is getattr(linalg, name):
+                monkeypatch.setattr(module, name, wrap(name, getattr(linalg, name)))
     return calls
 
 
@@ -517,6 +502,7 @@ def _assert_same_calls(ring, got, expected):
 
 COEFFICIENT_SETS = {
     "0,-1": dict(g=0, d=-1, s=0, t=0),
+    "1,0,1/2,4": dict(g=1, d=0, s=Fraction(1, 2), t=4),
     "3,2,1/2,4": dict(g=3, d=2, s=Fraction(1, 2), t=4),
 }
 
@@ -527,24 +513,82 @@ def test_closed_form_matrices_match_the_dpelem_route(monkeypatch, descriptor, co
     ring = make_ring(descriptor)
     c = COEFFICIENT_SETS[coeffs]
     dp = dp_ring(ring, c["g"], c["d"], ring.from_fraction(c["s"]), ring.from_fraction(c["t"]), bound=20)
-    m = build_factorization(dp)
     calls = _recording(monkeypatch)
     for bound in range(1, 9):
-        for transposed in (False, True):
-            calls.clear()
-            rec = two_periodic_exactness(m, bound, transposed=transposed)
-            assert rec["ok"]
-            _assert_same_calls(ring, calls, _ref_exactness_calls(m, bound, transposed))
         calls.clear()
-        rec = hom_pair_space(dp, bound)
-        assert rec["ok"]
+        assert hom_pair_space(dp, bound)["ok"]
         _assert_same_calls(ring, calls, _ref_hom_calls(dp, bound))
-        calls.clear()
-        assert dual_quotient_iso(dp, rec)["ok"]
-        _assert_same_calls(ring, calls, _ref_quotient_iso_calls(dp, bound))
-        calls.clear()
-        assert v_shift_nonzerodivisor(dp, bound)["ok"]
-        _assert_same_calls(ring, calls, _ref_nzd_calls(dp, bound))
+
+
+@pytest.mark.parametrize("descriptor", ["fp:2", "fp:3", "fp:7", "fp:101", "q"])
+def test_exactness_witnesses_and_injectivity_eliminate_nothing(monkeypatch, rng, descriptor):
+    ring = make_ring(descriptor)
+    calls = _recording(monkeypatch)
+    for g, d in ((ring.one, ring.zero), random_unit_disc(ring, rng)):
+        s, t = ring.random_element(rng), ring.random_element(rng)
+        dp = DPRing(ring, QuadForm.make(ring, g, d), s, t, degree_bound=20)
+        m = build_factorization(dp)
+        for bound in (0, 1, 6):
+            hom = hom_pair_space(dp, bound)
+            assert hom["ok"]
+            calls.clear()
+            for transposed in (False, True):
+                rec = two_periodic_exactness(m, bound, transposed=transposed)
+                assert rec["ok"]
+                assert [p["kernel_dimension"] for p in rec["positions"].values()] == [2 * bound + d.is_zero] * 2
+            wit = witness_identities(m)
+            assert wit["ok"] and wit["nzd_kernel_dimension"] == 0
+            iso = dual_quotient_iso(dp, hom)
+            assert iso["ok"] and iso["injective_kernel_dimension"] == 0
+            assert calls == []
+
+
+def _rank_injective_kernel_dimension(dp, bound):
+    """The kernel dimension of (r, h) |-> r*(u+s+gamma*t) - (v-t)*h, for a
+    scalar r and h of canonical degree <= bound + 2, read off a rank: the
+    route `dual_quotient_iso` took before its closed form, kept as the
+    reference for it."""
+    ring = dp.ring
+    _, e2 = mf_module.dual_generator_images(dp)
+    _, j2 = mf_module.ideal_j_generators(dp)
+    # degree bound + 3 holds (v-t)*h; one more holds a planted generator with an X part
+    big = bound + 4
+    cols = mul_columns(e2, 0, big)[:1] + mul_columns(-j2, bound + 2, big)
+    return len(cols) - rank(ring, mf_module._dense_rows(ring, cols, 2 * (big + 1)), len(cols))
+
+
+@pytest.mark.parametrize("coeffs", sorted(COEFFICIENT_SETS))
+@pytest.mark.parametrize("descriptor", ["fp:7", "fp:101", "q"])
+def test_the_non_zero_divisor_facts_match_the_rank_reference(descriptor, coeffs):
+    ring = make_ring(descriptor)
+    c = COEFFICIENT_SETS[coeffs]
+    dp = dp_ring(ring, c["g"], c["d"], ring.from_fraction(c["s"]), ring.from_fraction(c["t"]), bound=20)
+    m = build_factorization(dp)
+    vt = dp.v - dp.const(dp.t)
+    for bound in range(9):
+        assert witness_identities(m)["nzd_kernel_dimension"] == mul_kernel_dimension(vt, bound) == 0
+        iso = dual_quotient_iso(dp, hom_pair_space(dp, bound))
+        assert iso["injective_kernel_dimension"] == _rank_injective_kernel_dimension(dp, bound) == 0
+
+
+def test_a_planted_zero_divisor_fails_the_closed_form_and_the_rank_reference_finds_its_kernel(monkeypatch):
+    # over F_7 with gamma = 3, delta = 2 and s = t = 0, x = X^2 + 3XY + 2Y^2 = (X+Y)(X+2Y)
+    dp = dp_ring(F7, 3, 2, 0, 0, bound=20)
+    m = build_factorization(dp)
+    hom = hom_pair_space(dp, 4)
+    zd = dp.u + dp.v
+    assert (zd * (dp.u + dp.v * F7(2))).is_zero
+    real = ideal_j_generators
+    monkeypatch.setattr(mf_module, "ideal_j_generators", lambda dp: (real(dp)[0], zd))
+    named = "v-t = Y+X is not monic of Y-degree 1 with no X part"
+    wit = witness_identities(m)
+    assert not wit["ok"] and wit["failures"][-1] == named and wit["nzd_kernel_dimension"] is None
+    iso = dual_quotient_iso(dp, hom)
+    assert not iso["ok"] and iso["failures"] == [named] and iso["injective_kernel_dimension"] is None
+    for bound in range(9):
+        # the kernel is (X+2Y)*A[Y], of canonical degree >= 1
+        assert mul_kernel_dimension(zd, bound) == bound
+        assert _rank_injective_kernel_dimension(dp, bound) > 0
 
 
 @pytest.mark.parametrize("descriptor", ["fp:7", "q"])
@@ -638,15 +682,16 @@ def test_the_lift_formula_gives_preimages_of_the_reference_kernels(descriptor):
     assert checked == 8 * bound
 
 
-def test_exactness_builds_each_map_once(monkeypatch):
+def test_exactness_builds_no_map(monkeypatch):
     dp = dp_ring(F7, 3, 2, 1, 4, bound=20)
     m = build_factorization(dp)
-    real, calls = mf_module._block_columns, []
-    monkeypatch.setattr(mf_module, "_block_columns", lambda *args: calls.append(args[1:]) or real(*args))
+    calls = []
+    for name in ("_block_columns", "mul_columns", "_dense_rows"):
+        real = getattr(mf_module, name)
+        monkeypatch.setattr(mf_module, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
     for transposed in (False, True):
-        calls.clear()
         assert two_periodic_exactness(m, 5, transposed=transposed)["ok"]
-        assert calls == [(5, 7), (5, 7)]
+    assert calls == []
 
 
 def _per_vector_exactness(m, bound, cushion, transposed):
@@ -673,29 +718,43 @@ def _per_vector_exactness(m, bound, cushion, transposed):
     return positions
 
 
-@settings(max_examples=30, deadline=None)
+def _unit_disc_form(ring, rnd, form):
+    """A (gamma, delta) pair with a unit discriminant, drawn at random, or
+    with delta = 0 or gamma = 0 as `form` says."""
+    while True:
+        g, d = random_unit_disc(ring, rnd)
+        g, d = (ring.zero if form == "gamma=0" else g), (ring.zero if form == "delta=0" else d)
+        if (g * g - 4 * d).is_unit:
+            return g, d
+
+
+@settings(max_examples=40, deadline=None)
 @given(
     descriptor=st.sampled_from(["fp:2", "fp:3", "fp:7", "q"]),
+    form=st.sampled_from(["random", "delta=0", "gamma=0"]),
     seed=st.integers(0, 10**6),
-    bound=st.integers(1, 8),
+    bound=st.integers(0, 8),
     cushion=st.integers(1, 3),
     transposed=st.booleans(),
 )
-def test_rank_count_matches_the_per_vector_route(descriptor, seed, bound, cushion, transposed):
+def test_degree_count_matches_the_per_vector_route(descriptor, form, seed, bound, cushion, transposed):
+    # over F_2 the discriminant of gamma = 0 is -4*delta = 0
+    assume(not (descriptor == "fp:2" and form == "gamma=0"))
     ring = make_ring(descriptor)
     rnd = random.Random(seed)
-    g, d = random_unit_disc(ring, rnd)
+    g, d = _unit_disc_form(ring, rnd, form)
     dp = DPRing(ring, QuadForm.make(ring, g, d), ring.random_element(rnd), ring.random_element(rnd), degree_bound=20)
     m = build_factorization(dp)
     expected = _per_vector_exactness(m, bound, cushion, transposed)
     with pytest.MonkeyPatch.context() as mp:
         calls = _recording(mp)
         rec = two_periodic_exactness(m, bound, transposed=transposed)
-    assert [c[0] for c in calls] == ["rank"] * 2
+    assert calls == []
     assert rec["ok"] and rec["positions"] == expected
+    assert expected["at_alpha"]["kernel_dimension"] == 2 * bound + d.is_zero
 
 
-def test_failed_compositions_keep_the_counted_kernels_and_cover_none(monkeypatch):
+def test_failed_compositions_count_no_kernel_and_cover_none(monkeypatch):
     dp = dp_ring(F7, 3, 2, 1, 4, bound=20)
     m = build_factorization(dp)
     m.alpha, m.beta  # reduced while the relation still reduces to zero
@@ -705,14 +764,9 @@ def test_failed_compositions_keep_the_counted_kernels_and_cover_none(monkeypatch
     calls = _recording(monkeypatch)
     rec = two_periodic_exactness(m, 5)
     assert not rec["compositions_ok"] and not rec["ok"]
-    assert [c[0] for c in calls] == ["rank"] * 2
-    reference = _per_vector_exactness(m, 5, 2, False)
-    for name, pos in rec["positions"].items():
-        assert pos == {
-            "kernel_dimension": reference[name]["kernel_dimension"],
-            "covered": 0,
-            "failures": ["x reduces to 1, not 0"],
-        }
+    assert calls == []
+    for pos in rec["positions"].values():
+        assert pos == {"kernel_dimension": None, "covered": 0, "failures": ["x reduces to 1, not 0"]}
 
 
 def _per_vector_dual(dp, bound):
@@ -752,7 +806,8 @@ def test_dual_rank_count_matches_the_per_vector_route(descriptor, seed, bound):
         calls = _recording(mp)
         hom = hom_pair_space(dp, bound)
         iso = dual_quotient_iso(dp, hom)
-    assert [c[0] for c in calls] == ["rank"] * 4
+    # the three ranks of the hom space; injectivity eliminates nothing
+    assert [c[0] for c in calls] == ["rank"] * 3
     assert (hom["hom_dimension"], hom["span_dimension"], hom["span_inside_homs"]) == (hom_dim, span_dim, contained)
     assert hom["ok"] and iso["ok"]
     assert iso["covered_homs"] == iso["total_homs"] == covered == hom_dim
