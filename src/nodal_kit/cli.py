@@ -51,10 +51,10 @@ _DP_HEADROOM = 8
 # gamma = 1, delta = 0, 6.8 s with gamma = 3, delta = 2 and 22 s with
 # gamma = 3/7, delta = 5/11 (2.3 s at precision 40; its time grows with the
 # height of gamma and delta, which these bounds do not cap).  Exactness at
-# degree bound 96, over Q, F_2 or F_3, takes 0.15-0.17 s, as long as starting
-# the interpreter and importing the package, and dual 0.17-0.18 s (gamma = 3,
-# delta = 2, s = 1/2, t = 4; range of 5 runs).  CI runs each at the bounds;
-# the tests and the benchmark stay below them.
+# degree bound 96, over Q, F_2 or F_3, takes 0.11-0.20 s, about as long as
+# starting the interpreter and importing the package, and dual 0.14-0.19 s
+# (gamma = 3, delta = 2, s = 1/2, t = 4; range of 10 runs).  CI runs each at
+# the bounds; the tests and the benchmark stay below them.
 _MAX_PRECISION = 64
 _MAX_DEGREE_BOUND = 96
 _MAX_CUSHION = 16
