@@ -1,9 +1,9 @@
 """Exact Gaussian elimination over a coefficient field.
 
 Matrices are lists of row lists of ring elements.  Everything is pure and
-exact; these routines back the kernel/rank certificates used by the duality
-and exactness checks.  Rows of differing length, and a right-hand side
-whose length is not the number of rows, raise ValueError.
+exact; `rank` counts the homs of the duality check, and `kernel_basis`
+names the homs its span misses when that check fails.  Rows of differing
+length raise ValueError.
 
 Inside the module a matrix is a list of sparse rows {column: raw value}: the
 ``val`` of each nonzero entry, an int reduced mod p over F_p; a value over Q
@@ -16,10 +16,10 @@ column's pivot is the row there with the fewest entries
 matrices.  Whichever row is chosen, the pivot columns and the reduced pivot
 rows cut to the first ``ncols`` columns are those of the unique reduced row
 echelon form, and the rows left without a pivot span the same space.  So
-`rank`, `kernel_basis` and `consistent_many` return what dense elimination
-returns.  `rref` alone takes the first row with an entry, as dense
-elimination does, because its rows also carry the columns right of
-``ncols``, whose entries depend on the choice.  Over F_p the loop scales
+`rank` and `kernel_basis` return what dense elimination returns.  `rref`
+alone takes the first row with an entry, as dense elimination does,
+because its rows also carry the columns right of ``ncols``, whose entries
+depend on the choice.  Over F_p the loop scales
 each pivot row to a leading 1.  Over Q it eliminates fraction-free
 (one-step, Bareiss 1968): each row is cleared of denominators once and kept
 as a primitive integer row, a nonzero multiple of the row elimination over Q
@@ -232,22 +232,3 @@ def kernel_basis(ring, rows, ncols):
                 basis[fc][pc] = neg(x)
     return [_dense(ring, v, ncols) for v in basis.values()]
 
-
-def consistent_many(ring, rows, ncols, rhs_list):
-    """For each rhs, whether A x = rhs is solvable; one elimination for all.
-
-    Forward elimination with pivots restricted to the structural columns;
-    a right-hand side is consistent iff its entries vanish on the rows left
-    without a pivot.  Each rhs has one entry per row of A.
-    """
-    _require_field(ring)
-    _width(rows)
-    for k, rhs in enumerate(rhs_list):
-        if len(rhs) != len(rows):
-            raise ValueError(f"right-hand side {k} has {len(rhs)} entries, the matrix has {len(rows)} rows")
-    if not rhs_list:
-        return []
-    aug = _sparse([list(row[:ncols]) + [rhs[i] for rhs in rhs_list] for i, row in enumerate(rows)])
-    r = len(_eliminate(ring, aug, ncols, full=False))
-    left = set().union(*aug[r:])
-    return [ncols + j not in left for j in range(len(rhs_list))]

@@ -5,18 +5,19 @@ Over R = A[X,Y]/(q(X,Y) - q(s,t)) with unit discriminant, the pair
 x = q(X,Y) - q(s,t), giving a 2-periodic resolution on E = R (+) R.  This
 module builds the matrices, verifies the construction identities, realizes
 the dual of the marked-point ideal J = (u-s, v-t) through the fractional
-multiplier (u+s+gamma*t)/(v-t), certifies exactness by Eisenbud's lift and
-counts its kernels by column degrees, and checks the quotient isomorphism by
-exact linear algebra on the hom space and by a degree argument on injectivity.
+multiplier (u+s+gamma*t)/(v-t), certifies exactness by Eisenbud's lift, and
+checks the quotient isomorphism.  One rank counts the homs; column degrees
+count their span and the exactness kernels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 
 from .dp_ring import DPRing, mul_columns
-from .linalg import _dense_rows, consistent_many, kernel_basis, rank
+from .linalg import _dense_rows, kernel_basis, rank
 from .mpoly import MPoly
 from .normal_form import DegenerateFormError
 
@@ -124,10 +125,9 @@ def build_factorization(dp):
     mf = MatFact(dp, phi, psi, pairing, j_witness, k_witness)
     if mf.lift_failures:
         raise FactorizationError("; ".join(mf.lift_failures))
-    if mat_mul(pairing, psi) != mat_mul(mat_transpose(phi), pairing):
-        raise FactorizationError("pairing conjugation of psi failed")
-    if mat_mul(pairing, phi) != mat_mul(mat_transpose(psi), pairing):
-        raise FactorizationError("pairing conjugation of phi failed")
+    for name, a, b in (("psi", psi, phi), ("phi", phi, psi)):
+        if mat_mul(pairing, a) != mat_mul(mat_transpose(b), pairing):
+            raise FactorizationError(f"pairing conjugation of {name} failed")
     return mf
 
 
@@ -205,124 +205,20 @@ def witness_identities(mf):
     lb = mat_map(mat_mul(mf.k_witness, mf.psi), red)
     lb_expected = ((j2, -e2), (dp.zero, dp.zero))
 
-    det_j = red(mf.j_witness[0][0] * mf.j_witness[1][1] - mf.j_witness[0][1] * mf.j_witness[1][0])
-    det_k = red(mf.k_witness[0][0] * mf.k_witness[1][1] - mf.k_witness[0][1] * mf.k_witness[1][0])
+    det_j, det_k = (red(w[0][0] * w[1][1] - w[0][1] * w[1][0]) for w in (mf.j_witness, mf.k_witness))
 
-    failures = []
-    if ka != ka_expected:
-        failures.append("j_witness*alpha")
-    if lb != lb_expected:
-        failures.append("k_witness*beta")
-    if det_j != -j2:
-        failures.append("det(j_witness)")
-    if det_k != j2:
-        failures.append("det(k_witness)")
     nzd = _nzd_failure(j2)
-    if nzd:
-        failures.append(nzd)
+    checks = (
+        ("j_witness*alpha", ka == ka_expected),
+        ("k_witness*beta", lb == lb_expected),
+        ("det(j_witness)", det_j == -j2),
+        ("det(k_witness)", det_k == j2),
+    )
+    failures = [name for name, ok in checks if not ok] + ([nzd] if nzd else [])
     record = {"ok": not failures, "failures": failures}
     if dp.ring.is_field:
         record["nzd_kernel_dimension"] = None if nzd else 0
     return record
-
-
-def hom_pair_space(dp, bound):
-    """All A-linear maps J -> R determined on (u-s, v-t) through degree `bound`.
-
-    The single syzygy (v-t)*h(u-s) = (u-s)*h(v-t) characterizes module maps
-    because v - t is a non-zero-divisor: the homs are the syzygy map's
-    kernel.  The span map's columns are the images of (u-s, v-t) under
-    multiplication by each rho of canonical degree <= bound, then by the
-    fractional generator, through degree bound + 2; in the layout of
-    `_block_columns` its rows from 4*(bound + 1) have degree > bound
-    (span_high).  The homs number ncols - rank(syzygy map); the span's
-    elements of degree <= bound, span(ker span_high), rank(span) -
-    rank(span_high).  The span lies in the homs: rho satisfies the syzygy
-    identically, the fractional generator by the overlap identity
-    (v-t)*eps(u-s) = (u-s)*eps(v-t), checked exactly.  So equal counts
-    make the span all of the homs.  ``failures`` names a failed overlap
-    identity, with its difference, and unequal counts; the record keeps
-    ``bound``, ``syz_rows`` and ``span_rows`` for `dual_quotient_iso`.
-    """
-    ring = dp.ring
-    if not ring.is_field:
-        raise ValueError("the hom-space computation needs field coefficients")
-    j1, j2 = ideal_j_generators(dp)
-    e1, e2 = dual_generator_images(dp)
-    big = bound + 2
-
-    # the syzygy map (r1, r2) |-> (v-t) r1 - (u-s) r2
-    syz_cols = _block_columns(((j2, -j1),), bound, big + 1)
-    syz_rows = _dense_rows(ring, syz_cols, 2 * (big + 2))
-
-    # the span map: multiplication by each rho, then by the fractional generator
-    span_cols = _block_columns(((j1,), (j2,)), bound, big)
-    span_cols.append(_block_columns(((e1,), (e2,)), 0, big)[0])
-    span_rows = _dense_rows(ring, span_cols, 4 * (big + 1))
-
-    ncols, span_ncols = len(syz_cols), len(span_cols)
-    hom_dim = ncols - rank(ring, syz_rows, ncols)
-    span_dim = rank(ring, span_rows, span_ncols) - rank(ring, span_rows[ncols:], span_ncols)
-    overlap = j2 * e1 - j1 * e2
-    failures = []
-    if not overlap.is_zero:
-        failures.append(f"(v-t)*eps(u-s) = (u-s)*eps(v-t) fails, off by {overlap}")
-    if hom_dim != span_dim:
-        failures.append(f"hom_dimension {hom_dim} != span_dimension {span_dim}")
-    return {
-        "hom_dimension": hom_dim,
-        "span_dimension": span_dim,
-        "span_inside_homs": overlap.is_zero,
-        "ok": not failures,
-        "failures": failures,
-        "bound": bound,
-        "syz_rows": syz_rows,
-        "span_rows": span_rows,
-    }
-
-
-def dual_quotient_iso(dp, hom):
-    """The base ring maps isomorphically onto duals-mod-R via the fractional class.
-
-    Injectivity, in closed form: if r*(u+s+gamma*t) = (v-t)*h for a scalar r
-    and h = f + X*g, the X parts give r*c = (Y-t)*g, c the nonzero constant
-    X part of u+s+gamma*t, so g = 0 and r = 0 by degree, and h = 0 as v - t
-    is a non-zero-divisor (`_nzd_failure`).  Surjectivity: every truncated
-    hom is rho*(multiplication) + c*(fractional action) with rho in R and c
-    scalar.  ``hom`` is the record of ``hom_pair_space(dp, bound)``: when it
-    passed, every hom is covered; otherwise a kernel basis of the syzygy map
-    and one coverage test per basis vector name the homs outside the span.
-    """
-    ring = dp.ring
-    if not ring.is_field:
-        raise ValueError("the quotient-isomorphism check needs field coefficients")
-    _, e2 = dual_generator_images(dp)
-    _, j2 = ideal_j_generators(dp)
-    x_part = None if len(e2.gc) == 1 else f"u+s+gamma*t = {e2} has no nonzero constant X part"
-    failures = [f for f in (_nzd_failure(j2), x_part) if f]
-    kernel_dim = None if failures else 0
-
-    # surjectivity over the truncated hom space
-    if hom["ok"]:
-        total, uncovered = hom["hom_dimension"], []
-    else:
-        bound = hom["bound"]
-        ncols, span_rows = 4 * (bound + 1), hom["span_rows"]
-        ker = kernel_basis(ring, hom["syz_rows"], ncols)
-        rhs_list = [kv + [ring.zero] * (len(span_rows) - ncols) for kv in ker]
-        flags = consistent_many(ring, span_rows, len(span_rows[0]), rhs_list)
-        total = len(ker)
-        uncovered = [kv for kv, flag in zip(ker, flags) if not flag]
-    if uncovered:
-        first = ", ".join(ring.format_elem(c) for c in uncovered[0])
-        failures.append(f"{len(uncovered)} homs not covered, the first [{first}]")
-    return {
-        "injective_kernel_dimension": kernel_dim,
-        "covered_homs": total - len(uncovered),
-        "total_homs": total,
-        "ok": not failures,
-        "failures": failures,
-    }
 
 
 def _column_leads(mat):
@@ -335,6 +231,126 @@ def _column_leads(mat):
     return out
 
 
+def _degree_count(mat, bound, what):
+    """(the dimension of A[Y]*c1 + A[Y]*c2 in degree <= bound, None), c_j
+    the columns of `mat`, or (None, the failure naming `what`'s leading
+    vectors).  Independent leading vectors l_j (`_column_leads`: some 2x2
+    minor is nonzero) give p1*c1 + p2*c2 the degree max(deg p_j + d_j)
+    (Forney, *Minimal bases of rational vector spaces*, 1975), so the
+    dimension is sum_j max(0, bound - d_j + 1)."""
+    (d1, l1), (d2, l2) = _column_leads(mat)
+    if all((l1[i] * l2[j] - l1[j] * l2[i]).is_zero for i in range(4) for j in range(i)):
+        vecs = " and ".join(f"[{', '.join(map(str, lv))}]" for lv in (l1, l2))
+        return None, f"the leading vectors {vecs} of {what} are dependent"
+    return sum(max(0, bound - d + 1) for d in (d1, d2)), None
+
+
+def _x_part_failure(e2):
+    """Why u+s+gamma*t, given as `e2`, does not have X part 1, or None."""
+    if len(e2.gc) != 1 or not (e2.gc[0] - e2.dp.ring.one).is_zero:
+        return f"u+s+gamma*t = {e2} does not have X part 1"
+    return None
+
+
+def hom_pair_space(dp, bound):
+    """All A-linear maps J -> R determined on (u-s, v-t) through degree `bound`.
+
+    The homs are the kernel of the syzygy map (v-t)*h(u-s) = (u-s)*h(v-t),
+    as v - t is a non-zero-divisor: ncols - rank of them.  Their span R*c1 +
+    A*c3, c1 = (u-s, v-t) and c3 = (e1, e2) = eps*c1, lies in the homs by the
+    overlap identity (v-t)*e1 = (u-s)*e2, checked exactly.  It is A[Y]*c1 +
+    A[Y]*c3, as R = A[Y] + X*A[Y] and u*c1 = (v-t)*c3 - (s+gamma*t)*c1: the
+    first component is the overlap identity, and the second holds because
+    e2 = u + s + gamma*t has X part 1 (`_x_part_failure`; with the overlap
+    identity that leaves e2 = u + s + gamma*t + (v-t)*k for some k in A[Y],
+    which moves c3 by k*c1 and neither span).  `_degree_count` counts it,
+    2*bound + [delta = 0]; equal counts make it all of the homs.
+    ``failures`` names each failed hypothesis and unequal counts, and
+    span_dimension is None when no count was proved.
+    """
+    ring = dp.ring
+    if not ring.is_field:
+        raise ValueError("the hom-space computation needs field coefficients")
+    j1, j2 = ideal_j_generators(dp)
+    e1, e2 = dual_generator_images(dp)
+
+    # the syzygy map (r1, r2) |-> (v-t) r1 - (u-s) r2
+    syz_cols = _block_columns(((j2, -j1),), bound, bound + 3)
+    syz_rows = _dense_rows(ring, syz_cols, 2 * (bound + 4))
+    hom_dim = len(syz_cols) - rank(ring, syz_rows, len(syz_cols))
+
+    span_dim, dependent = _degree_count(((j1, e1), (j2, e2)), bound, "(u-s, v-t) and eps*(u-s, v-t)")
+    overlap = j2 * e1 - j1 * e2
+    failures = [] if overlap.is_zero else [f"(v-t)*eps(u-s) = (u-s)*eps(v-t) fails, off by {overlap}"]
+    failures += filter(None, (dependent, _x_part_failure(e2)))
+    if failures:
+        span_dim = None
+    elif hom_dim != span_dim:
+        failures.append(f"hom_dimension {hom_dim} != span_dimension {span_dim}")
+    return {
+        "hom_dimension": hom_dim,
+        "span_dimension": span_dim,
+        "span_inside_homs": overlap.is_zero,
+        "ok": not failures,
+        "failures": failures,
+        "bound": bound,
+        "syz_rows": syz_rows,
+    }
+
+
+def _has_preimage(dp, kv):
+    """Whether the hom `kv` (the Y^k and X*Y^k coefficients of h(u-s) at 4k
+    and 4k + 2, of h(v-t) one after each) is p*c1 + r*c3 for p, r in A[Y].
+    With h(v-t) = f + X*g, the second component forces r = g and p = (f -
+    (s+gamma*t)*g)/(Y - t); p is that quotient, its remainder dropped, so
+    the test h = p*c1 + r*c3 also fails when the division is not exact."""
+    j1, j2 = ideal_j_generators(dp)
+    e1, e2 = dual_generator_images(dp)
+    h1, h2 = (dp.element(kv[r::4], kv[2 + r::4]) for r in (0, 1))
+    g = dp.element(h2.gc)
+    num = dp.element(h2.fc) - g * (dp.s + dp.q.gamma * dp.t)
+    # synthetic division by Y - t: the quotient's coefficients from the top, then the remainder
+    p = dp.element(list(accumulate(reversed(num.fc), lambda a, c: c + dp.t * a))[-2::-1])
+    return p * j1 + g * e1 == h1 and p * j2 + g * e2 == h2
+
+
+def dual_quotient_iso(dp, hom):
+    """The base ring maps isomorphically onto duals-mod-R via the fractional class.
+
+    Injectivity, in closed form: if r*(u+s+gamma*t) = (v-t)*h for a scalar r
+    and h = f + X*g, the X parts give r = (Y-t)*g (`_x_part_failure`), so g
+    = 0 and r = 0 by degree, and h = 0 as v - t is a non-zero-divisor
+    (`_nzd_failure`).  Surjectivity: ``hom`` is the record of
+    ``hom_pair_space(dp, bound)``; when it passed, its span is every hom, and
+    otherwise a kernel basis of the syzygy map and `_has_preimage` name the
+    homs outside the span.
+    """
+    ring = dp.ring
+    if not ring.is_field:
+        raise ValueError("the quotient-isomorphism check needs field coefficients")
+    _, e2 = dual_generator_images(dp)
+    _, j2 = ideal_j_generators(dp)
+    failures = [f for f in (_nzd_failure(j2), _x_part_failure(e2)) if f]
+    kernel_dim = None if failures else 0
+
+    # surjectivity over the truncated hom space
+    if hom["ok"]:
+        total, uncovered = hom["hom_dimension"], []
+    else:
+        ker = kernel_basis(ring, hom["syz_rows"], 4 * (hom["bound"] + 1))
+        total, uncovered = len(ker), [kv for kv in ker if not _has_preimage(dp, kv)]
+    if uncovered:
+        first = ", ".join(ring.format_elem(c) for c in uncovered[0])
+        failures.append(f"{len(uncovered)} homs not covered, the first [{first}]")
+    return {
+        "injective_kernel_dimension": kernel_dim,
+        "covered_homs": total - len(uncovered),
+        "total_homs": total,
+        "ok": not failures,
+        "failures": failures,
+    }
+
+
 def two_periodic_exactness(mf, bound, *, transposed=False):
     """Degreewise exactness of ... -> E -alpha-> E -beta-> E -> ..., counted by column degrees.
 
@@ -343,20 +359,15 @@ def two_periodic_exactness(mf, bound, *, transposed=False):
     psi*phi*lift(v) = x*psi*w and lift(v) = psi*w, x being monic in X.  As
     phi has entries of degree <= 1 and lift(v) = v0(Y) + X*v1(Y), w is the
     X^2 coefficient phi_X*v1, in A[Y]^2, and a polynomial in Y keeps
-    canonical forms canonical: ker alpha = A[Y]*beta(e1) + A[Y]*beta(e2).
-    The same holds at beta and for the transposes.  With d_j the canonical
-    Y-degree of column j of the image map and l_j in A^4 its coefficients at
-    Y^d_j, independent l_1, l_2 give p1*c1 + p2*c2 the degree max(deg p_j +
-    d_j) (Forney, *Minimal bases of rational vector spaces*, 1975), so the
-    kernel's part of degree <= bound has dimension sum_j max(0, bound - d_j
-    + 1): 2*bound when delta != 0, 2*bound + 1 when delta = 0.  Nothing is
-    eliminated.
+    canonical forms canonical: ker alpha = A[Y]*beta(e1) + A[Y]*beta(e2),
+    and likewise at beta and for the transposes, counted by column degrees
+    (`_degree_count`): 2*bound when delta != 0, 2*bound + 1 when delta = 0.
 
     The hypotheses are exact facts: x is monic of X-degree 2, since
     `MPoly.divide` refuses any other relation in ``dp.reduce(dp.relation)``,
     and reduces to 0 (``compositions_ok``); ``mf.lift_failures`` names any
     failure of phi*psi = psi*phi = x*I or of the entry degrees; dependent
-    l_1, l_2 are named with their entries.  A position where one fails has
+    leading vectors are named with their entries.  A position where one fails has
     kernel_dimension None and covered 0, with the failures; otherwise it is
     covered whole.
     """
@@ -373,12 +384,9 @@ def two_periodic_exactness(mf, bound, *, transposed=False):
         mat = getattr(mf, image)
         if transposed:
             mat, image = mat_transpose(mat), image + "^T"
-        (d1, l1), (d2, l2) = _column_leads(mat)
-        own = list(failures)
-        if all((l1[i] * l2[j] - l1[j] * l2[i]).is_zero for i in range(4) for j in range(i)):
-            vecs = " and ".join(f"[{', '.join(map(str, lv))}]" for lv in (l1, l2))
-            own.append(f"the leading vectors {vecs} of {image}'s columns are dependent")
-        count = None if own else sum(max(0, bound - d + 1) for d in (d1, d2))
+        count, dependent = _degree_count(mat, bound, f"{image}'s columns")
+        own = failures + ([dependent] if dependent else [])
+        count = None if own else count
         positions[name] = {"kernel_dimension": count, "covered": count or 0, "failures": own}
     ok = not any(pos["failures"] for pos in positions.values())
     return {"ok": ok, "compositions_ok": reduced.is_zero, "positions": positions}

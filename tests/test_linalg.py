@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nodal_kit.linalg import _dense, _eliminate, _sparse, _unit, consistent_many, kernel_basis, rank, rref
+from nodal_kit.linalg import _dense, _eliminate, _sparse, _unit, kernel_basis, rank, rref
 from nodal_kit.rings import PrimeField, Rationals, RingElem
 
 QQ = Rationals()
@@ -29,29 +29,6 @@ def test_kernel_vectors_annihilate(ring):
         for v in kernel_basis(ring, rows, n):
             assert all(c.is_zero for c in _matvec(ring, rows, v))
         assert rank(ring, rows, n) + len(kernel_basis(ring, rows, n)) == n
-
-
-def test_consistent_many_detects_inconsistency():
-    rows = [[QQ.one, QQ.zero], [QQ.one, QQ.zero]]
-    assert consistent_many(QQ, rows, 2, [[QQ.one, QQ(2)], [QQ(2), QQ(2)]]) == [False, True]
-
-
-@pytest.mark.parametrize("ring", [QQ, F7], ids=["q", "fp7"])
-def test_consistent_many_agrees_with_solve(ring):
-    rnd = random.Random(13)
-    for _ in range(10):
-        m, n = rnd.randint(1, 6), rnd.randint(1, 6)
-        rows = _random_matrix(ring, rnd, m, n)
-        rhs_list = []
-        for _ in range(5):
-            if rnd.random() < 0.5:
-                x0 = [ring.random_element(rnd) for _ in range(n)]
-                rhs_list.append(_matvec(ring, rows, x0))
-            else:
-                rhs_list.append([ring.random_element(rnd) for _ in range(m)])
-        flags = consistent_many(ring, rows, n, rhs_list)
-        expected = [_ref_solve(ring, rows, n, b) is not None for b in rhs_list]
-        assert flags == expected
 
 
 def test_rref_pivots_are_unit_columns():
@@ -117,44 +94,6 @@ def _ref_kernel_basis(ring, rows, ncols):
     return basis
 
 
-def _ref_solve(ring, rows, ncols, rhs):
-    red, pivots = _ref_rref(ring, [list(r) + [b] for r, b in zip(rows, rhs)], ncols + 1)
-    if ncols in pivots:
-        return None
-    x = [ring.zero] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r][ncols]
-    return x
-
-
-def _ref_consistent_many(ring, rows, ncols, rhs_list):
-    m = len(rows)
-    if not rhs_list:
-        return []
-    k = len(rhs_list)
-    aug = [list(rows[i]) + [rhs[i] for rhs in rhs_list] for i in range(m)]
-    r = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, m):
-            if not aug[i][c].is_zero:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        inv = aug[r][c].inv()
-        aug[r] = [inv * x for x in aug[r]]
-        for i in range(r + 1, m):
-            f = aug[i][c]
-            if not f.is_zero:
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-        r += 1
-        if r == m:
-            break
-    return [all(aug[i][ncols + j].is_zero for i in range(r, m)) for j in range(k)]
-
-
 def _raw(x):
     """Exact value and value type of an element, of a nested list of them, or of None."""
     if isinstance(x, (list, tuple)):
@@ -171,7 +110,7 @@ def _elem(ring, n, d):
 
 @st.composite
 def systems(draw, ring):
-    """(rows, ncols, rhs_list) with zero columns, duplicate rows and augmented columns.
+    """(rows, ncols) with zero columns, duplicate rows and augmented columns.
 
     The matrix has width >= ncols, so the columns from ncols on are carried
     through the elimination without being pivoted on.
@@ -187,14 +126,7 @@ def systems(draw, ring):
                 row[c] = ring.zero
     if rows:
         rows += [list(rows[i]) for i in draw(st.lists(st.integers(0, m - 1), max_size=2))]
-    rhs_list = []
-    for _ in range(draw(st.integers(0, 3))):
-        if rows and draw(st.booleans()):  # consistent: A x0 for a random x0
-            x0 = [_elem(ring, *draw(entry)) for _ in range(ncols)]
-            rhs_list.append(_matvec(ring, [row[:ncols] for row in rows], x0))
-        else:
-            rhs_list.append([_elem(ring, *draw(entry)) for _ in rows])
-    return rows, ncols, rhs_list
+    return rows, ncols
 
 
 @pytest.mark.parametrize("name", list(DIFF_RINGS))
@@ -202,17 +134,13 @@ def systems(draw, ring):
 @given(data=st.data())
 def test_sparse_kernel_matches_dense_reference(name, data):
     ring = DIFF_RINGS[name]
-    rows, ncols, rhs_list = data.draw(systems(ring))
+    rows, ncols = data.draw(systems(ring))
     red, pivots = rref(ring, rows, ncols)
     ref_red, ref_pivots = _ref_rref(ring, rows, ncols)
     assert pivots == ref_pivots
     assert _raw(red) == _raw(ref_red)
     assert rank(ring, rows, ncols) == len(ref_pivots)
     assert _raw(kernel_basis(ring, rows, ncols)) == _raw(_ref_kernel_basis(ring, rows, ncols))
-    square = [row[:ncols] for row in rows]
-    flags = _ref_consistent_many(ring, square, ncols, rhs_list)
-    assert consistent_many(ring, square, ncols, rhs_list) == flags
-    assert consistent_many(ring, rows, ncols, rhs_list) == flags
 
 
 @pytest.mark.parametrize("name", list(DIFF_RINGS))
@@ -220,21 +148,17 @@ def test_sparse_kernel_edge_shapes(name):
     ring = DIFF_RINGS[name]
     one, two, zero = ring.one, _elem(ring, 2, 1), ring.zero
     cases = [
-        ([], 0, []),  # no rows, no columns
-        ([], 3, [[]]),  # no rows
-        ([[zero, one, two], [zero, two, one]], 3, [[one, one]]),  # an all-zero column
-        ([[one, two, one], [one, two, one], [one, two, one]], 3, [[one, one, one], [one, two, one]]),
-        ([[one, zero, one], [one, one, zero]], 1, [[one, two]]),  # ncols below the row width
-        ([[zero, zero], [zero, zero]], 2, [[zero, zero], [one, zero]]),  # the zero matrix
+        ([], 0),  # no rows, no columns
+        ([], 3),  # no rows
+        ([[zero, one, two], [zero, two, one]], 3),  # an all-zero column
+        ([[one, two, one], [one, two, one], [one, two, one]], 3),
+        ([[one, zero, one], [one, one, zero]], 1),  # ncols below the row width
+        ([[zero, zero], [zero, zero]], 2),  # the zero matrix
     ]
-    for rows, ncols, rhs_list in cases:
+    for rows, ncols in cases:
         assert _raw(rref(ring, rows, ncols)) == _raw(_ref_rref(ring, rows, ncols))
         assert rank(ring, rows, ncols) == len(_ref_rref(ring, rows, ncols)[1])
         assert _raw(kernel_basis(ring, rows, ncols)) == _raw(_ref_kernel_basis(ring, rows, ncols))
-        square = [row[:ncols] for row in rows]
-        flags = _ref_consistent_many(ring, square, ncols, rhs_list)
-        assert consistent_many(ring, square, ncols, rhs_list) == flags
-        assert consistent_many(ring, rows, ncols, rhs_list) == flags
 
 
 # --- fraction-free elimination over Q against the Fraction loop ---------------
@@ -298,13 +222,6 @@ def _fraction_kernel_basis(rows, ncols):
     return [[v.get(j, Fraction(0)) for j in range(ncols)] for v in basis.values()]
 
 
-def _fraction_consistent_many(rows, ncols, rhs_list):
-    aug = _fraction_rows([list(row[:ncols]) + [rhs[i] for rhs in rhs_list] for i, row in enumerate(rows)])
-    r = len(_fraction_eliminate(aug, ncols, full=False))
-    left = set().union(*aug[r:])
-    return [ncols + j not in left for j in range(len(rhs_list))]
-
-
 @contextlib.contextmanager
 def _counted_inversions():
     """Record every RingElem.inv call made inside the block."""
@@ -326,10 +243,10 @@ _BIG = st.builds(Fraction, st.integers(-(2**64), 2**64), st.integers(1, 2**64))
 
 @st.composite
 def rational_systems(draw):
-    """(rows, ncols, rhs_list) over Q: entries with numerators and denominators up
-    to 2^64, rows whose first ncols columns combine fewer base rows (so the
-    matrix is rank deficient) while the columns from ncols on are drawn freely,
-    and right-hand sides both consistent and random."""
+    """(rows, ncols) over Q: entries with numerators and denominators up to
+    2^64, rows whose first ncols columns combine fewer base rows (so the
+    matrix is rank deficient) while the columns from ncols on are drawn
+    freely."""
     entry = st.one_of(st.just(Fraction(0)), _BIG, st.sampled_from([Fraction(1), Fraction(-1, 2)]))
     m = draw(st.integers(0, 6))
     width = draw(st.integers(0, 7))
@@ -340,14 +257,7 @@ def rational_systems(draw):
         coeffs = [draw(entry) for _ in base]
         left = [sum((c * b[j] for c, b in zip(coeffs, base)), Fraction(0)) for j in range(ncols)]
         rows.append(left + [draw(entry) for _ in range(width - ncols)])
-    rhs_list = []
-    for _ in range(draw(st.integers(0, 3))):
-        if draw(st.booleans()):  # consistent: A x0 for a random x0
-            x0 = [draw(entry) for _ in range(ncols)]
-            rhs_list.append([sum((a * x for a, x in zip(row, x0)), Fraction(0)) for row in rows])
-        else:
-            rhs_list.append([draw(entry) for _ in rows])
-    return rows, ncols, rhs_list
+    return rows, ncols
 
 
 def _fractions(rows):
@@ -364,9 +274,8 @@ def _q_raw(x):
 @settings(max_examples=200, deadline=None)
 @given(system=rational_systems())
 def test_integer_rows_over_q_match_the_fraction_loop(system):
-    rows, ncols, rhs_list = system
+    rows, ncols = system
     elems = [[QQ.from_fraction(x) for x in row] for row in rows]
-    square = [row[:ncols] for row in elems]
     ref_red, ref_pivots = _fraction_rref(rows, ncols)
     with _counted_inversions() as calls:
         red, pivots = rref(QQ, elems, ncols)
@@ -380,12 +289,6 @@ def test_integer_rows_over_q_match_the_fraction_loop(system):
     with _counted_inversions() as calls:
         r = rank(QQ, elems, ncols)
     assert r == len(calls) == len(_fraction_eliminate(_fraction_rows(rows, ncols), ncols, full=False))
-    rhs_elems = [[QQ.from_fraction(b) for b in rhs] for rhs in rhs_list]
-    flags = _fraction_consistent_many([row[:ncols] for row in rows], ncols, rhs_list)
-    for matrix in (square, elems):
-        with _counted_inversions() as calls:
-            assert consistent_many(QQ, matrix, ncols, rhs_elems) == flags
-        assert len(calls) == (r if rhs_list else 0)
 
 
 # --- malformed input ------------------------------------------------------------
@@ -399,16 +302,9 @@ def test_ragged_input_raises_naming_the_index(ring):
         lambda: rref(ring, ragged, 2),
         lambda: rank(ring, ragged, 2),
         lambda: kernel_basis(ring, ragged, 2),
-        lambda: consistent_many(ring, ragged, 2, [[one, one]]),
-        lambda: consistent_many(ring, ragged, 2, []),
     ):
         with pytest.raises(ValueError, match="row 1 has 3 entries, row 0 has 2"):
             call()
-    rows = [[one, two], [two, one]]
-    with pytest.raises(ValueError, match="right-hand side 1 has 1 entries, the matrix has 2 rows"):
-        consistent_many(ring, rows, 2, [[one, one], [one]])
-    with pytest.raises(ValueError, match="right-hand side 0 has 3 entries, the matrix has 2 rows"):
-        consistent_many(ring, rows, 2, [[one, one, three]])
 
 
 # --- fill-in of the pivot rule ----------------------------------------------------
@@ -453,10 +349,9 @@ def test_fewest_entries_pivots_keep_an_arrowhead_sparse(name):
 
 
 @pytest.mark.parametrize("p", [None, 2, 7, 101], ids=["q", "fp2", "fp7", "fp101"])
-def test_ranks_and_consistency_match_sympy(p):
-    """Ranks, kernel dimensions and consistency flags against sympy's
-    DomainMatrix over QQ and GF(p), on random sparse systems with zero
-    columns, duplicate rows and right-hand sides both consistent and random."""
+def test_ranks_and_kernel_dimensions_match_sympy(p):
+    """Ranks and kernel dimensions against sympy's DomainMatrix over QQ and
+    GF(p), on random sparse matrices with zero columns and duplicate rows."""
     sympy = pytest.importorskip("sympy")
     from sympy.polys.matrices import DomainMatrix
 
@@ -488,14 +383,6 @@ def test_ranks_and_consistency_match_sympy(p):
         r = matrix(values, n).rank()
         assert rank(ring, rows, n) == r
         assert len(kernel_basis(ring, rows, n)) == matrix(values, n).nullspace().shape[0] == n - r
-        rhs_values = []
-        for _ in range(3):
-            x0 = [entry() for _ in range(n)]
-            rhs_values.append([sum((a * b for a, b in zip(row, x0)), Fraction(0)) for row in values])
-            rhs_values.append([entry() for _ in values])
-        expected = [matrix([row + [b] for row, b in zip(values, rhs)], n + 1).rank() == r for rhs in rhs_values]
-        rhs_list = [[ring.from_fraction(b) for b in rhs] for rhs in rhs_values]
-        assert consistent_many(ring, rows, n, rhs_list) == expected
 
 
 def test_rref_and_kernel_values_over_q_match_sympy():

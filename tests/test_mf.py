@@ -15,7 +15,7 @@ from nodal_kit.dp_ring import (
     DPRing,
     mul_columns,
 )
-from nodal_kit.linalg import consistent_many, kernel_basis, rank
+from nodal_kit.linalg import kernel_basis, rank
 from nodal_kit.mf import (
     build_factorization,
     dual_action,
@@ -248,26 +248,23 @@ def test_epair_arithmetic_through_matrices():
 
 
 def _uncovered_once(monkeypatch):
-    """Make every rank count fall short by one, so that the hom and span
-    counts differ and the quotient isomorphism takes the per-vector route;
-    make the first right-hand side of every coverage check there uncovered,
-    and record the kernels that route computes."""
+    """Make every rank fall short by one, so that the syzygy map counts one
+    hom more than the span and the quotient isomorphism takes the per-vector
+    route; make every kernel basis end with that extra "hom", the unit vector
+    h(u-s) = 1, h(v-t) = 0, which has no preimage p*(u-s, v-t) + r*eps*(u-s,
+    v-t); and record the kernels that route computes."""
     kernels = []
 
     def short_rank(ring, rows, ncols):
-        # ncols - rank(syzygy map) gains one, rank(span) - rank(span_high) is unchanged
+        # ncols - rank(syzygy map) gains one; the span is counted by column degrees
         return rank(ring, rows, ncols) - 1
 
-    def recording_kernel(ring, rows, ncols):
-        kernels.append(kernel_basis(ring, rows, ncols))
+    def padded_kernel(ring, rows, ncols):
+        kernels.append(kernel_basis(ring, rows, ncols) + [[ring.one] + [ring.zero] * (ncols - 1)])
         return kernels[-1]
 
-    def one_uncovered(ring, rows, ncols, rhs_list):
-        return [False] + consistent_many(ring, rows, ncols, rhs_list)[1:]
-
     monkeypatch.setattr(mf_module, "rank", short_rank)
-    monkeypatch.setattr(mf_module, "kernel_basis", recording_kernel)
-    monkeypatch.setattr(mf_module, "consistent_many", one_uncovered)
+    monkeypatch.setattr(mf_module, "kernel_basis", padded_kernel)
     return kernels
 
 
@@ -378,8 +375,8 @@ def test_quotient_iso_counterexample_names_the_uncovered_hom(monkeypatch):
     rec = records["dual.quotient-iso"]
     assert not rec.passed
     assert rec.details["total_homs"] == len(homs) and rec.details["covered_homs"] == len(homs) - 1
-    assert rec.counterexample == f"1 homs not covered, the first {_named(PrimeField(5), homs[0])}"
-    assert "mod 5" in rec.counterexample
+    assert rec.counterexample == f"1 homs not covered, the first {_named(PrimeField(5), homs[-1])}"
+    assert rec.counterexample.startswith("1 homs not covered, the first [1 mod 5, 0 mod 5, ")
 
 
 def test_a_failed_overlap_identity_takes_the_per_vector_route(monkeypatch):
@@ -394,7 +391,8 @@ def test_a_failed_overlap_identity_takes_the_per_vector_route(monkeypatch):
     report = cli.run(cli.RunConfig(subcommand="dual", ring="fp:7", gamma="3", delta="2", s="1", t="4"))
     records = {r.name: r for r in report.records}
     hom = records["dual.hom-space"]
-    assert not hom.passed and hom.details["hom_dimension"] == hom.details["span_dimension"]
+    # no span count is proved without the overlap identity
+    assert not hom.passed and hom.details["span_dimension"] is None
     # the overlap identity is off by (v-t)*1, and the report says so
     dp = dp_ring(F7, 3, 2, 1, 4, bound=20)
     assert hom.counterexample == f"(v-t)*eps(u-s) = (u-s)*eps(v-t) fails, off by {dp.v - dp.const(dp.t)}"
@@ -402,11 +400,46 @@ def test_a_failed_overlap_identity_takes_the_per_vector_route(monkeypatch):
     iso = records["dual.quotient-iso"]
     assert not iso.passed and iso.details["covered_homs"] < iso.details["total_homs"]
     assert iso.details["injective_kernel_dimension"] == 0
-    # three ranks for the hom space, then the per-vector route; injectivity eliminates nothing
-    assert [c[0] for c in calls] == ["rank"] * 3 + ["kernel_basis", "consistent_many"]
+    # one rank for the hom space, then the kernel basis of the per-vector route;
+    # the preimages and injectivity eliminate nothing
+    assert [c[0] for c in calls] == ["rank", "kernel_basis"]
     rec = hom_pair_space(dp, 6)
     assert not rec["span_inside_homs"] and rec["failures"] == [hom.counterexample]
 
+
+def test_generators_planted_as_their_own_images_fail_the_hom_space_and_name_both_leads(monkeypatch):
+    # (e1, e2) = (u-s, v-t): the overlap identity holds, but both columns lead
+    # with Y in the second component, and v - t has no X part
+    monkeypatch.setattr(mf_module, "dual_generator_images", ideal_j_generators)
+    report = cli.run(cli.RunConfig(subcommand="dual", ring="fp:7", gamma="3", delta="2", s="1", t="4"))
+    records = {r.name: r for r in report.records}
+    hom = records["dual.hom-space"]
+    named = "the leading vectors [0, 0, 1, 0] and [0, 0, 1, 0] of (u-s, v-t) and eps*(u-s, v-t) are dependent"
+    assert not hom.passed and hom.counterexample == named
+    assert hom.details["span_dimension"] is None
+    dp = dp_ring(F7, 3, 2, 1, 4, bound=20)
+    rec = hom_pair_space(dp, 6)
+    assert rec["span_inside_homs"] and rec["span_dimension"] is None
+    assert rec["failures"] == [named, "u+s+gamma*t = 3+Y does not have X part 1"]
+    iso = records["dual.quotient-iso"]
+    assert not iso.passed and iso.counterexample == "u+s+gamma*t = 3+Y does not have X part 1"
+    assert iso.details["injective_kernel_dimension"] is None
+    assert iso.details["covered_homs"] < iso.details["total_homs"]
+
+
+
+def test_an_x_part_other_than_1_is_named_by_both_dual_records(monkeypatch):
+    # eps*(v-t) planted as 2u + s + gamma*t: the overlap identity fails too, off by (u-s)*u
+    real = dual_generator_images
+    monkeypatch.setattr(mf_module, "dual_generator_images", lambda dp: (real(dp)[0], real(dp)[1] + dp.u))
+    dp = dp_ring(F7, 3, 2, 1, 4, bound=20)
+    named = "u+s+gamma*t = 6+2*X does not have X part 1"
+    hom = hom_pair_space(dp, 5)
+    assert hom["failures"][1:] == [named] and hom["span_dimension"] is None
+    iso = dual_quotient_iso(dp, hom)
+    assert iso["failures"][0] == named and iso["injective_kernel_dimension"] is None
+    # the homs with h(v-t) free of X keep their preimages; the others lose them
+    assert 0 < iso["covered_homs"] < iso["total_homs"] == hom["hom_dimension"]
 
 def test_alpha_and_beta_are_reduced_once_per_factorization(monkeypatch):
     calls = []
@@ -458,16 +491,29 @@ def _ref_syzygy_map(dp, bound):
 
 
 def _ref_hom_calls(dp, bound):
-    """The rank of the syzygy map, of the span map and of its rows of degree > bound."""
+    """The one elimination of the hom space: the rank of the syzygy map."""
     syz_cols = _ref_syzygy_map(dp, bound)
+    return [("rank", _columns_to_rows(syz_cols), len(syz_cols))]
+
+
+def _ref_span_dimension(dp, bound):
+    """The span's part of degree <= bound by ranks, rank(span) - rank(span
+    rows of degree > bound): the route `hom_pair_space` took before its
+    column-degree count, kept as the reference for it."""
+    ring = dp.ring
     span_cols = _ref_dual_span_map(dp, bound)
     span_rows = _columns_to_rows(span_cols)
-    return [
-        ("rank", _columns_to_rows(syz_cols), len(syz_cols)),
-        ("rank", span_rows, len(span_cols)),
-        # the rows of canonical degree > bound: row 2*(2k + x) + r holds degree k
-        ("rank", [row for i, row in enumerate(span_rows) if i // 4 > bound], len(span_cols)),
-    ]
+    # the rows of canonical degree > bound: row 2*(2k + x) + r holds degree k
+    high = [row for i, row in enumerate(span_rows) if i // 4 > bound]
+    return rank(ring, span_rows, len(span_cols)) - rank(ring, high, len(span_cols))
+
+
+def _solvable(ring, rows, rhs_list):
+    """For each right-hand side, whether rows * x = rhs has a solution: the
+    matrix keeps its rank when rhs is appended as a column."""
+    n = len(rows[0])
+    r = rank(ring, rows, n)
+    return [rank(ring, [row + [b] for row, b in zip(rows, rhs)], n + 1) == r for rhs in rhs_list]
 
 
 def _recording(monkeypatch):
@@ -483,7 +529,7 @@ def _recording(monkeypatch):
         return recorded
 
     for module in (mf_module, dp_ring_module):
-        for name in ("rref", "rank", "kernel_basis", "consistent_many"):
+        for name in ("rref", "rank", "kernel_basis"):
             if vars(module).get(name) is getattr(linalg, name):
                 monkeypatch.setattr(module, name, wrap(name, getattr(linalg, name)))
     return calls
@@ -713,7 +759,7 @@ def _per_vector_exactness(m, bound, cushion, transposed):
     for name, k_rows, img_rows in (("at_alpha", alpha_rows, beta_rows), ("at_beta", beta_rows, alpha_rows)):
         ker = kernel_basis(ring, [row[:ncols] for row in k_rows[: 4 * (bound + 3)]], ncols)
         rhs_list = [kv + [ring.zero] * (len(img_rows) - ncols) for kv in ker]
-        covered = sum(consistent_many(ring, img_rows, len(img_rows[0]), rhs_list))
+        covered = sum(_solvable(ring, img_rows, rhs_list))
         positions[name] = {"kernel_dimension": len(ker), "covered": covered, "failures": []}
     return positions
 
@@ -790,7 +836,7 @@ def _per_vector_dual(dp, bound):
         all(sum((c * x for c, x in zip(v, row)), ring.zero).is_zero for row in syz_rows) for v in span_vecs
     )
     rhs_list = [h + [ring.zero] * (len(span_rows) - ncols) for h in homs]
-    covered = sum(consistent_many(ring, span_rows, len(span_cols), rhs_list))
+    covered = sum(_solvable(ring, span_rows, rhs_list))
     return len(homs), rank(ring, span_vecs, ncols), contained, covered
 
 
@@ -806,8 +852,44 @@ def test_dual_rank_count_matches_the_per_vector_route(descriptor, seed, bound):
         calls = _recording(mp)
         hom = hom_pair_space(dp, bound)
         iso = dual_quotient_iso(dp, hom)
-    # the three ranks of the hom space; injectivity eliminates nothing
-    assert [c[0] for c in calls] == ["rank"] * 3
+    # the one rank of the hom space; the span and injectivity eliminate nothing
+    assert [c[0] for c in calls] == ["rank"]
     assert (hom["hom_dimension"], hom["span_dimension"], hom["span_inside_homs"]) == (hom_dim, span_dim, contained)
     assert hom["ok"] and iso["ok"]
     assert iso["covered_homs"] == iso["total_homs"] == covered == hom_dim
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    descriptor=st.sampled_from(["fp:2", "fp:3", "fp:7", "fp:101", "q"]),
+    form=st.sampled_from(["random", "delta=0", "gamma=0"]),
+    seed=st.integers(0, 10**6),
+    bound=st.integers(0, 8),
+)
+def test_span_count_by_column_degrees_matches_the_rank_reference(descriptor, form, seed, bound):
+    # over F_2 the discriminant of gamma = 0 is -4*delta = 0
+    assume(not (descriptor == "fp:2" and form == "gamma=0"))
+    ring = make_ring(descriptor)
+    rnd = random.Random(seed)
+    g, d = _unit_disc_form(ring, rnd, form)
+    dp = DPRing(ring, QuadForm.make(ring, g, d), ring.random_element(rnd), ring.random_element(rnd), degree_bound=20)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _recording(mp)
+        maps = []
+        real = mf_module._block_columns
+        mp.setattr(mf_module, "_block_columns", lambda mat, *args: maps.append(mat) or real(mat, *args))
+        hom = hom_pair_space(dp, bound)
+        iso = dual_quotient_iso(dp, hom)
+    # one rank, on the syzygy map, the one map built
+    _assert_same_calls(ring, calls, _ref_hom_calls(dp, bound))
+    j1, j2 = ideal_j_generators(dp)
+    assert maps == [((j2, -j1),)]
+    assert hom["ok"] and iso["ok"]
+    assert hom["span_dimension"] == hom["hom_dimension"] == _ref_span_dimension(dp, bound) == 2 * bound + d.is_zero
+    # the preimage test of the per-vector route against the rank-based
+    # consistency check, on every basis hom and on a random vector
+    ncols = 4 * (bound + 1)
+    span_rows = _columns_to_rows(_ref_dual_span_map(dp, bound))
+    vectors = kernel_basis(ring, hom["syz_rows"], ncols) + [[ring.random_element(rnd) for _ in range(ncols)]]
+    padded = [v + [ring.zero] * (len(span_rows) - ncols) for v in vectors]
+    assert [mf_module._has_preimage(dp, v) for v in vectors] == _solvable(ring, span_rows, padded)
