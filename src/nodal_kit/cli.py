@@ -52,8 +52,8 @@ _DP_HEADROOM = 8
 # gamma = 3/7, delta = 5/11 (2.3 s at precision 40; its time grows with the
 # height of gamma and delta, which these bounds do not cap).  Exactness at
 # degree bound 96, over Q, F_2 or F_3, takes 0.11-0.20 s, about as long as
-# starting the interpreter and importing the package, and dual 0.17-0.20 s
-# (7-12 ms in process; gamma = 3, delta = 2, s = 1/2, t = 4; 10 and 20 runs).
+# starting the interpreter and importing the package, and dual 0.14-0.20 s
+# (7-12 ms in process; gamma = 3, delta = 2, s = 1/2, t = 4; 35 and 20 runs).
 # CI runs each at the bounds; the tests and the benchmark stay below them.
 _MAX_PRECISION = 64
 _MAX_DEGREE_BOUND = 96
