@@ -15,7 +15,7 @@ from itertools import zip_longest
 from .linalg import kernel_basis  # noqa: F401
 from .mpoly import MPoly
 from .normal_form import QuadForm
-from .rings import RingElem, _power, _product_sums
+from .rings import RingElem, _power, _product_sums, _sparse_add, _sparse_mul
 
 
 class DegreeOverflowError(ArithmeticError):
@@ -136,19 +136,23 @@ class DPRing:
     def reduce_with_multiplier(self, poly):
         """Divide by the relation, monic of degree 2 in X: returns (elem, h) with
         poly = elem.expand() + h * relation, verified exactly before returning.
+
+        The certificate compares raw values, which are canonical, so equal
+        dicts are equal polynomials.
         """
         rem, h = poly.divide(self.relation, (2, 0))
-        if poly - (rem + h * self.relation) != MPoly.zero(self.ring, 2):
+        ring = self.ring
+        if _sparse_add(ring, rem._raw(), _sparse_mul(ring, h._raw(), self.relation._raw())) != poly._raw():
             raise AssertionError("division certificate failed (internal error)")
-        fc = [self.ring.zero] * (self.degree_bound + 1)
-        gc = [self.ring.zero] * (self.degree_bound + 1)
+        top = max((j for _, j in rem.terms), default=-1)
+        if top > self.degree_bound:
+            raise DegreeOverflowError(f"canonical Y-degree {top} exceeds bound {self.degree_bound}")
+        parts = ({}, {})  # the Y-degree to coefficient maps of f and g
         for (i, j), c in rem.terms.items():
-            if j > self.degree_bound:
-                raise DegreeOverflowError(
-                    f"canonical Y-degree {j} exceeds bound {self.degree_bound}"
-                )
-            (fc if i == 0 else gc)[j] = c
-        return DPElem(self, _norm(fc), _norm(gc)), h
+            parts[i][j] = c
+        zero = ring.zero
+        fc, gc = (tuple(p.get(j, zero) for j in range(max(p, default=-1) + 1)) for p in parts)
+        return DPElem(self, fc, gc), h
 
 
 class DPElem:

@@ -35,6 +35,15 @@ class MPoly:
         return out
 
     @classmethod
+    def _of_raw(cls, ring, nvars, raw):
+        """`_of` on a dict of nonzero raw values, each wrapped once."""
+        return cls._of(ring, nvars, {e: RingElem(ring, v) for e, v in raw.items()})
+
+    def _raw(self):
+        """The terms as {exponent tuple: raw value}, the form the sparse kernels take."""
+        return {e: c.val for e, c in self.terms.items()}
+
+    @classmethod
     def zero(cls, ring, nvars):
         return cls(ring, nvars, {})
 
@@ -74,7 +83,7 @@ class MPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return MPoly._of(self.ring, self.nvars, _sparse_add(self.terms, other.terms))
+        return MPoly._of_raw(self.ring, self.nvars, _sparse_add(self.ring, self._raw(), other._raw()))
 
     __radd__ = __add__
 
@@ -91,16 +100,18 @@ class MPoly:
         return other + (-self)
 
     def __neg__(self):
-        return MPoly._of(self.ring, self.nvars, {e: -c for e, c in self.terms.items()})
+        vneg = self.ring._vneg
+        return MPoly._of_raw(self.ring, self.nvars, {e: vneg(c.val) for e, c in self.terms.items()})
 
     def __mul__(self, other):
+        ring = self.ring
         if isinstance(other, (RingElem, int)):
-            c = self.ring(other)
-            return MPoly._of(self.ring, self.nvars, {e: ca for e, a in self.terms.items() if (ca := c * a)})
+            c, vmul = ring(other).val, ring._vmul
+            return MPoly._of_raw(ring, self.nvars, {e: v for e, a in self.terms.items() if (v := vmul(c, a.val))})
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return MPoly._of(self.ring, self.nvars, _sparse_mul(self.terms, other.terms))
+        return MPoly._of_raw(ring, self.nvars, _sparse_mul(ring, self._raw(), other._raw()))
 
     __rmul__ = __mul__
 
@@ -129,7 +140,7 @@ class MPoly:
         ring = self.ring
         vadd, vmul = ring._vadd, ring._vmul
         tail = [(e, ring._vneg(c.val)) for e, c in relation.terms.items() if e != lead]
-        rem, quot = {e: c.val for e, c in self.terms.items()}, {}
+        rem, quot = self._raw(), {}
         while divisible := [e for e in rem if all(map(ge, e, lead))]:
             e = max(divisible) if rng is None else sorted(divisible)[rng.randrange(len(divisible))]
             c = rem.pop(e)
@@ -145,10 +156,7 @@ class MPoly:
                 else:
                     rem.pop(m, None)
         n = self.nvars
-        return (
-            MPoly._of(ring, n, {e: RingElem(ring, v) for e, v in rem.items()}),
-            MPoly._of(ring, n, {e: RingElem(ring, v) for e, v in quot.items() if v}),
-        )
+        return MPoly._of_raw(ring, n, rem), MPoly._of_raw(ring, n, {e: v for e, v in quot.items() if v})
 
     def eval_all(self, values):
         """Evaluate at a full point; returns a ring element."""

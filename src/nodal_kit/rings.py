@@ -98,16 +98,18 @@ def format_terms(terms, names):
 #
 # Sparse polynomials (`MPoly` terms) are dicts {exponent tuple: nonzero
 # coefficient}; dense ones (`Series2` parts, `DPElem` components) are
-# sequences indexed by exponent.  Each coefficient loop is written once here;
-# the sparse loops test coefficients by truth value.
+# sequences indexed by exponent.  Each coefficient loop is written once here.
+# The sparse loops run on raw values, combined through the ring's `_vadd` and
+# `_vmul` and tested for zero by truth value.
 
 
-def _sparse_add(x, y):
-    """Sum of two sparse polynomials."""
+def _sparse_add(ring, x, y):
+    """Sum of two sparse polynomials of raw values."""
+    vadd = ring._vadd
     out = dict(x)
     for e, c in y.items():
-        c0 = out.get(e)
-        c = c if c0 is None else c0 + c
+        if e in out:
+            c = vadd(out[e], c)
         if c:
             out[e] = c
         else:
@@ -115,14 +117,16 @@ def _sparse_add(x, y):
     return out
 
 
-def _sparse_mul(x, y):
-    """Product of two sparse polynomials."""
+def _sparse_mul(ring, x, y):
+    """Product of two sparse polynomials of raw values."""
+    vadd, vmul = ring._vadd, ring._vmul
     out = {}
     for e1, c1 in x.items():
         for e2, c2 in y.items():
             e = tuple(map(add, e1, e2))
-            c0 = out.get(e)
-            c = c1 * c2 if c0 is None else c0 + c1 * c2
+            c = vmul(c1, c2)
+            if e in out:
+                c = vadd(out[e], c)
             if c:
                 out[e] = c
             else:

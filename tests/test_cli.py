@@ -583,6 +583,21 @@ def test_a_wrong_quotient_fails_the_canonical_roundtrip_check(monkeypatch, capsy
     assert failed["dp.canonical-roundtrip"] == "AssertionError: division certificate failed (internal error)"
 
 
+@pytest.mark.parametrize("ring, shift", [("fp:7", "1"), ("dual:q", "eps")])
+def test_a_wrong_remainder_fails_the_canonical_roundtrip_check(monkeypatch, capsys, ring, shift):
+    # over dual:q the shift moves only the eps part of the constant coefficient
+    real = MPoly.divide
+
+    def wrong_remainder(self, relation, lead, rng=None):
+        rem, quot = real(self, relation, lead, rng)
+        return rem + self.ring(shift), quot
+
+    monkeypatch.setattr(MPoly, "divide", wrong_remainder)
+    code, failed = _counterexamples(capsys, "division", "--ring", ring, "--gamma", "3", "--delta", "2")
+    assert code == 1
+    assert failed["dp.canonical-roundtrip"] == "AssertionError: division certificate failed (internal error)"
+
+
 def test_a_perturbed_relation_fails_the_factorization_and_both_exactness_checks(monkeypatch, capsys):
     class PerturbedDPRing(cli.DPRing):
         def __init__(self, *args, **kwargs):

@@ -75,6 +75,13 @@ class TestReduce:
         with pytest.raises(DegreeOverflowError):
             dp.reduce(MPoly.monomial(QQ, (0, 9)))
 
+    def test_degree_overflow_names_the_top_degree(self):
+        # Y^5 comes first in the remainder's dict order, Y^9 is its top degree
+        dp = dp_ring(QQ, 1, 0, 0, 0, bound=3)
+        poly = MPoly(QQ, 2, {(0, 5): QQ.one, (0, 9): QQ.one})
+        with pytest.raises(DegreeOverflowError, match="canonical Y-degree 9 exceeds bound 3"):
+            dp.reduce(poly)
+
 
 class TestPowerDecompositions:
     def test_base_cases(self):

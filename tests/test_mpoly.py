@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from nodal_kit.dp_ring import DPElem, DegreeOverflowError, DPRing, _norm
 from nodal_kit.mpoly import MPoly
 from nodal_kit.normal_form import QuadForm
-from nodal_kit.rings import make_ring
+from nodal_kit.rings import _sparse_add, _sparse_mul, make_ring
 from nodal_kit.stabilize import UnsupportedConfigurationError, build_charts, reduce_chart0
 
 # --- differential tests against the two division loops MPoly.divide replaced ---
@@ -94,6 +94,78 @@ def test_reduce_with_multiplier_matches_the_reference_loop(name, data):
     ref_elem, ref_h = _ref_reduce_with_multiplier(dp, poly)
     assert (elem.fc, elem.gc) == (ref_elem.fc, ref_elem.gc)
     assert _terms(h) == _terms(ref_h)
+
+
+# --- the raw sparse kernels against the RingElem route they replaced ---------
+
+
+def _ref_sparse_add(x, y):
+    out = dict(x)
+    for e, c in y.items():
+        c = c if e not in out else out[e] + c
+        if c:
+            out[e] = c
+        else:
+            out.pop(e, None)
+    return out
+
+
+def _ref_sparse_mul(x, y):
+    out = {}
+    for e1, c1 in x.items():
+        for e2, c2 in y.items():
+            e = (e1[0] + e2[0], e1[1] + e2[1])
+            c = c1 * c2 if e not in out else out[e] + c1 * c2
+            if c:
+                out[e] = c
+            else:
+                out.pop(e, None)
+    return out
+
+
+def _vals(terms):
+    return {e: c.val for e, c in terms.items()}
+
+
+@pytest.mark.parametrize("name", list(DIFF_RINGS))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_the_raw_sparse_kernels_match_the_ring_element_route(name, data):
+    ring = DIFF_RINGS[name]
+    p, q = data.draw(polys(ring)), data.draw(polys(ring))
+    c = data.draw(coeffs(ring))
+    x, y = p.terms, q.terms
+    assert _sparse_add(ring, _vals(x), _vals(y)) == _vals(_ref_sparse_add(x, y))
+    assert _sparse_mul(ring, _vals(x), _vals(y)) == _vals(_ref_sparse_mul(x, y))
+    # MPoly wraps the raw results once; its scalar product and negation agree too
+    assert _terms(p + q) == _vals(_ref_sparse_add(x, y))
+    assert _terms(p * q) == _vals(_ref_sparse_mul(x, y))
+    assert _terms(p * c) == {e: (a * c).val for e, a in x.items() if a * c}
+    assert _terms(-p) == {e: (-a).val for e, a in x.items()}
+
+
+# nilpotents a, b with a * b = 0: eps * eps in the dual numbers, and
+# s*t * s in the local ring truncated at m^3
+NILPOTENT_PAIRS = {"dual:q": ("eps", "eps"), "loc:q:s,t:3": ("s*t", "s")}
+
+
+@pytest.mark.parametrize("name", list(NILPOTENT_PAIRS))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_the_raw_sparse_kernels_cancel_to_the_empty_dict(name, data):
+    ring = DIFF_RINGS[name]
+    a, b = (ring(g) for g in NILPOTENT_PAIRS[name])
+    p, q = data.draw(polys(ring)), data.draw(polys(ring))
+    neg = {e: -c for e, c in p.terms.items()}
+    assert _sparse_add(ring, _vals(p.terms), _vals(neg)) == {}
+    assert (p + (-p)).terms == {} and (p - p).terms == {}
+    assert _sparse_mul(ring, _terms(p * a), _terms(q * b)) == {}
+    assert (p * a * (q * b)).terms == {}
+    # (c*X + c*Y) * (X - Y): the two X*Y products cancel inside one product
+    c = data.draw(coeffs(ring))
+    x, y = MPoly.var(ring, 2, 0), MPoly.var(ring, 2, 1)
+    square_diff = {e: v for e, v in (((2, 0), c.val), ((0, 2), (-c).val)) if v}
+    assert _sparse_mul(ring, _terms(x * c + y * c), _terms(x - y)) == square_diff
 
 
 # (gamma, delta) pairs with a unit discriminant over each of the rings above
