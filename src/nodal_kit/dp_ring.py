@@ -142,16 +142,16 @@ class DPRing:
         """
         rem, h = poly.divide(self.relation, (2, 0))
         ring = self.ring
-        if _sparse_add(ring, rem._raw(), _sparse_mul(ring, h._raw(), self.relation._raw())) != poly._raw():
+        if _sparse_add(ring, rem.terms, _sparse_mul(ring, h.terms, self.relation.terms)) != poly.terms:
             raise AssertionError("division certificate failed (internal error)")
         top = max((j for _, j in rem.terms), default=-1)
         if top > self.degree_bound:
             raise DegreeOverflowError(f"canonical Y-degree {top} exceeds bound {self.degree_bound}")
-        parts = ({}, {})  # the Y-degree to coefficient maps of f and g
+        parts = ({}, {})  # the Y-degree to raw coefficient maps of f and g
         for (i, j), c in rem.terms.items():
             parts[i][j] = c
-        zero = ring.zero
-        fc, gc = (tuple(p.get(j, zero) for j in range(max(p, default=-1) + 1)) for p in parts)
+        zero = ring.zero.val
+        fc, gc = (tuple(RingElem(ring, p.get(j, zero)) for j in range(max(p, default=-1) + 1)) for p in parts)
         return DPElem(self, fc, gc), h
 
 
@@ -246,13 +246,7 @@ class DPElem:
 
     def expand(self):
         """The representative f(Y) + X*g(Y) as a bivariate polynomial."""
-        terms = {}
-        for j, c in enumerate(self.fc):
-            if not c.is_zero:
-                terms[(0, j)] = c
-        for j, c in enumerate(self.gc):
-            if not c.is_zero:
-                terms[(1, j)] = c
+        terms = {(i, j): c for i, cs in enumerate((self.fc, self.gc)) for j, c in enumerate(cs)}
         return MPoly(self.dp.ring, 2, terms)
 
     def __str__(self):
@@ -310,7 +304,7 @@ def _times_x(poly):
 
 
 def _y_poly_to_mpoly(ring, coeffs):
-    return MPoly._of(ring, 2, {(0, j): c for j, c in enumerate(coeffs) if not c.is_zero})
+    return MPoly(ring, 2, {(0, j): c for j, c in enumerate(coeffs)})
 
 
 def mul_columns(elem, bound, out_bound):

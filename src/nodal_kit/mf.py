@@ -100,7 +100,7 @@ def build_factorization(dp):
     g, d, s, t = dp.q.gamma, dp.q.delta, dp.s, dp.t
 
     def P(terms):
-        return MPoly(ring, 2, {e: ring(c) for e, c in terms.items()})
+        return MPoly(ring, 2, terms)
 
     phi = (
         (P({(0, 1): d, (0, 0): d * t, (1, 0): g}), P({(1, 0): ring.one, (0, 0): s + g * t})),

@@ -1,8 +1,10 @@
 """Sparse multivariate polynomials over an exact coefficient ring.
 
 Internal plumbing shared by the quotient-ring, factorization, and chart
-modules; terms are stored as a dict from exponent tuples to nonzero
-coefficients, so equality is structural and arithmetic stays exact.
+modules.  Terms are stored as a dict from exponent tuples to nonzero raw
+coefficient values, the form the sparse kernels take, so equality is
+structural and arithmetic stays exact.  Coefficients are wrapped as ring
+elements only where they leave the class.
 """
 
 from __future__ import annotations
@@ -16,12 +18,14 @@ class MPoly:
     __slots__ = ("ring", "nvars", "terms")
 
     def __init__(self, ring, nvars, terms):
+        """A polynomial of {exponent tuple: coefficient}, each coefficient an
+        element of `ring` or an int; zero coefficients are dropped."""
         clean = {}
         for e, c in terms.items():
             if len(e) != nvars or any(k < 0 for k in e):
                 raise ValueError(f"bad exponent tuple {e!r} for {nvars} variables")
-            if not c.is_zero:
-                clean[e] = c
+            if v := ring(c).val:
+                clean[e] = v
         self.ring = ring
         self.nvars = nvars
         self.terms = clean
@@ -29,19 +33,10 @@ class MPoly:
     @classmethod
     def _of(cls, ring, nvars, terms):
         """A polynomial of terms known to be valid (exponent tuples of length
-        nvars, nonzero coefficients), built without checking them again."""
+        nvars, nonzero raw values), built without checking them again."""
         out = object.__new__(cls)
         out.ring, out.nvars, out.terms = ring, nvars, terms
         return out
-
-    @classmethod
-    def _of_raw(cls, ring, nvars, raw):
-        """`_of` on a dict of nonzero raw values, each wrapped once."""
-        return cls._of(ring, nvars, {e: RingElem(ring, v) for e, v in raw.items()})
-
-    def _raw(self):
-        """The terms as {exponent tuple: raw value}, the form the sparse kernels take."""
-        return {e: c.val for e, c in self.terms.items()}
 
     @classmethod
     def zero(cls, ring, nvars):
@@ -49,26 +44,29 @@ class MPoly:
 
     @classmethod
     def const(cls, ring, nvars, c):
-        return cls(ring, nvars, {(0,) * nvars: ring(c)})
+        return cls(ring, nvars, {(0,) * nvars: c})
 
     @classmethod
     def var(cls, ring, nvars, i, power=1):
+        if not 0 <= i < nvars:
+            raise ValueError(f"variable index {i} is out of range for {nvars} variables")
         e = tuple(power if j == i else 0 for j in range(nvars))
         return cls(ring, nvars, {e: ring.one})
 
     @classmethod
     def monomial(cls, ring, exps, c=1):
-        return cls(ring, len(exps), {tuple(exps): ring(c)})
+        return cls(ring, len(exps), {tuple(exps): c})
 
     @property
     def is_zero(self):
         return not self.terms
 
     def coefficient(self, exps):
-        return self.terms.get(tuple(exps), self.ring.zero)
+        return RingElem(self.ring, self.terms.get(tuple(exps), self.ring.zero.val))
 
     def terms_sorted(self):
-        return sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]))
+        """(exponent tuple, ring element) pairs by degree, then exponents."""
+        return [(e, RingElem(self.ring, self.terms[e])) for e in sorted(self.terms, key=lambda e: (sum(e), e))]
 
     def _coerce(self, other):
         if isinstance(other, MPoly):
@@ -83,7 +81,7 @@ class MPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return MPoly._of_raw(self.ring, self.nvars, _sparse_add(self.ring, self._raw(), other._raw()))
+        return MPoly._of(self.ring, self.nvars, _sparse_add(self.ring, self.terms, other.terms))
 
     __radd__ = __add__
 
@@ -101,17 +99,17 @@ class MPoly:
 
     def __neg__(self):
         vneg = self.ring._vneg
-        return MPoly._of_raw(self.ring, self.nvars, {e: vneg(c.val) for e, c in self.terms.items()})
+        return MPoly._of(self.ring, self.nvars, {e: vneg(c) for e, c in self.terms.items()})
 
     def __mul__(self, other):
         ring = self.ring
         if isinstance(other, (RingElem, int)):
             c, vmul = ring(other).val, ring._vmul
-            return MPoly._of_raw(ring, self.nvars, {e: v for e, a in self.terms.items() if (v := vmul(c, a.val))})
+            return MPoly._of(ring, self.nvars, {e: v for e, a in self.terms.items() if (v := vmul(c, a))})
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return MPoly._of_raw(ring, self.nvars, _sparse_mul(ring, self._raw(), other._raw()))
+        return MPoly._of(ring, self.nvars, _sparse_mul(ring, self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -134,13 +132,13 @@ class MPoly:
         Varieties, and Algorithms*, 2.3).
         """
         relation = self._coerce(relation)
-        if max(relation.terms, default=None) != lead or relation.terms[lead] != self.ring.one:
-            raise ValueError(f"the relation's lex-leading term is not 1 * x^{lead}")
-        # the loop runs on raw values: rem gains c * (-c2) for each tail term c2
         ring = self.ring
+        if max(relation.terms, default=None) != lead or relation.terms[lead] != ring.one.val:
+            raise ValueError(f"the relation's lex-leading term is not 1 * x^{lead}")
+        # rem gains c * (-c2) for each tail term c2
         vadd, vmul = ring._vadd, ring._vmul
-        tail = [(e, ring._vneg(c.val)) for e, c in relation.terms.items() if e != lead]
-        rem, quot = self._raw(), {}
+        tail = [(e, ring._vneg(c)) for e, c in relation.terms.items() if e != lead]
+        rem, quot = dict(self.terms), {}
         while divisible := [e for e in rem if all(map(ge, e, lead))]:
             e = max(divisible) if rng is None else sorted(divisible)[rng.randrange(len(divisible))]
             c = rem.pop(e)
@@ -156,7 +154,7 @@ class MPoly:
                 else:
                     rem.pop(m, None)
         n = self.nvars
-        return MPoly._of_raw(ring, n, rem), MPoly._of_raw(ring, n, {e: v for e, v in quot.items() if v})
+        return MPoly._of(ring, n, rem), MPoly._of(ring, n, {e: v for e, v in quot.items() if v})
 
     def eval_all(self, values):
         """Evaluate at a full point; returns a ring element."""
@@ -165,7 +163,7 @@ class MPoly:
         values = [self.ring(v) for v in values]
         out = self.ring.zero
         for e, c in self.terms.items():
-            t = c
+            t = RingElem(self.ring, c)
             for v, k in zip(values, e):
                 t = t * v**k
             out = out + t
@@ -181,18 +179,16 @@ class MPoly:
             powers[k] = powers[k - 1] * poly
         for e, c in self.terms.items():
             e2 = tuple(0 if j == i else a for j, a in enumerate(e))
-            out = out + powers[e[i]] * MPoly(self.ring, self.nvars, {e2: c})
+            out = out + powers[e[i]] * MPoly._of(self.ring, self.nvars, {e2: c})
         return out
 
     def derivative(self, i):
-        out = {}
+        ring, out = self.ring, {}
         for e, c in self.terms.items():
-            k = e[i]
-            if k == 0:
-                continue
-            e2 = tuple(a - 1 if j == i else a for j, a in enumerate(e))
-            out[e2] = c * k
-        return MPoly(self.ring, self.nvars, out)
+            # k * c is zero when the characteristic divides k
+            if e[i] and (v := ring._vmul(c, ring.from_int(e[i]).val)):
+                out[tuple(a - 1 if j == i else a for j, a in enumerate(e))] = v
+        return MPoly._of(ring, self.nvars, out)
 
     def format(self, names):
         if len(names) != self.nvars:
@@ -212,7 +208,5 @@ def random_poly2(ring, rng, max_deg=3, density=0.4):
     for i in range(max_deg + 1):
         for j in range(max_deg + 1):
             if rng.random() < density:
-                c = ring.random_element(rng)
-                if not c.is_zero:
-                    terms[(i, j)] = c
+                terms[(i, j)] = ring.random_element(rng)
     return MPoly(ring, 2, terms)

@@ -96,9 +96,9 @@ def format_terms(terms, names):
 
 # --- coefficient kernels -----------------------------------------------------
 #
-# Sparse polynomials (`MPoly` terms) are dicts {exponent tuple: nonzero
-# coefficient}; dense ones (`Series2` parts, `DPElem` components) are
-# sequences indexed by exponent.  Each coefficient loop is written once here.
+# Sparse polynomials (`MPoly` terms) are dicts {exponent tuple: nonzero raw
+# value}; dense ones (`Series2` parts, `DPElem` components) are sequences of
+# ring elements indexed by exponent.  Each coefficient loop is written once here.
 # The sparse loops run on raw values, combined through the ring's `_vadd` and
 # `_vmul` and tested for zero by truth value.
 

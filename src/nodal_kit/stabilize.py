@@ -53,7 +53,7 @@ def _presenting_forms(ring, q, s, t):
     one = ring.one
 
     def P(terms):
-        return MPoly(ring, 3, {e: ring(c) for e, c in terms.items()})
+        return MPoly(ring, 3, terms)
 
     f0 = P({(1, 0, 0): g, (0, 1, 0): d, (0, 0, 0): d * t, (1, 0, 1): -one, (0, 0, 1): s})
     g0 = P({(1, 0, 0): one, (0, 0, 0): s + g * t, (0, 1, 1): one, (0, 0, 1): -t})
@@ -70,7 +70,7 @@ def _drop_var(poly, i):
             raise ValueError("polynomial still involves the eliminated variable")
         e2 = tuple(k for j, k in enumerate(e) if j != i)
         terms[e2] = c
-    return MPoly(poly.ring, 2, terms)
+    return MPoly._of(poly.ring, 2, terms)
 
 
 def _chart0_closed_form(ring, q, s, t):
@@ -240,7 +240,7 @@ def _glue_via_reciprocal(poly3):
         if k > 1:
             raise ValueError("gluing transform expects degree <= 1 in the chart variable")
         terms[(a, b, 1 - k)] = c
-    return MPoly(poly3.ring, 3, terms)
+    return MPoly._of(poly3.ring, 3, terms)
 
 
 @dataclass(frozen=True)

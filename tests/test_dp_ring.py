@@ -188,7 +188,7 @@ class TestPowerDecompositions:
 
         def min_weight_mpoly(p):
             w = None
-            for (i, j), c in p.terms.items():
+            for (i, j), c in p.terms_sorted():
                 for e, _ in loc.terms(c):
                     cand = i + j + sum(e)
                     w = min(w, cand) if w is not None else cand

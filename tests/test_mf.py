@@ -719,7 +719,7 @@ def test_the_lift_formula_gives_preimages_of_the_reference_kernels(descriptor):
             for kv in kernel_basis(ring, _columns_to_rows(cols), len(cols)):
                 v = tuple(sum((c * b[r] for c, b in zip(kv, basis)), dp.zero) for r in (0, 1))
                 image = _apply_mat(kmat, tuple(e.expand() for e in v))
-                w = tuple(MPoly(ring, 2, {(0, j): c for (i, j), c in p.terms.items() if i == 2}) for p in image)
+                w = tuple(MPoly(ring, 2, {(0, j): c for (i, j), c in p.terms_sorted() if i == 2}) for p in image)
                 assert image == tuple(dp.relation * part for part in w)
                 assert max(j for part in w for _, j in part.terms) <= max(e.degree() for e in v if not e.is_zero)
                 assert tuple(map(dp.reduce, _apply_mat(other, w))) == v

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from nodal_kit.dp_ring import DPElem, DegreeOverflowError, DPRing, _norm
 from nodal_kit.mpoly import MPoly
 from nodal_kit.normal_form import QuadForm
-from nodal_kit.rings import _sparse_add, _sparse_mul, make_ring
+from nodal_kit.rings import RingElem, _sparse_add, _sparse_mul, make_ring
 from nodal_kit.stabilize import UnsupportedConfigurationError, build_charts, reduce_chart0
 
 # --- differential tests against the two division loops MPoly.divide replaced ---
@@ -28,13 +28,12 @@ def _ref_reduce_with_multiplier(dp, poly):
         if top is None:
             break
         i, j = top
-        c = rem.terms[top]
-        factor = MPoly(dp.ring, 2, {(i - 2, j): c})
+        factor = MPoly(dp.ring, 2, {(i - 2, j): rem.coefficient(top)})
         rem = rem - factor * dp.relation
         h = h + factor
     fc = [dp.ring.zero] * (dp.degree_bound + 1)
     gc = [dp.ring.zero] * (dp.degree_bound + 1)
-    for (i, j), c in rem.terms.items():
+    for (i, j), c in rem.terms_sorted():
         if j > dp.degree_bound:
             raise DegreeOverflowError(f"canonical Y-degree {j} exceeds bound {dp.degree_bound}")
         (fc if i == 0 else gc)[j] = c
@@ -54,8 +53,7 @@ def _ref_reduce_chart0(chart, poly, rng=None):
             e = max(reducible)
         else:
             e = sorted(reducible)[rng.randrange(len(reducible))]
-        c = out.terms[e]
-        factor = MPoly(poly.ring, 2, {(e[0] - 1, e[1] - 2): c})
+        factor = MPoly(poly.ring, 2, {(e[0] - 1, e[1] - 2): out.coefficient(e)})
         out = out - factor * rel
 
 
@@ -66,7 +64,8 @@ DIFF_RINGS = {
 
 def coeffs(ring):
     """Small ring elements; over the composite rings with an atom term."""
-    small = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)).map(ring.from_fraction)
+    denominators = st.integers(1, 4).filter(lambda d: ring.from_int(d))  # units, also over fp:3
+    small = st.builds(Fraction, st.integers(-6, 6), denominators).map(ring.from_fraction)
     atoms = sorted(ring.atoms().items())
     if not atoms:
         return small
@@ -76,10 +75,6 @@ def coeffs(ring):
 def polys(ring, max_deg=4):
     exps = st.tuples(st.integers(0, max_deg), st.integers(0, max_deg))
     return st.dictionaries(exps, coeffs(ring), max_size=8).map(lambda terms: MPoly(ring, 2, terms))
-
-
-def _terms(poly):
-    return {e: c.val for e, c in poly.terms.items()}
 
 
 @pytest.mark.parametrize("name", list(DIFF_RINGS))
@@ -93,7 +88,7 @@ def test_reduce_with_multiplier_matches_the_reference_loop(name, data):
     elem, h = dp.reduce_with_multiplier(poly)
     ref_elem, ref_h = _ref_reduce_with_multiplier(dp, poly)
     assert (elem.fc, elem.gc) == (ref_elem.fc, ref_elem.gc)
-    assert _terms(h) == _terms(ref_h)
+    assert h.terms == ref_h.terms
 
 
 # --- the raw sparse kernels against the RingElem route they replaced ---------
@@ -134,14 +129,14 @@ def test_the_raw_sparse_kernels_match_the_ring_element_route(name, data):
     ring = DIFF_RINGS[name]
     p, q = data.draw(polys(ring)), data.draw(polys(ring))
     c = data.draw(coeffs(ring))
-    x, y = p.terms, q.terms
-    assert _sparse_add(ring, _vals(x), _vals(y)) == _vals(_ref_sparse_add(x, y))
-    assert _sparse_mul(ring, _vals(x), _vals(y)) == _vals(_ref_sparse_mul(x, y))
-    # MPoly wraps the raw results once; its scalar product and negation agree too
-    assert _terms(p + q) == _vals(_ref_sparse_add(x, y))
-    assert _terms(p * q) == _vals(_ref_sparse_mul(x, y))
-    assert _terms(p * c) == {e: (a * c).val for e, a in x.items() if a * c}
-    assert _terms(-p) == {e: (-a).val for e, a in x.items()}
+    x, y = dict(p.terms_sorted()), dict(q.terms_sorted())
+    assert _sparse_add(ring, p.terms, q.terms) == _vals(_ref_sparse_add(x, y))
+    assert _sparse_mul(ring, p.terms, q.terms) == _vals(_ref_sparse_mul(x, y))
+    # MPoly keeps the raw results; its scalar product and negation agree too
+    assert (p + q).terms == _vals(_ref_sparse_add(x, y))
+    assert (p * q).terms == _vals(_ref_sparse_mul(x, y))
+    assert (p * c).terms == {e: (a * c).val for e, a in x.items() if a * c}
+    assert (-p).terms == {e: (-a).val for e, a in x.items()}
 
 
 # nilpotents a, b with a * b = 0: eps * eps in the dual numbers, and
@@ -156,16 +151,16 @@ def test_the_raw_sparse_kernels_cancel_to_the_empty_dict(name, data):
     ring = DIFF_RINGS[name]
     a, b = (ring(g) for g in NILPOTENT_PAIRS[name])
     p, q = data.draw(polys(ring)), data.draw(polys(ring))
-    neg = {e: -c for e, c in p.terms.items()}
-    assert _sparse_add(ring, _vals(p.terms), _vals(neg)) == {}
+    neg = {e: (-c).val for e, c in p.terms_sorted()}
+    assert _sparse_add(ring, p.terms, neg) == {}
     assert (p + (-p)).terms == {} and (p - p).terms == {}
-    assert _sparse_mul(ring, _terms(p * a), _terms(q * b)) == {}
+    assert _sparse_mul(ring, (p * a).terms, (q * b).terms) == {}
     assert (p * a * (q * b)).terms == {}
     # (c*X + c*Y) * (X - Y): the two X*Y products cancel inside one product
     c = data.draw(coeffs(ring))
     x, y = MPoly.var(ring, 2, 0), MPoly.var(ring, 2, 1)
     square_diff = {e: v for e, v in (((2, 0), c.val), ((0, 2), (-c).val)) if v}
-    assert _sparse_mul(ring, _terms(x * c + y * c), _terms(x - y)) == square_diff
+    assert _sparse_mul(ring, (x * c + y * c).terms, (x - y).terms) == square_diff
 
 
 # (gamma, delta) pairs with a unit discriminant over each of the rings above
@@ -183,10 +178,10 @@ def test_reduce_chart0_matches_the_reference_loop(name, data, seed):
     poly = data.draw(polys(ring))
     if data.draw(st.booleans()):  # a member of the ideal, which must reduce to zero
         poly = poly * chart0.relation
-    assert _terms(reduce_chart0(chart0, poly)) == _terms(_ref_reduce_chart0(chart0, poly))
+    assert reduce_chart0(chart0, poly).terms == _ref_reduce_chart0(chart0, poly).terms
     rng, ref_rng = random.Random(seed), random.Random(seed)
     out = reduce_chart0(chart0, poly, rng)
-    assert _terms(out) == _terms(_ref_reduce_chart0(chart0, poly, ref_rng))
+    assert out.terms == _ref_reduce_chart0(chart0, poly, ref_rng).terms
     assert rng.getstate() == ref_rng.getstate()  # the same draws, in the same order
 
 
@@ -216,7 +211,7 @@ def test_a_seeded_division_drops_quotient_terms_that_cancel(name):
     poly, relation = x * y - x * x, x - y
     rem, quot = poly.divide(relation, (1, 0), _FirstDraw())
     assert rem.terms == {}
-    assert quot.terms == {(1, 0): -ring.one}
+    assert quot.terms == {(1, 0): (-ring.one).val}
     assert poly == rem + quot * relation
 
 
@@ -245,4 +240,66 @@ def test_the_public_constructor_checks_terms_and_arithmetic_keeps_them_clean():
     # sums, products and scalar products drop the coefficients that vanish
     assert ((x * ring.eps) * ring.eps).terms == {}
     assert (x * ring.eps * x - x * x * ring.eps).terms == {}
-    assert (x + 1 - x).terms == {(0, 0): ring.one}
+    assert (x + 1 - x).terms == {(0, 0): ring.one.val}
+
+
+@pytest.mark.parametrize("name", ["fp:11", "q"])
+def test_the_public_constructor_refuses_a_coefficient_from_another_ring(name):
+    ring, other = make_ring(name), make_ring("fp:7")
+    with pytest.raises(ValueError, match=f"element of fp:7 is not in {name}"):
+        MPoly(ring, 1, {(1,): other(3)}) + MPoly(ring, 1, {(1,): ring(3)})
+
+
+@pytest.mark.parametrize("i", [2, 5, -1])
+def test_var_refuses_an_index_outside_the_variables(i):
+    with pytest.raises(ValueError, match=f"variable index {i} is out of range for 2 variables"):
+        MPoly.var(DIFF_RINGS["q"], 2, i)
+
+
+# --- the methods that hand ring elements out, against a RingElem reference ----
+
+BOUNDARY_RINGS = {name: make_ring(name) for name in ("fp:3", "dual:q", "loc:q:s,t:3")}
+
+
+def _is_elem(ring, c):
+    return isinstance(c, RingElem) and c.ring == ring
+
+
+def test_the_derivative_drops_a_coefficient_the_characteristic_kills():
+    ring = BOUNDARY_RINGS["fp:3"]
+    assert MPoly.var(ring, 1, 0, 3).derivative(0).terms == {}
+    assert MPoly.var(ring, 1, 0, 4).derivative(0).terms == {(3,): ring.one.val}
+
+
+@pytest.mark.parametrize("name", list(BOUNDARY_RINGS))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_the_boundary_methods_match_the_ring_element_route(name, data):
+    ring = BOUNDARY_RINGS[name]
+    exps = st.tuples(st.integers(0, 4), st.integers(0, 4))
+    ref = {e: c for e, c in data.draw(st.dictionaries(exps, coeffs(ring), max_size=8)).items() if c}
+    p, q = MPoly(ring, 2, ref), data.draw(polys(ring))
+    # terms_sorted and coefficient hand out ring elements of the polynomial's ring
+    pairs = p.terms_sorted()
+    assert pairs == sorted(ref.items(), key=lambda kv: (sum(kv[0]), kv[0]))
+    assert all(_is_elem(ring, c) for _, c in pairs)
+    for e in [(i, j) for i in range(5) for j in range(5)]:
+        assert _is_elem(ring, p.coefficient(e)) and p.coefficient(e) == ref.get(e, ring.zero)
+    # eval_all: the sum of c * x^i * y^j over the reference terms
+    point = (data.draw(coeffs(ring)), data.draw(coeffs(ring)))
+    value = p.eval_all(point)
+    assert _is_elem(ring, value)
+    assert value == sum((c * point[0] ** i * point[1] ** j for (i, j), c in ref.items()), ring.zero)
+    for v in (0, 1):
+        # derivative: k * c at the lowered exponent, dropped where it vanishes
+        lower = {(i - (v == 0), j - (v == 1)): c * (i, j)[v] for (i, j), c in ref.items() if (i, j)[v]}
+        assert p.derivative(v).terms == _vals({e: c for e, c in lower.items() if c})
+        # subs_var: each term's other variable times the v-th power of q
+        x = dict(q.terms_sorted())
+        out = {}
+        for e, c in ref.items():
+            power = {(0, 0): ring.one}
+            for _ in range(e[v]):
+                power = _ref_sparse_mul(power, x)
+            out = _ref_sparse_add(out, _ref_sparse_mul({(e[0] * v, e[1] * (1 - v)): c}, power))
+        assert p.subs_var(v, q).terms == _vals(out)
