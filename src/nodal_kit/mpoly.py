@@ -18,8 +18,8 @@ class MPoly:
     __slots__ = ("ring", "nvars", "terms")
 
     def __init__(self, ring, nvars, terms):
-        """A polynomial of {exponent tuple: coefficient}, each coefficient an
-        element of `ring` or an int; zero coefficients are dropped."""
+        """A polynomial of {exponent tuple: coefficient}, each coefficient
+        anything `ring(c)` coerces; zero coefficients are dropped."""
         clean = {}
         for e, c in terms.items():
             if len(e) != nvars or any(k < 0 for k in e):
