@@ -290,12 +290,12 @@ def test_the_boundary_methods_match_the_ring_element_route(name, data):
     value = p.eval_all(point)
     assert _is_elem(ring, value)
     assert value == sum((c * point[0] ** i * point[1] ** j for (i, j), c in ref.items()), ring.zero)
+    x = dict(q.terms_sorted())
     for v in (0, 1):
         # derivative: k * c at the lowered exponent, dropped where it vanishes
         lower = {(i - (v == 0), j - (v == 1)): c * (i, j)[v] for (i, j), c in ref.items() if (i, j)[v]}
         assert p.derivative(v).terms == _vals({e: c for e, c in lower.items() if c})
-        # subs_var: each term's other variable times the v-th power of q
-        x = dict(q.terms_sorted())
+        # subs_var: each term with variable v replaced by q, by repeated products
         out = {}
         for e, c in ref.items():
             power = {(0, 0): ring.one}
