@@ -11,11 +11,12 @@ from __future__ import annotations
 
 from itertools import zip_longest
 
+from .kernels import _product_sums, _sparse_add, _sparse_mul
 # kernel_basis is unused here; perfbench's tracer tests wrap it in this namespace
 from .linalg import kernel_basis  # noqa: F401
 from .mpoly import MPoly
 from .normal_form import QuadForm
-from .rings import RingElem, _power, _product_sums, _sparse_add, _sparse_mul
+from .rings import RingElem, _power
 
 
 class DegreeOverflowError(ArithmeticError):

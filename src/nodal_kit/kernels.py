@@ -1,0 +1,225 @@
+"""The coefficient kernels: the loops behind every product of polynomials
+and series.
+
+Sparse polynomials (`MPoly` terms) are dicts {exponent tuple: nonzero raw
+value}; dense ones (`Series2` parts, `DPElem` components) are sequences of
+ring elements indexed by exponent.  Each coefficient loop is written once
+here, in one of three kernels:
+
+- the sparse loops, on raw values combined through the ring's `_vadd` and
+  `_vmul` and tested for zero by truth value;
+- over Q and F_p, the packed kernel on integer images of dense vectors;
+- over the composite rings, the pair loop on raw values, each product walking
+  the ring's index map (`TruncatedRing._vmul`).
+"""
+
+from __future__ import annotations
+
+import sys
+from math import gcd, lcm
+from operator import add
+
+from .rings import PrimeField, RingElem, TruncatedRing
+
+
+def _sparse_add(ring, x, y):
+    """Sum of two sparse polynomials of raw values."""
+    vadd = ring._vadd
+    out = dict(x)
+    for e, c in y.items():
+        if e in out:
+            c = vadd(out[e], c)
+        if c:
+            out[e] = c
+        else:
+            out.pop(e, None)
+    return out
+
+
+def _sparse_mul(ring, x, y):
+    """Product of two sparse polynomials of raw values."""
+    vadd, vmul = ring._vadd, ring._vmul
+    out = {}
+    for e1, c1 in x.items():
+        for e2, c2 in y.items():
+            e = tuple(map(add, e1, e2))
+            c = vmul(c1, c2)
+            if e in out:
+                c = vadd(out[e], c)
+            if c:
+                out[e] = c
+            else:
+                out.pop(e, None)
+    return out
+
+
+# Over Q and F_p a dense vector is multiplied as one integer (Kronecker
+# substitution), read through its image (ints, den, bits): the vector ints/den,
+# ints a list of integers and den > 0, with every |x| < 2^bits.  An image is
+# canonical when its content is divided out, gcd(den, *ints) = 1 with bits
+# that of the largest |x| (the zero vector is ([0, ...], 1, 0)), and over F_p
+# when the ints are residues in [0, p) over den 1 with bits that of p - 1; two
+# canonical images of one vector are equal.  The image `_images` gives a
+# single vector and every image `_packed_sums` returns are canonical; the
+# kernel reads any image, a slice of one too.
+#
+# Each side is brought to one denominator, the lcm L of its images' dens, by
+# multiplying each packed integer once by its scale factor f = L // den: one
+# big-integer product per vector, none per coefficient.  The slots then hold
+# x*f, and |x*f| < 2^bits * f <= 2^(bits + bitlen(f - 1)), so a side's height
+# h is the largest bits + bitlen(f - 1) over its images (a factor of 1 costs
+# no bit).  A packed vector is sum x_k*f * 2^(w*k), and the product of two
+# such integers holds the convolution, one coefficient per w-bit slot.  A slot
+# sums at most `count` products, each below 2^(h_left + h_right) in absolute
+# value, so with
+#     w >= h_left + h_right + bitlen(count) + 1
+# every coefficient c has |c| < 2^(w-1).  Adding 2^(w-1) to every slot then
+# leaves each one a digit c + 2^(w-1) in [0, 2^w) with no borrow between
+# slots, so the coefficients are read back from the bytes of the sum (w is
+# rounded up to whole bytes, and to 1, 2, 4 or 8 of them when it fits a
+# machine word, which a memoryview reads in one call), each over
+# L_left * L_right.
+
+_WORD_FORMATS = {memoryview(bytes(8)).cast(f).itemsize: f for f in "BHIQ"}  # slot bytes -> format
+_LITTLE_ENDIAN = sys.byteorder == "little"
+
+
+def _images(ring, vecs):
+    """Images of vectors of RingElem over Q or F_p, over one shared
+    denominator: the lcm of their coefficients' own.  The image of a single
+    vector is canonical: a prime's highest power in the lcm is some
+    coefficient's denominator, whose numerator the prime does not divide."""
+    if isinstance(ring, PrimeField):
+        bits = (ring.p - 1).bit_length()
+        return [([c.val for c in v], 1, bits) for v in vecs]
+    ints = ring._ints
+    vals = [[ints(c.val) for c in v] for v in vecs]
+    den = lcm(*{d for v in vals for _, d in v})
+    nums = [[n * (den // d) for (n,), d in v] for v in vals]
+    return [(v, den, max(map(abs, v)).bit_length() if v else 0) for v in nums]
+
+
+def _canonical(ring, ints, den):
+    """The canonical image of the vector ints/den over Q or F_p (den > 0,
+    and 1 over F_p), given as a list it may keep."""
+    if isinstance(ring, PrimeField):
+        p = ring.p
+        return [x % p for x in ints], 1, (p - 1).bit_length()
+    g = gcd(den, *ints)
+    if g != 1:
+        ints, den = [x // g for x in ints], den // g
+    return ints, den, max(map(abs, ints)).bit_length() if ints else 0
+
+
+def _elements(ring, image):
+    """The vector of RingElem an image stands for."""
+    ints, den, _ = image
+    norm, zero = ring._norm, ring.zero
+    return tuple([RingElem(ring, norm((x,), den)) if x else zero for x in ints])
+
+
+def _pack(ints, w):
+    out = 0
+    for x in reversed(ints):
+        out = (out << w) + x
+    return out
+
+
+def _common_denominator(images):
+    """A side's integer vectors, its denominator L, each image's scale
+    factor L // den (None when all are 1), and the side's height (see above)."""
+    if not images:
+        return (), 1, None, 0
+    ints, dens, bits = zip(*images)
+    if dens.count(dens[0]) == len(dens):
+        return ints, dens[0], None, max(bits)
+    den = lcm(*set(dens))
+    scales = [den // d for d in dens]
+    return ints, den, scales, max([b + (f - 1).bit_length() for b, f in zip(bits, scales)])
+
+
+def _packed_slots(left, right, outputs):
+    """The slots of `_packed_sums`, flat, each the digit c + 2^(w-1) of a
+    coefficient c; 2^(w-1); and the denominator of every c."""
+    lints, lden, lscales, lbits = _common_denominator(left)
+    rints, rden, rscales, rbits = _common_denominator(right)
+    # each pair puts at most min(len(a), len(b)) products into a slot
+    count = max((len(pairs) for _, pairs in outputs), default=0) * min(
+        max(map(len, lints), default=0), max(map(len, rints), default=0)
+    )
+    wb = (lbits + rbits + count.bit_length() + 8) // 8  # bytes per slot
+    if wb <= 8:
+        wb = 1 << (wb - 1).bit_length()
+    w = 8 * wb
+    lpacked = [_pack(v, w) for v in lints]
+    rpacked = [_pack(v, w) for v in rints]
+    if lscales:
+        lpacked = [x * f for x, f in zip(lpacked, lscales)]
+    if rscales:
+        rpacked = [x * f for x, f in zip(rpacked, rscales)]
+    # every sum, stacked into one integer at the offset of its first slot
+    total = 0
+    for length, pairs in reversed(outputs):
+        acc = 0
+        for i, j in pairs:
+            acc += lpacked[i] * rpacked[j]
+        total = (total << (w * length)) + acc
+    nslots = sum(length for length, _ in outputs)
+    bias = int.from_bytes((bytes(wb - 1) + b"\x80") * nslots, "little")  # 2^(w-1) in every slot
+    buf = (total + bias).to_bytes(wb * nslots, "little")
+    if wb in _WORD_FORMATS and _LITTLE_ENDIAN:
+        digits = memoryview(buf).cast(_WORD_FORMATS[wb]).tolist()
+    else:
+        digits = [int.from_bytes(buf[k : k + wb], "little") for k in range(0, wb * nslots, wb)]
+    return digits, 1 << (w - 1), lden * rden
+
+
+def _packed_sums(ring, left, right, outputs):
+    """The packed kernel on images over Q and F_p: for each (length, pairs)
+    in outputs, the canonical image of the `length` coefficients of the sum
+    of left[i] * right[j] over (i, j) in pairs; `length` must cover every
+    product in the sum."""
+    digits, half, den = _packed_slots(left, right, outputs)
+    sums, start = [], 0
+    for length, _ in outputs:
+        sums.append(_canonical(ring, [d - half for d in digits[start : start + length]], den))
+        start += length
+    return sums
+
+
+def _product_sums(ring, left, right, outputs):
+    """Dense sums of products of vectors of RingElem, behind Series2 and
+    DPElem products.
+
+    For each (length, pairs) in outputs, the `length` coefficients of the sum
+    of left[i] * right[j] over (i, j) in pairs, as a tuple of RingElem;
+    `length` must cover every product in the sum.  Over Q and F_p this wraps
+    the packed kernel: each side's images share one denominator, so no scale
+    factor applies, and each output coefficient is reduced on its own as it
+    is wrapped, so no output image is made canonical.  Over composite rings
+    the raw values are multiplied pair by pair and each output coefficient is
+    wrapped once.
+    """
+    if isinstance(ring, TruncatedRing):
+        vadd, vmul, zero = ring._vadd, ring._vmul, ring.zero
+        lraw = [[c.val for c in v] for v in left]
+        rraw = [[(k, c.val) for k, c in enumerate(v) if c.val] for v in right]
+        sums = []
+        for length, pairs in outputs:
+            out = [()] * length
+            for i, j in pairs:
+                nb = rraw[j]
+                for k1, x in enumerate(lraw[i]):
+                    if x:
+                        for k2, y in nb:
+                            out[k1 + k2] = vadd(out[k1 + k2], vmul(x, y))
+            sums.append(tuple([RingElem(ring, v) if v else zero for v in out]))
+        return sums
+    digits, half, den = _packed_slots(_images(ring, left), _images(ring, right), outputs)
+    zero, norm = ring.zero, ring._norm
+    vals = [RingElem(ring, norm((d - half,), den)) if d != half else zero for d in digits]
+    sums, start = [], 0
+    for length, _ in outputs:
+        sums.append(tuple(vals[start : start + length]))
+        start += length
+    return sums

@@ -9,9 +9,11 @@ elements only where they leave the class.
 
 from __future__ import annotations
 
+from bisect import insort
 from operator import add, ge, sub
 
-from .rings import RingElem, _power, _sparse_add, _sparse_mul, format_terms
+from .kernels import _sparse_add, _sparse_mul
+from .rings import RingElem, _power, format_terms
 
 
 class MPoly:
@@ -129,7 +131,11 @@ class MPoly:
         rem divisible by `lead`.  Each step cancels, in place, the largest divisible
         monomial, or with an rng a seeded draw from them in sorted order, trading it
         for lex-smaller ones, so the loop ends (Cox, Little and O'Shea, *Ideals,
-        Varieties, and Algorithms*, 2.3).
+        Varieties, and Algorithms*, 2.3).  Without an rng the divisible monomials
+        are kept in a sorted list, so no step lists the remainder again: a step
+        pops the last (the lex-largest), skipping one that has left the
+        remainder, and inserts by bisection the new monomials it adds, all
+        lex-smaller than the one it cancels.
         """
         relation = self._coerce(relation)
         ring = self.ring
@@ -139,8 +145,20 @@ class MPoly:
         vadd, vmul = ring._vadd, ring._vmul
         tail = [(e, ring._vneg(c)) for e, c in relation.terms.items() if e != lead]
         rem, quot = dict(self.terms), {}
-        while divisible := [e for e in rem if all(map(ge, e, lead))]:
-            e = max(divisible) if rng is None else sorted(divisible)[rng.randrange(len(divisible))]
+        queue = sorted(e for e in rem if all(map(ge, e, lead))) if rng is None else []
+        while True:
+            if rng is None:
+                while queue:
+                    e = queue.pop()
+                    if e in rem:
+                        break
+                else:  # no divisible monomial is left
+                    break
+            else:
+                divisible = [e for e in rem if all(map(ge, e, lead))]
+                if not divisible:
+                    break
+                e = sorted(divisible)[rng.randrange(len(divisible))]
             c = rem.pop(e)
             shift = tuple(map(sub, e, lead))
             quot[shift] = vadd(quot[shift], c) if shift in quot else c
@@ -149,6 +167,8 @@ class MPoly:
                 v = vmul(c, c2)
                 if m in rem:
                     v = vadd(rem[m], v)
+                elif v and rng is None and all(map(ge, m, lead)):
+                    insort(queue, m)
                 if v:
                     rem[m] = v
                 else:

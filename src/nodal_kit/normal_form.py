@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .rings import DualNumbers, RingElem, _product_sums
+from .kernels import _elements, _images, _packed_sums, _product_sums
+from .rings import DualNumbers, RingElem, TruncatedRing
 from .series import Series2, _graded_sums, _min_prec
 
 
@@ -106,15 +107,16 @@ def _preimage_rows(q, c):
     return (-2 * q.delta * c, q.gamma * c), (q.gamma * c, -2 * c)
 
 
-def _apply_rows(ring, rows, parts):
-    """Each row of scalars (see `_preimage_rows`) applied to each component in
-    `parts` (degree n >= 1 -> vector), all in one packed product: the
+def _apply_rows(ring, sums, rows, parts):
+    """Each row of scalars (see `_preimage_rows`), given as length-1 vectors,
+    applied to each component in `parts` (degree n >= 1 -> its pieces
+    (v[1:], v[:1])), all in one product by the kernel `sums`: the
     degree-(n-1) vectors by degree, then by row."""
     degrees = sorted(parts)
-    left = [(s,) for row in rows for s in row]
-    right = [w for n in degrees for w in (parts[n][1:], parts[n][:1])]
+    left = [s for row in rows for s in row]
+    right = [w for n in degrees for w in parts[n]]
     outputs = [(n, [(2 * i, 2 * k), (2 * i + 1, 2 * k + 1)]) for k, n in enumerate(degrees) for i in range(len(rows))]
-    return _product_sums(ring, left, right, outputs)
+    return sums(ring, left, right, outputs)
 
 
 def _raw_increment_preimage(q, f, c=1):
@@ -127,7 +129,8 @@ def _raw_increment_preimage(q, f, c=1):
     if 0 in f.parts:
         raise ValueError("series must have zero constant term")
     ring = f.ring
-    sums = _apply_rows(ring, _preimage_rows(q, ring(c)), f.parts)
+    rows = [[(s,) for s in row] for row in _preimage_rows(q, ring(c))]
+    sums = _apply_rows(ring, _product_sums, rows, {n: (v[1:], v[:1]) for n, v in f.parts.items()})
     parts = [{n - 1: sums[2 * k + i] for k, n in enumerate(sorted(f.parts))} for i in (0, 1)]
     return tuple(Series2(ring, p, f.precision) for p in parts)
 
@@ -170,6 +173,22 @@ def _certify(identity, lhs, rhs):
         raise AssertionError(f"{identity} identity failed {where} (internal error)")
 
 
+def _vectors(ring):
+    """How the iteration holds a coefficient vector, as (sums, lift, wrap,
+    split): over Q and F_p a canonical integer image (see `kernels`),
+    multiplied by `_packed_sums`; over composite rings a tuple of RingElem,
+    multiplied pair by pair by `_product_sums`.  lift and wrap convert from
+    and to tuples of RingElem; split cuts v into (v[1:], v[:1])."""
+    if isinstance(ring, TruncatedRing):
+        return _product_sums, tuple, tuple, lambda v: (v[1:], v[:1])
+    return (
+        _packed_sums,
+        lambda vec: _images(ring, [vec])[0],
+        lambda image: _elements(ring, image),
+        lambda image: ((image[0][1:], *image[1:]), (image[0][:1], *image[1:])),
+    )
+
+
 def normal_form_iteration(f, q, n_steps):
     """Successive coordinate corrections flattening f onto q.
 
@@ -189,19 +208,26 @@ def normal_form_iteration(f, q, n_steps):
     components instead of multiplying out whole series (van der Hoeven's
     relaxed, or on-line, scheme in its simplest form).
 
-    A step is two packed products.  One forms the residual component eps,
+    A step is two products.  One forms the residual component eps,
     -f_{n+2} entering as f_{n+2} times the length-1 vector (-1,).  The other
     takes eps straight to the stored correction (a, b, a + gamma*b, delta*b)
     through the rows of `_correction_rows`, the right inverse at c = 1/d
-    composed with the correction, formed once per iteration.  A nonzero
-    correction is appended to x and y as one new component: the coefficient
+    composed with the correction, formed once per iteration.  Over Q and F_p
+    every vector the steps read or make stays a canonical integer image (see
+    `kernels`): f_{n+2} is read once, the rows and -1 once per iteration, and
+    eps and the stored corrections come out of the packed kernel as images,
+    so no image is rebuilt.  Only a and b are wrapped as ring elements, and
+    a nonzero one is appended to x or y as one new component: the coefficient
     tuples of the earlier components are shared and not checked again, while
-    the small degree -> component dict is copied on each step.
+    the small degree -> component dict is copied on each step.  Over
+    composite rings the vectors are tuples of ring elements (`_vectors`).
 
-    The right-inverse identity is certified once, after the last step:
-    L(x - X, y - Y) = -sum eps over all steps.  L is graded, so this is the
-    identity of every step at once, and the least degree where it fails is
-    n + 2 for the first step n whose correction is wrong.
+    The right-inverse identity is certified once, after the last step, in
+    one more product: -L(a_{n+1}, b_{n+1}) = eps of step n, for every step,
+    with L(a, b) = q_X*a + q_Y*b, as an equality of canonical images (of
+    ring elements over composite rings) degree by degree.  L is graded, so
+    the least degree where it fails is n + 2 for the first step n whose
+    correction is wrong.
     """
     if n_steps < 1:
         raise ValueError("need at least one step")
@@ -216,13 +242,14 @@ def normal_form_iteration(f, q, n_steps):
             f"series precision {f.precision} too small for {n_steps} steps"
         )
     ring = f.ring
+    sums, lift, wrap, split = _vectors(ring)
     xs, ys = Series2.x(ring), Series2.y(ring)
     out = [(xs, ys)]
-    rows = _correction_rows(q)
-    minus_one = (-ring.one,)
+    rows = [[lift((s,)) for s in row] for row in _correction_rows(q)]
+    minus_one = lift((-ring.one,))
     # degree k -> (a_k, b_k, a_k + gamma*b_k, delta*b_k), for nonzero corrections
     comps = {}
-    minus_eps = {}  # degree n + 2 -> -eps of step n
+    residuals = {}  # degree n + 2 -> eps of step n
     for n in range(1, n_steps):
         top = n + 2
         degrees = [i for i in comps if top - i in comps]
@@ -232,21 +259,32 @@ def normal_form_iteration(f, q, n_steps):
         f_top = f.parts.get(top)
         if f_top:
             pairs.append((len(left), len(right)))
-            left.append(f_top)
+            left.append(lift(f_top))
             right.append(minus_one)
-        (eps,) = _product_sums(ring, left, right, [(top + 1, pairs)])
-        minus_eps[top] = [-c for c in eps]
-        comp = _apply_rows(ring, rows, {top: eps})  # a, b, a + gamma*b, delta*b
-        in_x, in_y = (any(not c.is_zero for c in v) for v in comp[:2])
+        (eps,) = sums(ring, left, right, [(top + 1, pairs)])
+        residuals[top] = eps
+        comp = _apply_rows(ring, sums, rows, {top: split(eps)})  # a, b, a + gamma*b, delta*b
+        a, b = wrap(comp[0]), wrap(comp[1])
+        in_x, in_y = (any(c.val for c in v) for v in (a, b))
         if in_x or in_y:
             comps[n + 1] = comp
             if in_x:
-                xs = Series2._of(ring, {**xs.parts, n + 1: comp[0]}, xs.precision)
+                xs = Series2._of(ring, {**xs.parts, n + 1: a}, xs.precision)
             if in_y:
-                ys = Series2._of(ring, {**ys.parts, n + 1: comp[1]}, ys.precision)
+                ys = Series2._of(ring, {**ys.parts, n + 1: b}, ys.precision)
         out.append((xs, ys))
-    corrections = [Series2._of(ring, {k: v for k, v in s.parts.items() if k > 1}, None) for s in (xs, ys)]
-    _certify("right-inverse", linearized_increment(q, *corrections), Series2(ring, minus_eps))
+    # -q_X = (-gamma, -2) and -q_Y = (-2*delta, -gamma), by X-exponent
+    gradient = [lift((-q.gamma, -ring(2))), lift((-2 * q.delta, -q.gamma))]
+    right, outputs = [], []
+    for top in residuals:  # in increasing degree
+        pairs = []
+        if top - 1 in comps:  # a and b of step top - 2
+            pairs = [(0, len(right)), (1, len(right) + 1)]
+            right += comps[top - 1][:2]
+        outputs.append((top + 1, pairs))
+    for (top, eps), lhs in zip(residuals.items(), sums(ring, gradient, right, outputs)):
+        if lhs != eps:
+            raise AssertionError(f"right-inverse identity failed at degree {top} (internal error)")
     return out
 
 

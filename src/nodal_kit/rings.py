@@ -18,7 +18,6 @@ one with `_norm`; only the ring classes read the layout.
 from __future__ import annotations
 
 import re
-import sys
 from bisect import bisect_left
 from fractions import Fraction
 from functools import cached_property
@@ -92,142 +91,6 @@ def format_terms(terms, names):
     for p in parts[1:]:
         out += p if p.startswith("-") else "+" + p
     return out
-
-
-# --- coefficient kernels -----------------------------------------------------
-#
-# Sparse polynomials (`MPoly` terms) are dicts {exponent tuple: nonzero raw
-# value}; dense ones (`Series2` parts, `DPElem` components) are sequences of
-# ring elements indexed by exponent.  Each coefficient loop is written once here.
-# The sparse loops run on raw values, combined through the ring's `_vadd` and
-# `_vmul` and tested for zero by truth value.
-
-
-def _sparse_add(ring, x, y):
-    """Sum of two sparse polynomials of raw values."""
-    vadd = ring._vadd
-    out = dict(x)
-    for e, c in y.items():
-        if e in out:
-            c = vadd(out[e], c)
-        if c:
-            out[e] = c
-        else:
-            out.pop(e, None)
-    return out
-
-
-def _sparse_mul(ring, x, y):
-    """Product of two sparse polynomials of raw values."""
-    vadd, vmul = ring._vadd, ring._vmul
-    out = {}
-    for e1, c1 in x.items():
-        for e2, c2 in y.items():
-            e = tuple(map(add, e1, e2))
-            c = vmul(c1, c2)
-            if e in out:
-                c = vadd(out[e], c)
-            if c:
-                out[e] = c
-            else:
-                out.pop(e, None)
-    return out
-
-
-# Over Q and F_p a dense vector of raw values is multiplied as one integer
-# (Kronecker substitution): its integer images v_k (numerators over a shared
-# denominator over Q, residues over F_p) become sum v_k * 2^(w*k), and the
-# product of two such integers holds the convolution, one coefficient per
-# w-bit slot.  A slot sums at most `count` products, each below
-# 2^(bitlen(max|a|) + bitlen(max|b|)) in absolute value, so with
-#     w >= bitlen(max|a|) + bitlen(max|b|) + bitlen(count) + 1
-# every coefficient c has |c| < 2^(w-1).  Adding 2^(w-1) to every slot then
-# leaves each one a digit c + 2^(w-1) in [0, 2^w) with no borrow between
-# slots, so the coefficients are read back from the bytes of the sum (w is
-# rounded up to whole bytes, and to 1, 2, 4 or 8 of them when it fits a
-# machine word, which a memoryview reads in one call).
-
-_WORD_FORMATS = {memoryview(bytes(8)).cast(f).itemsize: f for f in "BHIQ"}  # slot bytes -> format
-_LITTLE_ENDIAN = sys.byteorder == "little"
-
-
-def _integer_images(ring, vecs):
-    """Integer images of dense vectors of RingElem, the denominator they share,
-    and the bit length of the largest image in absolute value."""
-    if isinstance(ring, PrimeField):
-        return [[c.val for c in v] for v in vecs], 1, (ring.p - 1).bit_length()
-    ints = ring._ints
-    vals = [[ints(c.val) for c in v] for v in vecs]
-    den = lcm(*{d for v in vals for _, d in v})
-    images = [[n * (den // d) for (n,), d in v] for v in vals]
-    return images, den, max((max(map(abs, v)) for v in images if v), default=0).bit_length()
-
-
-def _pack(ints, w):
-    out = 0
-    for x in reversed(ints):
-        out = (out << w) + x
-    return out
-
-
-def _product_sums(ring, left, right, outputs):
-    """Dense sums of products, the one kernel behind Series2 and DPElem products.
-
-    For each (length, pairs) in outputs, the `length` coefficients of the sum
-    of left[i] * right[j] over (i, j) in pairs, as a tuple of RingElem;
-    `length` must cover every product in the sum.  Over Q and F_p each vector
-    is packed once into an integer (see above) and all sums are unpacked
-    together; over composite rings the raw values are multiplied pair by pair
-    and each output coefficient is wrapped once.
-    """
-    if isinstance(ring, TruncatedRing):
-        vadd, vmul, zero = ring._vadd, ring._vmul, ring.zero
-        lraw = [[c.val for c in v] for v in left]
-        rraw = [[(k, c.val) for k, c in enumerate(v) if c.val] for v in right]
-        sums = []
-        for length, pairs in outputs:
-            out = [()] * length
-            for i, j in pairs:
-                nb = rraw[j]
-                for k1, x in enumerate(lraw[i]):
-                    if x:
-                        for k2, y in nb:
-                            out[k1 + k2] = vadd(out[k1 + k2], vmul(x, y))
-            sums.append(tuple([RingElem(ring, v) if v else zero for v in out]))
-        return sums
-    lints, lden, lbits = _integer_images(ring, left)
-    rints, rden, rbits = _integer_images(ring, right)
-    # each pair puts at most min(len(a), len(b)) products into a slot
-    count = max((len(pairs) for _, pairs in outputs), default=0) * min(
-        max(map(len, left), default=0), max(map(len, right), default=0)
-    )
-    wb = (lbits + rbits + count.bit_length() + 8) // 8  # bytes per slot
-    if wb <= 8:
-        wb = 1 << (wb - 1).bit_length()
-    w = 8 * wb
-    lpacked = [_pack(v, w) for v in lints]
-    rpacked = [_pack(v, w) for v in rints]
-    # every sum, stacked into one integer at the offset of its first slot
-    total = 0
-    for length, pairs in reversed(outputs):
-        acc = 0
-        for i, j in pairs:
-            acc += lpacked[i] * rpacked[j]
-        total = (total << (w * length)) + acc
-    nslots = sum(length for length, _ in outputs)
-    bias = int.from_bytes((bytes(wb - 1) + b"\x80") * nslots, "little")  # 2^(w-1) in every slot
-    buf = (total + bias).to_bytes(wb * nslots, "little")
-    if wb in _WORD_FORMATS and _LITTLE_ENDIAN:
-        digits = memoryview(buf).cast(_WORD_FORMATS[wb]).tolist()
-    else:
-        digits = [int.from_bytes(buf[k : k + wb], "little") for k in range(0, wb * nslots, wb)]
-    half, zero, norm, den = 1 << (w - 1), ring.zero, ring._norm, lden * rden
-    vals = [RingElem(ring, norm((d - half,), den)) if d != half else zero for d in digits]
-    sums, start = [], 0
-    for length, _ in outputs:
-        sums.append(tuple(vals[start : start + length]))
-        start += length
-    return sums
 
 
 def _power(x, n, one, times=mul):

@@ -13,7 +13,8 @@ import reprlib
 from collections import defaultdict
 from operator import add, attrgetter, neg, sub
 
-from .rings import RingElem, _product_sums, format_terms
+from .kernels import _product_sums
+from .rings import RingElem, format_terms
 
 
 class PrecisionError(ValueError):

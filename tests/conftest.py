@@ -4,8 +4,9 @@ import pytest
 
 from nodal_kit import normal_form
 from nodal_kit.dp_ring import DegreeOverflowError, mul_columns
+from nodal_kit.kernels import _canonical
 from nodal_kit.linalg import _dense_rows, rank
-from nodal_kit.rings import DualNumbers, LocalTruncation, PrimeField, Rationals
+from nodal_kit.rings import DualNumbers, LocalTruncation, PrimeField, Rationals, TruncatedRing
 
 
 @pytest.fixture
@@ -92,15 +93,20 @@ def perturbed_rows(monkeypatch, row, column):
 
 def perturbed_step(monkeypatch, step, which):
     """Make the `step`-th call of `_apply_rows` (step `step` of the first
-    iteration run) add one to coefficient 0 of output `which`."""
+    iteration run) add one to coefficient 0 of output `which`: over Q and F_p,
+    where the output is an image (ints, den, bits), by adding den to ints[0]."""
     real, calls = normal_form._apply_rows, []
 
-    def perturbed(ring, rows, parts):
-        out = real(ring, rows, parts)
+    def perturbed(ring, sums, rows, parts):
+        out = real(ring, sums, rows, parts)
         calls.append(None)
         if len(calls) == step:
             vec = out[which]
-            out[which] = (vec[0] + 1,) + vec[1:]
+            if isinstance(ring, TruncatedRing):
+                out[which] = (vec[0] + 1,) + vec[1:]
+            else:
+                ints, den, _ = vec
+                out[which] = _canonical(ring, [ints[0] + den, *ints[1:]], den)
         return out
 
     monkeypatch.setattr(normal_form, "_apply_rows", perturbed)

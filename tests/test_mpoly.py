@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nodal_kit.dp_ring import DPElem, DegreeOverflowError, DPRing, _norm
+from nodal_kit.kernels import _sparse_add, _sparse_mul
 from nodal_kit.mpoly import MPoly
 from nodal_kit.normal_form import QuadForm
-from nodal_kit.rings import RingElem, _sparse_add, _sparse_mul, make_ring
+from nodal_kit.rings import RingElem, make_ring
 from nodal_kit.stabilize import UnsupportedConfigurationError, build_charts, reduce_chart0
 
 # --- differential tests against the two division loops MPoly.divide replaced ---
@@ -183,6 +184,26 @@ def test_reduce_chart0_matches_the_reference_loop(name, data, seed):
     out = reduce_chart0(chart0, poly, rng)
     assert out.terms == _ref_reduce_chart0(chart0, poly, ref_rng).terms
     assert rng.getstate() == ref_rng.getstate()  # the same draws, in the same order
+
+
+@pytest.mark.parametrize("name", list(DIFF_RINGS))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_division_without_rescans_matches_the_reference_loop_on_long_remainders(name, data):
+    # a multiple of the relation plus high X-degree terms: each step adds
+    # monomials that are divisible again, some of which cancel and come back,
+    # so the sorted list of divisible monomials holds stale and repeated entries
+    ring = DIFF_RINGS[name]
+    gamma, delta, s, t = (data.draw(coeffs(ring)) for _ in range(4))
+    dp = DPRing(ring, QuadForm.make(ring, gamma, delta), s, t, degree_bound=40)
+    poly = data.draw(polys(ring, max_deg=7)) * dp.relation + data.draw(polys(ring, max_deg=9))
+    rem, quot = poly.divide(dp.relation, (2, 0))
+    ref_elem, ref_h = _ref_reduce_with_multiplier(dp, poly)
+    assert quot.terms == ref_h.terms
+    ref_rem = {(0, j): c.val for j, c in enumerate(ref_elem.fc) if c.val}
+    ref_rem.update({(1, j): c.val for j, c in enumerate(ref_elem.gc) if c.val})
+    assert rem.terms == ref_rem
+    assert poly == rem + quot * dp.relation
 
 
 def test_divide_returns_the_division_identity():

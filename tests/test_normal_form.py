@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import perturbed_rows, perturbed_step, random_unit_disc
 from nodal_kit import normal_form, series
 from nodal_kit.cli import _final_residual
+from nodal_kit.kernels import _product_sums
 from nodal_kit.normal_form import (
     CoordChange,
     DegenerateFormError,
@@ -17,7 +18,7 @@ from nodal_kit.normal_form import (
     square_zero_change,
     _raw_increment_preimage,
 )
-from nodal_kit.rings import PrimeField, Rationals, _product_sums, make_ring
+from nodal_kit.rings import PrimeField, Rationals, make_ring
 from nodal_kit.series import Series2
 
 QQ = Rationals()
@@ -324,6 +325,20 @@ def test_two_product_steps_match_the_per_step_right_inverse(seed, ring_desc, n_s
         assert _raw(x, y) == _raw(xr, yr)
 
 
+@pytest.mark.parametrize("gamma,delta", [("3/7", "5/11"), ("3^40", "1")])
+@pytest.mark.parametrize("seed", range(4))
+def test_tall_coefficients_match_the_per_step_right_inverse(gamma, delta, seed):
+    # coefficient heights grow from step to step, and with gamma = 3^40 the
+    # corrections' denominators divide powers of the discriminant 3^80 - 4:
+    # the images' scale factors and slots widen with them
+    rnd = random.Random(seed)
+    q = QuadForm.make(QQ, gamma, delta)
+    f = _random_series_over(q, rnd, 16)
+    got = normal_form_iteration(f, q, 14)
+    want = _per_step_iteration(f, q, 14)
+    assert [_raw(x, y) for x, y in got] == [_raw(x, y) for x, y in want]
+
+
 # --- planted faults: the right-inverse identity, certified once per iteration
 
 
@@ -360,32 +375,62 @@ def test_a_wrong_stored_correction_fails_the_right_inverse_at_its_step(monkeypat
         normal_form_iteration(f, q, 8)
 
 
+@pytest.mark.parametrize("k", [1, 4, 7])
+def test_a_stored_correction_changed_only_in_its_denominator_fails_the_right_inverse(monkeypatch, k):
+    # f = q + (X^(k+2) + Y^(k+2))/2 with gamma = 3, delta = 2 (d = 1): step k
+    # stores a and b over the denominator 2.  Halving both denominators keeps
+    # their integers and doubles the correction, so -L(a, b) = 2*eps, whose
+    # canonical image has eps's integers over half its denominator: only a
+    # certificate that reads den sees the fault
+    q = QuadForm.make(QQ, 3, 2)
+    half, top = QQ(1) / 2, k + 2
+    f = q.series() + Series2(QQ, {top: (half,) + (QQ.zero,) * (top - 1) + (half,)})
+    normal_form_iteration(f, q, 8)  # sound before the fault is planted
+    real, calls = normal_form._apply_rows, []
+
+    def halved(ring, sums, rows, parts):
+        out = real(ring, sums, rows, parts)
+        calls.append(None)
+        if len(calls) == k:
+            for which in (0, 1):
+                ints, den, bits = out[which]
+                assert den % 2 == 0
+                out[which] = (ints, den // 2, bits)
+        return out
+
+    monkeypatch.setattr(normal_form, "_apply_rows", halved)
+    with pytest.raises(AssertionError, match=rf"^right-inverse identity failed at degree {top} \(internal error\)$"):
+        normal_form_iteration(f, q, 8)
+
+
 @pytest.mark.parametrize("n_steps", range(1, 9))
 def test_each_step_makes_two_packed_products_and_the_iteration_one_certificate(monkeypatch, n_steps):
-    # the steps' packed products run in normal_form, the certificate's in
-    # series, through the graded sum that linearized_increment forms
-    calls = {"_product_sums": 0, "linearized_increment": 0, "solve_linearized_increment": 0}
-    for module, name in [(normal_form, name) for name in calls] + [(series, "_product_sums")]:
+    # over Q and F_p the steps and the certificate run on images, through
+    # _packed_sums; over composite rings through the pair loop of
+    # _product_sums; neither makes a Series2 product
+    calls = {"_packed_sums": 0, "_product_sums": 0, "linearized_increment": 0, "solve_linearized_increment": 0}
+    kernels = {"_product_sums": 0}
+    for module, name, counts in [(normal_form, name, calls) for name in calls] + [(series, "_product_sums", kernels)]:
         real = getattr(module, name)
 
-        def counted(*args, _real=real, _name=name):
-            calls[_name] += 1
+        def counted(*args, _real=real, _name=name, _counts=counts):
+            _counts[_name] += 1
             return _real(*args)
 
         monkeypatch.setattr(module, name, counted)
     rnd = random.Random(n_steps)
-    for ring_desc in ("q", "fp:7", "loc:q:s,t:3"):
+    for ring_desc, kernel in (("q", "_packed_sums"), ("fp:7", "_packed_sums"), ("loc:q:s,t:3", "_product_sums")):
         ring = make_ring(ring_desc)
         q = QuadForm.make(ring, *random_unit_disc(ring, rnd))
         for f in (_random_series_over(q, rnd, n_steps + 2), q.series()):
-            for name in calls:
-                calls[name] = 0
+            for counts in (calls, kernels):
+                for name in counts:
+                    counts[name] = 0
             normal_form_iteration(f, q, n_steps)
-            assert calls == {
-                "_product_sums": 2 * (n_steps - 1) + 1,
-                "linearized_increment": 1,
-                "solve_linearized_increment": 0,
-            }
+            want = dict.fromkeys(calls, 0)
+            want[kernel] = 2 * (n_steps - 1) + 1
+            assert calls == want
+            assert kernels == {"_product_sums": 0}
 
 
 def _series_residual(q, f, xs, ys, n_steps):

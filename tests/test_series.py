@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nodal_kit.dp_ring import DPRing, _norm
+from nodal_kit.kernels import _elements as _image_elements, _images, _packed_sums, _product_sums
 from nodal_kit.normal_form import QuadForm
-from nodal_kit.rings import DualNumbers, PrimeField, Rationals, _product_sums, make_ring
+from nodal_kit.rings import DualNumbers, PrimeField, Rationals, make_ring
 from nodal_kit.series import PrecisionError, Series2, SubstitutionError, _graded_sums, _min_prec
 
 QQ = Rationals()
@@ -444,6 +445,94 @@ def test_a_slot_width_with_no_rounding_slack():
     want = [ring.zero] * 125
     _ref_convolve_into(want, [x] * 63, [x] * 63)
     assert got == tuple(want)
+
+
+# --- the packed kernel on images against the coefficient loop ---------------
+
+IMAGE_RINGS = [QQ, PrimeField(2), F7, PrimeField(101)]
+
+# per-vector denominators: some share factors (2, 3, 5, 7), some are coprime
+# to all the others (11 * 13, 2^61 - 1), and some are tall
+_VECTOR_DENOMINATORS = [1, 2, 4, 6, 12, 35, 143, 2**40, 3**30 * 5, 2**61 - 1]
+
+
+def _assert_canonical_image(ring, image):
+    ints, den, bits = image
+    assert type(ints) is list and all(type(x) is int for x in ints)
+    if isinstance(ring, PrimeField):
+        assert den == 1 and all(0 <= x < ring.p for x in ints)
+        assert bits == (ring.p - 1).bit_length()
+    else:
+        assert type(den) is int and den > 0 and math.gcd(den, *ints) == 1
+        assert bits == max(map(abs, ints), default=0).bit_length()
+
+
+@st.composite
+def _image_vector(draw, ring, max_len):
+    """A vector of ring elements and a canonical image of it, or of its tail
+    or head: a slice, which the kernel reads too.  Over Q each coefficient
+    lies over the vector's denominator times 1, 2 or 3."""
+    n = draw(st.integers(0, max_len))
+    kind = draw(st.sampled_from(["random", "negative", "zero"]))
+    heights = st.one_of(st.integers(0, 9), st.integers(0, 2**64), st.integers(0, 2**1000))
+    den = draw(st.sampled_from(_VECTOR_DENOMINATORS))
+    vec = []
+    for _ in range(n):
+        if kind == "zero":
+            vec.append(ring.zero)
+            continue
+        height = draw(heights) + (kind == "negative")
+        num = -height if kind == "negative" or draw(st.booleans()) else height
+        if isinstance(ring, PrimeField):
+            vec.append(ring.from_int(num))
+        else:
+            vec.append(ring.from_fraction(Fraction(num, den * draw(st.integers(1, 3)))))
+    (image,) = _images(ring, [vec])
+    _assert_canonical_image(ring, image)
+    ints, den, bits = image
+    cut = draw(st.sampled_from(["whole", "tail", "head"]))
+    if cut == "tail":
+        return vec[1:], (ints[1:], den, bits)
+    if cut == "head":
+        return vec[:1], (ints[:1], den, bits)
+    return vec, image
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), ring=st.sampled_from(IMAGE_RINGS))
+def test_packed_sums_on_images_match_the_coefficient_loop(data, ring):
+    left = [data.draw(_image_vector(ring, 8)) for _ in range(data.draw(st.integers(1, 4)))]
+    right = [data.draw(_image_vector(ring, 8)) for _ in range(data.draw(st.integers(1, 4)))]
+    pair = st.tuples(st.integers(0, len(left) - 1), st.integers(0, len(right) - 1))
+    outputs = []
+    for pairs in data.draw(st.lists(st.lists(pair, max_size=5), max_size=4)):
+        need = max((max(len(left[i][0]) + len(right[j][0]) - 1, 0) for i, j in pairs), default=0)
+        outputs.append((need + data.draw(st.integers(0, 2)), pairs))
+    sums = _packed_sums(ring, [im for _, im in left], [im for _, im in right], outputs)
+    assert len(sums) == len(outputs)
+    for (length, pairs), got in zip(outputs, sums):
+        want = [ring.zero] * length
+        for i, j in pairs:
+            _ref_convolve_into(want, left[i][0], right[j][0])
+        _assert_canonical_image(ring, got)
+        assert _image_elements(ring, got) == tuple(want)
+        assert got == _images(ring, [want])[0]
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_a_slot_at_its_bound_with_the_largest_scale_factor(sign):
+    # x = 2^200 - 1 over 1 next to a vector over 2^40 is scaled by 2^40, the
+    # largest factor L // den, to height 240 on each side: with 127 products
+    # a slot takes 240 + 240 + bitlen(127) + 1 = 488 bits, a whole number of
+    # bytes, and the middle slot, 127 * x^2 * 2^80, fills all but the sign bit
+    x = 2**200 - 1
+    over = ([1], 2**40, 1)
+    left = [([x] * 127, 1, 200), over]
+    right = [([sign * x] * 127, 1, 200), over]
+    (got,) = _packed_sums(QQ, left, right, [(253, [(0, 0)])])
+    middle = 127 * x * x * 2**80
+    assert middle.bit_length() == 487
+    assert got == ([sign * (min(k, 252 - k) + 1) * x * x for k in range(253)], 1, (middle >> 80).bit_length())
 
 
 # --- Series2.agrees_below ----------------------------------------------------
