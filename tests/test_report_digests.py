@@ -222,6 +222,16 @@ GOLDEN = {
         "363581f0d45ef426869b7f4f3dbbaa76a924ae874850d9df5480da25874a07b7",
         "4480b0be558889299e25687a8ddd518f8ea7cdd3352685e09da4ba86752bf172",
     ),
+    "normal-form-fp2-64-1-1": (
+        dict(subcommand="normal-form", ring="fp:2", gamma="1", delta="1", precision=64),
+        "3ddccbfc4ac302d1baa252044aef1c25ece593e902655f842d55992303ed82c3",
+        "559edcbad150f7fd35c9c1a424afa467bebdd70a7a7a53dc82a4f84aef9cb5d2",
+    ),
+    "normal-form-q-40-3/7-5/11": (
+        dict(subcommand="normal-form", ring="q", gamma="3/7", delta="5/11", precision=40),
+        "bd06d5442dc60066f1cb00598e229cccb88361e6885bad0856732ee58d5d78ab",
+        "372cfbbdbde2e36afd7639a0f5f12d7f160ccaff255df50b3f7a1b56819305e8",
+    ),
 }
 
 
