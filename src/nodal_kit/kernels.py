@@ -79,24 +79,37 @@ def _sparse_mul(ring, x, y):
 # rounded up to whole bytes, and to 1, 2, 4 or 8 of them when it fits a
 # machine word, which a memoryview reads in one call), each over
 # L_left * L_right.
+#
+# A side is held as one record (ints, L, scale factors, h): `_common_denominator`
+# makes it from images, `_side` straight from vectors of ring elements over
+# one shared denominator.  When every vector on one side has length 1 (scalars:
+# the composed right-inverse rows, -1), packing buys nothing, and the same sums
+# are formed coefficient by coefficient, each product a scalar times a vector.
 
 _WORD_FORMATS = {memoryview(bytes(8)).cast(f).itemsize: f for f in "BHIQ"}  # slot bytes -> format
 _LITTLE_ENDIAN = sys.byteorder == "little"
 
 
-def _images(ring, vecs):
-    """Images of vectors of RingElem over Q or F_p, over one shared
-    denominator: the lcm of their coefficients' own.  The image of a single
-    vector is canonical: a prime's highest power in the lcm is some
-    coefficient's denominator, whose numerator the prime does not divide."""
+def _side(ring, vecs):
+    """A side of the kernel straight from vectors of RingElem, as
+    `_common_denominator` gives it: one record over the lcm of every
+    coefficient's denominator, so no scale factor applies."""
     if isinstance(ring, PrimeField):
-        bits = (ring.p - 1).bit_length()
-        return [([c.val for c in v], 1, bits) for v in vecs]
+        return [[c.val for c in v] for v in vecs], 1, None, (ring.p - 1).bit_length()
     ints = ring._ints
     vals = [[ints(c.val) for c in v] for v in vecs]
     den = lcm(*{d for v in vals for _, d in v})
     nums = [[n * (den // d) for (n,), d in v] for v in vals]
-    return [(v, den, max(map(abs, v)).bit_length() if v else 0) for v in nums]
+    return nums, den, None, max([abs(x) for v in nums for x in v], default=0).bit_length()
+
+
+def _images(ring, vecs):
+    """Images of vectors of RingElem over Q or F_p, over one shared
+    denominator (see `_side`), each with the side's bits.  The image of a
+    single vector is canonical: a prime's highest power in the lcm is some
+    coefficient's denominator, whose numerator the prime does not divide."""
+    ints, den, _, bits = _side(ring, vecs)
+    return [(v, den, bits) for v in ints]
 
 
 def _canonical(ring, ints, den):
@@ -126,8 +139,9 @@ def _pack(ints, w):
 
 
 def _common_denominator(images):
-    """A side's integer vectors, its denominator L, each image's scale
-    factor L // den (None when all are 1), and the side's height (see above)."""
+    """A side of the kernel from its images: its integer vectors, its
+    denominator L, each image's scale factor L // den (None when all are 1),
+    and its height (see above)."""
     if not images:
         return (), 1, None, 0
     ints, dens, bits = zip(*images)
@@ -138,15 +152,44 @@ def _common_denominator(images):
     return ints, den, scales, max([b + (f - 1).bit_length() for b, f in zip(bits, scales)])
 
 
-def _packed_slots(left, right, outputs):
-    """The slots of `_packed_sums`, flat, each the digit c + 2^(w-1) of a
-    coefficient c; 2^(w-1); and the denominator of every c."""
-    lints, lden, lscales, lbits = _common_denominator(left)
-    rints, rden, rscales, rbits = _common_denominator(right)
+def _scaled_sums(scalars, vectors, outputs, flip):
+    """The sums of `_slots` when every vector on the side `scalars` has
+    length 1 (the right side when flip, the left otherwise): each product
+    scales a vector of the other side, coefficient by coefficient."""
+    sints, _, sscales, _ = scalars
+    vints, _, vscales, _ = vectors
+    cs = [v[0] if v else 0 for v in sints]
+    if sscales:
+        cs = [c * f for c, f in zip(cs, sscales)]
+    flat = []
+    for length, pairs in outputs:
+        acc = None
+        for i, j in pairs:
+            if flip:
+                i, j = j, i
+            c, vec = cs[i] * vscales[j] if vscales else cs[i], vints[j]
+            if acc is None:
+                acc = [c * x for x in vec] + [0] * (length - len(vec))
+            else:
+                acc[: len(vec)] = [a + c * x for a, x in zip(acc, vec)]
+        flat += acc or [0] * length
+    return flat
+
+
+def _slots(left, right, outputs):
+    """For sides `left` and `right` (see `_common_denominator`), the
+    coefficients of every sum, flat, each as a digit d with value d - base;
+    base; and the denominator of every value.  When every vector on one side
+    has length 1 the products are taken coefficient by coefficient (base 0);
+    otherwise each digit is a packed slot, c + 2^(w-1)."""
+    lints, lden, lscales, lbits = left
+    rints, rden, rscales, rbits = right
+    llen, rlen = max(map(len, lints), default=0), max(map(len, rints), default=0)
+    if llen <= 1 or rlen <= 1:
+        flat = _scaled_sums(left, right, outputs, False) if llen <= 1 else _scaled_sums(right, left, outputs, True)
+        return flat, 0, lden * rden
     # each pair puts at most min(len(a), len(b)) products into a slot
-    count = max((len(pairs) for _, pairs in outputs), default=0) * min(
-        max(map(len, lints), default=0), max(map(len, rints), default=0)
-    )
+    count = max((len(pairs) for _, pairs in outputs), default=0) * min(llen, rlen)
     wb = (lbits + rbits + count.bit_length() + 8) // 8  # bytes per slot
     if wb <= 8:
         wb = 1 << (wb - 1).bit_length()
@@ -179,10 +222,11 @@ def _packed_sums(ring, left, right, outputs):
     in outputs, the canonical image of the `length` coefficients of the sum
     of left[i] * right[j] over (i, j) in pairs; `length` must cover every
     product in the sum."""
-    digits, half, den = _packed_slots(left, right, outputs)
+    digits, base, den = _slots(_common_denominator(left), _common_denominator(right), outputs)
     sums, start = [], 0
     for length, _ in outputs:
-        sums.append(_canonical(ring, [d - half for d in digits[start : start + length]], den))
+        cut = digits[start : start + length]
+        sums.append(_canonical(ring, [d - base for d in cut] if base else cut, den))
         start += length
     return sums
 
@@ -194,9 +238,10 @@ def _product_sums(ring, left, right, outputs):
     For each (length, pairs) in outputs, the `length` coefficients of the sum
     of left[i] * right[j] over (i, j) in pairs, as a tuple of RingElem;
     `length` must cover every product in the sum.  Over Q and F_p this wraps
-    the packed kernel: each side's images share one denominator, so no scale
-    factor applies, and each output coefficient is reduced on its own as it
-    is wrapped, so no output image is made canonical.  Over composite rings
+    the kernel: each side is one record over one denominator (`_side`), so
+    no scale factor applies, and each output coefficient is reduced on its
+    own as it is wrapped (over F_p inline, mod p), so no output image is made
+    canonical.  Over composite rings
     the raw values are multiplied pair by pair and each output coefficient is
     wrapped once.
     """
@@ -215,9 +260,14 @@ def _product_sums(ring, left, right, outputs):
                             out[k1 + k2] = vadd(out[k1 + k2], vmul(x, y))
             sums.append(tuple([RingElem(ring, v) if v else zero for v in out]))
         return sums
-    digits, half, den = _packed_slots(_images(ring, left), _images(ring, right), outputs)
-    zero, norm = ring.zero, ring._norm
-    vals = [RingElem(ring, norm((d - half,), den)) if d != half else zero for d in digits]
+    digits, base, den = _slots(_side(ring, left), _side(ring, right), outputs)
+    zero = ring.zero
+    if isinstance(ring, PrimeField):
+        p = ring.p
+        vals = [RingElem(ring, v) if v else zero for v in [(d - base) % p for d in digits]]
+    else:
+        norm = ring._norm
+        vals = [RingElem(ring, norm((d - base,), den)) if d != base else zero for d in digits]
     sums, start = [], 0
     for length, _ in outputs:
         sums.append(tuple(vals[start : start + length]))

@@ -9,11 +9,13 @@ extension.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
+from math import lcm
 
 from .kernels import _elements, _images, _packed_sums, _product_sums
-from .rings import DualNumbers, RingElem, TruncatedRing
+from .rings import DualNumbers, PrimeField, RingElem, TruncatedRing
 from .series import Series2, _graded_sums, _min_prec
 
 
@@ -52,15 +54,93 @@ class QuadForm:
         """q(xs, ys) for series arguments, less the series `minus` when one is
         given, known through the least precision of the arguments.
 
-        Two packed products: k = x*gamma + y*delta, then
-        x*x + y*k + minus*(-1).
+        With v_k = (x_k, y_k) the degree-k components and the polar form
+        B(v, w) = q(v + w) - q(v) - q(w) = x*(2x' + gamma*y') + y*(gamma*x' + 2*delta*y'),
+        the degree-m component is
+
+            sum_{i<j, i+j=m} B(v_i, v_j) + [m even] q(v_{m/2}),
+
+        q(v) = x*(x + gamma*y) + y*(delta*y): each unordered pair of
+        components is multiplied once, and nothing is divided, so
+        characteristic 2 is covered.  Every degree is one output of one
+        kernel call, the low degree on the left: x_i and y_i against the
+        polar vectors p_j = 2x_j + gamma*y_j and r_j = gamma*x_j + 2*delta*y_j,
+        or against x_k + gamma*y_k and delta*y_k on the diagonal, and -1
+        against minus_m.  Over Q and F_p each component of xs, ys and minus
+        is imaged once, the polar vectors are formed coefficientwise on those
+        images (over Q with no content divided out: the packed kernel reads
+        any image), and a zero output image is dropped before wrapping; over
+        composite rings the vectors are tuples of ring elements.
         """
         ring = self.ring
-        minus = Series2.zero(ring) if minus is None else minus
-        prec = _min_prec(xs.precision, ys.precision, minus.precision)
-        gamma, delta, minus_one = (Series2.const(ring, c) for c in (self.gamma, self.delta, -1))
-        (k,) = _graded_sums(ring, [[(xs, gamma), (ys, delta)]], prec)
-        return _graded_sums(ring, [[(xs, xs), (ys, k), (minus, minus_one)]], prec)[0]
+        prec = _min_prec(xs.precision, ys.precision, None if minus is None else minus.precision)
+        top = float("inf") if prec is None else prec
+        if isinstance(ring, TruncatedRing):
+            sums, lift, wrap, vadd, vmul = _product_sums, tuple, tuple, ring._vadd, ring._vmul
+
+            def combine(c, v, d, w):
+                """c*v + d*w, on raw values"""
+                c, d = c.val, d.val
+                return tuple([RingElem(ring, vadd(vmul(c, a.val), vmul(d, b.val))) for a, b in zip(v, w)])
+
+            def nonzero(vec):
+                return any([c.val for c in vec])
+
+        else:
+            p = ring.p if isinstance(ring, PrimeField) else None
+            sums = _packed_sums
+
+            def lift(vec):
+                return _images(ring, [vec])[0]
+
+            def combine(c, v, d, w):
+                """the image of c*v + d*w from images: over Q with no content
+                divided out, over F_p reduced, so that its slots stay narrow"""
+                ((cn,), cd), ((dn,), dd), (vi, vd, _), (wi, wd, _) = ring._ints(c.val), ring._ints(d.val), v, w
+                den = lcm(cd * vd, dd * wd)
+                cn, dn = cn * (den // (cd * vd)), dn * (den // (dd * wd))
+                out = [cn * a + dn * b for a, b in zip(vi, wi)]
+                if p:
+                    return [x % p for x in out], 1, (p - 1).bit_length()
+                return out, den, max(map(abs, out)).bit_length()
+
+            def wrap(image):
+                return _elements(ring, image)
+
+            def nonzero(image):
+                return any(image[0])
+
+        gamma, delta, zero = self.gamma, self.delta, ring.zero
+        one, two, two_delta = ring.one, ring(2), 2 * delta
+        degrees = sorted(n for n in {*xs.parts, *ys.parts} if n <= top)
+        # x_n and y_n, a missing one as zeros
+        vectors = {n: [lift(s.parts.get(n) or (zero,) * (n + 1)) for s in (xs, ys)] for n in degrees}
+        left, right = [lift((-ring.one,))], []
+        lows, highs = {}, {}  # degree -> index of x_i in left; (degree, diagonal) -> index in right
+        for n in degrees:
+            x, y = vectors[n]
+            if 2 * n <= top:
+                lows[n] = len(left)
+                left += [x, y]
+                highs[n, True] = len(right)
+                right += [combine(one, x, gamma, y), combine(zero, x, delta, y)]
+            if degrees[0] < n <= top - degrees[0]:
+                highs[n, False] = len(right)
+                right += [combine(two, x, gamma, y), combine(gamma, x, two_delta, y)]
+        by_degree = defaultdict(list)
+        for i, low in lows.items():
+            for (j, diagonal), high in highs.items():
+                if i == j if diagonal else i < j <= top - i:
+                    by_degree[i + j] += [(low, high), (low + 1, high + 1)]
+        if minus is not None:
+            for m, vec in minus.parts.items():
+                if m <= top:
+                    by_degree[m].append((0, len(right)))
+                    right.append(lift(vec))
+        out_degrees = sorted(by_degree)
+        outputs = [(m + 1, by_degree[m]) for m in out_degrees]
+        parts = {m: wrap(v) for m, v in zip(out_degrees, sums(ring, left, right, outputs)) if nonzero(v)}
+        return Series2._of(ring, parts, prec)
 
 
 @dataclass(frozen=True)
@@ -137,16 +217,17 @@ def _raw_increment_preimage(q, f, c=1):
 
 def _correction_rows(q):
     """Rows of scalars (see `_preimage_rows`) taking a residual component eps
-    straight to the stored correction (a, b, a + gamma*b, delta*b) =
-    -(mu, nu, mu + gamma*nu, delta*nu), (mu, nu) the right inverse of eps
-    at c = 1/d."""
-    m, v = _preimage_rows(q, q.discriminant.inv())
-    return (
-        (-m[0], -m[1]),
-        (-v[0], -v[1]),
-        (-(m[0] + q.gamma * v[0]), -(m[1] + q.gamma * v[1])),
-        (-q.delta * v[0], -q.delta * v[1]),
-    )
+    straight to the stored correction (a, b, a + gamma*b, delta*b, p, r), with
+    (a, b) = -(mu, nu), (mu, nu) the right inverse of eps at c = 1/d, and the
+    polar vectors p = 2a + gamma*b and r = gamma*a + 2*delta*b."""
+    g, d = q.gamma, q.delta
+    two_d = d + d
+    columns = []
+    for mu, nu in zip(*_preimage_rows(q, q.discriminant.inv())):
+        a, b = -mu, -nu
+        gb = g * b
+        columns.append((a, b, a + gb, d * b, a + a + gb, g * a + two_d * b))
+    return tuple(zip(*columns))
 
 
 def solve_linearized_increment(q, f):
@@ -175,15 +256,16 @@ def _certify(identity, lhs, rhs):
 
 def _vectors(ring):
     """How the iteration holds a coefficient vector, as (sums, lift, wrap,
-    split): over Q and F_p a canonical integer image (see `kernels`),
-    multiplied by `_packed_sums`; over composite rings a tuple of RingElem,
-    multiplied pair by pair by `_product_sums`.  lift and wrap convert from
-    and to tuples of RingElem; split cuts v into (v[1:], v[:1])."""
+    split): over Q and F_p an integer image (see `kernels`), multiplied by
+    `_packed_sums`; over composite rings a tuple of RingElem, multiplied pair
+    by pair by `_product_sums`.  lift takes a list of vectors to their images,
+    over one shared denominator (so a single vector's is canonical), and wrap
+    takes one back to a tuple of RingElem; split cuts v into (v[1:], v[:1])."""
     if isinstance(ring, TruncatedRing):
-        return _product_sums, tuple, tuple, lambda v: (v[1:], v[:1])
+        return _product_sums, lambda vecs: [tuple(v) for v in vecs], tuple, lambda v: (v[1:], v[:1])
     return (
         _packed_sums,
-        lambda vec: _images(ring, [vec])[0],
+        lambda vecs: _images(ring, vecs),
         lambda image: _elements(ring, image),
         lambda image: ((image[0][1:], *image[1:]), (image[0][:1], *image[1:])),
     )
@@ -194,30 +276,36 @@ def normal_form_iteration(f, q, n_steps):
 
     Starting from the identity, step n kills the degree-(n+2) component of
     q(x_n, y_n) - f by a homogeneous degree-(n+1) correction, so after step n
-    the residual has order >= n+3.  Yields (x_n, y_n) for n = 1 .. n_steps.
+    the residual has order >= n+3.  Returns n_steps pairs (x_n, y_n): the
+    identity (n = 0), then one per step n = 1 .. n_steps - 1.
 
     The residual is built incrementally, one degree per step.  With
-    x = X + sum a_k and y = Y + sum b_k (a_k, b_k of degree k >= 2), its
-    degree-(n+2) component is
+    x = X + sum a_k and y = Y + sum b_k (a_k, b_k of degree k >= 2) and the
+    polar form B(v, w) = q(v + w) - q(v) - q(w) of v_k = (a_k, b_k) (see
+    `QuadForm.apply_series`), its degree-(n+2) component is
 
-        sum_{i+j=n+2, 2<=i,j<=n} (a_i*(a_j + gamma*b_j) + delta*b_i*b_j) - f_{n+2}:
+        eps = sum_{i<j, i+j=n+2} (a_i*p_j + b_i*r_j)
+              + [n even] (a_k*(a_k + gamma*b_k) + b_k*delta*b_k) - f_{n+2},
 
-    q(X, Y) lives in degree 2, and the linear term L(a_{n+1}, b_{n+1}) is
-    still zero when step n reads it.  Each correction is stored with
-    a_j + gamma*b_j and delta*b_j, so step n costs O(n) products of
-    components instead of multiplying out whole series (van der Hoeven's
-    relaxed, or on-line, scheme in its simplest form).
+    k = (n+2)/2, with the polar vectors p_j = 2a_j + gamma*b_j and
+    r_j = gamma*a_j + 2*delta*b_j: q(X, Y) lives in degree 2, and the linear
+    term L(a_{n+1}, b_{n+1}) is still zero when step n reads it.  Each
+    correction is stored with a + gamma*b, delta*b, p and r, so step n costs
+    one product per unordered pair of components, the low degree on the left
+    (each side's common denominator and slot height then follow only half
+    the components), instead of multiplying out whole series (van der
+    Hoeven's relaxed, or on-line, scheme in its simplest form).
 
-    A step is two products.  One forms the residual component eps,
-    -f_{n+2} entering as f_{n+2} times the length-1 vector (-1,).  The other
-    takes eps straight to the stored correction (a, b, a + gamma*b, delta*b)
-    through the rows of `_correction_rows`, the right inverse at c = 1/d
-    composed with the correction, formed once per iteration.  Over Q and F_p
-    every vector the steps read or make stays a canonical integer image (see
-    `kernels`): f_{n+2} is read once, the rows and -1 once per iteration, and
-    eps and the stored corrections come out of the packed kernel as images,
-    so no image is rebuilt.  Only a and b are wrapped as ring elements, and
-    a nonzero one is appended to x or y as one new component: the coefficient
+    A step is two products.  One forms eps, -f_{n+2} entering as the
+    length-1 vector (-1,) times f_{n+2}.  The other takes eps straight to the
+    stored correction (a, b, a + gamma*b, delta*b, p, r) through the six rows
+    of `_correction_rows`, the right inverse at c = 1/d composed with the
+    correction, formed once per iteration.  Over Q and F_p every vector the
+    steps read or make stays an integer image (see `kernels`): f_{n+2} is
+    read once, the rows and -1 once per iteration, and eps and the stored
+    corrections come out of the packed kernel as canonical images, so no
+    image is rebuilt.  Only a and b are wrapped as ring elements, and a
+    nonzero one is appended to x or y as one new component: the coefficient
     tuples of the earlier components are shared and not checked again, while
     the small degree -> component dict is copied on each step.  Over
     composite rings the vectors are tuples of ring elements (`_vectors`).
@@ -245,25 +333,31 @@ def normal_form_iteration(f, q, n_steps):
     sums, lift, wrap, split = _vectors(ring)
     xs, ys = Series2.x(ring), Series2.y(ring)
     out = [(xs, ys)]
-    rows = [[lift((s,)) for s in row] for row in _correction_rows(q)]
-    minus_one = lift((-ring.one,))
-    # degree k -> (a_k, b_k, a_k + gamma*b_k, delta*b_k), for nonzero corrections
+    scalars = lift([(s,) for row in _correction_rows(q) for s in row])
+    rows = [scalars[k : k + 2] for k in range(0, len(scalars), 2)]
+    (minus_one,) = lift([(-ring.one,)])
+    # degree k -> (a_k, b_k, a_k + gamma*b_k, delta*b_k, p_k, r_k), for nonzero corrections
     comps = {}
     residuals = {}  # degree n + 2 -> eps of step n
     for n in range(1, n_steps):
         top = n + 2
-        degrees = [i for i in comps if top - i in comps]
-        left = [comps[i][k] for i in degrees for k in (0, 1)]  # a_i, b_i
-        right = [comps[top - i][k] for i in degrees for k in (2, 3)]  # c_j, d_j
+        left, right = [], []
+        for i in comps:  # in increasing degree
+            j = top - i
+            if j < i:
+                break
+            if j in comps:  # a_i, b_i against p_j, r_j, or against a_i + gamma*b_i, delta*b_i
+                left += comps[i][:2]
+                right += comps[j][4:] if i < j else comps[j][2:4]
         pairs = [(k, k) for k in range(len(left))]
         f_top = f.parts.get(top)
         if f_top:
             pairs.append((len(left), len(right)))
-            left.append(lift(f_top))
-            right.append(minus_one)
+            left.append(minus_one)
+            right += lift([f_top])
         (eps,) = sums(ring, left, right, [(top + 1, pairs)])
         residuals[top] = eps
-        comp = _apply_rows(ring, sums, rows, {top: split(eps)})  # a, b, a + gamma*b, delta*b
+        comp = _apply_rows(ring, sums, rows, {top: split(eps)})  # a, b, a + gamma*b, delta*b, p, r
         a, b = wrap(comp[0]), wrap(comp[1])
         in_x, in_y = (any(c.val for c in v) for v in (a, b))
         if in_x or in_y:
@@ -274,7 +368,7 @@ def normal_form_iteration(f, q, n_steps):
                 ys = Series2._of(ring, {**ys.parts, n + 1: b}, ys.precision)
         out.append((xs, ys))
     # -q_X = (-gamma, -2) and -q_Y = (-2*delta, -gamma), by X-exponent
-    gradient = [lift((-q.gamma, -ring(2))), lift((-2 * q.delta, -q.gamma))]
+    gradient = lift([(-q.gamma, -ring(2)), (-2 * q.delta, -q.gamma)])
     right, outputs = [], []
     for top in residuals:  # in increasing degree
         pairs = []

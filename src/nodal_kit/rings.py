@@ -856,8 +856,20 @@ class _LiteralParser:
 
 
 def _parse_literal(ring, s):
-    """Parse terms like '3/2', '-1+2*eps', 's^2*t-3' against the ring's atoms."""
+    """Parse terms like '3/2', '-1+2*eps', 's^2*t-3' against the ring's atoms.
+
+    A plain signed integer or fraction is read directly; on any error it is
+    handed to the general parser, which words the message."""
     s = s.strip()
+    start = 1 if s[:1] in ("+", "-") else 0
+    num, slash, den = s[start:].partition("/")
+    if num.isdecimal() and (den.isdecimal() or not slash):  # a number token: \d+ or \d+/\d+
+        try:
+            _check_number(s[start:], s)
+            n = -int(num) if start and s[0] == "-" else int(num)
+            return ring.from_fraction(Fraction(n, int(den))) if slash else ring.from_int(n)
+        except (ArithmeticError, ValueError):
+            pass
     m = re.fullmatch(r"(-?\d+)\s+mod\s+(\d+)", s)
     if m and isinstance(ring, PrimeField):
         _check_number(m.group(1), s)

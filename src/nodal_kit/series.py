@@ -267,7 +267,9 @@ class Series2:
 
     def truncated(self, precision):
         prec = _min_prec(self.precision, precision)
-        return Series2(self.ring, self.parts, prec)
+        if prec is None or prec < 0:  # a negative precision is refused by the constructor
+            return Series2(self.ring, self.parts, prec)
+        return Series2._of(self.ring, {n: v for n, v in self.parts.items() if n <= prec}, prec)
 
     # --- substitution -------------------------------------------------------
 

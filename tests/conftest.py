@@ -7,6 +7,7 @@ from nodal_kit.dp_ring import DegreeOverflowError, mul_columns
 from nodal_kit.kernels import _canonical
 from nodal_kit.linalg import _dense_rows, rank
 from nodal_kit.rings import DualNumbers, LocalTruncation, PrimeField, Rationals, TruncatedRing
+from nodal_kit.series import Series2
 
 
 @pytest.fixture
@@ -77,6 +78,36 @@ def mul_kernel_dimension(elem, bound):
     out_bound = bound + (elem.degree() or 0) + 1
     cols = mul_columns(elem, bound, out_bound)
     return len(cols) - rank(ring, _dense_rows(ring, cols, 2 * (out_bound + 1)), len(cols))
+
+
+def naive_apply_series(q, xs, ys, minus=None):
+    """Reference for `QuadForm.apply_series`: q(xs, ys) - minus through the
+    least precision, by the ordered double loop over components, x_i*x_j +
+    gamma*x_i*y_j + delta*y_i*y_j for every ordered pair (i, j), coefficient
+    by coefficient in ring elements."""
+    ring = q.ring
+    precisions = [s.precision for s in (xs, ys, minus) if s is not None and s.precision is not None]
+    prec = min(precisions, default=None)
+    degrees = sorted(set(xs.parts) | set(ys.parts))
+    out = {}
+    for i in degrees:
+        for j in degrees:
+            m = i + j
+            if prec is not None and m > prec:
+                continue
+            vec = out.setdefault(m, [ring.zero] * (m + 1))
+            zero_i, zero_j = (ring.zero,) * (i + 1), (ring.zero,) * (j + 1)
+            xi, yi = xs.parts.get(i, zero_i), ys.parts.get(i, zero_i)
+            xj, yj = xs.parts.get(j, zero_j), ys.parts.get(j, zero_j)
+            for a in range(i + 1):
+                for b in range(j + 1):
+                    vec[a + b] += xi[a] * xj[b] + q.gamma * xi[a] * yj[b] + q.delta * yi[a] * yj[b]
+    if minus is not None:
+        for m, v in minus.parts.items():
+            if prec is None or m <= prec:
+                vec = out.setdefault(m, [ring.zero] * (m + 1))
+                out[m] = [c - d for c, d in zip(vec, v)]
+    return Series2(ring, out, prec)
 
 
 def perturbed_rows(monkeypatch, row, column):

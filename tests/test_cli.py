@@ -469,14 +469,19 @@ def test_a_wrong_composed_scalar_fails_the_residual_check(monkeypatch, capsys, k
     }
 
 
-@pytest.mark.parametrize("row", [2, 3])
-def test_a_wrong_stored_sum_is_caught_by_the_final_residual(monkeypatch, capsys, row):
-    # a + gamma*b and delta*b only feed later residuals, which the right
-    # inverse then solves faithfully; the final residual q(x, y) - f catches it
-    perturbed_rows(monkeypatch, row, 0)
+@pytest.mark.parametrize("column", [0, 1])
+@pytest.mark.parametrize("row", [2, 3, 4, 5])
+def test_a_wrong_stored_sum_is_caught_by_the_final_residual(monkeypatch, capsys, row, column):
+    # a + gamma*b, delta*b and the polar vectors p = 2a + gamma*b and
+    # r = gamma*a + 2*delta*b only feed later residuals, which the right
+    # inverse then solves faithfully; the final residual q(x, y) - f catches
+    # them.  Step 1 corrects degree 2: its a + gamma*b and delta*b enter the
+    # diagonal term of degree 4; p and r of degree 2 are never read, those of
+    # step 2's degree-3 correction first enter degree 5 (against a_2, b_2)
+    perturbed_rows(monkeypatch, row, column)
     code, failed = _normal_form_failures(capsys, "--precision", "8", "--series", _plain_top_literal(1))
     assert code == 1
-    assert failed == {"nf.residual-order": "series 0: residual order 4"}
+    assert failed == {"nf.residual-order": f"series 0: residual order {4 if row < 4 else 5}"}
 
 
 @pytest.mark.parametrize("k", [1, 5])

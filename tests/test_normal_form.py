@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import perturbed_rows, perturbed_step, random_unit_disc
+from conftest import naive_apply_series, perturbed_rows, perturbed_step, random_unit_disc
 from nodal_kit import normal_form, series
 from nodal_kit.cli import _final_residual
 from nodal_kit.kernels import _product_sums
@@ -360,6 +360,25 @@ def test_a_wrong_composed_scalar_fails_the_right_inverse_at_its_step(monkeypatch
     perturbed_rows(monkeypatch, row, column)
     with pytest.raises(AssertionError, match=rf"^right-inverse identity failed at degree {k + 2} \(internal error\)$"):
         normal_form_iteration(f, q, 8)
+
+
+@pytest.mark.parametrize("ring_desc", ["q", "fp:7", "dual:q"])
+@pytest.mark.parametrize("column", [0, 1])
+@pytest.mark.parametrize("row", [2, 3, 4, 5])
+def test_a_wrong_stored_sum_or_polar_scalar_fails_the_final_residual(monkeypatch, ring_desc, row, column):
+    # rows 2 .. 5 give a + gamma*b, delta*b, p and r, which only feed later
+    # residuals: the right inverse solves those faithfully, so the iteration
+    # passes its own certificate and q(x, y) - f keeps the fault.  With
+    # f = q + X^3 + Y^3, step 1's a + gamma*b and delta*b first enter degree 4
+    # (the diagonal term of degree 2), and step 2's p and r degree 5 (against
+    # a_2, b_2); step 1's p and r are never read
+    ring = make_ring(ring_desc)
+    q = QuadForm.make(ring, *random_unit_disc(ring, random.Random(ring_desc)))
+    f = _plain_top(q, 1)
+    assert _final_residual(q, f, *normal_form_iteration(f, q, 8)[-1], 8).order_at_least(10)
+    perturbed_rows(monkeypatch, row, column)
+    residual = _final_residual(q, f, *normal_form_iteration(f, q, 8)[-1], 8)
+    assert residual.order() == (4 if row < 4 else 5)
 
 
 @pytest.mark.parametrize("ring_desc", ["q", "fp:7", "loc:q:s,t:3"])
@@ -745,3 +764,120 @@ def test_packed_preimage_rejects_a_constant_term_like_the_reference():
     for preimage in (_raw_increment_preimage, _split_preimage):
         with pytest.raises(ValueError, match="zero constant term"):
             preimage(q, f, QQ(3))
+
+
+# --- the polar form: apply_series and the iteration's residual components ----
+
+POLAR_RINGS = ["q", "fp:2", "fp:7", "dual:q", "dual:fp:2", "loc:q:s,t:3", "loc:fp:2:s:3"]
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data(), ring_desc=st.sampled_from(POLAR_RINGS), seed=st.integers(0, 10**6))
+def test_polar_apply_series_matches_the_ordered_double_loop(data, ring_desc, seed):
+    rnd = random.Random(seed)
+    ring = make_ring(ring_desc)
+    q = QuadForm.make(ring, *random_unit_disc(ring, rnd))
+    nilpotent = list(ring.atoms().values())  # none over a field
+
+    def series():
+        """Random components in a random set of degrees (so some are
+        missing), a nilpotent constant part, a random precision."""
+        precision = data.draw(st.one_of(st.none(), st.integers(0, 7)), label="precision")
+        parts = {}
+        for n in data.draw(st.sets(st.integers(0, 6)), label="degrees"):
+            if n == 0:
+                parts[0] = (sum((g * ring.random_element(rnd) for g in nilpotent), ring.zero),)
+            else:
+                parts[n] = [ring.random_element(rnd) if rnd.random() < 0.7 else ring.zero for _ in range(n + 1)]
+        return Series2(ring, parts, precision)
+
+    xs, ys = series(), series()
+    if data.draw(st.booleans(), label="a change of coordinates"):
+        xs, ys = xs + Series2.x(ring), ys + Series2.y(ring)
+    minus = data.draw(st.sampled_from([None, "series", "q"]), label="minus")
+    minus = {None: None, "series": series(), "q": q.series()}[minus]
+    assert q.apply_series(xs, ys, minus) == naive_apply_series(q, xs, ys, minus)
+
+
+def _recorded_kernel_calls(monkeypatch):
+    """Record (left, right, outputs) of every kernel call normal_form makes."""
+    calls = []
+    for name in ("_packed_sums", "_product_sums"):
+        real = getattr(normal_form, name)
+
+        def recorded(ring, left, right, outputs, _real=real):
+            calls.append((left, right, outputs))
+            return _real(ring, left, right, outputs)
+
+        monkeypatch.setattr(normal_form, name, recorded)
+    return calls
+
+
+def _degree(vec):
+    """The degree of a component held as an image (ints, den, bits) or as a
+    tuple of ring elements."""
+    return len(vec[0] if isinstance(vec[0], list) else vec) - 1
+
+
+def _product_degrees(left, right, pairs):
+    return sorted((_degree(left[i]), _degree(right[j])) for i, j in pairs)
+
+
+@pytest.mark.parametrize("ring_desc", ["q", "fp:7", "loc:q:s,t:3"])
+def test_each_step_multiplies_each_unordered_pair_of_corrections_once(monkeypatch, ring_desc):
+    # a_i, b_i against p_j, r_j for i < j, and against a_k + gamma*b_k,
+    # delta*b_k on the diagonal, low degree on the left: two products per
+    # unordered pair, where the ordered sum made four (two on the diagonal)
+    rnd = random.Random(ring_desc)
+    ring = make_ring(ring_desc)
+    q = QuadForm.make(ring, *random_unit_disc(ring, rnd))
+    f = _random_series_over(q, rnd, 12)
+    calls = _recorded_kernel_calls(monkeypatch)
+    n_steps = 10
+    xs, ys = normal_form_iteration(f, q, n_steps)[-1]
+    assert len(calls) == 2 * (n_steps - 1) + 1  # eps and the rows per step, then the certificate
+    corrected = sorted(n for n in {*xs.parts, *ys.parts} if n >= 2)
+    assert len(corrected) >= 6
+    for n, (left, right, outputs) in enumerate(calls[0:-1:2], start=1):
+        top = n + 2
+        ((length, pairs),) = outputs
+        assert length == top + 1
+        want = [(i, top - i) for i in corrected if i <= top - i and top - i in corrected for _ in "ab"]
+        if top in f.parts:
+            want.append((0, top))  # -1 against f_top
+        assert _product_degrees(left, right, pairs) == sorted(want)
+
+
+@pytest.mark.parametrize("precision", [None, 9])
+@pytest.mark.parametrize("ring_desc", ["q", "fp:7", "dual:q"])
+def test_apply_series_multiplies_each_unordered_pair_of_components_once(monkeypatch, ring_desc, precision):
+    # every component of x and y in degrees 1 .. 6 is nonzero, and so is each
+    # polar and diagonal vector (x_j[0] = 1, y_j[0] = 0, y_j[j] = 1 with
+    # gamma = 3, delta = 1): each unordered pair of degrees (i, j), i <= j,
+    # gives exactly two products, and -1 against minus_m one more
+    rnd = random.Random(ring_desc)
+    ring = make_ring(ring_desc)
+    q = QuadForm.make(ring, 3, 1)
+
+    def component(n, head, tail):
+        return [ring(head)] + [ring.random_element(rnd) for _ in range(n - 1)] + [ring(tail)]
+
+    xs = Series2(ring, {n: component(n, 1, 0) for n in range(1, 7)}, precision)
+    ys = Series2(ring, {n: component(n, 0, 1) for n in range(1, 7)}, precision)
+    minus = _random_series_over(q, rnd, 9)
+    calls = _recorded_kernel_calls(monkeypatch)
+    got = q.apply_series(xs, ys, minus)
+    assert got == naive_apply_series(q, xs, ys, minus)
+    ((left, right, outputs),) = calls
+    top = 12 if precision is None else precision
+    assert [length - 1 for length, _ in outputs] == list(range(2, top + 1))
+    for length, pairs in outputs:
+        m = length - 1
+        want = [(i, m - i) for i in range(1, m // 2 + 1) if m - i <= 6 for _ in "xy"]
+        if m in minus.parts:
+            want.append((0, m))
+        assert _product_degrees(left, right, pairs) == sorted(want)
+    # each vector is built once per side: -1, then x_i and y_i; the polar and
+    # diagonal vectors of each degree
+    assert len(left) == 1 + 2 * min(6, top // 2)
+    assert len({id(v) for v in right}) == len(right)

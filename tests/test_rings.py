@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nodal_kit import rings
 from nodal_kit.dp_ring import DPRing
 from nodal_kit.mpoly import MPoly, random_poly2
 from nodal_kit.normal_form import QuadForm
@@ -17,7 +18,9 @@ from nodal_kit.rings import (
     PrimeField,
     Rationals,
     RingConstructionError,
+    _LiteralParser,
     _is_prime,
+    _tokenize,
     make_ring,
 )
 
@@ -360,6 +363,57 @@ def test_parser_messages_echo_a_capped_literal():
         message = str(info.value)
         assert len(message) < 300
         assert f"… ({len(literal)} characters)" in message
+
+
+def _general_parse(ring, literal):
+    """The recursive-descent route every literal took before plain numerals
+    were read directly: the value, or the message of the error it raises."""
+    s = literal.strip()
+    try:
+        parser = _LiteralParser(ring, _tokenize(s), s)
+        out = parser.expr()
+        assert parser.pos == len(parser.tokens)
+        return parser.bounded(out)
+    except CoeffParseError as e:
+        return str(e)
+
+
+def _parse(ring, literal):
+    try:
+        return ring.parse_elem(literal)
+    except CoeffParseError as e:
+        return str(e)
+
+
+NUMERALS = [
+    "0", "7", "-3", "+5", "3/4", "-3/4", "+3/4", "6/4", "-0", "+0", "0/5", "007", "-007/0014", " 12 ",
+    "1/0", "-1/0", "3/101", "-202/303", "101", "2" * 40, "-" + "3" * 60 + "/" + "7" * 70,
+    str(2**4096 - 1), str(2**4096), "1/" + str(2**4096), "9" * 5000, "-1/" + "3" * 2000,
+    "\u0663", "\u00b2", "+-3", "--3", "1/", "/3", "1/2/3", "1 /2", "+",
+]
+
+
+@pytest.mark.parametrize(
+    "descriptor", ["q", "fp:2", "fp:7", "fp:101", "dual:q", "dual:fp:101", "loc:q:s,t:3", "loc:fp:101:s:2"]
+)
+def test_numerals_read_directly_match_the_general_parser(monkeypatch, descriptor):
+    # over fp:101, 3/101 has a denominator that vanishes; 1/0 everywhere
+    ring = make_ring(descriptor)
+    tokenized = []
+    monkeypatch.setattr(rings, "_tokenize", lambda s: tokenized.append(s) or _tokenize(s))
+    for literal in NUMERALS:
+        tokenized.clear()
+        got = _parse(ring, literal)
+        want = _general_parse(ring, literal)
+        assert got == want, literal
+        if not isinstance(want, str):
+            assert got.val == want.val and got.ring == ring
+            assert tokenized == []  # read directly
+        else:
+            assert tokenized == [literal.strip()]  # the general parser words the error
+    assert isinstance(_parse(make_ring("fp:101"), "3/101"), str)
+    assert isinstance(_parse(ring, str(2**4096)), str)
+    assert _parse(ring, str(2**4096 - 1)) == ring.from_int(2**4096 - 1)
 
 
 def _power_cases():
