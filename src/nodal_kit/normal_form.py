@@ -66,11 +66,12 @@ class QuadForm:
         kernel call, the low degree on the left: x_i and y_i against the
         polar vectors p_j = 2x_j + gamma*y_j and r_j = gamma*x_j + 2*delta*y_j,
         or against x_k + gamma*y_k and delta*y_k on the diagonal, and -1
-        against minus_m.  Over Q and F_p each component of xs, ys and minus
-        is imaged once, the polar vectors are formed coefficientwise on those
-        images (over Q with no content divided out: the packed kernel reads
-        any image), and a zero output image is dropped before wrapping; over
-        composite rings the vectors are tuples of ring elements.
+        against minus_m; a component missing from xs or ys counts as zeros.
+        Over Q and F_p each component of xs, ys and minus is imaged once, the
+        polar vectors are formed coefficientwise on those images (over Q with
+        no content divided out: the packed kernel reads any image), and a
+        zero output image is dropped before wrapping; over composite rings
+        the vectors are tuples of ring elements.
         """
         ring = self.ring
         prec = _min_prec(xs.precision, ys.precision, None if minus is None else minus.precision)
@@ -115,7 +116,7 @@ class QuadForm:
         degrees = sorted(n for n in {*xs.parts, *ys.parts} if n <= top)
         # x_n and y_n, a missing one as zeros
         vectors = {n: [lift(s.parts.get(n) or (zero,) * (n + 1)) for s in (xs, ys)] for n in degrees}
-        left, right = [lift((-ring.one,))], []
+        left, right = [lift((-one,))], []
         lows, highs = {}, {}  # degree -> index of x_i in left; (degree, diagonal) -> index in right
         for n in degrees:
             x, y = vectors[n]
@@ -130,7 +131,7 @@ class QuadForm:
         by_degree = defaultdict(list)
         for i, low in lows.items():
             for (j, diagonal), high in highs.items():
-                if i == j if diagonal else i < j <= top - i:
+                if (i == j) if diagonal else (i < j <= top - i):
                     by_degree[i + j] += [(low, high), (low + 1, high + 1)]
         if minus is not None:
             for m, vec in minus.parts.items():

@@ -469,8 +469,10 @@ def test_a_wrong_composed_scalar_fails_the_residual_check(monkeypatch, capsys, k
     }
 
 
-@pytest.mark.parametrize("column", [0, 1])
-@pytest.mark.parametrize("row", [2, 3, 4, 5])
+@pytest.mark.parametrize(
+    "row, column",
+    [pytest.param(row, column, id=f"{row}-column1" if column else f"{row}") for row in (2, 3, 4, 5) for column in (0, 1)],
+)
 def test_a_wrong_stored_sum_is_caught_by_the_final_residual(monkeypatch, capsys, row, column):
     # a + gamma*b, delta*b and the polar vectors p = 2a + gamma*b and
     # r = gamma*a + 2*delta*b only feed later residuals, which the right
