@@ -9,7 +9,7 @@ elements only where they leave the class.
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_left, insort
 from operator import add, ge, sub
 
 from .kernels import _sparse_add, _sparse_mul
@@ -131,11 +131,11 @@ class MPoly:
         rem divisible by `lead`.  Each step cancels, in place, the largest divisible
         monomial, or with an rng a seeded draw from them in sorted order, trading it
         for lex-smaller ones, so the loop ends (Cox, Little and O'Shea, *Ideals,
-        Varieties, and Algorithms*, 2.3).  Without an rng the divisible monomials
-        are kept in a sorted list, so no step lists the remainder again: a step
-        pops the last (the lex-largest), skipping one that has left the
-        remainder, and inserts by bisection the new monomials it adds, all
-        lex-smaller than the one it cancels.
+        Varieties, and Algorithms*, 2.3).  The divisible monomials of the
+        remainder are kept, exactly, in a sorted list, so no step lists the
+        remainder again: a step pops the last (the lex-largest) or the drawn
+        one, inserts by bisection each divisible monomial it adds, and removes
+        by bisection each one whose coefficient cancels.
         """
         relation = self._coerce(relation)
         ring = self.ring
@@ -145,20 +145,9 @@ class MPoly:
         vadd, vmul = ring._vadd, ring._vmul
         tail = [(e, ring._vneg(c)) for e, c in relation.terms.items() if e != lead]
         rem, quot = dict(self.terms), {}
-        queue = sorted(e for e in rem if all(map(ge, e, lead))) if rng is None else []
-        while True:
-            if rng is None:
-                while queue:
-                    e = queue.pop()
-                    if e in rem:
-                        break
-                else:  # no divisible monomial is left
-                    break
-            else:
-                divisible = [e for e in rem if all(map(ge, e, lead))]
-                if not divisible:
-                    break
-                e = sorted(divisible)[rng.randrange(len(divisible))]
+        queue = sorted(e for e in rem if all(map(ge, e, lead)))
+        while queue:
+            e = queue.pop() if rng is None else queue.pop(rng.randrange(len(queue)))
             c = rem.pop(e)
             shift = tuple(map(sub, e, lead))
             quot[shift] = vadd(quot[shift], c) if shift in quot else c
@@ -167,12 +156,16 @@ class MPoly:
                 v = vmul(c, c2)
                 if m in rem:
                     v = vadd(rem[m], v)
-                elif v and rng is None and all(map(ge, m, lead)):
-                    insort(queue, m)
-                if v:
+                    if v:
+                        rem[m] = v
+                        continue
+                    del rem[m]
+                    if all(map(ge, m, lead)):
+                        del queue[bisect_left(queue, m)]
+                elif v:
                     rem[m] = v
-                else:
-                    rem.pop(m, None)
+                    if all(map(ge, m, lead)):
+                        insort(queue, m)
         n = self.nvars
         return MPoly._of(ring, n, rem), MPoly._of(ring, n, {e: v for e, v in quot.items() if v})
 

@@ -67,17 +67,19 @@ class QuadForm:
         polar vectors p_j = 2x_j + gamma*y_j and r_j = gamma*x_j + 2*delta*y_j,
         or against x_k + gamma*y_k and delta*y_k on the diagonal, and -1
         against minus_m; a component missing from xs or ys counts as zeros.
-        Over Q and F_p each component of xs, ys and minus is imaged once, the
-        polar vectors are formed coefficientwise on those images (over Q with
-        no content divided out: the packed kernel reads any image), and a
-        zero output image is dropped before wrapping; over composite rings
-        the vectors are tuples of ring elements.
+        Over Q and F_p the components of xs and ys are imaged in one call, over
+        one shared denominator, and those of minus in one more; the polar
+        vectors are formed coefficientwise on those images (over Q with no
+        content divided out: the packed kernel reads any image), and a zero
+        output image is dropped before wrapping; over composite rings the
+        vectors are tuples of ring elements (`_vectors`).
         """
         ring = self.ring
         prec = _min_prec(xs.precision, ys.precision, None if minus is None else minus.precision)
         top = float("inf") if prec is None else prec
+        sums, lift, wrap, _ = _vectors(ring)
         if isinstance(ring, TruncatedRing):
-            sums, lift, wrap, vadd, vmul = _product_sums, tuple, tuple, ring._vadd, ring._vmul
+            vadd, vmul = ring._vadd, ring._vmul
 
             def combine(c, v, d, w):
                 """c*v + d*w, on raw values"""
@@ -89,10 +91,6 @@ class QuadForm:
 
         else:
             p = ring.p if isinstance(ring, PrimeField) else None
-            sums = _packed_sums
-
-            def lift(vec):
-                return _images(ring, [vec])[0]
 
             def combine(c, v, d, w):
                 """the image of c*v + d*w from images: over Q with no content
@@ -105,27 +103,26 @@ class QuadForm:
                     return [x % p for x in out], 1, (p - 1).bit_length()
                 return out, den, max(map(abs, out)).bit_length()
 
-            def wrap(image):
-                return _elements(ring, image)
-
             def nonzero(image):
                 return any(image[0])
 
         gamma, delta, zero = self.gamma, self.delta, ring.zero
         one, two, two_delta = ring.one, ring(2), 2 * delta
         degrees = sorted(n for n in {*xs.parts, *ys.parts} if n <= top)
-        # x_n and y_n, a missing one as zeros
-        vectors = {n: [lift(s.parts.get(n) or (zero,) * (n + 1)) for s in (xs, ys)] for n in degrees}
-        left, right = [lift((-one,))], []
+        degrees = [n for n in degrees if n + degrees[0] <= top]  # those that enter a product
+        # x_n and y_n by degree, a missing one as zeros; the low ones, for the
+        # left side, are imaged over their own denominator once more
+        vectors = [s.parts.get(n) or (zero,) * (n + 1) for n in degrees for s in (xs, ys)]
+        left = lift([(-one,)]) + lift(vectors[: 2 * sum(2 * n <= top for n in degrees)])
+        vectors, right = lift(vectors), []
         lows, highs = {}, {}  # degree -> index of x_i in left; (degree, diagonal) -> index in right
-        for n in degrees:
-            x, y = vectors[n]
+        for k, n in enumerate(degrees):
+            x, y = vectors[2 * k : 2 * k + 2]
             if 2 * n <= top:
-                lows[n] = len(left)
-                left += [x, y]
+                lows[n] = 2 * k + 1
                 highs[n, True] = len(right)
                 right += [combine(one, x, gamma, y), combine(zero, x, delta, y)]
-            if degrees[0] < n <= top - degrees[0]:
+            if degrees[0] < n:
                 highs[n, False] = len(right)
                 right += [combine(two, x, gamma, y), combine(gamma, x, two_delta, y)]
         by_degree = defaultdict(list)
@@ -134,10 +131,10 @@ class QuadForm:
                 if (i == j) if diagonal else (i < j <= top - i):
                     by_degree[i + j] += [(low, high), (low + 1, high + 1)]
         if minus is not None:
-            for m, vec in minus.parts.items():
-                if m <= top:
-                    by_degree[m].append((0, len(right)))
-                    right.append(lift(vec))
+            kept = [m for m in minus.parts if m <= top]
+            for k, m in enumerate(kept):
+                by_degree[m].append((0, len(right) + k))
+            right += lift([minus.parts[m] for m in kept])
         out_degrees = sorted(by_degree)
         outputs = [(m + 1, by_degree[m]) for m in out_degrees]
         parts = {m: wrap(v) for m, v in zip(out_degrees, sums(ring, left, right, outputs)) if nonzero(v)}
@@ -218,17 +215,32 @@ def _raw_increment_preimage(q, f, c=1):
 
 def _correction_rows(q):
     """Rows of scalars (see `_preimage_rows`) taking a residual component eps
-    straight to the stored correction (a, b, a + gamma*b, delta*b, p, r), with
-    (a, b) = -(mu, nu), (mu, nu) the right inverse of eps at c = 1/d, and the
-    polar vectors p = 2a + gamma*b and r = gamma*a + 2*delta*b."""
+    straight to the stored correction (a, b, a + gamma*b, delta*b), with
+    (a, b) = -(mu, nu), (mu, nu) the right inverse of eps at c = 1/d.
+
+    The polar vectors p = 2a + gamma*b and r = gamma*a + 2*delta*b need no
+    rows: by those of `_preimage_rows`, p = (4*delta - gamma^2)*c*eps[1:] and
+    r = (4*delta - gamma^2)*c*eps[0], so at c = 1/d, d = gamma^2 - 4*delta,
+    p = -eps[1:] and r = -eps[0], exactly over every base where d is a unit,
+    characteristic 2 included (`_polar`)."""
     g, d = q.gamma, q.delta
-    two_d = d + d
     columns = []
     for mu, nu in zip(*_preimage_rows(q, q.discriminant.inv())):
         a, b = -mu, -nu
-        gb = g * b
-        columns.append((a, b, a + gb, d * b, a + a + gb, g * a + two_d * b))
+        columns.append((a, b, a + g * b, d * b))
     return tuple(zip(*columns))
+
+
+def _polar(ring, eps):
+    """The polar vectors (p, r) of the correction made from the residual
+    component eps, read off eps (see `_correction_rows`): p = -eps[1:] and
+    r = (-eps[0], 0, ..., 0).  Over Q and F_p they are eps's image negated
+    (over F_p not canonical: the kernel reads any image), over composite
+    rings its tuple negated."""
+    if isinstance(ring, TruncatedRing):
+        return tuple([-c for c in eps[1:]]), (-eps[0],) + (ring.zero,) * (len(eps) - 2)
+    ints, den, bits = eps
+    return ([-x for x in ints[1:]], den, bits), ([-ints[0]] + [0] * (len(ints) - 2), den, bits)
 
 
 def solve_linearized_increment(q, f):
@@ -256,12 +268,13 @@ def _certify(identity, lhs, rhs):
 
 
 def _vectors(ring):
-    """How the iteration holds a coefficient vector, as (sums, lift, wrap,
-    split): over Q and F_p an integer image (see `kernels`), multiplied by
-    `_packed_sums`; over composite rings a tuple of RingElem, multiplied pair
-    by pair by `_product_sums`.  lift takes a list of vectors to their images,
-    over one shared denominator (so a single vector's is canonical), and wrap
-    takes one back to a tuple of RingElem; split cuts v into (v[1:], v[:1])."""
+    """How the iteration and `QuadForm.apply_series` hold a coefficient
+    vector, as (sums, lift, wrap, split): over Q and F_p an integer image (see
+    `kernels`), multiplied by `_packed_sums`; over composite rings a tuple of
+    RingElem, multiplied pair by pair by `_product_sums`.  lift takes a list
+    of vectors to their images, over one shared denominator (so a single
+    vector's is canonical), and wrap takes one back to a tuple of RingElem;
+    split cuts v into (v[1:], v[:1])."""
     if isinstance(ring, TruncatedRing):
         return _product_sums, lambda vecs: [tuple(v) for v in vecs], tuple, lambda v: (v[1:], v[:1])
     return (
@@ -298,14 +311,17 @@ def normal_form_iteration(f, q, n_steps):
     Hoeven's relaxed, or on-line, scheme in its simplest form).
 
     A step is two products.  One forms eps, -f_{n+2} entering as the
-    length-1 vector (-1,) times f_{n+2}.  The other takes eps straight to the
-    stored correction (a, b, a + gamma*b, delta*b, p, r) through the six rows
-    of `_correction_rows`, the right inverse at c = 1/d composed with the
-    correction, formed once per iteration.  Over Q and F_p every vector the
-    steps read or make stays an integer image (see `kernels`): f_{n+2} is
-    read once, the rows and -1 once per iteration, and eps and the stored
-    corrections come out of the packed kernel as canonical images, so no
-    image is rebuilt.  Only a and b are wrapped as ring elements, and a
+    length-1 vector (-1,) times f_{n+2}.  The other takes eps straight to
+    (a, b, a + gamma*b, delta*b) through the four rows of `_correction_rows`,
+    the right inverse at c = 1/d composed with the correction, formed once
+    per iteration.  p and r are read off eps: p = -eps[1:] and r = -eps[0]
+    (`_polar`), which holds since 2a + gamma*b and gamma*a + 2*delta*b are
+    (4*delta - gamma^2)*c times eps[1:] and eps[0].  Over Q and F_p every
+    vector the steps read or make stays an integer image (see `kernels`):
+    the components of f that the steps read are imaged in one call, the
+    rows and -1 once per iteration, and eps and the stored corrections come
+    out of the packed kernel as canonical images (p and r as eps's negated),
+    so no image is rebuilt.  Only a and b are wrapped as ring elements, and a
     nonzero one is appended to x or y as one new component: the coefficient
     tuples of the earlier components are shared and not checked again, while
     the small degree -> component dict is copied on each step.  Over
@@ -337,6 +353,8 @@ def normal_form_iteration(f, q, n_steps):
     scalars = lift([(s,) for row in _correction_rows(q) for s in row])
     rows = [scalars[k : k + 2] for k in range(0, len(scalars), 2)]
     (minus_one,) = lift([(-ring.one,)])
+    read = [n for n in f.parts if 2 < n <= n_steps + 1]  # f_{n+2} for the steps n < n_steps
+    f_parts = dict(zip(read, lift([f.parts[n] for n in read])))
     # degree k -> (a_k, b_k, a_k + gamma*b_k, delta*b_k, p_k, r_k), for nonzero corrections
     comps = {}
     residuals = {}  # degree n + 2 -> eps of step n
@@ -351,18 +369,17 @@ def normal_form_iteration(f, q, n_steps):
                 left += comps[i][:2]
                 right += comps[j][4:] if i < j else comps[j][2:4]
         pairs = [(k, k) for k in range(len(left))]
-        f_top = f.parts.get(top)
-        if f_top:
+        if top in f_parts:
             pairs.append((len(left), len(right)))
             left.append(minus_one)
-            right += lift([f_top])
+            right.append(f_parts[top])
         (eps,) = sums(ring, left, right, [(top + 1, pairs)])
         residuals[top] = eps
-        comp = _apply_rows(ring, sums, rows, {top: split(eps)})  # a, b, a + gamma*b, delta*b, p, r
+        comp = _apply_rows(ring, sums, rows, {top: split(eps)})  # a, b, a + gamma*b, delta*b
         a, b = wrap(comp[0]), wrap(comp[1])
         in_x, in_y = (any(c.val for c in v) for v in (a, b))
         if in_x or in_y:
-            comps[n + 1] = comp
+            comps[n + 1] = (*comp, *_polar(ring, eps))
             if in_x:
                 xs = Series2._of(ring, {**xs.parts, n + 1: a}, xs.precision)
             if in_y:

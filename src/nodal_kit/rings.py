@@ -12,7 +12,8 @@ standard monomials of the whole tower, then one positive denominator (1 over
 F_p), so no element holds another ring's elements.  A rational is the same
 layout over the one monomial 1: (numerator, denominator), zero being ().  Each
 ring reads a raw value as integers over a denominator with `_ints` and writes
-one with `_norm`; only the ring classes read the layout.
+one with `_norm`; only the ring classes read the layout, and the packed
+kernel's `kernels._side`, which reads Q and F_p values in bulk.
 """
 
 from __future__ import annotations

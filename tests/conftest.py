@@ -111,15 +111,33 @@ def naive_apply_series(q, xs, ys, minus=None):
 
 
 def perturbed_rows(monkeypatch, row, column):
-    """Make `_correction_rows` return one composed scalar plus one."""
-    real = normal_form._correction_rows
+    """Make `_correction_rows` return one composed scalar plus one.  Rows 4
+    and 5 stand for the polar vectors p and r, which `_polar` reads off eps
+    with the scalars (-1, 0) and (0, -1) on (eps[1:], eps[0]): there the
+    fault adds eps[1:] (column 0) or eps[0] (column 1) to the one read off."""
+    if row < 4:
+        real = normal_form._correction_rows
 
-    def perturbed(q):
-        rows = [list(r) for r in real(q)]
-        rows[row][column] = rows[row][column] + 1
-        return tuple(tuple(r) for r in rows)
+        def perturbed(q):
+            rows = [list(r) for r in real(q)]
+            rows[row][column] = rows[row][column] + 1
+            return tuple(tuple(r) for r in rows)
 
-    monkeypatch.setattr(normal_form, "_correction_rows", perturbed)
+        monkeypatch.setattr(normal_form, "_correction_rows", perturbed)
+        return
+    real = normal_form._polar
+
+    def perturbed(ring, eps):
+        polar = list(real(ring, eps))
+        _, lift, wrap, _ = normal_form._vectors(ring)
+        e = wrap(eps)
+        vec = list(wrap(polar[row - 4]))
+        for k, c in enumerate(e[1:] if column == 0 else e[:1]):
+            vec[k] += c
+        polar[row - 4] = lift([vec])[0]
+        return tuple(polar)
+
+    monkeypatch.setattr(normal_form, "_polar", perturbed)
 
 
 def perturbed_step(monkeypatch, step, which):

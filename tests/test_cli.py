@@ -475,7 +475,8 @@ def test_a_wrong_composed_scalar_fails_the_residual_check(monkeypatch, capsys, k
 )
 def test_a_wrong_stored_sum_is_caught_by_the_final_residual(monkeypatch, capsys, row, column):
     # a + gamma*b, delta*b and the polar vectors p = 2a + gamma*b and
-    # r = gamma*a + 2*delta*b only feed later residuals, which the right
+    # r = gamma*a + 2*delta*b (rows 4 and 5, read off eps: see
+    # `perturbed_rows`) only feed later residuals, which the right
     # inverse then solves faithfully; the final residual q(x, y) - f catches
     # them.  Step 1 corrects degree 2: its a + gamma*b and delta*b enter the
     # diagonal term of degree 4; p and r of degree 2 are never read, those of

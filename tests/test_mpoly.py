@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from operator import add, ge, sub
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -192,7 +193,7 @@ def test_reduce_chart0_matches_the_reference_loop(name, data, seed):
 def test_division_without_rescans_matches_the_reference_loop_on_long_remainders(name, data):
     # a multiple of the relation plus high X-degree terms: each step adds
     # monomials that are divisible again, some of which cancel and come back,
-    # so the sorted list of divisible monomials holds stale and repeated entries
+    # so the sorted list of divisible monomials loses and regains entries
     ring = DIFF_RINGS[name]
     gamma, delta, s, t = (data.draw(coeffs(ring)) for _ in range(4))
     dp = DPRing(ring, QuadForm.make(ring, gamma, delta), s, t, degree_bound=40)
@@ -204,6 +205,58 @@ def test_division_without_rescans_matches_the_reference_loop_on_long_remainders(
     ref_rem.update({(1, j): c.val for j, c in enumerate(ref_elem.gc) if c.val})
     assert rem.terms == ref_rem
     assert poly == rem + quot * dp.relation
+
+
+def _ref_divide(poly, relation, lead, rng=None):
+    """The division loop `MPoly.divide` ran before its list of divisible
+    monomials was exact: each step lists the remainder's divisible monomials
+    again and cancels the largest, or with an rng a draw from them in sorted
+    order."""
+    ring = poly.ring
+    vadd, vmul = ring._vadd, ring._vmul
+    tail = [(e, ring._vneg(c)) for e, c in relation.terms.items() if e != lead]
+    rem, quot = dict(poly.terms), {}
+    while True:
+        divisible = [e for e in rem if all(map(ge, e, lead))]
+        if not divisible:
+            return rem, {e: v for e, v in quot.items() if v}
+        e = max(divisible) if rng is None else sorted(divisible)[rng.randrange(len(divisible))]
+        c = rem.pop(e)
+        shift = tuple(map(sub, e, lead))
+        quot[shift] = vadd(quot[shift], c) if shift in quot else c
+        for e2, c2 in tail:
+            m = tuple(map(add, shift, e2))
+            v = vmul(c, c2)
+            if m in rem:
+                v = vadd(rem[m], v)
+            if v:
+                rem[m] = v
+            else:
+                rem.pop(m, None)
+
+
+@pytest.mark.parametrize("name", list(DIFF_RINGS))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), seed=st.one_of(st.none(), st.integers(0, 2**32 - 1)))
+def test_division_by_the_exact_queue_matches_the_rescan_loop(name, data, seed):
+    # the double-point relation (lead X^2) or the chart-0 relation (lead
+    # v*y^2) dividing a multiple of it plus other terms, whose steps cancel
+    # divisible monomials and bring them back: the same remainder, quotient
+    # and, with an rng, the same draws
+    ring = DIFF_RINGS[name]
+    gamma, delta = data.draw(st.sampled_from(UNIT_DISC_FORMS))
+    s, t = data.draw(coeffs(ring)), data.draw(coeffs(ring))
+    q = QuadForm.make(ring, gamma, delta)
+    if data.draw(st.booleans(), label="chart 0"):
+        relation, lead = build_charts(ring, q, s, t)[0].relation, (1, 2)
+    else:
+        relation, lead = DPRing(ring, q, s, t, degree_bound=40).relation, (2, 0)
+    poly = data.draw(polys(ring, max_deg=5)) * relation + data.draw(polys(ring, max_deg=8))
+    rng, ref_rng = (None, None) if seed is None else (random.Random(seed), random.Random(seed))
+    rem, quot = poly.divide(relation, lead, rng)
+    assert (rem.terms, quot.terms) == _ref_divide(poly, relation, lead, ref_rng)
+    if seed is not None:
+        assert rng.getstate() == ref_rng.getstate()  # the same draws, in the same order
 
 
 def test_divide_returns_the_division_identity():

@@ -366,7 +366,8 @@ def test_a_wrong_composed_scalar_fails_the_right_inverse_at_its_step(monkeypatch
 @pytest.mark.parametrize("column", [0, 1])
 @pytest.mark.parametrize("row", [2, 3, 4, 5])
 def test_a_wrong_stored_sum_or_polar_scalar_fails_the_final_residual(monkeypatch, ring_desc, row, column):
-    # rows 2 .. 5 give a + gamma*b, delta*b, p and r, which only feed later
+    # rows 2 and 3 give a + gamma*b and delta*b, and rows 4 and 5 stand for
+    # p and r, read off eps (see `perturbed_rows`); all four only feed later
     # residuals: the right inverse solves those faithfully, so the iteration
     # passes its own certificate and q(x, y) - f keeps the fault.  With
     # f = q + X^3 + Y^3, step 1's a + gamma*b and delta*b first enter degree 4
@@ -379,6 +380,28 @@ def test_a_wrong_stored_sum_or_polar_scalar_fails_the_final_residual(monkeypatch
     perturbed_rows(monkeypatch, row, column)
     residual = _final_residual(q, f, *normal_form_iteration(f, q, 8)[-1], 8)
     assert residual.order() == (4 if row < 4 else 5)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    ring_desc=st.sampled_from(["q", "fp:2", "fp:7", "dual:q", "loc:q:s,t:3"]),
+    top=st.integers(3, 9),
+)
+def test_the_polar_vectors_read_off_eps_are_those_of_the_correction(seed, ring_desc, top):
+    # p = -eps[1:] and r = (-eps[0], 0, ..., 0) against p = 2a + gamma*b and
+    # r = gamma*a + 2*delta*b from the correction (a, b) the rows make of eps
+    rnd = random.Random(seed)
+    ring = make_ring(ring_desc)
+    q = QuadForm.make(ring, *random_unit_disc(ring, rnd))
+    sums, lift, wrap, split = normal_form._vectors(ring)
+    scalars = lift([(s,) for row in normal_form._correction_rows(q) for s in row])
+    rows = [scalars[k : k + 2] for k in range(0, len(scalars), 2)]
+    (eps,) = lift([[ring.random_element(rnd) for _ in range(top + 1)]])
+    a, b = (wrap(v) for v in normal_form._apply_rows(ring, sums, rows, {top: split(eps)})[:2])
+    p, r = (wrap(v) for v in normal_form._polar(ring, eps))
+    assert p == tuple(2 * x + q.gamma * y for x, y in zip(a, b))
+    assert r == tuple(q.gamma * x + 2 * q.delta * y for x, y in zip(a, b))
 
 
 @pytest.mark.parametrize("ring_desc", ["q", "fp:7", "loc:q:s,t:3"])
@@ -881,3 +904,40 @@ def test_apply_series_multiplies_each_unordered_pair_of_components_once(monkeypa
     # diagonal vectors of each degree
     assert len(left) == 1 + 2 * min(6, top // 2)
     assert len({id(v) for v in right}) == len(right)
+
+
+# --- an independent oracle: sympy polynomial arithmetic over QQ ---------------
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_residual_orders_match_sympy(seed):
+    # q(x_n, y_n) - f multiplied out by sympy for every step's coordinates,
+    # truncated at total degree n_steps + 2 as `_final_residual` is: the same
+    # residual, so the same order, and after step n an order of at least n + 3
+    sympy = pytest.importorskip("sympy")
+    X, Y = sympy.symbols("X Y")
+    rnd = random.Random(seed)
+    q = QuadForm.make(QQ, *random_unit_disc(QQ, rnd))
+    n_steps = rnd.randint(1, 8)
+    top = n_steps + 2
+    f = _random_series_over(q, rnd, top + 2)
+
+    def rational(c):
+        (n,), d = QQ._ints(c.val)
+        return sympy.Rational(n, d)
+
+    def poly(terms):
+        return sympy.Poly.from_dict({m: c for m, c in terms.items() if sum(m) <= top} or {(0, 0): 0}, X, Y, domain=sympy.QQ)
+
+    def of_series(s):
+        return poly({(i, n - i): rational(c) for n, vec in s.parts.items() for i, c in enumerate(vec) if c.val})
+
+    g, d, minus = rational(q.gamma), rational(q.delta), of_series(f)
+    for n, (xs, ys) in enumerate(normal_form_iteration(f, q, n_steps)):
+        x, y = of_series(xs), of_series(ys)
+        ref = poly((x * x + g * x * y + d * y * y - minus).as_dict())
+        residual = _final_residual(q, f, xs, ys, n_steps)
+        assert of_series(residual) == ref
+        ref_order = min((sum(m) for m in ref.as_dict()), default=None)
+        assert residual.order() == ref_order
+        assert ref_order is None or ref_order >= n + 3

@@ -535,6 +535,30 @@ def test_a_slot_at_its_bound_with_the_largest_scale_factor(sign):
     assert got == ([sign * (min(k, 252 - k) + 1) * x * x for k in range(253)], 1, (middle >> 80).bit_length())
 
 
+@pytest.mark.parametrize("scalars_left", [True, False])
+def test_a_side_of_scalars_scales_both_sides_to_their_denominators(scalars_left):
+    # every vector on one side has length 1, so the sums are formed
+    # coefficient by coefficient: each side's images lie over different
+    # denominators, so each product needs both scale factors
+    scalars = [([1], 2, 1), ([-3], 5, 2)]
+    vectors = [([1, 2, -3], 3, 2), ([5, -7], 7, 3)]
+    pairs = [(i, j) for i in range(2) for j in range(2)]
+    outputs = [(3, pairs), (3, pairs[1:2]), (2, [])]
+    if not scalars_left:
+        pairs = [(j, i) for i, j in pairs]
+        outputs = [(3, pairs), (3, pairs[1:2]), (2, [])]
+    left, right = (scalars, vectors) if scalars_left else (vectors, scalars)
+    got = _packed_sums(QQ, left, right, outputs)
+    for (length, sum_pairs), image in zip(outputs, got):
+        want = [Fraction(0)] * length
+        for i, j in sum_pairs:
+            (a, ad, _), (b, bd, _) = left[i], right[j]
+            for k1, x in enumerate(a):
+                for k2, y in enumerate(b):
+                    want[k1 + k2] += Fraction(x, ad) * Fraction(y, bd)
+        assert _image_elements(QQ, image) == tuple(QQ.from_fraction(c) for c in want)
+
+
 # --- Series2.agrees_below ----------------------------------------------------
 
 
