@@ -110,11 +110,12 @@ class QuadForm:
         one, two, two_delta = ring.one, ring(2), 2 * delta
         degrees = sorted(n for n in {*xs.parts, *ys.parts} if n <= top)
         degrees = [n for n in degrees if n + degrees[0] <= top]  # those that enter a product
-        # x_n and y_n by degree, a missing one as zeros; the low ones, for the
-        # left side, are imaged over their own denominator once more
-        vectors = [s.parts.get(n) or (zero,) * (n + 1) for n in degrees for s in (xs, ys)]
-        left = lift([(-one,)]) + lift(vectors[: 2 * sum(2 * n <= top for n in degrees)])
-        vectors, right = lift(vectors), []
+        # x_n and y_n by degree, a missing one as zeros; the low ones, the left
+        # side, are imaged once more over their own denominator, so that they
+        # do not take the height of the high ones
+        components = [s.parts.get(n) or (zero,) * (n + 1) for n in degrees for s in (xs, ys)]
+        left = lift([(-one,)]) + lift(components[: 2 * sum(2 * n <= top for n in degrees)])
+        vectors, right = lift(components), []
         lows, highs = {}, {}  # degree -> index of x_i in left; (degree, diagonal) -> index in right
         for k, n in enumerate(degrees):
             x, y = vectors[2 * k : 2 * k + 2]
