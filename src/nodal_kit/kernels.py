@@ -93,14 +93,11 @@ _LITTLE_ENDIAN = sys.byteorder == "little"
 def _side(ring, vecs):
     """A side of the kernel straight from vectors of RingElem, as
     `_common_denominator` gives it: one record over the lcm of every
-    coefficient's denominator, so no scale factor applies.  The raw values
-    are read directly: a residue over F_p, over Q a (numerator, denominator)
-    tuple, zero being ()."""
+    coefficient's denominator, so no scale factor applies (over Q
+    `Rationals._common`, one call per side)."""
     if isinstance(ring, PrimeField):
         return [[c.val for c in v] for v in vecs], 1, None, (ring.p - 1).bit_length()
-    vals = [[c.val for c in v] for v in vecs]
-    den = lcm(*{x[1] for v in vals for x in v if x})
-    nums = [[x[0] * (den // x[1]) if x else 0 for x in v] for v in vals]
+    nums, den = ring._common([[c.val for c in v] for v in vecs])
     return nums, den, None, max([abs(x) for v in nums for x in v], default=0).bit_length()
 
 

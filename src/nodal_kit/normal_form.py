@@ -67,8 +67,9 @@ class QuadForm:
         polar vectors p_j = 2x_j + gamma*y_j and r_j = gamma*x_j + 2*delta*y_j,
         or against x_k + gamma*y_k and delta*y_k on the diagonal, and -1
         against minus_m; a component missing from xs or ys counts as zeros.
-        Over Q and F_p the components of xs and ys are imaged in one call, over
-        one shared denominator, and those of minus in one more; the polar
+        Over Q and F_p the components of xs and ys are imaged once, in two
+        calls each over one shared denominator (the low ones, which form the
+        left side, and the rest), and those of minus in one more; the polar
         vectors are formed coefficientwise on those images (over Q with no
         content divided out: the packed kernel reads any image), and a zero
         output image is dropped before wrapping; over composite rings the
@@ -111,11 +112,12 @@ class QuadForm:
         degrees = sorted(n for n in {*xs.parts, *ys.parts} if n <= top)
         degrees = [n for n in degrees if n + degrees[0] <= top]  # those that enter a product
         # x_n and y_n by degree, a missing one as zeros; the low ones, the left
-        # side, are imaged once more over their own denominator, so that they
-        # do not take the height of the high ones
+        # side, are imaged apart from the high ones, so that they do not take
+        # the height of the high ones
         components = [s.parts.get(n) or (zero,) * (n + 1) for n in degrees for s in (xs, ys)]
-        left = lift([(-one,)]) + lift(components[: 2 * sum(2 * n <= top for n in degrees)])
-        vectors, right = lift(components), []
+        n_low = 2 * sum(2 * n <= top for n in degrees)
+        low = lift(components[:n_low])
+        left, vectors, right = lift([(-one,)]) + low, low + lift(components[n_low:]), []
         lows, highs = {}, {}  # degree -> index of x_i in left; (degree, diagonal) -> index in right
         for k, n in enumerate(degrees):
             x, y = vectors[2 * k : 2 * k + 2]
@@ -319,8 +321,8 @@ def normal_form_iteration(f, q, n_steps):
     (`_polar`), which holds since 2a + gamma*b and gamma*a + 2*delta*b are
     (4*delta - gamma^2)*c times eps[1:] and eps[0].  Over Q and F_p every
     vector the steps read or make stays an integer image (see `kernels`):
-    the components of f that the steps read are imaged in one call, the
-    rows and -1 once per iteration, and eps and the stored corrections come
+    each component of f that the steps read is imaged once, canonically,
+    before the loop, the rows and -1 once per iteration, and eps and the stored corrections come
     out of the packed kernel as canonical images (p and r as eps's negated),
     so no image is rebuilt.  Only a and b are wrapped as ring elements, and a
     nonzero one is appended to x or y as one new component: the coefficient
@@ -355,7 +357,7 @@ def normal_form_iteration(f, q, n_steps):
     rows = [scalars[k : k + 2] for k in range(0, len(scalars), 2)]
     (minus_one,) = lift([(-ring.one,)])
     read = [n for n in f.parts if 2 < n <= n_steps + 1]  # f_{n+2} for the steps n < n_steps
-    f_parts = dict(zip(read, lift([f.parts[n] for n in read])))
+    f_parts = {n: lift([f.parts[n]])[0] for n in read}  # each canonical, not over a shared lcm
     # degree k -> (a_k, b_k, a_k + gamma*b_k, delta*b_k, p_k, r_k), for nonzero corrections
     comps = {}
     residuals = {}  # degree n + 2 -> eps of step n

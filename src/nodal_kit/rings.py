@@ -12,8 +12,7 @@ standard monomials of the whole tower, then one positive denominator (1 over
 F_p), so no element holds another ring's elements.  A rational is the same
 layout over the one monomial 1: (numerator, denominator), zero being ().  Each
 ring reads a raw value as integers over a denominator with `_ints` and writes
-one with `_norm`; only the ring classes read the layout, and the packed
-kernel's `kernels._side`, which reads Q and F_p values in bulk.
+one with `_norm`; only the ring classes read the layout.
 """
 
 from __future__ import annotations
@@ -330,6 +329,12 @@ class Rationals(Ring):
 
     def _ints(self, a):
         return (a[:1], a[1]) if a else ((0,), 1)
+
+    def _common(self, vecs):
+        """Vectors of raw values over one denominator, the lcm of theirs, as
+        (lists of numerators, denominator): the bulk `_ints` of a kernel side."""
+        den = lcm(*{x[1] for v in vecs for x in v if x})
+        return [[x[0] * (den // x[1]) if x else 0 for x in v] for v in vecs], den
 
     def _norm(self, nums, den):
         g = gcd(nums[0], den)
