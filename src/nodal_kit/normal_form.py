@@ -357,7 +357,9 @@ def normal_form_iteration(f, q, n_steps):
     rows = [scalars[k : k + 2] for k in range(0, len(scalars), 2)]
     (minus_one,) = lift([(-ring.one,)])
     read = [n for n in f.parts if 2 < n <= n_steps + 1]  # f_{n+2} for the steps n < n_steps
-    f_parts = {n: lift([f.parts[n]])[0] for n in read}  # each canonical, not over a shared lcm
+    # one call each, so that each image is canonical: a step's right side is
+    # then not scaled to the lcm of every denominator in f
+    f_parts = {n: lift([f.parts[n]])[0] for n in read}
     # degree k -> (a_k, b_k, a_k + gamma*b_k, delta*b_k, p_k, r_k), for nonzero corrections
     comps = {}
     residuals = {}  # degree n + 2 -> eps of step n
