@@ -29,6 +29,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 NF, KERNELS = "normal_form.py", "kernels.py"
 READ_OFF = "tests/test_normal_form.py::test_the_polar_vectors_read_off_eps_are_those_of_the_correction"
 README_NF = "tests/test_report_digests.py::test_report_digest[normal-form-readme]"
+LOC_DIGEST = "tests/test_report_digests.py::test_report_digest[check-all-loc-q-p5]"
 SCALARS = [
     "tests/test_series.py::test_a_side_of_scalars_scales_both_sides_to_their_denominators[True]",
     "tests/test_series.py::test_a_side_of_scalars_scales_both_sides_to_their_denominators[False]",
@@ -46,6 +47,33 @@ MUTANTS = {
             "tests/test_normal_form.py::test_a_wrong_stored_correction_fails_the_right_inverse_at_its_step[1-7-fp:7]",
         ],
     ),
+    "the solver's image comparison": (
+        NF,
+        "        if lhs != image:\n",
+        "        if False:\n",
+        [
+            "tests/test_normal_form.py::test_a_wrong_preimage_row_fails_the_right_inverse_at_the_least_degree[0-0-1-q]",
+            "tests/test_normal_form.py::test_a_wrong_preimage_row_fails_the_right_inverse_at_the_least_degree[1-1-5-fp:7]",
+        ],
+    ),
+    "the s*v[0] term of the in-place rows": (
+        NF,
+        "    out[0] += s * ints[0]\n",
+        "    out[0] += 0 * ints[0]\n",
+        [README_NF, READ_OFF],
+    ),
+    "the s*v[0] term of the in-place rows over composite rings": (
+        NF,
+        "out[0] = ring._vadd(out[0], vmul(s.val, v[0].val))",
+        "out[0] = ring._vadd(out[0], vmul(s.val, ()))",
+        [LOC_DIGEST, READ_OFF],
+    ),
+    "the tower accumulation's shared denominator": (
+        KERNELS,
+        "den, sums = lden * rden, []",
+        "den, sums = lden, []",
+        [LOC_DIGEST, "tests/test_truncated_rings.py::test_product_sums_match_the_pair_loop[dual:q]"],
+    ),
     "sign of the read-off p": (
         NF,
         "return ([-x for x in ints[1:]], den, bits), (",
@@ -62,7 +90,7 @@ MUTANTS = {
         NF,
         "return tuple([-c for c in eps[1:]]), (-eps[0],)",
         "return tuple([c for c in eps[1:]]), (eps[0],)",
-        ["tests/test_report_digests.py::test_report_digest[check-all-loc-q-p5]", READ_OFF],
+        [LOC_DIGEST, READ_OFF],
     ),
     "apply_series's -1 against minus": (
         NF,

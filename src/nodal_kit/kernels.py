@@ -9,8 +9,9 @@ here, in one of three kernels:
 - the sparse loops, on raw values combined through the ring's `_vadd` and
   `_vmul` and tested for zero by truth value;
 - over Q and F_p, the packed kernel on integer images of dense vectors;
-- over the composite rings, the pair loop on raw values, each product walking
-  the ring's index map (`TruncatedRing._vmul`).
+- over the composite rings, the pair loop on integer numerators, each side
+  over one denominator, each product walking the ring's index map and each
+  output coefficient normalised once (`TruncatedRing._norm`).
 """
 
 from __future__ import annotations
@@ -82,9 +83,10 @@ def _sparse_mul(ring, x, y):
 #
 # A side is held as one record (ints, L, scale factors, h): `_common_denominator`
 # makes it from images, `_side` straight from vectors of ring elements over
-# one shared denominator.  When every vector on one side has length 1 (scalars:
-# the composed right-inverse rows, -1), packing buys nothing, and the same sums
-# are formed coefficient by coefficient, each product a scalar times a vector.
+# one shared denominator.  When every vector on one side has length 1 (scalars,
+# as in a product by a constant series), packing buys nothing, and the same
+# sums are formed coefficient by coefficient, each product a scalar times a
+# vector.
 
 _WORD_FORMATS = {memoryview(bytes(8)).cast(f).itemsize: f for f in "BHIQ"}  # slot bytes -> format
 _LITTLE_ENDIAN = sys.byteorder == "little"
@@ -99,6 +101,18 @@ def _side(ring, vecs):
         return [[c.val for c in v] for v in vecs], 1, None, (ring.p - 1).bit_length()
     nums, den = ring._common([[c.val for c in v] for v in vecs])
     return nums, den, None, max([abs(x) for v in nums for x in v], default=0).bit_length()
+
+
+def _tower_side(vecs):
+    """A side of the composite pair loop: each vector of RingElem as its
+    nonzero coefficients (index, integer numerators), over one denominator,
+    the lcm of theirs (a value whose denominator it is keeps its tuple, whose
+    trailing denominator the index map never reads)."""
+    den = lcm(*{c.val[-1] for v in vecs for c in v if c.val})
+    return [
+        [(k, x if x[-1] == den else [a * (den // x[-1]) for a in x[:-1]]) for k, c in enumerate(v) if (x := c.val)]
+        for v in vecs
+    ], den
 
 
 def _images(ring, vecs):
@@ -165,6 +179,8 @@ def _scaled_sums(scalars, vectors, outputs, flip):
         for i, j in pairs:
             if flip:
                 i, j = j, i
+            if not sints[i]:
+                continue  # an empty vector: its product is empty, and `length` need not cover vints[j]
             c, vec = cs[i] * vscales[j] if vscales else cs[i], vints[j]
             if acc is None:
                 acc = [c * x for x in vec] + [0] * (length - len(vec))
@@ -239,24 +255,32 @@ def _product_sums(ring, left, right, outputs):
     the kernel: each side is one record over one denominator (`_side`), so
     no scale factor applies, and each output coefficient is reduced on its
     own as it is wrapped (over F_p inline, mod p), so no output image is made
-    canonical.  Over composite rings
-    the raw values are multiplied pair by pair and each output coefficient is
-    wrapped once.
+    canonical.  Over composite rings each side is brought to one denominator
+    too (`_tower_side`), each output coefficient's integer numerators are
+    accumulated through the ring's index map over the product of the two,
+    and each is normalised once, by one `_norm`.
     """
     if isinstance(ring, TruncatedRing):
-        vadd, vmul, zero = ring._vadd, ring._vmul, ring.zero
-        lraw = [[c.val for c in v] for v in left]
-        rraw = [[(k, c.val) for k, c in enumerate(v) if c.val] for v in right]
-        sums = []
+        rows, size, norm, zero = ring._rows, len(ring._monos), ring._norm, ring.zero
+        lnums, lden = _tower_side(left)
+        rnums, rden = _tower_side(right)
+        den, sums = lden * rden, []
         for length, pairs in outputs:
-            out = [()] * length
+            acc = [None] * length
             for i, j in pairs:
-                nb = rraw[j]
-                for k1, x in enumerate(lraw[i]):
-                    if x:
-                        for k2, y in nb:
-                            out[k1 + k2] = vadd(out[k1 + k2], vmul(x, y))
-            sums.append(tuple([RingElem(ring, v) if v else zero for v in out]))
+                nb = rnums[j]
+                for k1, x in lnums[i]:
+                    for k2, y in nb:
+                        out = acc[k1 + k2]
+                        if out is None:
+                            out = acc[k1 + k2] = [0] * size
+                        for a, row in zip(x, rows):
+                            if a:
+                                for m, k in row:
+                                    b = y[m]
+                                    if b:
+                                        out[k] += a * b
+            sums.append(tuple([RingElem(ring, norm(nums, den)) if nums else zero for nums in acc]))
         return sums
     digits, base, den = _slots(_side(ring, left), _side(ring, right), outputs)
     zero = ring.zero

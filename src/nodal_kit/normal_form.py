@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import lcm
 
-from .kernels import _elements, _images, _packed_sums, _product_sums
+from .kernels import _canonical, _elements, _images, _packed_sums, _product_sums
 from .rings import DualNumbers, PrimeField, RingElem, TruncatedRing
 from .series import Series2, _graded_sums, _min_prec
 
@@ -78,7 +78,7 @@ class QuadForm:
         ring = self.ring
         prec = _min_prec(xs.precision, ys.precision, None if minus is None else minus.precision)
         top = float("inf") if prec is None else prec
-        sums, lift, wrap, _ = _vectors(ring)
+        sums, lift, wrap = _vectors(ring)
         if isinstance(ring, TruncatedRing):
             vadd, vmul = ring._vadd, ring._vmul
 
@@ -184,36 +184,61 @@ def _preimage_rows(q, c):
     """The raw preimage of the linearized increment at c as two rows of
     scalars, (-2*delta*c, gamma*c) for mu and (gamma*c, -2*c) for nu: a row
     (r, s) maps a component f_n to r*f_n[1:] + s*f_n[0], the f_n[0] term at
-    X-exponent 0, of degree n - 1."""
+    X-exponent 0, of degree n - 1 (`_apply_row`)."""
     return (-2 * q.delta * c, q.gamma * c), (q.gamma * c, -2 * c)
 
 
-def _apply_rows(ring, sums, rows, parts):
-    """Each row of scalars (see `_preimage_rows`), given as length-1 vectors,
-    applied to each component in `parts` (degree n >= 1 -> its pieces
-    (v[1:], v[:1])), all in one product by the kernel `sums`: the
-    degree-(n-1) vectors by degree, then by row."""
-    degrees = sorted(parts)
-    left = [s for row in rows for s in row]
-    right = [w for n in degrees for w in parts[n]]
-    outputs = [(n, [(2 * i, 2 * k), (2 * i + 1, 2 * k + 1)]) for k, n in enumerate(degrees) for i in range(len(rows))]
-    return sums(ring, left, right, outputs)
+def _apply_row(ring, row, v):
+    """r*v[1:] + s*v[0], the v[0] term at X-exponent 0, for a row (r, s) of
+    scalars and a component v of degree n >= 1, in place: no kernel call.
+    Both are held as `_vectors` holds them, the row as the two length-1
+    vectors of one lift call (so over Q and F_p over one denominator); over
+    Q and F_p the result is a canonical image, over composite rings a tuple
+    of ring elements."""
+    if isinstance(ring, TruncatedRing):
+        ((r,), (s,)), vmul = row, ring._vmul
+        out = [vmul(r.val, c.val) for c in v[1:]]
+        out[0] = ring._vadd(out[0], vmul(s.val, v[0].val))
+        return tuple([RingElem(ring, x) for x in out])
+    ((r,), den, _), ((s,), _, _) = row
+    ints, vden, _ = v
+    out = [r * x for x in ints[1:]]
+    out[0] += s * ints[0]
+    return _canonical(ring, out, den * vden)
+
+
+def _preimage(q, f, c):
+    """The raw preimage of f at c as vectors: f's degrees, the image of each
+    of its components (one lift each, so canonical over Q and F_p), and the
+    components of mu and nu, degree n - 1 for each degree n of f, made from
+    those by the rows of `_preimage_rows` in place."""
+    if 0 in f.parts:
+        raise ValueError("series must have zero constant term")
+    ring = f.ring
+    _, lift, _ = _vectors(ring)
+    degrees = sorted(f.parts)
+    images = [lift([f.parts[n]])[0] for n in degrees]
+    rows = [lift([(r,), (s,)]) for r, s in _preimage_rows(q, ring(c))]
+    return degrees, images, [[_apply_row(ring, row, v) for v in images] for row in rows]
+
+
+def _series_of(ring, degrees, vecs, precision):
+    """The series with the vector vecs[k] as its degree-(degrees[k] - 1)
+    component, each wrapped once and a zero one dropped."""
+    wrap = _vectors(ring)[2]
+    parts = {n - 1: w for n, w in zip(degrees, map(wrap, vecs)) if any([c.val for c in w])}
+    return Series2._of(ring, parts, precision)
 
 
 def _raw_increment_preimage(q, f, c=1):
     """(mu, nu) with linearized_increment(q, mu, nu) = c*d*f, d the discriminant.
 
     f needs zero constant term.  Degree n of f gives degree n - 1 of mu and nu
-    through the rows of `_preimage_rows`, all in one packed product.  mu and
-    nu keep the precision of f.
+    through the rows of `_preimage_rows`, applied in place (`_preimage`).  mu
+    and nu keep the precision of f.
     """
-    if 0 in f.parts:
-        raise ValueError("series must have zero constant term")
-    ring = f.ring
-    rows = [[(s,) for s in row] for row in _preimage_rows(q, ring(c))]
-    sums = _apply_rows(ring, _product_sums, rows, {n: (v[1:], v[:1]) for n, v in f.parts.items()})
-    parts = [{n - 1: sums[2 * k + i] for k, n in enumerate(sorted(f.parts))} for i in (0, 1)]
-    return tuple(Series2(ring, p, f.precision) for p in parts)
+    degrees, _, vecs = _preimage(q, f, c)
+    return tuple(_series_of(f.ring, degrees, v, f.precision) for v in vecs)
 
 
 def _correction_rows(q):
@@ -250,15 +275,28 @@ def solve_linearized_increment(q, f):
     """Right inverse of the linearized increment, for a series f with zero
     constant term: one homogeneous component or a whole series.
 
-    Needs a unit discriminant d; takes the raw preimage at c = 1/d and
-    re-checks q_X*mu + q_Y*nu = f on every call, which pins down the signs.
+    Needs a unit discriminant d; takes the raw preimage at c = 1/d
+    (`_preimage`) and re-checks q_X*mu + q_Y*nu = f on every call, which pins
+    down the signs: degree by degree, in one product against the gradient
+    (as the iteration's own certificate does), as an equality of canonical
+    images of f's components over Q and F_p (of ring elements over composite
+    rings), naming the least degree where it fails.  mu and nu are wrapped
+    once, after the check.
     """
     d = q.discriminant
     if not d.is_unit:
         raise DegenerateFormError("right inverse needs a unit discriminant")
-    mu, nu = _raw_increment_preimage(q, f, d.inv())
-    _certify("right-inverse", linearized_increment(q, mu, nu), f)
-    return mu, nu
+    degrees, images, (mu, nu) = _preimage(q, f, d.inv())
+    ring = f.ring
+    sums, lift, _ = _vectors(ring)
+    # q_X = (gamma, 2) and q_Y = (2*delta, gamma), by X-exponent
+    gradient = lift([(q.gamma, ring(2)), (2 * q.delta, q.gamma)])
+    right = [v for pair in zip(mu, nu) for v in pair]
+    outputs = [(n + 1, [(0, 2 * k), (1, 2 * k + 1)]) for k, n in enumerate(degrees)]
+    for n, lhs, image in zip(degrees, sums(ring, gradient, right, outputs), images):
+        if lhs != image:
+            raise AssertionError(f"right-inverse identity failed at degree {n} (internal error)")
+    return _series_of(ring, degrees, mu, f.precision), _series_of(ring, degrees, nu, f.precision)
 
 
 def _certify(identity, lhs, rhs):
@@ -271,21 +309,15 @@ def _certify(identity, lhs, rhs):
 
 
 def _vectors(ring):
-    """How the iteration and `QuadForm.apply_series` hold a coefficient
-    vector, as (sums, lift, wrap, split): over Q and F_p an integer image (see
-    `kernels`), multiplied by `_packed_sums`; over composite rings a tuple of
-    RingElem, multiplied pair by pair by `_product_sums`.  lift takes a list
-    of vectors to their images, over one shared denominator (so a single
-    vector's is canonical), and wrap takes one back to a tuple of RingElem;
-    split cuts v into (v[1:], v[:1])."""
+    """How the normal form holds a coefficient vector, as (sums, lift, wrap):
+    over Q and F_p an integer image (see `kernels`), multiplied by
+    `_packed_sums`; over composite rings a tuple of RingElem, multiplied pair
+    by pair by `_product_sums`.  lift takes a list of vectors to their
+    images, over one shared denominator (so a single vector's is canonical),
+    and wrap takes one back to a tuple of RingElem."""
     if isinstance(ring, TruncatedRing):
-        return _product_sums, lambda vecs: [tuple(v) for v in vecs], tuple, lambda v: (v[1:], v[:1])
-    return (
-        _packed_sums,
-        lambda vecs: _images(ring, vecs),
-        lambda image: _elements(ring, image),
-        lambda image: ((image[0][1:], *image[1:]), (image[0][:1], *image[1:])),
-    )
+        return _product_sums, lambda vecs: [tuple(v) for v in vecs], tuple
+    return _packed_sums, lambda vecs: _images(ring, vecs), lambda image: _elements(ring, image)
 
 
 def normal_form_iteration(f, q, n_steps):
@@ -313,18 +345,19 @@ def normal_form_iteration(f, q, n_steps):
     the components), instead of multiplying out whole series (van der
     Hoeven's relaxed, or on-line, scheme in its simplest form).
 
-    A step is two products.  One forms eps, -f_{n+2} entering as the
-    length-1 vector (-1,) times f_{n+2}.  The other takes eps straight to
+    A step is one product, which forms eps, -f_{n+2} entering as the
+    length-1 vector (-1,) times f_{n+2}.  eps goes straight to
     (a, b, a + gamma*b, delta*b) through the four rows of `_correction_rows`,
     the right inverse at c = 1/d composed with the correction, formed once
-    per iteration.  p and r are read off eps: p = -eps[1:] and r = -eps[0]
-    (`_polar`), which holds since 2a + gamma*b and gamma*a + 2*delta*b are
+    per iteration and applied in place (`_apply_row`), with no kernel call.
+    p and r are read off eps: p = -eps[1:] and r = -eps[0] (`_polar`), which
+    holds since 2a + gamma*b and gamma*a + 2*delta*b are
     (4*delta - gamma^2)*c times eps[1:] and eps[0].  Over Q and F_p every
     vector the steps read or make stays an integer image (see `kernels`):
     each component of f that the steps read is imaged once, canonically,
-    before the loop, the rows and -1 once per iteration, and eps and the stored corrections come
-    out of the packed kernel as canonical images (p and r as eps's negated),
-    so no image is rebuilt.  Only a and b are wrapped as ring elements, and a
+    before the loop, the rows and -1 once per iteration, and eps and the
+    stored corrections are canonical images (p and r as eps's negated), so
+    no image is rebuilt.  Only a and b are wrapped as ring elements, and a
     nonzero one is appended to x or y as one new component: the coefficient
     tuples of the earlier components are shared and not checked again, while
     the small degree -> component dict is copied on each step.  Over
@@ -350,7 +383,7 @@ def normal_form_iteration(f, q, n_steps):
             f"series precision {f.precision} too small for {n_steps} steps"
         )
     ring = f.ring
-    sums, lift, wrap, split = _vectors(ring)
+    sums, lift, wrap = _vectors(ring)
     xs, ys = Series2.x(ring), Series2.y(ring)
     out = [(xs, ys)]
     scalars = lift([(s,) for row in _correction_rows(q) for s in row])
@@ -380,7 +413,7 @@ def normal_form_iteration(f, q, n_steps):
             right.append(f_parts[top])
         (eps,) = sums(ring, left, right, [(top + 1, pairs)])
         residuals[top] = eps
-        comp = _apply_rows(ring, sums, rows, {top: split(eps)})  # a, b, a + gamma*b, delta*b
+        comp = [_apply_row(ring, row, eps) for row in rows]  # a, b, a + gamma*b, delta*b
         a, b = wrap(comp[0]), wrap(comp[1])
         in_x, in_y = (any(c.val for c in v) for v in (a, b))
         if in_x or in_y:

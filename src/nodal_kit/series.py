@@ -122,7 +122,9 @@ class Series2:
 
     @classmethod
     def from_terms(cls, ring, terms, precision=None):
-        """Build from (i, j, coefficient) triples meaning coeff * X^i Y^j."""
+        """Build from (i, j, coefficient) triples meaning coeff * X^i Y^j,
+        summed on raw values, each coefficient wrapped once."""
+        vadd, zero = ring._vadd, ring.zero.val
         parts = {}
         for i, j, c in terms:
             n = i + j
@@ -130,9 +132,10 @@ class Series2:
                 continue  # unknown beyond the precision; allocating it could exhaust memory
             vec = parts.get(n)
             if vec is None:
-                vec = parts[n] = [ring.zero] * (n + 1)
-            vec[i] = vec[i] + ring(c)
-        return cls(ring, {n: tuple(v) for n, v in parts.items()}, precision)
+                vec = parts[n] = [zero] * (n + 1)
+            vec[i] = vadd(vec[i], ring(c).val)
+        parts = {n: tuple([RingElem(ring, v) for v in vec]) for n, vec in parts.items() if any(vec)}
+        return cls._of(ring, parts, precision)
 
     @classmethod
     def from_triples(cls, ring, triples, precision=None):
@@ -196,9 +199,15 @@ class Series2:
         prec = _min_prec(self.precision, other.precision)
         if prec is not None and prec < k - 1:
             return False
-        return all(
-            self.parts.get(n) == other.parts.get(n) for n in set(self.parts) | set(other.parts) if n < k
-        )
+        mine, theirs = self.parts, other.parts
+        for n in mine.keys() | theirs.keys():
+            if n < k:
+                a, b = mine.get(n), theirs.get(n)
+                # a shared component is equal; else compare raw values (a
+                # stored component is nonzero, so a missing one differs)
+                if a is not b and (a is None or b is None or [c.val for c in a] != [c.val for c in b]):
+                    return False
+        return True
 
     # --- arithmetic ---------------------------------------------------------
 

@@ -6,7 +6,7 @@ from nodal_kit import normal_form
 from nodal_kit.dp_ring import DegreeOverflowError, mul_columns
 from nodal_kit.kernels import _canonical
 from nodal_kit.linalg import _dense_rows, rank
-from nodal_kit.rings import DualNumbers, LocalTruncation, PrimeField, Rationals, TruncatedRing
+from nodal_kit.rings import DualNumbers, LocalTruncation, PrimeField, Rationals, RingElem, TruncatedRing
 from nodal_kit.series import Series2
 
 
@@ -129,7 +129,7 @@ def perturbed_rows(monkeypatch, row, column):
 
     def perturbed(ring, eps):
         polar = list(real(ring, eps))
-        _, lift, wrap, _ = normal_form._vectors(ring)
+        _, lift, wrap = normal_form._vectors(ring)
         e = wrap(eps)
         vec = list(wrap(polar[row - 4]))
         for k, c in enumerate(e[1:] if column == 0 else e[:1]):
@@ -141,21 +141,65 @@ def perturbed_rows(monkeypatch, row, column):
 
 
 def perturbed_step(monkeypatch, step, which):
-    """Make the `step`-th call of `_apply_rows` (step `step` of the first
-    iteration run) add one to coefficient 0 of output `which`: over Q and F_p,
-    where the output is an image (ints, den, bits), by adding den to ints[0]."""
-    real, calls = normal_form._apply_rows, []
+    """Make step `step` of the first iteration run add one to coefficient 0
+    of its output `which` of (a, b, a + gamma*b, delta*b): the call of
+    `_apply_row` that applies row `which` (each step applies the four rows
+    in order).  Over Q and F_p, where the output is an image (ints, den,
+    bits), by adding den to ints[0]."""
+    real, calls = normal_form._apply_row, []
 
-    def perturbed(ring, sums, rows, parts):
-        out = real(ring, sums, rows, parts)
+    def perturbed(ring, row, v):
+        out = real(ring, row, v)
         calls.append(None)
-        if len(calls) == step:
-            vec = out[which]
-            if isinstance(ring, TruncatedRing):
-                out[which] = (vec[0] + 1,) + vec[1:]
-            else:
-                ints, den, _ = vec
-                out[which] = _canonical(ring, [ints[0] + den, *ints[1:]], den)
+        if len(calls) == 4 * (step - 1) + which + 1:
+            out = _plus_one(ring, out)
         return out
 
-    monkeypatch.setattr(normal_form, "_apply_rows", perturbed)
+    monkeypatch.setattr(normal_form, "_apply_row", perturbed)
+
+
+def _plus_one(ring, vec):
+    """The vector `vec`, held as `normal_form._vectors` holds it, with one
+    added to coefficient 0."""
+    if isinstance(ring, TruncatedRing):
+        return (vec[0] + 1,) + vec[1:]
+    ints, den, _ = vec
+    return _canonical(ring, [ints[0] + den, *ints[1:]], den)
+
+
+def perturbed_preimage(monkeypatch, degree):
+    """Make the right inverse's raw preimage (`normal_form._preimage`) wrong
+    in the component of mu made from f's degree-`degree` component, when f
+    has one: one is added to its coefficient 0, so q_X*mu + q_Y*nu misses f
+    first in that degree."""
+    real = normal_form._preimage
+
+    def perturbed(q, f, c):
+        degrees, images, (mu, nu) = real(q, f, c)
+        if degree in degrees:
+            k = degrees.index(degree)
+            mu = mu[:k] + [_plus_one(f.ring, mu[k])] + mu[k + 1 :]
+        return degrees, images, (mu, nu)
+
+    monkeypatch.setattr(normal_form, "_preimage", perturbed)
+
+
+def pair_loop_sums(ring, left, right, outputs):
+    """Reference for the composite branch of `kernels._product_sums`: the
+    pair loop it replaced, on raw values, each coefficient product a
+    `_vmul` and each accumulation a `_vadd`, so every partial sum is
+    normalised."""
+    vadd, vmul, zero = ring._vadd, ring._vmul, ring.zero
+    lraw = [[c.val for c in v] for v in left]
+    rraw = [[(k, c.val) for k, c in enumerate(v) if c.val] for v in right]
+    sums = []
+    for length, pairs in outputs:
+        out = [()] * length
+        for i, j in pairs:
+            nb = rraw[j]
+            for k1, x in enumerate(lraw[i]):
+                if x:
+                    for k2, y in nb:
+                        out[k1 + k2] = vadd(out[k1 + k2], vmul(x, y))
+        sums.append(tuple([RingElem(ring, v) if v else zero for v in out]))
+    return sums

@@ -7,7 +7,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import perturbed_rows, perturbed_step
+from conftest import perturbed_preimage, perturbed_rows, perturbed_step
 from nodal_kit import cli, mf, normal_form, stabilize
 from nodal_kit.mpoly import MPoly
 from nodal_kit.reporting import CheckRecord, Report
@@ -441,7 +441,9 @@ def _counterexamples(capsys, *argv):
 
 @pytest.mark.parametrize("degree", [1, 4, 9])
 def test_a_wrong_linearized_increment_fails_the_right_inverse_check(monkeypatch, capsys, degree):
-    _perturb_degree(monkeypatch, normal_form, "linearized_increment", degree)
+    # the right inverse certifies q_X*mu + q_Y*nu = f on images, so the fault
+    # is planted in mu, where it makes that increment wrong in one degree
+    perturbed_preimage(monkeypatch, degree)
     code, failed = _counterexamples(capsys, "normal-form", "--ring", "fp:7", "--gamma", "3", "--delta", "2")
     assert code == 1
     assert failed["nf.right-inverse"] == (
@@ -523,7 +525,8 @@ def test_the_right_inverse_check_draws_like_the_per_degree_loop(monkeypatch, rin
 
 @pytest.mark.parametrize("degree", [2, 5])
 def test_a_wrong_linearized_increment_fails_the_square_zero_repair_check(monkeypatch, capsys, degree):
-    _perturb_degree(monkeypatch, normal_form, "linearized_increment", degree)
+    # planted in mu, as in the right-inverse check above
+    perturbed_preimage(monkeypatch, degree)
     code, failed = _counterexamples(capsys, "check-all", "--ring", "fp:7", "--gamma", "3", "--delta", "2")
     assert code == 1
     assert failed["nf.square-zero-repair"] == (

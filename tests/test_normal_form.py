@@ -18,7 +18,7 @@ from nodal_kit.normal_form import (
     square_zero_change,
     _raw_increment_preimage,
 )
-from nodal_kit.rings import PrimeField, Rationals, make_ring
+from nodal_kit.rings import PrimeField, Rationals, RingElem, make_ring
 from nodal_kit.series import Series2
 
 QQ = Rationals()
@@ -394,11 +394,11 @@ def test_the_polar_vectors_read_off_eps_are_those_of_the_correction(seed, ring_d
     rnd = random.Random(seed)
     ring = make_ring(ring_desc)
     q = QuadForm.make(ring, *random_unit_disc(ring, rnd))
-    sums, lift, wrap, split = normal_form._vectors(ring)
+    _, lift, wrap = normal_form._vectors(ring)
     scalars = lift([(s,) for row in normal_form._correction_rows(q) for s in row])
     rows = [scalars[k : k + 2] for k in range(0, len(scalars), 2)]
     (eps,) = lift([[ring.random_element(rnd) for _ in range(top + 1)]])
-    a, b = (wrap(v) for v in normal_form._apply_rows(ring, sums, rows, {top: split(eps)})[:2])
+    a, b = (wrap(normal_form._apply_row(ring, row, eps)) for row in rows[:2])
     p, r = (wrap(v) for v in normal_form._polar(ring, eps))
     assert p == tuple(2 * x + q.gamma * y for x, y in zip(a, b))
     assert r == tuple(q.gamma * x + 2 * q.delta * y for x, y in zip(a, b))
@@ -428,28 +428,86 @@ def test_a_stored_correction_changed_only_in_its_denominator_fails_the_right_inv
     half, top = QQ(1) / 2, k + 2
     f = q.series() + Series2(QQ, {top: (half,) + (QQ.zero,) * (top - 1) + (half,)})
     normal_form_iteration(f, q, 8)  # sound before the fault is planted
-    real, calls = normal_form._apply_rows, []
+    real, calls = normal_form._apply_row, []
 
-    def halved(ring, sums, rows, parts):
-        out = real(ring, sums, rows, parts)
+    def halved(ring, row, v):
+        out = real(ring, row, v)
         calls.append(None)
-        if len(calls) == k:
-            for which in (0, 1):
-                ints, den, bits = out[which]
-                assert den % 2 == 0
-                out[which] = (ints, den // 2, bits)
+        if len(calls) in (4 * (k - 1) + 1, 4 * (k - 1) + 2):  # a and b of step k
+            ints, den, bits = out
+            assert den % 2 == 0
+            out = (ints, den // 2, bits)
         return out
 
-    monkeypatch.setattr(normal_form, "_apply_rows", halved)
+    monkeypatch.setattr(normal_form, "_apply_row", halved)
     with pytest.raises(AssertionError, match=rf"^right-inverse identity failed at degree {top} \(internal error\)$"):
         normal_form_iteration(f, q, 8)
 
 
+# --- planted faults: the right-inverse identity, certified on every call of
+# solve_linearized_increment
+
+
+def _from_degree(ring, rnd, n):
+    """X^n + Y^n plus random components of degrees n + 1 .. n + 3: f[0] and
+    f[1:] are nonzero in degree n, the least degree of the series."""
+    parts = {n: (ring.one,) + (ring.zero,) * (n - 1) + (ring.one,)}
+    for m in range(n + 1, n + 4):
+        parts[m] = [ring.random_element(rnd) for _ in range(m + 1)]
+    return Series2(ring, parts)
+
+
+def _planted_rows(monkeypatch, row, column, change):
+    """Make `_preimage_rows` return its scalar (row, column) changed by `change`."""
+    real = normal_form._preimage_rows
+
+    def perturbed(q, c):
+        rows = [list(r) for r in real(q, c)]
+        rows[row][column] = change(rows[row][column])
+        return tuple(tuple(r) for r in rows)
+
+    monkeypatch.setattr(normal_form, "_preimage_rows", perturbed)
+
+
+@pytest.mark.parametrize("ring_desc", ["q", "fp:7", "dual:q", "loc:q:s,t:3"])
+@pytest.mark.parametrize("n", [1, 5])
+@pytest.mark.parametrize("row,column", [(0, 0), (0, 1), (1, 0), (1, 1)])
+def test_a_wrong_preimage_row_fails_the_right_inverse_at_the_least_degree(monkeypatch, ring_desc, n, row, column):
+    # the wrong row maps every component wrongly: the identity fails first in
+    # f's least degree
+    rnd = random.Random(f"{ring_desc}:{n}")
+    ring = make_ring(ring_desc)
+    q = QuadForm.make(ring, 3, 1)  # discriminant 5
+    f = _from_degree(ring, rnd, n)
+    solve_linearized_increment(q, f)  # sound before the fault is planted
+    _planted_rows(monkeypatch, row, column, lambda x: x + 1)
+    with pytest.raises(AssertionError, match=rf"^right-inverse identity failed at degree {n} \(internal error\)$"):
+        solve_linearized_increment(q, f)
+
+
+@pytest.mark.parametrize("ring_desc", ["q", "dual:q", "loc:q:s,t:3"])
+@pytest.mark.parametrize("n", [1, 5])
+@pytest.mark.parametrize("row,column", [(0, 0), (0, 1), (1, 0), (1, 1)])
+def test_a_preimage_row_changed_only_in_its_denominator_fails_the_right_inverse(monkeypatch, ring_desc, n, row, column):
+    # at c = 1/5 the rows are (-2/5, 3/5) and (3/5, -2/5); one scalar's raw
+    # value keeps its numerators over 7 times its denominator, still in
+    # lowest terms.  Over F_p a raw value has no denominator to change
+    rnd = random.Random(f"{ring_desc}:{n}")
+    ring = make_ring(ring_desc)
+    q = QuadForm.make(ring, 3, 1)
+    f = _from_degree(ring, rnd, n)
+    solve_linearized_increment(q, f)
+    _planted_rows(monkeypatch, row, column, lambda x: RingElem(ring, (*x.val[:-1], 7 * x.val[-1])))
+    with pytest.raises(AssertionError, match=rf"^right-inverse identity failed at degree {n} \(internal error\)$"):
+        solve_linearized_increment(q, f)
+
+
 @pytest.mark.parametrize("n_steps", range(1, 9))
-def test_each_step_makes_two_packed_products_and_the_iteration_one_certificate(monkeypatch, n_steps):
+def test_each_step_makes_one_packed_product_and_the_iteration_one_certificate(monkeypatch, n_steps):
     # over Q and F_p the steps and the certificate run on images, through
     # _packed_sums; over composite rings through the pair loop of
-    # _product_sums; neither makes a Series2 product
+    # _product_sums; neither makes a Series2 product, and the rows of a
+    # step are applied in place, with no kernel call
     calls = {"_packed_sums": 0, "_product_sums": 0, "linearized_increment": 0, "solve_linearized_increment": 0}
     kernels = {"_product_sums": 0}
     for module, name, counts in [(normal_form, name, calls) for name in calls] + [(series, "_product_sums", kernels)]:
@@ -470,7 +528,7 @@ def test_each_step_makes_two_packed_products_and_the_iteration_one_certificate(m
                     counts[name] = 0
             normal_form_iteration(f, q, n_steps)
             want = dict.fromkeys(calls, 0)
-            want[kernel] = 2 * (n_steps - 1) + 1
+            want[kernel] = (n_steps - 1) + 1
             assert calls == want
             assert kernels == {"_product_sums": 0}
 
@@ -858,10 +916,10 @@ def test_each_step_multiplies_each_unordered_pair_of_corrections_once(monkeypatc
     calls = _recorded_kernel_calls(monkeypatch)
     n_steps = 10
     xs, ys = normal_form_iteration(f, q, n_steps)[-1]
-    assert len(calls) == 2 * (n_steps - 1) + 1  # eps and the rows per step, then the certificate
+    assert len(calls) == (n_steps - 1) + 1  # eps per step (the rows apply in place), then the certificate
     corrected = sorted(n for n in {*xs.parts, *ys.parts} if n >= 2)
     assert len(corrected) >= 6
-    for n, (left, right, outputs) in enumerate(calls[0:-1:2], start=1):
+    for n, (left, right, outputs) in enumerate(calls[:-1], start=1):
         top = n + 2
         ((length, pairs),) = outputs
         assert length == top + 1

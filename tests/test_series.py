@@ -559,6 +559,17 @@ def test_a_side_of_scalars_scales_both_sides_to_their_denominators(scalars_left)
         assert _image_elements(QQ, image) == tuple(QQ.from_fraction(c) for c in want)
 
 
+@pytest.mark.parametrize("ring", IMAGE_RINGS)
+def test_an_empty_scalar_vector_makes_an_empty_product(ring):
+    # the right side is of scalars, one of them empty: its product with a
+    # length-1 vector is empty, so an output of length 0 holds it and the
+    # next output starts at its own first slot
+    left = [([0, 0], 1, 0), ([1], 1, 1)]
+    right = [([], 1, 0), ([1], 1, 1)]
+    got = _packed_sums(ring, left, right, [(0, [(1, 0)]), (1, [(1, 1)]), (2, [(0, 0)])])
+    assert [_image_elements(ring, image) for image in got] == [(), (ring.one,), (ring.zero, ring.zero)]
+
+
 # --- Series2.agrees_below ----------------------------------------------------
 
 

@@ -18,7 +18,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import pair_loop_sums
 from nodal_kit import cli, rings
+from nodal_kit.kernels import _product_sums
 from nodal_kit.rings import (
     CoeffParseError,
     DualNumbers,
@@ -524,3 +526,98 @@ def test_literal_parses_build_the_atoms_once(monkeypatch):
     again = [tower.parse_elem(lit) for lit in ("s+eps", "1/2*t-eps*s")]
     fresh = [make_ring("dual:loc:q:s,t:2").parse_elem(lit) for lit in ("s+eps", "1/2*t-eps*s")]
     assert first == again == fresh
+
+
+# --- the composite pair loop: each side over one denominator, one `_norm` per
+# output coefficient, against the loop that normalised every partial sum
+
+
+def _tower_vectors(ring, rnd, count, max_len):
+    """`count` vectors of random elements, about a quarter of them zero."""
+    return [
+        [ring.random_element(rnd) if rnd.random() < 0.75 else ring.zero for _ in range(rnd.randint(0, max_len))]
+        for _ in range(count)
+    ]
+
+
+def _tower_outputs(rnd, left, right):
+    """Up to four outputs of up to five pairs, each long enough for its products, some longer."""
+    outputs = []
+    for _ in range(rnd.randint(0, 4)):
+        pairs = [(rnd.randrange(len(left)), rnd.randrange(len(right))) for _ in range(rnd.randint(0, 5))]
+        need = max((max(len(left[i]) + len(right[j]) - 1, 0) for i, j in pairs), default=0)
+        outputs.append((need + rnd.randint(0, 2), pairs))
+    return outputs
+
+
+def _vals(sums):
+    return [[c.val for c in v] for v in sums]
+
+
+@pytest.mark.parametrize("descriptor", list(REFERENCES))
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_product_sums_match_the_pair_loop(descriptor, seed):
+    # raw values, so canonical ones on both sides: the denominators the
+    # random elements draw differ within each side and between the two
+    rnd = random.Random(seed)
+    ring = make_ring(descriptor)
+    left, right = _tower_vectors(ring, rnd, 3, 6), _tower_vectors(ring, rnd, 3, 6)
+    outputs = _tower_outputs(rnd, left, right)
+    assert _vals(_product_sums(ring, left, right, outputs)) == _vals(pair_loop_sums(ring, left, right, outputs))
+
+
+def _groups(ring):
+    """(variable count, order) of each level of a tower, bottom level first:
+    the flat exponents of `flat_terms` list the variables in this order."""
+    out = []
+    while isinstance(ring, rings.TruncatedRing):
+        out.append((len(ring.var_names), getattr(ring, "order", 2)))
+        ring = ring.base
+    return out[::-1]
+
+
+@pytest.mark.parametrize("descriptor", list(REFERENCES))
+@pytest.mark.parametrize("seed", range(3))
+def test_product_sums_match_sympy_products_modulo_the_truncation_ideal(descriptor, seed):
+    # each vector is a polynomial in the tower's variables and Z (Z^k at
+    # entry k); sympy multiplies them over QQ or GF(7) and the truncation
+    # ideal, monomial, is applied by dropping every term with some level's
+    # variables at total degree >= its order
+    sympy = pytest.importorskip("sympy")
+    rnd = random.Random(f"{descriptor}:{seed}")
+    ring = make_ring(descriptor)
+    p = getattr(ring.field, "p", None)
+    groups = _groups(ring)
+    gens = sympy.symbols(f"v0:{sum(n for n, _ in groups)}") + (sympy.Symbol("Z"),)
+    domain = sympy.GF(p) if p else sympy.QQ
+
+    def field(raw):
+        if p:
+            return raw
+        (n,), d = ring.field._ints(raw)
+        return sympy.Rational(n, d)
+
+    def terms(vec):
+        return {e + (k,): field(v) for k, c in enumerate(vec) for e, v in ring.flat_terms(c).items()}
+
+    def poly(vec):
+        return sympy.Poly.from_dict(terms(vec) or {(0,) * len(gens): 0}, *gens, domain=domain)
+
+    def truncated(poly_):
+        out = {}
+        for e, v in poly_.as_dict().items():
+            start, kept = 0, True
+            for n, order in groups:
+                kept = kept and sum(e[start : start + n]) < order
+                start += n
+            if kept and v:
+                out[e] = int(v) % p if p else v
+        return out
+
+    left, right = _tower_vectors(ring, rnd, 3, 5), _tower_vectors(ring, rnd, 3, 5)
+    outputs = _tower_outputs(rnd, left, right)
+    for (length, pairs), got in zip(outputs, _product_sums(ring, left, right, outputs)):
+        assert len(got) == length
+        want = sum((poly(left[i]) * poly(right[j]) for i, j in pairs), poly([]))
+        assert terms(got) == truncated(want)
