@@ -30,6 +30,7 @@ NF, KERNELS = "normal_form.py", "kernels.py"
 READ_OFF = "tests/test_normal_form.py::test_the_polar_vectors_read_off_eps_are_those_of_the_correction"
 README_NF = "tests/test_report_digests.py::test_report_digest[normal-form-readme]"
 LOC_DIGEST = "tests/test_report_digests.py::test_report_digest[check-all-loc-q-p5]"
+WRONG_ROW = "tests/test_normal_form.py::test_a_wrong_preimage_row_fails_the_right_inverse_at_the_least_degree"
 SCALARS = [
     "tests/test_series.py::test_a_side_of_scalars_scales_both_sides_to_their_denominators[True]",
     "tests/test_series.py::test_a_side_of_scalars_scales_both_sides_to_their_denominators[False]",
@@ -51,10 +52,7 @@ MUTANTS = {
         NF,
         "        if lhs != image:\n",
         "        if False:\n",
-        [
-            "tests/test_normal_form.py::test_a_wrong_preimage_row_fails_the_right_inverse_at_the_least_degree[0-0-1-q]",
-            "tests/test_normal_form.py::test_a_wrong_preimage_row_fails_the_right_inverse_at_the_least_degree[1-1-5-fp:7]",
-        ],
+        [f"{WRONG_ROW}[0-0-1-q]", f"{WRONG_ROW}[1-1-5-fp:7]"],
     ),
     "the s*v[0] term of the in-place rows": (
         NF,

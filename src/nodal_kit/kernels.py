@@ -104,10 +104,10 @@ def _side(ring, vecs):
 
 
 def _tower_side(vecs):
-    """A side of the composite pair loop: each vector of RingElem as its
-    nonzero coefficients (index, integer numerators), over one denominator,
-    the lcm of theirs (a value whose denominator it is keeps its tuple, whose
-    trailing denominator the index map never reads)."""
+    """A side of the composite pair loop, over one denominator, the lcm of
+    its values': each vector of RingElem as its nonzero coefficients
+    (index, integer numerators).  A value already over that denominator
+    keeps its raw tuple, whose trailing denominator the loop never reads."""
     den = lcm(*{c.val[-1] for v in vecs for c in v if c.val})
     return [
         [(k, x if x[-1] == den else [a * (den // x[-1]) for a in x[:-1]]) for k, c in enumerate(v) if (x := c.val)]
