@@ -26,7 +26,7 @@ import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-NF, KERNELS = "normal_form.py", "kernels.py"
+NF, KERNELS, DP = "normal_form.py", "kernels.py", "dp_ring.py"
 READ_OFF = "tests/test_normal_form.py::test_the_polar_vectors_read_off_eps_are_those_of_the_correction"
 README_NF = "tests/test_report_digests.py::test_report_digest[normal-form-readme]"
 LOC_DIGEST = "tests/test_report_digests.py::test_report_digest[check-all-loc-q-p5]"
@@ -36,6 +36,9 @@ SCALARS = [
     "tests/test_series.py::test_a_side_of_scalars_scales_both_sides_to_their_denominators[False]",
 ]
 SIGN_BIT = "tests/test_series.py::test_a_slot_width_with_no_rounding_slack"
+ROUNDTRIP = "tests/test_cli.py::test_a_wrong_remainder_fails_the_canonical_roundtrip_check"
+NOT_MONIC = "tests/test_dp_ring.py::TestReduce::test_a_relation_not_monic_in_x_squared_is_refused"
+POWERS = "tests/test_dp_ring.py::TestPowerDecompositions"
 
 # name -> (file, source text, replacement, node ids that must fail)
 MUTANTS = {
@@ -119,6 +122,25 @@ MUTANTS = {
         "wb = (lbits + rbits + count.bit_length() + 8) // 8",
         "wb = (lbits + rbits + count.bit_length() + 7) // 8",
         [SIGN_BIT],
+    ),
+    "the division certificate's row comparison": (
+        DP,
+        "        if check != rows:\n",
+        "        if False:\n",
+        ["tests/test_cli.py::test_a_wrong_quotient_fails_the_canonical_roundtrip_check", f"{ROUNDTRIP}[fp:7-1]"],
+    ),
+    "the refusal of a relation not monic in X^2": (
+        DP,
+        "        if len(rel) != 3 or rel[2] != {0: ring.one.val}:\n",
+        "        if len(rel) != 3:\n",
+        [f"{NOT_MONIC}[lead-2]",
+         "tests/test_mf.py::test_a_relation_with_x_squared_coefficient_2_fails_exactness_and_names_the_lead_term"],
+    ),
+    "the power identity's comparison": (
+        DP,
+        "        if rhs != x_rows:\n",
+        "        if False:\n",
+        [f"{POWERS}::test_a_wrong_decomposition_raises_at_its_degree", f"{POWERS}::test_a_wrong_h_raises_at_its_first_use"],
     ),
 }
 

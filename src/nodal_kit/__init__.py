@@ -20,7 +20,6 @@ from .normal_form import (
     CoordChange,
     DegenerateFormError,
     QuadForm,
-    linearized_increment,
     normal_form_iteration,
     repair_small_lift,
     solve_linearized_increment,

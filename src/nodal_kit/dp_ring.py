@@ -1,17 +1,20 @@
 """The versal double-point ring A[X, Y]/(q(X, Y) - q(s, t)).
 
 The relation is monic of degree 2 in X, so division gives every element a
-unique canonical form f(Y) + X*g(Y); multiplication is implemented directly
-on canonical pairs and cross-checked against generic division.  A recursive
-decomposition of the powers X^n is kept as an independent witness for the
-same canonical forms.
+unique canonical form f(Y) + X*g(Y).  The division is synthetic division on
+X-rows, the dicts {Y-degree: raw value} of a polynomial's X^i*Y^j terms for
+each i (`_divide_rows`); it refuses a relation whose lex-leading term is not
+1*X^2, and certifies poly = rem + h*relation on every call.  Multiplication
+is implemented directly on canonical pairs and cross-checked against the
+division.  A recursive decomposition of the powers X^n, run on rows too, is
+kept as an independent witness for the same canonical forms.
 """
 
 from __future__ import annotations
 
 from itertools import zip_longest
 
-from .kernels import _product_sums, _sparse_add, _sparse_mul
+from .kernels import _product_sums, _row_mul_add, _sparse_add
 # kernel_basis is unused here; perfbench's tracer tests wrap it in this namespace
 from .linalg import kernel_basis  # noqa: F401
 from .mpoly import MPoly
@@ -55,7 +58,7 @@ class DPRing:
     """
 
     def __init__(self, ring, q, s, t, degree_bound=16):
-        if not isinstance(q, QuadForm) or q.ring != ring:
+        if not isinstance(q, QuadForm) or (q.ring is not ring and q.ring != ring):
             raise ValueError("quadratic form must live over the coefficient ring")
         if degree_bound < 0:
             raise ValueError("degree bound must be >= 0")
@@ -80,7 +83,7 @@ class DPRing:
         )
 
     def __eq__(self, other):
-        return (
+        return other is self or (
             isinstance(other, DPRing)
             and other.ring == self.ring
             and other.q == self.q
@@ -138,22 +141,30 @@ class DPRing:
         """Divide by the relation, monic of degree 2 in X: returns (elem, h) with
         poly = elem.expand() + h * relation, verified exactly before returning.
 
-        The certificate compares raw values, which are canonical, so equal
-        dicts are equal polynomials.
+        The division is synthetic, on X-rows (`_divide_rows`).  The
+        certificate multiplies h by the relation's rows afresh, adds the
+        remainder and compares the rows with those of poly; raw values are
+        canonical, so equal rows are equal polynomials.
         """
-        rem, h = poly.divide(self.relation, (2, 0))
-        ring = self.ring
-        if _sparse_add(ring, rem.terms, _sparse_mul(ring, h.terms, self.relation.terms)) != poly.terms:
+        ring, relation = self.ring, self.relation
+        if (poly.ring is not relation.ring and poly.ring != relation.ring) or poly.nvars != relation.nvars:
+            raise ValueError("mixed polynomial rings")
+        rel = _x_rows(relation.terms)
+        if len(rel) != 3 or rel[2] != {0: ring.one.val}:
+            raise ValueError("the relation's lex-leading term is not 1 * x^(2, 0)")
+        rows = _x_rows(poly.terms, 2)
+        work = [dict(r) for r in rows]
+        quot = _divide_rows(ring, work, rel)
+        check = [dict(work[0]), dict(work[1])] + [{} for _ in quot]
+        for i, q in enumerate(quot):
+            for k, r in enumerate(rel):
+                _row_mul_add(ring, check[i + k], q, r)
+        if check != rows:
             raise AssertionError("division certificate failed (internal error)")
-        top = max((j for _, j in rem.terms), default=-1)
+        top = max(max(work[0], default=-1), max(work[1], default=-1))
         if top > self.degree_bound:
             raise DegreeOverflowError(f"canonical Y-degree {top} exceeds bound {self.degree_bound}")
-        parts = ({}, {})  # the Y-degree to raw coefficient maps of f and g
-        for (i, j), c in rem.terms.items():
-            parts[i][j] = c
-        zero = ring.zero.val
-        fc, gc = (tuple(RingElem(ring, p.get(j, zero)) for j in range(max(p, default=-1) + 1)) for p in parts)
-        return DPElem(self, fc, gc), h
+        return DPElem(self, _row_coeffs(ring, work[0]), _row_coeffs(ring, work[1])), _rows_poly(ring, quot)
 
 
 class DPElem:
@@ -172,7 +183,7 @@ class DPElem:
 
     def _coerce(self, other):
         if isinstance(other, DPElem):
-            if other.dp != self.dp:
+            if other.dp is not self.dp and other.dp != self.dp:
                 raise ValueError("mixed double-point rings")
             return other
         if isinstance(other, (RingElem, int)):
@@ -267,45 +278,93 @@ def x_power_decompositions(dp, n_max):
     recursion is applied from n = 1 on, which pins down g_2 and h_2, and the
     h_1 base is the one the identity forces (expanding X^(n+1) = X * X^n
     gives h_{n-1} = g_{n-1} + X h_{n-2}, so h_1 = g_1 + X).  The identity is
-    verified for every n up to n_max.
+    verified for every n up to n_max, on X-rows, against the rows of
+    ``dp.relation``; the least n where it fails raises PowerIdentityError.
     """
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
     ring = dp.ring
-    one = (ring.one,)
-    f2, g1 = dp.x_squared
-    x = MPoly.var(ring, 2, 0)
-    f = [one, ()]
-    g = [one, g1]
-    h = [MPoly.const(ring, 2, 1), x + _y_poly_to_mpoly(ring, g1)]
-    for n in range(1, n_max):
-        f.append(_umul(ring, f2, g[n - 1]))
-        g.append(_uadd(ring, f[n + 1], _umul(ring, g1, g[n])))
-        h.append(_times_x(h[n]) + _y_poly_to_mpoly(ring, g[n + 1]))
+    f, g, h = _power_rows(ring, *dp.x_squared, n_max)
+    rel = _x_rows(dp.relation.terms)
+    vneg = ring._vneg
     # Both sides are built incrementally from the returned h: X^n = X * X^(n-1),
     # and h_k * relation = X * (h_{k-1} * relation) + (h_k - X h_{k-1}) * relation,
-    # which holds for any h_k.  By the recursion h_k - X h_{k-1} is g_k, a
-    # polynomial in Y alone, so no step multiplies two large polynomials.
-    x_power = x
-    h_rel = h[0] * dp.relation
+    # which holds for any h_k (h_{-1} = 0).  By the recursion h_k - X h_{k-1}
+    # is g_k, a polynomial in Y alone: the rows h_k shares with X h_{k-1}
+    # differ by nothing.
+    h_rel, x_rows = [], [{}, {0: ring.one.val}]
     for n in range(2, n_max + 1):
-        x_power = _times_x(x_power)
-        if n > 2:
-            h_rel = _times_x(h_rel) + (h[n - 2] - _times_x(h[n - 3])) * dp.relation
-        # the large summand first: a sum copies its left side and walks its right
-        rhs = h_rel + (_y_poly_to_mpoly(ring, f[n]) + _times_x(_y_poly_to_mpoly(ring, g[n - 1])))
-        if x_power != rhs:
+        x_rows = [{}] + x_rows
+        hk, shifted = h[n - 2], [{}] + (h[n - 3] if n > 2 else [])
+        h_rel = [{}] + h_rel
+        h_rel += [{} for _ in range(len(hk) + len(rel) - 1 - len(h_rel))]
+        for i in range(max(len(hk), len(shifted))):
+            a = hk[i] if i < len(hk) else {}
+            b = shifted[i] if i < len(shifted) else {}
+            if a is not b:
+                diff = _sparse_add(ring, a, {j: vneg(c) for j, c in b.items()})
+                for k, r in enumerate(rel):
+                    _row_mul_add(ring, h_rel[i + k], diff, r)
+        rhs = [_sparse_add(ring, h_rel[0], f[n]), _sparse_add(ring, h_rel[1], g[n - 1])] + h_rel[2:]
+        if rhs != x_rows:
             raise PowerIdentityError(f"power identity failed at n={n}")
-    return f[: n_max + 1], g[: n_max + 1], h[: n_max + 1]
+    return [_row_coeffs(ring, r) for r in f], [_row_coeffs(ring, r) for r in g], [_rows_poly(ring, rows) for rows in h]
 
 
-def _times_x(poly):
-    """X * poly for a polynomial in X, Y: a shift of the exponents."""
-    return MPoly._of(poly.ring, 2, {(i + 1, j): c for (i, j), c in poly.terms.items()})
+def _power_rows(ring, f2, g1, n_max):
+    """The rows of the recursion of `x_power_decompositions` through n_max:
+    f_n and g_n as dicts {Y-degree: raw value}, h_n as its X-rows, which are
+    g_n, g_{n-1}, ..., g_0 by h_{n+1} = g_{n+1} + X h_n.  Each step scales
+    and shifts g_{n-1} by the terms of f_2, and g_n by those of g_1."""
+    f2, g1 = ({j: c.val for j, c in enumerate(cs) if c.val} for cs in (f2, g1))
+    one = {0: ring.one.val}
+    f, g, h = [one, {}], [one, g1], [[one], [g1, one]]
+    for n in range(1, n_max):
+        fn = {}
+        _row_mul_add(ring, fn, f2, g[n - 1])
+        gn = dict(fn)
+        _row_mul_add(ring, gn, g1, g[n])
+        f.append(fn)
+        g.append(gn)
+        h.append([gn] + h[n])
+    return f, g, h
 
 
-def _y_poly_to_mpoly(ring, coeffs):
-    return MPoly(ring, 2, {(0, j): c for j, c in enumerate(coeffs)})
+def _divide_rows(ring, rows, relation_rows):
+    """Synthetic division, in place, of the X-rows `rows` by a relation monic
+    of X-degree 2, given by its rows (Cox, Little and O'Shea, *Ideals,
+    Varieties, and Algorithms*, 2.3).  From the top X-degree down, row i >= 2
+    is the quotient's row i - 2, and its products with the negated tail,
+    relation rows 0 and 1, are added into rows i - 2 and i - 1; no product
+    reaches row i or above, so each row is final when it is read.  Rows 0
+    and 1 are left holding the remainder; returns the quotient's rows."""
+    vneg = ring._vneg
+    tail = [{j: vneg(c) for j, c in r.items()} for r in relation_rows[:2]]
+    quot = rows[2:]
+    for i in range(len(rows) - 1, 1, -1):
+        for k, t in enumerate(tail):
+            _row_mul_add(ring, rows[i - 2 + k], rows[i], t)
+    return quot
+
+
+def _x_rows(terms, least=0):
+    """The X-rows of a polynomial in X, Y given by its terms: row i is the
+    dict {j: c} of its X^i*Y^j terms; at least `least` rows."""
+    rows = [{} for _ in range(max(max([e[0] for e in terms], default=-1) + 1, least))]
+    for (i, j), c in terms.items():
+        rows[i][j] = c
+    return rows
+
+
+def _row_coeffs(ring, row):
+    """A row as a coefficient tuple of ring elements, ascending Y-degree."""
+    zero = ring.zero.val
+    return tuple([RingElem(ring, row.get(j, zero)) for j in range(max(row, default=-1) + 1)])
+
+
+def _rows_poly(ring, rows):
+    """The polynomial in X, Y whose X-rows are `rows`."""
+    return MPoly._of(ring, 2, {(i, j): c for i, row in enumerate(rows) for j, c in row.items()})
 
 
 def mul_columns(elem, bound, out_bound):

@@ -2,7 +2,8 @@
 and series.
 
 Sparse polynomials (`MPoly` terms) are dicts {exponent tuple: nonzero raw
-value}; dense ones (`Series2` parts, `DPElem` components) are sequences of
+value}, and the X-rows of a double-point division dicts {Y-degree: nonzero
+raw value}; dense ones (`Series2` parts, `DPElem` components) are sequences of
 ring elements indexed by exponent.  Each coefficient loop is written once
 here, in one of three kernels:
 
@@ -52,6 +53,22 @@ def _sparse_mul(ring, x, y):
             else:
                 out.pop(e, None)
     return out
+
+
+def _row_mul_add(ring, out, x, y):
+    """out += x * y, in place, for sparse polynomials in one variable: the
+    X-rows of `dp_ring`, dicts {Y-degree: nonzero raw value}."""
+    vadd, vmul = ring._vadd, ring._vmul
+    for e1, c1 in x.items():
+        for e2, c2 in y.items():
+            e = e1 + e2
+            c = vmul(c1, c2)
+            if e in out:
+                c = vadd(out[e], c)
+            if c:
+                out[e] = c
+            else:
+                out.pop(e, None)
 
 
 # Over Q and F_p a dense vector is multiplied as one integer (Kronecker

@@ -363,10 +363,11 @@ def two_periodic_exactness(mf, bound, *, transposed=False):
     and likewise at beta and for the transposes, counted by column degrees
     (`_degree_count`): 2*bound when delta != 0, 2*bound + 1 when delta = 0.
 
-    The hypotheses are exact facts: x is monic of X-degree 2, since
-    `MPoly.divide` refuses any other relation in ``dp.reduce(dp.relation)``,
-    and reduces to 0 (``compositions_ok``); ``mf.lift_failures`` names any
-    failure of phi*psi = psi*phi = x*I or of the entry degrees; dependent
+    The hypotheses are exact facts: x is monic of X-degree 2, since the
+    division on X-rows (`DPRing.reduce_with_multiplier`) refuses, in
+    ``dp.reduce(dp.relation)``, any relation whose lex-leading term is not
+    1*X^2, and x reduces to 0 (``compositions_ok``); ``mf.lift_failures``
+    names any failure of phi*psi = psi*phi = x*I or of the entry degrees; dependent
     leading vectors are named with their entries.  A position where one fails has
     kernel_dimension None and covered 0, with the failures; otherwise it is
     covered whole.

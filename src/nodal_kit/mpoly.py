@@ -72,7 +72,7 @@ class MPoly:
 
     def _coerce(self, other):
         if isinstance(other, MPoly):
-            if other.ring != self.ring or other.nvars != self.nvars:
+            if (other.ring is not self.ring and other.ring != self.ring) or other.nvars != self.nvars:
                 raise ValueError("mixed polynomial rings")
             return other
         if isinstance(other, (RingElem, int)):

@@ -16,7 +16,7 @@ from math import lcm
 
 from .kernels import _canonical, _elements, _images, _packed_sums, _product_sums
 from .rings import DualNumbers, PrimeField, RingElem, TruncatedRing
-from .series import Series2, _graded_sums, _min_prec
+from .series import Series2, _min_prec
 
 
 class DegenerateFormError(ValueError):
@@ -167,19 +167,6 @@ class CoordChange:
             raise ValueError("linear part of the coordinate change is not invertible")
 
 
-def linearized_increment(q, mu, nu):
-    """The part of q(X+mu, Y+nu) - q(X, Y) linear in the series mu, nu.
-
-    Equals q_X*mu + q_Y*nu, with the gradient q_X = 2X + gamma*Y and
-    q_Y = gamma*X + 2*delta*Y as two degree-1 series, in one packed product.
-    P, the lesser precision of mu and nu, is the result's: degree n < P of mu
-    and nu feeds degree n+1 <= P, and degree P is dropped.
-    """
-    ring = q.ring
-    q_x, q_y = (Series2(ring, {1: v}) for v in ((q.gamma, ring(2)), (2 * q.delta, q.gamma)))
-    return _graded_sums(ring, [[(q_x, mu), (q_y, nu)]], _min_prec(mu.precision, nu.precision))[0]
-
-
 def _preimage_rows(q, c):
     """The raw preimage of the linearized increment at c as two rows of
     scalars, (-2*delta*c, gamma*c) for mu and (gamma*c, -2*c) for nu: a row
@@ -228,17 +215,6 @@ def _series_of(ring, degrees, vecs, precision):
     wrap = _vectors(ring)[2]
     parts = {n - 1: w for n, w in zip(degrees, map(wrap, vecs)) if any([c.val for c in w])}
     return Series2._of(ring, parts, precision)
-
-
-def _raw_increment_preimage(q, f, c=1):
-    """(mu, nu) with linearized_increment(q, mu, nu) = c*d*f, d the discriminant.
-
-    f needs zero constant term.  Degree n of f gives degree n - 1 of mu and nu
-    through the rows of `_preimage_rows`, applied in place (`_preimage`).  mu
-    and nu keep the precision of f.
-    """
-    degrees, _, vecs = _preimage(q, f, c)
-    return tuple(_series_of(f.ring, degrees, v, f.precision) for v in vecs)
 
 
 def _correction_rows(q):

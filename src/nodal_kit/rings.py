@@ -122,7 +122,7 @@ class RingElem:
 
     def _coerce(self, other):
         if isinstance(other, RingElem):
-            if other.ring != self.ring:
+            if other.ring is not self.ring and other.ring != self.ring:
                 raise ValueError(f"mixed rings: {self.ring} and {other.ring}")
             return other
         if isinstance(other, int):
@@ -235,7 +235,7 @@ class Ring:
     def __call__(self, x):
         """Coerce an int, literal string, or element of this ring."""
         if isinstance(x, RingElem):
-            if x.ring != self:
+            if x.ring is not self and x.ring != self:
                 raise ValueError(f"element of {x.ring} is not in {self}")
             return x
         if isinstance(x, int):
@@ -285,7 +285,7 @@ class Ring:
         return self.descriptor()
 
     def __eq__(self, other):
-        return type(other) is type(self) and other._key == self._key
+        return other is self or (type(other) is type(self) and other._key == self._key)
 
     def __hash__(self):
         return hash(self._key)

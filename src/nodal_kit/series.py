@@ -213,7 +213,7 @@ class Series2:
 
     def _coerce(self, other):
         if isinstance(other, Series2):
-            if other.ring != self.ring:
+            if other.ring is not self.ring and other.ring != self.ring:
                 raise ValueError("mixed coefficient rings")
             return other
         if isinstance(other, (RingElem, int)):

@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from nodal_kit import normal_form
+from nodal_kit import dp_ring, normal_form
 from nodal_kit.dp_ring import DegreeOverflowError, mul_columns
-from nodal_kit.kernels import _canonical
+from nodal_kit.kernels import _canonical, _sparse_add
 from nodal_kit.linalg import _dense_rows, rank
 from nodal_kit.rings import DualNumbers, LocalTruncation, PrimeField, Rationals, RingElem, TruncatedRing
 from nodal_kit.series import Series2
@@ -110,6 +110,32 @@ def naive_apply_series(q, xs, ys, minus=None):
     return Series2(ring, out, prec)
 
 
+def naive_linearized_increment(q, mu, nu):
+    """Reference for the linearized increment q_X*mu + q_Y*nu, with q_X =
+    2X + gamma*Y and q_Y = gamma*X + 2*delta*Y, through the lesser precision
+    of mu and nu: each coefficient of mu and nu times each gradient term, in
+    ring elements (index k of a component is the coefficient of X^k)."""
+    ring = q.ring
+    prec = min([s.precision for s in (mu, nu) if s.precision is not None], default=None)
+    out = {}
+    for s, (gx, gy) in ((mu, (ring(2), q.gamma)), (nu, (q.gamma, 2 * q.delta))):
+        for n, vec in s.parts.items():
+            total = out.setdefault(n + 1, [ring.zero] * (n + 2))
+            for k, c in enumerate(vec):
+                total[k + 1] += gx * c
+                total[k] += gy * c
+    return Series2(ring, out, prec)
+
+
+def raw_increment_preimage(q, f, c=1):
+    """(mu, nu) with q_X*mu + q_Y*nu = c*d*f, d the discriminant, for f with
+    zero constant term: the raw preimage of the right inverse
+    (`normal_form._preimage`), degree n of f giving degree n - 1 of mu and
+    nu, as series of f's precision."""
+    degrees, _, vecs = normal_form._preimage(q, f, c)
+    return tuple(normal_form._series_of(f.ring, degrees, v, f.precision) for v in vecs)
+
+
 def perturbed_rows(monkeypatch, row, column):
     """Make `_correction_rows` return one composed scalar plus one.  Rows 4
     and 5 stand for the polar vectors p and r, which `_polar` reads off eps
@@ -182,6 +208,46 @@ def perturbed_preimage(monkeypatch, degree):
         return degrees, images, (mu, nu)
 
     monkeypatch.setattr(normal_form, "_preimage", perturbed)
+
+
+def _row_plus(ring, row, c):
+    """The X-row `row` ({Y-degree: raw value}) with c added at Y^0."""
+    return _sparse_add(ring, row, {0: ring(c).val})
+
+
+def corrupt_power_rows(monkeypatch, which, k):
+    """Make `dp_ring._power_rows` return g_n + 1 for every n >= k (which =
+    "g"), or h_k + 1 and every later h built from it by h_(n+1) = g_(n+1) +
+    X h_n (which = "h"); the rest of the recursion is left as it was."""
+    real = dp_ring._power_rows
+
+    def corrupted(ring, f2, g1, n_max):
+        f, g, h = real(ring, f2, g1, n_max)
+        if which == "g":
+            g[k:] = [_row_plus(ring, row, 1) for row in g[k:]]
+        else:
+            h[k] = [_row_plus(ring, h[k][0], 1)] + h[k][1:]
+            for n in range(k + 1, len(h)):
+                h[n] = [g[n]] + h[n - 1]
+        return f, g, h
+
+    monkeypatch.setattr(dp_ring, "_power_rows", corrupted)
+
+
+def corrupt_division(monkeypatch, part, c):
+    """Make `dp_ring._divide_rows` leave c added at X^0*Y^0 of its quotient
+    (part = "quotient") or of its remainder, row 0 of the rows it divides in
+    place (part = "remainder")."""
+    real = dp_ring._divide_rows
+
+    def corrupted(ring, rows, relation_rows):
+        quot = real(ring, rows, relation_rows)
+        if part == "quotient":
+            return [_row_plus(ring, quot[0] if quot else {}, c)] + quot[1:]
+        rows[0] = _row_plus(ring, rows[0], c)
+        return quot
+
+    monkeypatch.setattr(dp_ring, "_divide_rows", corrupted)
 
 
 def pair_loop_sums(ring, left, right, outputs):

@@ -7,7 +7,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import perturbed_preimage, perturbed_rows, perturbed_step
+from conftest import corrupt_division, corrupt_power_rows, perturbed_preimage, perturbed_rows, perturbed_step
 from nodal_kit import cli, mf, normal_form, stabilize
 from nodal_kit.mpoly import MPoly
 from nodal_kit.reporting import CheckRecord, Report
@@ -582,13 +582,7 @@ def test_a_correction_below_its_degree_fails_the_step_check(monkeypatch, capsys,
 
 
 def test_a_wrong_quotient_fails_the_canonical_roundtrip_check(monkeypatch, capsys):
-    real = MPoly.divide
-
-    def wrong_quotient(self, relation, lead, rng=None):
-        rem, quot = real(self, relation, lead, rng)
-        return rem, quot + 1
-
-    monkeypatch.setattr(MPoly, "divide", wrong_quotient)
+    corrupt_division(monkeypatch, "quotient", 1)
     code, failed = _counterexamples(capsys, "division", "--ring", "fp:7", "--gamma", "3", "--delta", "2")
     assert code == 1
     assert failed["dp.canonical-roundtrip"] == "AssertionError: division certificate failed (internal error)"
@@ -597,16 +591,19 @@ def test_a_wrong_quotient_fails_the_canonical_roundtrip_check(monkeypatch, capsy
 @pytest.mark.parametrize("ring, shift", [("fp:7", "1"), ("dual:q", "eps")])
 def test_a_wrong_remainder_fails_the_canonical_roundtrip_check(monkeypatch, capsys, ring, shift):
     # over dual:q the shift moves only the eps part of the constant coefficient
-    real = MPoly.divide
-
-    def wrong_remainder(self, relation, lead, rng=None):
-        rem, quot = real(self, relation, lead, rng)
-        return rem + self.ring(shift), quot
-
-    monkeypatch.setattr(MPoly, "divide", wrong_remainder)
+    corrupt_division(monkeypatch, "remainder", shift)
     code, failed = _counterexamples(capsys, "division", "--ring", ring, "--gamma", "3", "--delta", "2")
     assert code == 1
     assert failed["dp.canonical-roundtrip"] == "AssertionError: division certificate failed (internal error)"
+
+
+def test_a_wrong_power_decomposition_fails_the_power_identities_check_at_its_degree(monkeypatch, capsys):
+    # g_5 and every later g gain 1: the recursion's identity first fails at
+    # n = 6, where X*g_5 enters; the division itself is sound
+    corrupt_power_rows(monkeypatch, "g", 5)
+    code, failed = _counterexamples(capsys, "division", "--ring", "fp:7", "--gamma", "3", "--delta", "2")
+    assert code == 1
+    assert failed == {"dp.power-identities": "PowerIdentityError: power identity failed at n=6"}
 
 
 def test_a_perturbed_relation_fails_the_factorization_and_both_exactness_checks(monkeypatch, capsys):

@@ -1,13 +1,13 @@
 import importlib.util
 import random
+from fractions import Fraction
 import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import dp_basis, dp_vector, mul_kernel_dimension, random_unit_disc
-from nodal_kit import dp_ring as dp_ring_module
+from conftest import corrupt_power_rows, dp_basis, dp_vector, mul_kernel_dimension, random_unit_disc
 from nodal_kit.dp_ring import (
     DegreeOverflowError,
     DPRing,
@@ -69,6 +69,19 @@ class TestReduce:
         for _ in range(20):
             a = dp.random_element(rng, degree=4)
             assert dp.reduce(a.expand()) == a
+
+    @pytest.mark.parametrize("extra", [(2, 0), (2, 1), (3, 0)], ids=["lead-2", "x2y", "x3"])
+    def test_a_relation_not_monic_in_x_squared_is_refused(self, extra):
+        # 2*X^2, or a lex-larger term than X^2: no division by it is exact
+        dp = dp_ring(F7, 3, 2, 1, 4)
+        dp.relation = dp.relation + MPoly.monomial(F7, extra)
+        with pytest.raises(ValueError, match=r"lex-leading term is not 1 \* x\^\(2, 0\)$"):
+            dp.reduce(MPoly.var(F7, 2, 1))
+
+    def test_mixed_rings_are_refused(self):
+        dp = dp_ring(F7, 3, 2, 1, 4)
+        with pytest.raises(ValueError, match="mixed polynomial rings"):
+            dp.reduce(MPoly.var(F5, 2, 1))
 
     def test_degree_overflow(self):
         dp = dp_ring(QQ, 1, 0, 0, 0, bound=3)
@@ -135,33 +148,17 @@ class TestPowerDecompositions:
                 assert x**n == y_poly(f[n]) + x * y_poly(gs[n - 1]) + h[n - 2] * dp.relation
 
     def test_a_wrong_decomposition_raises_at_its_degree(self, monkeypatch):
-        # the n-th _uadd call forms g_(n+1); corrupting g_5 and later makes
-        # the identity first fail at n = 6, where X*g_5 enters
-        real = dp_ring_module._uadd
-        calls = []
-
-        def off_by_one(ring, a, b):
-            calls.append(None)
-            out = real(ring, a, b)
-            return (out[0] + 1,) + out[1:] if len(calls) >= 4 else out
-
-        monkeypatch.setattr(dp_ring_module, "_uadd", off_by_one)
+        # g_5 and every later g gain 1; the identity first fails at n = 6,
+        # where X*g_5 enters
+        corrupt_power_rows(monkeypatch, "g", 5)
         dp = dp_ring(F7, 3, 2, 1, 4, bound=20)
         with pytest.raises(PowerIdentityError, match="at n=6$"):
             x_power_decompositions(dp, 12)
 
     def test_a_wrong_h_raises_at_its_first_use(self, monkeypatch):
-        # the n-th _times_x call forms h_(n+1); corrupting h_4 (and so every
-        # later h) makes the identity first fail at n = 6, where h_4 enters
-        real = dp_ring_module._times_x
-        calls = []
-
-        def off_by_one(poly):
-            calls.append(None)
-            out = real(poly)
-            return out + 1 if len(calls) == 3 else out
-
-        monkeypatch.setattr(dp_ring_module, "_times_x", off_by_one)
+        # h_4 gains 1, and so does every later h through h_(n+1) = g_(n+1) +
+        # X h_n; the identity first fails at n = 6, where h_4 enters
+        corrupt_power_rows(monkeypatch, "h", 4)
         dp = dp_ring(F7, 3, 2, 1, 4, bound=20)
         with pytest.raises(PowerIdentityError, match="at n=6$"):
             x_power_decompositions(dp, 12)
@@ -322,3 +319,44 @@ def test_the_tour_compares_the_division_and_recursion_routes(monkeypatch, capsys
     with pytest.raises(SystemExit, match=r"^X\^4: the recursion route gives "):
         tour.main()
     assert "X^3 = " in capsys.readouterr().out
+
+
+# --- an independent oracle: sympy's division -----------------------------------
+
+
+@pytest.mark.parametrize("p", [None, 2, 7, 101], ids=["q", "fp2", "fp7", "fp101"])
+def test_division_matches_sympy_reduced(p):
+    """Remainders and quotients of `DPRing.reduce_with_multiplier` against
+    sympy's `reduced` by the relation, lex order with X > Y, over QQ and
+    GF(p), on random polynomials and on multiples of the relation plus more
+    terms.  The relation is monic in X, so both are unique."""
+    sympy = pytest.importorskip("sympy")
+    X, Y = sympy.symbols("X Y")
+    ring = QQ if p is None else PrimeField(p)
+    domain = sympy.QQ if p is None else sympy.GF(p)
+    rnd = random.Random(31 if p is None else p)
+
+    def value():
+        return sympy.Rational(rnd.randint(-9, 9), rnd.randint(1, 4) if p is None else 1)
+
+    def random_expr(top, count):
+        return sum((value() * X ** rnd.randint(0, top) * Y ** rnd.randint(0, top) for _ in range(count)), sympy.S.Zero)
+
+    def lift(c):
+        return ring.from_fraction(Fraction(int(c.p), int(c.q)))
+
+    def ours(expr):
+        # over GF(p) the coefficients are integers, in the symmetric range
+        return MPoly(ring, 2, {e: lift(c) for e, c in sympy.Poly(expr, X, Y, domain=domain).terms()})
+
+    for trial in range(30):
+        gamma, delta, s, t = (value() for _ in range(4))
+        relation = X**2 + gamma * X * Y + delta * Y**2 - (s**2 + gamma * s * t + delta * t**2)
+        poly = random_expr(8, rnd.randint(0, 10))
+        if trial % 2:
+            poly = sympy.expand(random_expr(5, rnd.randint(1, 5)) * relation + poly)
+        dp = DPRing(ring, QuadForm.make(ring, lift(gamma), lift(delta)), lift(s), lift(t), degree_bound=40)
+        quotients, remainder = sympy.reduced(poly, [relation], X, Y, order="lex", domain=domain)
+        elem, h = dp.reduce_with_multiplier(ours(poly))
+        assert elem.expand() == ours(remainder)
+        assert h == ours(quotients[0] if quotients else 0)  # sympy gives no quotient for 0

@@ -3,7 +3,14 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import naive_apply_series, perturbed_rows, perturbed_step, random_unit_disc
+from conftest import (
+    naive_apply_series,
+    naive_linearized_increment,
+    perturbed_rows,
+    perturbed_step,
+    random_unit_disc,
+    raw_increment_preimage,
+)
 from nodal_kit import normal_form, series
 from nodal_kit.cli import _final_residual
 from nodal_kit.kernels import _product_sums
@@ -11,12 +18,10 @@ from nodal_kit.normal_form import (
     CoordChange,
     DegenerateFormError,
     QuadForm,
-    linearized_increment,
     normal_form_iteration,
     repair_small_lift,
     solve_linearized_increment,
     square_zero_change,
-    _raw_increment_preimage,
 )
 from nodal_kit.rings import PrimeField, Rationals, RingElem, make_ring
 from nodal_kit.series import Series2
@@ -37,17 +42,17 @@ def _random_component(ring, rnd, degree):
 class TestLinearizedIncrement:
     def test_displayed_value(self):
         q = QuadForm.make(QQ, 1, 0)
-        out = linearized_increment(q, Series2.const(QQ, 1), Series2.zero(QQ))
+        out = naive_linearized_increment(q, Series2.const(QQ, 1), Series2.zero(QQ))
         assert out == S(QQ, [(1, 0, 2), (0, 1, 1)])  # 2X + Y
 
     def test_zero(self):
         q = QuadForm.make(QQ, 3, 2)
-        assert linearized_increment(q, Series2.zero(QQ), Series2.zero(QQ)).is_zero
+        assert naive_linearized_increment(q, Series2.zero(QQ), Series2.zero(QQ)).is_zero
 
     def test_cubic(self):
         q = QuadForm.make(QQ, 0, -1)
         mu = S(QQ, [(2, 0, 2)])
-        out = linearized_increment(q, mu, Series2.zero(QQ))
+        out = naive_linearized_increment(q, mu, Series2.zero(QQ))
         assert out == S(QQ, [(3, 0, 4)])
 
     def test_matches_quadratic_expansion(self, rng):
@@ -59,7 +64,7 @@ class TestLinearizedIncrement:
             mu, nu = _random_component(F7, rng, n), _random_component(F7, rng, n)
             xs = Series2.x(F7) + mu
             ys = Series2.y(F7) + nu
-            diff = q.apply_series(xs, ys) - q.series() - linearized_increment(q, mu, nu)
+            diff = q.apply_series(xs, ys) - q.series() - naive_linearized_increment(q, mu, nu)
             expected = q.apply_series(mu, nu)
             assert diff == expected
             assert diff.order_at_least(2 * n)
@@ -91,9 +96,9 @@ class TestRightInverse:
                 q = QuadForm.make(ring, g, d)
                 f = _random_component(ring, rng, n + 1)
                 mu, nu = solve_linearized_increment(q, f)
-                assert linearized_increment(q, mu, nu) == f
-                raw_mu, raw_nu = _raw_increment_preimage(q, f)
-                assert linearized_increment(q, raw_mu, raw_nu) == f.scale(q.discriminant)
+                assert naive_linearized_increment(q, mu, nu) == f
+                raw_mu, raw_nu = raw_increment_preimage(q, f)
+                assert naive_linearized_increment(q, raw_mu, raw_nu) == f.scale(q.discriminant)
 
     def test_constant_term_rejected(self):
         q = QuadForm.make(QQ, 0, -1)
@@ -508,7 +513,7 @@ def test_each_step_makes_one_packed_product_and_the_iteration_one_certificate(mo
     # _packed_sums; over composite rings through the pair loop of
     # _product_sums; neither makes a Series2 product, and the rows of a
     # step are applied in place, with no kernel call
-    calls = {"_packed_sums": 0, "_product_sums": 0, "linearized_increment": 0, "solve_linearized_increment": 0}
+    calls = {"_packed_sums": 0, "_product_sums": 0, "solve_linearized_increment": 0}
     kernels = {"_product_sums": 0}
     for module, name, counts in [(normal_form, name, calls) for name in calls] + [(series, "_product_sums", kernels)]:
         real = getattr(module, name)
@@ -729,7 +734,7 @@ def test_increment_preimage_identity_property(seed, n):
     q = QuadForm.make(F5, g, d)
     f = _random_component(F5, rnd, n + 1)
     mu, nu = solve_linearized_increment(q, f)
-    assert linearized_increment(q, mu, nu) == f
+    assert naive_linearized_increment(q, mu, nu) == f
 
 
 def test_increment_split_rule():
@@ -740,10 +745,10 @@ def test_increment_split_rule():
     u = S(QQ, [(0, 2, 5), (1, 1, 3), (2, 0, 2)])
     v = S(QQ, [(0, 2, 7)])
     q = QuadForm.make(QQ, 0, -1)
-    assert _raw_increment_preimage(q, f) == (u.scale(2), v.scale(-2))
+    assert raw_increment_preimage(q, f) == (u.scale(2), v.scale(-2))
     q = QuadForm.make(QQ, 1, 0)
-    assert _raw_increment_preimage(q, f) == (v, u - v.scale(2))
-    assert linearized_increment(q, *_raw_increment_preimage(q, f)) == f.scale(q.discriminant)
+    assert raw_increment_preimage(q, f) == (v, u - v.scale(2))
+    assert naive_linearized_increment(q, *raw_increment_preimage(q, f)) == f.scale(q.discriminant)
 
 
 @settings(max_examples=40, deadline=None)
@@ -765,7 +770,7 @@ def test_right_inverse_of_a_series_is_the_sum_over_components(seed, ring_desc, p
     ]
     f = Series2.from_terms(ring, terms, precision)
     mu, nu = solve_linearized_increment(q, f)
-    assert linearized_increment(q, mu, nu) == f
+    assert naive_linearized_increment(q, mu, nu) == f
     assert mu.precision == nu.precision == f.precision
     mu_sum, nu_sum = Series2.zero(ring, precision), Series2.zero(ring, precision)
     for n in range(1, top + 1):
@@ -832,17 +837,17 @@ def test_packed_right_inverse_matches_the_shift_based_reference(seed, ring_desc,
 
     mu, nu, f = draw(precisions[0], 0), draw(precisions[1], 0), draw(precisions[2], 1)
     for nu_ in (nu, Series2.zero(ring)):
-        assert _raw(linearized_increment(q, mu, nu_)) == _raw(_shifted_increment(q, mu, nu_))
+        assert _raw(naive_linearized_increment(q, mu, nu_)) == _raw(_shifted_increment(q, mu, nu_))
     c = ring.random_element(rnd) + ring(2)
-    assert _raw(*_raw_increment_preimage(q, f, c)) == _raw(*_split_preimage(q, f, c))
-    assert _raw(*_raw_increment_preimage(q, f)) == _raw(*_split_preimage(q, f))
+    assert _raw(*raw_increment_preimage(q, f, c)) == _raw(*_split_preimage(q, f, c))
+    assert _raw(*raw_increment_preimage(q, f)) == _raw(*_split_preimage(q, f))
     assert _raw(*solve_linearized_increment(q, f)) == _raw(*_split_preimage(q, f, q.discriminant.inv()))
 
 
 def test_packed_preimage_rejects_a_constant_term_like_the_reference():
     q = QuadForm.make(QQ, 1, 0)
     f = S(QQ, [(0, 0, 1), (1, 0, 1)])
-    for preimage in (_raw_increment_preimage, _split_preimage):
+    for preimage in (raw_increment_preimage, _split_preimage):
         with pytest.raises(ValueError, match="zero constant term"):
             preimage(q, f, QQ(3))
 
