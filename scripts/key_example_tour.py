@@ -9,7 +9,7 @@ suite checks can be inspected by eye.
 import argparse
 import sys
 
-from nodal_kit.dp_ring import DPRing, x_power_decompositions
+from nodal_kit.dp_ring import DPElem, DPRing, x_power_decompositions
 from nodal_kit.mf import (
     build_factorization,
     dual_action,
@@ -62,7 +62,7 @@ def main():
     for n in range(2, 7):
         reduced = dp.reduce(X**n)
         print(f"  X^{n} = {reduced}")
-        recursed = dp.element(f[n], g[n - 1])
+        recursed = DPElem(dp, f[n], g[n - 1])
         if reduced != recursed:
             sys.exit(f"X^{n}: the recursion route gives {recursed}")
     print()

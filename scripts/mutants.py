@@ -26,19 +26,17 @@ import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-NF, KERNELS, DP = "normal_form.py", "kernels.py", "dp_ring.py"
+NF, KERNELS, DP, MF = "normal_form.py", "kernels.py", "dp_ring.py", "mf.py"
 READ_OFF = "tests/test_normal_form.py::test_the_polar_vectors_read_off_eps_are_those_of_the_correction"
 README_NF = "tests/test_report_digests.py::test_report_digest[normal-form-readme]"
 LOC_DIGEST = "tests/test_report_digests.py::test_report_digest[check-all-loc-q-p5]"
 WRONG_ROW = "tests/test_normal_form.py::test_a_wrong_preimage_row_fails_the_right_inverse_at_the_least_degree"
-SCALARS = [
-    "tests/test_series.py::test_a_side_of_scalars_scales_both_sides_to_their_denominators[True]",
-    "tests/test_series.py::test_a_side_of_scalars_scales_both_sides_to_their_denominators[False]",
-]
 SIGN_BIT = "tests/test_series.py::test_a_slot_width_with_no_rounding_slack"
 ROUNDTRIP = "tests/test_cli.py::test_a_wrong_remainder_fails_the_canonical_roundtrip_check"
 NOT_MONIC = "tests/test_dp_ring.py::TestReduce::test_a_relation_not_monic_in_x_squared_is_refused"
 POWERS = "tests/test_dp_ring.py::TestPowerDecompositions"
+U_SQUARED = "tests/test_dp_ring.py::TestMul::test_u_squared"
+ON_ROWS = "tests/test_dp_ring.py::test_dpelem_operations_on_rows_match_coefficient_lists"
 
 # name -> (file, source text, replacement, node ids that must fail)
 MUTANTS = {
@@ -71,8 +69,8 @@ MUTANTS = {
     ),
     "the tower accumulation's shared denominator": (
         KERNELS,
-        "den, sums = lden * rden, []",
-        "den, sums = lden, []",
+        "den, flat = lden * rden, []",
+        "den, flat = lden, []",
         [LOC_DIGEST, "tests/test_truncated_rings.py::test_product_sums_match_the_pair_loop[dual:q]"],
     ),
     "sign of the read-off p": (
@@ -98,18 +96,6 @@ MUTANTS = {
         "lift([(-one,)]) + low",
         "lift([(one,)]) + low",
         [README_NF, "tests/test_normal_form.py::test_polar_apply_series_matches_the_ordered_double_loop"],
-    ),
-    "_scaled_sums' scale factor of a vector": (
-        KERNELS,
-        "c, vec = cs[i] * vscales[j] if vscales else cs[i], vints[j]",
-        "c, vec = cs[i], vints[j]",
-        SCALARS,
-    ),
-    "_scaled_sums' scale factor of a scalar": (
-        KERNELS,
-        "        cs = [c * f for c, f in zip(cs, sscales)]\n",
-        "        pass\n",
-        SCALARS,
     ),
     "packed kernel's bias": (
         KERNELS,
@@ -141,6 +127,30 @@ MUTANTS = {
         "        if rhs != x_rows:\n",
         "        if False:\n",
         [f"{POWERS}::test_a_wrong_decomposition_raises_at_its_degree", f"{POWERS}::test_a_wrong_h_raises_at_its_first_use"],
+    ),
+    "the X^2*g1*g2 term of a DPElem product's f part": (
+        DP,
+        "[(size, [(0, 0), (2, 2)]), (size,",
+        "[(size, [(0, 0)]), (size,",
+        [U_SQUARED, f"{ON_ROWS}[fp:7]"],
+    ),
+    "the X^2*g1*g2 term of a DPElem product's g part": (
+        DP,
+        "(size, [(0, 1), (1, 0), (2, 3)])]",
+        "(size, [(0, 1), (1, 0)])]",
+        [U_SQUARED, f"{ON_ROWS}[fp:7]"],
+    ),
+    "the leading-coefficient comparison of the non-zero-divisor v - t": (
+        MF,
+        "    if j2.g or j2.degree() != 1 or j2.f[1] != j2.dp.ring.one.val:\n",
+        "    if j2.g or j2.degree() != 1:\n",
+        ["tests/test_dp_ring.py::TestNonZeroDivisor::test_a_leading_coefficient_other_than_1_is_named"],
+    ),
+    "the X-part comparison of u + s + gamma*t": (
+        MF,
+        "    if e2.g != {0: e2.dp.ring.one.val}:\n",
+        "    if len(e2.g) != 1:\n",
+        ["tests/test_mf.py::test_an_x_part_other_than_1_is_named_by_both_dual_records"],
     ),
 }
 

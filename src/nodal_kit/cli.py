@@ -25,7 +25,7 @@ from functools import cache, cached_property
 from typing import Callable
 
 from . import dp_ring, mf, normal_form, stabilize
-from .dp_ring import DPRing
+from .dp_ring import DPElem, DPRing
 from .mpoly import MPoly, random_poly2
 from .normal_form import QuadForm
 from .reporting import CheckRecord, Report
@@ -243,19 +243,19 @@ def _division(res, cfg, rng):
         x = MPoly.var(res.ring, 2, 0)
         for n in range(2, n_max + 1):
             elem = dpr.reduce(x**n)
-            expected = dpr.element(f[n], g[n - 1])
+            expected = DPElem(dpr, f[n], g[n - 1])
             if elem != expected:
-                return {
-                    "ok": False,
-                    "counterexample": f"recursion and division disagree at n={n}",
-                }
+                why = f"recursion and division disagree at n={n}: {expected} by the recursion, {elem} by the division"
+                return {"ok": False, "counterexample": why}
         return {"ok": True, "verified_up_to": n_max}
 
     def roundtrip():
         for k in range(30):
             a = dpr.random_element(rng, degree=3)
-            if dpr.reduce(a.expand()) != a:
-                return {"ok": False, "counterexample": f"reduce(expand) != id at trial {k}"}
+            back = dpr.reduce(a.expand())
+            if back != a:
+                why = f"reduce(expand) != id at trial {k}: a = {a}, reduce(a.expand()) = {back}"
+                return {"ok": False, "counterexample": why}
             # reduce certifies p = rem + h * relation on every call
             dpr.reduce(random_poly2(res.ring, rng, max_deg=3))
         return {"ok": True, "trials": 30}
@@ -381,9 +381,10 @@ def _dual(res, cfg, rng):
 
     def independence():
         j1, j2 = mf.ideal_j_generators(dpr)
-        lhs = mf.dual_action(dpr, j2, dpr.zero)
-        rhs = mf.dual_action(dpr, dpr.zero, j1)
-        return {"ok": lhs == rhs}
+        diff = mf.dual_action(dpr, j2, dpr.zero) - mf.dual_action(dpr, dpr.zero, j1)
+        if diff.is_zero:
+            return {"ok": True}
+        return {"ok": False, "counterexample": f"(v-t)*eps(u-s) = (u-s)*eps(v-t) fails, off by {diff}"}
 
     return [
         ("dual.hom-space", lambda: _from_record(hom(), "hom_dimension", "span_dimension")),

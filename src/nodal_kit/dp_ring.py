@@ -1,20 +1,20 @@
 """The versal double-point ring A[X, Y]/(q(X, Y) - q(s, t)).
 
 The relation is monic of degree 2 in X, so division gives every element a
-unique canonical form f(Y) + X*g(Y).  The division is synthetic division on
-X-rows, the dicts {Y-degree: raw value} of a polynomial's X^i*Y^j terms for
-each i (`_divide_rows`); it refuses a relation whose lex-leading term is not
-1*X^2, and certifies poly = rem + h*relation on every call.  Multiplication
-is implemented directly on canonical pairs and cross-checked against the
-division.  A recursive decomposition of the powers X^n, run on rows too, is
-kept as an independent witness for the same canonical forms.
+unique canonical form f(Y) + X*g(Y).  Elements hold f and g as X-rows, the
+dicts {Y-degree: nonzero raw value} of a polynomial's X^i*Y^j terms for each
+i; raw values are canonical, so equal rows are equal elements.  The division
+is synthetic division on X-rows (`_divide_rows`); it refuses a relation whose
+lex-leading term is not 1*X^2, and certifies poly = rem + h*relation on every
+call.  Multiplication runs the packed kernel on the rows made dense, with X^2
+replaced by its canonical form, and is cross-checked against the division.  A
+recursive decomposition of the powers X^n, run on rows too, is kept as an
+independent witness for the same canonical forms.
 """
 
 from __future__ import annotations
 
-from itertools import zip_longest
-
-from .kernels import _product_sums, _row_mul_add, _sparse_add
+from .kernels import _raw_product_sums, _row_mul_add, _sparse_add
 # kernel_basis is unused here; perfbench's tracer tests wrap it in this namespace
 from .linalg import kernel_basis  # noqa: F401
 from .mpoly import MPoly
@@ -28,25 +28,6 @@ class DegreeOverflowError(ArithmeticError):
 
 class PowerIdentityError(AssertionError):
     """The power-decomposition identity X^n = f_n + X g_{n-1} + h_{n-2} * rel failed."""
-
-
-# --- dense univariate helpers (coefficient tuples, ascending Y-degree) -----
-
-def _norm(coeffs):
-    coeffs = list(coeffs)
-    while coeffs and coeffs[-1].is_zero:
-        coeffs.pop()
-    return tuple(coeffs)
-
-
-def _uadd(ring, a, b):
-    return _norm(x + y for x, y in zip_longest(a, b, fillvalue=ring.zero))
-
-
-def _umul(ring, a, b):
-    if not a or not b:
-        return ()
-    return _norm(_product_sums(ring, [a], [b], [(len(a) + len(b) - 1, [(0, 0)])])[0])
 
 
 class DPRing:
@@ -68,8 +49,8 @@ class DPRing:
         self.t = ring(t)
         self.degree_bound = degree_bound
         self.q_st = q.value_at(self.s, self.t)
-        # canonical form of X^2: (q(s,t) - delta*Y^2) + X*(-gamma*Y)
-        self.x_squared = (_norm((self.q_st, ring.zero, -q.delta)), _norm((ring.zero, -q.gamma)))
+        # the rows of X^2 in canonical form: (q(s,t) - delta*Y^2) + X*(-gamma*Y)
+        self.x_squared = (_row((self.q_st, ring.zero, -q.delta)), _row((ring.zero, -q.gamma)))
         # q(X, Y) - q(s, t), monic of degree 2 in X
         self.relation = MPoly(
             ring,
@@ -101,9 +82,10 @@ class DPRing:
     # --- element constructors ----------------------------------------------
 
     def element(self, f_coeffs=(), g_coeffs=()):
-        fc = _norm(self.ring(c) for c in f_coeffs)
-        gc = _norm(self.ring(c) for c in g_coeffs)
-        return DPElem(self, fc, gc)
+        """f(Y) + X*g(Y) from coefficient sequences, ascending Y-degree, each
+        coefficient coerced into the ring."""
+        ring = self.ring
+        return DPElem(self, _row(map(ring, f_coeffs)), _row(map(ring, g_coeffs)))
 
     def const(self, c):
         return self.element((self.ring(c),), ())
@@ -161,25 +143,20 @@ class DPRing:
                 _row_mul_add(ring, check[i + k], q, r)
         if check != rows:
             raise AssertionError("division certificate failed (internal error)")
-        top = max(max(work[0], default=-1), max(work[1], default=-1))
-        if top > self.degree_bound:
-            raise DegreeOverflowError(f"canonical Y-degree {top} exceeds bound {self.degree_bound}")
-        return DPElem(self, _row_coeffs(ring, work[0]), _row_coeffs(ring, work[1])), _rows_poly(ring, quot)
+        return DPElem(self, work[0], work[1]), _rows_poly(ring, quot)
 
 
 class DPElem:
-    """Canonical form f(Y) + X*g(Y); the representation is unique."""
+    """Canonical form f(Y) + X*g(Y), f and g as rows {Y-degree: nonzero raw
+    value}, which are shared and never mutated; the representation is unique."""
 
-    __slots__ = ("dp", "fc", "gc")
+    __slots__ = ("dp", "f", "g")
 
-    def __init__(self, dp, fc, gc):
-        if max(len(fc), len(gc)) - 1 > dp.degree_bound:
-            raise DegreeOverflowError(
-                f"canonical Y-degree {max(len(fc), len(gc)) - 1} exceeds bound {dp.degree_bound}"
-            )
-        self.dp = dp
-        self.fc = fc
-        self.gc = gc
+    def __init__(self, dp, f, g):
+        self.dp, self.f, self.g = dp, f, g
+        top = self.degree()
+        if top is not None and top > dp.degree_bound:
+            raise DegreeOverflowError(f"canonical Y-degree {top} exceeds bound {dp.degree_bound}")
 
     def _coerce(self, other):
         if isinstance(other, DPElem):
@@ -195,7 +172,7 @@ class DPElem:
         if other is None:
             return NotImplemented
         ring = self.dp.ring
-        return DPElem(self.dp, _uadd(ring, self.fc, other.fc), _uadd(ring, self.gc, other.gc))
+        return DPElem(self.dp, _sparse_add(ring, self.f, other.f), _sparse_add(ring, self.g, other.g))
 
     __radd__ = __add__
 
@@ -212,29 +189,36 @@ class DPElem:
         return other + (-self)
 
     def __neg__(self):
-        return DPElem(self.dp, tuple(-c for c in self.fc), tuple(-c for c in self.gc))
+        vneg = self.dp.ring._vneg
+        return DPElem(self.dp, *({j: vneg(c) for j, c in row.items()} for row in (self.f, self.g)))
 
     def __mul__(self, other):
+        dp = self.dp
+        ring = dp.ring
         if isinstance(other, (RingElem, int)):
-            c = self.dp.ring(other)
-            return DPElem(self.dp, _norm(c * x for x in self.fc), _norm(c * x for x in self.gc))
+            k, vmul = ring(other).val, ring._vmul
+            return DPElem(dp, *({j: v for j, c in row.items() if (v := vmul(k, c))} for row in (self.f, self.g)))
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         # (f1 + X g1)(f2 + X g2) = f1 f2 + X (f1 g2 + g1 f2) + X^2 g1 g2, with
         # X^2 = x2f + X x2g in canonical form:
         #   f = f1 f2 + x2f g1 g2,  g = f1 g2 + g1 f2 + x2g g1 g2
-        dp = self.dp
-        x2f, x2g = dp.x_squared
-        gg = _umul(dp.ring, self.gc, other.gc)
-        size = max(len(self.fc), len(self.gc)) + max(len(other.fc), len(other.gc)) + 1
-        f, g = _product_sums(
-            dp.ring,
-            [self.fc, self.gc, gg],
-            [other.fc, other.gc, x2f, x2g],
+        # in the packed kernel, on the rows made dense
+        zero = ring.zero.val
+        f1, g1, f2, g2, x2f, x2g = (
+            [row.get(j, zero) for j in range(max(row, default=-1) + 1)]
+            for row in (self.f, self.g, other.f, other.g, *dp.x_squared)
+        )
+        gg = _raw_product_sums(ring, [g1], [g2], [(len(g1) + len(g2) - 1, [(0, 0)])]) if g1 and g2 else []
+        size = max(len(f1), len(g1)) + max(len(f2), len(g2)) + 1
+        fg = _raw_product_sums(
+            ring,
+            [f1, g1, gg],
+            [f2, g2, x2f, x2g],
             [(size, [(0, 0), (2, 2)]), (size, [(0, 1), (1, 0), (2, 3)])],
         )
-        return DPElem(dp, _norm(f), _norm(g))
+        return DPElem(dp, *({j: c for j, c in enumerate(fg[k : k + size]) if c} for k in (0, size)))
 
     __rmul__ = __mul__
 
@@ -245,24 +229,24 @@ class DPElem:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self.fc == other.fc and self.gc == other.gc
+        return self.f == other.f and self.g == other.g
 
     @property
     def is_zero(self):
-        return not self.fc and not self.gc
+        return not self.f and not self.g
 
     def degree(self):
         """Canonical Y-degree, or None for zero."""
-        d = max(len(self.fc), len(self.gc)) - 1
+        d = max([*self.f, *self.g], default=-1)
         return d if d >= 0 else None
 
     def expand(self):
         """The representative f(Y) + X*g(Y) as a bivariate polynomial."""
-        terms = {(i, j): c for i, cs in enumerate((self.fc, self.gc)) for j, c in enumerate(cs)}
-        return MPoly(self.dp.ring, 2, terms)
+        return _rows_poly(self.dp.ring, [self.f, self.g])
 
     def __str__(self):
-        return self.expand().format(("X", "Y"))
+        # from the rows, not through expand, which the division suite checks
+        return _rows_poly(self.dp.ring, [self.f, self.g]).format(("X", "Y"))
 
     def __repr__(self):
         return f"DPElem({self})"
@@ -271,7 +255,8 @@ class DPElem:
 def x_power_decompositions(dp, n_max):
     """Triples (f_n, g_n, h_n) with X^n = f_n + X g_{n-1} + h_{n-2} * relation.
 
-    f_n, g_n are univariate in Y (coefficient tuples), h_n bivariate.  Built
+    f_n, g_n are univariate in Y, rows {Y-degree: raw value} like the parts
+    of a DPElem, which are shared and never mutated; h_n is bivariate.  Built
     by the recursion f_{n+1} = f_2 g_{n-1}, g_{n+1} = f_{n+1} + g_1 g_n,
     h_{n+1} = g_{n+1} + X h_n from the bases f_0 = g_0 = h_0 = 1, f_1 = 0,
     g_1 = -gamma*Y, f_2 = q(s,t) - delta*Y^2, and h_1 = X + g_1; the
@@ -308,7 +293,7 @@ def x_power_decompositions(dp, n_max):
         rhs = [_sparse_add(ring, h_rel[0], f[n]), _sparse_add(ring, h_rel[1], g[n - 1])] + h_rel[2:]
         if rhs != x_rows:
             raise PowerIdentityError(f"power identity failed at n={n}")
-    return [_row_coeffs(ring, r) for r in f], [_row_coeffs(ring, r) for r in g], [_rows_poly(ring, rows) for rows in h]
+    return f, g, [_rows_poly(ring, rows) for rows in h]
 
 
 def _power_rows(ring, f2, g1, n_max):
@@ -316,7 +301,6 @@ def _power_rows(ring, f2, g1, n_max):
     f_n and g_n as dicts {Y-degree: raw value}, h_n as its X-rows, which are
     g_n, g_{n-1}, ..., g_0 by h_{n+1} = g_{n+1} + X h_n.  Each step scales
     and shifts g_{n-1} by the terms of f_2, and g_n by those of g_1."""
-    f2, g1 = ({j: c.val for j, c in enumerate(cs) if c.val} for cs in (f2, g1))
     one = {0: ring.one.val}
     f, g, h = [one, {}], [one, g1], [[one], [g1, one]]
     for n in range(1, n_max):
@@ -356,10 +340,9 @@ def _x_rows(terms, least=0):
     return rows
 
 
-def _row_coeffs(ring, row):
-    """A row as a coefficient tuple of ring elements, ascending Y-degree."""
-    zero = ring.zero.val
-    return tuple([RingElem(ring, row.get(j, zero)) for j in range(max(row, default=-1) + 1)])
+def _row(elems):
+    """The row {Y-degree: nonzero raw value} of ring elements in ascending Y-degree."""
+    return {j: c.val for j, c in enumerate(elems) if c.val}
 
 
 def _rows_poly(ring, rows):
@@ -383,7 +366,5 @@ def mul_columns(elem, bound, out_bound):
         top = part.degree()
         if top is not None and top + bound > out_bound:
             raise DegreeOverflowError(f"element degree {top + bound} exceeds {out_bound}")
-        parts.append(
-            [(2 * j + x, c.val) for x, cs in enumerate((part.fc, part.gc)) for j, c in enumerate(cs) if not c.is_zero]
-        )
+        parts.append([(2 * j + x, c) for x, row in enumerate((part.f, part.g)) for j, c in row.items()])
     return [{i + 2 * k: v for i, v in entries} for k in range(bound + 1) for entries in parts]

@@ -2,10 +2,12 @@
 and series.
 
 Sparse polynomials (`MPoly` terms) are dicts {exponent tuple: nonzero raw
-value}, and the X-rows of a double-point division dicts {Y-degree: nonzero
-raw value}; dense ones (`Series2` parts, `DPElem` components) are sequences of
-ring elements indexed by exponent.  Each coefficient loop is written once
-here, in one of three kernels:
+value}, and the X-rows of the double-point ring (`DPElem` parts and the rows
+of its division) dicts {Y-degree: nonzero raw value}.  Dense ones are lists
+of raw values indexed by exponent (a `DPElem` part inside a product,
+`_raw_product_sums`), or sequences of ring elements (`Series2` parts,
+`_product_sums`).  Each coefficient loop is written once here, in one of
+three kernels:
 
 - the sparse loops, on raw values combined through the ring's `_vadd` and
   `_vmul` and tested for zero by truth value;
@@ -99,36 +101,33 @@ def _row_mul_add(ring, out, x, y):
 # L_left * L_right.
 #
 # A side is held as one record (ints, L, scale factors, h): `_common_denominator`
-# makes it from images, `_side` straight from vectors of ring elements over
-# one shared denominator.  When every vector on one side has length 1 (scalars,
-# as in a product by a constant series), packing buys nothing, and the same
-# sums are formed coefficient by coefficient, each product a scalar times a
-# vector.
+# makes it from images, `_side` straight from vectors of raw values over one
+# shared denominator.  Vectors of length 0 and 1 take the same path: an
+# empty vector packs to 0, and a scalar to itself.
 
 _WORD_FORMATS = {memoryview(bytes(8)).cast(f).itemsize: f for f in "BHIQ"}  # slot bytes -> format
 _LITTLE_ENDIAN = sys.byteorder == "little"
 
 
 def _side(ring, vecs):
-    """A side of the kernel straight from vectors of RingElem, as
+    """A side of the kernel straight from vectors of raw values, as
     `_common_denominator` gives it: one record over the lcm of every
     coefficient's denominator, so no scale factor applies (over Q
     `Rationals._common`, one call per side)."""
     if isinstance(ring, PrimeField):
-        return [[c.val for c in v] for v in vecs], 1, None, (ring.p - 1).bit_length()
-    nums, den = ring._common([[c.val for c in v] for v in vecs])
+        return vecs, 1, None, (ring.p - 1).bit_length()
+    nums, den = ring._common(vecs)
     return nums, den, None, max([abs(x) for v in nums for x in v], default=0).bit_length()
 
 
 def _tower_side(vecs):
     """A side of the composite pair loop, over one denominator, the lcm of
-    its values': each vector of RingElem as its nonzero coefficients
+    its values': each vector of raw values as its nonzero coefficients
     (index, integer numerators).  A value already over that denominator
     keeps its raw tuple, whose trailing denominator the loop never reads."""
-    den = lcm(*{c.val[-1] for v in vecs for c in v if c.val})
+    den = lcm(*{x[-1] for v in vecs for x in v if x})
     return [
-        [(k, x if x[-1] == den else [a * (den // x[-1]) for a in x[:-1]]) for k, c in enumerate(v) if (x := c.val)]
-        for v in vecs
+        [(k, x if x[-1] == den else [a * (den // x[-1]) for a in x[:-1]]) for k, x in enumerate(v) if x] for v in vecs
     ], den
 
 
@@ -137,7 +136,7 @@ def _images(ring, vecs):
     denominator (see `_side`), each with the side's bits.  The image of a
     single vector is canonical: a prime's highest power in the lcm is some
     coefficient's denominator, whose numerator the prime does not divide."""
-    ints, den, _, bits = _side(ring, vecs)
+    ints, den, _, bits = _side(ring, [[c.val for c in v] for v in vecs])
     return [(v, den, bits) for v in ints]
 
 
@@ -181,44 +180,13 @@ def _common_denominator(images):
     return ints, den, scales, max([b + (f - 1).bit_length() for b, f in zip(bits, scales)])
 
 
-def _scaled_sums(scalars, vectors, outputs, flip):
-    """The sums of `_slots` when every vector on the side `scalars` has
-    length 1 (the right side when flip, the left otherwise): each product
-    scales a vector of the other side, coefficient by coefficient."""
-    sints, _, sscales, _ = scalars
-    vints, _, vscales, _ = vectors
-    cs = [v[0] if v else 0 for v in sints]
-    if sscales:
-        cs = [c * f for c, f in zip(cs, sscales)]
-    flat = []
-    for length, pairs in outputs:
-        acc = None
-        for i, j in pairs:
-            if flip:
-                i, j = j, i
-            if not sints[i]:
-                continue  # an empty vector: its product is empty, and `length` need not cover vints[j]
-            c, vec = cs[i] * vscales[j] if vscales else cs[i], vints[j]
-            if acc is None:
-                acc = [c * x for x in vec] + [0] * (length - len(vec))
-            else:
-                acc[: len(vec)] = [a + c * x for a, x in zip(acc, vec)]
-        flat += acc or [0] * length
-    return flat
-
-
 def _slots(left, right, outputs):
     """For sides `left` and `right` (see `_common_denominator`), the
-    coefficients of every sum, flat, each as a digit d with value d - base;
-    base; and the denominator of every value.  When every vector on one side
-    has length 1 the products are taken coefficient by coefficient (base 0);
-    otherwise each digit is a packed slot, c + 2^(w-1)."""
+    coefficients of every sum, flat, each as a packed slot's digit d = c +
+    2^(w-1); the base 2^(w-1); and the denominator of every value."""
     lints, lden, lscales, lbits = left
     rints, rden, rscales, rbits = right
     llen, rlen = max(map(len, lints), default=0), max(map(len, rints), default=0)
-    if llen <= 1 or rlen <= 1:
-        flat = _scaled_sums(left, right, outputs, False) if llen <= 1 else _scaled_sums(right, left, outputs, True)
-        return flat, 0, lden * rden
     # each pair puts at most min(len(a), len(b)) products into a slot
     count = max((len(pairs) for _, pairs in outputs), default=0) * min(llen, rlen)
     wb = (lbits + rbits + count.bit_length() + 8) // 8  # bytes per slot
@@ -257,31 +225,31 @@ def _packed_sums(ring, left, right, outputs):
     sums, start = [], 0
     for length, _ in outputs:
         cut = digits[start : start + length]
-        sums.append(_canonical(ring, [d - base for d in cut] if base else cut, den))
+        sums.append(_canonical(ring, [d - base for d in cut], den))
         start += length
     return sums
 
 
-def _product_sums(ring, left, right, outputs):
-    """Dense sums of products of vectors of RingElem, behind Series2 and
+def _raw_product_sums(ring, left, right, outputs):
+    """Dense sums of products of vectors of raw values, behind Series2 and
     DPElem products.
 
     For each (length, pairs) in outputs, the `length` coefficients of the sum
-    of left[i] * right[j] over (i, j) in pairs, as a tuple of RingElem;
-    `length` must cover every product in the sum.  Over Q and F_p this wraps
-    the kernel: each side is one record over one denominator (`_side`), so
-    no scale factor applies, and each output coefficient is reduced on its
-    own as it is wrapped (over F_p inline, mod p), so no output image is made
-    canonical.  Over composite rings each side is brought to one denominator
-    too (`_tower_side`), each output coefficient's integer numerators are
-    accumulated through the ring's index map over the product of the two,
-    and each is normalised once, by one `_norm`.
+    of left[i] * right[j] over (i, j) in pairs, each sum after the one before
+    in one flat list of raw values; `length` must cover every product in the
+    sum.  Over Q and F_p this wraps the kernel: each side is one record over
+    one denominator (`_side`), so no scale factor applies, and each output
+    coefficient is reduced on its own (over F_p inline, mod p), so no output
+    image is made canonical.  Over composite rings each side is brought to
+    one denominator too (`_tower_side`), each output coefficient's integer
+    numerators are accumulated through the ring's index map over the product
+    of the two, and each is normalised once, by one `_norm`.
     """
     if isinstance(ring, TruncatedRing):
-        rows, size, norm, zero = ring._rows, len(ring._monos), ring._norm, ring.zero
+        rows, size, norm = ring._rows, len(ring._monos), ring._norm
         lnums, lden = _tower_side(left)
         rnums, rden = _tower_side(right)
-        den, sums = lden * rden, []
+        den, flat = lden * rden, []
         for length, pairs in outputs:
             acc = [None] * length
             for i, j in pairs:
@@ -297,16 +265,21 @@ def _product_sums(ring, left, right, outputs):
                                     b = y[m]
                                     if b:
                                         out[k] += a * b
-            sums.append(tuple([RingElem(ring, norm(nums, den)) if nums else zero for nums in acc]))
-        return sums
+            flat += [norm(nums, den) if nums else () for nums in acc]
+        return flat
     digits, base, den = _slots(_side(ring, left), _side(ring, right), outputs)
-    zero = ring.zero
     if isinstance(ring, PrimeField):
         p = ring.p
-        vals = [RingElem(ring, v) if v else zero for v in [(d - base) % p for d in digits]]
-    else:
-        norm = ring._norm
-        vals = [RingElem(ring, norm((d - base,), den)) if d != base else zero for d in digits]
+        return [(d - base) % p for d in digits]
+    norm = ring._norm
+    return [norm((d - base,), den) if d != base else () for d in digits]
+
+
+def _product_sums(ring, left, right, outputs):
+    """`_raw_product_sums` on vectors of RingElem, each sum a tuple of RingElem."""
+    zero = ring.zero
+    raw = _raw_product_sums(ring, [[c.val for c in v] for v in left], [[c.val for c in v] for v in right], outputs)
+    vals = [RingElem(ring, x) if x else zero for x in raw]
     sums, start = [], 0
     for length, _ in outputs:
         sums.append(tuple(vals[start : start + length]))

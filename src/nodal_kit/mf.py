@@ -20,6 +20,7 @@ from .dp_ring import DPRing, mul_columns
 from .linalg import _dense_rows, kernel_basis, rank
 from .mpoly import MPoly
 from .normal_form import DegenerateFormError
+from .rings import RingElem
 
 
 class FactorizationError(AssertionError):
@@ -181,7 +182,7 @@ def _nzd_failure(j2):
     """Why v - t, given as `j2`, is not certified a non-zero-divisor, or None.
     R is free over A[Y] on 1 and X, and a monic polynomial in Y multiplies
     both coordinates keeping their leading coefficients: it is injective."""
-    if j2.gc or len(j2.fc) != 2 or not (j2.fc[1] - j2.dp.ring.one).is_zero:
+    if j2.g or j2.degree() != 1 or j2.f[1] != j2.dp.ring.one.val:
         return f"v-t = {j2} is not monic of Y-degree 1 with no X part"
     return None
 
@@ -226,8 +227,8 @@ def _column_leads(mat):
     its Y^d and X*Y^d coefficients in each component, a vector in A^4."""
     out = []
     for col in zip(*mat):
-        d = max((e.degree() for e in col if not e.is_zero), default=-1)
-        out.append((d, [cs[d] if 0 <= d < len(cs) else col[0].dp.ring.zero for e in col for cs in (e.fc, e.gc)]))
+        ring, d = col[0].dp.ring, max((e.degree() for e in col if not e.is_zero), default=-1)
+        out.append((d, [RingElem(ring, row.get(d, ring.zero.val)) for e in col for row in (e.f, e.g)]))
     return out
 
 
@@ -247,7 +248,7 @@ def _degree_count(mat, bound, what):
 
 def _x_part_failure(e2):
     """Why u+s+gamma*t, given as `e2`, does not have X part 1, or None."""
-    if len(e2.gc) != 1 or not (e2.gc[0] - e2.dp.ring.one).is_zero:
+    if e2.g != {0: e2.dp.ring.one.val}:
         return f"u+s+gamma*t = {e2} does not have X part 1"
     return None
 
@@ -307,10 +308,11 @@ def _has_preimage(dp, kv):
     j1, j2 = ideal_j_generators(dp)
     e1, e2 = dual_generator_images(dp)
     h1, h2 = (dp.element(kv[r::4], kv[2 + r::4]) for r in (0, 1))
-    g = dp.element(h2.gc)
-    num = dp.element(h2.fc) - g * (dp.s + dp.q.gamma * dp.t)
+    g = dp.element(kv[3::4])
+    shift = dp.s + dp.q.gamma * dp.t
+    num = [a - shift * b for a, b in zip(kv[1::4], kv[3::4])]
     # synthetic division by Y - t: the quotient's coefficients from the top, then the remainder
-    p = dp.element(list(accumulate(reversed(num.fc), lambda a, c: c + dp.t * a))[-2::-1])
+    p = dp.element(list(accumulate(reversed(num), lambda a, c: c + dp.t * a))[-2::-1])
     return p * j1 + g * e1 == h1 and p * j2 + g * e2 == h2
 
 

@@ -54,10 +54,18 @@ def dp_vector(elem, bound):
     of the certificate matrices: Y^k at 2k, X*Y^k at 2k + 1, k <= bound."""
     if elem.degree() is not None and elem.degree() > bound:
         raise DegreeOverflowError(f"element degree {elem.degree()} exceeds {bound}")
-    out = [elem.dp.ring.zero] * (2 * (bound + 1))
-    out[0 : 2 * len(elem.fc) : 2] = elem.fc
-    out[1 : 2 * len(elem.gc) : 2] = elem.gc
+    ring = elem.dp.ring
+    out = [ring.zero] * (2 * (bound + 1))
+    for x, row in enumerate((elem.f, elem.g)):
+        for j, c in row.items():
+            out[2 * j + x] = RingElem(ring, c)
     return out
+
+
+def dense_row(ring, row):
+    """A row {Y-degree: raw value} of a DPElem as its list of ring elements,
+    ascending Y-degree, through its degree."""
+    return [RingElem(ring, row[j]) if j in row else ring.zero for j in range(max(row, default=-1) + 1)]
 
 
 def dp_basis(dp, bound):

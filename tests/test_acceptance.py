@@ -11,7 +11,7 @@ from contextlib import contextmanager, redirect_stdout
 
 from conftest import naive_linearized_increment, random_unit_disc, raw_increment_preimage
 from nodal_kit import cli
-from nodal_kit.dp_ring import DPRing, x_power_decompositions
+from nodal_kit.dp_ring import DPElem, DPRing, x_power_decompositions
 from nodal_kit.mf import (
     build_factorization,
     dual_action,
@@ -98,7 +98,7 @@ def test_criterion_2_division_suite():
                 X_cache[ring] = MPoly.var(ring, 2, 0)
             X = X_cache[ring]
             for n in range(2, 31, 7):
-                assert dp.reduce(X**n) == dp.element(f[n], gseq[n - 1])
+                assert dp.reduce(X**n) == DPElem(dp, f[n], gseq[n - 1])
         dp = DPRing(F7, QuadForm.make(F7, 3, 2), F7(1), F7(4), degree_bound=24)
         for _ in range(200):
             a = dp.random_element(rng, degree=5)

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import corrupt_division, corrupt_power_rows, perturbed_preimage, perturbed_rows, perturbed_step
 from nodal_kit import cli, mf, normal_form, stabilize
+from nodal_kit.dp_ring import DPElem, DPRing
 from nodal_kit.mpoly import MPoly
 from nodal_kit.reporting import CheckRecord, Report
 from nodal_kit.series import Series2
@@ -604,6 +605,46 @@ def test_a_wrong_power_decomposition_fails_the_power_identities_check_at_its_deg
     code, failed = _counterexamples(capsys, "division", "--ring", "fp:7", "--gamma", "3", "--delta", "2")
     assert code == 1
     assert failed == {"dp.power-identities": "PowerIdentityError: power identity failed at n=6"}
+
+
+def _failed_by_comparison(capsys, *argv):
+    """The counterexamples of a run that exits 1 with nothing on stderr."""
+    code, out, err = run_cli(capsys, *argv, "--format", "structured")
+    assert code == 1 and err == ""
+    return {c["name"]: c.get("counterexample") for c in json.loads(out)["checks"] if c["status"] == "fail"}
+
+
+def test_an_expand_that_drops_the_x_part_fails_the_roundtrip_naming_both_forms(monkeypatch, capsys):
+    real = DPElem.expand
+    monkeypatch.setattr(DPElem, "expand", lambda self: real(DPElem(self.dp, self.f, {})))
+    failed = _failed_by_comparison(capsys, "division", "--ring", "fp:7", "--gamma", "3", "--delta", "2")
+    assert failed == {
+        "dp.canonical-roundtrip": "reduce(expand) != id at trial 0: a = 5+4*Y+5*X+6*Y^2+5*X*Y+6*Y^3+3*X*Y^2, "
+        "reduce(a.expand()) = 5+4*Y+6*Y^2+6*Y^3"
+    }
+
+
+def test_a_shifted_reduce_fails_both_division_checks_naming_both_forms(monkeypatch, capsys):
+    # X^2 = -3XY - 2Y^2 over F_7 at s = t = 0; the division adds 1
+    real = DPRing.reduce
+    monkeypatch.setattr(DPRing, "reduce", lambda self, poly: real(self, poly) + 1)
+    failed = _failed_by_comparison(capsys, "division", "--ring", "fp:7", "--gamma", "3", "--delta", "2")
+    assert failed == {
+        "dp.power-identities": "recursion and division disagree at n=2: 5*Y^2+4*X*Y by the recursion, "
+        "1+5*Y^2+4*X*Y by the division",
+        "dp.canonical-roundtrip": "reduce(expand) != id at trial 0: a = 5+4*Y+5*X+6*Y^2+5*X*Y+6*Y^3+3*X*Y^2, "
+        "reduce(a.expand()) = 6+4*Y+5*X+6*Y^2+5*X*Y+6*Y^3+3*X*Y^2",
+    }
+
+
+def test_a_presentation_dependent_dual_action_fails_with_the_difference(monkeypatch, capsys):
+    # eps*(u-s) planted as e1 + u: the presentations differ by (v-t)*u = XY - 4X
+    real = mf.dual_generator_images
+    monkeypatch.setattr(mf, "dual_generator_images", lambda dp: (real(dp)[0] + dp.u, real(dp)[1]))
+    argv = ("dual", "--ring", "fp:7", "--gamma", "3", "--delta", "2", "--s", "1", "--t", "4")
+    failed = _failed_by_comparison(capsys, *argv)
+    named = "(v-t)*eps(u-s) = (u-s)*eps(v-t) fails, off by 3*X+X*Y"
+    assert failed["dual.presentation-independence"] == named
 
 
 def test_a_perturbed_relation_fails_the_factorization_and_both_exactness_checks(monkeypatch, capsys):

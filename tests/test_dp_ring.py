@@ -7,9 +7,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import corrupt_power_rows, dp_basis, dp_vector, mul_kernel_dimension, random_unit_disc
+from conftest import corrupt_power_rows, dense_row, dp_basis, dp_vector, mul_kernel_dimension, random_unit_disc
 from nodal_kit.dp_ring import (
     DegreeOverflowError,
+    DPElem,
     DPRing,
     PowerIdentityError,
     x_power_decompositions,
@@ -17,7 +18,7 @@ from nodal_kit.dp_ring import (
 from nodal_kit.mf import _nzd_failure, build_factorization, witness_identities
 from nodal_kit.mpoly import MPoly
 from nodal_kit.normal_form import QuadForm
-from nodal_kit.rings import LocalTruncation, PrimeField, Rationals, make_ring
+from nodal_kit.rings import LocalTruncation, PrimeField, Rationals, RingElem, make_ring
 
 QQ = Rationals()
 F5 = PrimeField(5)
@@ -50,8 +51,8 @@ class TestReduce:
         elem = dp.reduce(X * X)
         # f = q(s,t) - delta*Y^2, g = -gamma*Y
         q_st = dp.q.value_at(s, t)
-        assert elem.fc == (q_st, loc.zero, loc(-2))
-        assert elem.gc == (loc.zero, loc(-3))
+        assert elem.f == {0: q_st.val, 2: loc(-2).val}
+        assert elem.g == {1: loc(-3).val}
 
     def test_division_certificate_on_random_inputs(self, rng):
         dp = dp_ring(F7, 2, 5, 1, 3)
@@ -100,16 +101,16 @@ class TestPowerDecompositions:
     def test_base_cases(self):
         dp = dp_ring(QQ, 3, 2, 1, 0)
         f, g, h = x_power_decompositions(dp, 2)
-        assert f[1] == () and g[0] == (QQ.one,)  # X = 0 + X*1
-        assert f[2] == (dp.q_st, QQ.zero, QQ(-2))  # q(s,t) - delta*Y^2
+        assert f[1] == {} and g[0] == {0: QQ.one.val}  # X = 0 + X*1
+        assert f[2] == {0: dp.q_st.val, 2: QQ(-2).val}  # q(s,t) - delta*Y^2
 
     def test_explicit_cubic_case(self):
         # gamma=0, delta=-1, s=t=0: f3 = 0, g2 = Y^2, h1 = X,
         # and X^3 = X*Y^2 + X*(X^2 - Y^2)
         dp = dp_ring(QQ, 0, -1, 0, 0)
         f, g, h = x_power_decompositions(dp, 3)
-        assert f[3] == ()
-        assert g[2] == (QQ.zero, QQ.zero, QQ.one)
+        assert f[3] == {}
+        assert g[2] == {2: QQ.one.val}
         assert h[1] == MPoly.var(QQ, 2, 0)
 
     def test_identity_verified_across_rings(self, rng):
@@ -128,7 +129,7 @@ class TestPowerDecompositions:
         f, g, h = x_power_decompositions(dp, 12)
         X = MPoly.var(F5, 2, 0)
         for n in range(2, 13):
-            assert dp.reduce(X**n) == dp.element(f[n], g[n - 1])
+            assert dp.reduce(X**n) == DPElem(dp, f[n], g[n - 1])
 
     def test_matches_the_multiplied_out_identity(self, rng):
         # the per-n check before it was built incrementally: X^n and
@@ -141,8 +142,8 @@ class TestPowerDecompositions:
             f, gs, h = x_power_decompositions(dp, 12)
             x = MPoly.var(ring, 2, 0)
 
-            def y_poly(coeffs):
-                return MPoly(ring, 2, {(0, j): c for j, c in enumerate(coeffs)})
+            def y_poly(row):
+                return MPoly(ring, 2, {(0, j): RingElem(ring, c) for j, c in row.items()})
 
             for n in range(2, 13):
                 assert x**n == y_poly(f[n]) + x * y_poly(gs[n - 1]) + h[n - 2] * dp.relation
@@ -176,10 +177,10 @@ class TestPowerDecompositions:
         dp = DPRing(loc, QuadForm.make(loc, 3, 2), s, t, degree_bound=24)
         f, g, h = x_power_decompositions(dp, 10)
 
-        def min_weight_upoly(coeffs):
+        def min_weight_upoly(row):
             w = None
-            for j, c in enumerate(coeffs):
-                for e, _ in loc.terms(c):
+            for j, c in row.items():
+                for e, _ in loc.terms(RingElem(loc, c)):
                     w = min(w, j + sum(e)) if w is not None else j + sum(e)
             return w
 
@@ -237,8 +238,7 @@ class TestMul:
             a = dp.random_element(rng)
             c = QQ.random_element(rng)
             out = a * c
-            assert out.fc == tuple(c * x for x in a.fc)
-            assert out.gc == tuple(c * x for x in a.gc)
+            assert out == dp.element(*([c * x for x in dense_row(QQ, row)] for row in (a.f, a.g)))
 
 
 @settings(max_examples=25, deadline=None)
@@ -253,6 +253,73 @@ def test_mul_associative_commutative(seed):
     assert a * b == b * a
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
+
+
+# --- DPElem on rows against a naive reference on coefficient lists ------------
+
+DP_RINGS = {name: make_ring(name) for name in ("q", "fp:7", "dual:q", "loc:q:s,t:3")}
+
+
+def _scalars(ring):
+    """Ring elements, zero among them."""
+    elems = st.integers(0, 10**6).map(lambda seed: ring.random_element(random.Random(seed)))
+    return st.one_of(st.just(ring.zero), elems)
+
+
+def _ref_add(ring, a, b):
+    n = max(len(a), len(b))
+    return [x + y for x, y in zip(list(a) + [ring.zero] * (n - len(a)), list(b) + [ring.zero] * (n - len(b)))]
+
+
+def _ref_mul(ring, a, b):
+    out = [ring.zero] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _ref_dp_mul(dp, a, b):
+    """(f1 + X g1)(f2 + X g2) with X^2 = q(s,t) - gamma*X*Y - delta*Y^2, on lists."""
+    ring, (f1, g1), (f2, g2) = dp.ring, a, b
+    gg = _ref_mul(ring, g1, g2)
+    x2f, x2g = [dp.q_st, ring.zero, -dp.q.delta], [ring.zero, -dp.q.gamma]
+    f = _ref_add(ring, _ref_mul(ring, f1, f2), _ref_mul(ring, x2f, gg))
+    g = _ref_add(ring, _ref_add(ring, _ref_mul(ring, f1, g2), _ref_mul(ring, g1, f2)), _ref_mul(ring, x2g, gg))
+    return f, g
+
+
+def _rows(pair):
+    return tuple({j: c.val for j, c in enumerate(cs) if not c.is_zero} for cs in pair)
+
+
+@pytest.mark.parametrize("name", list(DP_RINGS))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_dpelem_operations_on_rows_match_coefficient_lists(name, data):
+    # coefficient lists with zeros inside and at the end
+    ring = DP_RINGS[name]
+    gamma, delta, s, t, c = (data.draw(_scalars(ring)) for _ in range(5))
+    dp = DPRing(ring, QuadForm.make(ring, gamma, delta), s, t, degree_bound=16)
+    fa, ga, fb, gb = (data.draw(st.lists(_scalars(ring), max_size=6)) for _ in range(4))
+    a, b = dp.element(fa, ga), dp.element(fb, gb)
+    before = [(dict(e.f), dict(e.g)) for e in (a, b)]
+    neg_b = [[-x for x in v] for v in (fb, gb)]
+    cases = {
+        "+": (a + b, [_ref_add(ring, x, y) for x, y in ((fa, fb), (ga, gb))]),
+        "-": (a - b, [_ref_add(ring, x, y) for x, y in zip((fa, ga), neg_b)]),
+        "neg": (-b, neg_b),
+        "scalar": (a * c, [[c * x for x in v] for v in (fa, ga)]),
+        "int": (3 * a, [[3 * x for x in v] for v in (fa, ga)]),
+        "*": (a * b, _ref_dp_mul(dp, (fa, ga), (fb, gb))),
+    }
+    for op, (got, want) in cases.items():
+        assert (got.f, got.g) == _rows(want), op
+        assert got == dp.element(*want), op
+    assert (a == b) == (_rows((fa, ga)) == _rows((fb, gb)))
+    assert a == dp.element(fa + [ring.zero], ga)  # a trailing zero changes nothing
+    assert dp.reduce(a.expand()) == a
+    assert [(e.f, e.g) for e in (a, b)] == before
 
 
 class TestNonZeroDivisor:
@@ -276,6 +343,12 @@ class TestNonZeroDivisor:
         assert mul_kernel_dimension(dp.v, 0) == 0
         # a constant is monic of Y-degree 0, not 1: the closed form does not take it
         assert _nzd_failure(dp.one) == "v-t = 1 is not monic of Y-degree 1 with no X part"
+
+    def test_a_leading_coefficient_other_than_1_is_named(self):
+        # 2*(v - t) has Y-degree 1 and no X part, but its Y coefficient is 2
+        dp = dp_ring(F7, 3, 2, 1, 4)
+        named = "v-t = 6+2*Y is not monic of Y-degree 1 with no X part"
+        assert _nzd_failure((dp.v - dp.const(dp.t)) * 2) == named
 
     def test_over_a_truncated_base_no_field_is_needed(self):
         loc = make_ring("loc:q:s,t:3")
@@ -312,7 +385,7 @@ def test_the_tour_compares_the_division_and_recursion_routes(monkeypatch, capsys
 
     def wrong_f4(dp, n_max):
         f, g, h = real(dp, n_max)
-        f[4] = (f[4][0] + 1,) + f[4][1:]
+        f[4] = (DPElem(dp, f[4], {}) + 1).f
         return f, g, h
 
     monkeypatch.setattr(tour, "x_power_decompositions", wrong_f4)

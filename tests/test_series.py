@@ -5,10 +5,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nodal_kit.dp_ring import DPRing, _norm
+from conftest import dense_row
+from nodal_kit.dp_ring import DPRing
 from nodal_kit.kernels import _elements as _image_elements, _images, _packed_sums, _product_sums
 from nodal_kit.normal_form import QuadForm
-from nodal_kit.rings import DualNumbers, PrimeField, Rationals, make_ring
+from nodal_kit.rings import DualNumbers, PrimeField, Rationals, RingElem, make_ring
 from nodal_kit.series import PrecisionError, Series2, SubstitutionError, _graded_sums, _min_prec
 
 QQ = Rationals()
@@ -264,21 +265,22 @@ def _ref_mul(f, g):
 
 
 def _ref_dp_mul(a, b):
-    """DPElem product, one coefficient pair at a time."""
+    """DPElem product, one coefficient pair at a time on the rows made dense,
+    as its rows."""
     dp = a.dp
-    x2f, x2g = dp.x_squared
-    zero = dp.ring.zero
-    gg = [zero] * max(len(a.gc) + len(b.gc) - 1, 0)
-    _ref_convolve_into(gg, a.gc, b.gc)
-    gg = _norm(gg)
-    size = max(len(a.fc), len(a.gc)) + max(len(b.fc), len(b.gc)) + 1
+    ring = dp.ring
+    fa, ga, fb, gb, x2f, x2g = (dense_row(ring, row) for row in (a.f, a.g, b.f, b.g, *dp.x_squared))
+    zero = ring.zero
+    gg = [zero] * max(len(ga) + len(gb) - 1, 0)
+    _ref_convolve_into(gg, ga, gb)
+    size = max(len(fa), len(ga)) + max(len(fb), len(gb)) + 1
     f, g = [zero] * size, [zero] * size
-    _ref_convolve_into(f, a.fc, b.fc)
+    _ref_convolve_into(f, fa, fb)
     _ref_convolve_into(f, gg, x2f)
-    _ref_convolve_into(g, a.fc, b.gc)
-    _ref_convolve_into(g, a.gc, b.fc)
+    _ref_convolve_into(g, fa, gb)
+    _ref_convolve_into(g, ga, fb)
     _ref_convolve_into(g, gg, x2g)
-    return _norm(f), _norm(g)
+    return tuple({j: c.val for j, c in enumerate(v) if not c.is_zero} for v in (f, g))
 
 
 def _canonical(elems):
@@ -417,8 +419,8 @@ def test_dpelem_product_matches_the_coefficient_loop(data, ring):
     (fa, ga), (fb, gb) = data.draw(_vector_pairs(ring, 2, 12))
     a, b = dp.element(fa, ga), dp.element(fb, gb)
     prod = a * b
-    assert (prod.fc, prod.gc) == _ref_dp_mul(a, b)
-    assert _canonical(prod.fc + prod.gc)
+    assert (prod.f, prod.g) == _ref_dp_mul(a, b)
+    assert _canonical(RingElem(ring, c) for row in (prod.f, prod.g) for c in row.values())
 
 
 @pytest.mark.parametrize("ring", KERNEL_RINGS, ids=lambda r: r.descriptor())
@@ -501,8 +503,11 @@ def _image_vector(draw, ring, max_len):
 @settings(max_examples=80, deadline=None)
 @given(data=st.data(), ring=st.sampled_from(IMAGE_RINGS))
 def test_packed_sums_on_images_match_the_coefficient_loop(data, ring):
-    left = [data.draw(_image_vector(ring, 8)) for _ in range(data.draw(st.integers(1, 4)))]
-    right = [data.draw(_image_vector(ring, 8)) for _ in range(data.draw(st.integers(1, 4)))]
+    # in about a quarter of the examples one side holds only vectors of
+    # length 0 or 1, each over its own denominator: they take the packed path too
+    short = data.draw(st.sampled_from(["left", "right", None, None, None, None, None, None]))
+    left = [data.draw(_image_vector(ring, 1 if short == "left" else 8)) for _ in range(data.draw(st.integers(1, 4)))]
+    right = [data.draw(_image_vector(ring, 1 if short == "right" else 8)) for _ in range(data.draw(st.integers(1, 4)))]
     pair = st.tuples(st.integers(0, len(left) - 1), st.integers(0, len(right) - 1))
     outputs = []
     for pairs in data.draw(st.lists(st.lists(pair, max_size=5), max_size=4)):
@@ -537,9 +542,8 @@ def test_a_slot_at_its_bound_with_the_largest_scale_factor(sign):
 
 @pytest.mark.parametrize("scalars_left", [True, False])
 def test_a_side_of_scalars_scales_both_sides_to_their_denominators(scalars_left):
-    # every vector on one side has length 1, so the sums are formed
-    # coefficient by coefficient: each side's images lie over different
-    # denominators, so each product needs both scale factors
+    # every vector on one side has length 1, and each side's images lie
+    # over different denominators, so each product needs both scale factors
     scalars = [([1], 2, 1), ([-3], 5, 2)]
     vectors = [([1, 2, -3], 3, 2), ([5, -7], 7, 3)]
     pairs = [(i, j) for i in range(2) for j in range(2)]
