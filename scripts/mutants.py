@@ -26,7 +26,7 @@ import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-NF, KERNELS, DP, MF = "normal_form.py", "kernels.py", "dp_ring.py", "mf.py"
+NF, KERNELS, DP, MF, STAB = "normal_form.py", "kernels.py", "dp_ring.py", "mf.py", "stabilize.py"
 READ_OFF = "tests/test_normal_form.py::test_the_polar_vectors_read_off_eps_are_those_of_the_correction"
 README_NF = "tests/test_report_digests.py::test_report_digest[normal-form-readme]"
 LOC_DIGEST = "tests/test_report_digests.py::test_report_digest[check-all-loc-q-p5]"
@@ -37,6 +37,7 @@ NOT_MONIC = "tests/test_dp_ring.py::TestReduce::test_a_relation_not_monic_in_x_s
 POWERS = "tests/test_dp_ring.py::TestPowerDecompositions"
 U_SQUARED = "tests/test_dp_ring.py::TestMul::test_u_squared"
 ON_ROWS = "tests/test_dp_ring.py::test_dpelem_operations_on_rows_match_coefficient_lists"
+FP7_RESIDUAL = "tests/test_normal_form.py::test_a_wrong_stored_sum_or_polar_scalar_fails_the_final_residual[2-0-fp:7]"
 
 # name -> (file, source text, replacement, node ids that must fail)
 MUTANTS = {
@@ -61,16 +62,16 @@ MUTANTS = {
         "    out[0] += 0 * ints[0]\n",
         [README_NF, READ_OFF],
     ),
-    "the s*v[0] term of the in-place rows over composite rings": (
+    "the s*v[0] term of the in-place rows on raw values": (
         NF,
-        "out[0] = ring._vadd(out[0], vmul(s.val, v[0].val))",
-        "out[0] = ring._vadd(out[0], vmul(s.val, ()))",
-        [LOC_DIGEST, READ_OFF],
+        "out[0] = ring._vadd(out[0], vmul(s, v[0]))",
+        "out[0] = ring._vadd(out[0], vmul(0 * s, v[0]))",  # 0 * s is the zero raw value over F_p and the towers
+        [LOC_DIGEST, FP7_RESIDUAL, READ_OFF],
     ),
-    "the tower accumulation's shared denominator": (
+    "the shared denominator of the raw tower accumulation": (
         KERNELS,
-        "den, flat = lden * rden, []",
-        "den, flat = lden, []",
+        "den, sums = lden * rden, []",
+        "den, sums = lden, []",
         [LOC_DIGEST, "tests/test_truncated_rings.py::test_product_sums_match_the_pair_loop[dual:q]"],
     ),
     "sign of the read-off p": (
@@ -85,11 +86,11 @@ MUTANTS = {
         "([ints[0]] + [0] * (len(ints) - 2), den, bits)",
         [README_NF, READ_OFF],
     ),
-    "sign of the read-off p and r over composite rings": (
+    "sign of the read-off p and r on raw values": (
         NF,
-        "return tuple([-c for c in eps[1:]]), (-eps[0],)",
-        "return tuple([c for c in eps[1:]]), (eps[0],)",
-        [LOC_DIGEST, READ_OFF],
+        "return [vneg(c) for c in eps[1:]], [vneg(eps[0])]",
+        "return [c for c in eps[1:]], [eps[0]]",
+        [LOC_DIGEST, FP7_RESIDUAL, READ_OFF],
     ),
     "apply_series's -1 against minus": (
         NF,
@@ -151,6 +152,33 @@ MUTANTS = {
         "    if e2.g != {0: e2.dp.ring.one.val}:\n",
         "    if len(e2.g) != 1:\n",
         ["tests/test_mf.py::test_an_x_part_other_than_1_is_named_by_both_dual_records"],
+    ),
+    "the hom space's overlap identity": (
+        MF,
+        "failures = [] if overlap.is_zero else [",
+        "failures = [] if True else [",
+        [
+            "tests/test_mf.py::test_a_failed_overlap_identity_takes_the_per_vector_route",
+            "tests/test_cli.py::test_a_presentation_dependent_dual_action_fails_with_the_difference",
+        ],
+    ),
+    "the 2x2-minor test of the degree count": (
+        MF,
+        "    if all((l1[i] * l2[j] - l1[j] * l2[i]).is_zero for i in range(4) for j in range(i)):\n",
+        "    if False:\n",
+        [
+            "tests/test_mf.py::test_dependent_leading_vectors_fail_exactness_and_name_both",
+            "tests/test_mf.py::test_generators_planted_as_their_own_images_fail_the_hom_space_and_name_both_leads",
+        ],
+    ),
+    "the fiber's product identity": (
+        STAB,
+        "failures = [] if off.is_zero else [",
+        "failures = [] if True else [",
+        [
+            "tests/test_cli.py::test_a_wrong_root_pair_fails_the_fiber_decomposition_with_the_difference",
+            "tests/test_stabilize.py::TestFiber::test_a_wrong_root_pair_fails_the_fiber_relation",
+        ],
     ),
 }
 

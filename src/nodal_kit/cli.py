@@ -461,7 +461,11 @@ def _charts(res, cfg, rng):
 
 
 def _fiber(res, cfg, rng):
-    return [("fiber.decomposition", lambda: asdict(stabilize.fiber_at_origin(res.ring, res.q, res.charts)))]
+    def decomposition():
+        rec = asdict(stabilize.fiber_at_origin(res.ring, res.q, res.charts))
+        return _from_record(rec, *(k for k in rec if k != "failures"))
+
+    return [("fiber.decomposition", decomposition)]
 
 
 def _ring_axioms(res, cfg, rng):

@@ -14,7 +14,7 @@ independent witness for the same canonical forms.
 
 from __future__ import annotations
 
-from .kernels import _raw_product_sums, _row_mul_add, _sparse_add
+from .kernels import _product_sums, _row_mul_add, _sparse_add
 # kernel_basis is unused here; perfbench's tracer tests wrap it in this namespace
 from .linalg import kernel_basis  # noqa: F401
 from .mpoly import MPoly
@@ -210,15 +210,15 @@ class DPElem:
             [row.get(j, zero) for j in range(max(row, default=-1) + 1)]
             for row in (self.f, self.g, other.f, other.g, *dp.x_squared)
         )
-        gg = _raw_product_sums(ring, [g1], [g2], [(len(g1) + len(g2) - 1, [(0, 0)])]) if g1 and g2 else []
+        gg = _product_sums(ring, [g1], [g2], [(len(g1) + len(g2) - 1, [(0, 0)])])[0] if g1 and g2 else []
         size = max(len(f1), len(g1)) + max(len(f2), len(g2)) + 1
-        fg = _raw_product_sums(
+        fg = _product_sums(
             ring,
             [f1, g1, gg],
             [f2, g2, x2f, x2g],
             [(size, [(0, 0), (2, 2)]), (size, [(0, 1), (1, 0), (2, 3)])],
         )
-        return DPElem(dp, *({j: c for j, c in enumerate(fg[k : k + size]) if c} for k in (0, size)))
+        return DPElem(dp, *({j: c for j, c in enumerate(v) if c} for v in fg))
 
     __rmul__ = __mul__
 

@@ -4,14 +4,15 @@ and series.
 Sparse polynomials (`MPoly` terms) are dicts {exponent tuple: nonzero raw
 value}, and the X-rows of the double-point ring (`DPElem` parts and the rows
 of its division) dicts {Y-degree: nonzero raw value}.  Dense ones are lists
-of raw values indexed by exponent (a `DPElem` part inside a product,
-`_raw_product_sums`), or sequences of ring elements (`Series2` parts,
-`_product_sums`).  Each coefficient loop is written once here, in one of
-three kernels:
+of raw values indexed by exponent (`Series2` parts and `DPElem` parts inside
+a product, and the normal form's vectors over every base but Q), multiplied
+by `_product_sums`, or over Q, in the normal form, integer images of such
+lists, multiplied by `_packed_sums`.  Each coefficient loop is written once
+here, in one of three kernels:
 
 - the sparse loops, on raw values combined through the ring's `_vadd` and
   `_vmul` and tested for zero by truth value;
-- over Q and F_p, the packed kernel on integer images of dense vectors;
+- over Q and F_p, the packed kernel on integer vectors over one denominator;
 - over the composite rings, the pair loop on integer numerators, each side
   over one denominator, each product walking the ring's index map and each
   output coefficient normalised once (`TruncatedRing._norm`).
@@ -20,6 +21,7 @@ three kernels:
 from __future__ import annotations
 
 import sys
+from itertools import islice
 from math import gcd, lcm
 from operator import add
 
@@ -74,14 +76,15 @@ def _row_mul_add(ring, out, x, y):
 
 
 # Over Q and F_p a dense vector is multiplied as one integer (Kronecker
-# substitution), read through its image (ints, den, bits): the vector ints/den,
-# ints a list of integers and den > 0, with every |x| < 2^bits.  An image is
-# canonical when its content is divided out, gcd(den, *ints) = 1 with bits
-# that of the largest |x| (the zero vector is ([0, ...], 1, 0)), and over F_p
-# when the ints are residues in [0, p) over den 1 with bits that of p - 1; two
-# canonical images of one vector are equal.  The image `_images` gives a
-# single vector and every image `_packed_sums` returns are canonical; the
-# kernel reads any image, a slice of one too.
+# substitution), as a list of integers over a denominator.  Over F_p that is
+# the list of residues over 1.  Over Q, where the coefficients carry their own
+# denominators, the normal form holds a vector as its image (ints, den, bits):
+# the vector ints/den, ints a list of integers and den > 0, with every
+# |x| < 2^bits.  An image is canonical when its content is divided out,
+# gcd(den, *ints) = 1 with bits that of the largest |x| (the zero vector is
+# ([0, ...], 1, 0)); two canonical images of one vector are equal.  The image
+# `_images` gives a single vector and every image `_packed_sums` returns are
+# canonical; the kernel reads any image, a slice of one too.
 #
 # Each side is brought to one denominator, the lcm L of its images' dens, by
 # multiplying each packed integer once by its scale factor f = L // den: one
@@ -102,8 +105,9 @@ def _row_mul_add(ring, out, x, y):
 #
 # A side is held as one record (ints, L, scale factors, h): `_common_denominator`
 # makes it from images, `_side` straight from vectors of raw values over one
-# shared denominator.  Vectors of length 0 and 1 take the same path: an
-# empty vector packs to 0, and a scalar to itself.
+# shared denominator (over F_p the residues over 1, h the bit length of
+# p - 1).  Vectors of length 0 and 1 take the same path: an empty vector
+# packs to 0, and a scalar to itself.
 
 _WORD_FORMATS = {memoryview(bytes(8)).cast(f).itemsize: f for f in "BHIQ"}  # slot bytes -> format
 _LITTLE_ENDIAN = sys.byteorder == "little"
@@ -132,20 +136,17 @@ def _tower_side(vecs):
 
 
 def _images(ring, vecs):
-    """Images of vectors of RingElem over Q or F_p, over one shared
-    denominator (see `_side`), each with the side's bits.  The image of a
-    single vector is canonical: a prime's highest power in the lcm is some
-    coefficient's denominator, whose numerator the prime does not divide."""
+    """Images of vectors of RingElem over Q, over one shared denominator
+    (see `_side`), each with the side's bits.  The image of a single vector
+    is canonical: a prime's highest power in the lcm is some coefficient's
+    denominator, whose numerator the prime does not divide."""
     ints, den, _, bits = _side(ring, [[c.val for c in v] for v in vecs])
     return [(v, den, bits) for v in ints]
 
 
-def _canonical(ring, ints, den):
-    """The canonical image of the vector ints/den over Q or F_p (den > 0,
-    and 1 over F_p), given as a list it may keep."""
-    if isinstance(ring, PrimeField):
-        p = ring.p
-        return [x % p for x in ints], 1, (p - 1).bit_length()
+def _canonical(ints, den):
+    """The canonical image of the vector ints/den over Q (den > 0), given as
+    a list it may keep."""
     g = gcd(den, *ints)
     if g != 1:
         ints, den = [x // g for x in ints], den // g
@@ -182,8 +183,9 @@ def _common_denominator(images):
 
 def _slots(left, right, outputs):
     """For sides `left` and `right` (see `_common_denominator`), the
-    coefficients of every sum, flat, each as a packed slot's digit d = c +
-    2^(w-1); the base 2^(w-1); and the denominator of every value."""
+    coefficients of each sum, one list per output, each as a packed slot's
+    digit d = c + 2^(w-1); the base 2^(w-1); and the denominator of every
+    value."""
     lints, lden, lscales, lbits = left
     rints, rden, rscales, rbits = right
     llen, rlen = max(map(len, lints), default=0), max(map(len, rints), default=0)
@@ -210,46 +212,41 @@ def _slots(left, right, outputs):
     bias = int.from_bytes((bytes(wb - 1) + b"\x80") * nslots, "little")  # 2^(w-1) in every slot
     buf = (total + bias).to_bytes(wb * nslots, "little")
     if wb in _WORD_FORMATS and _LITTLE_ENDIAN:
-        digits = memoryview(buf).cast(_WORD_FORMATS[wb]).tolist()
+        digits = iter(memoryview(buf).cast(_WORD_FORMATS[wb]).tolist())
     else:
-        digits = [int.from_bytes(buf[k : k + wb], "little") for k in range(0, wb * nslots, wb)]
-    return digits, 1 << (w - 1), lden * rden
+        digits = (int.from_bytes(buf[k : k + wb], "little") for k in range(0, wb * nslots, wb))
+    return [list(islice(digits, length)) for length, _ in outputs], 1 << (w - 1), lden * rden
 
 
 def _packed_sums(ring, left, right, outputs):
-    """The packed kernel on images over Q and F_p: for each (length, pairs)
-    in outputs, the canonical image of the `length` coefficients of the sum
-    of left[i] * right[j] over (i, j) in pairs; `length` must cover every
+    """The packed kernel on images over Q: for each (length, pairs) in
+    outputs, the canonical image of the `length` coefficients of the sum of
+    left[i] * right[j] over (i, j) in pairs; `length` must cover every
     product in the sum."""
-    digits, base, den = _slots(_common_denominator(left), _common_denominator(right), outputs)
-    sums, start = [], 0
-    for length, _ in outputs:
-        cut = digits[start : start + length]
-        sums.append(_canonical(ring, [d - base for d in cut], den))
-        start += length
-    return sums
+    cuts, base, den = _slots(_common_denominator(left), _common_denominator(right), outputs)
+    return [_canonical([d - base for d in cut], den) for cut in cuts]
 
 
-def _raw_product_sums(ring, left, right, outputs):
+def _product_sums(ring, left, right, outputs):
     """Dense sums of products of vectors of raw values, behind Series2 and
-    DPElem products.
+    DPElem products and the normal form over every base but Q.
 
-    For each (length, pairs) in outputs, the `length` coefficients of the sum
-    of left[i] * right[j] over (i, j) in pairs, each sum after the one before
-    in one flat list of raw values; `length` must cover every product in the
-    sum.  Over Q and F_p this wraps the kernel: each side is one record over
-    one denominator (`_side`), so no scale factor applies, and each output
-    coefficient is reduced on its own (over F_p inline, mod p), so no output
-    image is made canonical.  Over composite rings each side is brought to
-    one denominator too (`_tower_side`), each output coefficient's integer
-    numerators are accumulated through the ring's index map over the product
-    of the two, and each is normalised once, by one `_norm`.
+    For each (length, pairs) in outputs, the list of the `length` raw values
+    of the sum of left[i] * right[j] over (i, j) in pairs; `length` must
+    cover every product in the sum.  Over Q and F_p this is the packed
+    kernel: each side is one record over one denominator (`_side`), so no
+    scale factor applies, and each output coefficient is reduced on its own
+    (over F_p inline, mod p), so no output image is made canonical.  Over
+    composite rings each side is brought to one denominator too
+    (`_tower_side`), each output coefficient's integer numerators are
+    accumulated through the ring's index map over the product of the two,
+    and each is normalised once, by one `_norm`.
     """
     if isinstance(ring, TruncatedRing):
         rows, size, norm = ring._rows, len(ring._monos), ring._norm
         lnums, lden = _tower_side(left)
         rnums, rden = _tower_side(right)
-        den, flat = lden * rden, []
+        den, sums = lden * rden, []
         for length, pairs in outputs:
             acc = [None] * length
             for i, j in pairs:
@@ -265,23 +262,11 @@ def _raw_product_sums(ring, left, right, outputs):
                                     b = y[m]
                                     if b:
                                         out[k] += a * b
-            flat += [norm(nums, den) if nums else () for nums in acc]
-        return flat
-    digits, base, den = _slots(_side(ring, left), _side(ring, right), outputs)
+            sums.append([norm(nums, den) if nums else () for nums in acc])
+        return sums
+    cuts, base, den = _slots(_side(ring, left), _side(ring, right), outputs)
     if isinstance(ring, PrimeField):
         p = ring.p
-        return [(d - base) % p for d in digits]
+        return [[(d - base) % p for d in cut] for cut in cuts]
     norm = ring._norm
-    return [norm((d - base,), den) if d != base else () for d in digits]
-
-
-def _product_sums(ring, left, right, outputs):
-    """`_raw_product_sums` on vectors of RingElem, each sum a tuple of RingElem."""
-    zero = ring.zero
-    raw = _raw_product_sums(ring, [[c.val for c in v] for v in left], [[c.val for c in v] for v in right], outputs)
-    vals = [RingElem(ring, x) if x else zero for x in raw]
-    sums, start = [], 0
-    for length, _ in outputs:
-        sums.append(tuple(vals[start : start + length]))
-        start += length
-    return sums
+    return [[norm((d - base,), den) if d != base else () for d in cut] for cut in cuts]

@@ -5,6 +5,14 @@ right inverse, the successive-approximation iteration that straightens a
 series with non-degenerate quadratic part into the exact form q(x', y'),
 and the square-zero coordinate repairs used when lifting over a small
 extension.
+
+The products behind these run in the kernels on coefficient vectors held in
+one of two formats, by base (`_vectors`): over Q, where each coefficient
+carries its own denominator, as integer images over one denominator,
+multiplied by `kernels._packed_sums`; over every other base, F_p and the
+composite rings, as lists of raw values, multiplied by
+`kernels._product_sums`.  Only the components a result keeps are wrapped as
+ring elements.
 """
 
 from __future__ import annotations
@@ -15,7 +23,7 @@ from functools import cached_property
 from math import lcm
 
 from .kernels import _canonical, _elements, _images, _packed_sums, _product_sums
-from .rings import DualNumbers, PrimeField, RingElem, TruncatedRing
+from .rings import DualNumbers, Rationals, RingElem
 from .series import Series2, _min_prec
 
 
@@ -67,53 +75,42 @@ class QuadForm:
         polar vectors p_j = 2x_j + gamma*y_j and r_j = gamma*x_j + 2*delta*y_j,
         or against x_k + gamma*y_k and delta*y_k on the diagonal, and -1
         against minus_m; a component missing from xs or ys counts as zeros.
-        Over Q and F_p the components of xs and ys are imaged once, in two
-        calls each over one shared denominator (the low ones, which form the
-        left side, and the rest), and those of minus in one more; the polar
-        vectors are formed coefficientwise on those images (over Q with no
+        The components of xs and ys are lifted once (`_vectors`), in two
+        calls (the low ones, which form the left side, and the rest; over Q
+        each over one shared denominator), and those of minus in one more;
+        the polar vectors are formed coefficientwise on those (over Q with no
         content divided out: the packed kernel reads any image), and a zero
-        output image is dropped before wrapping; over composite rings the
-        vectors are tuples of ring elements (`_vectors`).
+        output is dropped before wrapping.
         """
         ring = self.ring
         prec = _min_prec(xs.precision, ys.precision, None if minus is None else minus.precision)
         top = float("inf") if prec is None else prec
-        sums, lift, wrap = _vectors(ring)
-        if isinstance(ring, TruncatedRing):
+        sums, lift, wrap, nonzero = _vectors(ring)
+        if isinstance(ring, Rationals):
+
+            def combine(c, v, d, w):
+                """the image of c*v + d*w from images, with no content divided out"""
+                ((cn,), cd), ((dn,), dd), (vi, vd, _), (wi, wd, _) = ring._ints(c.val), ring._ints(d.val), v, w
+                den = lcm(cd * vd, dd * wd)
+                cn, dn = cn * (den // (cd * vd)), dn * (den // (dd * wd))
+                out = [cn * a + dn * b for a, b in zip(vi, wi)]
+                return out, den, max(map(abs, out)).bit_length()
+
+        else:
             vadd, vmul = ring._vadd, ring._vmul
 
             def combine(c, v, d, w):
                 """c*v + d*w, on raw values"""
                 c, d = c.val, d.val
-                return tuple([RingElem(ring, vadd(vmul(c, a.val), vmul(d, b.val))) for a, b in zip(v, w)])
-
-            def nonzero(vec):
-                return any([c.val for c in vec])
-
-        else:
-            p = ring.p if isinstance(ring, PrimeField) else None
-
-            def combine(c, v, d, w):
-                """the image of c*v + d*w from images: over Q with no content
-                divided out, over F_p reduced, so that its slots stay narrow"""
-                ((cn,), cd), ((dn,), dd), (vi, vd, _), (wi, wd, _) = ring._ints(c.val), ring._ints(d.val), v, w
-                den = lcm(cd * vd, dd * wd)
-                cn, dn = cn * (den // (cd * vd)), dn * (den // (dd * wd))
-                out = [cn * a + dn * b for a, b in zip(vi, wi)]
-                if p:
-                    return [x % p for x in out], 1, (p - 1).bit_length()
-                return out, den, max(map(abs, out)).bit_length()
-
-            def nonzero(image):
-                return any(image[0])
+                return [vadd(vmul(c, a), vmul(d, b)) for a, b in zip(v, w)]
 
         gamma, delta, zero = self.gamma, self.delta, ring.zero
         one, two, two_delta = ring.one, ring(2), 2 * delta
         degrees = sorted(n for n in {*xs.parts, *ys.parts} if n <= top)
         degrees = [n for n in degrees if n + degrees[0] <= top]  # those that enter a product
         # x_n and y_n by degree, a missing one as zeros; the low ones, the left
-        # side, are imaged apart from the high ones, so that they do not take
-        # the height of the high ones
+        # side, are lifted apart from the high ones, so that over Q they do not
+        # take the height of the high ones
         components = [s.parts.get(n) or (zero,) * (n + 1) for n in degrees for s in (xs, ys)]
         n_low = 2 * sum(2 * n <= top for n in degrees)
         low = lift(components[:n_low])
@@ -179,30 +176,30 @@ def _apply_row(ring, row, v):
     """r*v[1:] + s*v[0], the v[0] term at X-exponent 0, for a row (r, s) of
     scalars and a component v of degree n >= 1, in place: no kernel call.
     Both are held as `_vectors` holds them, the row as the two length-1
-    vectors of one lift call (so over Q and F_p over one denominator); over
-    Q and F_p the result is a canonical image, over composite rings a tuple
-    of ring elements."""
-    if isinstance(ring, TruncatedRing):
+    vectors of one lift call (so over Q over one denominator); over Q the
+    result is a canonical image, over every other base a list of raw
+    values."""
+    if not isinstance(ring, Rationals):
         ((r,), (s,)), vmul = row, ring._vmul
-        out = [vmul(r.val, c.val) for c in v[1:]]
-        out[0] = ring._vadd(out[0], vmul(s.val, v[0].val))
-        return tuple([RingElem(ring, x) for x in out])
+        out = [vmul(r, c) for c in v[1:]]
+        out[0] = ring._vadd(out[0], vmul(s, v[0]))
+        return out
     ((r,), den, _), ((s,), _, _) = row
     ints, vden, _ = v
     out = [r * x for x in ints[1:]]
     out[0] += s * ints[0]
-    return _canonical(ring, out, den * vden)
+    return _canonical(out, den * vden)
 
 
 def _preimage(q, f, c):
-    """The raw preimage of f at c as vectors: f's degrees, the image of each
-    of its components (one lift each, so canonical over Q and F_p), and the
+    """The raw preimage of f at c as vectors: f's degrees, each of its
+    components lifted (one lift each, so over Q a canonical image), and the
     components of mu and nu, degree n - 1 for each degree n of f, made from
     those by the rows of `_preimage_rows` in place."""
     if 0 in f.parts:
         raise ValueError("series must have zero constant term")
     ring = f.ring
-    _, lift, _ = _vectors(ring)
+    lift = _vectors(ring)[1]
     degrees = sorted(f.parts)
     images = [lift([f.parts[n]])[0] for n in degrees]
     rows = [lift([(r,), (s,)]) for r, s in _preimage_rows(q, ring(c))]
@@ -211,9 +208,9 @@ def _preimage(q, f, c):
 
 def _series_of(ring, degrees, vecs, precision):
     """The series with the vector vecs[k] as its degree-(degrees[k] - 1)
-    component, each wrapped once and a zero one dropped."""
-    wrap = _vectors(ring)[2]
-    parts = {n - 1: w for n, w in zip(degrees, map(wrap, vecs)) if any([c.val for c in w])}
+    component, a zero one dropped and each other wrapped once."""
+    _, _, wrap, nonzero = _vectors(ring)
+    parts = {n - 1: wrap(v) for n, v in zip(degrees, vecs) if nonzero(v)}
     return Series2._of(ring, parts, precision)
 
 
@@ -238,11 +235,11 @@ def _correction_rows(q):
 def _polar(ring, eps):
     """The polar vectors (p, r) of the correction made from the residual
     component eps, read off eps (see `_correction_rows`): p = -eps[1:] and
-    r = (-eps[0], 0, ..., 0).  Over Q and F_p they are eps's image negated
-    (over F_p not canonical: the kernel reads any image), over composite
-    rings its tuple negated."""
-    if isinstance(ring, TruncatedRing):
-        return tuple([-c for c in eps[1:]]), (-eps[0],) + (ring.zero,) * (len(eps) - 2)
+    r = (-eps[0], 0, ..., 0).  Over Q they are eps's image negated, over
+    every other base its raw values negated."""
+    if not isinstance(ring, Rationals):
+        vneg = ring._vneg
+        return [vneg(c) for c in eps[1:]], [vneg(eps[0])] + [ring.zero.val] * (len(eps) - 2)
     ints, den, bits = eps
     return ([-x for x in ints[1:]], den, bits), ([-ints[0]] + [0] * (len(ints) - 2), den, bits)
 
@@ -254,17 +251,17 @@ def solve_linearized_increment(q, f):
     Needs a unit discriminant d; takes the raw preimage at c = 1/d
     (`_preimage`) and re-checks q_X*mu + q_Y*nu = f on every call, which pins
     down the signs: degree by degree, in one product against the gradient
-    (as the iteration's own certificate does), as an equality of canonical
-    images of f's components over Q and F_p (of ring elements over composite
-    rings), naming the least degree where it fails.  mu and nu are wrapped
-    once, after the check.
+    (as the iteration's own certificate does), as an equality of f's
+    components as `_vectors` holds them (canonical images over Q, raw values
+    over every other base), naming the least degree where it fails.  mu and
+    nu are wrapped once, after the check.
     """
     d = q.discriminant
     if not d.is_unit:
         raise DegenerateFormError("right inverse needs a unit discriminant")
     degrees, images, (mu, nu) = _preimage(q, f, d.inv())
     ring = f.ring
-    sums, lift, _ = _vectors(ring)
+    sums, lift, _, _ = _vectors(ring)
     # q_X = (gamma, 2) and q_Y = (2*delta, gamma), by X-exponent
     gradient = lift([(q.gamma, ring(2)), (2 * q.delta, q.gamma)])
     right = [v for pair in zip(mu, nu) for v in pair]
@@ -285,15 +282,25 @@ def _certify(identity, lhs, rhs):
 
 
 def _vectors(ring):
-    """How the normal form holds a coefficient vector, as (sums, lift, wrap):
-    over Q and F_p an integer image (see `kernels`), multiplied by
-    `_packed_sums`; over composite rings a tuple of RingElem, multiplied pair
-    by pair by `_product_sums`.  lift takes a list of vectors to their
-    images, over one shared denominator (so a single vector's is canonical),
-    and wrap takes one back to a tuple of RingElem."""
-    if isinstance(ring, TruncatedRing):
-        return _product_sums, lambda vecs: [tuple(v) for v in vecs], tuple
-    return _packed_sums, lambda vecs: _images(ring, vecs), lambda image: _elements(ring, image)
+    """How the normal form holds a coefficient vector, as (sums, lift, wrap,
+    nonzero): over Q an integer image (see `kernels`), multiplied by
+    `_packed_sums`; over every other base a list of raw values, multiplied
+    by `_product_sums`.  lift takes a list of vectors of RingElem to that
+    format (over Q to images over one shared denominator, so a single
+    vector's is canonical), wrap takes one back to a tuple of RingElem, and
+    nonzero tells whether it is."""
+    if isinstance(ring, Rationals):
+        return _packed_sums, lambda vecs: _images(ring, vecs), lambda image: _elements(ring, image), _nonzero_image
+    zero = ring.zero
+
+    def wrap(vec):
+        return tuple([RingElem(ring, x) if x else zero for x in vec])
+
+    return _product_sums, lambda vecs: [[c.val for c in v] for v in vecs], wrap, any
+
+
+def _nonzero_image(image):
+    return any(image[0])
 
 
 def normal_form_iteration(f, q, n_steps):
@@ -328,21 +335,22 @@ def normal_form_iteration(f, q, n_steps):
     per iteration and applied in place (`_apply_row`), with no kernel call.
     p and r are read off eps: p = -eps[1:] and r = -eps[0] (`_polar`), which
     holds since 2a + gamma*b and gamma*a + 2*delta*b are
-    (4*delta - gamma^2)*c times eps[1:] and eps[0].  Over Q and F_p every
-    vector the steps read or make stays an integer image (see `kernels`):
-    each component of f that the steps read is imaged once, canonically,
-    before the loop, the rows and -1 once per iteration, and eps and the
-    stored corrections are canonical images (p and r as eps's negated), so
-    no image is rebuilt.  Only a and b are wrapped as ring elements, and a
-    nonzero one is appended to x or y as one new component: the coefficient
-    tuples of the earlier components are shared and not checked again, while
-    the small degree -> component dict is copied on each step.  Over
-    composite rings the vectors are tuples of ring elements (`_vectors`).
+    (4*delta - gamma^2)*c times eps[1:] and eps[0].  Every vector the steps
+    read or make stays in the format of `_vectors` (over Q an integer image,
+    over every other base a list of raw values): each component of f that
+    the steps read is lifted once before the loop (over Q canonically), the
+    rows and -1 once per iteration, and eps and the stored corrections are
+    made in that format (over Q canonical images, p and r as eps's negated),
+    so no vector is lifted again.  Only a and b are wrapped as ring
+    elements, and only when nonzero, each then appended to x or y as one new
+    component: the coefficient tuples of the earlier components are shared
+    and not checked again, while the small degree -> component dict is
+    copied on each step.
 
     The right-inverse identity is certified once, after the last step, in
     one more product: -L(a_{n+1}, b_{n+1}) = eps of step n, for every step,
-    with L(a, b) = q_X*a + q_Y*b, as an equality of canonical images (of
-    ring elements over composite rings) degree by degree.  L is graded, so
+    with L(a, b) = q_X*a + q_Y*b, as an equality of vectors (over Q of
+    canonical images) degree by degree.  L is graded, so
     the least degree where it fails is n + 2 for the first step n whose
     correction is wrong.
     """
@@ -359,7 +367,7 @@ def normal_form_iteration(f, q, n_steps):
             f"series precision {f.precision} too small for {n_steps} steps"
         )
     ring = f.ring
-    sums, lift, wrap = _vectors(ring)
+    sums, lift, wrap, nonzero = _vectors(ring)
     xs, ys = Series2.x(ring), Series2.y(ring)
     out = [(xs, ys)]
     scalars = lift([(s,) for row in _correction_rows(q) for s in row])
@@ -390,14 +398,13 @@ def normal_form_iteration(f, q, n_steps):
         (eps,) = sums(ring, left, right, [(top + 1, pairs)])
         residuals[top] = eps
         comp = [_apply_row(ring, row, eps) for row in rows]  # a, b, a + gamma*b, delta*b
-        a, b = wrap(comp[0]), wrap(comp[1])
-        in_x, in_y = (any(c.val for c in v) for v in (a, b))
+        in_x, in_y = nonzero(comp[0]), nonzero(comp[1])
         if in_x or in_y:
             comps[n + 1] = (*comp, *_polar(ring, eps))
             if in_x:
-                xs = Series2._of(ring, {**xs.parts, n + 1: a}, xs.precision)
+                xs = Series2._of(ring, {**xs.parts, n + 1: wrap(comp[0])}, xs.precision)
             if in_y:
-                ys = Series2._of(ring, {**ys.parts, n + 1: b}, ys.precision)
+                ys = Series2._of(ring, {**ys.parts, n + 1: wrap(comp[1])}, ys.precision)
         out.append((xs, ys))
     # -q_X = (-gamma, -2) and -q_Y = (-2*delta, -gamma), by X-exponent
     gradient = lift([(-q.gamma, -ring(2)), (-2 * q.delta, -q.gamma)])

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import reprlib
 from collections import defaultdict
-from operator import add, attrgetter, neg, sub
+from operator import add, neg, sub
 
 from .kernels import _product_sums
 from .rings import RingElem, format_terms
@@ -35,7 +35,9 @@ def _graded_sums(ring, sums, prec):
     through degree `prec` (exact when None), all in one packed product.
 
     Each series is packed once per side, component by component, however
-    many pairs it enters; a sum holds the degrees its pairs reach.
+    many pairs it enters; a sum holds the degrees its pairs reach.  The
+    kernel works on raw values: only the nonzero components it returns are
+    wrapped as ring elements.
     """
     vecs, index = ([], []), ({}, {})  # per side: the vectors, and id(series) -> [(degree, position)]
 
@@ -44,7 +46,7 @@ def _graded_sums(ring, sums, prec):
         if got is None:
             degrees = sorted(s.parts)
             got = index[side][id(s)] = [(n, len(vecs[side]) + k) for k, n in enumerate(degrees)]
-            vecs[side].extend([s.parts[n] for n in degrees])
+            vecs[side].extend([[c.val for c in s.parts[n]] for n in degrees])
         return got
 
     top = float("inf") if prec is None else prec
@@ -61,9 +63,12 @@ def _graded_sums(ring, sums, prec):
         degrees = sorted(by_degree)
         shapes.append(degrees)
         outputs.extend([(n + 1, by_degree[n]) for n in degrees])
-    flat = iter(_product_sums(ring, *vecs, outputs))
+    flat, zero = iter(_product_sums(ring, *vecs, outputs)), ring.zero
     # a raw value is falsy exactly when it is zero
-    parts = [{n: v for n, v in zip(degrees, flat) if any(map(attrgetter("val"), v))} for degrees in shapes]
+    parts = [
+        {n: tuple([RingElem(ring, x) if x else zero for x in v]) for n, v in zip(degrees, flat) if any(v)}
+        for degrees in shapes
+    ]
     return [Series2._of(ring, p, prec) for p in parts]
 
 

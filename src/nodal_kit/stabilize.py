@@ -254,6 +254,7 @@ class FiberReport:
     lines_disjoint: bool
     section_jacobian: str
     ok: bool
+    failures: tuple = ()  # each identity that failed, with its value
 
 
 def split_tangent_roots(ring, q):
@@ -315,7 +316,8 @@ def fiber_at_origin(ring, q, charts):
     two disjoint affine lines.  Transversality is certified by the unit
     Jacobian determinant of each meeting pair at its intersection point, and
     smoothness along the lifted section by the u-derivative of the chart-1
-    relation being a unit at x = 0.  ``charts`` is the pair
+    relation being a unit at x = 0; each of these that fails is named in
+    ``failures`` with its value.  ``charts`` is the pair
     ``build_charts(ring, q, 0, 0)`` returns; charts built at any other
     (s, t) raise ValueError.
     """
@@ -343,7 +345,9 @@ def fiber_at_origin(ring, q, charts):
 
     # the product of all component generators is the fiber relation: at s = t = 0
     # it is v(y^2 - gamma*y + delta), and a + b = gamma, ab = delta
-    ok = comp_v * comp_a * comp_b == chart0.relation
+    show = ring.format_elem
+    off = comp_v * comp_a * comp_b - chart0.relation
+    failures = [] if off.is_zero else [f"v*(y-a)*(y-b) = chart-0 relation fails, off by {off.format(('v', 'y'))}"]
 
     points = ((zero, a), (zero, b))
     dets = []
@@ -354,30 +358,29 @@ def fiber_at_origin(ring, q, charts):
         )
         dets.append(jac)
         if not jac.is_unit:
-            ok = False
+            failures.append(f"the Jacobian at (0, {show(pt[1])}) is {show(jac)}, not a unit")
 
     lines_disjoint = (a - b).is_unit
     if not lines_disjoint:
-        ok = False
+        failures.append(f"a - b = {show(a - b)} is not a unit")
 
     section_val = chart1.relation.derivative(0).eval_all((zero, zero))
     if not section_val.is_unit:
-        ok = False
+        failures.append(f"the u-derivative of the chart-1 relation at x = 0 is {show(section_val)}, not a unit")
 
     return FiberReport(
-        roots=(ring.format_elem(a), ring.format_elem(b)),
+        roots=(show(a), show(b)),
         components=(
             comp_v.format(("v", "y")),
             comp_a.format(("v", "y")),
             comp_b.format(("v", "y")),
         ),
-        intersection_points=tuple(
-            (ring.format_elem(p), ring.format_elem(r)) for p, r in points
-        ),
-        transversal_determinants=tuple(ring.format_elem(dd) for dd in dets),
+        intersection_points=tuple((show(p), show(r)) for p, r in points),
+        transversal_determinants=tuple(show(dd) for dd in dets),
         lines_disjoint=lines_disjoint,
-        section_jacobian=ring.format_elem(section_val),
-        ok=ok,
+        section_jacobian=show(section_val),
+        ok=not failures,
+        failures=tuple(failures),
     )
 
 
@@ -401,7 +404,8 @@ def determinant_and_ideal_basis(ring, q, s=None, t=None):
     the basis (u, v, s, t); its determinant is 4*delta - gamma^2.  When that
     value is a unit the inverse matrix (computed by adjugate, valid over any
     ring) certifies that the two quadruples generate the same ideal, each
-    being a unimodular combination of the other.
+    being a unimodular combination of the other.  Each identity that fails
+    is named in ``failures`` with its value.
     """
     g_, d_ = q.gamma, q.delta
     one, zero = ring.one, ring.zero
@@ -413,11 +417,9 @@ def determinant_and_ideal_basis(ring, q, s=None, t=None):
     ]
     det = _det(ring, m)
     expected = d_ * 4 - g_ * g_
-    record = {
-        "determinant": ring.format_elem(det),
-        "matches": det == expected,
-        "ok": det == expected,
-    }
+    show = ring.format_elem
+    failures = [] if det == expected else [f"det = {show(det)}, but 4*delta - gamma^2 = {show(expected)}"]
+    record = {"determinant": show(det), "matches": not failures, "ok": not failures, "failures": failures}
     if s is None or t is None or not expected.is_unit:
         record["basis_certificate"] = "skipped (needs s, t and a unit determinant)"
         return record
@@ -438,6 +440,8 @@ def determinant_and_ideal_basis(ring, q, s=None, t=None):
         for i in range(4)
     ]
     if prod != iden:
+        i, j = next((i, j) for i in range(4) for j in range(4) if prod[i][j] != iden[i][j])
+        failures.append(f"(m*inv)[{i}][{j}] = {show(prod[i][j])}, not {show(iden[i][j])}")
         record["ok"] = False
         record["basis_certificate"] = "inverse verification failed"
         return record
@@ -452,13 +456,12 @@ def determinant_and_ideal_basis(ring, q, s=None, t=None):
         u * g_ + v * d_ + d_ * t,
     ]
     # gens = basis*m and m*inv = I give basis = gens*inv
-    ok = True
+    wrong = []
     for j, gen in enumerate(gens):
-        built = MPoly.zero(ring, 2)
-        for i in range(4):
-            built = built + basis[i] * m[i][j]
-        if built != gen:
-            ok = False
-    record["ok"] = record["ok"] and ok
-    record["basis_certificate"] = "unimodular change of generators verified" if ok else "failed"
+        off = sum((basis[i] * m[i][j] for i in range(4)), MPoly.zero(ring, 2)) - gen
+        if not off.is_zero:
+            wrong.append(f"generator {j} rebuilt from the basis is off by {off.format(('u', 'v'))}")
+    failures += wrong
+    record["ok"] = record["ok"] and not wrong
+    record["basis_certificate"] = "failed" if wrong else "unimodular change of generators verified"
     return record

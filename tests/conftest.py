@@ -6,7 +6,7 @@ from nodal_kit import dp_ring, normal_form
 from nodal_kit.dp_ring import DegreeOverflowError, mul_columns
 from nodal_kit.kernels import _canonical, _sparse_add
 from nodal_kit.linalg import _dense_rows, rank
-from nodal_kit.rings import DualNumbers, LocalTruncation, PrimeField, Rationals, RingElem, TruncatedRing
+from nodal_kit.rings import DualNumbers, LocalTruncation, PrimeField, Rationals, RingElem
 from nodal_kit.series import Series2
 
 
@@ -163,7 +163,7 @@ def perturbed_rows(monkeypatch, row, column):
 
     def perturbed(ring, eps):
         polar = list(real(ring, eps))
-        _, lift, wrap = normal_form._vectors(ring)
+        _, lift, wrap, _ = normal_form._vectors(ring)
         e = wrap(eps)
         vec = list(wrap(polar[row - 4]))
         for k, c in enumerate(e[1:] if column == 0 else e[:1]):
@@ -178,8 +178,8 @@ def perturbed_step(monkeypatch, step, which):
     """Make step `step` of the first iteration run add one to coefficient 0
     of its output `which` of (a, b, a + gamma*b, delta*b): the call of
     `_apply_row` that applies row `which` (each step applies the four rows
-    in order).  Over Q and F_p, where the output is an image (ints, den,
-    bits), by adding den to ints[0]."""
+    in order).  Over Q, where the output is an image (ints, den, bits), by
+    adding den to ints[0]."""
     real, calls = normal_form._apply_row, []
 
     def perturbed(ring, row, v):
@@ -195,10 +195,10 @@ def perturbed_step(monkeypatch, step, which):
 def _plus_one(ring, vec):
     """The vector `vec`, held as `normal_form._vectors` holds it, with one
     added to coefficient 0."""
-    if isinstance(ring, TruncatedRing):
-        return (vec[0] + 1,) + vec[1:]
-    ints, den, _ = vec
-    return _canonical(ring, [ints[0] + den, *ints[1:]], den)
+    if isinstance(ring, Rationals):
+        ints, den, _ = vec
+        return _canonical([ints[0] + den, *ints[1:]], den)
+    return [ring._vadd(vec[0], ring.one.val), *vec[1:]]
 
 
 def perturbed_preimage(monkeypatch, degree):
@@ -260,20 +260,18 @@ def corrupt_division(monkeypatch, part, c):
 
 def pair_loop_sums(ring, left, right, outputs):
     """Reference for the composite branch of `kernels._product_sums`: the
-    pair loop it replaced, on raw values, each coefficient product a
-    `_vmul` and each accumulation a `_vadd`, so every partial sum is
-    normalised."""
-    vadd, vmul, zero = ring._vadd, ring._vmul, ring.zero
-    lraw = [[c.val for c in v] for v in left]
-    rraw = [[(k, c.val) for k, c in enumerate(v) if c.val] for v in right]
+    pair loop it replaced, on vectors of raw values, each coefficient
+    product a `_vmul` and each accumulation a `_vadd`, so every partial sum
+    is normalised; one list of raw values per output."""
+    vadd, vmul = ring._vadd, ring._vmul
     sums = []
     for length, pairs in outputs:
         out = [()] * length
         for i, j in pairs:
-            nb = rraw[j]
-            for k1, x in enumerate(lraw[i]):
+            nb = [(k, y) for k, y in enumerate(right[j]) if y]
+            for k1, x in enumerate(left[i]):
                 if x:
                     for k2, y in nb:
                         out[k1 + k2] = vadd(out[k1 + k2], vmul(x, y))
-        sums.append(tuple([RingElem(ring, v) if v else zero for v in out]))
+        sums.append(out)
     return sums

@@ -442,7 +442,7 @@ def _counterexamples(capsys, *argv):
 
 @pytest.mark.parametrize("degree", [1, 4, 9])
 def test_a_wrong_linearized_increment_fails_the_right_inverse_check(monkeypatch, capsys, degree):
-    # the right inverse certifies q_X*mu + q_Y*nu = f on images, so the fault
+    # the right inverse certifies q_X*mu + q_Y*nu = f on its own vectors, so the fault
     # is planted in mu, where it makes that increment wrong in one degree
     perturbed_preimage(monkeypatch, degree)
     code, failed = _counterexamples(capsys, "normal-form", "--ring", "fp:7", "--gamma", "3", "--delta", "2")
@@ -644,7 +644,8 @@ def test_a_presentation_dependent_dual_action_fails_with_the_difference(monkeypa
     argv = ("dual", "--ring", "fp:7", "--gamma", "3", "--delta", "2", "--s", "1", "--t", "4")
     failed = _failed_by_comparison(capsys, *argv)
     named = "(v-t)*eps(u-s) = (u-s)*eps(v-t) fails, off by 3*X+X*Y"
-    assert failed["dual.presentation-independence"] == named
+    # the hom space's overlap identity is the same one, checked on its own
+    assert failed["dual.presentation-independence"] == failed["dual.hom-space"] == named
 
 
 def test_a_perturbed_relation_fails_the_factorization_and_both_exactness_checks(monkeypatch, capsys):
@@ -689,6 +690,28 @@ def test_a_wrong_adjugate_minor_fails_the_numeric_determinant_check(monkeypatch)
         "determinant": "6 mod 7",
         "basis_certificate": "inverse verification failed",
     }
+    assert records["charts.det4-numeric"].counterexample == "(m*inv)[0][0] = 0 mod 7, not 1 mod 7"
+
+
+def test_a_wrong_determinant_fails_both_determinant_checks_with_its_value(monkeypatch, capsys):
+    # every 4x4 determinant gains 2; over F_7 it stays a unit, 1 = 6 + 2
+    real = stabilize._det
+    monkeypatch.setattr(stabilize, "_det", lambda ring, m: real(ring, m) + 2 if len(m) == 4 else real(ring, m))
+    argv = ("charts", "--ring", "fp:7", "--gamma", "3", "--delta", "2", "--s", "1", "--t", "2")
+    failed = _failed_by_comparison(capsys, *argv)
+    assert failed == {
+        "charts.det4-numeric": "det = 1 mod 7, but 4*delta - gamma^2 = 6 mod 7",
+        "charts.det4-symbolic": "det = 2+4*delta-gamma^2, but 4*delta - gamma^2 = 4*delta-gamma^2",
+    }
+
+
+def test_a_wrong_root_pair_fails_the_fiber_decomposition_with_the_difference(monkeypatch, capsys):
+    # y^2 - 3y + 2 = (y - 1)(y - 2), planted as (y - 1)(y - 3): the lines
+    # still meet v transversally and are disjoint, and the product misses
+    # the chart-0 relation v*(y^2 - 3y + 2) by v*(1 - y)
+    monkeypatch.setattr(stabilize, "split_tangent_roots", lambda ring, q: [ring(1), ring(3)])
+    failed = _failed_by_comparison(capsys, "fiber", "--ring", "q", "--gamma", "3", "--delta", "2")
+    assert failed == {"fiber.decomposition": "v*(y-a)*(y-b) = chart-0 relation fails, off by v-v*y"}
 
 
 def test_a_failing_factorization_fails_every_check_that_needs_it(monkeypatch):

@@ -265,6 +265,12 @@ class TestIncrementalResidual:
                     assert truncated.order() == full.order() == n_steps + 1
 
 
+def _ring_sums(ring, left, right, outputs):
+    """`kernels._product_sums` on vectors of ring elements, each sum a tuple of them."""
+    raw = _product_sums(ring, [[c.val for c in v] for v in left], [[c.val for c in v] for v in right], outputs)
+    return [tuple([RingElem(ring, x) for x in v]) for v in raw]
+
+
 def _per_step_iteration(f, q, n_steps):
     """Reference for the two-product step: each step solves for (mu, nu)
     through the certified right inverse, then forms the stored correction
@@ -285,12 +291,12 @@ def _per_step_iteration(f, q, n_steps):
             pairs.append((len(left), len(right)))
             left.append(f_top)
             right.append(negated[0])
-        (eps,) = _product_sums(ring, left, right, [(top + 1, pairs)])
+        (eps,) = _ring_sums(ring, left, right, [(top + 1, pairs)])
         mu, nu = solve_linearized_increment(q, Series2(ring, {top: eps}))
         m, v = mu.parts.get(n + 1), nu.parts.get(n + 1)
         if m or v:
             zero = (ring.zero,) * (n + 2)
-            comps[n + 1] = _product_sums(
+            comps[n + 1] = _ring_sums(
                 ring,
                 [m or zero, v or zero],
                 negated,
@@ -399,7 +405,7 @@ def test_the_polar_vectors_read_off_eps_are_those_of_the_correction(seed, ring_d
     rnd = random.Random(seed)
     ring = make_ring(ring_desc)
     q = QuadForm.make(ring, *random_unit_disc(ring, rnd))
-    _, lift, wrap = normal_form._vectors(ring)
+    _, lift, wrap, _ = normal_form._vectors(ring)
     scalars = lift([(s,) for row in normal_form._correction_rows(q) for s in row])
     rows = [scalars[k : k + 2] for k in range(0, len(scalars), 2)]
     (eps,) = lift([[ring.random_element(rnd) for _ in range(top + 1)]])
@@ -509,8 +515,8 @@ def test_a_preimage_row_changed_only_in_its_denominator_fails_the_right_inverse(
 
 @pytest.mark.parametrize("n_steps", range(1, 9))
 def test_each_step_makes_one_packed_product_and_the_iteration_one_certificate(monkeypatch, n_steps):
-    # over Q and F_p the steps and the certificate run on images, through
-    # _packed_sums; over composite rings through the pair loop of
+    # over Q the steps and the certificate run on images, through
+    # _packed_sums; over F_p and the composite rings on raw values, through
     # _product_sums; neither makes a Series2 product, and the rows of a
     # step are applied in place, with no kernel call
     calls = {"_packed_sums": 0, "_product_sums": 0, "solve_linearized_increment": 0}
@@ -524,7 +530,7 @@ def test_each_step_makes_one_packed_product_and_the_iteration_one_certificate(mo
 
         monkeypatch.setattr(module, name, counted)
     rnd = random.Random(n_steps)
-    for ring_desc, kernel in (("q", "_packed_sums"), ("fp:7", "_packed_sums"), ("loc:q:s,t:3", "_product_sums")):
+    for ring_desc, kernel in (("q", "_packed_sums"), ("fp:7", "_product_sums"), ("loc:q:s,t:3", "_product_sums")):
         ring = make_ring(ring_desc)
         q = QuadForm.make(ring, *random_unit_disc(ring, rnd))
         for f in (_random_series_over(q, rnd, n_steps + 2), q.series()):
@@ -901,7 +907,7 @@ def _recorded_kernel_calls(monkeypatch):
 
 def _degree(vec):
     """The degree of a component held as an image (ints, den, bits) or as a
-    tuple of ring elements."""
+    list of raw values."""
     return len(vec[0] if isinstance(vec[0], list) else vec) - 1
 
 

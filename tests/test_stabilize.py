@@ -308,6 +308,16 @@ class TestFiber:
         rep = _fiber(QQ, 3, 2)  # y^2 - 3y + 2 = (y - 1)(y - 2)
         assert not rep.ok
         assert rep.lines_disjoint and all(d == "1" for d in rep.transversal_determinants)
+        assert rep.failures == ("v*(y-a)*(y-b) = chart-0 relation fails, off by v-v*y",)
+
+    def test_equal_roots_fail_the_relation_and_the_disjointness(self, monkeypatch):
+        monkeypatch.setattr(stabilize, "split_tangent_roots", lambda ring, q: [QQ(1), QQ(1)])
+        rep = _fiber(QQ, 3, 2)
+        assert not rep.ok and not rep.lines_disjoint
+        assert rep.failures == (
+            "v*(y-a)*(y-b) = chart-0 relation fails, off by -v+v*y",
+            "a - b = 0 is not a unit",
+        )
 
     def test_non_split_rejected(self):
         with pytest.raises(UnsupportedConfigurationError):
