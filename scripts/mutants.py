@@ -26,7 +26,7 @@ import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-NF, KERNELS, DP, MF, STAB = "normal_form.py", "kernels.py", "dp_ring.py", "mf.py", "stabilize.py"
+NF, KERNELS, DP, MF, STAB, CLI = "normal_form.py", "kernels.py", "dp_ring.py", "mf.py", "stabilize.py", "cli.py"
 READ_OFF = "tests/test_normal_form.py::test_the_polar_vectors_read_off_eps_are_those_of_the_correction"
 README_NF = "tests/test_report_digests.py::test_report_digest[normal-form-readme]"
 LOC_DIGEST = "tests/test_report_digests.py::test_report_digest[check-all-loc-q-p5]"
@@ -38,6 +38,8 @@ POWERS = "tests/test_dp_ring.py::TestPowerDecompositions"
 U_SQUARED = "tests/test_dp_ring.py::TestMul::test_u_squared"
 ON_ROWS = "tests/test_dp_ring.py::test_dpelem_operations_on_rows_match_coefficient_lists"
 FP7_RESIDUAL = "tests/test_normal_form.py::test_a_wrong_stored_sum_or_polar_scalar_fails_the_final_residual[2-0-fp:7]"
+DRIFT = "tests/test_cli.py::test_a_drifted_closed_form_fails_the_elimination_check_with_both_relations"
+LAW = "tests/test_cli.py::test_a_wrong_batched_composition_fails_its_law_with_both_components"
 
 # name -> (file, source text, replacement, node ids that must fail)
 MUTANTS = {
@@ -179,6 +181,19 @@ MUTANTS = {
             "tests/test_cli.py::test_a_wrong_root_pair_fails_the_fiber_decomposition_with_the_difference",
             "tests/test_stabilize.py::TestFiber::test_a_wrong_root_pair_fails_the_fiber_relation",
         ],
+    ),    "the chart-0 closed-form comparison": (STAB, "    if rel0 != closed0:\n", "    if False:\n", [f"{DRIFT}[chart0]"]),
+    "the chart-1 closed-form comparison": (STAB, "    if rel1 != closed1:\n", "    if False:\n", [f"{DRIFT}[chart1]"]),
+    "the substitution law check's additivity comparison": (
+        CLI,
+        "            if sums != fs + gs:\n",
+        "            if False:\n",
+        [f"{LAW}[additivity]"],
+    ),
+    "the substitution law check's multiplicativity comparison": (
+        CLI,
+        "            if prods != rhs:\n",
+        "            if False:\n",
+        [f"{LAW}[multiplicativity]"],
     ),
 }
 

@@ -38,7 +38,7 @@ from .rings import (
     _quote,
     make_ring,
 )
-from .series import Series2
+from .series import Series2, substitute_all
 
 DEFAULT_SEED = 20240801
 
@@ -421,8 +421,15 @@ def _charts(res, cfg, rng):
             p = random_poly2(res.ring, rng, max_deg=4)
             base = stabilize.reduce_chart0(chart0, p)
             for _ in range(3):
-                if stabilize.reduce_chart0(chart0, p, rng) != base:
-                    return {"ok": False, "counterexample": f"order-dependent normal form, trial {k}"}
+                if (other := stabilize.reduce_chart0(chart0, p, rng)) != base:
+                    e = (other - base).terms_sorted()[0][0]  # the first monomial where they differ
+                    names = chart0.var_names
+                    mono = MPoly.monomial(res.ring, e).format(names)
+                    why = (
+                        f"order-dependent normal form, trial {k}: p = {_quote(p.format(names))}, coefficient of "
+                        f"{mono} {base.coefficient(e)} in the fixed order, {other.coefficient(e)} in a random one"
+                    )
+                    return {"ok": False, "counterexample": why}
         return {"ok": True, "trials": 20}
 
     def flatness():
@@ -496,6 +503,18 @@ def _ring_axioms(res, cfg, rng):
     return [("rings.axioms", axioms)]
 
 
+def _law_failure(law, k, left, lhs, right, rhs):
+    """The counterexample of a failed substitution law: the two sides'
+    precisions when they differ, else the least degree where the sides
+    differ, with both components."""
+    why = f"{left} is known through degree {lhs.precision}, {right} through {rhs.precision}"
+    if lhs.precision == rhs.precision:
+        n = min(n for n in lhs.parts.keys() | rhs.parts.keys() if lhs.parts.get(n) != rhs.parts.get(n))
+        a, b = (_quote(str(side.homogeneous_part(n))) for side in (lhs, rhs))
+        why = f"in degree {n}, {left} = {a} but {right} = {b}"
+    return {"ok": False, "counterexample": f"{law}, trial {k}: {why}"}
+
+
 def _series_laws(res, cfg, rng):
     ring = res.ring
 
@@ -509,15 +528,15 @@ def _series_laws(res, cfg, rng):
             g = draw()
             sx = draw() + Series2.x(ring, 5)
             sy = draw() + Series2.y(ring, 5)
-            if f.substitute(X, Y) != f:
-                return {"ok": False, "counterexample": f"identity law, trial {k}"}
-            fs, gs = f.substitute(sx, sy), g.substitute(sx, sy)
-            if (f + g).substitute(sx, sy) != fs + gs:
-                return {"ok": False, "counterexample": f"additivity, trial {k}"}
-            lhs = (f * g).substitute(sx, sy)
-            rhs = (fs * gs).truncated(lhs.precision)
-            if lhs != rhs:
-                return {"ok": False, "counterexample": f"multiplicativity, trial {k}"}
+            if (same := f.substitute(X, Y)) != f:
+                return _law_failure("identity law", k, "f(X, Y)", same, "f", f)
+            # one composition with (sx, sy) for all four, the powers of sx and sy formed once
+            fs, gs, sums, prods = substitute_all([f, g, f + g, f * g], sx, sy)
+            if sums != fs + gs:
+                return _law_failure("additivity", k, "(f + g)(sx, sy)", sums, "f(sx, sy) + g(sx, sy)", fs + gs)
+            rhs = (fs * gs).truncated(prods.precision)
+            if prods != rhs:
+                return _law_failure("multiplicativity", k, "(f*g)(sx, sy)", prods, "f(sx, sy)*g(sx, sy)", rhs)
         return {"ok": True, "trials": 8}
 
     return [("series.substitution-laws", laws)]

@@ -5,6 +5,11 @@ value is an exact polynomial); components of higher degree are treated as
 unknown garbage, and arithmetic propagates precision pessimistically so an
 order assertion can never become vacuously true through silent truncation.
 Homogeneous components are dense coefficient vectors indexed by X-exponent.
+
+Products and compositions run on raw values: `_graded_sums` forms sums of
+series products on raw parts, and `substitute_all` composes several series
+with one substituted pair (xs, ys), forming the powers of xs and ys once for
+all of them.  Each result is wrapped as ring elements once.
 """
 
 from __future__ import annotations
@@ -30,23 +35,39 @@ def _min_prec(*ps):
     return min(finite) if finite else None
 
 
-def _graded_sums(ring, sums, prec):
-    """For each list of series pairs (a, b) in `sums`, the series sum of a*b
-    through degree `prec` (exact when None), all in one packed product.
+def _raw(s):
+    """A series' parts as raw values: {degree: list of raw values}."""
+    return {n: [c.val for c in v] for n, v in s.parts.items()}
 
-    Each series is packed once per side, component by component, however
-    many pairs it enters; a sum holds the degrees its pairs reach.  The
-    kernel works on raw values: only the nonzero components it returns are
-    wrapped as ring elements.
+
+def _wrap(ring, raw, prec):
+    """The series known through `prec` whose parts are `raw`, nonzero
+    components as `_graded_sums` returns them: each at or below `prec` is
+    wrapped once, the others are dropped."""
+    zero, top = ring.zero, float("inf") if prec is None else prec
+    # a raw value is falsy exactly when it is zero
+    parts = {n: tuple([RingElem(ring, x) if x else zero for x in v]) for n, v in raw.items() if n <= top}
+    return Series2._of(ring, parts, prec)
+
+
+def _graded_sums(ring, sums, prec):
+    """For each list of pairs (a, b) of raw series in `sums`, the raw series
+    sum of a*b through degree `prec` (exact when None), all in one packed
+    product.
+
+    A raw series is a dict {degree: list of raw values}, as `_raw` makes one.
+    Each is packed once per side, component by component, however many pairs
+    it enters; a sum holds the degrees its pairs reach, less the components
+    that come out zero.
     """
     vecs, index = ([], []), ({}, {})  # per side: the vectors, and id(series) -> [(degree, position)]
 
     def components(s, side):
         got = index[side].get(id(s))
         if got is None:
-            degrees = sorted(s.parts)
+            degrees = sorted(s)
             got = index[side][id(s)] = [(n, len(vecs[side]) + k) for k, n in enumerate(degrees)]
-            vecs[side].extend([[c.val for c in s.parts[n]] for n in degrees])
+            vecs[side].extend([s[n] for n in degrees])
         return got
 
     top = float("inf") if prec is None else prec
@@ -63,13 +84,57 @@ def _graded_sums(ring, sums, prec):
         degrees = sorted(by_degree)
         shapes.append(degrees)
         outputs.extend([(n + 1, by_degree[n]) for n in degrees])
-    flat, zero = iter(_product_sums(ring, *vecs, outputs)), ring.zero
-    # a raw value is falsy exactly when it is zero
-    parts = [
-        {n: tuple([RingElem(ring, x) if x else zero for x in v]) for n, v in zip(degrees, flat) if any(v)}
-        for degrees in shapes
-    ]
-    return [Series2._of(ring, p, prec) for p in parts]
+    flat = iter(_product_sums(ring, *vecs, outputs))
+    return [{n: v for n, v in zip(degrees, flat) if any(v)} for degrees in shapes]
+
+
+def substitute_all(series, xs, ys):
+    """Compose every series in `series` with X = xs, Y = ys.
+
+    The work is shared, as Brent and Kung compose several series with one
+    inner pair ("Fast algorithms for manipulating formal power series",
+    J. ACM 25, 1978): the powers of xs and ys are formed once, one graded sum
+    per step, through the largest precision a result needs (exactly if some
+    result is exact); then every series' rows E_i = sum_j c_ij*ys^j come
+    from one more graded sum and every sum_i xs^i*E_i from a last one, all on
+    raw values.  Both substituted series need order >= 1 (a nonzero constant
+    term would make every output coefficient an infinite sum).  Each result
+    is exact through the minimum of its own precision and those of xs and
+    ys; an empty list gives [], once xs and ys pass the check.
+    """
+    ys = xs._coerce(ys)
+    series = [xs._coerce(f) for f in series]
+    for g, nm in ((xs, "X"), (ys, "Y")):
+        if not g.coefficient(0, 0).is_zero:
+            raise SubstitutionError(f"substitution for {nm} has a constant term")
+    ring, precs = xs.ring, [_min_prec(f.precision, xs.precision, ys.precision) for f in series]
+
+    # per series, c_ij, the raw coefficient of X^i Y^j, as {i: {j: c}} through its precision
+    tables = []
+    for f, prec in zip(series, precs):
+        by_x = {}
+        for n, vec in f.parts.items():
+            if prec is None or n <= prec:
+                for i, c in enumerate(vec):
+                    if c.val:
+                        by_x.setdefault(i, {})[n - i] = c.val
+        tables.append(by_x)
+    top = None if None in precs else max(precs, default=0)
+    top_x = max([i for by_x in tables for i in by_x], default=0)
+    top_y = max([j for by_x in tables for cs in by_x.values() for j in cs], default=0)
+
+    # xs, ys have order >= 1, so only degrees <= top matter
+    one, xr, yr = {0: [ring.one.val]}, _raw(xs), _raw(ys)
+    xp, yp = [one, xr], [one, yr]
+    for k in range(2, max(top_x, top_y) + 1):
+        steps = [[(xp[-1], xr)] if k <= top_x else [], [(yp[-1], yr)] if k <= top_y else []]
+        x_k, y_k = _graded_sums(ring, steps, top)
+        xp.append(x_k)
+        yp.append(y_k)
+    rows = [[({0: [c]}, yp[j]) for j, c in cs.items()] for by_x in tables for cs in by_x.values()]
+    es = iter(_graded_sums(ring, rows, top))
+    sums = [[(xp[i], next(es)) for i in by_x] for by_x in tables]
+    return [_wrap(ring, raw, prec) for raw, prec in zip(_graded_sums(ring, sums, top), precs)]
 
 
 class Series2:
@@ -275,7 +340,8 @@ class Series2:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return _graded_sums(self.ring, [[(self, other)]], _min_prec(self.precision, other.precision))[0]
+        prec = _min_prec(self.precision, other.precision)
+        return _wrap(self.ring, _graded_sums(self.ring, [[(_raw(self), _raw(other))]], prec)[0], prec)
 
     __rmul__ = __mul__
 
@@ -288,40 +354,9 @@ class Series2:
     # --- substitution -------------------------------------------------------
 
     def substitute(self, xs, ys):
-        """Compose: the series evaluated at X = xs, Y = ys.
-
-        Both substituted series need order >= 1 (a nonzero constant term would
-        make every output coefficient an infinite sum).  Exact through the
-        minimum of the three precisions.
-        """
-        xs = self._coerce(xs)
-        ys = self._coerce(ys)
-        for g, nm in ((xs, "X"), (ys, "Y")):
-            if not g.coefficient(0, 0).is_zero:
-                raise SubstitutionError(f"substitution for {nm} has a constant term")
-        prec = _min_prec(self.precision, xs.precision, ys.precision)
-
-        # c_ij, the coefficient of X^i Y^j, as {i: {j: c}} through degree prec
-        by_x = {}
-        for n, vec in self.parts.items():
-            if prec is None or n <= prec:
-                for i, c in enumerate(vec):
-                    if not c.is_zero:
-                        by_x.setdefault(i, {})[n - i] = c
-
-        # xs, ys have order >= 1, so only degrees <= prec matter: their powers one
-        # graded sum per step, then E_i = sum_j c_ij*ys^j, then sum_i xs^i*E_i
-        ring, one = self.ring, Series2.const(self.ring, 1)
-        top_x, top_y = max(by_x, default=0), max([max(cs) for cs in by_x.values()], default=0)
-        xp, yp = [one, xs], [one, ys]
-        for k in range(2, max(top_x, top_y) + 1):
-            steps = [[(xp[-1], xs)] if k <= top_x else [], [(yp[-1], ys)] if k <= top_y else []]
-            x_k, y_k = _graded_sums(ring, steps, prec)
-            xp.append(x_k)
-            yp.append(y_k)
-        rows = [[(Series2.const(ring, c), yp[j]) for j, c in cs.items()] for cs in by_x.values()]
-        es = _graded_sums(ring, rows, prec)
-        return _graded_sums(ring, [[(xp[i], e) for i, e in zip(by_x, es)]], prec)[0]
+        """Compose: the series evaluated at X = xs, Y = ys, exact through the
+        minimum of the three precisions (see `substitute_all`)."""
+        return substitute_all([self], self._coerce(xs), self._coerce(ys))[0]
 
     # --- comparison / display ------------------------------------------------
 

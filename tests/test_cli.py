@@ -714,6 +714,95 @@ def test_a_wrong_root_pair_fails_the_fiber_decomposition_with_the_difference(mon
     assert failed == {"fiber.decomposition": "v*(y-a)*(y-b) = chart-0 relation fails, off by v-v*y"}
 
 
+def _plus_x_squared(series):
+    ring = series.ring
+    return series + Series2(ring, {2: (ring.zero, ring.zero, ring.one)})
+
+
+_MIXED = ("check-all", "--ring", "fp:7", "--gamma", "3", "--delta", "2")
+_CHARTS = ("charts", "--ring", "fp:7", "--gamma", "3", "--delta", "2", "--s", "1", "--t", "2")
+
+
+def test_a_wrong_identity_substitution_fails_the_law_check_in_the_least_degree(monkeypatch, capsys):
+    # f(X, Y) gains X^2; the composition with (sx, sy) is sound
+    real = Series2.substitute
+    monkeypatch.setattr(Series2, "substitute", lambda self, xs, ys: _plus_x_squared(real(self, xs, ys)))
+    assert _failed_by_comparison(capsys, *_MIXED) == {
+        "series.substitution-laws": "identity law, trial 0: in degree 2, f(X, Y) = '2*X^2' but f = 'X^2'"
+    }
+
+
+@pytest.mark.parametrize(
+    "which,named",
+    [
+        (2, "additivity, trial 0: in degree 2, (f + g)(sx, sy) = '6*Y^2+2*X^2' but f(sx, sy) + g(sx, sy) = "
+         "'6*Y^2+X^2'"),
+        (3, "multiplicativity, trial 0: in degree 2, (f*g)(sx, sy) = '6*Y^2+X^2' but f(sx, sy)*g(sx, sy) = '6*Y^2'"),
+    ],    ids=["additivity", "multiplicativity"],
+)
+def test_a_wrong_batched_composition_fails_its_law_with_both_components(monkeypatch, capsys, which, named):
+    # the law check composes [f, g, f + g, f*g] with (sx, sy) in one call;
+    # (f + g)(sx, sy) or (f*g)(sx, sy) gains X^2, and each law names its side
+    real = cli.substitute_all
+
+    def planted(series, xs, ys):
+        out = real(series, xs, ys)
+        out[which] = _plus_x_squared(out[which])
+        return out
+
+    monkeypatch.setattr(cli, "substitute_all", planted)
+    assert _failed_by_comparison(capsys, *_MIXED) == {"series.substitution-laws": named}
+
+
+def test_an_order_dependent_division_fails_confluence_naming_the_monomial(monkeypatch, capsys):
+    # a division in a random order gains v*y: 5*v*y against 6*v*y over F_7
+    real = stabilize.reduce_chart0
+
+    def planted(chart, poly, rng=None):
+        out = real(chart, poly, rng)
+        return out if rng is None else out + MPoly.monomial(chart.relation.ring, (1, 1))
+
+    monkeypatch.setattr(stabilize, "reduce_chart0", planted)
+    failed = _failed_by_comparison(capsys, *_CHARTS)
+    assert failed == {
+        "charts.confluence": "order-dependent normal form, trial 0: "
+        "p = '4*v*y^2+3*v^2*y+y^4+v^3*y+2*v^3*y^2+6*v^2*y^4+4*v^3*y^3+6*v^'… (73 characters), "
+        "coefficient of v*y 5 in the fixed order, 6 in a random one"
+    }
+
+
+@pytest.mark.parametrize(
+    "chart,named",
+    [
+        (
+            "_chart0_closed_form",
+            "ChartMismatchError: chart 0 relation drifted:\n"
+            "  derived: 4+2*v+5*y^2+4*v*y+v*y^2\n  closed:  4+y+2*v+5*y^2+4*v*y+v*y^2",
+        ),
+        (
+            "_chart1_closed_form",
+            "ChartMismatchError: chart 1 relation drifted:\n"
+            "  derived: 6+6*x+u+4*u*x+2*u*x^2\n  closed:  6+x+u+4*u*x+2*u*x^2",
+        ),
+    ],    ids=["chart0", "chart1"],
+)
+def test_a_drifted_closed_form_fails_the_elimination_check_with_both_relations(monkeypatch, capsys, chart, named):
+    # the closed form gains the chart's second variable (y, or 2*x in the
+    # part free of u); every chart check that needs the charts fails with it
+    real = getattr(stabilize, chart)
+
+    def drifted(ring, q, s, t):
+        out = real(ring, q, s, t)
+        if chart == "_chart0_closed_form":
+            return out + MPoly.var(ring, 2, 1)
+        return out[0], out[1] + MPoly.var(ring, 2, 1) * 2
+
+    monkeypatch.setattr(stabilize, chart, drifted)
+    failed = _failed_by_comparison(capsys, *_CHARTS)
+    needs_charts = ["charts.eliminations-match", "charts.confluence", "charts.flatness-basis", "charts.covering-gluing"]
+    assert failed == dict.fromkeys(needs_charts, named)
+
+
 def test_a_failing_factorization_fails_every_check_that_needs_it(monkeypatch):
     def broken(dp):
         raise ArithmeticError("broken identity")

@@ -10,7 +10,16 @@ from nodal_kit.dp_ring import DPRing
 from nodal_kit.kernels import _elements as _image_elements, _images, _packed_sums, _product_sums
 from nodal_kit.normal_form import QuadForm
 from nodal_kit.rings import DualNumbers, PrimeField, Rationals, RingElem, make_ring
-from nodal_kit.series import PrecisionError, Series2, SubstitutionError, _graded_sums, _min_prec
+from nodal_kit.series import (
+    PrecisionError,
+    Series2,
+    SubstitutionError,
+    _graded_sums,
+    _min_prec,
+    _raw as _raw_parts,
+    _wrap,
+    substitute_all,
+)
 
 QQ = Rationals()
 F7 = PrimeField(7)
@@ -409,12 +418,15 @@ def test_graded_sums_match_the_coefficient_loop(data, ring, prec):
     # a few series shared between the pairs, so one series enters several
     # pairs, on either side, in one sum and across sums
     pool = [data.draw(_series(ring, data.draw(st.one_of(st.none(), st.integers(0, 7))))) for _ in range(3)]
-    pair = st.tuples(st.sampled_from(pool), st.sampled_from(pool))
+    pair = st.tuples(st.sampled_from(range(3)), st.sampled_from(range(3)))
     sums = data.draw(st.lists(st.lists(pair, max_size=4), max_size=4))
-    got = _graded_sums(ring, sums, prec)
+    raw = [_raw_parts(s) for s in pool]  # the routine runs on raw parts, one dict per series
+    got = _graded_sums(ring, [[(raw[a], raw[b]) for a, b in pairs] for pairs in sums], prec)
     assert len(got) == len(sums)
-    for pairs, series in zip(sums, got):
-        assert series == _ref_graded_sum(ring, pairs, prec)
+    for pairs, parts in zip(sums, got):
+        assert all(any(v) for v in parts.values())  # no component that came out zero is kept
+        series = _wrap(ring, parts, prec)
+        assert series == _ref_graded_sum(ring, [(pool[a], pool[b]) for a, b in pairs], prec)
         if ring in KERNEL_RINGS:
             assert _canonical(c for vec in series.parts.values() for c in vec)
 
@@ -688,3 +700,35 @@ def test_graded_substitution_matches_the_full_horner(seed, ring, precs):
     if precs[2] is None:
         sy = Series2(ring, sy.parts)
     assert f.substitute(sx, sy) == _ref_substitute(f, sx, sy)
+
+
+def _at(series, prec):
+    """The series truncated to `prec`, or made exact when `prec` is None."""
+    return Series2(series.ring, series.parts) if prec is None else series.truncated(prec)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    ring=st.sampled_from(GRADED_RINGS),
+    precs=st.lists(st.one_of(st.none(), st.integers(1, 7)), min_size=1, max_size=4),
+    inner=st.tuples(*[st.one_of(st.none(), st.integers(1, 7))] * 2),
+)
+def test_substitute_all_matches_the_full_horner_for_every_series(seed, ring, precs, inner):
+    # outer series of mixed precisions share one inner pair, so the powers are
+    # formed through the largest precision any result needs and each result
+    # is cut back to its own
+    rnd = random.Random(seed)
+    series = [_at(_random_series(ring, rnd, 7, zero_const=False), p) for p in precs]
+    sx = _at(Series2.x(ring) + _random_series(ring, rnd, 7), inner[0])
+    sy = _at(Series2.y(ring) + _random_series(ring, rnd, 7), inner[1])
+    got = substitute_all(series, sx, sy)
+    assert len(got) == len(series)
+    for f, g in zip(series, got):
+        assert g == _ref_substitute(f, sx, sy) == f.substitute(sx, sy)
+        assert g.precision == _min_prec(f.precision, sx.precision, sy.precision)
+    assert substitute_all([], sx, sy) == []  # nothing to compose, once the pair passes its check
+    for xs, ys, name in ((sx + 1, sy, "X"), (sx, sy - 1, "Y")):
+        for outer in (series, []):
+            with pytest.raises(SubstitutionError, match=f"^substitution for {name} has a constant term$"):
+                substitute_all(outer, xs, ys)

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from dataclasses import replace
 
 import pytest
@@ -76,6 +77,46 @@ class TestBuildCharts:
     def test_degenerate_rejected(self):
         with pytest.raises(UnsupportedConfigurationError):
             build_charts(QQ, QuadForm.make(QQ, 2, 1), QQ.zero, QQ.zero)
+
+
+@pytest.mark.parametrize("p", [None, 7, 101], ids=["q", "fp7", "fp101"])
+def test_chart_relations_are_the_resultants_of_the_presenting_pairs(p):
+    """Each chart relation against sympy's resultant of its presenting pair,
+    over QQ and GF(p) at random (gamma, delta, s, t) with a unit
+    discriminant.  g0 is monic of degree 1 in u and g1 in v, so the resultant
+    eliminating that generator is the other form at its root, up to sign:
+    the relation `build_charts` derives (chart 1 after its sign
+    normalisation)."""
+    sympy = pytest.importorskip("sympy")
+    u, v, x, y = sympy.symbols("u v x y")
+    ring = QQ if p is None else PrimeField(p)
+    domain = sympy.QQ if p is None else sympy.GF(p)
+    rnd = random.Random(17 if p is None else p)
+
+    def value():
+        return sympy.Rational(rnd.randint(-9, 9), rnd.randint(1, 4) if p is None else 1)
+
+    def lift(c):
+        return ring.from_fraction(Fraction(int(c.p), int(c.q)))
+
+    trials = 0
+    while trials < 8:
+        gamma, delta, s, t = (value() for _ in range(4))
+        if domain.convert(4 * delta - gamma**2) == domain.zero:
+            continue
+        trials += 1
+        # the presenting pairs, chart 0 in (u, v, y) and chart 1 in (u, v, x)
+        f0 = gamma * u + delta * v + delta * t - (u - s) * y
+        g0 = u + s + gamma * t + (v - t) * y
+        f1 = (gamma * u + delta * v + delta * t) * x - (u - s)
+        g1 = (u + s + gamma * t) * x + (v - t)
+        charts = build_charts(ring, QuadForm.make(ring, lift(gamma), lift(delta)), lift(s), lift(t))
+        pairs = [(f0, g0, u, (v, y)), (f1, g1, v, (u, x))]
+        for chart, (f, g, gen, names) in zip(charts, pairs):
+            resultant = sympy.Poly(sympy.resultant(f, g, gen, *names, domain=domain), *names, domain=domain)
+            terms = {e: sympy.Rational(str(c)) for e, c in chart.relation.terms_sorted()}
+            relation = sympy.Poly.from_dict(terms, *names, domain=domain)
+            assert resultant in (relation, -relation), (chart.chart_id, gamma, delta, s, t)
 
 
 class TestReduceChart0:
