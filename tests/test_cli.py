@@ -738,7 +738,8 @@ def test_a_wrong_identity_substitution_fails_the_law_check_in_the_least_degree(m
         (2, "additivity, trial 0: in degree 2, (f + g)(sx, sy) = '6*Y^2+2*X^2' but f(sx, sy) + g(sx, sy) = "
          "'6*Y^2+X^2'"),
         (3, "multiplicativity, trial 0: in degree 2, (f*g)(sx, sy) = '6*Y^2+X^2' but f(sx, sy)*g(sx, sy) = '6*Y^2'"),
-    ],    ids=["additivity", "multiplicativity"],
+    ],
+    ids=["additivity", "multiplicativity"],
 )
 def test_a_wrong_batched_composition_fails_its_law_with_both_components(monkeypatch, capsys, which, named):
     # the law check composes [f, g, f + g, f*g] with (sx, sy) in one call;
@@ -784,7 +785,8 @@ def test_an_order_dependent_division_fails_confluence_naming_the_monomial(monkey
             "ChartMismatchError: chart 1 relation drifted:\n"
             "  derived: 6+6*x+u+4*u*x+2*u*x^2\n  closed:  6+x+u+4*u*x+2*u*x^2",
         ),
-    ],    ids=["chart0", "chart1"],
+    ],
+    ids=["chart0", "chart1"],
 )
 def test_a_drifted_closed_form_fails_the_elimination_check_with_both_relations(monkeypatch, capsys, chart, named):
     # the closed form gains the chart's second variable (y, or 2*x in the

@@ -685,26 +685,20 @@ def _ref_substitute(f, xs, ys):
     return Series2(result.ring, result.parts, prec)
 
 
+def _at(series, prec):
+    """The series truncated to `prec`, or made exact when `prec` is None."""
+    return Series2(series.ring, series.parts) if prec is None else series.truncated(prec)
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 10**6), ring=st.sampled_from(GRADED_RINGS), precs=st.tuples(
     *[st.one_of(st.none(), st.integers(1, 7))] * 3))
 def test_graded_substitution_matches_the_full_horner(seed, ring, precs):
     rnd = random.Random(seed)
-    f = _random_series(ring, rnd, 7, zero_const=False).truncated(precs[0])
-    if precs[0] is None:
-        f = Series2(ring, f.parts)
-    sx = (Series2.x(ring) + _random_series(ring, rnd, 7)).truncated(precs[1])
-    sy = (Series2.y(ring) + _random_series(ring, rnd, 7)).truncated(precs[2])
-    if precs[1] is None:
-        sx = Series2(ring, sx.parts)
-    if precs[2] is None:
-        sy = Series2(ring, sy.parts)
+    f = _at(_random_series(ring, rnd, 7, zero_const=False), precs[0])
+    sx = _at(Series2.x(ring) + _random_series(ring, rnd, 7), precs[1])
+    sy = _at(Series2.y(ring) + _random_series(ring, rnd, 7), precs[2])
     assert f.substitute(sx, sy) == _ref_substitute(f, sx, sy)
-
-
-def _at(series, prec):
-    """The series truncated to `prec`, or made exact when `prec` is None."""
-    return Series2(series.ring, series.parts) if prec is None else series.truncated(prec)
 
 
 @settings(max_examples=40, deadline=None)
