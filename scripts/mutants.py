@@ -2,13 +2,16 @@
 """Mutation guard: every internal certificate must be load-bearing.
 
 Each entry of MUTANTS is (file under src/nodal_kit, exact source text,
-replacement, the pytest node ids that must fail).  For each entry the script
-copies src/ to a temporary directory, replaces the text, which must occur in
-the file exactly once, and runs the named tests against the copy with
-`-x -q`, in the order given: the mutant is killed when one fails, so a
-quick deterministic test goes first and a property test, which would shrink
-its counterexample, after it.  The unmutated tree must pass
-every named test first.  The script exits 1 when the unmutated tree fails,
+replacement, the pytest node ids that must fail).  The script copies src/ to
+a temporary directory once and compiles it there, with bytecode checked
+against each source's hash, and checks once that the package is imported
+from that copy.  For each entry it copies that compiled tree, replaces the
+text, which must occur in the file exactly once (so only that file is
+compiled again), and runs the named tests against the copy with `-x -q`, in
+the order given: the mutant is killed when one fails, so a quick
+deterministic test goes first and a property test, which would shrink its
+counterexample, after it.  The unmutated copy must pass every named test
+first.  The script exits 1 when the unmutated tree fails,
 when a source text is missing or not unique (so a refactor that moves the
 code must update the table), or when a mutant survives.  Method: mutation
 analysis (DeMillo, Lipton and Sayward, "Hints on test data selection",
@@ -17,7 +20,9 @@ Computer, 1978).
     python scripts/mutants.py
 """
 
+import compileall
 import os
+import py_compile
 import shutil
 import subprocess
 import sys
@@ -27,6 +32,7 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 NF, KERNELS, DP, MF, STAB, CLI = "normal_form.py", "kernels.py", "dp_ring.py", "mf.py", "stabilize.py", "cli.py"
+RINGS = "rings.py"
 READ_OFF = "tests/test_normal_form.py::test_the_polar_vectors_read_off_eps_are_those_of_the_correction"
 README_NF = "tests/test_report_digests.py::test_report_digest[normal-form-readme]"
 LOC_DIGEST = "tests/test_report_digests.py::test_report_digest[check-all-loc-q-p5]"
@@ -184,6 +190,15 @@ MUTANTS = {
     ),
     "the chart-0 closed-form comparison": (STAB, "    if rel0 != closed0:\n", "    if False:\n", [f"{DRIFT}[chart0]"]),
     "the chart-1 closed-form comparison": (STAB, "    if rel1 != closed1:\n", "    if False:\n", [f"{DRIFT}[chart1]"]),
+    "the reduction mod p of the compiled tower product": (
+        RINGS,
+        'mul = [f"n{k} = ({s}) % p" for k, s in enumerate(sums)]',
+        'mul = [f"n{k} = {s}" for k, s in enumerate(sums)]',
+        [
+            "tests/test_report_digests.py::test_report_digest[check-all-loc-fp7]",
+            "tests/test_truncated_rings.py::test_values_over_fp_are_canonical[dual:fp:7]",
+        ],
+    ),
     "the substitution law check's additivity comparison": (
         CLI,
         "            if sums != fs + gs:\n",
@@ -199,29 +214,38 @@ MUTANTS = {
 }
 
 
+def _env(src):
+    return dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
+
+
 def run_tests(src, ids):
     """Run the node ids against the package under `src`; True when they pass."""
-    env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
-    where = subprocess.run(
-        [sys.executable, "-c", "import nodal_kit; print(nodal_kit.__file__)"],
-        env=env, capture_output=True, text=True, check=True,
-    ).stdout.strip()
-    if not where.startswith(src):
-        sys.exit(f"nodal_kit was imported from {where}, not from {src}")
     cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *ids]
-    return subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True).returncode == 0
+    return subprocess.run(cmd, cwd=ROOT, env=_env(src), capture_output=True).returncode == 0
 
 
 def main():
     start, bad = time.perf_counter(), 0
     all_ids = sorted({i for *_, ids in MUTANTS.values() for i in ids})
-    if not run_tests(os.path.join(ROOT, "src"), all_ids):
-        print("FAIL the unmutated tree fails the named tests")
-        return 1
     with tempfile.TemporaryDirectory() as tmp:
+        # src/ compiled once, with bytecode checked against each source's hash:
+        # a mutant's copy keeps it, and only its mutated file, whose hash
+        # differs, is compiled again by each interpreter
+        pristine = os.path.join(tmp, "pristine")
+        shutil.copytree(os.path.join(ROOT, "src"), pristine, ignore=shutil.ignore_patterns("__pycache__"))
+        compileall.compile_dir(pristine, quiet=1, invalidation_mode=py_compile.PycInvalidationMode.CHECKED_HASH)
+        where = subprocess.run(
+            [sys.executable, "-c", "import nodal_kit; print(nodal_kit.__file__)"],
+            env=_env(pristine), capture_output=True, text=True, check=True,
+        ).stdout.strip()
+        if not where.startswith(pristine):
+            sys.exit(f"nodal_kit was imported from {where}, not from the copy {pristine}")
+        if not run_tests(pristine, all_ids):
+            print("FAIL the unmutated tree fails the named tests")
+            return 1
         for name, (path, text, replacement, ids) in MUTANTS.items():
             src = os.path.join(tmp, name.replace(" ", "-").replace("/", "-"))
-            shutil.copytree(os.path.join(ROOT, "src"), src, ignore=shutil.ignore_patterns("__pycache__"))
+            shutil.copytree(pristine, src)
             target = os.path.join(src, "nodal_kit", path)
             with open(target) as fh:
                 code = fh.read()

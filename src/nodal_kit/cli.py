@@ -476,6 +476,11 @@ def _fiber(res, cfg, rng):
 
 
 def _ring_axioms(res, cfg, rng):
+    def failure(law, ring, **elems):
+        """The law, the ring and the offending elements, each quoted."""
+        named = ", ".join(f"{name} = {_quote(str(x))}" for name, x in elems.items())
+        return {"ok": False, "counterexample": f"{law} in {ring}: {named}"}
+
     def axioms():
         rings = [res.ring, res.dual]
         for ring in rings:
@@ -484,20 +489,20 @@ def _ring_axioms(res, cfg, rng):
                 b = ring.random_element(rng)
                 c = ring.random_element(rng)
                 if (a + b) * c != a * c + b * c:
-                    return {"ok": False, "counterexample": f"distributivity in {ring}"}
+                    return failure("distributivity", ring, a=a, b=b, c=c)
                 if (a * b) * c != a * (b * c):
-                    return {"ok": False, "counterexample": f"associativity in {ring}"}
+                    return failure("associativity", ring, a=a, b=b, c=c)
                 if a * b != b * a:
-                    return {"ok": False, "counterexample": f"commutativity in {ring}"}
+                    return failure("commutativity", ring, a=a, b=b)
                 inv = a.try_invert()
                 if a.is_unit:
                     if inv is None or inv * a != ring.one:
-                        return {"ok": False, "counterexample": f"inversion in {ring}"}
+                        return failure("inversion", ring, a=a, inverse=inv)
                 elif inv is not None:
-                    return {"ok": False, "counterexample": f"non-unit inverted in {ring}"}
+                    return failure("non-unit inverted", ring, a=a, inverse=inv)
         eps = res.dual.eps
         if not (eps * eps).is_zero:
-            return {"ok": False, "counterexample": "eps^2 != 0"}
+            return failure("eps^2 = 0", res.dual, eps_squared=eps * eps)
         return {"ok": True, "rings": [r.descriptor() for r in rings]}
 
     return [("rings.axioms", axioms)]

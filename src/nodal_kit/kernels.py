@@ -14,8 +14,11 @@ here, in one of three kernels:
   `_vmul` and tested for zero by truth value;
 - over Q and F_p, the packed kernel on integer vectors over one denominator;
 - over the composite rings, the pair loop on integer numerators, each side
-  over one denominator, each product walking the ring's index map and each
-  output coefficient normalised once (`TruncatedRing._norm`).
+  over one denominator, each coefficient product accumulated by the ring's
+  multiply-accumulate `_mac` and each output coefficient normalised once
+  (`TruncatedRing._norm`).  `_mac` is straight-line code compiled from the
+  ring's index map when the map has at most `rings._COMPILE_MAX_ENTRIES`
+  entries, and otherwise a loop over the map that skips zero coefficients.
 """
 
 from __future__ import annotations
@@ -127,11 +130,11 @@ def _side(ring, vecs):
 def _tower_side(vecs):
     """A side of the composite pair loop, over one denominator, the lcm of
     its values': each vector of raw values as its nonzero coefficients
-    (index, integer numerators).  A value already over that denominator
-    keeps its raw tuple, whose trailing denominator the loop never reads."""
+    (index, value), each value written over that denominator in the raw
+    layout, whose trailing denominator the loop never reads."""
     den = lcm(*{x[-1] for v in vecs for x in v if x})
     return [
-        [(k, x if x[-1] == den else [a * (den // x[-1]) for a in x[:-1]]) for k, x in enumerate(v) if x] for v in vecs
+        [(k, x if x[-1] == den else [a * (den // x[-1]) for a in x]) for k, x in enumerate(v) if x] for v in vecs
     ], den
 
 
@@ -239,11 +242,11 @@ def _product_sums(ring, left, right, outputs):
     (over F_p inline, mod p), so no output image is made canonical.  Over
     composite rings each side is brought to one denominator too
     (`_tower_side`), each output coefficient's integer numerators are
-    accumulated through the ring's index map over the product of the two,
-    and each is normalised once, by one `_norm`.
+    accumulated by the ring's `_mac` over the product of the two, and each
+    is normalised once, by one `_norm`.
     """
     if isinstance(ring, TruncatedRing):
-        rows, size, norm = ring._rows, len(ring._monos), ring._norm
+        mac, size, norm = ring._mac, len(ring._monos), ring._norm
         lnums, lden = _tower_side(left)
         rnums, rden = _tower_side(right)
         den, sums = lden * rden, []
@@ -256,12 +259,7 @@ def _product_sums(ring, left, right, outputs):
                         out = acc[k1 + k2]
                         if out is None:
                             out = acc[k1 + k2] = [0] * size
-                        for a, row in zip(x, rows):
-                            if a:
-                                for m, k in row:
-                                    b = y[m]
-                                    if b:
-                                        out[k] += a * b
+                        mac(out, x, y)
             sums.append([norm(nums, den) if nums else () for nums in acc])
         return sums
     cuts, base, den = _slots(_side(ring, left), _side(ring, right), outputs)

@@ -60,7 +60,8 @@ class QuadForm:
 
     def apply_series(self, xs, ys, minus=None):
         """q(xs, ys) for series arguments, less the series `minus` when one is
-        given, known through the least precision of the arguments.
+        given, known through the least precision of the arguments.  Series
+        over another ring than the form's are refused with a ValueError.
 
         With v_k = (x_k, y_k) the degree-k components and the polar form
         B(v, w) = q(v + w) - q(v) - q(w) = x*(2x' + gamma*y') + y*(gamma*x' + 2*delta*y'),
@@ -83,6 +84,8 @@ class QuadForm:
         output is dropped before wrapping.
         """
         ring = self.ring
+        if any(s is not None and s.ring != ring for s in (xs, ys, minus)):
+            raise ValueError("mixed coefficient rings")
         prec = _min_prec(xs.precision, ys.precision, None if minus is None else minus.precision)
         top = float("inf") if prec is None else prec
         sums, lift, wrap, nonzero = _vectors(ring)

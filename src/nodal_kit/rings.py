@@ -426,6 +426,78 @@ def _comb_capped(n, k, cap):
     return c
 
 
+# Index maps of at most this many entries are compiled into straight-line
+# kernels; larger ones keep the loops, whose zero tests skip the many zero
+# coefficients of a wide ring's values.  Measured in process, check-all at
+# precision 5, best of 3 (2 vCPU, Python 3.11), loops against compiled:
+# loc:q:s,t:6 (126 entries) 0.17 -> 0.14 s, loc:q:s,t:10 (715) 0.35 -> 0.51 s.
+_COMPILE_MAX_ENTRIES = 128
+
+# (index map, p or None over Q) -> its compiled (multiply, add,
+# multiply-accumulate), shared by every ring with that map and field
+_COMPILED = {}
+
+
+def _compile_kernels(rows, p):
+    """The multiply, add and multiply-accumulate of `TruncatedRing` over the
+    index map `rows` (for each monomial i, the pairs (j, k) with
+    m_i * m_j = m_k) as straight-line code, over F_p when p is given, else
+    over Q.  The source holds integer indices and fixed templates only; p and
+    gcd reach it as arguments.
+
+    The multiply and the add normalise as `TruncatedRing._norm` does: mod p
+    over F_p, and over Q by one gcd with the denominator, none when it is 1;
+    the add sums numerators directly when both denominators are equal.  The
+    multiply-accumulate mac(out, x, y) adds the products of the numerators of
+    x and y into the list out, unreduced; x and y are in the raw layout, but
+    their denominators are not read.
+    """
+    n = len(rows)
+    terms = [[] for _ in rows]
+    for i, row in enumerate(rows):
+        for j, k in row:
+            terms[k].append(f"x{i} * y{j}")
+    sums = [" + ".join(t) for t in terms]
+    xs, ys, nums = (", ".join(f"{v}{i}" for i in range(n)) for v in "xyn")
+    nonzero = " or ".join(f"n{i}" for i in range(n))
+    if p is None:
+        # the value of the numerators n_i over the denominator d, as `_norm` makes it
+        tail = [
+            f"if not ({nonzero}):",
+            "    return ()",
+            "if d != 1:",
+            f"    g = gcd(d, {nums})",
+            "    if g != 1:",
+            "        return (" + ", ".join(f"n{i} // g" for i in range(n)) + ", d // g)",
+            f"return ({nums}, d)",
+        ]
+        mul = [f"n{k} = {s}" for k, s in enumerate(sums)] + ["d = dx * dy"]
+        add = (
+            ["if dx == dy:"]
+            + [f"    n{i} = x{i} + y{i}" for i in range(n)]
+            + ["    d = dx", "else:"]
+            + [f"    n{i} = x{i} * dy + y{i} * dx" for i in range(n)]
+            + ["    d = dx * dy"]
+        )
+    else:
+        tail = [f"if {nonzero}:", f"    return ({nums}, 1)", "return ()"]
+        mul = [f"n{k} = ({s}) % p" for k, s in enumerate(sums)]
+        add = [f"n{i} = (x{i} + y{i}) % p" for i in range(n)]
+    functions = {
+        "mul(x, y)": ["if not x or not y:", "    return ()", f"{xs}, dx = x", f"{ys}, dy = y", *mul, *tail],
+        "add(x, y)": ["if not x:", "    return y", "if not y:", "    return x", f"{xs}, dx = x", f"{ys}, dy = y",
+                      *add, *tail],
+        "mac(out, x, y)": [f"{xs}, _ = x", f"{ys}, _ = y", *[f"out[{k}] += {s}" for k, s in enumerate(sums)]],
+    }
+    lines = ["def make(p, gcd):"]
+    for head, body in functions.items():
+        lines += [f"    def {head}:", *["        " + line for line in body]]
+    source = "\n".join([*lines, "    return mul, add, mac"])
+    namespace = {}
+    exec(compile(source, "<tower kernels>", "exec"), namespace)
+    return namespace["make"](p, gcd)
+
+
 class TruncatedRing(Ring):
     """field[x1..xn] modulo the monomials past some group's order.
 
@@ -437,9 +509,13 @@ class TruncatedRing(Ring):
     and so on, so monomial 0 is the constant.  Over both fields a value is
     integer numerators, one per monomial, then one positive denominator
     coprime to them all: residues in [0, p) over 1 over F_p.  Zero is (), so
-    equality is structural and only zero is falsy; `_norm` alone knows the
-    field.  A product walks a fixed index map: for each monomial i, the pairs
-    (j, k) with m_i * m_j = m_k.  An element prints as a sum over this
+    equality is structural and only zero is falsy; `_norm` and the compiled
+    kernels alone know the field.  A product follows a fixed index map: for
+    each monomial i, the pairs (j, k) with m_i * m_j = m_k.  A map of at most
+    `_COMPILE_MAX_ENTRIES` entries is compiled on first use into straight-line
+    code, a multiply, an add and a multiply-accumulate with no loop and no
+    per-entry branch (`_kernels`); a larger one is walked by loops that skip
+    zero coefficients.  An element prints as a sum over this
     level's variables `var_names` with base-ring coefficients.  Subclasses add
     the per-kind interface: the variable names, parsing atoms and the report
     format `format_elem`.
@@ -533,7 +609,24 @@ class TruncatedRing(Ring):
     def from_fraction(self, fr):
         return RingElem(self, self._const(self.field.from_fraction(fr).val))
 
-    def _vadd(self, x, y):
+    @cached_property
+    def _kernels(self):
+        """(multiply, add, multiply-accumulate): compiled on first use, once
+        per index map and field for the whole process (`_compile_kernels`),
+        or the loops below for a map past `_COMPILE_MAX_ENTRIES` entries."""
+        if sum(map(len, self._rows)) > _COMPILE_MAX_ENTRIES:
+            return self._loop_mul, self._loop_add, self._loop_mac
+        key = (tuple(map(tuple, self._rows)), self._p)
+        if key not in _COMPILED:
+            _COMPILED[key] = _compile_kernels(self._rows, self._p)
+        return _COMPILED[key]
+
+    # each kernel is bound to the instance on first use, then read from it directly
+    _vmul = cached_property(lambda self: self._kernels[0])
+    _vadd = cached_property(lambda self: self._kernels[1])
+    _mac = cached_property(lambda self: self._kernels[2])
+
+    def _loop_add(self, x, y):
         if not x:
             return y
         if not y:
@@ -546,17 +639,21 @@ class TruncatedRing(Ring):
     def _vneg(self, x):
         return self._norm([-a for a in x[:-1]], x[-1]) if x else x
 
-    def _vmul(self, x, y):
+    def _loop_mul(self, x, y):
         if not x or not y:
             return ()
         out = [0] * len(self._monos)
+        self._loop_mac(out, x, y)
+        return self._norm(out, x[-1] * y[-1])
+
+    def _loop_mac(self, out, x, y):
+        """out += x * y on the numerators of x and y, unreduced, walking the index map."""
         for a, row in zip(x, self._rows):
             if a:
                 for j, k in row:
                     b = y[j]
                     if b:
                         out[k] += a * b
-        return self._norm(out, x[-1] * y[-1])
 
     def _scale(self, x, c):
         """x times a raw field value."""

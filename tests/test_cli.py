@@ -1,14 +1,16 @@
+import ast
 import contextlib
 import io
 import json
 import random
+import re
 import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import corrupt_division, corrupt_power_rows, perturbed_preimage, perturbed_rows, perturbed_step
-from nodal_kit import cli, mf, normal_form, stabilize
+from nodal_kit import cli, mf, normal_form, rings, stabilize
 from nodal_kit.dp_ring import DPElem, DPRing
 from nodal_kit.mpoly import MPoly
 from nodal_kit.reporting import CheckRecord, Report
@@ -612,6 +614,37 @@ def _failed_by_comparison(capsys, *argv):
     code, out, err = run_cli(capsys, *argv, "--format", "structured")
     assert code == 1 and err == ""
     return {c["name"]: c.get("counterexample") for c in json.loads(out)["checks"] if c["status"] == "fail"}
+
+
+def test_a_dropped_index_map_entry_fails_the_ring_axioms_naming_the_elements(monkeypatch, capsys):
+    # every compiled product loses the entry m_1 * m_0 -> m_1: over
+    # loc:q:s,t:3, 1 * s is s but s * 1 is 0
+    compile_kernels = rings._compile_kernels
+
+    def dropped(rows, p):
+        rows = [list(row) for row in rows]
+        del rows[1][0]
+        return compile_kernels(rows, p)
+
+    monkeypatch.setattr(rings, "_COMPILED", {})
+    monkeypatch.setattr(rings, "_compile_kernels", dropped)
+    argv = ["--ring", "loc:q:s,t:3", "--s", "s", "--t", "t", "--gamma", "3", "--delta", "1"]
+    failed = _failed_by_comparison(capsys, "check-all", *argv)
+    monkeypatch.undo()
+    law, _, named = failed["rings.axioms"].partition(" in loc:q:s,t:3: ")
+    ring = rings.make_ring("loc:q:s,t:3")
+    elems = [ring.parse_elem(ast.literal_eval(quoted)).val for quoted in re.findall(r"[abc] = ('[^']*')", named)]
+    mul, add, _ = dropped(ring._rows, None)
+    if law == "associativity":
+        a, b, c = elems
+        assert mul(mul(a, b), c) != mul(a, mul(b, c))
+    elif law == "commutativity":
+        a, b = elems
+        assert mul(a, b) != mul(b, a)
+    else:
+        assert law == "distributivity"
+        a, b, c = elems
+        assert mul(add(a, b), c) != add(mul(a, c), mul(b, c))
 
 
 def test_an_expand_that_drops_the_x_part_fails_the_roundtrip_naming_both_forms(monkeypatch, capsys):

@@ -891,6 +891,24 @@ def test_polar_apply_series_matches_the_ordered_double_loop(data, ring_desc, see
     assert q.apply_series(xs, ys, minus) == naive_apply_series(q, xs, ys, minus)
 
 
+@pytest.mark.parametrize(
+    "form_ring, series_ring",
+    [("fp:7", "fp:5"), ("q", "loc:q:s,t:3"), ("fp:7", "dual:fp:7")],
+    ids=["fp:7-over-fp:5", "q-over-loc:q:s,t:3", "fp:7-over-dual:fp:7"],
+)
+def test_apply_series_refuses_series_over_another_ring(form_ring, series_ring):
+    # before, the first returned Y^2+5*X*Y+2*X^2 over fp:7, the second raised
+    # ZeroDivisionError and the third TypeError
+    q = QuadForm.make(make_ring(form_ring), 3, 2)
+    other = make_ring(series_ring)
+    xs, ys = Series2.x(other).scale(other(4)), Series2.y(other)
+    own = Series2.x(q.ring), Series2.y(q.ring)
+    for args in ((xs, ys), (own[0], ys), (xs, own[1]), (*own, xs)):
+        with pytest.raises(ValueError, match="^mixed coefficient rings$"):
+            q.apply_series(*args)
+    assert q.apply_series(*own) == q.series()
+
+
 def _recorded_kernel_calls(monkeypatch):
     """Record (left, right, outputs) of every kernel call normal_form makes."""
     calls = []

@@ -9,6 +9,8 @@ values themselves, read through `flat_terms` as {exponents over the tower:
 raw field value}.
 """
 
+import functools
+import itertools
 import math
 import random
 import re
@@ -307,6 +309,60 @@ def test_flat_arithmetic_matches_the_nested_reference(descriptor, seed, atom):
             assert a.try_invert() == inv
 
 
+# --- the compiled kernels: rings on both sides of the size cutoff, each with
+# its nested reference; past the cutoff the ring keeps the loops, and the
+# kernels are compiled here all the same, to test the generated code there too
+
+PAST_CUTOFF = {
+    "dual:loc:fp:7:s,t:6": RefDualNumbers(RefLocalTruncation(F7, ("s", "t"), 6)),  # 378 entries
+    "loc:q:s,t:10": RefLocalTruncation(QQ, ("s", "t"), 10),  # 715
+}
+CUTOFF_REFERENCES = {
+    "dual:fp:7": REFERENCES["dual:fp:7"],  # 3 entries
+    "loc:q:s,t:3": REFERENCES["loc:q:s,t:3"],  # 15
+    "loc:dual:q:s,t:3": REFERENCES["loc:dual:q:s,t:3"],  # 45
+    "loc:q:s,t:6": RefLocalTruncation(QQ, ("s", "t"), 6),  # 126, the largest map below the cutoff here
+    **PAST_CUTOFF,
+}
+
+
+@functools.cache
+def _compiled(descriptor):
+    ring = make_ring(descriptor)
+    return rings._compile_kernels(ring._rows, ring._p)
+
+
+@pytest.mark.parametrize("descriptor", list(CUTOFF_REFERENCES))
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_compiled_kernels_match_the_loops_and_the_nested_reference(descriptor, seed):
+    ring, ref = make_ring(descriptor), CUTOFF_REFERENCES[descriptor]
+    past = sum(map(len, ring._rows)) > rings._COMPILE_MAX_ENTRIES
+    assert past is (descriptor in PAST_CUTOFF)
+    assert (ring._vmul == ring._loop_mul) is past  # the ring's own product is compiled below the cutoff
+    mul, add, mac = _compiled(descriptor)
+    (x, rx), (y, ry), (z, rz) = _draw(ring, ref, seed, 3)
+    values = [(x, rx), (y, ry), (x * y * z, rx * ry * rz), (-z, -rz), (ring.zero, ref.zero)]
+    for (a, ra), (b, rb) in itertools.product(values, repeat=2):
+        product, total = _flatten(ra * rb), _flatten(ra + rb)
+        for times, plus in ((mul, add), (ring._loop_mul, ring._loop_add), (ring._vmul, ring._vadd)):
+            for got, want in ((times(a.val, b.val), product), (plus(a.val, b.val), total)):
+                got = RingElem(ring, got)
+                _canonical(got)
+                assert ring.flat_terms(got) == want
+        if a and b:
+            # the accumulators read lists too, and over Q a value over any denominator
+            variants = [(a.val, b.val), (list(a.val), list(b.val))]
+            if ring._p is None:
+                variants.append(([3 * k for k in a.val], b.val))
+            for u, v in variants:
+                sums = [[1] * len(ring._monos) for _ in range(2)]
+                mac(sums[0], u, v)
+                ring._loop_mac(sums[1], u, v)
+                assert sums[0] == sums[1]
+                assert ring._norm([s - 1 for s in sums[0]], u[-1] * v[-1]) == mul(a.val, b.val)
+
+
 TOWERS = [
     "dual:q",
     "loc:fp:5:s:4",
@@ -551,7 +607,7 @@ def _tower_outputs(rnd, left, right):
     return outputs
 
 
-@pytest.mark.parametrize("descriptor", list(REFERENCES))
+@pytest.mark.parametrize("descriptor", [*REFERENCES, *PAST_CUTOFF])
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_product_sums_match_the_pair_loop(descriptor, seed):
