@@ -10,8 +10,9 @@ text, which must occur in the file exactly once (so only that file is
 compiled again), and runs the named tests against the copy with `-x -q`, in
 the order given: the mutant is killed when one fails, so a quick
 deterministic test goes first and a property test, which would shrink its
-counterexample, after it.  The unmutated copy must pass every named test
-first.  The script exits 1 when the unmutated tree fails,
+counterexample, after it.  Two mutants run at a time (one where there is a
+single CPU), and their verdicts print in table order.  The unmutated copy
+must pass every named test first.  The script exits 1 when the unmutated tree fails,
 when a source text is missing or not unique (so a refactor that moves the
 code must update the table), or when a mutant survives.  Method: mutation
 analysis (DeMillo, Lipton and Sayward, "Hints on test data selection",
@@ -28,6 +29,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -224,6 +226,23 @@ def run_tests(src, ids):
     return subprocess.run(cmd, cwd=ROOT, env=_env(src), capture_output=True).returncode == 0
 
 
+def run_mutant(tmp, pristine, name, path, text, replacement, ids):
+    """(verdict line, killed) of one mutant, on its own copy of the compiled tree."""
+    src = os.path.join(tmp, name.replace(" ", "-").replace("/", "-"))
+    shutil.copytree(pristine, src)
+    target = os.path.join(src, "nodal_kit", path)
+    with open(target) as fh:
+        code = fh.read()
+    if code.count(text) != 1:
+        return f"FAIL {name}: the source text occurs {code.count(text)} times in {path}", False
+    with open(target, "w") as fh:
+        fh.write(code.replace(text, replacement))
+    began = time.perf_counter()
+    if run_tests(src, ids):
+        return f"FAIL {name}: the mutant survives {len(ids)} tests", False
+    return f"killed {name} ({time.perf_counter() - began:.1f} s)", True
+
+
 def main():
     start, bad = time.perf_counter(), 0
     all_ids = sorted({i for *_, ids in MUTANTS.values() for i in ids})
@@ -243,24 +262,13 @@ def main():
         if not run_tests(pristine, all_ids):
             print("FAIL the unmutated tree fails the named tests")
             return 1
-        for name, (path, text, replacement, ids) in MUTANTS.items():
-            src = os.path.join(tmp, name.replace(" ", "-").replace("/", "-"))
-            shutil.copytree(pristine, src)
-            target = os.path.join(src, "nodal_kit", path)
-            with open(target) as fh:
-                code = fh.read()
-            if code.count(text) != 1:
-                print(f"FAIL {name}: the source text occurs {code.count(text)} times in {path}")
-                bad += 1
-                continue
-            with open(target, "w") as fh:
-                fh.write(code.replace(text, replacement))
-            began = time.perf_counter()
-            if run_tests(src, ids):
-                print(f"FAIL {name}: the mutant survives {len(ids)} tests")
-                bad += 1
-            else:
-                print(f"killed {name} ({time.perf_counter() - began:.1f} s)")
+        # two mutants at a time: each test run is one single-threaded process
+        with ThreadPoolExecutor(max_workers=min(2, os.cpu_count() or 1)) as pool:
+            futures = [pool.submit(run_mutant, tmp, pristine, name, *entry) for name, entry in MUTANTS.items()]
+            for future in futures:
+                line, killed = future.result()
+                print(line, flush=True)
+                bad += not killed
     print(f"{len(MUTANTS) - bad} of {len(MUTANTS)} mutants killed in {time.perf_counter() - start:.1f} s")
     return 1 if bad else 0
 
