@@ -12,9 +12,9 @@ the order given: the mutant is killed when one fails, so a quick
 deterministic test goes first and a property test, which would shrink its
 counterexample, after it.  Two mutants run at a time (one where there is a
 single CPU), and their verdicts print in table order.  The unmutated copy
-must pass every named test first.  The script exits 1 when the unmutated tree fails,
-when a source text is missing or not unique (so a refactor that moves the
-code must update the table), or when a mutant survives.  Method: mutation
+must pass every named test first.  The script exits 1 when the unmutated
+tree fails, when a source text is missing or not unique (so a refactor that
+moves the code must update the table), or when a mutant survives.  Method: mutation
 analysis (DeMillo, Lipton and Sayward, "Hints on test data selection",
 Computer, 1978).
 
