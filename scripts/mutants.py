@@ -141,15 +141,21 @@ MUTANTS = {
     ),
     "the X^2*g1*g2 term of a DPElem product's f part": (
         DP,
-        "[(size, [(0, 0), (2, 2)]), (size,",
-        "[(size, [(0, 0)]), (size,",
+        "_row_mul_add(ring, f, gg, x2f)",
+        "_row_mul_add(ring, f, {}, x2f)",
         [U_SQUARED, f"{ON_ROWS}[fp:7]"],
     ),
     "the X^2*g1*g2 term of a DPElem product's g part": (
         DP,
-        "(size, [(0, 1), (1, 0), (2, 3)])]",
-        "(size, [(0, 1), (1, 0)])]",
+        "_row_mul_add(ring, g, gg, x2g)",
+        "_row_mul_add(ring, g, {}, x2g)",
         [U_SQUARED, f"{ON_ROWS}[fp:7]"],
+    ),
+    "the lift hypotheses' comparison of phi*psi and psi*phi with x*I": (
+        MF,
+        "                    if not diff.is_zero:\n",
+        "                    if False:\n",
+        ["tests/test_mf.py::test_a_perturbed_phi_entry_fails_exactness_and_names_phi_psi"],
     ),
     "the leading-coefficient comparison of the non-zero-divisor v - t": (
         MF,
@@ -189,6 +195,21 @@ MUTANTS = {
             "tests/test_cli.py::test_a_wrong_root_pair_fails_the_fiber_decomposition_with_the_difference",
             "tests/test_stabilize.py::TestFiber::test_a_wrong_root_pair_fails_the_fiber_relation",
         ],
+    ),
+    "the flatness basis comparison with the normal-form monomials": (
+        STAB,
+        "        if got != want:\n",
+        "        if False:\n",
+        [
+            "tests/test_stabilize.py::TestFlatnessBasis::test_a_planted_basis_fault_names_the_first_differing_monomial[adds-vy2]",
+            "tests/test_cli.py::test_a_non_normal_basis_monomial_fails_the_flatness_check_naming_it",
+        ],
+    ),
+    "the covering certificate's gluing comparison": (
+        STAB,
+        "        if (glued := _glue_via_reciprocal(low)) != high:\n",
+        "        if False:\n",
+        ["tests/test_cli.py::test_a_wrong_gluing_fails_the_covering_check_with_the_difference"],
     ),
     "the chart-0 closed-form comparison": (STAB, "    if rel0 != closed0:\n", "    if False:\n", [f"{DRIFT}[chart0]"]),
     "the chart-1 closed-form comparison": (STAB, "    if rel1 != closed1:\n", "    if False:\n", [f"{DRIFT}[chart1]"]),

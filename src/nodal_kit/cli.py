@@ -319,12 +319,10 @@ def _normal_form(res, cfg, rng):
                     "counterexample": f"series {idx}: residual order {residual.order()}",
                 }
             for n in range(len(steps) - 1):
-                (x0, y0), (x1, y1) = steps[n], steps[n + 1]
-                if not (x1.agrees_below(x0, n + 2) and y1.agrees_below(y0, n + 2)):
-                    return {
-                        "ok": False,
-                        "counterexample": f"series {idx}: step {n + 1} correction too low",
-                    }
+                for name, before, after in zip("xy", steps[n], steps[n + 1]):
+                    if not after.agrees_below(before, n + 2):
+                        what = f"series {idx}: step {n + 1} correction too low"
+                        return _unequal_series(what, f"{name}_{n + 1}", after, f"{name}_{n}", before)
         return {
             "ok": True,
             "series_count": len(candidates),
@@ -349,10 +347,10 @@ def _square_zero(res, cfg, rng):
         for k in range(6):
             f = _random_series(dring, rng, range(1, 9), precision=8)
             change = normal_form.square_zero_change(qd, tau, f)
-            lhs = qd.apply_series(change.xs, change.ys)
+            lhs = qd.apply_series(change.xs, change.ys).truncated(8)
             rhs = (qd.series() + f.scale(tau)).truncated(8)
-            if lhs.truncated(8) != rhs:
-                return {"ok": False, "counterexample": f"identity failed at trial {k}"}
+            if lhs != rhs:
+                return _unequal_series(f"identity failed at trial {k}", "q(x', y')", lhs, "q(X, Y) + tau*f", rhs)
         return {"ok": True, "trials": 6, "precision": 8}
 
     def repair():
@@ -508,16 +506,16 @@ def _ring_axioms(res, cfg, rng):
     return [("rings.axioms", axioms)]
 
 
-def _law_failure(law, k, left, lhs, right, rhs):
-    """The counterexample of a failed substitution law: the two sides'
-    precisions when they differ, else the least degree where the sides
-    differ, with both components."""
+def _unequal_series(what, left, lhs, right, rhs):
+    """The record of a check that found the series lhs and rhs unequal:
+    `what`, then the two sides' precisions when they differ, else the least
+    degree where the sides differ, with both components quoted."""
     why = f"{left} is known through degree {lhs.precision}, {right} through {rhs.precision}"
     if lhs.precision == rhs.precision:
         n = min(n for n in lhs.parts.keys() | rhs.parts.keys() if lhs.parts.get(n) != rhs.parts.get(n))
         a, b = (_quote(str(side.homogeneous_part(n))) for side in (lhs, rhs))
         why = f"in degree {n}, {left} = {a} but {right} = {b}"
-    return {"ok": False, "counterexample": f"{law}, trial {k}: {why}"}
+    return {"ok": False, "counterexample": f"{what}: {why}"}
 
 
 def _series_laws(res, cfg, rng):
@@ -534,14 +532,18 @@ def _series_laws(res, cfg, rng):
             sx = draw() + Series2.x(ring, 5)
             sy = draw() + Series2.y(ring, 5)
             if (same := f.substitute(X, Y)) != f:
-                return _law_failure("identity law", k, "f(X, Y)", same, "f", f)
+                return _unequal_series(f"identity law, trial {k}", "f(X, Y)", same, "f", f)
             # one composition with (sx, sy) for all four, the powers of sx and sy formed once
             fs, gs, sums, prods = substitute_all([f, g, f + g, f * g], sx, sy)
             if sums != fs + gs:
-                return _law_failure("additivity", k, "(f + g)(sx, sy)", sums, "f(sx, sy) + g(sx, sy)", fs + gs)
+                return _unequal_series(
+                    f"additivity, trial {k}", "(f + g)(sx, sy)", sums, "f(sx, sy) + g(sx, sy)", fs + gs
+                )
             rhs = (fs * gs).truncated(prods.precision)
             if prods != rhs:
-                return _law_failure("multiplicativity", k, "(f*g)(sx, sy)", prods, "f(sx, sy)*g(sx, sy)", rhs)
+                return _unequal_series(
+                    f"multiplicativity, trial {k}", "(f*g)(sx, sy)", prods, "f(sx, sy)*g(sx, sy)", rhs
+                )
         return {"ok": True, "trials": 8}
 
     return [("series.substitution-laws", laws)]

@@ -6,15 +6,17 @@ dicts {Y-degree: nonzero raw value} of a polynomial's X^i*Y^j terms for each
 i; raw values are canonical, so equal rows are equal elements.  The division
 is synthetic division on X-rows (`_divide_rows`); it refuses a relation whose
 lex-leading term is not 1*X^2, and certifies poly = rem + h*relation on every
-call.  Multiplication runs the packed kernel on the rows made dense, with X^2
-replaced by its canonical form, and is cross-checked against the division.  A
-recursive decomposition of the powers X^n, run on rows too, is kept as an
-independent witness for the same canonical forms.
+call.  Multiplication runs the sparse row loop (`kernels._row_mul_add`) on
+the rows, with X^2 replaced by its canonical form, and is cross-checked
+against the division.  A recursive decomposition of the powers X^n, run on
+rows too, is kept as an independent witness for the same canonical forms.
 """
 
 from __future__ import annotations
 
-from .kernels import _product_sums, _row_mul_add, _sparse_add
+from itertools import zip_longest
+
+from .kernels import _row_mul_add, _sparse_add
 # kernel_basis is unused here; perfbench's tracer tests wrap it in this namespace
 from .linalg import kernel_basis  # noqa: F401
 from .mpoly import MPoly
@@ -52,16 +54,7 @@ class DPRing:
         # the rows of X^2 in canonical form: (q(s,t) - delta*Y^2) + X*(-gamma*Y)
         self.x_squared = (_row((self.q_st, ring.zero, -q.delta)), _row((ring.zero, -q.gamma)))
         # q(X, Y) - q(s, t), monic of degree 2 in X
-        self.relation = MPoly(
-            ring,
-            2,
-            {
-                (2, 0): ring.one,
-                (1, 1): q.gamma,
-                (0, 2): q.delta,
-                (0, 0): -self.q_st,
-            },
-        )
+        self.relation = MPoly(ring, 2, {(2, 0): ring.one, (1, 1): q.gamma, (0, 2): q.delta, (0, 0): -self.q_st})
 
     def __eq__(self, other):
         return other is self or (
@@ -204,21 +197,15 @@ class DPElem:
         # (f1 + X g1)(f2 + X g2) = f1 f2 + X (f1 g2 + g1 f2) + X^2 g1 g2, with
         # X^2 = x2f + X x2g in canonical form:
         #   f = f1 f2 + x2f g1 g2,  g = f1 g2 + g1 f2 + x2g g1 g2
-        # in the packed kernel, on the rows made dense
-        zero = ring.zero.val
-        f1, g1, f2, g2, x2f, x2g = (
-            [row.get(j, zero) for j in range(max(row, default=-1) + 1)]
-            for row in (self.f, self.g, other.f, other.g, *dp.x_squared)
-        )
-        gg = _product_sums(ring, [g1], [g2], [(len(g1) + len(g2) - 1, [(0, 0)])])[0] if g1 and g2 else []
-        size = max(len(f1), len(g1)) + max(len(f2), len(g2)) + 1
-        fg = _product_sums(
-            ring,
-            [f1, g1, gg],
-            [f2, g2, x2f, x2g],
-            [(size, [(0, 0), (2, 2)]), (size, [(0, 1), (1, 0), (2, 3)])],
-        )
-        return DPElem(dp, *({j: c for j, c in enumerate(v) if c} for v in fg))
+        x2f, x2g = dp.x_squared
+        gg, f, g = {}, {}, {}
+        _row_mul_add(ring, gg, self.g, other.g)
+        _row_mul_add(ring, f, self.f, other.f)
+        _row_mul_add(ring, f, gg, x2f)
+        _row_mul_add(ring, g, self.f, other.g)
+        _row_mul_add(ring, g, self.g, other.f)
+        _row_mul_add(ring, g, gg, x2g)
+        return DPElem(dp, f, g)
 
     __rmul__ = __mul__
 
@@ -283,9 +270,7 @@ def x_power_decompositions(dp, n_max):
         hk, shifted = h[n - 2], [{}] + (h[n - 3] if n > 2 else [])
         h_rel = [{}] + h_rel
         h_rel += [{} for _ in range(len(hk) + len(rel) - 1 - len(h_rel))]
-        for i in range(max(len(hk), len(shifted))):
-            a = hk[i] if i < len(hk) else {}
-            b = shifted[i] if i < len(shifted) else {}
+        for i, (a, b) in enumerate(zip_longest(hk, shifted, fillvalue={})):
             if a is not b:
                 diff = _sparse_add(ring, a, {j: vneg(c) for j, c in b.items()})
                 for k, r in enumerate(rel):

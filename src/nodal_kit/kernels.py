@@ -1,14 +1,15 @@
 """The coefficient kernels: the loops behind every product of polynomials
 and series.
 
-Sparse polynomials (`MPoly` terms) are dicts {exponent tuple: nonzero raw
-value}, and the X-rows of the double-point ring (`DPElem` parts and the rows
-of its division) dicts {Y-degree: nonzero raw value}.  Dense ones are lists
-of raw values indexed by exponent (`Series2` parts and `DPElem` parts inside
-a product, and the normal form's vectors over every base but Q), multiplied
-by `_product_sums`, or over Q, in the normal form, integer images of such
-lists, multiplied by `_packed_sums`.  Each coefficient loop is written once
-here, in one of three kernels:
+Each kernel serves one data shape.  Sparse polynomials (`MPoly` terms) are
+dicts {exponent tuple: nonzero raw value}, and the X-rows of the double-point
+ring (`DPElem` parts, in its products, divisions and powers) dicts
+{Y-degree: nonzero raw value}; both run the sparse loops.  Dense ones are
+lists of raw values indexed by exponent (`Series2` parts and the normal
+form's vectors over every base but Q), multiplied by `_product_sums`, or over
+Q, in the normal form, integer images of such lists, multiplied by
+`_packed_sums`.  Each coefficient loop is written once here, in one of three
+kernels:
 
 - the sparse loops, on raw values combined through the ring's `_vadd` and
   `_vmul` and tested for zero by truth value;
@@ -231,8 +232,8 @@ def _packed_sums(ring, left, right, outputs):
 
 
 def _product_sums(ring, left, right, outputs):
-    """Dense sums of products of vectors of raw values, behind Series2 and
-    DPElem products and the normal form over every base but Q.
+    """Dense sums of products of vectors of raw values, behind Series2
+    products and the normal form over every base but Q.
 
     For each (length, pairs) in outputs, the list of the `length` raw values
     of the sum of left[i] * right[j] over (i, j) in pairs; `length` must

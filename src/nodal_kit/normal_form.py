@@ -24,7 +24,7 @@ from math import lcm
 
 from .kernels import _canonical, _elements, _images, _packed_sums, _product_sums
 from .rings import DualNumbers, Rationals, RingElem
-from .series import Series2, _min_prec
+from .series import Series2, _min_prec, _series_arg
 
 
 class DegenerateFormError(ValueError):
@@ -61,7 +61,8 @@ class QuadForm:
     def apply_series(self, xs, ys, minus=None):
         """q(xs, ys) for series arguments, less the series `minus` when one is
         given, known through the least precision of the arguments.  Series
-        over another ring than the form's are refused with a ValueError.
+        over another ring than the form's are refused with a ValueError, and
+        an argument that is not a series with a TypeError that names it.
 
         With v_k = (x_k, y_k) the degree-k components and the polar form
         B(v, w) = q(v + w) - q(v) - q(w) = x*(2x' + gamma*y') + y*(gamma*x' + 2*delta*y'),
@@ -84,9 +85,10 @@ class QuadForm:
         output is dropped before wrapping.
         """
         ring = self.ring
-        if any(s is not None and s.ring != ring for s in (xs, ys, minus)):
+        args = {"xs": xs, "ys": ys} | ({} if minus is None else {"minus": minus})
+        if any(_series_arg(name, s).ring != ring for name, s in args.items()):
             raise ValueError("mixed coefficient rings")
-        prec = _min_prec(xs.precision, ys.precision, None if minus is None else minus.precision)
+        prec = _min_prec(*(s.precision for s in args.values()))
         top = float("inf") if prec is None else prec
         sums, lift, wrap, nonzero = _vectors(ring)
         if isinstance(ring, Rationals):

@@ -35,6 +35,15 @@ def _min_prec(*ps):
     return min(finite) if finite else None
 
 
+def _series_arg(name, value, like=None):
+    """`value` as a series, or given a series `like`, also a scalar over its
+    ring; anything else raises a TypeError that names the argument."""
+    out = value if like is None else like._coerce(value)
+    if not isinstance(out, Series2):
+        raise TypeError(f"{name} must be a Series2{' or a scalar' if like else ''}, not {type(value).__name__}")
+    return out
+
+
 def _raw(s):
     """A series' parts as raw values: {degree: list of raw values}."""
     return {n: [c.val for c in v] for n, v in s.parts.items()}
@@ -100,10 +109,12 @@ def substitute_all(series, xs, ys):
     raw values.  Both substituted series need order >= 1 (a nonzero constant
     term would make every output coefficient an infinite sum).  Each result
     is exact through the minimum of its own precision and those of xs and
-    ys; an empty list gives [], once xs and ys pass the check.
+    ys; an empty list gives [], once xs and ys pass the check.  xs must be a
+    series; ys and each entry of `series` may also be scalars over its ring.
     """
-    ys = xs._coerce(ys)
-    series = [xs._coerce(f) for f in series]
+    xs = _series_arg("xs", xs)
+    ys = _series_arg("ys", ys, xs)
+    series = [_series_arg(f"series[{k}]", f, xs) for k, f in enumerate(series)]
     for g, nm in ((xs, "X"), (ys, "Y")):
         if not g.coefficient(0, 0).is_zero:
             raise SubstitutionError(f"substitution for {nm} has a constant term")
@@ -356,7 +367,7 @@ class Series2:
     def substitute(self, xs, ys):
         """Compose: the series evaluated at X = xs, Y = ys, exact through the
         minimum of the three precisions (see `substitute_all`)."""
-        return substitute_all([self], self._coerce(xs), self._coerce(ys))[0]
+        return substitute_all([self], _series_arg("xs", xs, self), ys)[0]
 
     # --- comparison / display ------------------------------------------------
 

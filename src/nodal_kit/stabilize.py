@@ -207,8 +207,9 @@ def covering_certificate(ring, q, s, t, charts):
     zero locus; (ii) the chart-1 relation is linear in u with that
     polynomial as coefficient, so inverting it solves u and exhibits the
     localized chart as a localized polynomial ring in x; (iii) under
-    y*x = 1 the presenting pairs glue: x*f0|_{y=1/x} = f1 and likewise for g.
-    ``charts`` is the pair ``build_charts(ring, q, s, t)`` returns.
+    y*x = 1 the presenting pairs glue: x*f0|_{y=1/x} = f1 and likewise for g,
+    and a failed gluing names the difference.  ``charts`` is the pair
+    ``build_charts(ring, q, s, t)`` returns.
     """
     s, t = ring(s), ring(t)
     _, chart1 = charts
@@ -222,8 +223,9 @@ def covering_certificate(ring, q, s, t, charts):
 
     f0, g0, f1, g1 = _presenting_forms(ring, q, s, t)
     for name, low, high in (("f", f0, f1), ("g", g0, g1)):
-        if _glue_via_reciprocal(low) != high:
-            failures.append(f"gluing x*{name}0|_(y=1/x) = {name}1 failed")
+        if (glued := _glue_via_reciprocal(low)) != high:
+            off = (glued - high).format(("u", "v", "x"))
+            failures.append(f"gluing x*{name}0|_(y=1/x) = {name}1 fails, off by {off}")
 
     return {
         "ok": not failures,

@@ -7,7 +7,10 @@ tower's residue map onto its bottom field, and Q -> F_p where p divides no
 denominator of the inputs and not the discriminant.  The two runs take
 different paths: the towers multiply through their compiled kernels, or past
 the size cutoff (loc:q:s,t:10) through the loops, and the fields through the
-packed kernel, over Q on integer images and over F_p on residues.
+packed kernel, over Q on integer images and over F_p on residues.  The
+double-point ring's canonical forms and products, on sparse X-rows, and the
+chart relations, on sparse polynomials, run on each ring's own `_vmul` and
+`_vadd`.
 """
 
 import random
@@ -17,11 +20,12 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import random_unit_disc
-from nodal_kit.dp_ring import DPRing
+from nodal_kit.dp_ring import DPElem, DPRing
 from nodal_kit.mpoly import MPoly, random_poly2
 from nodal_kit.normal_form import QuadForm, normal_form_iteration
 from nodal_kit.rings import CoeffParseError, RingElem, TruncatedRing, make_ring
 from nodal_kit.series import Series2
+from nodal_kit.stabilize import build_charts
 
 PAIRS = [
     ("loc:q:s,t:3", "q"),
@@ -56,6 +60,10 @@ def _rows(reduce, row):
     return {j: w for j, v in row.items() if (w := reduce(v))}
 
 
+def _terms(reduce, poly):
+    return {e: w for e, v in poly.terms.items() if (w := reduce(v))}
+
+
 @pytest.mark.parametrize("pair", PAIRS, ids=["->".join(pair) for pair in PAIRS])
 @settings(max_examples=8, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), precision=st.integers(1, 10))
@@ -88,6 +96,15 @@ def test_normal_form_and_canonical_forms_commute_with_base_change(pair, seed, pr
         assert _series(small, reduce, xs) == xs_small
         assert _series(small, reduce, ys) == ys_small
 
-    canonical = DPRing(big, q, s, t).reduce(poly)
-    canonical_small = DPRing(small, q_small, s_small, t_small).reduce(poly_small)
+    dp, dp_small = DPRing(big, q, s, t), DPRing(small, q_small, s_small, t_small)
+    canonical, canonical_small = dp.reduce(poly), dp_small.reduce(poly_small)
     assert (_rows(reduce, canonical.f), _rows(reduce, canonical.g)) == (canonical_small.f, canonical_small.g)
+
+    # the product on X-rows, through the towers' kernels or the fields'
+    a, b = dp.random_element(rnd), dp.random_element(rnd)
+    a_small, b_small = (DPElem(dp_small, _rows(reduce, e.f), _rows(reduce, e.g)) for e in (a, b))
+    product, product_small = a * b, a_small * b_small
+    assert (_rows(reduce, product.f), _rows(reduce, product.g)) == (product_small.f, product_small.g)
+
+    for chart, chart_small in zip(build_charts(big, q, s, t), build_charts(small, q_small, s_small, t_small)):
+        assert _terms(reduce, chart.relation) == chart_small.relation.terms

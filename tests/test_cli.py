@@ -567,9 +567,19 @@ def test_a_dropped_last_correction_fails_the_residual_order_check(monkeypatch, c
     assert failed == {"nf.residual-order": "series 0: residual order 7"}
 
 
-@pytest.mark.parametrize("k, degree", [(1, 1), (2, 2), (4, 2), (4, 4)])
-def test_a_correction_below_its_degree_fails_the_step_check(monkeypatch, capsys, k, degree):
-    # step k corrects x and y in degree k + 1 only; x_k gains X^degree below it
+@pytest.mark.parametrize(
+    "k, degree, named",
+    [
+        (1, 1, "x_1 = '2*X' but x_0 = 'X'"),
+        (2, 2, "x_2 = 'X^2' but x_1 = '0'"),
+        (4, 2, "x_4 = 'X^2' but x_3 = '0'"),
+        (4, 4, "x_4 = '14/3*X*Y^3+2*X^2*Y^2+4*X^3*Y+X^4' but x_3 = '14/3*X*Y^3+2*X^2*Y^2+4*X^3*Y'"),
+    ],
+    ids=["1-1", "2-2", "4-2", "4-4"],
+)
+def test_a_correction_below_its_degree_fails_the_step_check(monkeypatch, capsys, k, degree, named):
+    # step k corrects x and y in degree k + 1 only; x_k gains X^degree below
+    # it, and the counterexample names both components in that degree
     def perturb(steps):
         xs, ys = steps[k]
         ring = xs.ring
@@ -581,7 +591,7 @@ def test_a_correction_below_its_degree_fails_the_step_check(monkeypatch, capsys,
         capsys, "normal-form", "--ring", "q", "--gamma", "3", "--delta", "2", "--precision", "6"
     )
     assert code == 1
-    assert failed == {"nf.residual-order": f"series 0: step {k} correction too low"}
+    assert failed == {"nf.residual-order": f"series 0: step {k} correction too low: in degree {degree}, {named}"}
 
 
 def test_a_wrong_quotient_fails_the_canonical_roundtrip_check(monkeypatch, capsys):
@@ -836,6 +846,33 @@ def test_a_drifted_closed_form_fails_the_elimination_check_with_both_relations(m
     failed = _failed_by_comparison(capsys, *_CHARTS)
     needs_charts = ["charts.eliminations-match", "charts.confluence", "charts.flatness-basis", "charts.covering-gluing"]
     assert failed == dict.fromkeys(needs_charts, named)
+
+
+def test_a_non_normal_basis_monomial_fails_the_flatness_check_naming_it(monkeypatch, capsys):
+    # the certified basis gains v*y^2, which the relation's leading term divides
+    real = stabilize.chart0_basis_monomials
+    monkeypatch.setattr(stabilize, "chart0_basis_monomials", lambda bound: sorted(real(bound) + [(1, 2)]))
+    failed = _failed_by_comparison(capsys, *_CHARTS)
+    assert failed == {"charts.flatness-basis": "basis monomial 9 is v*y^2, where the normal forms have v^2"}
+
+
+def test_a_wrong_gluing_fails_the_covering_check_with_the_difference(monkeypatch, capsys):
+    # x*p(u, v, 1/x) gains u for both presenting pairs; f is checked first
+    real = stabilize._glue_via_reciprocal
+    monkeypatch.setattr(stabilize, "_glue_via_reciprocal", lambda poly: real(poly) + MPoly.var(poly.ring, 3, 0))
+    failed = _failed_by_comparison(capsys, *_CHARTS)
+    assert failed == {"charts.covering-gluing": "gluing x*f0|_(y=1/x) = f1 fails, off by u"}
+
+
+def test_a_wrong_square_zero_change_fails_the_identity_check_with_both_components(monkeypatch, capsys):
+    # the change absorbs tau*(f + X) where the check expects tau*f: q(x', y')
+    # gains eps*X in degree 1, the least degree where the sides differ
+    real = normal_form.square_zero_change
+    monkeypatch.setattr(normal_form, "square_zero_change", lambda q, tau, f: real(q, tau, f + Series2.x(f.ring)))
+    failed = _failed_by_comparison(capsys, "check-all", "--ring", "fp:7", "--gamma", "3", "--delta", "2")
+    assert failed == {
+        "nf.square-zero-identity": "identity failed at trial 0: in degree 1, q(x', y') = 'eps*X' but q(X, Y) + tau*f = '0'"
+    }
 
 
 def test_a_failing_factorization_fails_every_check_that_needs_it(monkeypatch):

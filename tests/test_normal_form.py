@@ -909,6 +909,15 @@ def test_apply_series_refuses_series_over_another_ring(form_ring, series_ring):
     assert q.apply_series(*own) == q.series()
 
 
+@pytest.mark.parametrize("name", ["xs", "ys", "minus"])
+def test_apply_series_names_an_argument_that_is_not_a_series(name):
+    # it raised an AttributeError about int before
+    q = QuadForm.make(make_ring("fp:7"), 3, 2)
+    args = {"xs": Series2.x(q.ring), "ys": Series2.y(q.ring), "minus": q.series()} | {name: 3}
+    with pytest.raises(TypeError, match=f"^{name} must be a Series2, not int$"):
+        q.apply_series(**args)
+
+
 def _recorded_kernel_calls(monkeypatch):
     """Record (left, right, outputs) of every kernel call normal_form makes."""
     calls = []

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -100,6 +101,32 @@ class TestSubstitute:
         f = S(QQ, [(1, 0, 1)], precision=9)
         xs = Series2.x(QQ).truncated(4)
         assert f.substitute(xs, Series2.y(QQ)).precision == 4
+
+
+_X, _Y = Series2.x(QQ), Series2.y(QQ)
+
+
+@pytest.mark.parametrize(
+    "call, named",
+    [
+        (lambda f: f.substitute("x", _Y), "xs must be a Series2 or a scalar, not str"),
+        (lambda f: f.substitute(_X, None), "ys must be a Series2 or a scalar, not NoneType"),
+        (lambda f: substitute_all([f], 0, _Y), "xs must be a Series2, not int"),
+        (lambda f: substitute_all([f], _X, "y"), "ys must be a Series2 or a scalar, not str"),
+        (lambda f: substitute_all([f, [1]], _X, _Y), "series[1] must be a Series2 or a scalar, not list"),
+    ],
+    ids=["substitute-xs", "substitute-ys", "substitute_all-scalar-xs", "substitute_all-ys", "substitute_all-series"],
+)
+def test_an_argument_of_the_wrong_type_is_named(call, named):
+    # each raised an AttributeError about NoneType or int before
+    with pytest.raises(TypeError, match=f"^{re.escape(named)}$"):
+        call(S(QQ, [(1, 0, 1), (0, 2, 3)]))
+
+
+def test_scalars_stand_for_constant_series_where_a_scalar_is_admitted():
+    f = S(QQ, [(1, 0, 1), (0, 2, 3)])
+    assert f.substitute(_X, 0) == f.substitute(_X, Series2.zero(QQ)) == _X
+    assert substitute_all([f, 2], _X, _Y) == [f, Series2.const(QQ, 2)]
 
 
 class TestPrecision:
