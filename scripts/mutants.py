@@ -48,23 +48,21 @@ ON_ROWS = "tests/test_dp_ring.py::test_dpelem_operations_on_rows_match_coefficie
 FP7_RESIDUAL = "tests/test_normal_form.py::test_a_wrong_stored_sum_or_polar_scalar_fails_the_final_residual[2-0-fp:7]"
 DRIFT = "tests/test_cli.py::test_a_drifted_closed_form_fails_the_elimination_check_with_both_relations"
 LAW = "tests/test_cli.py::test_a_wrong_batched_composition_fails_its_law_with_both_components"
+# the tail of `_sparse_mul`'s inner loop; `_row_mul_add` differs only in its first line
+SPARSE_MUL = "e = tuple(map(add, e1, e2))\n            c = vmul(c1, c2)\n            if e in out:\n                c = vadd(out[e], c)\n            if c:"
 
 # name -> (file, source text, replacement, node ids that must fail)
 MUTANTS = {
-    "right-inverse image comparison": (
+    "the right-inverse certificate's comparison, shared by the solver and the iteration": (
         NF,
-        "        if lhs != eps:\n",
+        "        if lhs != target:\n",
         "        if False:\n",
         [
             "tests/test_normal_form.py::test_a_wrong_stored_correction_fails_the_right_inverse_at_its_step[0-4-q]",
             "tests/test_normal_form.py::test_a_wrong_stored_correction_fails_the_right_inverse_at_its_step[1-7-fp:7]",
+            f"{WRONG_ROW}[0-0-1-q]",
+            f"{WRONG_ROW}[1-1-5-fp:7]",
         ],
-    ),
-    "the solver's image comparison": (
-        NF,
-        "        if lhs != image:\n",
-        "        if False:\n",
-        [f"{WRONG_ROW}[0-0-1-q]", f"{WRONG_ROW}[1-1-5-fp:7]"],
     ),
     "the s*v[0] term of the in-place rows": (
         NF,
@@ -77,6 +75,15 @@ MUTANTS = {
         "out[0] = ring._vadd(out[0], vmul(s, v[0]))",
         "out[0] = ring._vadd(out[0], vmul(0 * s, v[0]))",  # 0 * s is the zero raw value over F_p and the towers
         [LOC_DIGEST, FP7_RESIDUAL, READ_OFF],
+    ),
+    "zero products kept by the sparse product": (
+        KERNELS,
+        SPARSE_MUL,
+        SPARSE_MUL.replace("if c:", "if True:"),
+        [
+            "tests/test_mpoly.py::test_the_public_constructor_checks_terms_and_arithmetic_keeps_them_clean",
+            "tests/test_acceptance.py::test_criterion_1_matrix_factorization_suite",
+        ],
     ),
     "the shared denominator of the raw tower accumulation": (
         KERNELS,

@@ -6,6 +6,14 @@ series with non-degenerate quadratic part into the exact form q(x', y'),
 and the square-zero coordinate repairs used when lifting over a small
 extension.
 
+The right inverse of L(mu, nu) = q_X*mu + q_Y*nu is built in one place and
+checked in one place.  `_correction_rows(q, c)` gives the rows of the raw
+preimage at c, with L(mu, nu) = c*d*f for d = gamma^2 - 4*delta, and
+`_certify_right_inverse` checks sign*L(mu, nu) = target degree by degree.
+The solver takes c = 1/d and certifies with sign +1, so L(mu, nu) = f; the
+iteration takes c = -1/d and certifies with sign -1, so each correction
+cancels its residual.
+
 The products behind these run in the kernels on coefficient vectors held in
 one of two formats, by base (`_vectors`): over Q, where each coefficient
 carries its own denominator, as integer images over one denominator,
@@ -86,8 +94,7 @@ class QuadForm:
         """
         ring = self.ring
         args = {"xs": xs, "ys": ys} | ({} if minus is None else {"minus": minus})
-        if any(_series_arg(name, s).ring != ring for name, s in args.items()):
-            raise ValueError("mixed coefficient rings")
+        _check_args(self, **args)
         prec = _min_prec(*(s.precision for s in args.values()))
         top = float("inf") if prec is None else prec
         sums, lift, wrap, nonzero = _vectors(ring)
@@ -146,6 +153,16 @@ class QuadForm:
         return Series2._of(ring, parts, prec)
 
 
+def _check_args(q, **series):
+    """Refuse what a function of the form cannot take: a q that is not a
+    QuadForm, or a named argument that is not a series, with a TypeError
+    that names it; a series over another ring than q's with a ValueError."""
+    if not isinstance(q, QuadForm):
+        raise TypeError(f"q must be a QuadForm, not {type(q).__name__}")
+    if any(_series_arg(name, s).ring != q.ring for name, s in series.items()):
+        raise ValueError("mixed coefficient rings")
+
+
 @dataclass(frozen=True)
 class CoordChange:
     """Images (xs, ys) of X and Y under a change of coordinates.
@@ -169,12 +186,22 @@ class CoordChange:
             raise ValueError("linear part of the coordinate change is not invertible")
 
 
-def _preimage_rows(q, c):
-    """The raw preimage of the linearized increment at c as two rows of
-    scalars, (-2*delta*c, gamma*c) for mu and (gamma*c, -2*c) for nu: a row
-    (r, s) maps a component f_n to r*f_n[1:] + s*f_n[0], the f_n[0] term at
-    X-exponent 0, of degree n - 1 (`_apply_row`)."""
-    return (-2 * q.delta * c, q.gamma * c), (q.gamma * c, -2 * c)
+def _correction_rows(q, c):
+    """The raw preimage of the linearized increment at c as four rows of
+    scalars, for mu, nu, mu + gamma*nu and delta*nu, with mu = (-2*delta*c,
+    gamma*c) and nu = (gamma*c, -2*c): a row (r, s) maps a component f_n to
+    r*f_n[1:] + s*f_n[0], the f_n[0] term at X-exponent 0, of degree n - 1
+    (`_apply_row`), and q_X*mu + q_Y*nu = c*d*f, d = gamma^2 - 4*delta.  The
+    solver reads mu and nu at c = 1/d; the iteration reads all four at
+    c = -1/d, where its correction cancels the residual.
+
+    The polar vectors p = 2*mu + gamma*nu and r = gamma*mu + 2*delta*nu need
+    no rows: by those of mu and nu, p = c*d*f_n[1:] and r = c*d*f_n[0], so at
+    c = -1/d, p = -f_n[1:] and r = -f_n[0], exactly over every base where d is
+    a unit, characteristic 2 included (`_polar`)."""
+    g, d = q.gamma, q.delta
+    mu, nu = (-2 * d * c, g * c), (g * c, -2 * c)
+    return mu, nu, tuple(m + g * n for m, n in zip(mu, nu)), tuple(d * n for n in nu)
 
 
 def _apply_row(ring, row, v):
@@ -196,47 +223,6 @@ def _apply_row(ring, row, v):
     return _canonical(out, den * vden)
 
 
-def _preimage(q, f, c):
-    """The raw preimage of f at c as vectors: f's degrees, each of its
-    components lifted (one lift each, so over Q a canonical image), and the
-    components of mu and nu, degree n - 1 for each degree n of f, made from
-    those by the rows of `_preimage_rows` in place."""
-    if 0 in f.parts:
-        raise ValueError("series must have zero constant term")
-    ring = f.ring
-    lift = _vectors(ring)[1]
-    degrees = sorted(f.parts)
-    images = [lift([f.parts[n]])[0] for n in degrees]
-    rows = [lift([(r,), (s,)]) for r, s in _preimage_rows(q, ring(c))]
-    return degrees, images, [[_apply_row(ring, row, v) for v in images] for row in rows]
-
-
-def _series_of(ring, degrees, vecs, precision):
-    """The series with the vector vecs[k] as its degree-(degrees[k] - 1)
-    component, a zero one dropped and each other wrapped once."""
-    _, _, wrap, nonzero = _vectors(ring)
-    parts = {n - 1: wrap(v) for n, v in zip(degrees, vecs) if nonzero(v)}
-    return Series2._of(ring, parts, precision)
-
-
-def _correction_rows(q):
-    """Rows of scalars (see `_preimage_rows`) taking a residual component eps
-    straight to the stored correction (a, b, a + gamma*b, delta*b), with
-    (a, b) = -(mu, nu), (mu, nu) the right inverse of eps at c = 1/d.
-
-    The polar vectors p = 2a + gamma*b and r = gamma*a + 2*delta*b need no
-    rows: by those of `_preimage_rows`, p = (4*delta - gamma^2)*c*eps[1:] and
-    r = (4*delta - gamma^2)*c*eps[0], so at c = 1/d, d = gamma^2 - 4*delta,
-    p = -eps[1:] and r = -eps[0], exactly over every base where d is a unit,
-    characteristic 2 included (`_polar`)."""
-    g, d = q.gamma, q.delta
-    columns = []
-    for mu, nu in zip(*_preimage_rows(q, q.discriminant.inv())):
-        a, b = -mu, -nu
-        columns.append((a, b, a + g * b, d * b))
-    return tuple(zip(*columns))
-
-
 def _polar(ring, eps):
     """The polar vectors (p, r) of the correction made from the residual
     component eps, read off eps (see `_correction_rows`): p = -eps[1:] and
@@ -249,32 +235,58 @@ def _polar(ring, eps):
     return ([-x for x in ints[1:]], den, bits), ([-ints[0]] + [0] * (len(ints) - 2), den, bits)
 
 
-def solve_linearized_increment(q, f):
-    """Right inverse of the linearized increment, for a series f with zero
-    constant term: one homogeneous component or a whole series.
+def _certify_right_inverse(q, ring, sign, targets, preimages):
+    """Raise AssertionError unless sign*L(mu, nu) = target, L(mu, nu) =
+    q_X*mu + q_Y*nu, in every degree n of targets (a dict, in increasing
+    degree), with (mu, nu) = preimages[n] of degree n - 1, a missing pair
+    counting as zeros; all vectors held as `_vectors` holds them, compared as
+    such (over Q canonical images, over every other base raw values).  One
+    product against the gradient, one output per degree; L is graded, so
+    the error names the least degree where the identity fails.  The solver
+    certifies with sign +1 (L(mu, nu) = f), the iteration with sign -1
+    (its correction cancels the residual)."""
+    sums, lift, _, _ = _vectors(ring)
+    # sign*q_X = sign*(gamma, 2) and sign*q_Y = sign*(2*delta, gamma), by X-exponent
+    gradient = lift([(sign * q.gamma, ring(2 * sign)), (2 * sign * q.delta, sign * q.gamma)])
+    right, outputs = [], []
+    for n in targets:
+        pair = preimages.get(n, ())
+        outputs.append((n + 1, [(k, len(right) + k) for k in range(len(pair))]))
+        right += pair
+    for (n, target), lhs in zip(targets.items(), sums(ring, gradient, right, outputs)):
+        if lhs != target:
+            raise AssertionError(f"right-inverse identity failed at degree {n} (internal error)")
 
-    Needs a unit discriminant d; takes the raw preimage at c = 1/d
-    (`_preimage`) and re-checks q_X*mu + q_Y*nu = f on every call, which pins
-    down the signs: degree by degree, in one product against the gradient
-    (as the iteration's own certificate does), as an equality of f's
-    components as `_vectors` holds them (canonical images over Q, raw values
-    over every other base), naming the least degree where it fails.  mu and
-    nu are wrapped once, after the check.
+
+def solve_linearized_increment(q, f):
+    """Right inverse of the linearized increment L(mu, nu) = q_X*mu + q_Y*nu,
+    for a series f with zero constant term: one homogeneous component or a
+    whole series.
+
+    Needs a unit discriminant d.  Each component of f is lifted once
+    (`_vectors`: over Q a canonical image, over every other base raw
+    values), and the rows of mu and nu of `_correction_rows` at c = 1/d make
+    mu and nu from it in place (`_apply_row`), so that L(mu, nu) = f.  That
+    is re-checked on every call, which pins down the signs: by
+    `_certify_right_inverse` with sign +1, degree by degree, naming the least
+    degree where it fails.  mu and nu are wrapped once, after the check.
     """
+    _check_args(q, f=f)
     d = q.discriminant
     if not d.is_unit:
         raise DegenerateFormError("right inverse needs a unit discriminant")
-    degrees, images, (mu, nu) = _preimage(q, f, d.inv())
+    if 0 in f.parts:
+        raise ValueError("series must have zero constant term")
     ring = f.ring
-    sums, lift, _, _ = _vectors(ring)
-    # q_X = (gamma, 2) and q_Y = (2*delta, gamma), by X-exponent
-    gradient = lift([(q.gamma, ring(2)), (2 * q.delta, q.gamma)])
-    right = [v for pair in zip(mu, nu) for v in pair]
-    outputs = [(n + 1, [(0, 2 * k), (1, 2 * k + 1)]) for k, n in enumerate(degrees)]
-    for n, lhs, image in zip(degrees, sums(ring, gradient, right, outputs), images):
-        if lhs != image:
-            raise AssertionError(f"right-inverse identity failed at degree {n} (internal error)")
-    return _series_of(ring, degrees, mu, f.precision), _series_of(ring, degrees, nu, f.precision)
+    _, lift, wrap, nonzero = _vectors(ring)
+    rows = [lift([(r,), (s,)]) for r, s in _correction_rows(q, d.inv())[:2]]
+    targets = {n: lift([f.parts[n]])[0] for n in sorted(f.parts)}
+    preimages = {n: [_apply_row(ring, row, v) for row in rows] for n, v in targets.items()}
+    _certify_right_inverse(q, ring, 1, targets, preimages)
+    return tuple(
+        Series2._of(ring, {n - 1: wrap(p[k]) for n, p in preimages.items() if nonzero(p[k])}, f.precision)
+        for k in (0, 1)
+    )
 
 
 def _certify(identity, lhs, rhs):
@@ -335,12 +347,12 @@ def normal_form_iteration(f, q, n_steps):
 
     A step is one product, which forms eps, -f_{n+2} entering as the
     length-1 vector (-1,) times f_{n+2}.  eps goes straight to
-    (a, b, a + gamma*b, delta*b) through the four rows of `_correction_rows`,
-    the right inverse at c = 1/d composed with the correction, formed once
-    per iteration and applied in place (`_apply_row`), with no kernel call.
-    p and r are read off eps: p = -eps[1:] and r = -eps[0] (`_polar`), which
-    holds since 2a + gamma*b and gamma*a + 2*delta*b are
-    (4*delta - gamma^2)*c times eps[1:] and eps[0].  Every vector the steps
+    (a, b, a + gamma*b, delta*b) through the four rows of `_correction_rows`
+    at c = -1/d, the raw preimage with the sign that makes L(a, b) = -eps,
+    formed once per iteration and applied in place (`_apply_row`), with no
+    kernel call.  p and r are read off eps: p = -eps[1:] and r = -eps[0]
+    (`_polar`), which holds since 2a + gamma*b and gamma*a + 2*delta*b are
+    c*d times eps[1:] and eps[0].  Every vector the steps
     read or make stays in the format of `_vectors` (over Q an integer image,
     over every other base a list of raw values): each component of f that
     the steps read is lifted once before the loop (over Q canonically), the
@@ -354,11 +366,11 @@ def normal_form_iteration(f, q, n_steps):
 
     The right-inverse identity is certified once, after the last step, in
     one more product: -L(a_{n+1}, b_{n+1}) = eps of step n, for every step,
-    with L(a, b) = q_X*a + q_Y*b, as an equality of vectors (over Q of
-    canonical images) degree by degree.  L is graded, so
-    the least degree where it fails is n + 2 for the first step n whose
-    correction is wrong.
+    with L(a, b) = q_X*a + q_Y*b (`_certify_right_inverse` with sign -1).  L
+    is graded, so the least degree where it fails is n + 2 for the first
+    step n whose correction is wrong.
     """
+    _check_args(q, f=f)
     if n_steps < 1:
         raise ValueError("need at least one step")
     if not q.discriminant.is_unit:
@@ -375,7 +387,7 @@ def normal_form_iteration(f, q, n_steps):
     sums, lift, wrap, nonzero = _vectors(ring)
     xs, ys = Series2.x(ring), Series2.y(ring)
     out = [(xs, ys)]
-    scalars = lift([(s,) for row in _correction_rows(q) for s in row])
+    scalars = lift([(s,) for row in _correction_rows(q, -q.discriminant.inv()) for s in row])
     rows = [scalars[k : k + 2] for k in range(0, len(scalars), 2)]
     (minus_one,) = lift([(-ring.one,)])
     read = [n for n in f.parts if 2 < n <= n_steps + 1]  # f_{n+2} for the steps n < n_steps
@@ -411,18 +423,7 @@ def normal_form_iteration(f, q, n_steps):
             if in_y:
                 ys = Series2._of(ring, {**ys.parts, n + 1: wrap(comp[1])}, ys.precision)
         out.append((xs, ys))
-    # -q_X = (-gamma, -2) and -q_Y = (-2*delta, -gamma), by X-exponent
-    gradient = lift([(-q.gamma, -ring(2)), (-2 * q.delta, -q.gamma)])
-    right, outputs = [], []
-    for top in residuals:  # in increasing degree
-        pairs = []
-        if top - 1 in comps:  # a and b of step top - 2
-            pairs = [(0, len(right)), (1, len(right) + 1)]
-            right += comps[top - 1][:2]
-        outputs.append((top + 1, pairs))
-    for (top, eps), lhs in zip(residuals.items(), sums(ring, gradient, right, outputs)):
-        if lhs != eps:
-            raise AssertionError(f"right-inverse identity failed at degree {top} (internal error)")
+    _certify_right_inverse(q, ring, -1, residuals, {k + 1: comp[:2] for k, comp in comps.items()})
     return out
 
 
@@ -433,6 +434,7 @@ def square_zero_change(q, tau, f):
     q(X', Y') = q(X, Y) + tau*f holds exactly through the precision of f,
     because the cross terms carry tau^2 = 0.
     """
+    _check_args(q, f=f)
     ring = f.ring
     tau = ring(tau)
     if not (tau * tau).is_zero:
@@ -463,6 +465,7 @@ def repair_small_lift(q, tau, u, v, s, t, defect):
     relation q(u', v') - q(s, t) = 0 holds in the presented ring; s and t
     are unchanged.  Verified on every call.
     """
+    _check_args(q, u=u, v=v, defect=defect)
     ring = defect.ring
     tau = ring(tau)
     if not (tau * tau).is_zero:

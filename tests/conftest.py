@@ -137,24 +137,35 @@ def naive_linearized_increment(q, mu, nu):
 
 def raw_increment_preimage(q, f, c=1):
     """(mu, nu) with q_X*mu + q_Y*nu = c*d*f, d the discriminant, for f with
-    zero constant term: the raw preimage of the right inverse
-    (`normal_form._preimage`), degree n of f giving degree n - 1 of mu and
-    nu, as series of f's precision."""
-    degrees, _, vecs = normal_form._preimage(q, f, c)
-    return tuple(normal_form._series_of(f.ring, degrees, v, f.precision) for v in vecs)
+    zero constant term: the rows of mu and nu of
+    `normal_form._correction_rows(q, c)` applied to each component of f
+    (`normal_form._apply_row`), as the solver applies them at c = 1/d, degree
+    n of f giving degree n - 1 of mu and nu, as series of f's precision."""
+    ring = f.ring
+    _, lift, wrap, nonzero = normal_form._vectors(ring)
+    rows = [lift([(r,), (s,)]) for r, s in normal_form._correction_rows(q, ring(c))[:2]]
+    out = ({}, {})
+    for n, v in f.parts.items():
+        (image,) = lift([v])
+        for parts, row in zip(out, rows):
+            if nonzero(w := normal_form._apply_row(ring, row, image)):
+                parts[n - 1] = wrap(w)
+    return tuple(Series2(ring, parts, f.precision) for parts in out)
 
 
 def perturbed_rows(monkeypatch, row, column):
-    """Make `_correction_rows` return one composed scalar plus one.  Rows 4
+    """Make the iteration's rows (`_correction_rows` at c = -1/d) hold one
+    scalar plus one; the solver's, at c = 1/d, are left as they are.  Rows 4
     and 5 stand for the polar vectors p and r, which `_polar` reads off eps
     with the scalars (-1, 0) and (0, -1) on (eps[1:], eps[0]): there the
     fault adds eps[1:] (column 0) or eps[0] (column 1) to the one read off."""
     if row < 4:
         real = normal_form._correction_rows
 
-        def perturbed(q):
-            rows = [list(r) for r in real(q)]
-            rows[row][column] = rows[row][column] + 1
+        def perturbed(q, c):
+            rows = [list(r) for r in real(q, c)]
+            if c == -q.discriminant.inv():
+                rows[row][column] = rows[row][column] + 1
             return tuple(tuple(r) for r in rows)
 
         monkeypatch.setattr(normal_form, "_correction_rows", perturbed)
@@ -202,20 +213,20 @@ def _plus_one(ring, vec):
 
 
 def perturbed_preimage(monkeypatch, degree):
-    """Make the right inverse's raw preimage (`normal_form._preimage`) wrong
-    in the component of mu made from f's degree-`degree` component, when f
-    has one: one is added to its coefficient 0, so q_X*mu + q_Y*nu misses f
-    first in that degree."""
-    real = normal_form._preimage
+    """Make the solver's preimage wrong in the component of mu made from f's
+    degree-`degree` component, when f has one: one is added to its
+    coefficient 0, in place, before the solver's certificate
+    (`_certify_right_inverse` with sign +1) reads it, so q_X*mu + q_Y*nu
+    misses f first in that degree.  The iteration's certificate, with sign
+    -1, is left as it is."""
+    real = normal_form._certify_right_inverse
 
-    def perturbed(q, f, c):
-        degrees, images, (mu, nu) = real(q, f, c)
-        if degree in degrees:
-            k = degrees.index(degree)
-            mu = mu[:k] + [_plus_one(f.ring, mu[k])] + mu[k + 1 :]
-        return degrees, images, (mu, nu)
+    def perturbed(q, ring, sign, targets, preimages):
+        if sign == 1 and degree in preimages:
+            preimages[degree][0] = _plus_one(ring, preimages[degree][0])
+        return real(q, ring, sign, targets, preimages)
 
-    monkeypatch.setattr(normal_form, "_preimage", perturbed)
+    monkeypatch.setattr(normal_form, "_certify_right_inverse", perturbed)
 
 
 def _row_plus(ring, row, c):

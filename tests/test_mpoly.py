@@ -313,6 +313,10 @@ def test_the_public_constructor_checks_terms_and_arithmetic_keeps_them_clean():
     assert ((x * ring.eps) * ring.eps).terms == {}
     assert (x * ring.eps * x - x * x * ring.eps).terms == {}
     assert (x + 1 - x).terms == {(0, 0): ring.one.val}
+    # a product keeps no term that vanishes: eps*eps, or two X*Y that cancel
+    y = MPoly.var(ring, 2, 1)
+    assert ((x * ring.eps) * (y * ring.eps)).terms == {}
+    assert ((x + y) * (x - y)).terms == {(2, 0): ring.one.val, (0, 2): (-ring.one).val}
 
 
 @pytest.mark.parametrize("name", ["fp:11", "q"])

@@ -406,7 +406,7 @@ def test_the_polar_vectors_read_off_eps_are_those_of_the_correction(seed, ring_d
     ring = make_ring(ring_desc)
     q = QuadForm.make(ring, *random_unit_disc(ring, rnd))
     _, lift, wrap, _ = normal_form._vectors(ring)
-    scalars = lift([(s,) for row in normal_form._correction_rows(q) for s in row])
+    scalars = lift([(s,) for row in normal_form._correction_rows(q, -q.discriminant.inv()) for s in row])
     rows = [scalars[k : k + 2] for k in range(0, len(scalars), 2)]
     (eps,) = lift([[ring.random_element(rnd) for _ in range(top + 1)]])
     a, b = (wrap(normal_form._apply_row(ring, row, eps)) for row in rows[:2])
@@ -469,15 +469,16 @@ def _from_degree(ring, rnd, n):
 
 
 def _planted_rows(monkeypatch, row, column, change):
-    """Make `_preimage_rows` return its scalar (row, column) changed by `change`."""
-    real = normal_form._preimage_rows
+    """Make `_correction_rows` return its scalar (row, column) changed by
+    `change`: rows 0 and 1 are those of mu and nu, which the solver reads."""
+    real = normal_form._correction_rows
 
     def perturbed(q, c):
         rows = [list(r) for r in real(q, c)]
         rows[row][column] = change(rows[row][column])
         return tuple(tuple(r) for r in rows)
 
-    monkeypatch.setattr(normal_form, "_preimage_rows", perturbed)
+    monkeypatch.setattr(normal_form, "_correction_rows", perturbed)
 
 
 @pytest.mark.parametrize("ring_desc", ["q", "fp:7", "dual:q", "loc:q:s,t:3"])
@@ -853,7 +854,7 @@ def test_packed_right_inverse_matches_the_shift_based_reference(seed, ring_desc,
 def test_packed_preimage_rejects_a_constant_term_like_the_reference():
     q = QuadForm.make(QQ, 1, 0)
     f = S(QQ, [(0, 0, 1), (1, 0, 1)])
-    for preimage in (raw_increment_preimage, _split_preimage):
+    for preimage in (lambda q, f, c: solve_linearized_increment(q, f), _split_preimage):
         with pytest.raises(ValueError, match="zero constant term"):
             preimage(q, f, QQ(3))
 
@@ -916,6 +917,56 @@ def test_apply_series_names_an_argument_that_is_not_a_series(name):
     args = {"xs": Series2.x(q.ring), "ys": Series2.y(q.ring), "minus": q.series()} | {name: 3}
     with pytest.raises(TypeError, match=f"^{name} must be a Series2, not int$"):
         q.apply_series(**args)
+
+
+def _entry_point_calls():
+    """A sound call of each public function of the form, as keyword
+    arguments, over dual:fp:7, where a square-zero tau exists."""
+    ring = make_ring("dual:fp:7")
+    q = QuadForm.make(ring, 3, 2)
+    x, y = Series2.x(ring), Series2.y(ring)
+    return {
+        "solve_linearized_increment": {"q": q, "f": x},
+        "normal_form_iteration": {"f": q.series(), "q": q, "n_steps": 3},
+        "square_zero_change": {"q": q, "tau": ring.eps, "f": x},
+        "repair_small_lift": {"q": q, "tau": ring.eps, "u": x, "v": y, "s": 0, "t": 0, "defect": Series2.zero(ring)},
+    }
+
+
+ENTRY_POINT_SERIES = [
+    ("solve_linearized_increment", "f"),
+    ("normal_form_iteration", "f"),
+    ("square_zero_change", "f"),
+    ("repair_small_lift", "u"),
+    ("repair_small_lift", "v"),
+    ("repair_small_lift", "defect"),
+]
+ENTRY_POINT_ARGS = [(function, "q") for function in _entry_point_calls()] + ENTRY_POINT_SERIES
+
+
+@pytest.mark.parametrize("function, name", ENTRY_POINT_ARGS, ids=["-".join(a) for a in ENTRY_POINT_ARGS])
+def test_an_entry_point_names_an_argument_of_the_wrong_type(function, name):
+    # before, a wrong q raised an AttributeError about its discriminant, a
+    # wrong f or defect one about `parts` or `ring`, and a wrong u or v a
+    # ValueError or TypeError that did not name the argument
+    kwargs = _entry_point_calls()[function]
+    getattr(normal_form, function)(**kwargs)  # sound as given
+    kind = "QuadForm" if name == "q" else "Series2"
+    for bad in (5, "x"):
+        with pytest.raises(TypeError, match=f"^{name} must be a {kind}, not {type(bad).__name__}$"):
+            getattr(normal_form, function)(**kwargs | {name: bad})
+
+
+@pytest.mark.parametrize("function, name", ENTRY_POINT_SERIES, ids=["-".join(a) for a in ENTRY_POINT_SERIES])
+def test_an_entry_point_refuses_a_series_over_another_ring(function, name):
+    # before, the solver, square_zero_change and the defect raised "element
+    # of dual:fp:7 is not in fp:7"; the iteration, u and v were refused by a
+    # later series operation
+    kwargs = _entry_point_calls()[function]
+    other = make_ring("fp:7")
+    moved = Series2(other, {n: [other(c.residue().val) for c in v] for n, v in kwargs[name].parts.items()})
+    with pytest.raises(ValueError, match="^mixed coefficient rings$"):
+        getattr(normal_form, function)(**kwargs | {name: moved})
 
 
 def _recorded_kernel_calls(monkeypatch):
