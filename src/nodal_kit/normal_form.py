@@ -195,13 +195,15 @@ def _correction_rows(q, c):
     solver reads mu and nu at c = 1/d; the iteration reads all four at
     c = -1/d, where its correction cancels the residual.
 
-    The polar vectors p = 2*mu + gamma*nu and r = gamma*mu + 2*delta*nu need
-    no rows: by those of mu and nu, p = c*d*f_n[1:] and r = c*d*f_n[0], so at
-    c = -1/d, p = -f_n[1:] and r = -f_n[0], exactly over every base where d is
-    a unit, characteristic 2 included (`_polar`)."""
-    g, d = q.gamma, q.delta
-    mu, nu = (-2 * d * c, g * c), (g * c, -2 * c)
-    return mu, nu, tuple(m + g * n for m, n in zip(mu, nu)), tuple(d * n for n in nu)
+    The rows of mu + gamma*nu and delta*nu are ((gamma^2 - 2*delta)*c,
+    -gamma*c) and (delta*gamma*c, -2*delta*c).  The polar vectors
+    p = 2*mu + gamma*nu and r = gamma*mu + 2*delta*nu need no rows: by those
+    of mu and nu, p = c*d*f_n[1:] and r = c*d*f_n[0], so at c = -1/d,
+    p = -f_n[1:] and r = -f_n[0], exactly over every base where d is a unit,
+    characteristic 2 included (`_polar`)."""
+    g, gc, two_c = q.gamma, q.gamma * c, 2 * c
+    mu, nu = (-(q.delta * two_c), gc), (gc, -two_c)
+    return mu, nu, (mu[0] + g * gc, -gc), (q.delta * gc, mu[0])
 
 
 def _apply_row(ring, row, v):
@@ -247,12 +249,15 @@ def _certify_right_inverse(q, ring, sign, targets, preimages):
     (its correction cancels the residual)."""
     sums, lift, _, _ = _vectors(ring)
     # sign*q_X = sign*(gamma, 2) and sign*q_Y = sign*(2*delta, gamma), by X-exponent
-    gradient = lift([(sign * q.gamma, ring(2 * sign)), (2 * sign * q.delta, sign * q.gamma)])
+    g, two = sign * q.gamma, ring(2 * sign)
+    gradient = lift([(g, two), (two * q.delta, g)])
     right, outputs = [], []
     for n in targets:
-        pair = preimages.get(n, ())
-        outputs.append((n + 1, [(k, len(right) + k) for k in range(len(pair))]))
-        right += pair
+        pairs = []
+        if n in preimages:
+            pairs = [(0, len(right)), (1, len(right) + 1)]
+            right += preimages[n]
+        outputs.append((n + 1, pairs))
     for (n, target), lhs in zip(targets.items(), sums(ring, gradient, right, outputs)):
         if lhs != target:
             raise AssertionError(f"right-inverse identity failed at degree {n} (internal error)")
