@@ -48,6 +48,7 @@ ON_ROWS = "tests/test_dp_ring.py::test_dpelem_operations_on_rows_match_coefficie
 FP7_RESIDUAL = "tests/test_normal_form.py::test_a_wrong_stored_sum_or_polar_scalar_fails_the_final_residual[2-0-fp:7]"
 DRIFT = "tests/test_cli.py::test_a_drifted_closed_form_fails_the_elimination_check_with_both_relations"
 LAW = "tests/test_cli.py::test_a_wrong_batched_composition_fails_its_law_with_both_components"
+WITNESS = "tests/test_cli.py::test_a_perturbed_witness_fails_its_product_and_determinant_with_their_values"
 # the tail of `_sparse_mul`'s inner loop; `_row_mul_add` differs only in its first line
 SPARSE_MUL = "e = tuple(map(add, e1, e2))\n            c = vmul(c1, c2)\n            if e in out:\n                c = vadd(out[e], c)\n            if c:"
 
@@ -176,6 +177,30 @@ MUTANTS = {
         "    if len(e2.g) != 1:\n",
         ["tests/test_mf.py::test_an_x_part_other_than_1_is_named_by_both_dual_records"],
     ),
+    "the witness comparison of j_witness*alpha": (
+        MF,
+        '_first_mismatch("j_witness*alpha", ka, ka_expected),',
+        "None,",
+        [f"{WITNESS}[j_witness]"],
+    ),
+    "the witness comparison of k_witness*beta": (
+        MF,
+        '_first_mismatch("k_witness*beta", lb, lb_expected),',
+        "None,",
+        [f"{WITNESS}[k_witness]"],
+    ),
+    "the witness comparison of det(j_witness)": (
+        MF,
+        "None if det_j == -j2 else",
+        "None if True else",
+        [f"{WITNESS}[j_witness]"],
+    ),
+    "the witness comparison of det(k_witness)": (
+        MF,
+        "None if det_k == j2 else",
+        "None if True else",
+        [f"{WITNESS}[k_witness]"],
+    ),
     "the hom space's overlap identity": (
         MF,
         "failures = [] if overlap.is_zero else [",
@@ -210,6 +235,15 @@ MUTANTS = {
         [
             "tests/test_stabilize.py::TestFlatnessBasis::test_a_planted_basis_fault_names_the_first_differing_monomial[adds-vy2]",
             "tests/test_cli.py::test_a_non_normal_basis_monomial_fails_the_flatness_check_naming_it",
+        ],
+    ),
+    "the covering certificate's constant-term comparison": (
+        STAB,
+        "    if (constant := c_poly.coefficient((0, 0))) != ring.one:\n",
+        "    if False:\n",
+        [
+            "tests/test_stabilize.py::TestCovering::test_a_constant_term_other_than_1_is_named_with_the_value",
+            "tests/test_cli.py::test_a_wrong_constant_term_fails_the_covering_check_with_its_value",
         ],
     ),
     "the covering certificate's gluing comparison": (

@@ -20,7 +20,7 @@ from .kernels import _row_mul_add, _sparse_add
 # kernel_basis is unused here; perfbench's tracer tests wrap it in this namespace
 from .linalg import kernel_basis  # noqa: F401
 from .mpoly import MPoly
-from .normal_form import QuadForm
+from .normal_form import _check_args, _check_type
 from .rings import RingElem, _power
 
 
@@ -41,7 +41,8 @@ class DPRing:
     """
 
     def __init__(self, ring, q, s, t, degree_bound=16):
-        if not isinstance(q, QuadForm) or (q.ring is not ring and q.ring != ring):
+        _check_args(q)
+        if q.ring is not ring and q.ring != ring:
             raise ValueError("quadratic form must live over the coefficient ring")
         if degree_bound < 0:
             raise ValueError("degree bound must be >= 0")
@@ -253,6 +254,7 @@ def x_power_decompositions(dp, n_max):
     verified for every n up to n_max, on X-rows, against the rows of
     ``dp.relation``; the least n where it fails raises PowerIdentityError.
     """
+    _check_type("dp", dp, DPRing)
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
     ring = dp.ring

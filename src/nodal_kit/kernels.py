@@ -8,8 +8,8 @@ ring (`DPElem` parts, in its products, divisions and powers) dicts
 lists of raw values indexed by exponent (`Series2` parts and the normal
 form's vectors over every base but Q), multiplied by `_product_sums`, or over
 Q, in the normal form, integer images of such lists, multiplied by
-`_packed_sums`.  Each coefficient loop is written once here, in one of three
-kernels:
+`_packed_sums`.  The loops over the coefficients of polynomials and series
+are written here, in three kernels:
 
 - the sparse loops, on raw values combined through the ring's `_vadd` and
   `_vmul` and tested for zero by truth value;
@@ -20,6 +20,10 @@ kernels:
   (`TruncatedRing._norm`).  `_mac` is straight-line code compiled from the
   ring's index map when the map has at most `rings._COMPILE_MAX_ENTRIES`
   entries, and otherwise a loop over the map that skips zero coefficients.
+
+The loops inside one ring operation are not here: the tower kernels, compiled
+and looped, and the rational add and multiply, which are the compiled kernels
+of the one-monomial map, live in `rings`.
 """
 
 from __future__ import annotations

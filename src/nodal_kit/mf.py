@@ -19,7 +19,7 @@ from itertools import accumulate
 from .dp_ring import DPRing, mul_columns
 from .linalg import _dense_rows, kernel_basis, rank
 from .mpoly import MPoly
-from .normal_form import DegenerateFormError
+from .normal_form import DegenerateFormError, _check_type
 from .rings import RingElem
 
 
@@ -95,6 +95,7 @@ def build_factorization(dp):
         phi*psi = psi*phi = (q(X,Y) - q(s,t)) * I
         pairing*psi = phi^T * pairing,  pairing*phi = psi^T * pairing
     """
+    _check_type("dp", dp, DPRing)
     ring = dp.ring
     if not dp.q.discriminant.is_unit:
         raise DegenerateFormError("matrix factorization needs a unit discriminant")
@@ -187,6 +188,15 @@ def _nzd_failure(j2):
     return None
 
 
+def _first_mismatch(name, got, want):
+    """The first entry where the 2x2 matrix `got` differs from `want`,
+    named with both values, or None when they are equal."""
+    for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        if got[i][j] != want[i][j]:
+            return f"{name} entry ({i}, {j}) is {got[i][j]}, not {want[i][j]}"
+    return None
+
+
 def witness_identities(mf):
     """Check the witness-matrix identities and the non-zero-divisor v - t.
 
@@ -195,7 +205,10 @@ def witness_identities(mf):
     both witnesses have determinant +-(v-t), so they are injective wherever
     v - t is a non-zero-divisor, as `_nzd_failure` decides in closed form;
     over a field ``nzd_kernel_dimension`` is then 0, and None if it fails.
+    A failed product names its first differing entry and a failed
+    determinant its value, each beside the expected one.
     """
+    _check_type("mf", mf, MatFact)
     dp = mf.dp
     j1, j2 = ideal_j_generators(dp)
     _, e2 = dual_generator_images(dp)
@@ -210,12 +223,13 @@ def witness_identities(mf):
 
     nzd = _nzd_failure(j2)
     checks = (
-        ("j_witness*alpha", ka == ka_expected),
-        ("k_witness*beta", lb == lb_expected),
-        ("det(j_witness)", det_j == -j2),
-        ("det(k_witness)", det_k == j2),
+        _first_mismatch("j_witness*alpha", ka, ka_expected),
+        _first_mismatch("k_witness*beta", lb, lb_expected),
+        None if det_j == -j2 else f"det(j_witness) is {det_j}, not {-j2}",
+        None if det_k == j2 else f"det(k_witness) is {det_k}, not {j2}",
+        nzd,
     )
-    failures = [name for name, ok in checks if not ok] + ([nzd] if nzd else [])
+    failures = [why for why in checks if why]
     record = {"ok": not failures, "failures": failures}
     if dp.ring.is_field:
         record["nzd_kernel_dimension"] = None if nzd else 0
@@ -269,6 +283,7 @@ def hom_pair_space(dp, bound):
     ``failures`` names each failed hypothesis and unequal counts, and
     span_dimension is None when no count was proved.
     """
+    _check_type("dp", dp, DPRing)
     ring = dp.ring
     if not ring.is_field:
         raise ValueError("the hom-space computation needs field coefficients")
@@ -374,6 +389,7 @@ def two_periodic_exactness(mf, bound, *, transposed=False):
     kernel_dimension None and covered 0, with the failures; otherwise it is
     covered whole.
     """
+    _check_type("mf", mf, MatFact)
     dp = mf.dp
     if not dp.ring.is_field:
         raise ValueError("the exactness check needs field coefficients")

@@ -153,12 +153,17 @@ class QuadForm:
         return Series2._of(ring, parts, prec)
 
 
+def _check_type(name, value, cls):
+    """Refuse an argument `name` that is not a `cls` with a TypeError that names it."""
+    if not isinstance(value, cls):
+        raise TypeError(f"{name} must be a {cls.__name__}, not {type(value).__name__}")
+
+
 def _check_args(q, **series):
     """Refuse what a function of the form cannot take: a q that is not a
     QuadForm, or a named argument that is not a series, with a TypeError
     that names it; a series over another ring than q's with a ValueError."""
-    if not isinstance(q, QuadForm):
-        raise TypeError(f"q must be a QuadForm, not {type(q).__name__}")
+    _check_type("q", q, QuadForm)
     if any(_series_arg(name, s).ring != q.ring for name, s in series.items()):
         raise ValueError("mixed coefficient rings")
 

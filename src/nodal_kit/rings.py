@@ -10,9 +10,12 @@ The two composite kinds, nested in any order, share one arithmetic
 (`TruncatedRing`): a value is a dense tuple of integer numerators over the
 standard monomials of the whole tower, then one positive denominator (1 over
 F_p), so no element holds another ring's elements.  A rational is the same
-layout over the one monomial 1: (numerator, denominator), zero being ().  Each
-ring reads a raw value as integers over a denominator with `_ints` and writes
-one with `_norm`; only the ring classes read the layout.
+layout over the one monomial 1: (numerator, denominator), zero being (), and
+it adds and multiplies with the compiled kernels of that one-monomial index
+map, the very functions of loc:q:s:1.  Each ring reads a raw value as
+integers over a denominator with `_ints` and writes one with `_norm`; only the
+ring classes read the layout.  Each ring builds its zero and one once and
+shares them, as no element is ever mutated.
 """
 
 from __future__ import annotations
@@ -218,13 +221,9 @@ class Ring:
 
     is_field = False
 
-    @property
-    def zero(self):
-        return self.from_int(0)
-
-    @property
-    def one(self):
-        return self.from_int(1)
+    # built once per ring and shared by every caller: elements are never mutated
+    zero = cached_property(lambda self: self.from_int(0))
+    one = cached_property(lambda self: self.from_int(1))
 
     def from_int(self, n):
         raise NotImplementedError
@@ -294,6 +293,88 @@ class Ring:
         return self.descriptor()
 
 
+# Index maps of at most this many entries are compiled into straight-line
+# kernels; larger ones keep the loops, whose zero tests skip the many zero
+# coefficients of a wide ring's values.  Measured in process, check-all at
+# precision 5, best of 3 (2 vCPU, Python 3.11), loops against compiled:
+# loc:q:s,t:6 (126 entries) 0.17 -> 0.14 s, loc:q:s,t:10 (715) 0.35 -> 0.51 s.
+_COMPILE_MAX_ENTRIES = 128
+
+# (index map, p or None over Q) -> its compiled (multiply, add,
+# multiply-accumulate), shared by every ring with that map and field
+_COMPILED = {}
+
+
+def _compile_kernels(rows, p):
+    """The multiply, add and multiply-accumulate of `TruncatedRing`, and the
+    multiply and add of `Rationals` (the map [[(0, 0)]]), over the index map
+    `rows` (for each monomial i, the pairs (j, k) with m_i * m_j = m_k) as
+    straight-line code, over F_p when p is given, else over Q.  The source
+    holds integer indices and fixed templates only; p and gcd reach it as
+    arguments.
+
+    The multiply and the add normalise as `TruncatedRing._norm` does: mod p
+    over F_p, and over Q by one gcd with the denominator, none when it is 1;
+    the add sums numerators directly when both denominators are equal.  The
+    multiply-accumulate mac(out, x, y) adds the products of the numerators of
+    x and y into the list out, unreduced; x and y are in the raw layout, but
+    their denominators are not read.
+    """
+    n = len(rows)
+    terms = [[] for _ in rows]
+    for i, row in enumerate(rows):
+        for j, k in row:
+            terms[k].append(f"x{i} * y{j}")
+    sums = [" + ".join(t) for t in terms]
+    xs, ys, nums = (", ".join(f"{v}{i}" for i in range(n)) for v in "xyn")
+    nonzero = " or ".join(f"n{i}" for i in range(n))
+    if p is None:
+        # the value of the numerators n_i over the denominator d, as `_norm` makes it
+        tail = [
+            f"if not ({nonzero}):",
+            "    return ()",
+            "if d != 1:",
+            f"    g = gcd(d, {nums})",
+            "    if g != 1:",
+            "        return (" + ", ".join(f"n{i} // g" for i in range(n)) + ", d // g)",
+            f"return ({nums}, d)",
+        ]
+        mul = [f"n{k} = {s}" for k, s in enumerate(sums)] + ["d = dx * dy"]
+        add = (
+            ["if dx == dy:"]
+            + [f"    n{i} = x{i} + y{i}" for i in range(n)]
+            + ["    d = dx", "else:"]
+            + [f"    n{i} = x{i} * dy + y{i} * dx" for i in range(n)]
+            + ["    d = dx * dy"]
+        )
+    else:
+        tail = [f"if {nonzero}:", f"    return ({nums}, 1)", "return ()"]
+        mul = [f"n{k} = ({s}) % p" for k, s in enumerate(sums)]
+        add = [f"n{i} = (x{i} + y{i}) % p" for i in range(n)]
+    functions = {
+        "mul(x, y)": ["if not x or not y:", "    return ()", f"{xs}, dx = x", f"{ys}, dy = y", *mul, *tail],
+        "add(x, y)": ["if not x:", "    return y", "if not y:", "    return x", f"{xs}, dx = x", f"{ys}, dy = y",
+                      *add, *tail],
+        "mac(out, x, y)": [f"{xs}, _ = x", f"{ys}, _ = y", *[f"out[{k}] += {s}" for k, s in enumerate(sums)]],
+    }
+    lines = ["def make(p, gcd):"]
+    for head, body in functions.items():
+        lines += [f"    def {head}:", *["        " + line for line in body]]
+    source = "\n".join([*lines, "    return mul, add, mac"])
+    namespace = {}
+    exec(compile(source, "<tower kernels>", "exec"), namespace)
+    return namespace["make"](p, gcd)
+
+
+def _compiled(rows, p):
+    """`_compile_kernels(rows, p)`, compiled on the first request and then
+    read from `_COMPILED`."""
+    key = (tuple(map(tuple, rows)), p)
+    if key not in _COMPILED:
+        _COMPILED[key] = _compile_kernels(rows, p)
+    return _COMPILED[key]
+
+
 class Rationals(Ring):
     """The field of rational numbers, in the layout of the towers over it: a
     value is (numerator, denominator) in lowest terms with a positive
@@ -308,19 +389,11 @@ class Rationals(Ring):
         fr = Fraction(fr)
         return RingElem(self, (fr.numerator, fr.denominator) if fr else ())
 
-    def _vadd(self, a, b):
-        if not a or not b:
-            return a or b
-        (n1, d1), (n2, d2) = a, b
-        if d1 == d2:
-            return self._norm((n1 + n2,), d1)
-        return self._norm((n1 * d2 + n2 * d1,), d1 * d2)
+    # the compiled multiply and add of the one-monomial map, shared with loc:q:s:1
+    _vmul, _vadd = map(staticmethod, _compiled([[(0, 0)]], None)[:2])
 
     def _vneg(self, a):
         return (-a[0], a[1]) if a else a
-
-    def _vmul(self, a, b):
-        return self._norm((a[0] * b[0],), a[1] * b[1]) if a and b else ()
 
     def _vinv(self, a):
         if not a:
@@ -426,78 +499,6 @@ def _comb_capped(n, k, cap):
     return c
 
 
-# Index maps of at most this many entries are compiled into straight-line
-# kernels; larger ones keep the loops, whose zero tests skip the many zero
-# coefficients of a wide ring's values.  Measured in process, check-all at
-# precision 5, best of 3 (2 vCPU, Python 3.11), loops against compiled:
-# loc:q:s,t:6 (126 entries) 0.17 -> 0.14 s, loc:q:s,t:10 (715) 0.35 -> 0.51 s.
-_COMPILE_MAX_ENTRIES = 128
-
-# (index map, p or None over Q) -> its compiled (multiply, add,
-# multiply-accumulate), shared by every ring with that map and field
-_COMPILED = {}
-
-
-def _compile_kernels(rows, p):
-    """The multiply, add and multiply-accumulate of `TruncatedRing` over the
-    index map `rows` (for each monomial i, the pairs (j, k) with
-    m_i * m_j = m_k) as straight-line code, over F_p when p is given, else
-    over Q.  The source holds integer indices and fixed templates only; p and
-    gcd reach it as arguments.
-
-    The multiply and the add normalise as `TruncatedRing._norm` does: mod p
-    over F_p, and over Q by one gcd with the denominator, none when it is 1;
-    the add sums numerators directly when both denominators are equal.  The
-    multiply-accumulate mac(out, x, y) adds the products of the numerators of
-    x and y into the list out, unreduced; x and y are in the raw layout, but
-    their denominators are not read.
-    """
-    n = len(rows)
-    terms = [[] for _ in rows]
-    for i, row in enumerate(rows):
-        for j, k in row:
-            terms[k].append(f"x{i} * y{j}")
-    sums = [" + ".join(t) for t in terms]
-    xs, ys, nums = (", ".join(f"{v}{i}" for i in range(n)) for v in "xyn")
-    nonzero = " or ".join(f"n{i}" for i in range(n))
-    if p is None:
-        # the value of the numerators n_i over the denominator d, as `_norm` makes it
-        tail = [
-            f"if not ({nonzero}):",
-            "    return ()",
-            "if d != 1:",
-            f"    g = gcd(d, {nums})",
-            "    if g != 1:",
-            "        return (" + ", ".join(f"n{i} // g" for i in range(n)) + ", d // g)",
-            f"return ({nums}, d)",
-        ]
-        mul = [f"n{k} = {s}" for k, s in enumerate(sums)] + ["d = dx * dy"]
-        add = (
-            ["if dx == dy:"]
-            + [f"    n{i} = x{i} + y{i}" for i in range(n)]
-            + ["    d = dx", "else:"]
-            + [f"    n{i} = x{i} * dy + y{i} * dx" for i in range(n)]
-            + ["    d = dx * dy"]
-        )
-    else:
-        tail = [f"if {nonzero}:", f"    return ({nums}, 1)", "return ()"]
-        mul = [f"n{k} = ({s}) % p" for k, s in enumerate(sums)]
-        add = [f"n{i} = (x{i} + y{i}) % p" for i in range(n)]
-    functions = {
-        "mul(x, y)": ["if not x or not y:", "    return ()", f"{xs}, dx = x", f"{ys}, dy = y", *mul, *tail],
-        "add(x, y)": ["if not x:", "    return y", "if not y:", "    return x", f"{xs}, dx = x", f"{ys}, dy = y",
-                      *add, *tail],
-        "mac(out, x, y)": [f"{xs}, _ = x", f"{ys}, _ = y", *[f"out[{k}] += {s}" for k, s in enumerate(sums)]],
-    }
-    lines = ["def make(p, gcd):"]
-    for head, body in functions.items():
-        lines += [f"    def {head}:", *["        " + line for line in body]]
-    source = "\n".join([*lines, "    return mul, add, mac"])
-    namespace = {}
-    exec(compile(source, "<tower kernels>", "exec"), namespace)
-    return namespace["make"](p, gcd)
-
-
 class TruncatedRing(Ring):
     """field[x1..xn] modulo the monomials past some group's order.
 
@@ -564,7 +565,6 @@ class TruncatedRing(Ring):
         # m^index = 0 for the maximal ideal m: a product of more factors puts
         # some group past its order
         self._index = base_index + order - 1
-        self._one = self._const(self.field.one.val)
 
     # --- raw values --------------------------------------------------------
 
@@ -595,14 +595,6 @@ class TruncatedRing(Ring):
         zeros = (0,) * (len(self._monos) - 1)
         return (num, *zeros, den)
 
-    @property
-    def zero(self):
-        return RingElem(self, ())
-
-    @property
-    def one(self):
-        return RingElem(self, self._one)
-
     def from_int(self, n):
         return RingElem(self, self._const(self.field.from_int(n).val))
 
@@ -612,14 +604,11 @@ class TruncatedRing(Ring):
     @cached_property
     def _kernels(self):
         """(multiply, add, multiply-accumulate): compiled on first use, once
-        per index map and field for the whole process (`_compile_kernels`),
-        or the loops below for a map past `_COMPILE_MAX_ENTRIES` entries."""
+        per index map and field for the whole process (`_compiled`), or the
+        loops below for a map past `_COMPILE_MAX_ENTRIES` entries."""
         if sum(map(len, self._rows)) > _COMPILE_MAX_ENTRIES:
             return self._loop_mul, self._loop_add, self._loop_mac
-        key = (tuple(map(tuple, self._rows)), self._p)
-        if key not in _COMPILED:
-            _COMPILED[key] = _compile_kernels(self._rows, self._p)
-        return _COMPILED[key]
+        return _compiled(self._rows, self._p)
 
     # each kernel is bound to the instance on first use, then read from it directly
     _vmul = cached_property(lambda self: self._kernels[0])
@@ -667,7 +656,7 @@ class TruncatedRing(Ring):
         # 1/x = c * (1 + n + ... + n^(index-1))
         c = RingElem(self.field, self._residue_raw(x)).inv().val  # NotAUnitError on a zero residue
         n = self._scale(self._norm([0, *x[1:-1]], x[-1]), self.field._vneg(c))
-        out, pw = self._vadd(self._one, n), n
+        out, pw = self._vadd(self.one.val, n), n
         for _ in range(2, self._index):
             pw = self._vmul(pw, n)
             if not pw:

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from itertools import zip_longest
 
 from .mpoly import MPoly
+from .normal_form import _check_args, _check_type
 from .rings import PrimeField, Rationals
 
 
@@ -105,6 +106,7 @@ def build_charts(ring, q, s, t):
 
     is verified in the trivariate ring on every call.
     """
+    _check_args(q)
     if not q.discriminant.is_unit:
         raise UnsupportedConfigurationError("charts need a unit discriminant")
     s, t = ring(s), ring(t)
@@ -152,6 +154,8 @@ def reduce_chart0(chart, poly, rng=None):
     of division by the relation, whose v*y^2 coefficient is 1.  With an rng the
     monomial to cancel is drawn at random, which exercises confluence.
     """
+    _check_type("chart", chart, ChartPresentation)
+    _check_type("poly", poly, MPoly)
     if chart.chart_id != "R0":
         raise ValueError("normal forms are computed in chart 0")
     return poly.divide(chart.relation, (1, 2), rng)[0]
@@ -180,6 +184,7 @@ def flatness_basis_certificate(chart, bound):
     Nothing is sampled; a failure names the offending relation term or the
     first monomial where the basis differs.
     """
+    _check_type("chart", chart, ChartPresentation)
     rel, one = chart.relation, chart.relation.ring.one
 
     def show(e, c=one):
@@ -207,19 +212,23 @@ def covering_certificate(ring, q, s, t, charts):
     zero locus; (ii) the chart-1 relation is linear in u with that
     polynomial as coefficient, so inverting it solves u and exhibits the
     localized chart as a localized polynomial ring in x; (iii) under
-    y*x = 1 the presenting pairs glue: x*f0|_{y=1/x} = f1 and likewise for g,
-    and a failed gluing names the difference.  ``charts`` is the pair
+    y*x = 1 the presenting pairs glue: x*f0|_{y=1/x} = f1 and likewise for g.
+    A failure names its value: the constant term, or the difference from the
+    expected relation or gluing.  ``charts`` is the pair
     ``build_charts(ring, q, s, t)`` returns.
     """
+    _check_args(q)
     s, t = ring(s), ring(t)
     _, chart1 = charts
     failures = []
 
     c_poly, d_poly = _chart1_closed_form(ring, q, s, t)
-    if c_poly.coefficient((0, 0)) != ring.one:
-        failures.append("constant term of delta*x^2-gamma*x+1 is not 1")
-    if chart1.relation != MPoly.var(ring, 2, 0) * c_poly + d_poly:
-        failures.append("chart 1 relation is not linear in u with the expected coefficient")
+    if (constant := c_poly.coefficient((0, 0))) != ring.one:
+        failures.append(f"constant term of delta*x^2-gamma*x+1 is {ring.format_elem(constant)}, not 1")
+    if not (off := chart1.relation - MPoly.var(ring, 2, 0) * c_poly - d_poly).is_zero:
+        failures.append(
+            f"chart 1 relation is not linear in u with the expected coefficient, off by {off.format(('u', 'x'))}"
+        )
 
     f0, g0, f1, g1 = _presenting_forms(ring, q, s, t)
     for name, low, high in (("f", f0, f1), ("g", g0, g1)):
@@ -323,6 +332,7 @@ def fiber_at_origin(ring, q, charts):
     ``build_charts(ring, q, 0, 0)`` returns; charts built at any other
     (s, t) raise ValueError.
     """
+    _check_args(q)
     if not ring.is_field:
         raise UnsupportedConfigurationError("fiber decomposition needs field coefficients")
     if not q.discriminant.is_unit:
@@ -409,6 +419,7 @@ def determinant_and_ideal_basis(ring, q, s=None, t=None):
     being a unimodular combination of the other.  Each identity that fails
     is named in ``failures`` with its value.
     """
+    _check_args(q)
     g_, d_ = q.gamma, q.delta
     one, zero = ring.one, ring.zero
     m = [

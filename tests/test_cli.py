@@ -5,6 +5,7 @@ import json
 import random
 import re
 import time
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -856,12 +857,51 @@ def test_a_non_normal_basis_monomial_fails_the_flatness_check_naming_it(monkeypa
     assert failed == {"charts.flatness-basis": "basis monomial 9 is v*y^2, where the normal forms have v^2"}
 
 
+@pytest.mark.parametrize(
+    "witness, named",
+    [
+        ("j_witness", "j_witness*alpha entry (0, 0) is 31/2+4*Y+7*X, not -1/2+X; det(j_witness) is 29-Y+2*X, not 4-Y"),
+        ("k_witness", "k_witness*beta entry (0, 0) is -12+3*Y, not -4+Y; det(k_witness) is -12+3*Y, not -4+Y"),
+    ],
+    ids=["j_witness", "k_witness"],
+)
+def test_a_perturbed_witness_fails_its_product_and_determinant_with_their_values(monkeypatch, capsys, witness, named):
+    # the witness's (0, 0) entry gains 2: over q with gamma = 3, delta = 2,
+    # s = 1/2, t = 4, j_witness*alpha's (0, 0) entry is 2*phi[0][0] - phi[1][0]
+    # = 2*(2*Y + 8 + 3*X) + X - 1/2, and k_witness*beta's is 3*(Y - 4)
+    real = mf.build_factorization
+
+    def planted(dp):
+        out = real(dp)
+        (a, b), row = getattr(out, witness)
+        return replace(out, **{witness: ((a + MPoly.const(dp.ring, 2, 2), b), row)})
+
+    monkeypatch.setattr(mf, "build_factorization", planted)
+    argv = ["--ring", "q", "--gamma", "3", "--delta", "2", "--s", "1/2", "--t", "4"]
+    assert _failed_by_comparison(capsys, "factorize", *argv) == {"mf.witness-identities": named}
+
+
 def test_a_wrong_gluing_fails_the_covering_check_with_the_difference(monkeypatch, capsys):
     # x*p(u, v, 1/x) gains u for both presenting pairs; f is checked first
     real = stabilize._glue_via_reciprocal
     monkeypatch.setattr(stabilize, "_glue_via_reciprocal", lambda poly: real(poly) + MPoly.var(poly.ring, 3, 0))
     failed = _failed_by_comparison(capsys, *_CHARTS)
     assert failed == {"charts.covering-gluing": "gluing x*f0|_(y=1/x) = f1 fails, off by u"}
+
+
+def test_a_wrong_constant_term_fails_the_covering_check_with_its_value(monkeypatch, capsys):
+    # delta*x^2 - gamma*x + 1 gains 1 once the charts are built, so the
+    # constant term reads 2 and the chart-1 relation is off by -u
+    build, closed_form = stabilize.build_charts, stabilize._chart1_closed_form
+
+    def built_then_drifted(*args):
+        charts = build(*args)
+        monkeypatch.setattr(stabilize, "_chart1_closed_form", lambda *a: (closed_form(*a)[0] + 1, closed_form(*a)[1]))
+        return charts
+
+    monkeypatch.setattr(stabilize, "build_charts", built_then_drifted)
+    failed = _failed_by_comparison(capsys, *_CHARTS)
+    assert failed == {"charts.covering-gluing": "constant term of delta*x^2-gamma*x+1 is 2 mod 7, not 1"}
 
 
 def test_a_wrong_square_zero_change_fails_the_identity_check_with_both_components(monkeypatch, capsys):

@@ -10,6 +10,7 @@ from nodal_kit import cli
 from nodal_kit import dp_ring as dp_ring_module
 from nodal_kit import linalg
 from nodal_kit import mf as mf_module
+from nodal_kit import stabilize
 from nodal_kit.dp_ring import (
     DegreeOverflowError,
     DPRing,
@@ -893,3 +894,63 @@ def test_span_count_by_column_degrees_matches_the_rank_reference(descriptor, for
     vectors = kernel_basis(ring, hom["syz_rows"], ncols) + [[ring.random_element(rnd) for _ in range(ncols)]]
     padded = [v + [ring.zero] * (len(span_rows) - ncols) for v in vectors]
     assert [mf_module._has_preimage(dp, v) for v in vectors] == _solvable(ring, span_rows, padded)
+
+
+def _public_calls():
+    """A sound call of each public function that takes a form, a double-point
+    ring, a factorization or a chart, as keyword arguments, over fp:7 at
+    s = t = 0, where y^2 - 3y + 2 splits."""
+    ring, s, t = F7, F7.zero, F7.zero
+    q = QuadForm.make(ring, 3, 2)
+    dp = DPRing(ring, q, s, t, degree_bound=8)
+    factorization, charts = build_factorization(dp), stabilize.build_charts(ring, q, s, t)
+    chart = charts[0]
+    return {
+        "DPRing": (DPRing, {"ring": ring, "q": q, "s": s, "t": t}),
+        "build_charts": (stabilize.build_charts, {"ring": ring, "q": q, "s": s, "t": t}),
+        "covering_certificate": (
+            stabilize.covering_certificate, {"ring": ring, "q": q, "s": s, "t": t, "charts": charts}
+        ),
+        "fiber_at_origin": (stabilize.fiber_at_origin, {"ring": ring, "q": q, "charts": charts}),
+        "determinant_and_ideal_basis": (stabilize.determinant_and_ideal_basis, {"ring": ring, "q": q, "s": s, "t": t}),
+        "build_factorization": (build_factorization, {"dp": dp}),
+        "hom_pair_space": (hom_pair_space, {"dp": dp, "bound": 3}),
+        "x_power_decompositions": (dp_ring_module.x_power_decompositions, {"dp": dp, "n_max": 4}),
+        "two_periodic_exactness": (two_periodic_exactness, {"mf": factorization, "bound": 3}),
+        "witness_identities": (witness_identities, {"mf": factorization}),
+        "flatness_basis_certificate": (stabilize.flatness_basis_certificate, {"chart": chart, "bound": 3}),
+        "reduce_chart0": (stabilize.reduce_chart0, {"chart": chart, "poly": chart.relation}),
+    }
+
+
+PUBLIC_ARGUMENTS = [
+    ("DPRing", "q", "QuadForm"),
+    ("build_charts", "q", "QuadForm"),
+    ("covering_certificate", "q", "QuadForm"),
+    ("fiber_at_origin", "q", "QuadForm"),
+    ("determinant_and_ideal_basis", "q", "QuadForm"),
+    ("build_factorization", "dp", "DPRing"),
+    ("hom_pair_space", "dp", "DPRing"),
+    ("x_power_decompositions", "dp", "DPRing"),
+    ("two_periodic_exactness", "mf", "MatFact"),
+    ("witness_identities", "mf", "MatFact"),
+    ("flatness_basis_certificate", "chart", "ChartPresentation"),
+    ("reduce_chart0", "chart", "ChartPresentation"),
+    ("reduce_chart0", "poly", "MPoly"),
+]
+
+
+@pytest.mark.parametrize("function, name, kind", PUBLIC_ARGUMENTS, ids=["-".join(a[:2]) for a in PUBLIC_ARGUMENTS])
+def test_a_public_function_names_an_argument_of_the_wrong_type(function, name, kind):
+    # before, a string raised an AttributeError about one of its missing
+    # attributes, and DPRing's q a ValueError about the coefficient ring
+    fn, kwargs = _public_calls()[function]
+    fn(**kwargs)  # sound as given
+    for bad in (5, "x"):
+        with pytest.raises(TypeError, match=f"^{name} must be a {kind}, not {type(bad).__name__}$"):
+            fn(**kwargs | {name: bad})
+
+
+def test_a_form_over_another_ring_keeps_its_value_error():
+    with pytest.raises(ValueError, match="^quadratic form must live over the coefficient ring$"):
+        DPRing(F5, QuadForm.make(F7, 3, 2), 0, 0)

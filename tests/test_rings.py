@@ -163,6 +163,20 @@ def test_rational_raw_arithmetic_matches_fraction(x, y, k, d):
     assert q.short(q.from_fraction(x)) == str(x)
 
 
+@pytest.mark.parametrize("kernel", ["_vmul", "_vadd"])
+def test_the_rationals_add_and_multiply_with_the_compiled_one_monomial_kernels(kernel):
+    # the same function object as loc:q:s:1's, whose index map is [[(0, 0)]]
+    assert getattr(make_ring("q"), kernel) is getattr(make_ring("loc:q:s:1"), kernel)
+
+
+@pytest.mark.parametrize("descriptor", ["q", "fp:7", "dual:q", "loc:q:s,t:3"])
+def test_each_ring_builds_its_zero_and_one_once(descriptor):
+    ring = make_ring(descriptor)
+    assert ring.zero is ring.zero and ring.one is ring.one
+    assert (ring.zero, ring.one) == (ring.from_int(0), ring.from_int(1))
+    assert (ring.zero.val, ring.one.val) == (ring.from_int(0).val, ring.from_int(1).val)
+
+
 def test_residue(DQ):
     assert DQ.parse_elem("2+5*eps").residue() == Rationals()(2)
     loc7 = make_ring("loc:fp:7:s,t:3")

@@ -314,7 +314,20 @@ class TestCovering:
         chart0, chart1 = build_charts(QQ, q, QQ.one, QQ.zero)
         bad = replace(chart1, relation=chart1.relation + MPoly.var(QQ, 2, 0, 2))
         rec = covering_certificate(QQ, q, QQ.one, QQ.zero, (chart0, bad))
-        assert rec["failures"] == ["chart 1 relation is not linear in u with the expected coefficient"]
+        assert rec["failures"] == ["chart 1 relation is not linear in u with the expected coefficient, off by u^2"]
+
+    def test_a_constant_term_other_than_1_is_named_with_the_value(self, monkeypatch):
+        # the closed form's u coefficient gains 2 after the charts are built:
+        # its constant term reads 3 and the relation is off by -2*u
+        q = QuadForm.make(QQ, 3, 2)
+        charts = build_charts(QQ, q, QQ.one, QQ.zero)
+        real = stabilize._chart1_closed_form
+        monkeypatch.setattr(stabilize, "_chart1_closed_form", lambda *a: (real(*a)[0] + 2, real(*a)[1]))
+        rec = covering_certificate(QQ, q, QQ.one, QQ.zero, charts)
+        assert rec["failures"] == [
+            "constant term of delta*x^2-gamma*x+1 is 3, not 1",
+            "chart 1 relation is not linear in u with the expected coefficient, off by -2*u",
+        ]
 
 
 def _fiber(ring, g, d):
