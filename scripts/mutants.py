@@ -39,13 +39,16 @@ READ_OFF = "tests/test_normal_form.py::test_the_polar_vectors_read_off_eps_are_t
 README_NF = "tests/test_report_digests.py::test_report_digest[normal-form-readme]"
 LOC_DIGEST = "tests/test_report_digests.py::test_report_digest[check-all-loc-q-p5]"
 WRONG_ROW = "tests/test_normal_form.py::test_a_wrong_preimage_row_fails_the_right_inverse_at_the_least_degree"
+GRADING = "tests/test_normal_form.py::test_the_grading_cases_match_the_fraction_reference"
 SIGN_BIT = "tests/test_series.py::test_a_slot_width_with_no_rounding_slack"
 ROUNDTRIP = "tests/test_cli.py::test_a_wrong_remainder_fails_the_canonical_roundtrip_check"
 NOT_MONIC = "tests/test_dp_ring.py::TestReduce::test_a_relation_not_monic_in_x_squared_is_refused"
 POWERS = "tests/test_dp_ring.py::TestPowerDecompositions"
 U_SQUARED = "tests/test_dp_ring.py::TestMul::test_u_squared"
 ON_ROWS = "tests/test_dp_ring.py::test_dpelem_operations_on_rows_match_coefficient_lists"
-FP7_RESIDUAL = "tests/test_normal_form.py::test_a_wrong_stored_sum_or_polar_scalar_fails_the_final_residual[2-0-fp:7]"
+FP7_RESIDUAL = (
+    "tests/test_normal_form.py::test_a_wrong_diagonal_or_polar_scalar_fails_the_final_residual[diagonal-0-from-step-1-fp:7]"
+)
 DRIFT = "tests/test_cli.py::test_a_drifted_closed_form_fails_the_elimination_check_with_both_relations"
 LAW = "tests/test_cli.py::test_a_wrong_batched_composition_fails_its_law_with_both_components"
 WITNESS = "tests/test_cli.py::test_a_perturbed_witness_fails_its_product_and_determinant_with_their_values"
@@ -56,7 +59,7 @@ SPARSE_MUL = "e = tuple(map(add, e1, e2))\n            c = vmul(c1, c2)\n       
 MUTANTS = {
     "the right-inverse certificate's comparison, shared by the solver and the iteration": (
         NF,
-        "        if lhs != target:\n",
+        "        if lhs != rhs:\n",
         "        if False:\n",
         [
             "tests/test_normal_form.py::test_a_wrong_stored_correction_fails_the_right_inverse_at_its_step[0-4-q]",
@@ -100,8 +103,8 @@ MUTANTS = {
     ),
     "sign of the read-off r": (
         NF,
-        "([-ints[0]] + [0] * (len(ints) - 2), den, bits)",
-        "([ints[0]] + [0] * (len(ints) - 2), den, bits)",
+        "([-ints[0]], den, bits)",
+        "([ints[0]], den, bits)",
         [README_NF, READ_OFF],
     ),
     "sign of the read-off p and r on raw values": (
@@ -109,6 +112,18 @@ MUTANTS = {
         "return [vneg(c) for c in eps[1:]], [vneg(eps[0])]",
         "return [c for c in eps[1:]], [eps[0]]",
         [LOC_DIGEST, FP7_RESIDUAL, READ_OFF],
+    ),
+    "the sign of the diagonal identity's gamma coefficient": (
+        NF,
+        "return c * q.delta, -(c * q.gamma), c",
+        "return c * q.delta, c * q.gamma, c",
+        [README_NF, READ_OFF],
+    ),
+    "f's per-degree factor forced to 1": (
+        KERNELS,
+        "        mfactor = den // minus[1]\n",
+        "        mfactor = 1\n",
+        [f"{GRADING}[common-factor-q]", f"{GRADING}[tall-in-one-degree-q]"],
     ),
     "apply_series's -1 against minus": (
         NF,
@@ -124,8 +139,8 @@ MUTANTS = {
     ),
     "packed kernel's sign bit in the slot width": (
         KERNELS,
-        "wb = (lbits + rbits + count.bit_length() + 8) // 8",
-        "wb = (lbits + rbits + count.bit_length() + 7) // 8",
+        "wb = (height + count.bit_length() + 8) // 8",
+        "wb = (height + count.bit_length() + 7) // 8",
         [SIGN_BIT],
     ),
     "the division certificate's row comparison": (

@@ -7,13 +7,17 @@ ring (`DPElem` parts, in its products, divisions and powers) dicts
 {Y-degree: nonzero raw value}; both run the sparse loops.  Dense ones are
 lists of raw values indexed by exponent (`Series2` parts and the normal
 form's vectors over every base but Q), multiplied by `_product_sums`, or over
-Q, in the normal form, integer images of such lists, multiplied by
-`_packed_sums`.  The loops over the coefficients of polynomials and series
-are written here, in three kernels:
+Q, in the normal form, integer images of such lists: canonical ones,
+multiplied by `_packed_sums`, in `apply_series`, and numerators over a
+denominator fixed by their degree, multiplied by `_graded_sum`, in the
+iteration.  The loops over the coefficients of
+polynomials and series are written here, in three kernels:
 
 - the sparse loops, on raw values combined through the ring's `_vadd` and
   `_vmul` and tested for zero by truth value;
-- over Q and F_p, the packed kernel on integer vectors over one denominator;
+- over Q and F_p, the packed kernel on integer vectors, each side over one
+  denominator (`_packed_sums`, `_product_sums`) or each term of a sum
+  brought to the sum's denominator by one integer factor (`_graded_sum`);
 - over the composite rings, the pair loop on integer numerators, each side
   over one denominator, each coefficient product accumulated by the ring's
   multiply-accumulate `_mac` and each output coefficient normalised once
@@ -92,7 +96,9 @@ def _row_mul_add(ring, out, x, y):
 # gcd(den, *ints) = 1 with bits that of the largest |x| (the zero vector is
 # ([0, ...], 1, 0)); two canonical images of one vector are equal.  The image
 # `_images` gives a single vector and every image `_packed_sums` returns are
-# canonical; the kernel reads any image, a slice of one too.
+# canonical; the kernel reads any image, a slice of one too.  `_graded_sum`
+# reads images too, but brings each term of its sum to the sum's denominator
+# on its own, with its own height, and divides no content out of its output.
 #
 # Each side is brought to one denominator, the lcm L of its images' dens, by
 # multiplying each packed integer once by its scale factor f = L // den: one
@@ -189,6 +195,29 @@ def _common_denominator(images):
     return ints, den, scales, max([b + (f - 1).bit_length() for b, f in zip(bits, scales)])
 
 
+def _slot_bytes(height, count):
+    """Bytes per slot for sums of at most `count` products, each below
+    2^height in absolute value (see above)."""
+    wb = (height + count.bit_length() + 8) // 8
+    if wb <= 8:
+        wb = 1 << (wb - 1).bit_length()
+    return wb
+
+
+def _digits(total, wb, lengths):
+    """The slots of `total`, sums stacked one after another with wb bytes per
+    slot, one list per sum of each length, each slot as its digit
+    c + 2^(w-1); and that base 2^(w-1)."""
+    nslots = sum(lengths)
+    bias = int.from_bytes((bytes(wb - 1) + b"\x80") * nslots, "little")  # 2^(w-1) in every slot
+    buf = (total + bias).to_bytes(wb * nslots, "little")
+    if wb in _WORD_FORMATS and _LITTLE_ENDIAN:
+        digits = iter(memoryview(buf).cast(_WORD_FORMATS[wb]).tolist())
+    else:
+        digits = (int.from_bytes(buf[k : k + wb], "little") for k in range(0, wb * nslots, wb))
+    return [list(islice(digits, length)) for length in lengths], 1 << (8 * wb - 1)
+
+
 def _slots(left, right, outputs):
     """For sides `left` and `right` (see `_common_denominator`), the
     coefficients of each sum, one list per output, each as a packed slot's
@@ -199,9 +228,7 @@ def _slots(left, right, outputs):
     llen, rlen = max(map(len, lints), default=0), max(map(len, rints), default=0)
     # each pair puts at most min(len(a), len(b)) products into a slot
     count = max((len(pairs) for _, pairs in outputs), default=0) * min(llen, rlen)
-    wb = (lbits + rbits + count.bit_length() + 8) // 8  # bytes per slot
-    if wb <= 8:
-        wb = 1 << (wb - 1).bit_length()
+    wb = _slot_bytes(lbits + rbits, count)
     w = 8 * wb
     lpacked = [_pack(v, w) for v in lints]
     rpacked = [_pack(v, w) for v in rints]
@@ -216,14 +243,8 @@ def _slots(left, right, outputs):
         for i, j in pairs:
             acc += lpacked[i] * rpacked[j]
         total = (total << (w * length)) + acc
-    nslots = sum(length for length, _ in outputs)
-    bias = int.from_bytes((bytes(wb - 1) + b"\x80") * nslots, "little")  # 2^(w-1) in every slot
-    buf = (total + bias).to_bytes(wb * nslots, "little")
-    if wb in _WORD_FORMATS and _LITTLE_ENDIAN:
-        digits = iter(memoryview(buf).cast(_WORD_FORMATS[wb]).tolist())
-    else:
-        digits = (int.from_bytes(buf[k : k + wb], "little") for k in range(0, wb * nslots, wb))
-    return [list(islice(digits, length)) for length, _ in outputs], 1 << (w - 1), lden * rden
+    cuts, base = _digits(total, wb, [length for length, _ in outputs])
+    return cuts, base, lden * rden
 
 
 def _packed_sums(ring, left, right, outputs):
@@ -233,6 +254,48 @@ def _packed_sums(ring, left, right, outputs):
     product in the sum."""
     cuts, base, den = _slots(_common_denominator(left), _common_denominator(right), outputs)
     return [_canonical([d - base for d in cut], den) for cut in cuts]
+
+
+def _graded_sum(length, terms, minus):
+    """The packed kernel on images over Q for one sum over a denominator of
+    its own, with no content divided out, behind the normal form's iteration
+    over Q: an image of the `length` coefficients of
+
+        the sum of s*u*v over (u, v, s) in terms, less minus,
+
+    with s a scalar held as a length-1 image (None for 1) and minus an image
+    (None for none), over E, the lcm of the terms' denominators:
+    den(u)*den(v)*den(s) for a product, den(minus) for minus.  A term over
+    less than E is brought to it by one integer factor on a packed integer
+    (u's, or minus's), none on a coefficient.  The slot width follows each
+    term's own height, the bits of its vectors and of its factor (a factor
+    of 1 costs no bit); the output's bits are exact.  No gcd runs on a
+    coefficient, so the output is canonical only where E happens to be the
+    least denominator."""
+    dens = [u[1] * v[1] * s[1] if s else u[1] * v[1] for u, v, s in terms]
+    if minus is not None:
+        dens.append(minus[1])
+    den = lcm(*set(dens))
+    factors, height, count = [], 0, 0
+    for (u, v, s), d in zip(terms, dens):
+        g = den // d * s[0][0] if s else den // d
+        factors.append(g)
+        height = max(height, u[2] + v[2] + (abs(g) - 1).bit_length())
+        count += min(len(u[0]), len(v[0]))  # products per slot
+    if minus is not None:
+        mfactor = den // minus[1]
+        height = max(height, minus[2] + (mfactor - 1).bit_length())
+        count += 1
+    wb = _slot_bytes(height, count)
+    w = 8 * wb
+    acc = 0
+    for (u, v, _), g in zip(terms, factors):
+        x = _pack(u[0], w)
+        acc += (x if g == 1 else x * g) * _pack(v[0], w)
+    if minus is not None:
+        acc -= _pack(minus[0], w) * mfactor
+    (cut,), base = _digits(acc, wb, [length])
+    return [d - base for d in cut], den, max(max(cut) - base, base - min(cut)).bit_length()
 
 
 def _product_sums(ring, left, right, outputs):

@@ -15,12 +15,24 @@ iteration takes c = -1/d and certifies with sign -1, so each correction
 cancels its residual.
 
 The products behind these run in the kernels on coefficient vectors held in
-one of two formats, by base (`_vectors`): over Q, where each coefficient
-carries its own denominator, as integer images over one denominator,
-multiplied by `kernels._packed_sums`; over every other base, F_p and the
-composite rings, as lists of raw values, multiplied by
-`kernels._product_sums`.  Only the components a result keeps are wrapped as
-ring elements.
+one of two formats, by base.  Over every other base than Q, F_p and the
+composite rings, a vector is a list of raw values, multiplied by
+`kernels._product_sums`.  Over Q, where each coefficient carries its own
+denominator, it is an integer image (ints, den, bits), the vector ints/den.
+`QuadForm.apply_series` keeps its own arithmetic (`_vectors`): canonical
+images, each side of a product over one denominator, multiplied by
+`kernels._packed_sums`, so that the residual check it serves stays
+independent of the iteration, whose diagonal term it does not share
+(`normal_form_iteration`).  The iteration and the solver (`_graded`)
+hold integer numerators whose denominator is fixed by their degree, and
+never divide a content out: a component f_m of f is over F_m, the lcm of
+its coefficients' denominators; a residual component eps_m over E_m, the
+lcm of the denominators of the terms that enter degree m; a correction
+(a_k, b_k) over D*E_{k+1}, D the lcm of the denominators of the rows'
+scalars, and its polar vectors over E_{k+1}.  A term over less than E_m is
+brought to it by one integer factor on a packed integer
+(`kernels._graded_sum`), and a coefficient is normalised only when it is
+wrapped as a ring element, which only the components a result keeps are.
 """
 
 from __future__ import annotations
@@ -30,7 +42,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import lcm
 
-from .kernels import _canonical, _elements, _images, _packed_sums, _product_sums
+from .kernels import _elements, _graded_sum, _images, _packed_sums, _product_sums
 from .rings import DualNumbers, Rationals, RingElem
 from .series import Series2, _min_prec, _series_arg
 
@@ -192,80 +204,129 @@ class CoordChange:
 
 
 def _correction_rows(q, c):
-    """The raw preimage of the linearized increment at c as four rows of
-    scalars, for mu, nu, mu + gamma*nu and delta*nu, with mu = (-2*delta*c,
-    gamma*c) and nu = (gamma*c, -2*c): a row (r, s) maps a component f_n to
-    r*f_n[1:] + s*f_n[0], the f_n[0] term at X-exponent 0, of degree n - 1
-    (`_apply_row`), and q_X*mu + q_Y*nu = c*d*f, d = gamma^2 - 4*delta.  The
-    solver reads mu and nu at c = 1/d; the iteration reads all four at
-    c = -1/d, where its correction cancels the residual.
+    """The raw preimage of the linearized increment at c as the rows of mu
+    and nu, (-2*delta*c, gamma*c) and (gamma*c, -2*c): a row (r, s) maps a
+    component f_n to r*f_n[1:] + s*f_n[0], the f_n[0] term at X-exponent 0,
+    of degree n - 1 (`_apply_row`), and q_X*mu + q_Y*nu = c*d*f,
+    d = gamma^2 - 4*delta.  The solver reads them at c = 1/d, the iteration
+    at c = -1/d, where its correction cancels the residual.
 
-    The rows of mu + gamma*nu and delta*nu are ((gamma^2 - 2*delta)*c,
-    -gamma*c) and (delta*gamma*c, -2*delta*c).  The polar vectors
-    p = 2*mu + gamma*nu and r = gamma*mu + 2*delta*nu need no rows: by those
-    of mu and nu, p = c*d*f_n[1:] and r = c*d*f_n[0], so at c = -1/d,
-    p = -f_n[1:] and r = -f_n[0], exactly over every base where d is a unit,
-    characteristic 2 included (`_polar`)."""
-    g, gc, two_c = q.gamma, q.gamma * c, 2 * c
-    mu, nu = (-(q.delta * two_c), gc), (gc, -two_c)
-    return mu, nu, (mu[0] + g * gc, -gc), (q.delta * gc, mu[0])
+    The polar vectors p = 2*mu + gamma*nu and r = gamma*mu + 2*delta*nu need
+    no rows: by those of mu and nu, p = c*d*f_n[1:] and r = c*d*f_n[0], so at
+    c = -1/d, p = -f_n[1:] and r = -f_n[0], exactly over every base where d
+    is a unit, characteristic 2 included (`_polar`).  Nor does q(mu, nu),
+    which they give (`_diagonal`)."""
+    gc, two_c = q.gamma * c, 2 * c
+    return (-(q.delta * two_c), gc), (gc, -two_c)
+
+
+def _diagonal(q, c):
+    """The scalars (c*delta, -c*gamma, c) of the diagonal identity
+    q(mu, nu) = c*(delta*p^2 - gamma*p*r + r^2), at c = -1/d, for (mu, nu)
+    made by the rows of `_correction_rows` from a component and (p, r) its
+    polar vectors (derived in `normal_form_iteration`)."""
+    return c * q.delta, -(c * q.gamma), c
+
+
+def _row_scalars(ring, rows):
+    """Rows of scalars as `_apply_row` reads them, lifted in one call, as
+    (r, s, D): over Q integers over D, the lcm of the scalars' denominators,
+    each in lowest terms; over every other base raw values, with D None."""
+    _, lift, _, _ = _vectors(ring)
+    (flat,) = lift([[s for row in rows for s in row]])
+    vals, den = flat[:2] if isinstance(ring, Rationals) else (flat, None)
+    return [(vals[k], vals[k + 1], den) for k in range(0, len(vals), 2)]
 
 
 def _apply_row(ring, row, v):
-    """r*v[1:] + s*v[0], the v[0] term at X-exponent 0, for a row (r, s) of
-    scalars and a component v of degree n >= 1, in place: no kernel call.
-    Both are held as `_vectors` holds them, the row as the two length-1
-    vectors of one lift call (so over Q over one denominator); over Q the
-    result is a canonical image, over every other base a list of raw
+    """r*v[1:] + s*v[0], the v[0] term at X-exponent 0, for a row of scalars
+    (`_row_scalars`) and a component v of degree n >= 1, in place: no kernel
+    call.  Over Q v is an image (ints, den, bits) and the result the image
+    over D*den, with no content divided out and its bits bounded by v's and
+    those of |r| + |s|; over every other base both are lists of raw
     values."""
+    r, s, den = row
     if not isinstance(ring, Rationals):
-        ((r,), (s,)), vmul = row, ring._vmul
+        vmul = ring._vmul
         out = [vmul(r, c) for c in v[1:]]
         out[0] = ring._vadd(out[0], vmul(s, v[0]))
         return out
-    ((r,), den, _), ((s,), _, _) = row
-    ints, vden, _ = v
+    ints, vden, bits = v
     out = [r * x for x in ints[1:]]
     out[0] += s * ints[0]
-    return _canonical(out, den * vden)
+    return out, den * vden, bits + (abs(r) + abs(s)).bit_length()
 
 
 def _polar(ring, eps):
     """The polar vectors (p, r) of the correction made from the residual
     component eps, read off eps (see `_correction_rows`): p = -eps[1:] and
-    r = (-eps[0], 0, ..., 0).  Over Q they are eps's image negated, over
-    every other base its raw values negated."""
+    r = -eps[0], at X-exponent 0, a vector of length 1 (a product takes it
+    as a scalar).  Over Q they are eps's image negated, over every other
+    base its raw values negated."""
     if not isinstance(ring, Rationals):
         vneg = ring._vneg
-        return [vneg(c) for c in eps[1:]], [vneg(eps[0])] + [ring.zero.val] * (len(eps) - 2)
+        return [vneg(c) for c in eps[1:]], [vneg(eps[0])]
     ints, den, bits = eps
-    return ([-x for x in ints[1:]], den, bits), ([-ints[0]] + [0] * (len(ints) - 2), den, bits)
+    return ([-x for x in ints[1:]], den, bits), ([-ints[0]], den, bits)
 
 
 def _certify_right_inverse(q, ring, sign, targets, preimages):
     """Raise AssertionError unless sign*L(mu, nu) = target, L(mu, nu) =
     q_X*mu + q_Y*nu, in every degree n of targets (a dict, in increasing
     degree), with (mu, nu) = preimages[n] of degree n - 1, a missing pair
-    counting as zeros; all vectors held as `_vectors` holds them, compared as
-    such (over Q canonical images, over every other base raw values).  One
-    product against the gradient, one output per degree; L is graded, so
-    the error names the least degree where the identity fails.  The solver
-    certifies with sign +1 (L(mu, nu) = f), the iteration with sign -1
-    (its correction cancels the residual)."""
-    sums, lift, _, _ = _vectors(ring)
+    counting as zeros; all vectors held as `_graded` holds them.  Over Q the
+    gradient is applied in place and integers are compared
+    (`_gradient_sides`); over every other base L is one product against the
+    gradient, one output per degree, compared with the target's raw values.
+    L is graded, so the error names the least degree where the identity
+    fails.  The solver certifies with sign +1 (L(mu, nu) = f), the iteration
+    with sign -1 (its correction cancels the residual)."""
+    _, lift, _, _ = _vectors(ring)
     # sign*q_X = sign*(gamma, 2) and sign*q_Y = sign*(2*delta, gamma), by X-exponent
     g, two = sign * q.gamma, ring(2 * sign)
     gradient = lift([(g, two), (two * q.delta, g)])
-    right, outputs = [], []
-    for n in targets:
-        pairs = []
-        if n in preimages:
-            pairs = [(0, len(right)), (1, len(right) + 1)]
-            right += preimages[n]
-        outputs.append((n + 1, pairs))
-    for (n, target), lhs in zip(targets.items(), sums(ring, gradient, right, outputs)):
-        if lhs != target:
+    if isinstance(ring, Rationals):
+        sides = [
+            _gradient_sides(gradient, *preimages[n], target) if n in preimages else ([0] * len(target[0]), target[0])
+            for n, target in targets.items()
+        ]
+    else:
+        right, outputs = [], []
+        for n in targets:
+            pairs = []
+            if n in preimages:
+                pairs = [(0, len(right)), (1, len(right) + 1)]
+                right += preimages[n]
+            outputs.append((n + 1, pairs))
+        sides = zip(_product_sums(ring, gradient, right, outputs), targets.values())
+    for n, (lhs, rhs) in zip(targets, sides):
+        if lhs != rhs:
             raise AssertionError(f"right-inverse identity failed at degree {n} (internal error)")
+
+
+def _gradient_sides(gradient, mu, nu, target):
+    """L(mu, nu) and the target over Q as two lists of integers, equal
+    exactly where the two vectors are.  With the gradient's images (x0, x1)
+    and (y0, y1) over e, and mu, nu and the target the images (a, da),
+    (b, da) and (t, dt),
+
+        L(mu, nu)*e*da = (x0, x1)*a + (y0, y1)*b,
+
+    set against t*e*da/dt, or both sides times dt where dt does not divide
+    e*da.  The preimages the rows make are over D*dt, so only the scalars e
+    and D multiply a coefficient: the gradient is applied in place, its two
+    coefficients at X-exponents k and k + 1, with no kernel call and nothing
+    divided.  mu and nu over different denominators, which no preimage the
+    rows make has, are first brought to their product."""
+    ((x0, x1), e, _), ((y0, y1), _, _) = gradient
+    (a, da, _), (b, db, _), (t, dt, _) = mu, nu, target
+    if da != db:
+        a, b, da = [x * db for x in a], [y * da for y in b], da * db
+    lhs = [x0 * x + y0 * y + x1 * u + y1 * v for x, y, u, v in zip([*a, 0], [*b, 0], [0, *a], [0, *b])]
+    scale, rest = divmod(e * da, dt)
+    if rest:
+        lhs, scale = [x * dt for x in lhs], e * da
+    return lhs, [scale * z for z in t]
 
 
 def solve_linearized_increment(q, f):
@@ -273,13 +334,15 @@ def solve_linearized_increment(q, f):
     for a series f with zero constant term: one homogeneous component or a
     whole series.
 
-    Needs a unit discriminant d.  Each component of f is lifted once
-    (`_vectors`: over Q a canonical image, over every other base raw
-    values), and the rows of mu and nu of `_correction_rows` at c = 1/d make
-    mu and nu from it in place (`_apply_row`), so that L(mu, nu) = f.  That
-    is re-checked on every call, which pins down the signs: by
-    `_certify_right_inverse` with sign +1, degree by degree, naming the least
-    degree where it fails.  mu and nu are wrapped once, after the check.
+    Needs a unit discriminant d.  Each component of f is lifted once, in a
+    call of its own (`_graded`: over Q an integer image over the lcm of its
+    denominators, over every other base raw values), and the rows of mu and
+    nu of `_correction_rows` at c = 1/d make mu and nu from it in place
+    (`_apply_row`; over Q over D times that lcm, D the rows' denominator), so
+    that L(mu, nu) = f.  That is re-checked on every call, which pins down
+    the signs: by `_certify_right_inverse` with sign +1, degree by degree,
+    naming the least degree where it fails.  mu and nu are wrapped once,
+    after the check, each coefficient normalised then.
     """
     _check_args(q, f=f)
     d = q.discriminant
@@ -288,9 +351,10 @@ def solve_linearized_increment(q, f):
     if 0 in f.parts:
         raise ValueError("series must have zero constant term")
     ring = f.ring
-    _, lift, wrap, nonzero = _vectors(ring)
-    rows = [lift([(r,), (s,)]) for r, s in _correction_rows(q, d.inv())[:2]]
-    targets = {n: lift([f.parts[n]])[0] for n in sorted(f.parts)}
+    _, lift, wrap, nonzero = _graded(ring)
+    rows = _row_scalars(ring, _correction_rows(q, d.inv()))
+    degrees = sorted(f.parts)
+    targets = dict(zip(degrees, lift([f.parts[n] for n in degrees])))
     preimages = {n: [_apply_row(ring, row, v) for row in rows] for n, v in targets.items()}
     _certify_right_inverse(q, ring, 1, targets, preimages)
     return tuple(
@@ -309,13 +373,14 @@ def _certify(identity, lhs, rhs):
 
 
 def _vectors(ring):
-    """How the normal form holds a coefficient vector, as (sums, lift, wrap,
-    nonzero): over Q an integer image (see `kernels`), multiplied by
-    `_packed_sums`; over every other base a list of raw values, multiplied
-    by `_product_sums`.  lift takes a list of vectors of RingElem to that
-    format (over Q to images over one shared denominator, so a single
-    vector's is canonical), wrap takes one back to a tuple of RingElem, and
-    nonzero tells whether it is."""
+    """How `QuadForm.apply_series` holds a coefficient vector, as (sums,
+    lift, wrap, nonzero): over Q a canonical integer image (see `kernels`),
+    multiplied by `_packed_sums`; over every other base a list of raw
+    values, multiplied by `_product_sums`.  lift takes a list of vectors of
+    RingElem to that format (over Q to images over one shared denominator,
+    so a single vector's is canonical), wrap takes one back to a tuple of
+    RingElem, each coefficient normalised, and nonzero tells whether it is.
+    The rows' and the gradient's scalars are lifted by this lift too."""
     if isinstance(ring, Rationals):
         return _packed_sums, lambda vecs: _images(ring, vecs), lambda image: _elements(ring, image), _nonzero_image
     zero = ring.zero
@@ -328,6 +393,35 @@ def _vectors(ring):
 
 def _nonzero_image(image):
     return any(image[0])
+
+
+def _graded(ring):
+    """How the iteration and the solver hold a vector, as (total, lift,
+    wrap, nonzero): `_vectors`' wrap and nonzero, with total(length, terms,
+    minus) the sum of s*u*v over (u, v, s) in terms less minus, s a scalar
+    lifted as a length-1 vector (None for 1) and minus a vector (None for
+    none).  Over Q total is `kernels._graded_sum`, whose image keeps the
+    denominator the grading gives it, and lift takes each vector over the
+    lcm of its own denominators (one `kernels._images` call each); over
+    every other base total is `_raw_sum` and lift `_vectors`'."""
+    _, lift, wrap, nonzero = _vectors(ring)
+    if isinstance(ring, Rationals):
+        return _graded_sum, lambda vecs: [_images(ring, [v])[0] for v in vecs], wrap, nonzero
+    return lambda length, terms, minus: _raw_sum(ring, length, terms, minus), lift, wrap, nonzero
+
+
+def _raw_sum(ring, length, terms, minus):
+    """`kernels._graded_sum`'s sum on vectors of raw values, through
+    `kernels._product_sums`: a scaled term's u is multiplied out first,
+    coefficientwise, and minus enters against the length-1 vector (-1,)."""
+    vmul = ring._vmul
+    left = [u if s is None else [vmul(s[0], x) for x in u] for u, _, s in terms]
+    right = [v for _, v, _ in terms]
+    if minus is not None:
+        left.append([ring._vneg(ring.one.val)])
+        right.append(minus)
+    (out,) = _product_sums(ring, left, right, [(length, [(k, k) for k in range(len(left))])])
+    return out
 
 
 def normal_form_iteration(f, q, n_steps):
@@ -343,42 +437,58 @@ def normal_form_iteration(f, q, n_steps):
     polar form B(v, w) = q(v + w) - q(v) - q(w) of v_k = (a_k, b_k) (see
     `QuadForm.apply_series`), its degree-(n+2) component is
 
-        eps = sum_{i<j, i+j=n+2} (a_i*p_j + b_i*r_j)
-              + [n even] (a_k*(a_k + gamma*b_k) + b_k*delta*b_k) - f_{n+2},
+        eps = sum_{i<j, i+j=n+2} (a_i*p_j + b_i*r_j) + [n even] q(a_k, b_k) - f_{n+2},
 
     k = (n+2)/2, with the polar vectors p_j = 2a_j + gamma*b_j and
     r_j = gamma*a_j + 2*delta*b_j: q(X, Y) lives in degree 2, and the linear
-    term L(a_{n+1}, b_{n+1}) is still zero when step n reads it.  Each
-    correction is stored with a + gamma*b, delta*b, p and r, so step n costs
-    one product per unordered pair of components, the low degree on the left
-    (each side's common denominator and slot height then follow only half
-    the components), instead of multiplying out whole series (van der
-    Hoeven's relaxed, or on-line, scheme in its simplest form).
+    term L(a_{n+1}, b_{n+1}) is still zero when step n reads it.  The
+    diagonal term comes from the polar vectors too, over every base where d
+    is a unit, characteristic 2 included (`_diagonal`).  The correction
+    (a, b) made from eps_{k+1} at c = -1/d is a = c*(-2*delta*A + gamma*E)
+    and b = c*(gamma*A - 2*E), with A = eps_{k+1}[1:] and E = eps_{k+1}[0]
+    at X-exponent 0, and p = -A and r = -E, so that
 
-    A step is one product, which forms eps, -f_{n+2} entering as the
-    length-1 vector (-1,) times f_{n+2}.  eps goes straight to
-    (a, b, a + gamma*b, delta*b) through the four rows of `_correction_rows`
-    at c = -1/d, the raw preimage with the sign that makes L(a, b) = -eps,
-    formed once per iteration and applied in place (`_apply_row`), with no
-    kernel call.  p and r are read off eps: p = -eps[1:] and r = -eps[0]
-    (`_polar`), which holds since 2a + gamma*b and gamma*a + 2*delta*b are
-    c*d times eps[1:] and eps[0].  Every vector the steps
-    read or make stays in the format of `_vectors` (over Q an integer image,
-    over every other base a list of raw values): each component of f that
-    the steps read is lifted once before the loop (over Q canonically), the
-    rows and -1 once per iteration, and eps and the stored corrections are
-    made in that format (over Q canonical images, p and r as eps's negated),
-    so no vector is lifted again.  Only a and b are wrapped as ring
-    elements, and only when nonzero, each then appended to x or y as one new
-    component: the coefficient tuples of the earlier components are shared
-    and not checked again, while the small degree -> component dict is
-    copied on each step.
+        q(a, b) = c^2*((4*delta^2 - gamma^2*delta)*A^2 + (gamma^3 - 4*gamma*delta)*A*E + (4*delta - gamma^2)*E^2)
+                = c^2*d*(-delta*A^2 + gamma*A*E - E^2)
+                = c*(delta*p^2 - gamma*p*r + r^2),
 
-    The right-inverse identity is certified once, after the last step, in
-    one more product: -L(a_{n+1}, b_{n+1}) = eps of step n, for every step,
-    with L(a, b) = q_X*a + q_Y*b (`_certify_right_inverse` with sign -1).  L
-    is graded, so the least degree where it fails is n + 2 for the first
-    step n whose correction is wrong.
+    as c^2*d = -c.  Nothing is divided by 2.  Each correction is stored as
+    (a, b, p, r), so step n costs one product per unordered pair of
+    components, the low degree on the left, and three on the diagonal,
+    instead of multiplying out whole series (van der Hoeven's relaxed, or
+    on-line, scheme in its simplest form).
+
+    A step is one kernel call, which forms eps, f_{n+2} entering as the
+    output's minus.  eps goes straight to (a, b) through the rows of mu and
+    nu of `_correction_rows` at c = -1/d, the raw preimage with the sign
+    that makes L(a, b) = -eps, formed once per iteration and applied in
+    place (`_apply_row`), with no kernel call.  p and r are read off eps:
+    p = -eps[1:] and r = -eps[0] (`_polar`), which holds since
+    2a + gamma*b and gamma*a + 2*delta*b are c*d times eps[1:] and eps[0].
+    Every vector the steps read or make stays in the format of `_graded`:
+    over every other base than Q a list of raw values; over Q integer
+    numerators graded by degree, eps over E_{n+2}, a and b over D*E_{n+2},
+    with D the rows' denominator, p and r over E_{n+2}, where E_{n+2} is the
+    lcm of the denominators of the terms that enter degree n + 2:
+    D*E_{i+1}*E_{j+1} for each pair i < j, D'*E_{k+1}^2 on the diagonal, with
+    D' the lcm of the denominators of c*delta, -c*gamma and c, and F_{n+2},
+    that of f_{n+2}'s coefficients.  A lcm per degree of a few such
+    denominators, not one global denominator, keeps a tall denominator of f
+    in its own degree's grading; and D is that of the rows' scalars, each in
+    lowest terms, not the unreduced discriminant.  Inside the steps no gcd
+    or lcm runs on a coefficient vector.  Each component of f that the steps
+    read is lifted once before the loop, the rows and the diagonal's scalars
+    once per iteration, so no vector is lifted again.  Only a and b are
+    wrapped as ring elements, each coefficient normalised then, and only
+    when nonzero, each then appended to x or y as one new component: the
+    coefficient tuples of the earlier components are shared and not checked
+    again, while the small degree -> component dict is copied on each step.
+
+    The right-inverse identity is certified once, after the last step:
+    -L(a_{n+1}, b_{n+1}) = eps of step n, for every step, with
+    L(a, b) = q_X*a + q_Y*b (`_certify_right_inverse` with sign -1).  L is
+    graded, so the least degree where it fails is n + 2 for the first step n
+    whose correction is wrong.
     """
     _check_args(q, f=f)
     if n_steps < 1:
@@ -394,44 +504,38 @@ def normal_form_iteration(f, q, n_steps):
             f"series precision {f.precision} too small for {n_steps} steps"
         )
     ring = f.ring
-    sums, lift, wrap, nonzero = _vectors(ring)
+    total, lift, wrap, nonzero = _graded(ring)
     xs, ys = Series2.x(ring), Series2.y(ring)
     out = [(xs, ys)]
-    scalars = lift([(s,) for row in _correction_rows(q, -q.discriminant.inv()) for s in row])
-    rows = [scalars[k : k + 2] for k in range(0, len(scalars), 2)]
-    (minus_one,) = lift([(-ring.one,)])
+    c = -q.discriminant.inv()
+    rows = _row_scalars(ring, _correction_rows(q, c))
+    diagonal = lift([(s,) for s in _diagonal(q, c)])
     read = [n for n in f.parts if 2 < n <= n_steps + 1]  # f_{n+2} for the steps n < n_steps
-    # one call each, so that each image is canonical: a step's right side is
-    # then not scaled to the lcm of every denominator in f
-    f_parts = {n: lift([f.parts[n]])[0] for n in read}
-    # degree k -> (a_k, b_k, a_k + gamma*b_k, delta*b_k, p_k, r_k), for nonzero corrections
-    comps = {}
+    f_parts = dict(zip(read, lift([f.parts[n] for n in read])))
+    comps = {}  # degree k -> (a_k, b_k, p_k, r_k), for nonzero corrections
     residuals = {}  # degree n + 2 -> eps of step n
     for n in range(1, n_steps):
         top = n + 2
-        left, right = [], []
-        for i in comps:  # in increasing degree
+        terms = []
+        for i, comp in comps.items():  # in increasing degree
             j = top - i
             if j < i:
                 break
-            if j in comps:  # a_i, b_i against p_j, r_j, or against a_i + gamma*b_i, delta*b_i
-                left += comps[i][:2]
-                right += comps[j][4:] if i < j else comps[j][2:4]
-        pairs = [(k, k) for k in range(len(left))]
-        if top in f_parts:
-            pairs.append((len(left), len(right)))
-            left.append(minus_one)
-            right.append(f_parts[top])
-        (eps,) = sums(ring, left, right, [(top + 1, pairs)])
+            if i < j and j in comps:  # a_i, b_i against p_j, r_j
+                terms += [(comp[0], comps[j][2], None), (comp[1], comps[j][3], None)]
+            elif i == j:  # q(a_i, b_i) = c*(delta*p_i^2 - gamma*r_i*p_i + r_i^2)
+                p, r = comp[2:]
+                terms += [(p, p, diagonal[0]), (r, p, diagonal[1]), (r, r, diagonal[2])]
+        eps = total(top + 1, terms, f_parts.get(top))
         residuals[top] = eps
-        comp = [_apply_row(ring, row, eps) for row in rows]  # a, b, a + gamma*b, delta*b
-        in_x, in_y = nonzero(comp[0]), nonzero(comp[1])
+        a, b = (_apply_row(ring, row, eps) for row in rows)
+        in_x, in_y = nonzero(a), nonzero(b)
         if in_x or in_y:
-            comps[n + 1] = (*comp, *_polar(ring, eps))
+            comps[n + 1] = (a, b, *_polar(ring, eps))
             if in_x:
-                xs = Series2._of(ring, {**xs.parts, n + 1: wrap(comp[0])}, xs.precision)
+                xs = Series2._of(ring, {**xs.parts, n + 1: wrap(a)}, xs.precision)
             if in_y:
-                ys = Series2._of(ring, {**ys.parts, n + 1: wrap(comp[1])}, ys.precision)
+                ys = Series2._of(ring, {**ys.parts, n + 1: wrap(b)}, ys.precision)
         out.append((xs, ys))
     _certify_right_inverse(q, ring, -1, residuals, {k + 1: comp[:2] for k, comp in comps.items()})
     return out

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -139,11 +140,12 @@ def raw_increment_preimage(q, f, c=1):
     """(mu, nu) with q_X*mu + q_Y*nu = c*d*f, d the discriminant, for f with
     zero constant term: the rows of mu and nu of
     `normal_form._correction_rows(q, c)` applied to each component of f
-    (`normal_form._apply_row`), as the solver applies them at c = 1/d, degree
-    n of f giving degree n - 1 of mu and nu, as series of f's precision."""
+    (`normal_form._apply_row`, on the scalars of `normal_form._row_scalars`),
+    as the solver applies them at c = 1/d, degree n of f giving degree n - 1
+    of mu and nu, as series of f's precision."""
     ring = f.ring
-    _, lift, wrap, nonzero = normal_form._vectors(ring)
-    rows = [lift([(r,), (s,)]) for r, s in normal_form._correction_rows(q, ring(c))[:2]]
+    _, lift, wrap, nonzero = normal_form._graded(ring)
+    rows = normal_form._row_scalars(ring, normal_form._correction_rows(q, ring(c)))
     out = ({}, {})
     for n, v in f.parts.items():
         (image,) = lift([v])
@@ -153,33 +155,147 @@ def raw_increment_preimage(q, f, c=1):
     return tuple(Series2(ring, parts, f.precision) for parts in out)
 
 
+# --- a plain reference for the normal form: fractions.Fraction (or residues
+# mod p) on dict polynomials {(i, j): coefficient of X^i*Y^j}, degree by
+# degree, with no kernel and no normal_form internal
+
+
+def _reference_field(p):
+    """(embed, reduce, inverse) for Q as Fractions (p None) or F_p as
+    residues."""
+    if p is None:
+        return Fraction, lambda x: x, lambda x: 1 / x
+    return (lambda x: Fraction(x).numerator * pow(Fraction(x).denominator, -1, p) % p), (lambda x: x % p), (
+        lambda x: pow(x, -1, p)
+    )
+
+
+def _by_degree(poly):
+    out = {}
+    for (i, j), c in poly.items():
+        out.setdefault(i + j, []).append((i, j, c))
+    return out
+
+
+def _degree_part(u, v, m, scale, out):
+    """out += scale * (the degree-m part of u*v), for u and v grouped by
+    degree (`_by_degree`)."""
+    for a, terms in u.items():
+        for i1, j1, c1 in terms:
+            for i2, j2, c2 in v.get(m - a, ()):
+                e = (i1 + i2, j1 + j2)
+                out[e] = out.get(e, 0) + scale * c1 * c2
+
+
+def _reference_preimage(g, h, c, reduce, part, m):
+    """(mu, nu) = c*(-2*h*A + g*E, g*A - 2*E) for the degree-m part `part`:
+    A = (part - e0*Y^m)/X and E = e0*Y^(m-1), e0 its coefficient of Y^m; so
+    q_X*mu + q_Y*nu = c*(g^2 - 4*h)*part, q = X^2 + g*X*Y + h*Y^2."""
+    e0 = part.get((0, m), 0)
+    a_part = {(i - 1, j): v for (i, j), v in part.items() if i > 0}
+    mu = {e: reduce(-2 * h * c * v) for e, v in a_part.items()}
+    nu = {e: reduce(g * c * v) for e, v in a_part.items()}
+    corner = (0, m - 1)
+    mu[corner] = reduce(mu.get(corner, 0) + g * c * e0)
+    nu[corner] = reduce(nu.get(corner, 0) - 2 * c * e0)
+    return ({e: v for e, v in w.items() if v} for w in (mu, nu))
+
+
+def reference_iteration(f, gamma, delta, n_steps, p=None):
+    """Reference for `normal_form_iteration`: f a dict {(i, j): value}, gamma
+    and delta values (ints, strings or Fractions); over Q (p None) in
+    Fractions, over F_p in residues.  Step n multiplies out the degree-(n+2)
+    part eps of q(x, y) - f afresh from x and y and adds the correction of
+    `_reference_preimage` at c = -1/d, d = gamma^2 - 4*delta.  Returns the
+    n_steps pairs (x, y) as dicts of nonzero coefficients."""
+    embed, reduce, inverse = _reference_field(p)
+    g, h = embed(gamma), embed(delta)
+    c = reduce(-inverse(reduce(g * g - 4 * h)))
+    f = {e: embed(v) for e, v in f.items()}
+    x, y = {(1, 0): embed(1)}, {(0, 1): embed(1)}
+    out = [(dict(x), dict(y))]
+    for n in range(1, n_steps):
+        m = n + 2
+        xd, yd = _by_degree(x), _by_degree(y)
+        eps = {e: -v for e, v in f.items() if sum(e) == m}
+        _degree_part(xd, xd, m, 1, eps)
+        _degree_part(xd, yd, m, g, eps)
+        _degree_part(yd, yd, m, h, eps)
+        eps = {e: reduce(v) for e, v in eps.items()}
+        for s, w in zip((x, y), _reference_preimage(g, h, c, reduce, eps, m)):
+            for e, v in w.items():
+                s[e] = reduce(s.get(e, 0) + v)
+                if not s[e]:
+                    del s[e]
+        out.append((dict(x), dict(y)))
+    return out
+
+
+def reference_right_inverse(f, gamma, delta, p=None):
+    """Reference for `solve_linearized_increment`: (mu, nu) as dicts, from f a
+    dict {(i, j): value} with no constant term, by `_reference_preimage` at
+    c = 1/d on each homogeneous part."""
+    embed, reduce, inverse = _reference_field(p)
+    g, h = embed(gamma), embed(delta)
+    c = reduce(inverse(reduce(g * g - 4 * h)))
+    mu, nu = {}, {}
+    for m in sorted({i + j for i, j in f}):
+        part = {e: reduce(embed(v)) for e, v in f.items() if sum(e) == m}
+        for s, w in zip((mu, nu), _reference_preimage(g, h, c, reduce, part, m)):
+            s.update(w)
+    return mu, nu
+
+
 def perturbed_rows(monkeypatch, row, column):
-    """Make the iteration's rows (`_correction_rows` at c = -1/d) hold one
-    scalar plus one; the solver's, at c = 1/d, are left as they are.  Rows 4
-    and 5 stand for the polar vectors p and r, which `_polar` reads off eps
-    with the scalars (-1, 0) and (0, -1) on (eps[1:], eps[0]): there the
-    fault adds eps[1:] (column 0) or eps[0] (column 1) to the one read off."""
-    if row < 4:
-        real = normal_form._correction_rows
+    """Make the iteration's rows of mu and nu (`_correction_rows` at
+    c = -1/d) hold one scalar plus one; the solver's, at c = 1/d, are left
+    as they are."""
+    real = normal_form._correction_rows
 
-        def perturbed(q, c):
-            rows = [list(r) for r in real(q, c)]
-            if c == -q.discriminant.inv():
-                rows[row][column] = rows[row][column] + 1
-            return tuple(tuple(r) for r in rows)
+    def perturbed(q, c):
+        rows = [list(r) for r in real(q, c)]
+        if c == -q.discriminant.inv():
+            rows[row][column] = rows[row][column] + 1
+        return tuple(tuple(r) for r in rows)
 
-        monkeypatch.setattr(normal_form, "_correction_rows", perturbed)
-        return
-    real = normal_form._polar
+    monkeypatch.setattr(normal_form, "_correction_rows", perturbed)
+
+
+def perturbed_diagonal(monkeypatch, k):
+    """Make scalar k of the diagonal identity (`_diagonal`: c*delta,
+    -c*gamma, c) one more."""
+    real = normal_form._diagonal
+
+    def perturbed(q, c):
+        scalars = list(real(q, c))
+        scalars[k] = scalars[k] + 1
+        return tuple(scalars)
+
+    monkeypatch.setattr(normal_form, "_diagonal", perturbed)
+
+
+def perturbed_polar(monkeypatch, which, column, first_step=1):
+    """Make the polar vector p (which = 0) or r (which = 1) that `_polar`
+    reads off eps hold eps[1:] (column 0) or eps[0] (column 1) more: the
+    scalars (-1, 0) of p's row and (0, -1) of r's on (eps[1:], eps[0]), each
+    plus one, from the first run's step `first_step` on (`_polar` is called
+    once per step that makes a nonzero correction).  r, of length 1, grows
+    to the length of what it gains."""
+    real, calls = normal_form._polar, []
 
     def perturbed(ring, eps):
         polar = list(real(ring, eps))
-        _, lift, wrap, _ = normal_form._vectors(ring)
+        calls.append(None)
+        if len(calls) < first_step:
+            return tuple(polar)
+        _, lift, wrap, _ = normal_form._graded(ring)
         e = wrap(eps)
-        vec = list(wrap(polar[row - 4]))
-        for k, c in enumerate(e[1:] if column == 0 else e[:1]):
+        gained = e[1:] if column == 0 else e[:1]
+        vec = list(wrap(polar[which]))
+        vec += [ring.zero] * (len(gained) - len(vec))
+        for k, c in enumerate(gained):
             vec[k] += c
-        polar[row - 4] = lift([vec])[0]
+        polar[which] = lift([vec])[0]
         return tuple(polar)
 
     monkeypatch.setattr(normal_form, "_polar", perturbed)
@@ -187,16 +303,15 @@ def perturbed_rows(monkeypatch, row, column):
 
 def perturbed_step(monkeypatch, step, which):
     """Make step `step` of the first iteration run add one to coefficient 0
-    of its output `which` of (a, b, a + gamma*b, delta*b): the call of
-    `_apply_row` that applies row `which` (each step applies the four rows
-    in order).  Over Q, where the output is an image (ints, den, bits), by
-    adding den to ints[0]."""
+    of its output `which` of (a, b): the call of `_apply_row` that applies
+    row `which` (each step applies the two rows in order).  Over Q, where
+    the output is an image (ints, den, bits), by adding den to ints[0]."""
     real, calls = normal_form._apply_row, []
 
     def perturbed(ring, row, v):
         out = real(ring, row, v)
         calls.append(None)
-        if len(calls) == 4 * (step - 1) + which + 1:
+        if len(calls) == 2 * (step - 1) + which + 1:
             out = _plus_one(ring, out)
         return out
 
@@ -204,7 +319,7 @@ def perturbed_step(monkeypatch, step, which):
 
 
 def _plus_one(ring, vec):
-    """The vector `vec`, held as `normal_form._vectors` holds it, with one
+    """The vector `vec`, held as `normal_form._graded` holds it, with one
     added to coefficient 0."""
     if isinstance(ring, Rationals):
         ints, den, _ = vec

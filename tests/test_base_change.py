@@ -7,9 +7,10 @@ tower's residue map onto its bottom field, and Q -> F_p where p divides no
 denominator of the inputs and not the discriminant.  The two runs take
 different paths: the towers multiply through their compiled kernels, or past
 the size cutoff (loc:q:s,t:10) through the loops, and the fields through the
-packed kernel, over Q on integer images and over F_p on residues.  The
-double-point ring's canonical forms and products, on sparse X-rows, and the
-chart relations, on sparse polynomials, run on each ring's own `_vmul` and
+packed kernel, over Q on integer numerators graded by degree and over F_p on
+residues.  The double-point ring's canonical forms and products, on sparse
+X-rows, and the chart relations and the matrix factorization's phi, psi and
+image witnesses, on sparse polynomials, run on each ring's own `_vmul` and
 `_vadd`.
 
 The right inverse is not unique: (mu + q_Y*w, nu - q_X*w) is a preimage of f
@@ -27,6 +28,7 @@ from hypothesis import assume, given, settings, strategies as st
 from conftest import naive_linearized_increment, random_unit_disc
 from nodal_kit import normal_form
 from nodal_kit.dp_ring import DPElem, DPRing
+from nodal_kit.mf import build_factorization
 from nodal_kit.mpoly import MPoly, random_poly2
 from nodal_kit.normal_form import QuadForm, normal_form_iteration, solve_linearized_increment
 from nodal_kit.rings import CoeffParseError, Rationals, RingElem, TruncatedRing, make_ring
@@ -130,6 +132,57 @@ def test_normal_form_and_canonical_forms_commute_with_base_change(pair, seed, pr
 
     for chart, chart_small in zip(build_charts(big, q, s, t), build_charts(small, q_small, s_small, t_small)):
         assert _terms(reduce, chart.relation) == chart_small.relation.terms
+
+
+FACTORIZATION_MATRICES = ("phi", "psi", "j_witness", "k_witness")
+
+
+def _assert_matrix_reduces_to(name, reduce, big, small):
+    """Assert that the 2x2 matrix of polynomials `big`, reduced entry by
+    entry, is `small`, naming the first entry, in row-major order, where
+    they differ."""
+    for i, (row, row_small) in enumerate(zip(big, small)):
+        for j, (entry, entry_small) in enumerate(zip(row, row_small)):
+            if (down := _terms(reduce, entry)) != entry_small.terms:
+                raise AssertionError(f"{name}[{i}][{j}] differs: reduced {down} != {entry_small.terms}")
+
+
+@pytest.mark.parametrize("pair", PAIRS, ids=["->".join(pair) for pair in PAIRS])
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_factorization_matrices_commute_with_base_change(pair, seed):
+    # phi, psi and both image witnesses of `build_factorization`, over the
+    # big ring and over the small one from the reduced gamma, delta, s, t
+    big, small = map(make_ring, pair)
+    reduce = _reduction(big, small)
+    rnd = random.Random(seed)
+    gamma, delta = random_unit_disc(big, rnd)
+    s, t = big.random_element(rnd), big.random_element(rnd)
+    try:
+        gamma_small, delta_small, s_small, t_small = (RingElem(small, reduce(x.val)) for x in (gamma, delta, s, t))
+    except CoeffParseError:  # p divides a denominator
+        assume(False)
+    q_small = QuadForm(small, gamma_small, delta_small)
+    assume(q_small.discriminant.is_unit)
+    mf = build_factorization(DPRing(big, QuadForm(big, gamma, delta), s, t))
+    mf_small = build_factorization(DPRing(small, q_small, s_small, t_small))
+    for name in FACTORIZATION_MATRICES:
+        _assert_matrix_reduces_to(name, reduce, getattr(mf, name), getattr(mf_small, name))
+
+
+@pytest.mark.parametrize("name", FACTORIZATION_MATRICES)
+def test_a_factorization_entry_changed_in_one_path_fails_the_differential_naming_it(name):
+    # gamma = 3, delta = 2, s = 1/2, t = 4 over Q and F_7: the small ring's
+    # matrix gains 1 in its entry (1, 0), whose constant term is then named
+    big, small = make_ring("q"), make_ring("fp:7")
+    reduce = _reduction(big, small)
+    mf = build_factorization(DPRing(big, QuadForm.make(big, 3, 2), big("1/2"), big(4)))
+    mf_small = build_factorization(DPRing(small, QuadForm.make(small, 3, 2), small("1/2"), small(4)))
+    _assert_matrix_reduces_to(name, reduce, getattr(mf, name), getattr(mf_small, name))
+    matrix = getattr(mf_small, name)
+    changed = (matrix[0], (matrix[1][0] + MPoly(small, 2, {(0, 0): small.one}), matrix[1][1]))
+    with pytest.raises(AssertionError, match=rf"^{name}\[1\]\[0\] differs: reduced "):
+        _assert_matrix_reduces_to(name, reduce, getattr(mf, name), changed)
 
 
 def _shift_raw_preimages(monkeypatch):

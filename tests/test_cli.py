@@ -10,7 +10,15 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import corrupt_division, corrupt_power_rows, perturbed_preimage, perturbed_rows, perturbed_step
+from conftest import (
+    corrupt_division,
+    corrupt_power_rows,
+    perturbed_diagonal,
+    perturbed_polar,
+    perturbed_preimage,
+    perturbed_rows,
+    perturbed_step,
+)
 from nodal_kit import cli, mf, normal_form, rings, stabilize
 from nodal_kit.dp_ring import DPElem, DPRing
 from nodal_kit.mpoly import MPoly
@@ -475,22 +483,34 @@ def test_a_wrong_composed_scalar_fails_the_residual_check(monkeypatch, capsys, k
     }
 
 
+# (where, k, first step, residual order): a scalar of the diagonal identity,
+# or p or r read off eps with one of its scalars on (eps[1:], eps[0]) one
+# more, from step 1 or step 2 on
+LATER_FAULTS = [("diagonal", k, 1, 4) for k in range(3)] + [
+    (vector, column, first, 3 + first) for first in (1, 2) for vector in ("p", "r") for column in (0, 1)
+]
+
+
 @pytest.mark.parametrize(
-    "row, column",
-    [pytest.param(row, column, id=f"{row}-column1" if column else f"{row}") for row in (2, 3, 4, 5) for column in (0, 1)],
+    "where, k, first_step, order", LATER_FAULTS, ids=[f"{w}-{k}-from-step-{s}" for w, k, s, _ in LATER_FAULTS]
 )
-def test_a_wrong_stored_sum_is_caught_by_the_final_residual(monkeypatch, capsys, row, column):
-    # a + gamma*b, delta*b and the polar vectors p = 2a + gamma*b and
-    # r = gamma*a + 2*delta*b (rows 4 and 5, read off eps: see
-    # `perturbed_rows`) only feed later residuals, which the right
-    # inverse then solves faithfully; the final residual q(x, y) - f catches
-    # them.  Step 1 corrects degree 2: its a + gamma*b and delta*b enter the
-    # diagonal term of degree 4; p and r of degree 2 are never read, those of
-    # step 2's degree-3 correction first enter degree 5 (against a_2, b_2)
-    perturbed_rows(monkeypatch, row, column)
+def test_a_wrong_diagonal_or_polar_scalar_is_caught_by_the_final_residual(
+    monkeypatch, capsys, where, k, first_step, order
+):
+    # the diagonal term q(a, b) = c*(delta*p^2 - gamma*p*r + r^2) and the
+    # polar vectors p = 2a + gamma*b and r = gamma*a + 2*delta*b, read off eps,
+    # only feed later residuals, which the right inverse then solves
+    # faithfully; the final residual q(x, y) - f catches them.  Step 1
+    # corrects degree 2: its p and r enter the diagonal term of degree 4;
+    # those of step 2's degree-3 correction first enter degree 5 (against
+    # a_2, b_2)
+    if where == "diagonal":
+        perturbed_diagonal(monkeypatch, k)
+    else:
+        perturbed_polar(monkeypatch, "pr".index(where), k, first_step)
     code, failed = _normal_form_failures(capsys, "--precision", "8", "--series", _plain_top_literal(1))
     assert code == 1
-    assert failed == {"nf.residual-order": f"series 0: residual order {4 if row < 4 else 5}"}
+    assert failed == {"nf.residual-order": f"series 0: residual order {order}"}
 
 
 @pytest.mark.parametrize("k", [1, 5])
@@ -978,6 +998,17 @@ SERIES_LITERALS = st.one_of(
     st.builds(json.dumps, SERIES_TERMS),
     JSON_VALUES.map(json.dumps) | st.text(max_size=8),
 )
+
+
+@pytest.mark.parametrize("option", ["ring", "s", "series", "precision"])
+def test_a_bare_double_dash_as_an_option_value_exits_2(option):
+    # argparse before Python 3.12 reads `--s=--` as an empty list, which the
+    # coefficient parser met with an AttributeError and a traceback
+    try:
+        code = cli.main(["normal-form", f"--{option}=--"])
+    except SystemExit as e:  # argparse rejects the command line
+        code = e.code
+    assert code == 2
 
 
 @settings(max_examples=200, deadline=None)

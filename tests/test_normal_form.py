@@ -1,15 +1,20 @@
 import random
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import (
     naive_apply_series,
     naive_linearized_increment,
+    perturbed_diagonal,
+    perturbed_polar,
     perturbed_rows,
     perturbed_step,
     random_unit_disc,
     raw_increment_preimage,
+    reference_iteration,
+    reference_right_inverse,
 )
 from nodal_kit import normal_form, series
 from nodal_kit.cli import _final_residual
@@ -350,6 +355,101 @@ def test_tall_coefficients_match_the_per_step_right_inverse(gamma, delta, seed):
     assert [_raw(x, y) for x, y in got] == [_raw(x, y) for x, y in want]
 
 
+# --- against a reference that shares no code with the graded path: Fractions
+# (or residues mod 7) on dict polynomials, degree by degree (conftest)
+
+# gamma and delta with a common factor (d = 27, whose rows reduce to the
+# denominator 54 where the unreduced 4*(gamma^2 - 4*delta) is 432), with rows
+# that reduce (d = -9691/5929, rows over 881), and both signs of d
+REFERENCE_FORMS = [("6", "9/4"), ("3/7", "5/11"), ("1", "1"), ("-3", "1/2"), ("5/6", "-7/10")]
+SMALL_FRACTIONS = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12))
+
+
+def _coefficients(series, p):
+    """The nonzero coefficients of a series as {(i, j): coefficient of
+    X^i*Y^j}, Fractions over Q, residues over F_p."""
+    return {
+        (i, n - i): Fraction(*c.val) if p is None else c.val
+        for n, vec in series.parts.items()
+        for i, c in enumerate(vec)
+        if not c.is_zero
+    }
+
+
+def _reference_series(gamma, delta, terms, n_steps):
+    """q + terms as a dict {(i, j): Fraction}, for terms (degree,
+    X-exponent, Fraction) through degree n_steps + 2."""
+    f = {(2, 0): Fraction(1), (1, 1): gamma, (0, 2): delta}
+    for m, i, c in terms:
+        if m <= n_steps + 2:
+            e = (min(i, m), m - min(i, m))
+            f[e] = f.get(e, 0) + c
+    return f
+
+
+def _admissible(p, gamma, delta, f):
+    """A unit discriminant, and over F_p no denominator divisible by p."""
+    disc = gamma * gamma - 4 * delta
+    if p is None:
+        return bool(disc)
+    return all(v.denominator % p for v in (gamma, delta, *f.values())) and disc.numerator % p != 0
+
+
+def _assert_matches_the_reference(p, gamma, delta, f, n_steps):
+    """Every step of the iteration on the series f over q (p None) or fp:p,
+    and the solver's (mu, nu) on f, against the Fraction reference."""
+    ring = make_ring("q" if p is None else f"fp:{p}")
+    q = QuadForm(ring, ring.from_fraction(gamma), ring.from_fraction(delta))
+    series = Series2.from_terms(ring, [(i, j, ring.from_fraction(c)) for (i, j), c in f.items()])
+    got = normal_form_iteration(series, q, n_steps)
+    want = reference_iteration(f, gamma, delta, n_steps, p)
+    for k, ((x, y), (x_ref, y_ref)) in enumerate(zip(got, want, strict=True)):
+        assert (_coefficients(x, p), _coefficients(y, p)) == (x_ref, y_ref), f"step {k}"
+    mu, nu = solve_linearized_increment(q, series)
+    assert (_coefficients(mu, p), _coefficients(nu, p)) == reference_right_inverse(f, gamma, delta, p)
+
+
+# integer terms over a form whose rows have a denominator, so that f's factor
+# in every degree is that degree's whole denominator; and a tall denominator
+# in one degree
+GRADING_CASES = {
+    "common-factor": ("6", "9/4", [(3, 0, 1), (4, 2, 2), (6, 6, -1)]),
+    "reducing-rows": ("3/7", "5/11", [(3, 1, 1), (5, 0, 3), (7, 4, -2)]),
+    "tall-in-one-degree": ("1", "1", [(3, 3, Fraction(1, 2)), (8, 0, Fraction(1, 3**200)), (9, 9, 1)]),
+}
+GRADING_RUNS = [(case, p) for case in GRADING_CASES for p in (None, 7) if (case, p) != ("reducing-rows", 7)]
+
+
+@pytest.mark.parametrize("case, p", GRADING_RUNS, ids=[f"{c}-{'q' if p is None else 'fp:7'}" for c, p in GRADING_RUNS])
+def test_the_grading_cases_match_the_fraction_reference(case, p):
+    gamma, delta, terms = GRADING_CASES[case]
+    gamma, delta = Fraction(gamma), Fraction(delta)
+    f = _reference_series(gamma, delta, [(m, i, Fraction(c)) for m, i, c in terms], 9)
+    _assert_matches_the_reference(p, gamma, delta, f, 9)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    p=st.sampled_from([None, 7]),
+    form=st.one_of(st.sampled_from(REFERENCE_FORMS), st.tuples(SMALL_FRACTIONS, SMALL_FRACTIONS)),
+    n_steps=st.integers(1, 16),
+    terms=st.lists(st.tuples(st.integers(3, 18), st.integers(0, 18), SMALL_FRACTIONS), max_size=12),
+    tall=st.one_of(
+        st.none(), st.tuples(st.integers(3, 18), st.integers(0, 18), st.sampled_from([3, 5, 11]), st.integers(40, 300))
+    ),
+)
+def test_the_iteration_and_the_right_inverse_match_the_fraction_reference(p, form, n_steps, terms, tall):
+    # a tall denominator, b^k, confined to one degree enters that degree's
+    # grading only
+    gamma, delta = map(Fraction, form)
+    if tall is not None:
+        m, i, base, k = tall
+        terms = [*terms, (m, i, Fraction(1, base**k))]
+    f = _reference_series(gamma, delta, terms, n_steps)
+    assume(_admissible(p, gamma, delta, f))
+    _assert_matches_the_reference(p, gamma, delta, f, n_steps)
+
+
 # --- planted faults: the right-inverse identity, certified once per iteration
 
 
@@ -373,24 +473,51 @@ def test_a_wrong_composed_scalar_fails_the_right_inverse_at_its_step(monkeypatch
         normal_form_iteration(f, q, 8)
 
 
+# the faults that only feed later residuals: a scalar of the diagonal
+# identity (`_diagonal`), and p or r read off eps with one of its scalars
+# (-1, 0) and (0, -1) on (eps[1:], eps[0]) one more, from step 1 or step 2
+# on; each as (where, k, first step, residual order).  With
+# f = q + X^3 + Y^3, step 1's correction first enters degree 4, through the
+# diagonal term, which reads its p and r; step 2's p and r first enter
+# degree 5, against a_2 and b_2
+LATER_FAULTS = [("diagonal", k, 1, 4) for k in range(3)] + [
+    (vector, column, first, 3 + first) for first in (1, 2) for vector in ("p", "r") for column in (0, 1)
+]
+
+
+def plant_later_fault(monkeypatch, where, k, first_step):
+    if where == "diagonal":
+        perturbed_diagonal(monkeypatch, k)
+    else:
+        perturbed_polar(monkeypatch, "pr".index(where), k, first_step)
+
+
 @pytest.mark.parametrize("ring_desc", ["q", "fp:7", "dual:q"])
-@pytest.mark.parametrize("column", [0, 1])
-@pytest.mark.parametrize("row", [2, 3, 4, 5])
-def test_a_wrong_stored_sum_or_polar_scalar_fails_the_final_residual(monkeypatch, ring_desc, row, column):
-    # rows 2 and 3 give a + gamma*b and delta*b, and rows 4 and 5 stand for
-    # p and r, read off eps (see `perturbed_rows`); all four only feed later
-    # residuals: the right inverse solves those faithfully, so the iteration
-    # passes its own certificate and q(x, y) - f keeps the fault.  With
-    # f = q + X^3 + Y^3, step 1's a + gamma*b and delta*b first enter degree 4
-    # (the diagonal term of degree 2), and step 2's p and r degree 5 (against
-    # a_2, b_2); step 1's p and r are never read
+@pytest.mark.parametrize(
+    "where,k,first_step,order", LATER_FAULTS, ids=[f"{w}-{k}-from-step-{s}" for w, k, s, _ in LATER_FAULTS]
+)
+def test_a_wrong_diagonal_or_polar_scalar_fails_the_final_residual(
+    monkeypatch, ring_desc, where, k, first_step, order
+):
+    # the right inverse solves every later residual faithfully, so the
+    # iteration passes its own certificate and q(x, y) - f keeps the fault
+    # from the degree where it first enters a residual
     ring = make_ring(ring_desc)
     q = QuadForm.make(ring, *random_unit_disc(ring, random.Random(ring_desc)))
     f = _plain_top(q, 1)
     assert _final_residual(q, f, *normal_form_iteration(f, q, 8)[-1], 8).order_at_least(10)
-    perturbed_rows(monkeypatch, row, column)
+    plant_later_fault(monkeypatch, where, k, first_step)
     residual = _final_residual(q, f, *normal_form_iteration(f, q, 8)[-1], 8)
-    assert residual.order() == (4 if row < 4 else 5)
+    assert residual.order() == order
+
+
+def _product(ring, u, v):
+    """The product of two components as vectors of RingElem, by X-exponent."""
+    out = [ring.zero] * (len(u) + len(v) - 1)
+    for i, x in enumerate(u):
+        for j, y in enumerate(v):
+            out[i + j] += x * y
+    return out
 
 
 @settings(max_examples=40, deadline=None)
@@ -400,19 +527,28 @@ def test_a_wrong_stored_sum_or_polar_scalar_fails_the_final_residual(monkeypatch
     top=st.integers(3, 9),
 )
 def test_the_polar_vectors_read_off_eps_are_those_of_the_correction(seed, ring_desc, top):
-    # p = -eps[1:] and r = (-eps[0], 0, ..., 0) against p = 2a + gamma*b and
-    # r = gamma*a + 2*delta*b from the correction (a, b) the rows make of eps
+    # p = -eps[1:] and r = -eps[0] against p = 2a + gamma*b and
+    # r = gamma*a + 2*delta*b from the correction (a, b) the rows make of
+    # eps, and the diagonal identity q(a, b) = c*(delta*p^2 - gamma*p*r + r^2)
+    # on the scalars of `_diagonal`, characteristic 2 included
     rnd = random.Random(seed)
     ring = make_ring(ring_desc)
     q = QuadForm.make(ring, *random_unit_disc(ring, rnd))
-    _, lift, wrap, _ = normal_form._vectors(ring)
-    scalars = lift([(s,) for row in normal_form._correction_rows(q, -q.discriminant.inv()) for s in row])
-    rows = [scalars[k : k + 2] for k in range(0, len(scalars), 2)]
+    _, lift, wrap, _ = normal_form._graded(ring)
+    c = -q.discriminant.inv()
+    rows = normal_form._row_scalars(ring, normal_form._correction_rows(q, c))
     (eps,) = lift([[ring.random_element(rnd) for _ in range(top + 1)]])
-    a, b = (wrap(normal_form._apply_row(ring, row, eps)) for row in rows[:2])
+    a, b = (wrap(normal_form._apply_row(ring, row, eps)) for row in rows)
     p, r = (wrap(v) for v in normal_form._polar(ring, eps))
     assert p == tuple(2 * x + q.gamma * y for x, y in zip(a, b))
-    assert r == tuple(q.gamma * x + 2 * q.delta * y for x, y in zip(a, b))
+    assert r + (ring.zero,) * (len(a) - 1) == tuple(q.gamma * x + 2 * q.delta * y for x, y in zip(a, b))
+    s_pp, s_pr, s_rr = normal_form._diagonal(q, c)
+    assert (s_pp, s_pr, s_rr) == (c * q.delta, -(c * q.gamma), c)
+    aa, ab, bb = _product(ring, a, a), _product(ring, a, b), _product(ring, b, b)
+    want = [x + q.gamma * y + q.delta * z for x, y, z in zip(aa, ab, bb)]
+    pp, pr, rr = _product(ring, p, p), _product(ring, p, r), _product(ring, r, r)
+    got = [s_pp * x + s_pr * (pr[k] if k < len(pr) else 0) + s_rr * (rr[k] if k < len(rr) else 0) for k, x in enumerate(pp)]
+    assert got == want
 
 
 @pytest.mark.parametrize("ring_desc", ["q", "fp:7", "loc:q:s,t:3"])
@@ -444,7 +580,7 @@ def test_a_stored_correction_changed_only_in_its_denominator_fails_the_right_inv
     def halved(ring, row, v):
         out = real(ring, row, v)
         calls.append(None)
-        if len(calls) in (4 * (k - 1) + 1, 4 * (k - 1) + 2):  # a and b of step k
+        if len(calls) in (2 * (k - 1) + 1, 2 * (k - 1) + 2):  # a and b of step k
             ints, den, bits = out
             assert den % 2 == 0
             out = (ints, den // 2, bits)
@@ -516,11 +652,12 @@ def test_a_preimage_row_changed_only_in_its_denominator_fails_the_right_inverse(
 
 @pytest.mark.parametrize("n_steps", range(1, 9))
 def test_each_step_makes_one_packed_product_and_the_iteration_one_certificate(monkeypatch, n_steps):
-    # over Q the steps and the certificate run on images, through
-    # _packed_sums; over F_p and the composite rings on raw values, through
-    # _product_sums; neither makes a Series2 product, and the rows of a
-    # step are applied in place, with no kernel call
-    calls = {"_packed_sums": 0, "_product_sums": 0, "solve_linearized_increment": 0}
+    # over Q the steps run on graded images, through _graded_sum, and the
+    # certificate applies the gradient in place; over F_p and the composite
+    # rings both run on raw values, through _product_sums; neither makes a
+    # Series2 product, and the rows of a step are applied in place, with no
+    # kernel call
+    calls = {"_graded_sum": 0, "_packed_sums": 0, "_product_sums": 0, "solve_linearized_increment": 0}
     kernels = {"_product_sums": 0}
     for module, name, counts in [(normal_form, name, calls) for name in calls] + [(series, "_product_sums", kernels)]:
         real = getattr(module, name)
@@ -531,7 +668,8 @@ def test_each_step_makes_one_packed_product_and_the_iteration_one_certificate(mo
 
         monkeypatch.setattr(module, name, counted)
     rnd = random.Random(n_steps)
-    for ring_desc, kernel in (("q", "_packed_sums"), ("fp:7", "_product_sums"), ("loc:q:s,t:3", "_product_sums")):
+    for ring_desc, kernel, certificates in (("q", "_graded_sum", 0), ("fp:7", "_product_sums", 1),
+                                            ("loc:q:s,t:3", "_product_sums", 1)):
         ring = make_ring(ring_desc)
         q = QuadForm.make(ring, *random_unit_disc(ring, rnd))
         for f in (_random_series_over(q, rnd, n_steps + 2), q.series()):
@@ -540,7 +678,7 @@ def test_each_step_makes_one_packed_product_and_the_iteration_one_certificate(mo
                     counts[name] = 0
             normal_form_iteration(f, q, n_steps)
             want = dict.fromkeys(calls, 0)
-            want[kernel] = (n_steps - 1) + 1
+            want[kernel] = (n_steps - 1) + certificates
             assert calls == want
             assert kernels == {"_product_sums": 0}
 
@@ -985,7 +1123,7 @@ def _recorded_kernel_calls(monkeypatch):
 
 def _degree(vec):
     """The degree of a component held as an image (ints, den, bits) or as a
-    list of raw values."""
+    list of raw values; r, of length 1, counts as degree 0."""
     return len(vec[0] if isinstance(vec[0], list) else vec) - 1
 
 
@@ -995,27 +1133,39 @@ def _product_degrees(left, right, pairs):
 
 @pytest.mark.parametrize("ring_desc", ["q", "fp:7", "loc:q:s,t:3"])
 def test_each_step_multiplies_each_unordered_pair_of_corrections_once(monkeypatch, ring_desc):
-    # a_i, b_i against p_j, r_j for i < j, and against a_k + gamma*b_k,
-    # delta*b_k on the diagonal, low degree on the left: two products per
-    # unordered pair, where the ordered sum made four (two on the diagonal)
+    # a_i, b_i against p_j, r_j for i < j, low degree on the left: two
+    # products per unordered pair, where the ordered sum made four; on the
+    # diagonal p_k*p_k, r_k*p_k and r_k*r_k, scaled by `_diagonal`; f_top as
+    # minus.  r is a vector of length 1
     rnd = random.Random(ring_desc)
     ring = make_ring(ring_desc)
     q = QuadForm.make(ring, *random_unit_disc(ring, rnd))
     f = _random_series_over(q, rnd, 12)
-    calls = _recorded_kernel_calls(monkeypatch)
+    calls = []
+    for name, real in (("_graded_sum", normal_form._graded_sum), ("_raw_sum", normal_form._raw_sum)):
+
+        def recorded(*args, _real=real):
+            calls.append(args[-3:])
+            return _real(*args)
+
+        monkeypatch.setattr(normal_form, name, recorded)
     n_steps = 10
     xs, ys = normal_form_iteration(f, q, n_steps)[-1]
-    assert len(calls) == (n_steps - 1) + 1  # eps per step (the rows apply in place), then the certificate
+    assert len(calls) == n_steps - 1  # eps per step; the rows apply in place
     corrected = sorted(n for n in {*xs.parts, *ys.parts} if n >= 2)
     assert len(corrected) >= 6
-    for n, (left, right, outputs) in enumerate(calls[:-1], start=1):
+    for n, (length, terms, minus) in enumerate(calls, start=1):
         top = n + 2
-        ((length, pairs),) = outputs
         assert length == top + 1
-        want = [(i, top - i) for i in corrected if i <= top - i and top - i in corrected for _ in "ab"]
-        if top in f.parts:
-            want.append((0, top))  # -1 against f_top
-        assert _product_degrees(left, right, pairs) == sorted(want)
+        want = []
+        for i in corrected:
+            if i < top - i and top - i in corrected:
+                want += [(i, top - i), (i, 0)]
+            elif i == top - i:
+                want += [(i, i), (0, i), (0, 0)]
+        assert sorted((_degree(u), _degree(v)) for u, v, _ in terms) == sorted(want)
+        assert [s is not None for _, _, s in terms].count(True) == 3 * (top % 2 == 0 and top // 2 in corrected)
+        assert (minus is not None) == (top in f.parts)
 
 
 @pytest.mark.parametrize("precision", [None, 9])
