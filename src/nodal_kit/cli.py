@@ -672,7 +672,7 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    # argparse before Python 3.12 reads `--name=--` as an empty list, not as a value
+    # argparse before Python 3.13 reads `--name=--` as an empty list, not as a value
     for name, value in vars(args).items():
         if isinstance(value, list):
             parser.error(f"argument --{name.replace('_', '-')}: expected one argument")

@@ -165,9 +165,12 @@ def _reference_field(p):
     residues."""
     if p is None:
         return Fraction, lambda x: x, lambda x: 1 / x
-    return (lambda x: Fraction(x).numerator * pow(Fraction(x).denominator, -1, p) % p), (lambda x: x % p), (
-        lambda x: pow(x, -1, p)
-    )
+
+    def embed(x):
+        x = Fraction(x)
+        return x.numerator * pow(x.denominator, -1, p) % p
+
+    return embed, lambda x: x % p, lambda x: pow(x, -1, p)
 
 
 def _by_degree(poly):
@@ -299,6 +302,26 @@ def perturbed_polar(monkeypatch, which, column, first_step=1):
         return tuple(polar)
 
     monkeypatch.setattr(normal_form, "_polar", perturbed)
+
+
+# The faults that only feed later residuals, each as (where, k, first step,
+# residual order) for f = q + X^3 + Y^3: a scalar k of the diagonal identity
+# (`_diagonal`), or p or r read off eps with the scalar of column k of its
+# row, (-1, 0) or (0, -1) on (eps[1:], eps[0]), one more, from step 1 or
+# step 2 on.  Step 1's correction first enters degree 4, through the
+# diagonal term, which reads its p and r; step 2's p and r first enter
+# degree 5, against a_2 and b_2.
+LATER_FAULTS = [("diagonal", k, 1, 4) for k in range(3)] + [
+    (vector, column, first, 3 + first) for first in (1, 2) for vector in ("p", "r") for column in (0, 1)
+]
+
+
+def plant_later_fault(monkeypatch, where, k, first_step):
+    """Plant one fault of `LATER_FAULTS`."""
+    if where == "diagonal":
+        perturbed_diagonal(monkeypatch, k)
+    else:
+        perturbed_polar(monkeypatch, "pr".index(where), k, first_step)
 
 
 def perturbed_step(monkeypatch, step, which):

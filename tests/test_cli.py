@@ -11,13 +11,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
+    LATER_FAULTS,
     corrupt_division,
     corrupt_power_rows,
-    perturbed_diagonal,
-    perturbed_polar,
     perturbed_preimage,
     perturbed_rows,
     perturbed_step,
+    plant_later_fault,
 )
 from nodal_kit import cli, mf, normal_form, rings, stabilize
 from nodal_kit.dp_ring import DPElem, DPRing
@@ -483,14 +483,6 @@ def test_a_wrong_composed_scalar_fails_the_residual_check(monkeypatch, capsys, k
     }
 
 
-# (where, k, first step, residual order): a scalar of the diagonal identity,
-# or p or r read off eps with one of its scalars on (eps[1:], eps[0]) one
-# more, from step 1 or step 2 on
-LATER_FAULTS = [("diagonal", k, 1, 4) for k in range(3)] + [
-    (vector, column, first, 3 + first) for first in (1, 2) for vector in ("p", "r") for column in (0, 1)
-]
-
-
 @pytest.mark.parametrize(
     "where, k, first_step, order", LATER_FAULTS, ids=[f"{w}-{k}-from-step-{s}" for w, k, s, _ in LATER_FAULTS]
 )
@@ -504,10 +496,7 @@ def test_a_wrong_diagonal_or_polar_scalar_is_caught_by_the_final_residual(
     # corrects degree 2: its p and r enter the diagonal term of degree 4;
     # those of step 2's degree-3 correction first enter degree 5 (against
     # a_2, b_2)
-    if where == "diagonal":
-        perturbed_diagonal(monkeypatch, k)
-    else:
-        perturbed_polar(monkeypatch, "pr".index(where), k, first_step)
+    plant_later_fault(monkeypatch, where, k, first_step)
     code, failed = _normal_form_failures(capsys, "--precision", "8", "--series", _plain_top_literal(1))
     assert code == 1
     assert failed == {"nf.residual-order": f"series 0: residual order {order}"}
@@ -1002,7 +991,7 @@ SERIES_LITERALS = st.one_of(
 
 @pytest.mark.parametrize("option", ["ring", "s", "series", "precision"])
 def test_a_bare_double_dash_as_an_option_value_exits_2(option):
-    # argparse before Python 3.12 reads `--s=--` as an empty list, which the
+    # argparse before Python 3.13 reads `--s=--` as an empty list, which the
     # coefficient parser met with an AttributeError and a traceback
     try:
         code = cli.main(["normal-form", f"--{option}=--"])

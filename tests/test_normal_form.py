@@ -7,11 +7,11 @@ from hypothesis import assume, given, settings, strategies as st
 from conftest import (
     naive_apply_series,
     naive_linearized_increment,
-    perturbed_diagonal,
-    perturbed_polar,
+    LATER_FAULTS,
     perturbed_rows,
     perturbed_step,
     random_unit_disc,
+    plant_later_fault,
     raw_increment_preimage,
     reference_iteration,
     reference_right_inverse,
@@ -473,25 +473,6 @@ def test_a_wrong_composed_scalar_fails_the_right_inverse_at_its_step(monkeypatch
         normal_form_iteration(f, q, 8)
 
 
-# the faults that only feed later residuals: a scalar of the diagonal
-# identity (`_diagonal`), and p or r read off eps with one of its scalars
-# (-1, 0) and (0, -1) on (eps[1:], eps[0]) one more, from step 1 or step 2
-# on; each as (where, k, first step, residual order).  With
-# f = q + X^3 + Y^3, step 1's correction first enters degree 4, through the
-# diagonal term, which reads its p and r; step 2's p and r first enter
-# degree 5, against a_2 and b_2
-LATER_FAULTS = [("diagonal", k, 1, 4) for k in range(3)] + [
-    (vector, column, first, 3 + first) for first in (1, 2) for vector in ("p", "r") for column in (0, 1)
-]
-
-
-def plant_later_fault(monkeypatch, where, k, first_step):
-    if where == "diagonal":
-        perturbed_diagonal(monkeypatch, k)
-    else:
-        perturbed_polar(monkeypatch, "pr".index(where), k, first_step)
-
-
 @pytest.mark.parametrize("ring_desc", ["q", "fp:7", "dual:q"])
 @pytest.mark.parametrize(
     "where,k,first_step,order", LATER_FAULTS, ids=[f"{w}-{k}-from-step-{s}" for w, k, s, _ in LATER_FAULTS]
@@ -501,7 +482,7 @@ def test_a_wrong_diagonal_or_polar_scalar_fails_the_final_residual(
 ):
     # the right inverse solves every later residual faithfully, so the
     # iteration passes its own certificate and q(x, y) - f keeps the fault
-    # from the degree where it first enters a residual
+    # from the degree where it first enters a residual (see `LATER_FAULTS`)
     ring = make_ring(ring_desc)
     q = QuadForm.make(ring, *random_unit_disc(ring, random.Random(ring_desc)))
     f = _plain_top(q, 1)
