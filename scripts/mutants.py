@@ -49,6 +49,8 @@ ON_ROWS = "tests/test_dp_ring.py::test_dpelem_operations_on_rows_match_coefficie
 FP7_RESIDUAL = (
     "tests/test_normal_form.py::test_a_wrong_diagonal_or_polar_scalar_fails_the_final_residual[diagonal-0-from-step-1-fp:7]"
 )
+TOP_KEPT = "tests/test_cli.py::test_a_residual_only_in_the_top_kept_degree_passes_and_is_returned"
+LOWER_DEGREE = "tests/test_cli.py::test_a_residual_in_one_lower_degree_fails_naming_that_order"
 DRIFT = "tests/test_cli.py::test_a_drifted_closed_form_fails_the_elimination_check_with_both_relations"
 LAW = "tests/test_cli.py::test_a_wrong_batched_composition_fails_its_law_with_both_components"
 WITNESS = "tests/test_cli.py::test_a_perturbed_witness_fails_its_product_and_determinant_with_their_values"
@@ -125,11 +127,35 @@ MUTANTS = {
         "        mfactor = 1\n",
         [f"{GRADING}[common-factor-q]", f"{GRADING}[tall-in-one-degree-q]"],
     ),
-    "apply_series's -1 against minus": (
+    "apply_series's minus subtracted on packed integers": (
+        KERNELS,
+        "acc if minus is None else acc - next(mpacked)",
+        "acc if minus is None else acc + next(mpacked)",
+        [README_NF, f"{TOP_KEPT}[fp:7-1]"],
+    ),
+    "apply_series's -1 against minus on raw values": (
         NF,
-        "lift([(-one,)]) + low",
-        "lift([(one,)]) + low",
-        [README_NF, "tests/test_normal_form.py::test_polar_apply_series_matches_the_ordered_double_loop"],
+        "[[ring._vneg(one)], *vectors[: 2 * n_low]]",
+        "[[one], *vectors[: 2 * n_low]]",
+        [LOC_DIGEST, "tests/test_normal_form.py::test_polar_apply_series_matches_the_ordered_double_loop"],
+    ),
+    "a wrong polar scalar on packed integers (2L -> L)": (
+        KERNELS,
+        "combos.append((2 * t * el * x + t * g * y,",
+        "combos.append((t * el * x + t * g * y,",
+        [README_NF, f"{TOP_KEPT}[q-1]"],
+    ),
+    "apply_series's slot width one byte short": (
+        KERNELS,
+        "default=0) + 1)\n",
+        "default=0) + 1) - 1\n",
+        ["tests/test_series.py::test_a_form_sum_at_its_slot_bound", f"{TOP_KEPT}[fp:7-1]"],
+    ),
+    "apply_series's zero test dropping a nonzero degree": (
+        KERNELS,
+        "kept = [k for k, acc in enumerate(sums) if acc]",
+        "kept = [k for k, acc in enumerate(sums) if acc > 0]",
+        [f"{LOWER_DEGREE}[q--1]", f"{TOP_KEPT}[q--1]"],
     ),
     "packed kernel's bias": (
         KERNELS,

@@ -5,19 +5,21 @@ Each kernel serves one data shape.  Sparse polynomials (`MPoly` terms) are
 dicts {exponent tuple: nonzero raw value}, and the X-rows of the double-point
 ring (`DPElem` parts, in its products, divisions and powers) dicts
 {Y-degree: nonzero raw value}; both run the sparse loops.  Dense ones are
-lists of raw values indexed by exponent (`Series2` parts and the normal
-form's vectors over every base but Q), multiplied by `_product_sums`, or over
-Q, in the normal form, integer images of such lists: canonical ones,
-multiplied by `_packed_sums`, in `apply_series`, and numerators over a
-denominator fixed by their degree, multiplied by `_graded_sum`, in the
-iteration.  The loops over the coefficients of
-polynomials and series are written here, in three kernels:
+lists of raw values indexed by exponent (`Series2` parts, the components
+`QuadForm.apply_series` reads, and the normal form's vectors over every base
+but Q), or over Q, in the normal form's iteration and solver, integer
+numerators over a denominator fixed by their degree.  The loops over the
+coefficients of polynomials and series are written here, in four dense paths
+and the sparse loops:
 
 - the sparse loops, on raw values combined through the ring's `_vadd` and
   `_vmul` and tested for zero by truth value;
-- over Q and F_p, the packed kernel on integer vectors, each side over one
-  denominator (`_packed_sums`, `_product_sums`) or each term of a sum
-  brought to the sum's denominator by one integer factor (`_graded_sum`);
+- over Q and F_p, three packed kernels on integer vectors: `_product_sums`,
+  each side over one denominator, behind `Series2` products; `_graded_sum`,
+  each term of one sum brought to the sum's denominator by one integer
+  factor, behind the iteration over Q; and `_form_sums`, whole components of
+  x and y packed once, the polar vectors formed on their packed integers and
+  a degree unpacked only when it is nonzero, behind `apply_series`;
 - over the composite rings, the pair loop on integer numerators, each side
   over one denominator, each coefficient product accumulated by the ring's
   multiply-accumulate `_mac` and each output coefficient normalised once
@@ -34,7 +36,7 @@ from __future__ import annotations
 
 import sys
 from itertools import islice
-from math import gcd, lcm
+from math import lcm
 from operator import add
 
 from .rings import PrimeField, RingElem, TruncatedRing
@@ -90,52 +92,51 @@ def _row_mul_add(ring, out, x, y):
 # Over Q and F_p a dense vector is multiplied as one integer (Kronecker
 # substitution), as a list of integers over a denominator.  Over F_p that is
 # the list of residues over 1.  Over Q, where the coefficients carry their own
-# denominators, the normal form holds a vector as its image (ints, den, bits):
-# the vector ints/den, ints a list of integers and den > 0, with every
-# |x| < 2^bits.  An image is canonical when its content is divided out,
-# gcd(den, *ints) = 1 with bits that of the largest |x| (the zero vector is
-# ([0, ...], 1, 0)); two canonical images of one vector are equal.  The image
-# `_images` gives a single vector and every image `_packed_sums` returns are
-# canonical; the kernel reads any image, a slice of one too.  `_graded_sum`
-# reads images too, but brings each term of its sum to the sum's denominator
-# on its own, with its own height, and divides no content out of its output.
+# denominators, a set of vectors is lifted over one denominator, the lcm of
+# its coefficients' (`_side`, one `Rationals._common` call), and the normal
+# form's iteration holds a vector as its image (ints, den, bits): the vector
+# ints/den, ints a list of integers and den > 0, with every |x| < 2^bits.
+# The image `_images` gives a single vector is canonical: its content is
+# divided out, gcd(den, *ints) = 1, with bits that of the largest |x| (the
+# zero vector is ([0, ...], 1, 0)).
 #
-# Each side is brought to one denominator, the lcm L of its images' dens, by
-# multiplying each packed integer once by its scale factor f = L // den: one
-# big-integer product per vector, none per coefficient.  The slots then hold
-# x*f, and |x*f| < 2^bits * f <= 2^(bits + bitlen(f - 1)), so a side's height
-# h is the largest bits + bitlen(f - 1) over its images (a factor of 1 costs
-# no bit).  A packed vector is sum x_k*f * 2^(w*k), and the product of two
-# such integers holds the convolution, one coefficient per w-bit slot.  A slot
-# sums at most `count` products, each below 2^(h_left + h_right) in absolute
-# value, so with
-#     w >= h_left + h_right + bitlen(count) + 1
+# A packed vector is sum x_k * 2^(w*k), and the product of two such integers
+# holds the convolution, one coefficient per w-bit slot; so does an integer
+# combination of such products, since packing is linear.  A slot sums at most
+# `count` products, each below 2^height in absolute value, so with
+#     w >= height + bitlen(count) + 1
 # every coefficient c has |c| < 2^(w-1).  Adding 2^(w-1) to every slot then
 # leaves each one a digit c + 2^(w-1) in [0, 2^w) with no borrow between
 # slots, so the coefficients are read back from the bytes of the sum (w is
 # rounded up to whole bytes, and to 1, 2, 4 or 8 of them when it fits a
-# machine word, which a memoryview reads in one call), each over
-# L_left * L_right.
+# machine word, which a memoryview reads in one call).  For the same reason a
+# packed sum is 0 exactly when every one of its slots is.  A factor f >= 1 on
+# a term whose slots are below 2^bits costs bitlen(f - 1) bits of height
+# (|x*f| < 2^bits * f <= 2^(bits + bitlen(f - 1)); a factor of 1 costs no
+# bit).  Vectors of length 0 and 1 take the same path: an empty vector packs
+# to 0, and a scalar to itself.
 #
-# A side is held as one record (ints, L, scale factors, h): `_common_denominator`
-# makes it from images, `_side` straight from vectors of raw values over one
-# shared denominator (over F_p the residues over 1, h the bit length of
-# p - 1).  Vectors of length 0 and 1 take the same path: an empty vector
-# packs to 0, and a scalar to itself.
+# Three kernels run on packed integers: `_product_sums` on two sides, each
+# over one denominator, behind `Series2` products; `_graded_sum` on one sum
+# whose terms are each brought to the sum's denominator, behind the normal
+# form's iteration over Q; and `_form_sums` on whole components of x and y,
+# with the polar vectors formed on their packed integers, behind
+# `QuadForm.apply_series`.
 
 _WORD_FORMATS = {memoryview(bytes(8)).cast(f).itemsize: f for f in "BHIQ"}  # slot bytes -> format
 _LITTLE_ENDIAN = sys.byteorder == "little"
 
 
 def _side(ring, vecs):
-    """A side of the kernel straight from vectors of raw values, as
-    `_common_denominator` gives it: one record over the lcm of every
-    coefficient's denominator, so no scale factor applies (over Q
-    `Rationals._common`, one call per side)."""
+    """Vectors of raw values over one denominator, as (lists of integers,
+    denominator, bits): over Q the numerators over the lcm of every
+    coefficient's denominator (`Rationals._common`, one call per side), over
+    F_p the residues over 1; every |x| < 2^bits (over F_p bits is that of
+    p - 1)."""
     if isinstance(ring, PrimeField):
-        return vecs, 1, None, (ring.p - 1).bit_length()
+        return vecs, 1, (ring.p - 1).bit_length()
     nums, den = ring._common(vecs)
-    return nums, den, None, max([abs(x) for v in nums for x in v], default=0).bit_length()
+    return nums, den, max([abs(x) for v in nums for x in v], default=0).bit_length()
 
 
 def _tower_side(vecs):
@@ -154,17 +155,8 @@ def _images(ring, vecs):
     (see `_side`), each with the side's bits.  The image of a single vector
     is canonical: a prime's highest power in the lcm is some coefficient's
     denominator, whose numerator the prime does not divide."""
-    ints, den, _, bits = _side(ring, [[c.val for c in v] for v in vecs])
+    ints, den, bits = _side(ring, [[c.val for c in v] for v in vecs])
     return [(v, den, bits) for v in ints]
-
-
-def _canonical(ints, den):
-    """The canonical image of the vector ints/den over Q (den > 0), given as
-    a list it may keep."""
-    g = gcd(den, *ints)
-    if g != 1:
-        ints, den = [x // g for x in ints], den // g
-    return ints, den, max(map(abs, ints)).bit_length() if ints else 0
 
 
 def _elements(ring, image):
@@ -181,20 +173,6 @@ def _pack(ints, w):
     return out
 
 
-def _common_denominator(images):
-    """A side of the kernel from its images: its integer vectors, its
-    denominator L, each image's scale factor L // den (None when all are 1),
-    and its height (see above)."""
-    if not images:
-        return (), 1, None, 0
-    ints, dens, bits = zip(*images)
-    if dens.count(dens[0]) == len(dens):
-        return ints, dens[0], None, max(bits)
-    den = lcm(*set(dens))
-    scales = [den // d for d in dens]
-    return ints, den, scales, max([b + (f - 1).bit_length() for b, f in zip(bits, scales)])
-
-
 def _slot_bytes(height, count):
     """Bytes per slot for sums of at most `count` products, each below
     2^height in absolute value (see above)."""
@@ -204,10 +182,14 @@ def _slot_bytes(height, count):
     return wb
 
 
-def _digits(total, wb, lengths):
-    """The slots of `total`, sums stacked one after another with wb bytes per
-    slot, one list per sum of each length, each slot as its digit
-    c + 2^(w-1); and that base 2^(w-1)."""
+def _digits(sums, wb, lengths):
+    """The slots of packed sums with wb bytes per slot, one list per sum of
+    each length (the sums are stacked into one integer, each at the offset
+    of its first slot), each slot as its digit c + 2^(w-1); and that base
+    2^(w-1)."""
+    total, w = 0, 8 * wb
+    for acc, length in zip(reversed(sums), reversed(lengths)):
+        total = (total << (w * length)) + acc
     nslots = sum(lengths)
     bias = int.from_bytes((bytes(wb - 1) + b"\x80") * nslots, "little")  # 2^(w-1) in every slot
     buf = (total + bias).to_bytes(wb * nslots, "little")
@@ -215,45 +197,69 @@ def _digits(total, wb, lengths):
         digits = iter(memoryview(buf).cast(_WORD_FORMATS[wb]).tolist())
     else:
         digits = (int.from_bytes(buf[k : k + wb], "little") for k in range(0, wb * nslots, wb))
-    return [list(islice(digits, length)) for length in lengths], 1 << (8 * wb - 1)
+    return [list(islice(digits, length)) for length in lengths], 1 << (w - 1)
 
 
-def _slots(left, right, outputs):
-    """For sides `left` and `right` (see `_common_denominator`), the
-    coefficients of each sum, one list per output, each as a packed slot's
-    digit d = c + 2^(w-1); the base 2^(w-1); and the denominator of every
-    value."""
-    lints, lden, lscales, lbits = left
-    rints, rden, rscales, rbits = right
-    llen, rlen = max(map(len, lints), default=0), max(map(len, rints), default=0)
-    # each pair puts at most min(len(a), len(b)) products into a slot
-    count = max((len(pairs) for _, pairs in outputs), default=0) * min(llen, rlen)
-    wb = _slot_bytes(lbits + rbits, count)
+def _form_sums(ring, form, vectors, n_low, right, outputs):
+    """The packed kernel behind `QuadForm.apply_series` over Q and F_p: for
+    each (length, pairs, minus) in outputs, the `length` coefficients of
+
+        the sum of x_i*p_k + y_i*r_k over (i, k) in pairs, less minus,
+
+    as a tuple of RingElem, or None when they are all zero.  x_j and y_j are
+    vectors[2j] and vectors[2j + 1], of length increasing with j, and every
+    x_i read is among the first n_low; (p_k, r_k) is, for (j, diagonal) =
+    right[k], the pair of polar vectors (2x_j + gamma*y_j,
+    gamma*x_j + 2*delta*y_j), or on the diagonal (x_j + gamma*y_j,
+    delta*y_j); (gamma, delta) = form, and minus is a vector (None for
+    none), all of raw values.
+
+    The first n_low components, the rest and the minuends are lifted as
+    three sides (`_side`), over D_0, D_1 and M, and gamma and delta as G/L
+    and Delta/L.  Every sum is taken over one denominator E, the lcm of
+    D_0*L*D_1 (D_0*L*D_0 when every component is among the first n_low) and
+    M: the scalars of the polar and diagonal vectors of a component over D
+    carry the factor t = E // (D_0*L*D), so that x_i*p_k is
+    (X_i/D_0)*t*(2L*X_j + G*Y_j)/E, and minus's packed integer the factor
+    E // M.  Each vector is packed once, at one slot width; each polar and
+    diagonal vector is an integer combination of two packed integers; each
+    sum is one integer, unpacked only when it is nonzero, and a coefficient
+    is normalised only when it is wrapped (over F_p reduced mod p, where a
+    nonzero slot may vanish)."""
+    ((g, d),), el, _ = _side(ring, [list(form)])
+    sets = [_side(ring, vectors[: 2 * n_low]), _side(ring, vectors[2 * n_low :])]
+    mints, mden, mbits = _side(ring, [m for _, _, m in outputs if m is not None])
+    (_, low_den, low_bits), bound = sets[0], 2 * (el + abs(g) + abs(d))  # bound >= |a| + |b| of each a*x + b*y below
+    den = lcm(low_den * el * lcm(*[s[1] for s in sets if s[0]]), mden)
+    scales = [den // (low_den * el * set_den) for _, set_den, _ in sets]
+    height = max([mbits + (den // mden - 1).bit_length()] + [
+        low_bits + bits + (t * bound - 1).bit_length() for (ints, _, bits), t in zip(sets, scales) if ints
+    ])
+    # at most n_low pairs enter a degree, each x_i*p_k and y_i*r_k putting len(x_i) products into a slot
+    wb = _slot_bytes(height, 2 * n_low * max(map(len, vectors[: 2 * n_low]), default=0) + 1)
     w = 8 * wb
-    lpacked = [_pack(v, w) for v in lints]
-    rpacked = [_pack(v, w) for v in rints]
-    if lscales:
-        lpacked = [x * f for x, f in zip(lpacked, lscales)]
-    if rscales:
-        rpacked = [x * f for x, f in zip(rpacked, rscales)]
-    # every sum, stacked into one integer at the offset of its first slot
-    total = 0
-    for length, pairs in reversed(outputs):
-        acc = 0
-        for i, j in pairs:
-            acc += lpacked[i] * rpacked[j]
-        total = (total << (w * length)) + acc
-    cuts, base = _digits(total, wb, [length for length, _ in outputs])
-    return cuts, base, lden * rden
-
-
-def _packed_sums(ring, left, right, outputs):
-    """The packed kernel on images over Q: for each (length, pairs) in
-    outputs, the canonical image of the `length` coefficients of the sum of
-    left[i] * right[j] over (i, j) in pairs; `length` must cover every
-    product in the sum."""
-    cuts, base, den = _slots(_common_denominator(left), _common_denominator(right), outputs)
-    return [_canonical([d - base for d in cut], den) for cut in cuts]
+    packed = [_pack(v, w) for ints, _, _ in sets for v in ints]
+    mpacked = iter([_pack(v, w) * (den // mden) for v in mints])
+    combos = []
+    for j, diagonal in right:
+        x, y, t = packed[2 * j], packed[2 * j + 1], scales[j >= n_low]
+        if diagonal:
+            combos.append((t * el * x + t * g * y, t * d * y))
+        else:
+            combos.append((2 * t * el * x + t * g * y, t * g * x + 2 * t * d * y))
+    sums = []
+    for _, pairs, minus in outputs:
+        acc = sum([packed[2 * i] * combos[k][0] + packed[2 * i + 1] * combos[k][1] for i, k in pairs])
+        sums.append(acc if minus is None else acc - next(mpacked))
+    kept = [k for k, acc in enumerate(sums) if acc]
+    cuts, base = _digits([sums[k] for k in kept], wb, [outputs[k][0] for k in kept])
+    norm, zero = ring._norm, ring.zero
+    out = [None] * len(outputs)
+    for k, cut in zip(kept, cuts):
+        vals = [norm((c - base,), den) if c != base else zero.val for c in cut]
+        if any(vals):
+            out[k] = tuple([RingElem(ring, v) if v else zero for v in vals])
+    return out
 
 
 def _graded_sum(length, terms, minus):
@@ -294,24 +300,23 @@ def _graded_sum(length, terms, minus):
         acc += (x if g == 1 else x * g) * _pack(v[0], w)
     if minus is not None:
         acc -= _pack(minus[0], w) * mfactor
-    (cut,), base = _digits(acc, wb, [length])
+    (cut,), base = _digits([acc], wb, [length])
     return [d - base for d in cut], den, max(max(cut) - base, base - min(cut)).bit_length()
 
 
 def _product_sums(ring, left, right, outputs):
     """Dense sums of products of vectors of raw values, behind Series2
-    products and the normal form over every base but Q.
+    products and the normal form over the composite rings.
 
     For each (length, pairs) in outputs, the list of the `length` raw values
     of the sum of left[i] * right[j] over (i, j) in pairs; `length` must
     cover every product in the sum.  Over Q and F_p this is the packed
-    kernel: each side is one record over one denominator (`_side`), so no
-    scale factor applies, and each output coefficient is reduced on its own
-    (over F_p inline, mod p), so no output image is made canonical.  Over
-    composite rings each side is brought to one denominator too
-    (`_tower_side`), each output coefficient's integer numerators are
-    accumulated by the ring's `_mac` over the product of the two, and each
-    is normalised once, by one `_norm`.
+    kernel: each side is lifted over one denominator (`_side`), each sum is
+    one integer, and each output coefficient is reduced on its own (over F_p
+    inline, mod p).  Over composite rings each side is brought to one
+    denominator too (`_tower_side`), each output coefficient's integer
+    numerators are accumulated by the ring's `_mac` over the product of the
+    two, and each is normalised once, by one `_norm`.
     """
     if isinstance(ring, TruncatedRing):
         mac, size, norm = ring._mac, len(ring._monos), ring._norm
@@ -330,9 +335,18 @@ def _product_sums(ring, left, right, outputs):
                         mac(out, x, y)
             sums.append([norm(nums, den) if nums else () for nums in acc])
         return sums
-    cuts, base, den = _slots(_side(ring, left), _side(ring, right), outputs)
+    (lints, lden, lbits), (rints, rden, rbits) = _side(ring, left), _side(ring, right)
+    # each pair puts at most min(len(a), len(b)) products into a slot
+    count = max((len(pairs) for _, pairs in outputs), default=0) * min(
+        max(map(len, lints), default=0), max(map(len, rints), default=0)
+    )
+    wb = _slot_bytes(lbits + rbits, count)
+    lpacked = [_pack(v, 8 * wb) for v in lints]
+    rpacked = [_pack(v, 8 * wb) for v in rints]
+    sums = [sum([lpacked[i] * rpacked[j] for i, j in pairs]) for _, pairs in outputs]
+    cuts, base = _digits(sums, wb, [length for length, _ in outputs])
     if isinstance(ring, PrimeField):
         p = ring.p
         return [[(d - base) % p for d in cut] for cut in cuts]
-    norm = ring._norm
+    norm, den = ring._norm, lden * rden
     return [[norm((d - base,), den) if d != base else () for d in cut] for cut in cuts]

@@ -14,18 +14,20 @@ The solver takes c = 1/d and certifies with sign +1, so L(mu, nu) = f; the
 iteration takes c = -1/d and certifies with sign -1, so each correction
 cancels its residual.
 
-The products behind these run in the kernels on coefficient vectors held in
-one of two formats, by base.  Over every other base than Q, F_p and the
-composite rings, a vector is a list of raw values, multiplied by
-`kernels._product_sums`.  Over Q, where each coefficient carries its own
-denominator, it is an integer image (ints, den, bits), the vector ints/den.
-`QuadForm.apply_series` keeps its own arithmetic (`_vectors`): canonical
-images, each side of a product over one denominator, multiplied by
-`kernels._packed_sums`, so that the residual check it serves stays
-independent of the iteration, whose diagonal term it does not share
-(`normal_form_iteration`).  The iteration and the solver (`_graded`)
-hold integer numerators whose denominator is fixed by their degree, and
-never divide a content out: a component f_m of f is over F_m, the lcm of
+The products behind these run in the kernels.  `QuadForm.apply_series`
+multiplies out whole components of x and y on raw values, over Q and F_p in
+`kernels._form_sums` (each component packed once, the polar vectors formed
+on packed integers), over the composite rings in `_raw_form_sums` (the
+polar vectors formed coefficientwise, the products in
+`kernels._product_sums`).  So the residual check it serves stays independent
+of the iteration: it forms its own polar vectors and does not share the
+iteration's diagonal term or read-off polar vectors (`normal_form_iteration`).
+Over every other base than Q the iteration and the solver hold a vector as
+a list of raw values, multiplied by `kernels._product_sums`; over Q, where
+each coefficient carries its own denominator, as an integer image
+(ints, den, bits), the vector ints/den (`_graded`): integer numerators
+whose denominator is fixed by their degree, with no content ever divided
+out.  A component f_m of f is over F_m, the lcm of
 its coefficients' denominators; a residual component eps_m over E_m, the
 lcm of the denominators of the terms that enter degree m; a correction
 (a_k, b_k) over D*E_{k+1}, D the lcm of the denominators of the rows'
@@ -40,10 +42,9 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from math import lcm
 
-from .kernels import _elements, _graded_sum, _images, _packed_sums, _product_sums
-from .rings import DualNumbers, Rationals, RingElem
+from .kernels import _elements, _form_sums, _graded_sum, _images, _product_sums
+from .rings import DualNumbers, PrimeField, Rationals, RingElem
 from .series import Series2, _min_prec, _series_arg
 
 
@@ -95,74 +96,69 @@ class QuadForm:
         characteristic 2 is covered.  Every degree is one output of one
         kernel call, the low degree on the left: x_i and y_i against the
         polar vectors p_j = 2x_j + gamma*y_j and r_j = gamma*x_j + 2*delta*y_j,
-        or against x_k + gamma*y_k and delta*y_k on the diagonal, and -1
-        against minus_m; a component missing from xs or ys counts as zeros.
-        The components of xs and ys are lifted once (`_vectors`), in two
-        calls (the low ones, which form the left side, and the rest; over Q
-        each over one shared denominator), and those of minus in one more;
-        the polar vectors are formed coefficientwise on those (over Q with no
-        content divided out: the packed kernel reads any image), and a zero
-        output is dropped before wrapping.
+        or against x_k + gamma*y_k and delta*y_k on the diagonal, less minus_m;
+        a component missing from xs or ys counts as zeros, and one that
+        enters no product (degree n with n + least degree > precision) is
+        dropped.  Over Q and F_p the kernel is `kernels._form_sums`: the low
+        components (those on the left) and the rest are lifted apart, so
+        that over Q the low ones do not take the height of the others, each
+        component is packed once, the polar vectors are formed on the packed
+        integers, and a degree is unpacked only when it is nonzero.  Over the
+        composite rings it is `_raw_form_sums`, on raw values.  The check
+        that reads this stays independent of the iteration: it multiplies
+        out whole components of the returned x and y and forms its own
+        polar vectors, and shares only the packing (`_pack`, `_digits`,
+        `_slot_bytes`) with the iteration's `_graded_sum`.
         """
         ring = self.ring
         args = {"xs": xs, "ys": ys} | ({} if minus is None else {"minus": minus})
         _check_args(self, **args)
         prec = _min_prec(*(s.precision for s in args.values()))
         top = float("inf") if prec is None else prec
-        sums, lift, wrap, nonzero = _vectors(ring)
-        if isinstance(ring, Rationals):
-
-            def combine(c, v, d, w):
-                """the image of c*v + d*w from images, with no content divided out"""
-                ((cn,), cd), ((dn,), dd), (vi, vd, _), (wi, wd, _) = ring._ints(c.val), ring._ints(d.val), v, w
-                den = lcm(cd * vd, dd * wd)
-                cn, dn = cn * (den // (cd * vd)), dn * (den // (dd * wd))
-                out = [cn * a + dn * b for a, b in zip(vi, wi)]
-                return out, den, max(map(abs, out)).bit_length()
-
-        else:
-            vadd, vmul = ring._vadd, ring._vmul
-
-            def combine(c, v, d, w):
-                """c*v + d*w, on raw values"""
-                c, d = c.val, d.val
-                return [vadd(vmul(c, a), vmul(d, b)) for a, b in zip(v, w)]
-
-        gamma, delta, zero = self.gamma, self.delta, ring.zero
-        one, two, two_delta = ring.one, ring(2), 2 * delta
+        zero = ring.zero
         degrees = sorted(n for n in {*xs.parts, *ys.parts} if n <= top)
         degrees = [n for n in degrees if n + degrees[0] <= top]  # those that enter a product
-        # x_n and y_n by degree, a missing one as zeros; the low ones, the left
-        # side, are lifted apart from the high ones, so that over Q they do not
-        # take the height of the high ones
-        components = [s.parts.get(n) or (zero,) * (n + 1) for n in degrees for s in (xs, ys)]
-        n_low = 2 * sum(2 * n <= top for n in degrees)
-        low = lift(components[:n_low])
-        left, vectors, right = lift([(-one,)]) + low, low + lift(components[n_low:]), []
-        lows, highs = {}, {}  # degree -> index of x_i in left; (degree, diagonal) -> index in right
-        for k, n in enumerate(degrees):
-            x, y = vectors[2 * k : 2 * k + 2]
-            if 2 * n <= top:
-                lows[n] = 2 * k + 1
-                highs[n, True] = len(right)
-                right += [combine(one, x, gamma, y), combine(zero, x, delta, y)]
-            if degrees[0] < n:
-                highs[n, False] = len(right)
-                right += [combine(two, x, gamma, y), combine(gamma, x, two_delta, y)]
-        by_degree = defaultdict(list)
-        for i, low in lows.items():
-            for (j, diagonal), high in highs.items():
-                if (i == j) if diagonal else (i < j <= top - i):
-                    by_degree[i + j] += [(low, high), (low + 1, high + 1)]
+        # x_k and y_k, of the k-th degree, as raw values, a missing one as zeros
+        vectors = [[c.val for c in s.parts.get(n) or (zero,) * (n + 1)] for n in degrees for s in (xs, ys)]
+        n_low = sum(2 * n <= top for n in degrees)  # those on the left
+        # right: (j, diagonal) -> its index; by_degree: degree -> pairs (i, index of the right vectors)
+        right, by_degree = {}, defaultdict(list)
+        for i in range(n_low):
+            for j in range(i, len(degrees)):
+                if degrees[i] + degrees[j] > top:
+                    break
+                by_degree[degrees[i] + degrees[j]].append((i, right.setdefault((j, i == j), len(right))))
+        minuends = {} if minus is None else {m: [c.val for c in v] for m, v in minus.parts.items() if m <= top}
+        out_degrees = sorted({*by_degree, *minuends})
+        outputs = [(m + 1, by_degree.get(m, []), minuends.get(m)) for m in out_degrees]
+        form_sums = _form_sums if isinstance(ring, (Rationals, PrimeField)) else _raw_form_sums
+        sums = form_sums(ring, (self.gamma.val, self.delta.val), vectors, n_low, list(right), outputs)
+        return Series2._of(ring, {m: v for m, v in zip(out_degrees, sums) if v}, prec)
+
+
+def _raw_form_sums(ring, form, vectors, n_low, right, outputs):
+    """`kernels._form_sums` on raw values, over the composite rings: each
+    polar and diagonal vector is formed once, coefficientwise, and every sum
+    is one output of one `kernels._product_sums` call, against the left side
+    -1, x_0, y_0, .., x_{n_low-1}, y_{n_low-1}, minus against -1."""
+    vadd, vmul = ring._vadd, ring._vmul
+    (gamma, delta), one, two = form, ring.one.val, ring(2).val
+    scalars = {False: ((two, gamma), (gamma, vmul(two, delta))), True: ((one, gamma), (ring.zero.val, delta))}
+    left = [[ring._vneg(one)], *vectors[: 2 * n_low]]
+    combos = [
+        [vadd(vmul(c, a), vmul(d, b)) for a, b in zip(vectors[2 * j], vectors[2 * j + 1])]
+        for j, diagonal in right
+        for c, d in scalars[diagonal]
+    ]
+    sums = []
+    for length, pairs, minus in outputs:
+        products = [(2 * i + 1 + s, 2 * k + s) for i, k in pairs for s in (0, 1)]
         if minus is not None:
-            kept = [m for m in minus.parts if m <= top]
-            for k, m in enumerate(kept):
-                by_degree[m].append((0, len(right) + k))
-            right += lift([minus.parts[m] for m in kept])
-        out_degrees = sorted(by_degree)
-        outputs = [(m + 1, by_degree[m]) for m in out_degrees]
-        parts = {m: wrap(v) for m, v in zip(out_degrees, sums(ring, left, right, outputs)) if nonzero(v)}
-        return Series2._of(ring, parts, prec)
+            products.append((0, len(combos)))
+            combos.append(minus)
+        sums.append((length, products))
+    _, wrap, _ = _vectors(ring)
+    return [wrap(v) if any(v) else None for v in _product_sums(ring, left, combos, sums)]
 
 
 def _check_type(name, value, cls):
@@ -232,7 +228,7 @@ def _row_scalars(ring, rows):
     """Rows of scalars as `_apply_row` reads them, lifted in one call, as
     (r, s, D): over Q integers over D, the lcm of the scalars' denominators,
     each in lowest terms; over every other base raw values, with D None."""
-    _, lift, _, _ = _vectors(ring)
+    lift, _, _ = _vectors(ring)
     (flat,) = lift([[s for row in rows for s in row]])
     vals, den = flat[:2] if isinstance(ring, Rationals) else (flat, None)
     return [(vals[k], vals[k + 1], den) for k in range(0, len(vals), 2)]
@@ -281,7 +277,7 @@ def _certify_right_inverse(q, ring, sign, targets, preimages):
     L is graded, so the error names the least degree where the identity
     fails.  The solver certifies with sign +1 (L(mu, nu) = f), the iteration
     with sign -1 (its correction cancels the residual)."""
-    _, lift, _, _ = _vectors(ring)
+    lift, _, _ = _vectors(ring)
     # sign*q_X = sign*(gamma, 2) and sign*q_Y = sign*(2*delta, gamma), by X-exponent
     g, two = sign * q.gamma, ring(2 * sign)
     gradient = lift([(g, two), (two * q.delta, g)])
@@ -373,22 +369,21 @@ def _certify(identity, lhs, rhs):
 
 
 def _vectors(ring):
-    """How `QuadForm.apply_series` holds a coefficient vector, as (sums,
-    lift, wrap, nonzero): over Q a canonical integer image (see `kernels`),
-    multiplied by `_packed_sums`; over every other base a list of raw
-    values, multiplied by `_product_sums`.  lift takes a list of vectors of
-    RingElem to that format (over Q to images over one shared denominator,
-    so a single vector's is canonical), wrap takes one back to a tuple of
+    """How the normal form lifts a vector of scalars, as (lift, wrap,
+    nonzero): over Q to integer images (see `kernels`), over every other
+    base to a list of raw values.  lift takes a list of vectors of RingElem
+    to that format (over Q to images over one shared denominator, so a
+    single vector's is canonical), wrap takes one back to a tuple of
     RingElem, each coefficient normalised, and nonzero tells whether it is.
-    The rows' and the gradient's scalars are lifted by this lift too."""
+    The rows' and the gradient's scalars are lifted by this lift."""
     if isinstance(ring, Rationals):
-        return _packed_sums, lambda vecs: _images(ring, vecs), lambda image: _elements(ring, image), _nonzero_image
+        return lambda vecs: _images(ring, vecs), lambda image: _elements(ring, image), _nonzero_image
     zero = ring.zero
 
     def wrap(vec):
         return tuple([RingElem(ring, x) if x else zero for x in vec])
 
-    return _product_sums, lambda vecs: [[c.val for c in v] for v in vecs], wrap, any
+    return lambda vecs: [[c.val for c in v] for v in vecs], wrap, any
 
 
 def _nonzero_image(image):
@@ -404,7 +399,7 @@ def _graded(ring):
     denominator the grading gives it, and lift takes each vector over the
     lcm of its own denominators (one `kernels._images` call each); over
     every other base total is `_raw_sum` and lift `_vectors`'."""
-    _, lift, wrap, nonzero = _vectors(ring)
+    lift, wrap, nonzero = _vectors(ring)
     if isinstance(ring, Rationals):
         return _graded_sum, lambda vecs: [_images(ring, [v])[0] for v in vecs], wrap, nonzero
     return lambda length, terms, minus: _raw_sum(ring, length, terms, minus), lift, wrap, nonzero

@@ -204,8 +204,9 @@ class Series2:
     @classmethod
     def from_terms(cls, ring, terms, precision=None):
         """Build from (i, j, coefficient) triples meaning coeff * X^i Y^j,
-        summed on raw values, each coefficient wrapped once."""
-        vadd, zero = ring._vadd, ring.zero.val
+        summed on raw values, each nonzero coefficient wrapped once and each
+        zero one the ring's shared zero."""
+        vadd, zero = ring._vadd, ring.zero
         parts = {}
         for i, j, c in terms:
             n = i + j
@@ -213,9 +214,9 @@ class Series2:
                 continue  # unknown beyond the precision; allocating it could exhaust memory
             vec = parts.get(n)
             if vec is None:
-                vec = parts[n] = [zero] * (n + 1)
+                vec = parts[n] = [zero.val] * (n + 1)
             vec[i] = vadd(vec[i], ring(c).val)
-        parts = {n: tuple([RingElem(ring, v) for v in vec]) for n, vec in parts.items() if any(vec)}
+        parts = {n: tuple([RingElem(ring, v) if v else zero for v in vec]) for n, vec in parts.items() if any(vec)}
         return cls._of(ring, parts, precision)
 
     @classmethod

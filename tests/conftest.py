@@ -1,11 +1,12 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from nodal_kit import dp_ring, normal_form
 from nodal_kit.dp_ring import DegreeOverflowError, mul_columns
-from nodal_kit.kernels import _canonical, _sparse_add
+from nodal_kit.kernels import _sparse_add
 from nodal_kit.linalg import _dense_rows, rank
 from nodal_kit.rings import DualNumbers, LocalTruncation, PrimeField, Rationals, RingElem
 from nodal_kit.series import Series2
@@ -339,6 +340,15 @@ def perturbed_step(monkeypatch, step, which):
         return out
 
     monkeypatch.setattr(normal_form, "_apply_row", perturbed)
+
+
+def _canonical(ints, den):
+    """The canonical image (ints, den, bits) of the vector ints/den over Q
+    (den > 0): its content divided out, bits that of the largest |x|."""
+    g = gcd(den, *ints)
+    if g != 1:
+        ints, den = [x // g for x in ints], den // g
+    return ints, den, max(map(abs, ints)).bit_length() if ints else 0
 
 
 def _plus_one(ring, vec):

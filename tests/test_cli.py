@@ -14,6 +14,7 @@ from conftest import (
     LATER_FAULTS,
     corrupt_division,
     corrupt_power_rows,
+    naive_apply_series,
     perturbed_preimage,
     perturbed_rows,
     perturbed_step,
@@ -575,6 +576,59 @@ def test_a_dropped_last_correction_fails_the_residual_order_check(monkeypatch, c
     )
     assert code == 1
     assert failed == {"nf.residual-order": "series 0: residual order 7"}
+
+
+def _planted_in_last_x(monkeypatch, degree, c):
+    """Make the iteration's last step return x + c*X^degree; record each
+    final residual `apply_series` returns, with its arguments."""
+    def perturb(steps):
+        xs, ys = steps[-1]
+        ring = xs.ring
+        steps[-1] = (xs + Series2(ring, {degree: (ring.zero,) * degree + (ring(c),)}), ys)
+        return steps
+
+    _faulty_iteration(monkeypatch, perturb)
+    real, residuals = normal_form.QuadForm.apply_series, []
+
+    def recorded(q, xs, ys, minus=None):
+        residuals.append(((q, xs, ys, minus), real(q, xs, ys, minus)))
+        return residuals[-1][1]
+
+    monkeypatch.setattr(normal_form.QuadForm, "apply_series", recorded)
+    return residuals
+
+
+@pytest.mark.parametrize("c", [1, -1])
+@pytest.mark.parametrize("ring", ["q", "fp:7"])
+def test_a_residual_only_in_the_top_kept_degree_passes_and_is_returned(monkeypatch, ring, c):
+    # at precision 6 the check keeps degrees <= 8; x gains c*X^7, which
+    # changes q(x, y) - f by 2c*X^8 + 3c*X^7*Y in degree 8 only, the last
+    # kept one: every lower degree of the packed sum is 0 and is never
+    # unpacked, the top one is returned, and the check passes
+    residuals = _planted_in_last_x(monkeypatch, 7, c)
+    report = cli.run(cli.RunConfig("normal-form", ring=ring, gamma="3", delta="2", precision=6))
+    assert report.overall_pass
+    assert len(residuals) == 4
+    for args, residual in residuals:
+        assert list(residual.parts) == [8]
+        assert residual.parts == naive_apply_series(*args).parts
+
+
+@pytest.mark.parametrize("c", [1, -1])
+@pytest.mark.parametrize("ring", ["q", "fp:7"])
+def test_a_residual_in_one_lower_degree_fails_naming_that_order(monkeypatch, capsys, ring, c):
+    # x gains c*X^6: q(x, y) - f gains 2c*X^7 + 3c*X^6*Y in degree 7, one
+    # below the top kept degree, so the residual has order 7 (over q its
+    # packed sum in degree 7 is negative for c = -1)
+    residuals = _planted_in_last_x(monkeypatch, 6, c)
+    code, failed = _counterexamples(
+        capsys, "normal-form", "--ring", ring, "--gamma", "3", "--delta", "2", "--precision", "6"
+    )
+    assert code == 1
+    assert failed == {"nf.residual-order": "series 0: residual order 7"}
+    ((args, residual),) = residuals
+    assert min(residual.parts) == 7
+    assert residual.parts == naive_apply_series(*args).parts
 
 
 @pytest.mark.parametrize(

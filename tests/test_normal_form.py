@@ -638,7 +638,7 @@ def test_each_step_makes_one_packed_product_and_the_iteration_one_certificate(mo
     # rings both run on raw values, through _product_sums; neither makes a
     # Series2 product, and the rows of a step are applied in place, with no
     # kernel call
-    calls = {"_graded_sum": 0, "_packed_sums": 0, "_product_sums": 0, "solve_linearized_increment": 0}
+    calls = {"_graded_sum": 0, "_form_sums": 0, "_product_sums": 0, "solve_linearized_increment": 0}
     kernels = {"_product_sums": 0}
     for module, name, counts in [(normal_form, name, calls) for name in calls] + [(series, "_product_sums", kernels)]:
         real = getattr(module, name)
@@ -1011,6 +1011,49 @@ def test_polar_apply_series_matches_the_ordered_double_loop(data, ring_desc, see
     assert q.apply_series(xs, ys, minus) == naive_apply_series(q, xs, ys, minus)
 
 
+PACKED_CASES = ["exact", "no-minus", "degree-0", "one-sided", "form-over-L", "tall-in-one-degree"]
+
+
+@pytest.mark.parametrize("case", PACKED_CASES)
+@settings(max_examples=25, deadline=None)
+@given(ring_desc=st.sampled_from(["q", "fp:2", "fp:7", "fp:101"]), seed=st.integers(0, 10**6))
+def test_packed_apply_series_matches_the_ordered_double_loop(case, ring_desc, seed):
+    # over q and F_p apply_series packs each component once and forms the
+    # polar vectors on packed integers (kernels._form_sums); each case forces
+    # one edge of it: every argument exact; no minus; a degree-0 component;
+    # a degree in only one of xs and ys; gamma and delta over L > 1; a tall
+    # denominator (and numerator) in one degree of x and of minus only
+    rnd = random.Random(seed)
+    ring = make_ring(ring_desc)
+    if case == "form-over-L":
+        gamma, delta = (ring.from_fraction(Fraction(rnd.randint(-9, 9), rnd.choice([3, 9, 11]))) for _ in "gd")
+    else:
+        gamma, delta = ring(rnd.randint(-9, 9)), ring(rnd.randint(-9, 9))
+    q = QuadForm(ring, gamma, delta)
+    tall = rnd.randint(1, 6)
+
+    def series(degrees, tall_degree=None):
+        precision = None if case == "exact" else rnd.choice([None, rnd.randint(0, 9)])
+        parts = {}
+        for n in degrees:
+            parts[n] = [ring.random_element(rnd) if rnd.random() < 0.7 else ring.zero for _ in range(n + 1)]
+            if n == tall_degree:
+                parts[n] = [c + ring.from_fraction(Fraction(2**300 + k, 3**200)) for k, c in enumerate(parts[n])]
+        return Series2(ring, parts, precision)
+
+    x_degrees, y_degrees = set(rnd.sample(range(7), 3)), set(rnd.sample(range(7), 3))
+    if case == "degree-0":
+        x_degrees.add(0)
+    if case == "one-sided":
+        x_degrees, y_degrees = x_degrees - y_degrees | {1}, y_degrees - x_degrees - {1} | {2}
+    xs = series(x_degrees, tall if case == "tall-in-one-degree" else None)
+    ys = series(y_degrees)
+    minus = None if case == "no-minus" else series(range(2, 9), tall + 1 if case == "tall-in-one-degree" else None)
+    got, want = q.apply_series(xs, ys, minus), naive_apply_series(q, xs, ys, minus)
+    assert got.precision == want.precision
+    assert got.parts == want.parts
+
+
 @pytest.mark.parametrize(
     "form_ring, series_ring",
     [("fp:7", "fp:5"), ("q", "loc:q:s,t:3"), ("fp:7", "dual:fp:7")],
@@ -1088,28 +1131,10 @@ def test_an_entry_point_refuses_a_series_over_another_ring(function, name):
         getattr(normal_form, function)(**kwargs | {name: moved})
 
 
-def _recorded_kernel_calls(monkeypatch):
-    """Record (left, right, outputs) of every kernel call normal_form makes."""
-    calls = []
-    for name in ("_packed_sums", "_product_sums"):
-        real = getattr(normal_form, name)
-
-        def recorded(ring, left, right, outputs, _real=real):
-            calls.append((left, right, outputs))
-            return _real(ring, left, right, outputs)
-
-        monkeypatch.setattr(normal_form, name, recorded)
-    return calls
-
-
 def _degree(vec):
     """The degree of a component held as an image (ints, den, bits) or as a
     list of raw values; r, of length 1, counts as degree 0."""
     return len(vec[0] if isinstance(vec[0], list) else vec) - 1
-
-
-def _product_degrees(left, right, pairs):
-    return sorted((_degree(left[i]), _degree(right[j])) for i, j in pairs)
 
 
 @pytest.mark.parametrize("ring_desc", ["q", "fp:7", "loc:q:s,t:3"])
@@ -1155,7 +1180,10 @@ def test_apply_series_multiplies_each_unordered_pair_of_components_once(monkeypa
     # every component of x and y in degrees 1 .. 6 is nonzero, and so is each
     # polar and diagonal vector (x_j[0] = 1, y_j[0] = 0, y_j[j] = 1 with
     # gamma = 3, delta = 1): each unordered pair of degrees (i, j), i <= j,
-    # gives exactly two products, and -1 against minus_m one more
+    # is one pair of one kernel call (x_i*p_j and y_i*r_j), and minus_m
+    # enters its degree once.  Over q and F_p the kernel is _form_sums, on
+    # packed integers; over dual:q _raw_form_sums, whose one _product_sums
+    # call has each vector once per side
     rnd = random.Random(ring_desc)
     ring = make_ring(ring_desc)
     q = QuadForm.make(ring, 3, 1)
@@ -1166,22 +1194,41 @@ def test_apply_series_multiplies_each_unordered_pair_of_components_once(monkeypa
     xs = Series2(ring, {n: component(n, 1, 0) for n in range(1, 7)}, precision)
     ys = Series2(ring, {n: component(n, 0, 1) for n in range(1, 7)}, precision)
     minus = _random_series_over(q, rnd, 9)
-    calls = _recorded_kernel_calls(monkeypatch)
+    calls, products = [], []
+    for module, name, seen in [(normal_form, "_form_sums", calls), (normal_form, "_raw_form_sums", calls),
+                               (normal_form, "_product_sums", products)]:
+        real = getattr(module, name)
+
+        def recorded(*args, _real=real, _name=name, _seen=seen):
+            _seen.append((_name, args))
+            return _real(*args)
+
+        monkeypatch.setattr(module, name, recorded)
     got = q.apply_series(xs, ys, minus)
     assert got == naive_apply_series(q, xs, ys, minus)
-    ((left, right, outputs),) = calls
+    ((name, (_, form, vectors, n_low, right, outputs)),) = calls
+    assert name == ("_raw_form_sums" if ring_desc == "dual:q" else "_form_sums")
+    assert form == (q.gamma.val, q.delta.val)
     top = 12 if precision is None else precision
-    assert [length - 1 for length, _ in outputs] == list(range(2, top + 1))
-    for length, pairs in outputs:
+    degrees = [len(v) - 1 for v in vectors[::2]]
+    assert degrees == list(range(1, 7)) and n_low == min(6, top // 2)
+    # each polar or diagonal pair of vectors once: (j, i == j) for a pair of degree indices i <= j
+    assert len(set(right)) == len(right)
+    assert [length - 1 for length, _, _ in outputs] == list(range(2, top + 1))
+    for length, pairs, minuend in outputs:
         m = length - 1
-        want = [(i, m - i) for i in range(1, m // 2 + 1) if m - i <= 6 for _ in "xy"]
-        if m in minus.parts:
-            want.append((0, m))
-        assert _product_degrees(left, right, pairs) == sorted(want)
-    # each vector is built once per side: -1, then x_i and y_i; the polar and
-    # diagonal vectors of each degree
-    assert len(left) == 1 + 2 * min(6, top // 2)
-    assert len({id(v) for v in right}) == len(right)
+        assert all(right[k][1] == (i == right[k][0]) for i, k in pairs)
+        assert sorted((degrees[i], degrees[right[k][0]]) for i, k in pairs) == [
+            (i, m - i) for i in range(1, m // 2 + 1) if m - i <= 6
+        ]
+        assert (minuend is not None) == (m in minus.parts)
+    if ring_desc != "dual:q":
+        assert products == []
+        return
+    # -1, then x_i and y_i; two vectors for each entry of right, and each minuend
+    ((_, (_, left, right_vectors, _)),) = products
+    assert len(left) == 1 + 2 * n_low
+    assert len(right_vectors) == 2 * len(right) + sum(m is not None for _, _, m in outputs)
 
 
 # --- an independent oracle: sympy polynomial arithmetic over QQ ---------------

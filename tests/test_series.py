@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import dense_row
 from nodal_kit.dp_ring import DPRing
-from nodal_kit.kernels import _elements as _image_elements, _images, _packed_sums, _product_sums
+from nodal_kit.kernels import _elements as _image_elements, _form_sums, _images, _product_sums
 from nodal_kit.normal_form import QuadForm
 from nodal_kit.rings import DualNumbers, PrimeField, Rationals, RingElem, make_ring
 from nodal_kit.series import (
@@ -508,119 +508,64 @@ def test_a_slot_width_with_no_rounding_slack():
     assert got == [c.val for c in want]
 
 
-# --- the packed kernel on images over Q against the coefficient loop --------
+# --- the images of the normal form over Q, and the packed quadratic form ------
 
 # per-vector denominators: some share factors (2, 3, 5, 7), some are coprime
 # to all the others (11 * 13, 2^61 - 1), and some are tall
 _VECTOR_DENOMINATORS = [1, 2, 4, 6, 12, 35, 143, 2**40, 3**30 * 5, 2**61 - 1]
 
 
-def _assert_canonical_image(image):
-    ints, den, bits = image
-    assert type(ints) is list and all(type(x) is int for x in ints)
-    assert type(den) is int and den > 0 and math.gcd(den, *ints) == 1
-    assert bits == max(map(abs, ints), default=0).bit_length()
-
-
-@st.composite
-def _image_vector(draw, max_len):
-    """A vector of rationals and a canonical image of it, or of its tail or
-    head: a slice, which the kernel reads too.  Each coefficient lies over
-    the vector's denominator times 1, 2 or 3."""
-    n = draw(st.integers(0, max_len))
-    kind = draw(st.sampled_from(["random", "negative", "zero"]))
-    heights = st.one_of(st.integers(0, 9), st.integers(0, 2**64), st.integers(0, 2**1000))
-    den = draw(st.sampled_from(_VECTOR_DENOMINATORS))
-    vec = []
-    for _ in range(n):
-        if kind == "zero":
-            vec.append(QQ.zero)
-            continue
-        height = draw(heights) + (kind == "negative")
-        num = -height if kind == "negative" or draw(st.booleans()) else height
-        vec.append(QQ.from_fraction(Fraction(num, den * draw(st.integers(1, 3)))))
-    (image,) = _images(QQ, [vec])
-    _assert_canonical_image(image)
-    ints, den, bits = image
-    cut = draw(st.sampled_from(["whole", "tail", "head"]))
-    if cut == "tail":
-        return vec[1:], (ints[1:], den, bits)
-    if cut == "head":
-        return vec[:1], (ints[:1], den, bits)
-    return vec, image
-
-
 @settings(max_examples=80, deadline=None)
-@given(data=st.data())
-def test_packed_sums_on_images_match_the_coefficient_loop(data):
-    # in about a quarter of the examples one side holds only vectors of
-    # length 0 or 1, each over its own denominator: they take the packed path too
-    short = data.draw(st.sampled_from(["left", "right", None, None, None, None, None, None]))
-    left = [data.draw(_image_vector(1 if short == "left" else 8)) for _ in range(data.draw(st.integers(1, 4)))]
-    right = [data.draw(_image_vector(1 if short == "right" else 8)) for _ in range(data.draw(st.integers(1, 4)))]
-    pair = st.tuples(st.integers(0, len(left) - 1), st.integers(0, len(right) - 1))
-    outputs = []
-    for pairs in data.draw(st.lists(st.lists(pair, max_size=5), max_size=4)):
-        need = max((max(len(left[i][0]) + len(right[j][0]) - 1, 0) for i, j in pairs), default=0)
-        outputs.append((need + data.draw(st.integers(0, 2)), pairs))
-    sums = _packed_sums(QQ, [im for _, im in left], [im for _, im in right], outputs)
-    assert len(sums) == len(outputs)
-    for (length, pairs), got in zip(outputs, sums):
-        want = [QQ.zero] * length
-        for i, j in pairs:
-            _ref_convolve_into(want, left[i][0], right[j][0])
-        _assert_canonical_image(got)
-        assert _image_elements(QQ, got) == tuple(want)
-        assert got == _images(QQ, [want])[0]
+@given(
+    nums=st.lists(st.one_of(st.integers(-9, 9), st.integers(-(2**1000), 2**1000)), max_size=8),
+    den=st.sampled_from(_VECTOR_DENOMINATORS),
+    extra=st.lists(st.integers(1, 3), min_size=8, max_size=8),
+)
+def test_the_image_of_one_vector_is_canonical(nums, den, extra):
+    # each coefficient over the vector's denominator times 1, 2 or 3: the
+    # lcm is divided out down to the least denominator
+    vec = [QQ.from_fraction(Fraction(n, den * k)) for n, k in zip(nums, extra)]
+    ((ints, image_den, bits),) = _images(QQ, [vec])
+    assert type(ints) is list and all(type(x) is int for x in ints)
+    assert type(image_den) is int and image_den > 0 and math.gcd(image_den, *ints) == 1
+    assert bits == max(map(abs, ints), default=0).bit_length()
+    assert _image_elements(QQ, (ints, image_den, bits)) == tuple(vec)
 
 
-@pytest.mark.parametrize("sign", [1, -1])
-def test_a_slot_at_its_bound_with_the_largest_scale_factor(sign):
-    # x = 2^200 - 1 over 1 next to a vector over 2^40 is scaled by 2^40, the
-    # largest factor L // den, to height 240 on each side: with 127 products
-    # a slot takes 240 + 240 + bitlen(127) + 1 = 488 bits, a whole number of
-    # bytes, and the middle slot, 127 * x^2 * 2^80, fills all but the sign bit
-    x = 2**200 - 1
-    over = ([1], 2**40, 1)
-    left = [([x] * 127, 1, 200), over]
-    right = [([sign * x] * 127, 1, 200), over]
-    (got,) = _packed_sums(QQ, left, right, [(253, [(0, 0)])])
-    middle = 127 * x * x * 2**80
-    assert middle.bit_length() == 487
-    assert got == ([sign * (min(k, 252 - k) + 1) * x * x for k in range(253)], 1, (middle >> 80).bit_length())
+def test_a_form_sum_at_its_slot_bound():
+    # x_0 = (2^195 - 1, ..) of length 127, y_0 = 0 and gamma = delta = 0:
+    # the diagonal sum x_0*x_0 takes 2*195 + bitlen(2 - 1) + bitlen(255) + 1 =
+    # 400 bits a slot, a whole number of bytes, and its middle slot,
+    # 127 * x^2, fills all but 3 bits below the sign bit
+    x = 2**195 - 1
+    zero = QQ.zero.val
+    vectors = [[QQ(x).val] * 127, [zero] * 127]
+    (got,) = _form_sums(QQ, (zero, zero), vectors, 1, [(0, True)], [(253, [(0, 0)], None)])
+    assert (127 * x * x).bit_length() == 397
+    assert got == tuple(QQ((min(k, 252 - k) + 1) * x * x) for k in range(253))
 
 
-@pytest.mark.parametrize("scalars_left", [True, False])
-def test_a_side_of_scalars_scales_both_sides_to_their_denominators(scalars_left):
-    # every vector on one side has length 1, and each side's images lie
-    # over different denominators, so each product needs both scale factors
-    scalars = [([1], 2, 1), ([-3], 5, 2)]
-    vectors = [([1, 2, -3], 3, 2), ([5, -7], 7, 3)]
-    pairs = [(i, j) for i in range(2) for j in range(2)]
-    outputs = [(3, pairs), (3, pairs[1:2]), (2, [])]
-    if not scalars_left:
-        pairs = [(j, i) for i, j in pairs]
-        outputs = [(3, pairs), (3, pairs[1:2]), (2, [])]
-    left, right = (scalars, vectors) if scalars_left else (vectors, scalars)
-    got = _packed_sums(QQ, left, right, outputs)
-    for (length, sum_pairs), image in zip(outputs, got):
-        want = [Fraction(0)] * length
-        for i, j in sum_pairs:
-            (a, ad, _), (b, bd, _) = left[i], right[j]
-            for k1, x in enumerate(a):
-                for k2, y in enumerate(b):
-                    want[k1 + k2] += Fraction(x, ad) * Fraction(y, bd)
-        assert _image_elements(QQ, image) == tuple(QQ.from_fraction(c) for c in want)
+@pytest.mark.parametrize("ring", KERNEL_RINGS, ids=lambda r: r.descriptor())
+def test_a_form_sum_that_vanishes_is_none(ring):
+    # an output with no product and no minuend, one whose products cancel
+    # it exactly, and over F_7 one whose slot 9 - 2 is nonzero but 0 mod 7
+    three, two = ring(3).val, ring(2).val
+    vectors = [[three], [ring.zero.val]]  # x_0 = 3, y_0 = 0
+    form = (ring.zero.val, ring.zero.val)
+    outputs = [(1, [], None), (1, [(0, 0)], [ring(9).val]), (1, [(0, 0)], [two])]
+    got = _form_sums(ring, form, vectors, 1, [(0, True)], outputs)
+    vanishes = isinstance(ring, PrimeField) and ring.p == 7
+    assert got == [None, None, None if vanishes else (ring(7),)]
 
 
-def test_an_empty_scalar_vector_makes_an_empty_product():
-    # the right side is of scalars, one of them empty: its product with a
-    # length-1 vector is empty, so an output of length 0 holds it and the
-    # next output starts at its own first slot
-    left = [([0, 0], 1, 0), ([1], 1, 1)]
-    right = [([], 1, 0), ([1], 1, 1)]
-    got = _packed_sums(QQ, left, right, [(0, [(1, 0)]), (1, [(1, 1)]), (2, [(0, 0)])])
-    assert [_image_elements(QQ, image) for image in got] == [(), (QQ.one,), (QQ.zero, QQ.zero)]
+@pytest.mark.parametrize("ring", [QQ, F7, DualNumbers(QQ)], ids=lambda r: r.descriptor())
+def test_from_terms_wraps_each_zero_slot_as_the_shared_zero(ring):
+    # X^2 + 3Y^2 and X*Y - X*Y: the middle slot of degree 2 is the ring's one
+    # zero, not a new element, and the component that cancels is dropped
+    s = Series2.from_terms(ring, [(2, 0, ring(1)), (0, 2, ring(3)), (1, 1, ring(1)), (1, 1, ring(-1))])
+    assert list(s.parts) == [2]
+    assert s.parts[2][1] is ring.zero
+    assert s.parts[2][2] == ring.one and s.parts[2][0] == ring(3)  # indexed by X-exponent
 
 
 # --- Series2.agrees_below ----------------------------------------------------
