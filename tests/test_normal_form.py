@@ -1045,7 +1045,8 @@ def test_packed_apply_series_matches_the_ordered_double_loop(case, ring_desc, se
     if case == "degree-0":
         x_degrees.add(0)
     if case == "one-sided":
-        x_degrees, y_degrees = x_degrees - y_degrees | {1}, y_degrees - x_degrees - {1} | {2}
+        # degree 1 in xs alone, and at least degree 2 in ys
+        x_degrees, y_degrees = (x_degrees - y_degrees) | {1}, (y_degrees - x_degrees - {1}) | {2}
     xs = series(x_degrees, tall if case == "tall-in-one-degree" else None)
     ys = series(y_degrees)
     minus = None if case == "no-minus" else series(range(2, 9), tall + 1 if case == "tall-in-one-degree" else None)

@@ -536,7 +536,8 @@ def test_a_form_sum_at_its_slot_bound():
     # x_0 = (2^195 - 1, ..) of length 127, y_0 = 0 and gamma = delta = 0:
     # the diagonal sum x_0*x_0 takes 2*195 + bitlen(2 - 1) + bitlen(255) + 1 =
     # 400 bits a slot, a whole number of bytes, and its middle slot,
-    # 127 * x^2, fills all but 3 bits below the sign bit
+    # 127 * x^2 < 2^397, leaves 2 bits below the sign bit: one byte fewer
+    # would not hold it
     x = 2**195 - 1
     zero = QQ.zero.val
     vectors = [[QQ(x).val] * 127, [zero] * 127]
